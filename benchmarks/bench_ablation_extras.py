@@ -17,7 +17,7 @@ from repro.dag.tracer import trace_bidiag
 from repro.experiments.figures import format_rows
 from repro.kernels import costs
 from repro.runtime.machine import Machine
-from repro.runtime.scheduler import ListScheduler
+from repro.runtime.engine import SimulationEngine
 from repro.runtime.simulator import simulate_ge2bnd
 from repro.trees import AutoTree, GreedyTree
 
@@ -64,8 +64,8 @@ def test_ablation_scheduler_policy(benchmark):
 
     def run():
         rows = []
-        for policy in ("bottom-level", "fifo", "weight"):
-            schedule = ListScheduler(machine, priority=policy).run(graph)
+        for policy in ("list", "fifo", "weight"):
+            schedule = SimulationEngine(machine, policy=policy).run(graph)
             rows.append({"policy": policy, "makespan_ms": schedule.makespan * 1e3})
         return rows
 
@@ -75,4 +75,4 @@ def test_ablation_scheduler_policy(benchmark):
     # The bottom-level (critical-path aware) priority is the best of the three
     # (or tied within 5%).
     best = min(by_policy.values())
-    assert by_policy["bottom-level"] <= best * 1.05
+    assert by_policy["list"] <= best * 1.05

@@ -11,8 +11,8 @@ of one GE2BND problem — timed four ways, written to ``BENCH_batch.json``:
    the same candidates: axes hoisted per unique (machine, grid, network),
    dense rank orders memoized across candidates, schedule dedup on —
    every candidate still simulated, schedules **bit-identical** to the
-   per-candidate runs (audited field-by-field as part of the exit
-   status);
+   per-candidate runs and to the object-path reference scheduler
+   (audited field-by-field as part of the exit status);
 4. ``batch-pruned``     — the end-to-end plan path
    (:func:`repro.runtime.batch.simulate_resolved_batch` behind
    ``SvdPlan.sweep``): analytic critical-path/area bounds rank the
@@ -58,6 +58,7 @@ from repro.runtime.engine import SimulationEngine, engine_memo_stats  # noqa: E4
 from repro.runtime.machine import Machine  # noqa: E402
 from repro.tiles.layout import ceil_div  # noqa: E402
 from repro.trees import make_tree  # noqa: E402
+from repro.verify.reference import reference_schedule  # noqa: E402
 
 ARTIFACT = os.path.join(_ROOT, "BENCH_batch.json")
 
@@ -202,18 +203,25 @@ def main() -> int:
     pruned_cold_seconds, _ = batch_pruned(warm=False)
     pruned_seconds, outcomes = batch_pruned(warm=True)
 
-    # Hard gate 1: batched schedules == per-candidate runs, every field.
-    assert len(batched) == len(reference) == n_candidates
-    for i, (got, ref) in enumerate(zip(batched, reference)):
-        assert _schedules_equal(got, ref), (
-            f"batched schedule differs from per-candidate run for "
-            f"candidate {i}"
+    # Hard gate 1: batched schedules == per-candidate runs == the
+    # object-path reference scheduler, every field.  The batch and the
+    # engine share the replay kernel; the reference shares nothing.
+    oracle = [
+        reference_schedule(get_program("bidiag", p, q, tree), machine,
+                           policy=policy)
+        for _name, tree, p, q, machine, policy in _candidates(trees)
+    ]
+    assert len(batched) == len(reference) == len(oracle) == n_candidates
+    for i, (got, ref, want) in enumerate(zip(batched, reference, oracle)):
+        assert _schedules_equal(got, ref) and _schedules_equal(got, want), (
+            f"batched schedule differs from the per-candidate run or the "
+            f"reference scheduler for candidate {i}"
         )
     assert [s.makespan for s in reference] == cold_makespans, (
         "warm program-cache replays changed makespans vs cold compiles"
     )
     print(f"bit-identity audit: {n_candidates} batched schedules equal the "
-          "per-candidate engine runs on every field")
+          "per-candidate engine runs and the reference on every field")
 
     # Hard gate 2: pruning never changes the winner or its score.
     best = min(range(n_candidates), key=lambda i: reference[i].makespan)
@@ -261,7 +269,9 @@ def main() -> int:
           f"batched): {speedup:.2f}x")
 
     stats = engine_memo_stats()
-    batch_stats = {k: v for k, v in stats.items() if k.startswith("batch_")}
+    batch_stats = {
+        k: v for k, v in stats.items() if k.startswith(("batch_", "order_"))
+    }
 
     trajectory = {
         "problem": {"m": M, "n": N, "nb": NB, "n_cores": N_CORES},

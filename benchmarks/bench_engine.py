@@ -3,11 +3,11 @@
 Runs a tuning-style sweep — every (tree, inner-block, policy) candidate of
 one GE2BND problem, scored by simulated makespan — three ways:
 
-* ``legacy-frontend`` — the backward-compatible surface as it exists
-  today: trace a fresh ``TaskGraph`` per candidate and hand it to the
-  :class:`ListScheduler` front-end.  Note this includes the
-  Program→TaskGraph→Program conversions the compatibility shell performs,
-  so it measures the current legacy *API* cost, not the pre-IR
+* ``legacy-frontend`` — the ``TaskGraph`` surface: trace a fresh
+  ``TaskGraph`` per candidate and hand it to
+  :meth:`SimulationEngine.run`, which wraps it back into a Program.  Note
+  this includes the Program→TaskGraph→Program conversions, so it
+  measures the current ``TaskGraph`` *API* cost, not the pre-IR
   implementation;
 * ``cold-trace``     — compile a fresh :class:`Program` per candidate
   (cache bypassed) and replay it on the :class:`SimulationEngine`;
@@ -38,7 +38,6 @@ from repro.experiments.figures import format_rows, full_scale  # noqa: E402
 from repro.ir import ProgramCache, compile_program, get_program  # noqa: E402
 from repro.runtime.engine import SimulationEngine  # noqa: E402
 from repro.runtime.machine import Machine  # noqa: E402
-from repro.runtime.scheduler import ListScheduler  # noqa: E402
 from repro.tiles.layout import ceil_div  # noqa: E402
 from repro.trees import make_tree  # noqa: E402
 
@@ -74,10 +73,10 @@ def _sweep(mode: str, cache: ProgramCache | None):
     for _name, tree, p, q, machine, policy in _candidates():
         if mode == "legacy-frontend":
             # What a pre-IR call site pays today: the tracing front-end
-            # (compile + TaskGraph materialization) plus ListScheduler,
-            # which re-wraps the graph for the engine.
+            # (compile + TaskGraph materialization) plus the engine's
+            # TaskGraph overload, which re-wraps the graph as a Program.
             graph = compile_program("bidiag", p, q, tree).to_task_graph()
-            schedule = ListScheduler(machine).run(graph)
+            schedule = SimulationEngine(machine).run(graph)
             traced += 1
         elif mode == "cold-trace":
             program = compile_program("bidiag", p, q, tree)

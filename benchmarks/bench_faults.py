@@ -13,14 +13,14 @@ The PR-9 bench shape — one GE2BND problem under the ``hostile`` scenario
    run;
 2. ``hoistless``       — the same process, no shell loop, but no
    hoisting either: every draw builds a fresh engine and
-   :class:`ScenarioReplayer` with the engine memo tables cleared first,
-   so rank keys, duration/owner vectors and CSR successor lists are
-   re-derived each draw.  Replays the exact factor rows the vectorized
+   :class:`~repro.runtime.replay.PreparedReplay` with the memo tables
+   cleared first, so the policy order, duration/owner vectors and
+   successor lists are re-derived each draw.  Replays the exact factor rows the vectorized
    path samples, and its per-draw makespans are audited bitwise against
    the vectorized ``MakespanDistribution``;
 3. ``vectorized-cold`` — :func:`repro.runtime.scenario.run_scenario` on
-   cold memo tables: factor matrices block-sampled once, the replayer
-   hoisted once, each draw one event-loop pass;
+   cold memo tables: factor matrices block-sampled once, the replay
+   prepared once, each draw one event-loop pass;
 4. ``vectorized``      — the same call with the memo tables warm (what
    every later scenario run in the process sees — a robust-makespan
    tuning rung, a scenario sweep).
@@ -56,14 +56,11 @@ import numpy as np  # noqa: E402
 
 from repro.experiments.figures import format_rows, full_scale  # noqa: E402
 from repro.ir import get_program  # noqa: E402
-from repro.runtime import engine as engine_mod  # noqa: E402
+from repro.runtime import replay as replay_mod  # noqa: E402
 from repro.runtime.engine import SimulationEngine  # noqa: E402
 from repro.runtime.machine import Machine  # noqa: E402
-from repro.runtime.scenario import (  # noqa: E402
-    ScenarioReplayer,
-    get_scenario,
-    run_scenario,
-)
+from repro.runtime.replay import PreparedReplay  # noqa: E402
+from repro.runtime.scenario import get_scenario, run_scenario  # noqa: E402
 from repro.tiles.layout import ceil_div  # noqa: E402
 from repro.trees import make_tree  # noqa: E402
 
@@ -103,9 +100,10 @@ print(run.schedule.makespan.hex(), run.distribution.makespans[0].hex())
 
 def _clear_engine_memos() -> None:
     """Drop the module-level per-program memo tables (a fresh engine)."""
-    engine_mod._DURATION_VECTORS.clear()
-    engine_mod._OWNER_VECTORS.clear()
-    engine_mod._RANK_KEYS.clear()
+    replay_mod._DURATION_VECTORS.clear()
+    replay_mod._OWNER_VECTORS.clear()
+    replay_mod._RANK_ORDERS.clear()
+    replay_mod._SUCCESSORS.clear()
 
 
 def _min_of(repeats, run):
@@ -159,9 +157,10 @@ def naive_per_draw():
 
 
 def hoistless(program, machine, scenario, fault_factors, noise_factors):
-    """One fresh engine + replayer per draw, memo tables cleared each time:
-    every draw pays the prep (rank keys, vectors, CSR) the vectorized
-    path hoists out of the loop — but not the process launch."""
+    """One fresh engine + prepared replay per draw, memo tables cleared
+    each time: every draw pays the prep (policy order, vectors, successor
+    lists) the vectorized path hoists out of the loop — but not the
+    process launch."""
     eff_machine = scenario.apply_to_machine(machine)
 
     def run():
@@ -170,8 +169,8 @@ def hoistless(program, machine, scenario, fault_factors, noise_factors):
             _clear_engine_memos()
             engine = SimulationEngine(eff_machine, policy=POLICY,
                                       network=NETWORK)
-            replayer = ScenarioReplayer(engine, program)
-            sched = replayer.replay(fault_factors[i], noise_factors[i])
+            replay = PreparedReplay(engine, program)
+            sched = replay.run(fault_factors[i], noise_factors[i])
             makespans.append(sched.makespan)
         return makespans
 
@@ -179,7 +178,7 @@ def hoistless(program, machine, scenario, fault_factors, noise_factors):
 
 
 def vectorized(program, machine, scenario, warm):
-    """The shipped path: block sampling + one hoisted replayer.  With
+    """The shipped path: block sampling + one prepared replay.  With
     ``warm=False`` the memo tables are cleared every repeat (a process's
     first scenario run); with ``warm=True`` they stay hot."""
 

@@ -10,13 +10,13 @@ Two experiments, written to ``BENCH_scale.json``:
      faithfully: a recorder that eagerly builds one
      :class:`~repro.ir.program.Op` (with frozenset access sets) per kernel
      call, ``Program.from_ops`` (per-op dict-based dependency analysis,
-     per-edge Python CSR build), and the engine's retained legacy path
-     (``fast=False``: per-op pricing, per-op owner resolution, per-node
-     Python rank recursion);
+     per-edge Python CSR build), and the object-path reference scheduler
+     (:func:`repro.verify.reference.reference_schedule`: per-op pricing,
+     per-op owner resolution, per-node Python rank recursion);
    * ``soa-fast-path`` — the structure-of-arrays pipeline: column
      recording with integer-coded data items, table-based dependency
      analysis, vectorized CSR/level construction, and the array-native
-     engine (``fast=True``).
+     replay kernel behind :class:`~repro.runtime.engine.SimulationEngine`.
 
    Acceptance bar: the SoA path is at least **3x** faster cold, with the
    list-policy makespans bitwise identical between the two paths.
@@ -26,9 +26,10 @@ Two experiments, written to ``BENCH_scale.json``:
    the shared program cache, a sweep the legacy object path cannot cover
    in smoke time (one legacy candidate is timed for the projection).
 
-A full-schedule equivalence audit (every field of the
-:class:`~repro.runtime.scheduler.Schedule`, multi-node and alpha-beta
-included) runs first and is part of the benchmark's exit status.
+A full-schedule equivalence audit of the engine against the reference
+scheduler (every field of the :class:`~repro.runtime.scheduler.Schedule`,
+multi-node and alpha-beta included) runs first and is part of the
+benchmark's exit status.
 
 Scaled-down by default (CI smoke-runs it in this reduced mode, also
 reachable as ``python benchmarks/bench_scale.py --reduced``); set
@@ -58,6 +59,7 @@ from repro.runtime.engine import SimulationEngine  # noqa: E402
 from repro.runtime.machine import Machine  # noqa: E402
 from repro.tiles.layout import ceil_div  # noqa: E402
 from repro.trees import make_tree  # noqa: E402
+from repro.verify.reference import reference_schedule  # noqa: E402
 
 ARTIFACT = os.path.join(_ROOT, "BENCH_scale.json")
 
@@ -220,14 +222,10 @@ def _cold_sweep(mode, repeats=2):
         for _name, tree, p, q, machine, policy in _candidates():
             if mode == "legacy-object-path":
                 program = legacy_compile(p, q, tree)
-                schedule = SimulationEngine(
-                    machine, policy=policy, fast=False
-                ).run(program)
+                schedule = reference_schedule(program, machine, policy=policy)
             else:  # soa-fast-path
                 program = compile_program("bidiag", p, q, tree)
-                schedule = SimulationEngine(
-                    machine, policy=policy, fast=True
-                ).run(program)
+                schedule = SimulationEngine(machine, policy=policy).run(program)
             makespans.append(schedule.makespan)
         seconds = time.perf_counter() - start
         if best is None or seconds < best:
@@ -236,7 +234,7 @@ def _cold_sweep(mode, repeats=2):
 
 
 # --------------------------------------------------------------------------- #
-# Equivalence audit: SoA path == legacy object path, every schedule field
+# Equivalence audit: engine == reference scheduler, every schedule field
 # --------------------------------------------------------------------------- #
 def _schedules_equal(a, b):
     return (
@@ -270,13 +268,13 @@ def equivalence_audit():
                        "random"):
             for network in ("uniform", "alpha-beta"):
                 fast = SimulationEngine(
-                    machine, policy=policy, network=network, fast=True
+                    machine, policy=policy, network=network
                 ).run(program)
-                legacy = SimulationEngine(
-                    machine, policy=policy, network=network, fast=False
-                ).run(program)
+                legacy = reference_schedule(
+                    program, machine, policy=policy, network=network
+                )
                 assert _schedules_equal(fast, legacy), (
-                    f"SoA/legacy schedule mismatch: {alg} {p}x{q} "
+                    f"engine/reference schedule mismatch: {alg} {p}x{q} "
                     f"policy={policy} network={network}"
                 )
                 checked += 1
@@ -321,7 +319,7 @@ def scale_sweep():
     # tree x policy sweep would cost on the pre-SoA path.
     t0 = time.perf_counter()
     program = legacy_compile(p, q, make_tree("greedy"))
-    SimulationEngine(machine, policy="list", fast=False).run(program)
+    reference_schedule(program, machine, policy="list")
     legacy_candidate = time.perf_counter() - t0
     return rows, total, legacy_candidate
 
@@ -329,7 +327,8 @@ def scale_sweep():
 def main() -> int:
     checked = equivalence_audit()
     print(f"equivalence audit: {checked} (config x policy x network) "
-          "schedules bit-identical between SoA and legacy paths")
+          "schedules bit-identical between the engine and the reference "
+          "scheduler")
 
     n_candidates = sum(1 for _ in _candidates())
     rows = []

@@ -22,7 +22,7 @@ from repro.analysis.communication import communication_volume, panel_messages_es
 from repro.analysis.speedup import amdahl_ge2val_bound, speedup_bounds, strong_scaling_efficiency
 from repro.dag.tracer import trace_bidiag
 from repro.runtime.machine import Machine
-from repro.runtime.scheduler import ListScheduler
+from repro.runtime.engine import SimulationEngine
 from repro.runtime.simulator import post_processing_seconds, simulate_ge2bnd, simulate_ge2val
 from repro.runtime.trace import gantt_chart, utilization_report
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
@@ -52,7 +52,7 @@ def main() -> None:
     machine = Machine(n_nodes=nodes, cores_per_node=4, tile_size=160)
     tree = HierarchicalTree(local_tree=GreedyTree(), top="flat", grid_rows=grid_rows)
     graph = trace_bidiag(p, q, tree, grid_rows=grid_rows)
-    schedule = ListScheduler(machine, dist).run(graph)
+    schedule = SimulationEngine(machine, dist).run(graph)
     report = utilization_report(schedule, graph, machine)
     print(f"  makespan           : {schedule.makespan * 1e3:.2f} ms")
     print(f"  overall utilization: {report.overall_busy_fraction:.2%}")

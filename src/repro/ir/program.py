@@ -529,18 +529,6 @@ class Program:
     def succ_ids_np(self) -> np.ndarray:
         return self._cached("succ_ids", lambda: _np_view(self._succ_ids))
 
-    def succ_csr_lists(self) -> Tuple[List[int], List[int]]:
-        """The successor CSR as plain Python int lists (cached).
-
-        The engine's event loop indexes these millions of times; list
-        element access hands back interned int objects instead of
-        materializing a fresh ``int`` per ``array('q')`` access.
-        """
-        def build() -> Tuple[List[int], List[int]]:
-            return self._succ_indptr.tolist(), self._succ_ids.tolist()
-
-        return self._cached("succ_csr_lists", build)
-
     def _int_column(
         self,
         name: str,

@@ -6,7 +6,9 @@ prices inter-node messages (``uniform`` legacy flat cost or
 ``alpha-beta`` message-level fidelity), a
 :class:`~repro.runtime.policies.SchedulingPolicy` orders the ready queue,
 and the :class:`~repro.runtime.engine.SimulationEngine` replays a compiled
-:class:`~repro.ir.program.Program` through all three.  The drivers in
+:class:`~repro.ir.program.Program` through all three, running the one
+replay kernel (:class:`~repro.runtime.replay.PreparedReplay`) that the
+batch engine and the scenario driver share.  The drivers in
 :mod:`~repro.runtime.simulator` wrap the stack into the GE2BND / GE2VAL
 results the paper's figures report.  On top, :mod:`~repro.runtime.scenario`
 layers machine realism — heterogeneity, fault models, network noise — and
@@ -35,7 +37,8 @@ from repro.runtime.policies import (
     available_policies,
     get_policy,
 )
-from repro.runtime.scheduler import ListScheduler, Schedule
+from repro.runtime.scheduler import Schedule
+from repro.runtime.replay import PreparedReplay
 from repro.runtime.batch import (
     BatchCandidate,
     BatchEngine,
@@ -67,7 +70,6 @@ from repro.runtime.scenario import (
     SCENARIOS,
     MakespanDistribution,
     Scenario,
-    ScenarioReplayer,
     available_scenarios,
     get_scenario,
     run_scenario,
@@ -83,7 +85,6 @@ __all__ = [
     "LinkJitterNoise",
     "Machine",
     "MakespanDistribution",
-    "ListScheduler",
     "NETWORK_MODELS",
     "NOISE_MODELS",
     "NetworkModel",
@@ -91,9 +92,9 @@ __all__ = [
     "NoNoise",
     "NoiseModel",
     "POLICIES",
+    "PreparedReplay",
     "SCENARIOS",
     "Scenario",
-    "ScenarioReplayer",
     "Schedule",
     "SchedulingPolicy",
     "SimulationEngine",

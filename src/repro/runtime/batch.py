@@ -1,26 +1,22 @@
 """Batched candidate simulation: one engine pass over many plan variants.
 
 Tuning sweeps evaluate many (machine, grid, policy, network) candidates of
-the *same* compiled :class:`~repro.ir.program.Program`.  Running them one
-:meth:`~repro.runtime.engine.SimulationEngine.run` at a time re-enters the
-per-run Python setup for every candidate even though almost everything is
-shared; this module factors the candidate product instead:
+the *same* compiled :class:`~repro.ir.program.Program`.  Each candidate is
+one :class:`~repro.runtime.replay.PreparedReplay` of the replay kernel —
+the event loop every simulation path runs — and this module factors the
+candidate product around it:
 
-* **shared axes are computed once per unique key** — the CSR successor
-  lists and base indegrees once per program; the duration vector (and the
-  Python list the event loop indexes) once per unique machine; the owner
-  vector once per unique grid; the message-byte vector once per unique
-  (network, machine); all through the PR-5 memo tables of
-  :mod:`repro.runtime.engine`, so the work is shared with plain engine
-  runs too;
-* **policy rankings become dense ranks** — each policy's total order
-  ``(key, op id)`` is collapsed into one stable argsort per unique
-  (policy, machine, grid), memoized module-wide
-  (:data:`~repro.runtime.engine._BATCH_RANK_ORDERS`); the event loops
-  then heap small ints instead of ``(key, id)`` tuples, which is both
-  faster and shareable across every candidate with the same order
-  (machine-invariant policies such as ``critical-path`` / ``fifo`` /
-  ``random`` fold the machine out of the key entirely);
+* **shared axes are computed once per unique key** — the successor lists
+  once per program; the duration vector (and the Python list the event
+  loop indexes) once per unique machine; the owner vector once per
+  unique grid; the message-byte vector once per unique (network,
+  machine); through the memo tables of :mod:`repro.runtime.replay`, so
+  the work is shared with plain engine runs too, and through one dict of
+  Python lists shared by the members of a batch;
+* **policy orders are memoized dense ranks** — one stable argsort per
+  unique (policy, machine, grid), shared by every candidate with the same
+  order (machine-invariant policies such as ``critical-path`` / ``fifo``
+  / ``random`` fold the machine out of the key entirely);
 * **identical-order candidates are deduplicated** — two candidates whose
   (machine, grid, network, dispatch order) agree produce the same
   schedule by construction, so the second reuses the first's
@@ -33,35 +29,29 @@ shared; this module factors the candidate product instead:
   ascending-bound order against the running incumbent, so provably worse
   candidates never touch the engine.
 
-Every produced schedule is **bit-identical** to the corresponding
-individual ``SimulationEngine(machine, ...).run(program)``: the loops
-below replicate the engine's greedy disciplines exactly (stable
-``(policy key, op id)`` pop order via dense ranks, greedy node
-round-robin, dispatch-order NIC serialization, pop-order ``busy``
-accumulation), and the equivalence matrix in
-``tests/test_batch_engine.py`` plus the audit in
-``benchmarks/bench_batch.py`` hold the guarantee across all policies x
-networks x grids.
+Every produced schedule is the one the corresponding individual
+``SimulationEngine(machine, ...).run(program)`` returns — both run the
+same kernel — and ``tests/test_batch_engine.py`` checks both against the
+object-path oracle :func:`repro.verify.reference.reference_schedule`.
 
 Pruning is conservative: a candidate is skipped only when its makespan
 lower bound is *strictly* worse than a makespan already measured, so the
 winning candidate (lowest cost, earliest index) matches an exhaustive
 evaluation.
 
-Batch-level observability goes through the PR-7 registry
+Batch-level observability goes through the registry
 (``engine.memo.batch.*`` counters, surfaced by
 :func:`repro.runtime.engine.engine_memo_stats`) and the ambient tracer
-(``batch.prepare`` / ``batch.simulate`` phase spans) — no new telemetry.
-Batched replays carry no per-task traces; use a plain engine run for
-Gantt or trace exports.
+(``batch.prepare`` / ``batch.simulate`` phase spans).  Batched replays
+carry no per-task traces; use a plain engine run for Gantt or trace
+exports.
 """
 
 from __future__ import annotations
 
-import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,21 +60,17 @@ from repro.ir.program import Program
 from repro.models.flops import ge2bnd_reported_flops, ge2val_reported_flops
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import current_tracer
-from repro.runtime.engine import (
+from repro.runtime.engine import SimulationEngine
+from repro.runtime.machine import Machine
+from repro.runtime.network import NetworkModel
+from repro.runtime.policies import SchedulingPolicy
+from repro.runtime.replay import (
     _BATCH_BOUNDS,
-    _BATCH_RANK_ORDERS,
-    SimulationEngine,
+    PreparedReplay,
     _memo_get,
     _memo_put,
+    network_token,
 )
-from repro.runtime.machine import Machine
-from repro.runtime.network import (
-    AlphaBetaNetwork,
-    NetworkModel,
-    UniformNetwork,
-    resolved_message_bytes_vector,
-)
-from repro.runtime.policies import SchedulingPolicy, get_policy
 from repro.runtime.scenario import run_scenario
 from repro.runtime.scheduler import Schedule
 from repro.runtime.simulator import (
@@ -104,10 +90,6 @@ __all__ = [
     "simulate_resolved_batch",
 ]
 
-#: A dense-rank policy ordering: ``rank_of[op]`` is the op's position in
-#: the stable ``(key, op id)`` sort and ``id_of[position]`` inverts it.
-_DenseOrder = Tuple[List[int], List[int]]
-
 
 @dataclass(frozen=True)
 class BatchCandidate:
@@ -119,65 +101,11 @@ class BatchCandidate:
     network: Union[str, NetworkModel] = "uniform"
 
 
-def _dense_order(keys: Sequence[object], n: int) -> _DenseOrder:
-    """Collapse policy keys into the stable ``(key, op id)`` permutation.
-
-    Heap-popping ``rank_of[op]`` ints reproduces the engine's
-    ``(keys[op], op)`` tuple pops exactly: a stable ascending sort breaks
-    key ties by ascending op id, which is the engine's tie rule, and heap
-    order over distinct ints is total.
-    """
-    if n == 0:
-        return [], []
-    id_of_np: Optional[np.ndarray] = None
-    try:
-        arr = np.asarray(keys, dtype=np.float64)
-        if arr.shape == (n,):
-            id_of_np = np.argsort(arr, kind="stable")
-        elif arr.ndim == 2 and arr.shape[0] == n:
-            # Tuple keys (e.g. locality's (remote, -level)): lexsort with
-            # the first component primary.  np.lexsort is stable, so full
-            # ties keep ascending op id.
-            id_of_np = np.lexsort(arr.T[::-1])
-    except (TypeError, ValueError):
-        id_of_np = None
-    if id_of_np is None:
-        # Exotic key types: Python's stable sort is the reference order.
-        id_of = sorted(range(n), key=keys.__getitem__)
-        rank_of = [0] * n
-        for rank, op_id in enumerate(id_of):
-            rank_of[op_id] = rank
-        return rank_of, id_of
-    rank_np = np.empty(n, dtype=np.int64)
-    rank_np[id_of_np] = np.arange(n, dtype=np.int64)
-    return rank_np.tolist(), id_of_np.tolist()
-
-
-def _network_token(network: NetworkModel) -> object:
-    """Hashable identity of a network model for schedule deduplication.
-
-    Unknown subclasses get a fresh sentinel (never deduplicated): their
-    pricing may depend on state the batch layer cannot see.
-    """
-    if type(network) is UniformNetwork:
-        return ("uniform",)
-    if type(network) is AlphaBetaNetwork:
-        return ("alpha-beta", network.eager)
-    return object()
-
-
 @dataclass
 class _Member:
-    """One candidate's fully resolved per-batch state."""
+    """One candidate's prepared replay."""
 
-    engine: SimulationEngine
-    durations: List[float]
-    durations_np: np.ndarray
-    node: Optional[List[int]]
-    node_np: Optional[np.ndarray]
-    rank_of: List[int]
-    id_of: List[int]
-    msg_bytes: Optional[List[int]]
+    replay: PreparedReplay
     #: (machine, grid, network, dispatch order) — equal keys provably
     #: produce equal schedules; ``None`` disables deduplication.
     dedup_key: Optional[Tuple] = None
@@ -186,51 +114,20 @@ class _Member:
 class _PreparedBatch:
     """Shared state of one (program, candidates) batch.
 
-    Construction hoists every candidate-invariant quantity; per-candidate
-    state resolves through the module memo tables as members are added, so
-    each unique axis is computed once no matter how many candidates share
-    it.
+    Per-candidate state resolves through the module memo tables and the
+    batch's shared list dict as members are added, so each unique axis is
+    computed once no matter how many candidates share it.
     """
 
     def __init__(self, program: Program, *, dedup: bool = True) -> None:
         self.program = program
         self.dedup = dedup
         self.n = len(program)
-        self.succ_indptr, self.succ_ids = program.succ_csr_lists()
-        self.indegree_base: List[int] = np.diff(program.pred_indptr_np).tolist()
-        self.init_ready = [
-            op_id for op_id, deg in enumerate(self.indegree_base) if deg == 0
-        ]
         self.members: List[_Member] = []
-        # Batch-local caches of the Python-list mirrors (the numpy vectors
-        # behind them are additionally memoized module-wide in engine.py).
-        self._dur_lists: Dict[Machine, List[float]] = {}
-        self._node_lists: Dict[Tuple[int, int], List[int]] = {}
-        self._msg_lists: Dict[Tuple, List[int]] = {}
+        self._lists: Dict = {}
         self._schedules: Dict[Tuple, Schedule] = {}
         self._bounds: Optional[np.ndarray] = None
-        self._succ_lists: Optional[List[List[int]]] = None
 
-    def _successor_lists(self) -> List[List[int]]:
-        """Per-op successor lists, built once and shared by every member.
-
-        The event loops walk each op's successors exactly once per
-        simulated candidate; pre-sliced lists replace two CSR index
-        lookups per edge with one direct iteration, which is where the
-        per-candidate marginal cost lives once everything else is memoized.
-        """
-        succ_lists = self._succ_lists
-        if succ_lists is None:
-            indptr, ids = self.succ_indptr, self.succ_ids
-            succ_lists = [
-                ids[indptr[i]:indptr[i + 1]] for i in range(self.n)
-            ]
-            self._succ_lists = succ_lists
-        return succ_lists
-
-    # ------------------------------------------------------------------ #
-    # Candidate preparation
-    # ------------------------------------------------------------------ #
     def add(self, candidate: BatchCandidate) -> int:
         """Resolve one candidate against the shared tables; return its index."""
         if candidate.machine.heterogeneous:
@@ -246,115 +143,26 @@ class _PreparedBatch:
             policy=candidate.policy,
             network=candidate.network,
         )
-        program = self.program
-        machine = engine.machine
-        durations_np = engine.duration_vector(program)
-        durations = self._dur_lists.get(machine)
-        if durations is None:
-            durations = durations_np.tolist()
-            self._dur_lists[machine] = durations
-        node_np = engine.owner_vector(program)
-        node: Optional[List[int]] = None
-        dist = engine.distribution
-        canonical_dist = type(dist) is BlockCyclicDistribution
-        if node_np is not None:
-            if canonical_dist:
-                grid_key = (dist.grid.rows, dist.grid.cols)
-                node = self._node_lists.get(grid_key)
-                if node is None:
-                    node = node_np.tolist()
-                    self._node_lists[grid_key] = node
-            else:
-                node = node_np.tolist()
-        rank_of, id_of = self._rank_order(engine, durations_np, node_np)
-        network = engine.network
-        msg_bytes: Optional[List[int]] = None
-        if network.event_driven:
-            net_tok = _network_token(network)
-            msg_key = (net_tok, machine) if isinstance(net_tok, tuple) else None
-            if msg_key is not None:
-                msg_bytes = self._msg_lists.get(msg_key)
-            if msg_bytes is None:
-                msg_bytes = resolved_message_bytes_vector(
-                    network, program, machine
-                ).tolist()
-                if msg_key is not None:
-                    self._msg_lists[msg_key] = msg_bytes
-        member = _Member(
-            engine=engine,
-            durations=durations,
-            durations_np=durations_np,
-            node=node,
-            node_np=node_np,
-            rank_of=rank_of,
-            id_of=id_of,
-            msg_bytes=msg_bytes,
-        )
+        replay = PreparedReplay(engine, self.program, shared=self._lists)
+        member = _Member(replay=replay)
         if self.dedup:
-            net_tok = _network_token(network)
+            dist = engine.distribution
+            net_tok = network_token(engine.network)
             dist_tok: object = (
                 (dist.grid.rows, dist.grid.cols)
-                if (canonical_dist or node_np is None)
+                if (type(dist) is BlockCyclicDistribution or replay.node_np is None)
                 else object()
             )
             if isinstance(net_tok, tuple) and isinstance(dist_tok, tuple):
                 # The schedule is a pure function of (durations, dispatch
                 # order, placement, network pricing, core count) — all
                 # captured here, so equal keys imply equal schedules.
-                member.dedup_key = (machine, dist_tok, net_tok, tuple(id_of))
+                member.dedup_key = (
+                    engine.machine, dist_tok, net_tok, tuple(replay.id_of)
+                )
         self.members.append(member)
         self._bounds = None
         return len(self.members) - 1
-
-    def _rank_order(
-        self,
-        engine: SimulationEngine,
-        durations_np: np.ndarray,
-        node_np: Optional[np.ndarray],
-    ) -> _DenseOrder:
-        """The candidate's dense-rank policy ordering (memoized).
-
-        Keyed like the engine's rank-key memo, except machine-invariant
-        policies drop the machine from the key — one computed order then
-        serves every machine in the batch.
-        """
-        policy = engine.policy
-        token = policy.cache_token
-        # On one node every producer is local, so locality's (remote count,
-        # bottom level) keys are (0, list key) for every op: the stable sort
-        # is the list policy's, bit for bit.  Fold the token so the two
-        # policies share one order entry and the cheaper float ranking.
-        if node_np is None and token == ("locality",):
-            token = ("list",)
-            policy = get_policy("list")
-        cacheable = token is not None and not (
-            engine.machine.n_nodes > 1
-            and type(engine.distribution) is not BlockCyclicDistribution
-        )
-        key = None
-        if cacheable:
-            grid_key = (
-                (engine.distribution.grid.rows, engine.distribution.grid.cols)
-                if engine.machine.n_nodes > 1
-                else None
-            )
-            machine_key = None if policy.rank_machine_invariant else engine.machine
-            key = (token, machine_key, grid_key)
-            cached = _memo_get(_BATCH_RANK_ORDERS, self.program, key, "batch.order")
-            if cached is not None:
-                return cached
-        if policy is not engine.policy:
-            keys = policy.rank_array(
-                self.program, durations_np, node_np, engine.machine
-            )
-        else:
-            keys = engine.rank_keys(
-                self.program, durations_np, node_np, cacheable=cacheable
-            )
-        order = _dense_order(keys, self.n)
-        if key is not None:
-            _memo_put(_BATCH_RANK_ORDERS, self.program, key, order)
-        return order
 
     # ------------------------------------------------------------------ #
     # Analytic lower bounds (no event loop)
@@ -379,10 +187,11 @@ class _PreparedBatch:
         # through the module memo first so repeated sweeps (and candidates
         # sharing axes) skip the level sweep entirely.
         pending: List[Tuple[int, Optional[Tuple]]] = []
-        for i, member in enumerate(self.members):
-            machine = member.engine.machine
-            dist = member.engine.distribution
-            if member.node_np is None:
+        replays = [member.replay for member in self.members]
+        for i, replay in enumerate(replays):
+            machine = replay.engine.machine
+            dist = replay.engine.distribution
+            if replay.node_np is None:
                 bound_key: Optional[Tuple] = (machine, None)
             elif type(dist) is BlockCyclicDistribution:
                 bound_key = (machine, (dist.grid.rows, dist.grid.cols))
@@ -400,22 +209,22 @@ class _PreparedBatch:
             machine_row: Dict[Machine, int] = {}
             rows: List[np.ndarray] = []
             for i, _bound_key in pending:
-                machine = self.members[i].engine.machine
+                machine = replays[i].engine.machine
                 if machine not in machine_row:
                     machine_row[machine] = len(rows)
-                    rows.append(self.members[i].durations_np)
+                    rows.append(replays[i].durations_np)
             cps = self.program.critical_path_many(np.stack(rows))
             for i, bound_key in pending:
-                member = self.members[i]
-                machine = member.engine.machine
+                replay = replays[i]
+                machine = replay.engine.machine
                 cp = float(cps[machine_row[machine]])
                 cores = machine.cores_per_node
-                if member.node_np is None:
-                    area = float(member.durations_np.sum()) / cores
+                if replay.node_np is None:
+                    area = float(replay.durations_np.sum()) / cores
                 else:
                     node_work = np.bincount(
-                        member.node_np,
-                        weights=member.durations_np,
+                        replay.node_np,
+                        weights=replay.durations_np,
                         minlength=machine.n_nodes,
                     )
                     area = float(node_work.max()) / cores
@@ -438,24 +247,8 @@ class _PreparedBatch:
             if cached is not None:
                 REGISTRY.inc("engine.memo.batch.deduped")
                 return cached
-        if self.n == 0:
-            n_nodes = member.engine.machine.n_nodes
-            sched = Schedule(
-                0.0,
-                [],
-                [],
-                [],
-                [0.0] * n_nodes,
-                0,
-                0,
-                core_of_task=[],
-                comm_time_per_node=[0.0] * n_nodes,
-                messages_per_node=[0] * n_nodes,
-            )
-        elif member.node is None:
-            sched = self._simulate_single(member)
-        else:
-            sched = self._simulate_multi(member)
+        replay = member.replay
+        sched = replay.run()
         REGISTRY.inc("engine.memo.batch.simulated")
         # Opt-in static verification (REPRO_VERIFY=1): sanitize every
         # freshly simulated schedule exactly like SimulationEngine.run
@@ -465,193 +258,17 @@ class _PreparedBatch:
         if verify_enabled():
             from repro.verify.hooks import check_schedule
 
+            engine = replay.engine
             check_schedule(
                 sched,
                 self.program,
-                member.engine.machine,
-                distribution=member.engine.distribution,
-                network=member.engine.network,
+                engine.machine,
+                distribution=engine.distribution,
+                network=engine.network,
             )
         if key is not None:
             self._schedules[key] = sched
         return sched
-
-    def _simulate_single(self, member: _Member) -> Schedule:
-        """Single-node drain loop — the engine's, with dense-rank heaps."""
-        n = self.n
-        rank_of, id_of = member.rank_of, member.id_of
-        durations = member.durations
-        succ_lists = self._successor_lists()
-        indegree = self.indegree_base.copy()
-        ready_time = [0.0] * n
-        start = [0.0] * n
-        finish = [0.0] * n
-        core_of_op = [0] * n
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        cores = member.engine.machine.cores_per_node
-        core_heap = [(0.0, c) for c in range(cores)]  # already heap-ordered
-        ready = [rank_of[op_id] for op_id in self.init_ready]
-        heapq.heapify(ready)
-        busy = 0.0
-        scheduled = 0
-        while ready:
-            op_id = id_of[heappop(ready)]
-            core_free, core_idx = heappop(core_heap)
-            rt = ready_time[op_id]
-            t_start = core_free if core_free > rt else rt
-            d = durations[op_id]
-            t_finish = t_start + d
-            start[op_id] = t_start
-            finish[op_id] = t_finish
-            core_of_op[op_id] = core_idx
-            # Accumulated in pop order, like the engine — a vectorized sum
-            # would associate differently and break bit-identity.
-            busy += d
-            heappush(core_heap, (t_finish, core_idx))
-            scheduled += 1
-            for succ in succ_lists[op_id]:
-                if t_finish > ready_time[succ]:
-                    ready_time[succ] = t_finish
-                deg = indegree[succ] - 1
-                indegree[succ] = deg
-                if deg == 0:
-                    heappush(ready, rank_of[succ])
-        if scheduled < n:  # pragma: no cover - defensive (cycle)
-            raise RuntimeError("engine stalled: the program has a cycle")
-        return Schedule(
-            makespan=max(finish),
-            start=start,
-            finish=finish,
-            node_of_task=[0] * n,
-            busy_time_per_node=[busy],
-            messages=0,
-            comm_bytes=0,
-            core_of_task=core_of_op,
-            comm_time_per_node=[0.0],
-            messages_per_node=[0],
-        )
-
-    def _simulate_multi(self, member: _Member) -> Schedule:
-        """Multi-node loop — greedy node round-robin, dispatch-order NIC."""
-        n = self.n
-        engine = member.engine
-        machine = engine.machine
-        network = engine.network
-        n_nodes = machine.n_nodes
-        rank_of, id_of = member.rank_of, member.id_of
-        durations = member.durations
-        node_of = member.node
-        succ_lists = self._successor_lists()
-        indegree = self.indegree_base.copy()
-        ready_time = [0.0] * n
-        start = [0.0] * n
-        finish = [0.0] * n
-        core_of_op = [0] * n
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        cores = machine.cores_per_node
-
-        busy = [0.0] * n_nodes
-        messages = 0
-        comm_bytes = 0
-        sent = [0] * n_nodes
-        comm_time = [0.0] * n_nodes
-        event_driven = network.event_driven
-        transfer = machine.transfer_time()
-        handshake = network.handshake_seconds(machine)
-        msg_bytes = member.msg_bytes
-        msg_cost_cache: Dict[int, Tuple[float, float]] = {}
-        seen_transfers: Set[Tuple[int, int]] = set()
-        transfer_arrival: Dict[Tuple[int, int], float] = {}
-        nic_free = [0.0] * n_nodes
-
-        core_heaps: List[List[Tuple[float, int]]] = [
-            [(0.0, c) for c in range(cores)] for _ in range(n_nodes)
-        ]
-        ready_heaps: List[List[int]] = [[] for _ in range(n_nodes)]
-        for op_id in self.init_ready:
-            heappush(ready_heaps[node_of[op_id]], rank_of[op_id])
-
-        scheduled = 0
-        while scheduled < n:
-            progressed = False
-            for node in range(n_nodes):
-                heap = ready_heaps[node]
-                core_heap = core_heaps[node]
-                while heap:
-                    op_id = id_of[heappop(heap)]
-                    core_free, core_idx = heappop(core_heap)
-                    rt = ready_time[op_id]
-                    t_start = core_free if core_free > rt else rt
-                    d = durations[op_id]
-                    t_finish = t_start + d
-                    start[op_id] = t_start
-                    finish[op_id] = t_finish
-                    core_of_op[op_id] = core_idx
-                    busy[node] += d
-                    heappush(core_heap, (t_finish, core_idx))
-                    scheduled += 1
-                    progressed = True
-                    for succ in succ_lists[op_id]:
-                        dst = node_of[succ]
-                        arrival = t_finish
-                        if dst != node:
-                            tkey = (op_id, dst)
-                            if event_driven:
-                                cached = transfer_arrival.get(tkey)
-                                if cached is None:
-                                    n_bytes = msg_bytes[op_id]
-                                    cost = msg_cost_cache.get(n_bytes)
-                                    if cost is None:
-                                        cost = (
-                                            machine.injection_seconds(n_bytes),
-                                            network.message_seconds(
-                                                n_bytes, machine
-                                            ),
-                                        )
-                                        msg_cost_cache[n_bytes] = cost
-                                    injection, wire = cost
-                                    inject_start = t_finish + handshake
-                                    if nic_free[node] > inject_start:
-                                        inject_start = nic_free[node]
-                                    nic_free[node] = inject_start + injection
-                                    cached = inject_start + wire
-                                    transfer_arrival[tkey] = cached
-                                    messages += 1
-                                    comm_bytes += n_bytes
-                                    sent[node] += 1
-                                    comm_time[node] += injection
-                                arrival = cached
-                            else:
-                                arrival += transfer
-                                if tkey not in seen_transfers:
-                                    seen_transfers.add(tkey)
-                                    messages += 1
-                                    comm_bytes += machine.tile_bytes
-                                    sent[node] += 1
-                                    comm_time[node] += transfer
-                        if arrival > ready_time[succ]:
-                            ready_time[succ] = arrival
-                        deg = indegree[succ] - 1
-                        indegree[succ] = deg
-                        if deg == 0:
-                            heappush(ready_heaps[dst], rank_of[succ])
-            if not progressed:  # pragma: no cover - defensive (cycle)
-                raise RuntimeError("engine stalled: the program has a cycle")
-
-        return Schedule(
-            makespan=max(finish),
-            start=start,
-            finish=finish,
-            node_of_task=list(node_of),
-            busy_time_per_node=busy,
-            messages=messages,
-            comm_bytes=comm_bytes,
-            core_of_task=core_of_op,
-            comm_time_per_node=comm_time,
-            messages_per_node=sent,
-        )
 
 
 class BatchEngine:

@@ -1,8 +1,6 @@
 """Event-driven simulation engine: replay a Program under any policy.
 
-The :class:`SimulationEngine` replaces the legacy
-:class:`~repro.runtime.scheduler.ListScheduler`'s monolithic loop with an
-engine/policy/network split:
+The :class:`SimulationEngine` is an engine/policy/network split:
 
 * the **engine** owns the events — per-node core-free heaps (the event
   queues), dependency release, owner-computes mapping — and is agnostic of
@@ -12,53 +10,27 @@ engine/policy/network split:
   is stable task-id ordering and schedules are bit-reproducible across
   runs and Python hash seeds;
 * the **network model** (:mod:`repro.runtime.network`) prices cross-node
-  transfers: ``uniform`` keeps the legacy flat pre-charge per edge
-  (bit-identical, golden-pinned), ``alpha-beta`` turns each deduplicated
-  (producer, destination node) transfer into a message event with
-  latency + bandwidth cost, serialized injection through the sender's NIC
-  and an optional rendezvous handshake.
+  transfers: ``uniform`` is a flat pre-charge per edge (golden-pinned),
+  ``alpha-beta`` turns each deduplicated (producer, destination node)
+  transfer into a message event with latency + bandwidth cost, serialized
+  injection through the sender's NIC and an optional rendezvous
+  handshake.
 
-With the ``list`` policy and the ``uniform`` network the engine reproduces
-the legacy scheduler's makespans exactly (same priorities, same greedy
-assignment discipline, same communication accounting); the other policies
-and networks open scheduling and communication fidelity as experiment axes
-on the same compiled :class:`~repro.ir.program.Program`.
-
-Structure-of-arrays fast path
------------------------------
-
-By default (``fast=True``) the engine prepares every per-op quantity as a
-flat array before entering the event loop:
-
-* the **duration vector** is a 12-entry per-machine kernel-duration table
-  (:meth:`repro.runtime.machine.Machine.kernel_duration_table`) gathered
-  through the program's packed kernel-code column — and memoized per
-  (machine, program), so repeated ``simulate``/``tune`` calls for the same
-  cached program never re-price an op;
-* the **owner vector** is one vectorized block-cyclic computation over the
-  owner-tile coordinate columns (no per-op ``distribution.owner()``
-  calls), memoized per (program, grid) — callers that already know the
-  mapping can also pass ``node_of_op=`` to :meth:`SimulationEngine.run`;
-* the **policy keys** come from the vectorized rank hooks of
-  :mod:`repro.runtime.policies` (topological level sweeps instead of
-  per-node recursion), memoized per (program, machine, grid, policy).
-
-The memo tables are module-level and keyed by weak program references, so
-a tuning sweep whose candidates share a cached program shares the pricing
-and rank work across all of them, and dropping a program from the program
-cache frees its tables.  ``fast=False`` (or ``REPRO_ENGINE_FAST=0``)
-selects the retained legacy object path — per-op pricing and ranking over
-``program.ops`` — which the differential tests and
-``benchmarks/bench_scale.py`` hold bit-identical to the fast path.
+:meth:`SimulationEngine.run` is a thin caller of the replay kernel
+(:class:`~repro.runtime.replay.PreparedReplay`), which prices every op
+through memoized structure-of-arrays vectors and runs the one event
+loop; the engine adds trace recording and the ``REPRO_VERIFY`` hook.
+The per-op duration and owner vectors come from :meth:`SimulationEngine.
+duration_vector` and :meth:`SimulationEngine.owner_vector`, memoized per
+(program, machine) and (program, grid) in weak-keyed module tables, so a
+tuning sweep whose candidates share a cached program shares the pricing
+work, and dropping a program from the program cache frees its tables.
+The object-path oracle the tests compare the kernel against is
+:func:`repro.verify.reference.reference_schedule`.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
-import threading
-import weakref
-from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -68,69 +40,21 @@ from repro.ir.program import Program
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import Tracer, TransferRecord, current_tracer
 from repro.runtime.machine import Machine
-from repro.runtime.network import (
-    NetworkModel,
-    get_network_model,
-    resolved_message_bytes_vector,
-)
+from repro.runtime.network import NetworkModel, get_network_model
 from repro.runtime.policies import SchedulingPolicy, get_policy
+from repro.runtime.replay import (
+    _BATCH_BOUNDS,
+    _DURATION_VECTORS,
+    _MEMO_LOCK,
+    _OWNER_VECTORS,
+    _RANK_ORDERS,
+    PreparedReplay,
+    ReplayState,
+    _memo_get,
+    _memo_put,
+)
 from repro.runtime.scheduler import Schedule
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
-
-# --------------------------------------------------------------------------- #
-# Per-(program, ...) memo tables.  Weak keys: dropping a Program from the
-# program cache frees its derived tables.  A single lock guards all three —
-# the tuning thread pools hit them concurrently and the values are cheap to
-# (re)build, so contention is negligible.
-# --------------------------------------------------------------------------- #
-_MEMO_LOCK = threading.Lock()
-#: program -> {machine: duration vector (float64, read-only)}
-_DURATION_VECTORS: "weakref.WeakKeyDictionary[Program, Dict]" = (
-    weakref.WeakKeyDictionary()
-)
-#: program -> {(grid rows, grid cols): owner vector (int64, read-only)}
-_OWNER_VECTORS: "weakref.WeakKeyDictionary[Program, Dict]" = (
-    weakref.WeakKeyDictionary()
-)
-#: program -> {(policy token, machine, grid key): policy key list}
-_RANK_KEYS: "weakref.WeakKeyDictionary[Program, Dict]" = (
-    weakref.WeakKeyDictionary()
-)
-#: program -> {(policy token, machine-or-None, grid key): (rank_of, id_of)}
-#: The batch engine's dense-rank representation of a policy's total order
-#: (see :mod:`repro.runtime.batch`); ``machine`` is folded to ``None`` for
-#: machine-invariant rankings so candidates that differ only in their
-#: machine share one entry.
-_BATCH_RANK_ORDERS: "weakref.WeakKeyDictionary[Program, Dict]" = (
-    weakref.WeakKeyDictionary()
-)
-#: program -> {(machine, grid key): makespan lower bound in seconds}
-#: Analytic ``max(critical path, area)`` bounds used by the batch engine's
-#: pre-pruning; keyed per (machine, grid) because both the duration vector
-#: and the owner-computes placement feed the bound.
-_BATCH_BOUNDS: "weakref.WeakKeyDictionary[Program, Dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _memo_get(table, program: Program, key, name: str):
-    with _MEMO_LOCK:
-        per = table.get(program)
-        value = None if per is None else per.get(key)
-    # Hit/miss accounting happens outside the memo lock; one registry
-    # increment per run-level vector lookup (not per op), so the metrics
-    # cost is negligible even in tuning sweeps.
-    REGISTRY.inc(f"engine.memo.{name}.{'hits' if value is not None else 'misses'}")
-    return value
-
-
-def _memo_put(table, program: Program, key, value) -> None:
-    with _MEMO_LOCK:
-        per = table.get(program)
-        if per is None:
-            per = {}
-            table[program] = per
-        per[key] = value
 
 
 def engine_memo_stats() -> Dict[str, int]:
@@ -147,23 +71,20 @@ def engine_memo_stats() -> Dict[str, int]:
         stats = {
             "duration_programs": len(_DURATION_VECTORS),
             "owner_programs": len(_OWNER_VECTORS),
-            "rank_programs": len(_RANK_KEYS),
-            "batch_order_programs": len(_BATCH_RANK_ORDERS),
+            "order_programs": len(_RANK_ORDERS),
             "batch_bound_programs": len(_BATCH_BOUNDS),
         }
-    for name in ("duration", "owner", "rank"):
+    for name in ("duration", "owner", "order"):
         for outcome in ("hits", "misses"):
             stats[f"{name}_{outcome}"] = int(
                 REGISTRY.counter(f"engine.memo.{name}.{outcome}")
             )
-    # Batch-level reuse (see repro.runtime.batch): per-candidate hit/miss
-    # counters undercount when one rank order serves a whole batch, so the
-    # batch layer reports its own cross-candidate counters.
-    for kind in ("order", "bound"):
-        for outcome in ("hits", "misses"):
-            stats[f"batch_{kind}_{outcome}"] = int(
-                REGISTRY.counter(f"engine.memo.batch.{kind}.{outcome}")
-            )
+    # Batch-level reuse (see repro.runtime.batch): bound memo lookups and
+    # the candidate dispositions.
+    for outcome in ("hits", "misses"):
+        stats[f"batch_bound_{outcome}"] = int(
+            REGISTRY.counter(f"engine.memo.batch.bound.{outcome}")
+        )
     for name in ("candidates", "simulated", "deduped", "pruned"):
         stats[f"batch_{name}"] = int(
             REGISTRY.counter(f"engine.memo.batch.{name}")
@@ -172,7 +93,6 @@ def engine_memo_stats() -> Dict[str, int]:
 
 
 def _collect_transfers(
-    program: Program,
     machine: Machine,
     network: NetworkModel,
     finish: Sequence[float],
@@ -196,10 +116,7 @@ def _collect_transfers(
     if network.event_driven:
         handshake = network.handshake_seconds(machine)
         for (op_id, dst), arrival in transfer_arrival.items():
-            if msg_bytes is not None:
-                n_bytes = msg_bytes[op_id]
-            else:
-                n_bytes = network.message_bytes(program.ops[op_id], machine)
+            n_bytes = msg_bytes[op_id]
             wire = network.message_seconds(n_bytes, machine)
             records.append(
                 TransferRecord(
@@ -250,15 +167,10 @@ class SimulationEngine:
         the near-square process grid for the machine's node count.
     policy:
         A :class:`~repro.runtime.policies.SchedulingPolicy` name or
-        instance (default ``"list"``, the legacy behaviour).
+        instance (default ``"list"``, greedy list scheduling).
     network:
         A :class:`~repro.runtime.network.NetworkModel` name or instance
-        (default ``"uniform"``, the legacy flat-cost communication model).
-    fast:
-        Select the structure-of-arrays fast path (default; also
-        controllable via the ``REPRO_ENGINE_FAST`` environment variable).
-        ``fast=False`` runs the retained legacy object path; both produce
-        bit-identical schedules under every policy and network.
+        (default ``"uniform"``, the flat-cost communication model).
     """
 
     def __init__(
@@ -268,14 +180,10 @@ class SimulationEngine:
         *,
         policy: Union[str, SchedulingPolicy] = "list",
         network: Union[str, NetworkModel] = "uniform",
-        fast: Optional[bool] = None,
     ) -> None:
         self.machine = machine
         self.policy = get_policy(policy)
         self.network = get_network_model(network)
-        if fast is None:
-            fast = os.environ.get("REPRO_ENGINE_FAST", "1") != "0"
-        self.fast = bool(fast)
         if distribution is None:
             distribution = BlockCyclicDistribution(
                 ProcessGrid.for_square_matrix(machine.n_nodes)
@@ -334,62 +242,6 @@ class SimulationEngine:
             count=len(program),
         )
 
-    def rank_keys(
-        self,
-        program: Program,
-        durations_np: np.ndarray,
-        node_np: Optional[np.ndarray],
-        *,
-        cacheable: bool = True,
-    ) -> List[object]:
-        """Policy keys for every op (memoized per program/machine/grid/policy).
-
-        Uses the policy's vectorized :meth:`~repro.runtime.policies.
-        SchedulingPolicy.rank_array` hook when available, falling back to
-        the legacy :meth:`~repro.runtime.policies.SchedulingPolicy.rank`.
-        Keys are converted to plain Python objects so the ready-heap
-        comparisons stay native-speed.
-        """
-        policy = self.policy
-        token = policy.cache_token
-        key = None
-        # Only the canonical block-cyclic mapping may hit the memo: a
-        # distribution subclass with its own owner() produces different
-        # node vectors for the same grid shape, so its rank keys must not
-        # be cached under (or served from) the (machine, grid) key.
-        if self.machine.n_nodes > 1 and (
-            type(self.distribution) is not BlockCyclicDistribution
-        ):
-            cacheable = False
-        if cacheable and token is not None:
-            grid_key = (
-                (self.distribution.grid.rows, self.distribution.grid.cols)
-                if self.machine.n_nodes > 1
-                else None
-            )
-            key = (token, self.machine, grid_key)
-            cached = _memo_get(_RANK_KEYS, program, key, "rank")
-            if cached is not None:
-                return cached
-        keys = policy.rank_array(program, durations_np, node_np, self.machine)
-        if keys is None:
-            node_list = (
-                node_np.tolist() if node_np is not None else [0] * len(program)
-            )
-            keys = policy.rank(
-                program, durations_np.tolist(), node_list, self.machine
-            )
-        if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
-        if len(keys) != len(program):
-            raise ValueError(
-                f"policy {policy.name!r} ranked {len(keys)} ops, "
-                f"expected {len(program)}"
-            )
-        if key is not None:
-            _memo_put(_RANK_KEYS, program, key, keys)
-        return keys
-
     # ------------------------------------------------------------------ #
     def run(
         self,
@@ -408,46 +260,20 @@ class SimulationEngine:
         """
         if isinstance(program, TaskGraph):
             program = Program.from_task_graph(program)
-        n = len(program)
-        n_nodes = self.machine.n_nodes
-        if node_of_op is not None and len(node_of_op) != n:
-            raise ValueError(
-                f"node_of_op has {len(node_of_op)} entries but the program "
-                f"has {n} ops"
-            )
-        if n == 0:
-            return Schedule(
-                0.0, [], [], [], [0.0] * n_nodes, 0, 0,
-                core_of_task=[],
-                comm_time_per_node=[0.0] * n_nodes,
-                messages_per_node=[0] * n_nodes,
-            )
-        # Ambient tracer pickup: one thread-local read.  The loops below
-        # never consult the tracer — they record nothing while running —
-        # so traced and untraced replays execute identical instructions
-        # and schedules are bit-identical by construction.
+        # Ambient tracer pickup: one thread-local read.  The kernel never
+        # consults the tracer — it records nothing while running — so
+        # traced and untraced replays execute identical instructions and
+        # schedules are bit-identical by construction.
         tracer = current_tracer()
-        if self.machine.heterogeneous:
-            # Heterogeneous machines are priced by the scenario replay
-            # layer (per-node/per-core slowdown factors over the nominal
-            # duration vector); imported lazily so the homogeneous hot
-            # path stays untouched.  Replays record a phase span but no
-            # per-task trace events.
-            from repro.runtime.scenario import ScenarioReplayer
-
-            replayer = ScenarioReplayer(self, program, node_of_op=node_of_op)
-            if tracer is None:
-                schedule = replayer.replay()
-            else:
-                with tracer.phase("simulate"):
-                    schedule = replayer.replay()
+        if tracer is None:
+            schedule = PreparedReplay(self, program, node_of_op=node_of_op).run()
         else:
-            runner = self._run_fast if self.fast else self._run_legacy
-            if tracer is None:
-                schedule = runner(program, node_of_op)
-            else:
-                with tracer.phase("simulate"):
-                    schedule = runner(program, node_of_op, tracer)
+            with tracer.phase("simulate"):
+                with tracer.phase("rank"):
+                    replay = PreparedReplay(self, program, node_of_op=node_of_op)
+                state = replay.run_state()
+                schedule = state.schedule
+                self._record_run(tracer, replay, state)
         # Opt-in static verification on exit (REPRO_VERIFY=1): sanitize the
         # schedule's feasibility before handing it to the caller.
         from repro.verify.hooks import verify_enabled
@@ -466,394 +292,10 @@ class SimulationEngine:
         return schedule
 
     # ------------------------------------------------------------------ #
-    # Structure-of-arrays fast path
-    # ------------------------------------------------------------------ #
-    def _run_fast(
-        self,
-        program: Program,
-        node_of_op: Optional[Sequence[int]],
-        tracer: Optional[Tracer] = None,
-    ) -> Schedule:
-        machine = self.machine
-        network = self.network
-        n = len(program)
-        n_nodes = machine.n_nodes
-
-        with tracer.phase("rank") if tracer is not None else nullcontext():
-            durations_np = self.duration_vector(program)
-            if node_of_op is None:
-                node_np = self.owner_vector(program)
-                cacheable = True
-            else:
-                node_np = np.ascontiguousarray(node_of_op, dtype=np.int64)
-                if n_nodes == 1:
-                    node_np = None
-                cacheable = False
-            keys = self.rank_keys(
-                program, durations_np, node_np, cacheable=cacheable
-            )
-
-        durations = durations_np.tolist()
-        indegree = np.diff(program.pred_indptr_np).tolist()
-        succ_indptr, succ_ids = program.succ_csr_lists()
-        # Heap entries are prebuilt (key, op id) tuples: one allocation per
-        # op instead of one per push.
-        entry_of = list(zip(keys, range(n)))
-        ready_time = [0.0] * n
-        start = [0.0] * n
-        finish = [0.0] * n
-        core_of_op = [0] * n
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        cores = machine.cores_per_node
-
-        if n_nodes == 1:
-            # Single node: every edge is local, so the node round-robin and
-            # all transfer accounting vanish; one drain loop empties the
-            # ready heap in exactly the legacy pop order.
-            core_heap = [(0.0, c) for c in range(cores)]  # already a heap
-            ready: List[Tuple[object, int]] = []
-            for op_id in range(n):
-                if indegree[op_id] == 0:
-                    heappush(ready, entry_of[op_id])
-            busy = 0.0
-            scheduled = 0
-            while ready:
-                _, op_id = heappop(ready)
-                core_free, core_idx = heappop(core_heap)
-                rt = ready_time[op_id]
-                t_start = core_free if core_free > rt else rt
-                d = durations[op_id]
-                t_finish = t_start + d
-                start[op_id] = t_start
-                finish[op_id] = t_finish
-                core_of_op[op_id] = core_idx
-                busy += d
-                heappush(core_heap, (t_finish, core_idx))
-                scheduled += 1
-                for k in range(succ_indptr[op_id], succ_indptr[op_id + 1]):
-                    succ = succ_ids[k]
-                    if t_finish > ready_time[succ]:
-                        ready_time[succ] = t_finish
-                    deg = indegree[succ] - 1
-                    indegree[succ] = deg
-                    if deg == 0:
-                        heappush(ready, entry_of[succ])
-            if scheduled < n:  # pragma: no cover - defensive (cycle)
-                raise RuntimeError("engine stalled: the program has a cycle")
-            schedule = Schedule(
-                makespan=max(finish),
-                start=start,
-                finish=finish,
-                node_of_task=[0] * n,
-                busy_time_per_node=[busy],
-                messages=0,
-                comm_bytes=0,
-                core_of_task=core_of_op,
-                comm_time_per_node=[0.0],
-                messages_per_node=[0],
-            )
-            if tracer is not None:
-                self._record_run(tracer, program, schedule, ready_time)
-            return schedule
-
-        # Multi-node: identical discipline to the legacy loop (greedy node
-        # round-robin, dispatch-order NIC serialization — see the legacy
-        # path's comment), with every per-op quantity pre-resolved into a
-        # flat list.
-        node_of = node_np.tolist()
-        busy = [0.0] * n_nodes
-        messages = 0
-        comm_bytes = 0
-        sent = [0] * n_nodes
-        comm_time = [0.0] * n_nodes
-        event_driven = network.event_driven
-        transfer = machine.transfer_time()
-        handshake = network.handshake_seconds(machine)
-        msg_bytes: Optional[List[int]] = None
-        if event_driven:
-            msg_bytes = resolved_message_bytes_vector(
-                network, program, machine
-            ).tolist()
-        # (injection seconds, wire seconds) per distinct payload size — the
-        # recorded streams only produce a handful of distinct sizes.
-        msg_cost_cache: Dict[int, Tuple[float, float]] = {}
-        seen_transfers: set[Tuple[int, int]] = set()
-        transfer_arrival: Dict[Tuple[int, int], float] = {}
-        nic_free = [0.0] * n_nodes
-
-        core_heaps: List[List[Tuple[float, int]]] = [
-            [(0.0, c) for c in range(cores)] for _ in range(n_nodes)
-        ]
-        ready_heaps: List[List[Tuple[object, int]]] = [
-            [] for _ in range(n_nodes)
-        ]
-        for op_id in range(n):
-            if indegree[op_id] == 0:
-                heappush(ready_heaps[node_of[op_id]], entry_of[op_id])
-
-        scheduled = 0
-        while scheduled < n:
-            progressed = False
-            for node in range(n_nodes):
-                heap = ready_heaps[node]
-                core_heap = core_heaps[node]
-                while heap:
-                    _, op_id = heappop(heap)
-                    core_free, core_idx = heappop(core_heap)
-                    rt = ready_time[op_id]
-                    t_start = core_free if core_free > rt else rt
-                    d = durations[op_id]
-                    t_finish = t_start + d
-                    start[op_id] = t_start
-                    finish[op_id] = t_finish
-                    core_of_op[op_id] = core_idx
-                    busy[node] += d
-                    heappush(core_heap, (t_finish, core_idx))
-                    scheduled += 1
-                    progressed = True
-                    for k in range(succ_indptr[op_id], succ_indptr[op_id + 1]):
-                        succ = succ_ids[k]
-                        dst = node_of[succ]
-                        arrival = t_finish
-                        if dst != node:
-                            tkey = (op_id, dst)
-                            if event_driven:
-                                cached = transfer_arrival.get(tkey)
-                                if cached is None:
-                                    n_bytes = msg_bytes[op_id]
-                                    cost = msg_cost_cache.get(n_bytes)
-                                    if cost is None:
-                                        cost = (
-                                            machine.injection_seconds(n_bytes),
-                                            network.message_seconds(
-                                                n_bytes, machine
-                                            ),
-                                        )
-                                        msg_cost_cache[n_bytes] = cost
-                                    injection, wire = cost
-                                    inject_start = t_finish + handshake
-                                    if nic_free[node] > inject_start:
-                                        inject_start = nic_free[node]
-                                    nic_free[node] = inject_start + injection
-                                    cached = inject_start + wire
-                                    transfer_arrival[tkey] = cached
-                                    messages += 1
-                                    comm_bytes += n_bytes
-                                    sent[node] += 1
-                                    comm_time[node] += injection
-                                arrival = cached
-                            else:
-                                arrival += transfer
-                                if tkey not in seen_transfers:
-                                    seen_transfers.add(tkey)
-                                    messages += 1
-                                    comm_bytes += machine.tile_bytes
-                                    sent[node] += 1
-                                    comm_time[node] += transfer
-                        if arrival > ready_time[succ]:
-                            ready_time[succ] = arrival
-                        deg = indegree[succ] - 1
-                        indegree[succ] = deg
-                        if deg == 0:
-                            heappush(ready_heaps[dst], entry_of[succ])
-            if not progressed:  # pragma: no cover - defensive (cycle)
-                raise RuntimeError("engine stalled: the program has a cycle")
-
-        schedule = Schedule(
-            makespan=max(finish),
-            start=start,
-            finish=finish,
-            node_of_task=node_of,
-            busy_time_per_node=busy,
-            messages=messages,
-            comm_bytes=comm_bytes,
-            core_of_task=core_of_op,
-            comm_time_per_node=comm_time,
-            messages_per_node=sent,
-        )
-        if tracer is not None:
-            self._record_run(
-                tracer, program, schedule, ready_time,
-                transfer_arrival=transfer_arrival,
-                seen_transfers=seen_transfers,
-                msg_bytes=msg_bytes,
-            )
-        return schedule
-
-    # ------------------------------------------------------------------ #
-    # Legacy object path (the pre-SoA engine, retained verbatim as the
-    # differential baseline: per-op pricing/ranking over ``program.ops``)
-    # ------------------------------------------------------------------ #
-    def _run_legacy(
-        self,
-        program: Program,
-        node_of_op: Optional[Sequence[int]],
-        tracer: Optional[Tracer] = None,
-    ) -> Schedule:
-        n = len(program)
-        machine = self.machine
-        network = self.network
-        n_nodes = machine.n_nodes
-
-        with tracer.phase("rank") if tracer is not None else nullcontext():
-            durations = [
-                machine.kernel_duration(op.kernel) for op in program.ops
-            ]
-            if node_of_op is not None:
-                node_of_op = [int(x) for x in node_of_op]
-            else:
-                node_of_op = [
-                    self.distribution.owner(*op.owner_tile) if n_nodes > 1 else 0
-                    for op in program.ops
-                ]
-            keys = self.policy.rank(program, durations, node_of_op, machine)
-        if len(keys) != n:
-            raise ValueError(
-                f"policy {self.policy.name!r} ranked {len(keys)} ops, expected {n}"
-            )
-
-        indegree = program.indegrees()
-        ready_time = [0.0] * n
-        start = [0.0] * n
-        finish = [0.0] * n
-        busy = [0.0] * n_nodes
-        messages = 0
-        comm_bytes = 0
-        sent = [0] * n_nodes
-        comm_time = [0.0] * n_nodes
-        event_driven = network.event_driven
-        transfer = machine.transfer_time()
-        # Uniform model: dedup set for message *counting* only (arrival is
-        # charged per edge).  Alpha-beta: the first release of a (producer,
-        # destination node) pair injects a message event; later consumers of
-        # the same pair reuse its arrival time (the runtime caches remote
-        # tiles).  ``nic_free`` serializes each node's injections in
-        # *dispatch order* — the order ops are popped by the greedy loop —
-        # not in finish-time order.  That is the same no-lookahead greedy
-        # discipline the engine applies to cores (an op assigned to a core
-        # can idle it while a later-popped op would have been ready
-        # sooner), kept deliberately so the list policy's dispatch order
-        # stays the legacy one; a time-ordered NIC would need a global
-        # message event queue and would reprice schedules.
-        seen_transfers: set[Tuple[int, int]] = set()
-        transfer_arrival: Dict[Tuple[int, int], float] = {}
-        nic_free = [0.0] * n_nodes
-
-        # Per-node event state: a heap of core-free events (free time, core
-        # index) and a heap of ready ops ordered by (policy key, op id).
-        core_of_op = [0] * n
-        core_heaps: List[List[Tuple[float, int]]] = [
-            [(0.0, c) for c in range(machine.cores_per_node)]
-            for _ in range(n_nodes)
-        ]
-        for h in core_heaps:
-            heapq.heapify(h)
-        ready_heaps: List[List[Tuple[object, int]]] = [
-            [] for _ in range(n_nodes)
-        ]
-
-        def push_ready(op_id: int) -> None:
-            heapq.heappush(ready_heaps[node_of_op[op_id]], (keys[op_id], op_id))
-
-        for op_id in range(n):
-            if indegree[op_id] == 0:
-                push_ready(op_id)
-
-        scheduled = 0
-        while scheduled < n:
-            progressed = False
-            for node in range(n_nodes):
-                heap = ready_heaps[node]
-                while heap:
-                    _, op_id = heapq.heappop(heap)
-                    core_free, core_idx = heapq.heappop(core_heaps[node])
-                    t_start = max(core_free, ready_time[op_id])
-                    t_finish = t_start + durations[op_id]
-                    start[op_id] = t_start
-                    finish[op_id] = t_finish
-                    core_of_op[op_id] = core_idx
-                    busy[node] += durations[op_id]
-                    heapq.heappush(core_heaps[node], (t_finish, core_idx))
-                    scheduled += 1
-                    progressed = True
-                    # Release successors; cross-node edges cost one transfer
-                    # per (producer, destination node) — the runtime caches
-                    # remote tiles.
-                    for succ in program.successors(op_id):
-                        dst = node_of_op[succ]
-                        arrival = t_finish
-                        if dst != node:
-                            key = (op_id, dst)
-                            if event_driven:
-                                cached = transfer_arrival.get(key)
-                                if cached is None:
-                                    op = program.ops[op_id]
-                                    n_bytes = network.message_bytes(op, machine)
-                                    inject_start = max(
-                                        t_finish + network.handshake_seconds(machine),
-                                        nic_free[node],
-                                    )
-                                    injection = machine.injection_seconds(n_bytes)
-                                    nic_free[node] = inject_start + injection
-                                    cached = inject_start + network.message_seconds(
-                                        n_bytes, machine
-                                    )
-                                    transfer_arrival[key] = cached
-                                    messages += 1
-                                    comm_bytes += n_bytes
-                                    sent[node] += 1
-                                    comm_time[node] += injection
-                                arrival = cached
-                            else:
-                                arrival += transfer
-                                if key not in seen_transfers:
-                                    seen_transfers.add(key)
-                                    messages += 1
-                                    comm_bytes += machine.tile_bytes
-                                    sent[node] += 1
-                                    comm_time[node] += transfer
-                        if arrival > ready_time[succ]:
-                            ready_time[succ] = arrival
-                        indegree[succ] -= 1
-                        if indegree[succ] == 0:
-                            push_ready(succ)
-            if not progressed:  # pragma: no cover - defensive (cycle)
-                raise RuntimeError("engine stalled: the program has a cycle")
-
-        schedule = Schedule(
-            makespan=max(finish),
-            start=start,
-            finish=finish,
-            node_of_task=node_of_op,
-            busy_time_per_node=busy,
-            messages=messages,
-            comm_bytes=comm_bytes,
-            core_of_task=core_of_op,
-            comm_time_per_node=comm_time,
-            messages_per_node=sent,
-        )
-        if tracer is not None:
-            self._record_run(
-                tracer, program, schedule, ready_time,
-                transfer_arrival=transfer_arrival,
-                seen_transfers=seen_transfers,
-            )
-        return schedule
-
-    # ------------------------------------------------------------------ #
     # Trace recording (post-loop; see repro.obs.tracer)
     # ------------------------------------------------------------------ #
     def _record_run(
-        self,
-        tracer: Tracer,
-        program: Program,
-        schedule: Schedule,
-        ready_time: List[float],
-        *,
-        transfer_arrival: Optional[Dict[Tuple[int, int], float]] = None,
-        seen_transfers: Optional["set[Tuple[int, int]]"] = None,
-        msg_bytes: Optional[List[int]] = None,
+        self, tracer: Tracer, replay: PreparedReplay, state: ReplayState
     ) -> None:
         """Hand one finished replay's state to the ambient tracer.
 
@@ -864,22 +306,20 @@ class SimulationEngine:
         — so recording cannot feed back into scheduling decisions and
         costs O(1) per replay.
         """
+        program, schedule = replay.program, state.schedule
         transfers: Optional[Callable[[], List[TransferRecord]]] = None
-        if transfer_arrival or seen_transfers:
+        if state.transfer_arrival or state.seen_transfers:
             machine, network = self.machine, self.network
-            arrival = transfer_arrival if transfer_arrival is not None else {}
-            seen = seen_transfers if seen_transfers is not None else set()
 
             def _reconstruct() -> List[TransferRecord]:
                 return _collect_transfers(
-                    program,
                     machine,
                     network,
                     schedule.finish,
                     schedule.node_of_task,
-                    arrival,
-                    seen,
-                    msg_bytes,
+                    state.transfer_arrival,
+                    state.seen_transfers,
+                    replay.msg_bytes,
                 )
 
             transfers = _reconstruct
@@ -894,7 +334,7 @@ class SimulationEngine:
             finish=schedule.finish,
             node_of=schedule.node_of_task,
             core_of=schedule.core_of_task,
-            ready_time=ready_time,
+            ready_time=state.ready_time,
             transfers=transfers,
         )
 
@@ -906,11 +346,10 @@ def run_policy(
     policy: Union[str, SchedulingPolicy] = "list",
     distribution: Optional[BlockCyclicDistribution] = None,
     network: Union[str, NetworkModel] = "uniform",
-    fast: Optional[bool] = None,
 ) -> Schedule:
     """One-shot convenience wrapper around :class:`SimulationEngine`."""
     return SimulationEngine(
-        machine, distribution, policy=policy, network=network, fast=fast
+        machine, distribution, policy=policy, network=network
     ).run(program)
 
 

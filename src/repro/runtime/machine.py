@@ -119,8 +119,8 @@ class Machine:
     def heterogeneous(self) -> bool:
         """Whether any node or core runs slower than nominal.
 
-        All-ones slowdown tuples count as homogeneous; the engine keeps
-        such machines on its fast path.
+        All-ones slowdown tuples count as homogeneous, so such machines
+        keep their memo-table and batch-dedup keys.
         """
         return bool(
             (self.node_slowdowns and any(f != 1.0 for f in self.node_slowdowns))

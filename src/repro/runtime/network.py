@@ -194,7 +194,7 @@ class AlphaBetaNetwork(NetworkModel):
 def resolved_message_bytes_vector(
     network: NetworkModel, program: Program, machine: Machine
 ) -> np.ndarray:
-    """Per-op payload vector for the engine fast path, override-safe.
+    """Per-op payload vector for the replay kernel, override-safe.
 
     A network subclass may override only the per-op :meth:`~NetworkModel.
     message_bytes` hook; in that case the inherited

@@ -12,9 +12,8 @@ Python hash seeds.
 Available policies (see :data:`POLICIES`):
 
 =============== ==============================================================
-``list``        duration-weighted bottom levels — the legacy
-                :class:`~repro.runtime.scheduler.ListScheduler` behaviour,
-                reproduced exactly
+``list``        duration-weighted bottom levels — greedy list scheduling,
+                the default
 ``critical-path`` bottom levels in Table-I weight units (``nb^3/3`` flops),
                 i.e. priorities from the paper's critical-path analysis
 ``locality``    block-cyclic-aware: prefer ops with the fewest off-node
@@ -46,11 +45,11 @@ class SchedulingPolicy:
     comparable with every other's.
 
     Policies may additionally implement :meth:`rank_array`, the vectorized
-    hook the engine's structure-of-arrays fast path calls with numpy
-    inputs; the built-in policies rank through the program's topological
-    level sweeps there, producing bit-identical keys to :meth:`rank`.  A
-    non-``None`` :attr:`cache_token` lets the engine memoize the computed
-    keys per (program, machine, grid) — static rankings only.
+    hook the replay kernel calls with numpy inputs; the built-in policies
+    rank through the program's topological level sweeps there, producing
+    bit-identical keys to :meth:`rank`.  A non-``None`` :attr:`cache_token`
+    lets the kernel memoize the resulting order per (program, machine,
+    grid) — static rankings only.
     """
 
     #: Registry name (e.g. ``"list"``); also used by the CLI.
@@ -74,8 +73,8 @@ class SchedulingPolicy:
         """Whether the ranking ignores the machine's duration model.
 
         ``True`` means the keys depend only on the program (and, for
-        node-aware policies, the grid): the batch engine may then share
-        one computed ranking across candidates that differ only in their
+        node-aware policies, the grid): the replay kernel may then share
+        one computed order across configurations that differ only in their
         machine.  The conservative default is ``False``.
         """
         return False
@@ -97,7 +96,7 @@ class SchedulingPolicy:
         node_of_op: Optional[np.ndarray],
         machine: Machine,
     ) -> Optional[List[object]]:
-        """Vectorized ranking for the engine fast path.
+        """Vectorized ranking for the replay kernel.
 
         ``durations`` is the per-op duration vector and ``node_of_op`` the
         owner-node vector (``None`` on a single node).  Return the key list
@@ -110,12 +109,12 @@ class SchedulingPolicy:
 
 
 class ListPolicy(SchedulingPolicy):
-    """Duration-weighted bottom levels: the legacy list scheduler, exactly."""
+    """Duration-weighted bottom levels: greedy list scheduling."""
 
     name = "list"
     description = (
         "greedy list scheduling by bottom level (longest downstream path in "
-        "simulated seconds); reproduces the legacy ListScheduler bit for bit"
+        "simulated seconds)"
     )
 
     @property
@@ -268,7 +267,7 @@ class RandomPolicy(SchedulingPolicy):
 
     def rank_array(self, program, durations, node_of_op, machine):
         # The seeded stream is already O(n) and hash-seed independent; the
-        # fast path just reuses it (and memoizes per seed via cache_token).
+        # kernel just reuses it (and memoizes per seed via cache_token).
         return self.rank(program, durations, node_of_op, machine)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

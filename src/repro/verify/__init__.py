@@ -1,7 +1,7 @@
 """Static verification of compiled Programs and simulated Schedules.
 
 Everything downstream of the compiler — three backends, six scheduling
-policies, two network models, the structure-of-arrays fast path — interprets
+policies, two network models, the shared replay kernel — interprets
 the same cached op-stream :class:`~repro.ir.program.Program`, so a single
 missing RAW/WAR edge or an infeasible schedule silently corrupts every
 result.  This package provides the *static* correctness oracles the dynamic
@@ -25,6 +25,9 @@ golden pins and hash-seed subprocess tests cannot give:
   iteration over unsorted sets in the deterministic core (``ir/``,
   ``runtime/``, ``dag/``), ``id()``-based ordering, wall-clock calls
   inside the engine;
+* :func:`reference_schedule` (:mod:`repro.verify.reference`) — the
+  object-path reference scheduler the shared replay kernel is compared
+  against on every schedule field;
 * :mod:`repro.verify.hooks` — the opt-in ``REPRO_VERIFY=1`` hook that
   validates Programs on :class:`~repro.ir.compiler.ProgramCache` insertion
   and Schedules on engine exit.
@@ -40,6 +43,7 @@ from repro.verify.findings import (
     VerificationReport,
 )
 from repro.verify.hooks import verify_enabled
+from repro.verify.reference import reference_schedule
 from repro.verify.schedule import verify_schedule
 from repro.verify.semantics import kernel_access_sets
 
@@ -48,6 +52,7 @@ __all__ = [
     "VerificationError",
     "VerificationReport",
     "kernel_access_sets",
+    "reference_schedule",
     "verify_enabled",
     "verify_program",
     "verify_schedule",

@@ -1,10 +1,11 @@
 """The schedule sanitizer: static feasibility checking of engine output.
 
 :func:`verify_schedule` takes a :class:`~repro.runtime.scheduler.Schedule`
-produced by the :class:`~repro.runtime.engine.SimulationEngine` (any policy,
-any network model, any process grid, fast or legacy path) together with the
-program / machine / network it was simulated under, and statically verifies
-every invariant a feasible distributed execution must satisfy:
+produced by the :class:`~repro.runtime.engine.SimulationEngine` or the
+reference scheduler (any policy, any network model, any process grid)
+together with the program / machine / network it was simulated under, and
+statically verifies every invariant a feasible distributed execution must
+satisfy:
 
 * ``S-SHAPE`` — per-task and per-node vectors have the right lengths;
 * ``S-TIME-RANGE`` — no negative start times;

@@ -23,7 +23,7 @@ from repro.analysis.speedup import (
 )
 from repro.dag.tracer import trace_bidiag, trace_qr
 from repro.runtime.machine import Machine
-from repro.runtime.scheduler import ListScheduler
+from repro.runtime.engine import SimulationEngine
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTTTree, GreedyTree, HierarchicalTree
 
@@ -40,7 +40,7 @@ class TestCommunication:
     def test_messages_match_simulator_accounting(self):
         graph = trace_bidiag(6, 4, GreedyTree(), grid_rows=2)
         machine = Machine(n_nodes=4, cores_per_node=2, tile_size=100)
-        schedule = ListScheduler(machine, self.dist).run(graph)
+        schedule = SimulationEngine(machine, self.dist).run(graph)
         stats = communication_volume(graph, self.dist, tile_size=100)
         assert stats.messages == schedule.messages
         assert stats.bytes_moved == schedule.comm_bytes
@@ -118,7 +118,7 @@ class TestSpeedup:
 
     def test_bounds_ordering(self):
         graph = trace_bidiag(8, 6, GreedyTree())
-        schedule = ListScheduler(self.machine).run(graph)
+        schedule = SimulationEngine(self.machine).run(graph)
         bounds = speedup_bounds(graph, self.machine, schedule)
         assert bounds.tinf_seconds <= bounds.t1_seconds
         assert bounds.brent_bound_seconds <= bounds.t1_seconds + bounds.tinf_seconds

@@ -3,9 +3,10 @@
 The tentpole contract of :mod:`repro.runtime.batch`: one batched pass over
 many (machine, grid, policy, network) candidates produces schedules
 **bit-identical** to per-candidate
-:meth:`~repro.runtime.engine.SimulationEngine.run` calls — across all
-policies x networks x grids, against both engine paths (SoA fast and
-retained legacy), under ``REPRO_VERIFY=1``, and independent of
+:meth:`~repro.runtime.engine.SimulationEngine.run` calls and to the
+object-path reference (:func:`repro.verify.reference.reference_schedule`)
+— across all policies x networks x grids, under ``REPRO_VERIFY=1``, and
+independent of
 ``PYTHONHASHSEED`` — while the analytic pre-pruning of
 :func:`~repro.runtime.batch.simulate_resolved_batch` never changes the
 winning candidate.
@@ -35,6 +36,7 @@ from repro.tiles.distribution import ProcessGrid
 from repro.trees import make_tree
 from repro.tuning.search import tune
 from repro.tuning.space import SearchSpace
+from repro.verify.reference import reference_schedule
 
 
 @pytest.fixture(autouse=True)
@@ -83,6 +85,8 @@ def _setup(config):
 class TestBatchEquivalence:
     """Batched schedules == per-candidate engine runs, every field."""
 
+    # engine_fast=True compares against the engine, False against the
+    # object-path reference scheduler.
     @pytest.mark.parametrize("engine_fast", [True, False])
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c[0]}-{c[1]}x{c[2]}")
     def test_policy_network_matrix(self, config, engine_fast):
@@ -93,13 +97,21 @@ class TestBatchEquivalence:
         ]
         schedules = simulate_batch(setup.program, candidates)
         for cand, got in zip(candidates, schedules):
-            ref = SimulationEngine(
-                cand.machine,
-                cand.distribution,
-                policy=cand.policy,
-                network=cand.network,
-                fast=engine_fast,
-            ).run(setup.program)
+            if engine_fast:
+                ref = SimulationEngine(
+                    cand.machine,
+                    cand.distribution,
+                    policy=cand.policy,
+                    network=cand.network,
+                ).run(setup.program)
+            else:
+                ref = reference_schedule(
+                    setup.program,
+                    cand.machine,
+                    cand.distribution,
+                    policy=cand.policy,
+                    network=cand.network,
+                )
             _assert_schedules_identical(got, ref)
 
     def test_heterogeneous_machines_one_batch(self):
@@ -166,7 +178,7 @@ class TestBatchEquivalence:
 
 
 class TestBatchMemoStats:
-    """engine.memo.batch.* counters pin the sharing the batch layer claims."""
+    """engine.memo.order.* / batch.* counters pin the sharing the batch claims."""
 
     def _delta(self, before):
         stats = engine_memo_stats()
@@ -188,8 +200,8 @@ class TestBatchMemoStats:
         assert delta["batch_pruned"] == 0
         # Locality degenerates to list on one node, so its order resolves
         # through list's memo entry: 2 misses (list, fifo) + 1 hit.
-        assert delta["batch_order_misses"] == 2
-        assert delta["batch_order_hits"] == 1
+        assert delta["order_misses"] == 2
+        assert delta["order_hits"] == 1
 
     def test_machine_invariant_order_shared_across_machines(self):
         program = get_program("bidiag", 8, 6, make_tree("greedy"))
@@ -206,8 +218,8 @@ class TestBatchMemoStats:
             for m in machines
         ])
         delta = self._delta(before)
-        assert delta["batch_order_misses"] == 3  # 1 critical-path + 2 list
-        assert delta["batch_order_hits"] == 1    # critical-path, 2nd machine
+        assert delta["order_misses"] == 3  # 1 critical-path + 2 list
+        assert delta["order_hits"] == 1    # critical-path, 2nd machine
         assert delta["batch_simulated"] == 4
         assert delta["batch_deduped"] == 0
 
@@ -218,15 +230,15 @@ class TestBatchMemoStats:
         before = engine_memo_stats()
         simulate_batch(setup.program, candidates)
         delta = self._delta(before)
-        assert delta["batch_order_hits"] == 1
-        assert delta["batch_order_misses"] == 0
+        assert delta["order_hits"] == 1
+        assert delta["order_misses"] == 0
 
     def test_stats_expose_batch_keys(self):
         stats = engine_memo_stats()
         for key in (
-            "batch_order_programs",
-            "batch_order_hits",
-            "batch_order_misses",
+            "order_programs",
+            "order_hits",
+            "order_misses",
             "batch_candidates",
             "batch_simulated",
             "batch_deduped",

@@ -2,10 +2,10 @@
 
 Pins the contract of the tentpole refactor:
 
-* with the ``list`` policy the engine reproduces the legacy
-  :class:`~repro.runtime.scheduler.ListScheduler` *exactly* (golden pins
-  included, so a regression in either layer is caught against absolute
-  numbers, not just mutual agreement);
+* with the ``list`` policy the engine reproduces the object-path
+  reference scheduler (:func:`repro.verify.reference.reference_schedule`)
+  *exactly* (golden pins included, so a regression in either is caught
+  against absolute numbers, not just mutual agreement);
 * every policy's makespan respects the fundamental scheduling bounds
   (critical path <= makespan <= serial time);
 * schedules are bit-reproducible across runs and Python hash seeds
@@ -36,9 +36,9 @@ from repro.runtime.policies import (
     available_policies,
     get_policy,
 )
-from repro.runtime.scheduler import ListScheduler
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
+from repro.verify.reference import reference_schedule
 
 
 @pytest.fixture(autouse=True)
@@ -61,7 +61,7 @@ class TestListPolicyMatchesLegacy:
     @pytest.mark.parametrize("alg,p,q,tree,machine", CONFIGS)
     def test_exact_schedule_equality(self, alg, p, q, tree, machine):
         program = get_program(alg, p, q, tree)
-        legacy = ListScheduler(machine).run(program.to_task_graph())
+        legacy = reference_schedule(program.to_task_graph(), machine)
         engine = SimulationEngine(machine, policy="list").run(program)
         assert engine.makespan == legacy.makespan  # bitwise, not approx
         assert engine.start == legacy.start
@@ -74,7 +74,7 @@ class TestListPolicyMatchesLegacy:
     def test_golden_pins(self):
         """Absolute makespans of the list policy on paper-scale shapes.
 
-        Pinned from the legacy ListScheduler at the time of the engine
+        Pinned from the original list scheduler at the time of the engine
         refactor; if these move, scheduling semantics changed.
         """
         pins = {
@@ -94,10 +94,9 @@ class TestListPolicyMatchesLegacy:
     def test_legacy_priorities_map_to_policies(self):
         program = get_program("bidiag", 6, 4, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        for priority, policy in (("bottom-level", "list"), ("fifo", "fifo"),
-                                 ("weight", "weight")):
-            legacy = ListScheduler(machine, priority=priority).run(
-                program.to_task_graph()
+        for policy in ("list", "fifo", "weight"):
+            legacy = reference_schedule(
+                program.to_task_graph(), machine, policy=policy
             )
             engine = SimulationEngine(machine, policy=policy).run(program)
             assert engine.makespan == legacy.makespan

@@ -42,9 +42,9 @@ from repro.runtime.network import (
     available_networks,
     get_network_model,
 )
-from repro.runtime.scheduler import ListScheduler
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
+from repro.verify.reference import reference_schedule
 from repro.kernels.costs import KernelName
 
 
@@ -112,7 +112,7 @@ class TestUniformIsLegacy:
         program = get_program(alg, p, q, tree)
         explicit = SimulationEngine(machine, network="uniform").run(program)
         default = SimulationEngine(machine).run(program)
-        legacy = ListScheduler(machine).run(program.to_task_graph())
+        legacy = reference_schedule(program.to_task_graph(), machine)
         assert explicit.makespan == default.makespan == legacy.makespan
         assert explicit.start == default.start == legacy.start
         assert explicit.messages == default.messages == legacy.messages

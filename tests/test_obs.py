@@ -42,6 +42,7 @@ from repro.runtime.machine import Machine
 from repro.runtime.policies import POLICIES
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTTTree, GreedyTree
+from repro.verify.reference import reference_schedule
 
 NETWORKS = ("uniform", "alpha-beta")
 
@@ -108,18 +109,23 @@ def test_tracing_does_not_perturb_schedule(policy, network):
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_tracing_identical_on_both_engine_paths(fast):
+    # fast=True compares the traced run with an untraced engine run,
+    # fast=False with the object-path reference scheduler.
     machine = _machine(n_nodes=2, cores=2)
     grid = ProcessGrid(1, 2)
     program = get_program("bidiag", 6, 6, FlatTTTree(), n_cores=2,
                           grid_rows=grid.rows)
     dist = BlockCyclicDistribution(grid)
-    engine = SimulationEngine(machine, dist, network="alpha-beta", fast=fast)
-    plain = engine.run(program)
+    engine = SimulationEngine(machine, dist, network="alpha-beta")
+    if fast:
+        plain = engine.run(program)
+    else:
+        plain = reference_schedule(program, machine, dist, network="alpha-beta")
     tracer = Tracer(clock=FakeClock())
     with tracer.activate():
         traced = engine.run(program)
     _assert_schedules_identical(plain, traced)
-    # Both paths record the same number of deduplicated transfers.
+    # One record per deduplicated transfer.
     assert len(tracer.runs[0].transfers) == plain.messages
 
 
@@ -356,7 +362,7 @@ def test_engine_memo_stats_promoted_to_registry():
     _simulate(machine, tree=GreedyTree())
     stats = engine_memo_stats()
     # Legacy table-size keys survive alongside the new hit/miss counters.
-    for key in ("duration_programs", "owner_programs", "rank_programs"):
+    for key in ("duration_programs", "owner_programs", "order_programs"):
         assert key in stats
     assert stats["duration_misses"] >= 1
     before_hits = stats["duration_hits"]

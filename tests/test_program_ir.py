@@ -297,12 +297,12 @@ class TestEdgeCases:
     def test_single_tile_simulation_matches_legacy(self):
         from repro.runtime.engine import SimulationEngine
         from repro.runtime.machine import Machine
-        from repro.runtime.scheduler import ListScheduler
+        from repro.verify.reference import reference_schedule
 
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
         graph = trace_bidiag(1, 1, GreedyTree())
         program = get_program("bidiag", 1, 1, GreedyTree())
-        legacy = ListScheduler(machine).run(graph)
+        legacy = reference_schedule(graph, machine)
         engine = SimulationEngine(machine, policy="list").run(program)
         assert engine.makespan == legacy.makespan > 0
 

@@ -8,7 +8,7 @@ from repro.dag.tracer import trace_bidiag
 from repro.dag.critical_path import critical_path_length
 from repro.kernels.costs import KernelName
 from repro.runtime.machine import Machine
-from repro.runtime.scheduler import ListScheduler
+from repro.runtime.engine import SimulationEngine
 from repro.runtime.simulator import simulate_ge2bnd, simulate_ge2val, simulate_graph
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTSTree, GreedyTree
@@ -100,7 +100,7 @@ class TestListScheduler:
         for i in range(4):
             g.add_task(_mk_task(i))
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        schedule = ListScheduler(machine).run(g)
+        schedule = SimulationEngine(machine).run(g)
         # All four tasks fit on four cores simultaneously.
         assert schedule.makespan == pytest.approx(machine.kernel_duration(KernelName.TSMQR))
 
@@ -111,7 +111,7 @@ class TestListScheduler:
         for i in range(3):
             g.add_edge(i, i + 1)
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        schedule = ListScheduler(machine).run(g)
+        schedule = SimulationEngine(machine).run(g)
         assert schedule.makespan == pytest.approx(4 * machine.kernel_duration(KernelName.TSMQR))
 
     def test_single_core_serializes_everything(self):
@@ -119,12 +119,12 @@ class TestListScheduler:
         for i in range(5):
             g.add_task(_mk_task(i))
         machine = Machine(n_nodes=1, cores_per_node=1, tile_size=100)
-        schedule = ListScheduler(machine).run(g)
+        schedule = SimulationEngine(machine).run(g)
         assert schedule.makespan == pytest.approx(5 * machine.kernel_duration(KernelName.TSMQR))
 
     def test_empty_graph(self):
         machine = Machine()
-        schedule = ListScheduler(machine).run(TaskGraph())
+        schedule = SimulationEngine(machine).run(TaskGraph())
         assert schedule.makespan == 0.0
 
     def test_cross_node_edges_counted(self):
@@ -134,7 +134,7 @@ class TestListScheduler:
         g.add_edge(0, 1)
         machine = Machine(n_nodes=2, cores_per_node=2, tile_size=100)
         dist = BlockCyclicDistribution(ProcessGrid(2, 1))
-        schedule = ListScheduler(machine, dist).run(g)
+        schedule = SimulationEngine(machine, dist).run(g)
         assert schedule.messages == 1
         assert schedule.comm_bytes == machine.tile_bytes
         assert schedule.makespan > 2 * machine.kernel_duration(KernelName.TSMQR)
@@ -142,14 +142,14 @@ class TestListScheduler:
     def test_distribution_process_count_must_match(self):
         machine = Machine(n_nodes=4)
         with pytest.raises(ValueError):
-            ListScheduler(machine, BlockCyclicDistribution(ProcessGrid(1, 2)))
+            SimulationEngine(machine, BlockCyclicDistribution(ProcessGrid(1, 2)))
 
     def test_schedule_bounds(self):
         """Makespan is bounded below by the critical path and above by the
         serial time (fundamental scheduling bounds)."""
         g = trace_bidiag(6, 4, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=8, tile_size=160)
-        schedule = ListScheduler(machine).run(g)
+        schedule = SimulationEngine(machine).run(g)
         cp_time = critical_path_length(g, weight_fn=lambda t: machine.kernel_duration(t.kernel))
         serial_time = sum(machine.kernel_duration(t.kernel) for t in g.tasks)
         assert cp_time <= schedule.makespan + 1e-12
@@ -158,7 +158,7 @@ class TestListScheduler:
     def test_node_utilization(self):
         g = trace_bidiag(4, 4, FlatTSTree())
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=160)
-        schedule = ListScheduler(machine).run(g)
+        schedule = SimulationEngine(machine).run(g)
         util = schedule.node_utilization(machine)
         assert len(util) == 1
         assert 0.0 < util[0] <= 1.0

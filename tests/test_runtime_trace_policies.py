@@ -4,7 +4,7 @@ import pytest
 
 from repro.dag.tracer import trace_bidiag, trace_qr
 from repro.runtime.machine import Machine
-from repro.runtime.scheduler import ListScheduler
+from repro.runtime.engine import SimulationEngine
 from repro.runtime.trace import gantt_chart, idle_time_by_node, utilization_report
 from repro.trees import FlatTSTree, GreedyTree
 
@@ -13,7 +13,7 @@ from repro.trees import FlatTSTree, GreedyTree
 def small_run():
     graph = trace_bidiag(6, 4, GreedyTree())
     machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-    schedule = ListScheduler(machine).run(graph)
+    schedule = SimulationEngine(machine).run(graph)
     return graph, machine, schedule
 
 
@@ -84,13 +84,13 @@ class TestGantt:
 class TestSchedulerPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            ListScheduler(Machine(), priority="magic")
+            SimulationEngine(Machine(), policy="magic")
 
-    @pytest.mark.parametrize("policy", ["bottom-level", "fifo", "weight"])
+    @pytest.mark.parametrize("policy", ["list", "fifo", "weight"])
     def test_all_policies_produce_valid_schedules(self, policy):
         graph = trace_qr(6, 4, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        schedule = ListScheduler(machine, priority=policy).run(graph)
+        schedule = SimulationEngine(machine, policy=policy).run(graph)
         assert schedule.makespan > 0
         assert len(schedule.start) == len(graph)
         # Dependencies respected.
@@ -101,14 +101,14 @@ class TestSchedulerPolicies:
     def test_bottom_level_not_worse_than_fifo(self):
         graph = trace_bidiag(8, 6, FlatTSTree())
         machine = Machine(n_nodes=1, cores_per_node=8, tile_size=100)
-        blevel = ListScheduler(machine, priority="bottom-level").run(graph).makespan
-        fifo = ListScheduler(machine, priority="fifo").run(graph).makespan
+        blevel = SimulationEngine(machine, policy="list").run(graph).makespan
+        fifo = SimulationEngine(machine, policy="fifo").run(graph).makespan
         assert blevel <= fifo * 1.05
 
     def test_core_assignment_is_consistent(self):
         graph = trace_qr(5, 3, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=3, tile_size=100)
-        schedule = ListScheduler(machine).run(graph)
+        schedule = SimulationEngine(machine).run(graph)
         assert schedule.core_of_task is not None
         assert all(0 <= c < machine.cores_per_node for c in schedule.core_of_task)
         # Tasks on the same core never overlap in time.

@@ -25,7 +25,8 @@ from repro.runtime.engine import SimulationEngine
 from repro.runtime.faults import fail_stop_factors
 from repro.runtime.machine import Machine
 from repro.runtime.policies import POLICIES
-from repro.runtime.scenario import Scenario, ScenarioReplayer, run_scenario
+from repro.runtime.replay import PreparedReplay
+from repro.runtime.scenario import Scenario, run_scenario
 from repro.trees import GreedyTree
 
 SETTINGS = dict(
@@ -53,8 +54,8 @@ class TestZeroPerturbationIdentity:
                 engine = SimulationEngine(machine, policy=policy,
                                           network=network)
                 baseline = engine.run(program)
-                replayed = ScenarioReplayer(engine, program).replay(
-                    fault_row=ones, noise_row=ones
+                replayed = PreparedReplay(engine, program).run(
+                    duration_row=ones, noise_row=ones
                 )
                 assert replayed.start == baseline.start, (policy, network)
                 assert replayed.finish == baseline.finish, (policy, network)
@@ -124,14 +125,14 @@ class TestFaultCountMonotonicity:
         program = get_program("bidiag", 2, 2, GreedyTree(), n_cores=1)
         machine = Machine(n_nodes=1, cores_per_node=1, tile_size=100)
         engine = SimulationEngine(machine)
-        replayer = ScenarioReplayer(engine, program)
+        replay = PreparedReplay(engine, program)
         rng = np.random.default_rng(seed)
         n = len(program)
         base_counts = rng.integers(0, 3, size=n)
         extra = rng.integers(0, 3, size=n)
-        low = replayer.replay(fault_row=fail_stop_factors(base_counts, rework))
-        high = replayer.replay(
-            fault_row=fail_stop_factors(base_counts + extra, rework)
+        low = replay.run(duration_row=fail_stop_factors(base_counts, rework))
+        high = replay.run(
+            duration_row=fail_stop_factors(base_counts + extra, rework)
         )
         assert high.makespan >= low.makespan * (1.0 - 1e-12)
         assert low.makespan >= engine.run(program).makespan * (1.0 - 1e-12)

@@ -9,6 +9,7 @@ tuning reproducibility, the CLI surface, and — under ``@slow`` — seeded
 determinism across PYTHONHASHSEED / engine-path subprocesses.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -34,12 +35,12 @@ from repro.runtime.scenario import (
     SCENARIOS,
     MakespanDistribution,
     Scenario,
-    ScenarioReplayer,
     available_scenarios,
     get_scenario,
     run_scenario,
 )
-from repro.runtime.simulator import simulate_ge2bnd, simulate_ge2val
+from repro.runtime.replay import PreparedReplay
+from repro.runtime.simulator import _ge2bnd_setup, simulate_ge2bnd, simulate_ge2val
 
 
 # --------------------------------------------------------------------------- #
@@ -252,6 +253,95 @@ def _pin_machine() -> Machine:
     return Machine(n_nodes=2, cores_per_node=2, tile_size=100)
 
 
+#: sha256 digests of whole schedules (see :func:`_schedule_digest`), pinned
+#: before the engine, batch and scenario loops were folded into one replay
+#: kernel.  Keys are (case, policy, network).  ``2x2`` is
+#: simulate_ge2bnd(300, 200) on the pin machine; the other cases replay
+#: 600x400: ``1x4`` on one 4-core node, ``hetero`` / ``slow-core`` the
+#: nominal scenario replays, ``straggler[0]`` / ``noisy-net[0]`` the first
+#: Monte-Carlo draw at seed 0.
+GOLDEN_SCHEDULES = {
+    ('2x2', 'critical-path', 'uniform'): '0135b465a71a7a9c661924045feee8d7692ff2ffab7da51dd03ef5aa7f3ad3cb',
+    ('2x2', 'critical-path', 'alpha-beta'): '07d0e4357c3a7c8404f489cd0362de66dadccd8277eb0af572ef9b0e9ca06962',
+    ('2x2', 'fifo', 'uniform'): '0135b465a71a7a9c661924045feee8d7692ff2ffab7da51dd03ef5aa7f3ad3cb',
+    ('2x2', 'fifo', 'alpha-beta'): '07d0e4357c3a7c8404f489cd0362de66dadccd8277eb0af572ef9b0e9ca06962',
+    ('2x2', 'list', 'uniform'): '359f2416c03d75c9de4404e124e4fd831614feeef1d12701e8c25183d1c73f94',
+    ('2x2', 'list', 'alpha-beta'): 'f78df7239ad491ef591396d686dc6aead3884e8f900b944ad2260c55d9f58a48',
+    ('2x2', 'locality', 'uniform'): '359f2416c03d75c9de4404e124e4fd831614feeef1d12701e8c25183d1c73f94',
+    ('2x2', 'locality', 'alpha-beta'): 'f78df7239ad491ef591396d686dc6aead3884e8f900b944ad2260c55d9f58a48',
+    ('2x2', 'random', 'uniform'): '2170cc8756844b52371337410dfaae556d1e34f07ba4428da77ba3da0d357d5d',
+    ('2x2', 'random', 'alpha-beta'): '394880229f8dd98eae25fe8fd20566aafd278fda50d6de7dc956b9a1f14401b5',
+    ('2x2', 'weight', 'uniform'): 'b7e2a9cee008b66616bf4e224e7f512e588b33953d027fac2c5a6f0d01d9a8dd',
+    ('2x2', 'weight', 'alpha-beta'): 'f6f6842b31b70d498d2543081b14e220025926e69432efb0b2c34f3acd0de77a',
+    ('1x4', 'critical-path', 'uniform'): '0b51656747fc78fb4c48fe85aa6d3fbe50ca180bae731f2f377def2b5b6e803d',
+    ('1x4', 'fifo', 'uniform'): '390bd53c0c8e8b4db4d7c525d7b3dd62172e2faf228dc7b5a623c2e2e39ad28b',
+    ('1x4', 'list', 'uniform'): '9eff4442a0e1f7942972e01990e560c7fd1077eae99d39cc892c33a324885727',
+    ('1x4', 'locality', 'uniform'): '9eff4442a0e1f7942972e01990e560c7fd1077eae99d39cc892c33a324885727',
+    ('1x4', 'random', 'uniform'): '830ef161ab5d4501196d3cd7ae332360e132d20146e5fdc83f6823384354072f',
+    ('1x4', 'weight', 'uniform'): '5f6bb1fb03b46eb16a072a0da3a008147cffe8a2984772c44820897b5dc4c833',
+    ('hetero', 'list', 'uniform'): '4b190d232273dc258436dca47c1e1952168dd8e7f20e397215628ecf1521991e',
+    ('hetero', 'list', 'alpha-beta'): 'b7d71b8bb39a3095f38535ab2b1303499b0d6a8b48b82ae926930b50259eac4e',
+    ('slow-core', 'list', 'uniform'): '09c508625a78617967d10229d0dba1507e3372321f3a0d99e0d6e923a1781690',
+    ('slow-core', 'list', 'alpha-beta'): 'bc2c31efdd9461e92fcfc48a432fd5026bc153fa70e02eb3fa56d210e5bc6b75',
+    ('straggler[0]', 'list', 'uniform'): 'f0be7f91e38498801c2bc4c122c0f653093acb09d00e7b0d39c5c01e5b1df225',
+    ('straggler[0]', 'list', 'alpha-beta'): 'a0e361486895a1e6bdb88477117f52dbbb74da34ec39a369b7840d49bec6950d',
+    ('noisy-net[0]', 'list', 'uniform'): '724d43eed3eb7a9659d47ca40aafa3a47108134ed503290eded7442a8a97eb2b',
+    ('noisy-net[0]', 'list', 'alpha-beta'): 'a5400d47ed13c2680330149071b8e470e2e65df7cdfd55e5a6401959b722eaa7',
+}
+
+
+def _schedule_digest(schedule) -> str:
+    """sha256 over float.hex of the times plus every per-node/per-op list."""
+    parts = [
+        schedule.makespan.hex(),
+        " ".join(x.hex() for x in schedule.start),
+        " ".join(x.hex() for x in schedule.finish),
+        " ".join(map(str, schedule.node_of_task)),
+        " ".join(map(str, schedule.core_of_task)),
+        " ".join(x.hex() for x in schedule.busy_time_per_node),
+        " ".join(x.hex() for x in schedule.comm_time_per_node),
+        " ".join(map(str, schedule.messages_per_node)),
+        str(schedule.messages),
+        str(schedule.comm_bytes),
+    ]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def _first_draw(scenario_name, network):
+    """The first seed-0 Monte-Carlo draw's schedule, replayed directly."""
+    machine = _pin_machine()
+    scenario = SCENARIOS[scenario_name]
+    setup = _ge2bnd_setup(600, 400, machine)
+    program = setup.program
+    engine = SimulationEngine(scenario.apply_to_machine(machine),
+                              setup.distribution, network=network)
+    rng = np.random.default_rng(0)
+    faults, _ = scenario.faults.sample(rng, 4, len(program))
+    noise = scenario.noise.sample(rng, 4, len(program))
+    schedule = PreparedReplay(engine, program).run(
+        None if scenario.faults.deterministic else faults[0],
+        None if scenario.noise.deterministic else noise[0],
+    )
+    # The same draw as run_scenario's first Monte-Carlo makespan.
+    run = run_scenario(program, machine, scenario, setup.distribution,
+                       network=network, draws=4, seed=0)
+    assert run.distribution.makespans[0] == schedule.makespan
+    return schedule
+
+
+def _golden_schedule(case, policy, network):
+    if case == "2x2":
+        return simulate_ge2bnd(300, 200, _pin_machine(), policy=policy,
+                               network=network).schedule
+    if case == "1x4":
+        machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
+        return simulate_ge2bnd(600, 400, machine, policy=policy).schedule
+    if case.endswith("[0]"):
+        return _first_draw(case[:-3], network)
+    return simulate_ge2bnd(600, 400, _pin_machine(), network=network,
+                           scenario=case).schedule
+
+
 class TestGoldenPinnedDefaultPath:
     @pytest.mark.parametrize("policy,network", sorted(GOLDEN_MAKESPANS))
     def test_default_path_is_bit_identical(self, policy, network):
@@ -260,11 +350,23 @@ class TestGoldenPinnedDefaultPath:
         assert result.time_seconds.hex() == GOLDEN_MAKESPANS[(policy, network)]
 
     @pytest.mark.parametrize("policy,network", sorted(GOLDEN_MAKESPANS))
-    def test_legacy_engine_path_matches_pin(self, policy, network, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_FAST", "0")
-        result = simulate_ge2bnd(300, 200, _pin_machine(),
-                                 policy=policy, network=network)
-        assert result.time_seconds.hex() == GOLDEN_MAKESPANS[(policy, network)]
+    def test_legacy_engine_path_matches_pin(self, policy, network):
+        # The object-path reference scheduler shares no code with the
+        # replay kernel, so it pins the same bits independently.
+        from repro.verify.reference import reference_schedule
+
+        setup = _ge2bnd_setup(300, 200, _pin_machine())
+        schedule = reference_schedule(setup.program, _pin_machine(),
+                                      setup.distribution, policy=policy,
+                                      network=network)
+        assert schedule.makespan.hex() == GOLDEN_MAKESPANS[(policy, network)]
+
+    @pytest.mark.parametrize("case,policy,network", list(GOLDEN_SCHEDULES))
+    def test_full_schedule_is_bit_identical(self, case, policy, network):
+        schedule = _golden_schedule(case, policy, network)
+        assert _schedule_digest(schedule) == GOLDEN_SCHEDULES[
+            (case, policy, network)
+        ]
 
     def test_trivial_scenario_is_bit_identical_to_default(self):
         plain = simulate_ge2bnd(300, 200, _pin_machine())
@@ -276,22 +378,23 @@ class TestGoldenPinnedDefaultPath:
 
     @pytest.mark.parametrize("policy", sorted(p for p, _ in GOLDEN_MAKESPANS))
     def test_replayer_nominal_replay_matches_engine(self, policy):
-        # The scenario replayer's zero-perturbation replay must reproduce
-        # the engine bit for bit on every policy — this is what makes the
-        # Monte-Carlo mode trustworthy.
+        # All-ones factor rows must reproduce the nominal replay — and the
+        # object-path reference — bit for bit on every policy: this is
+        # what makes the Monte-Carlo mode trustworthy.
         from repro.ir.compiler import get_program
         from repro.trees import GreedyTree
+        from repro.verify.reference import reference_schedule
 
         machine = _pin_machine()
         engine = SimulationEngine(machine, policy=policy, network="alpha-beta")
         program = get_program("bidiag", 3, 2, GreedyTree(),
                               n_cores=machine.cores_per_node, grid_rows=2)
-        baseline = engine.run(program)
-        replayed = ScenarioReplayer(engine, program).replay()
-        assert replayed.makespan.hex() == baseline.makespan.hex()
-        assert replayed.start == baseline.start
-        assert replayed.finish == baseline.finish
-        assert replayed.node_of_task == baseline.node_of_task
+        ones = np.ones(len(program))
+        replayed = PreparedReplay(engine, program).run(ones, ones)
+        assert replayed == engine.run(program)
+        assert replayed == reference_schedule(
+            program, machine, policy=policy, network="alpha-beta"
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -477,7 +580,7 @@ class TestScenarioCLI:
 # --------------------------------------------------------------------------- #
 class TestSeededDeterminism:
     """The Monte-Carlo draws of a seed must be identical across
-    PYTHONHASHSEED values and across the fast / legacy engine paths."""
+    PYTHONHASHSEED values."""
 
     SNIPPET = (
         "import sys; sys.path.insert(0, 'src')\n"
@@ -490,8 +593,8 @@ class TestSeededDeterminism:
         "print([m.hex() for m in r.distribution.makespans])\n"
     )
 
-    def _run(self, *, hash_seed="0", fast="1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, REPRO_ENGINE_FAST=fast)
+    def _run(self, *, hash_seed="0"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
             [sys.executable, "-c", self.SNIPPET],
             capture_output=True,
@@ -505,7 +608,3 @@ class TestSeededDeterminism:
     @pytest.mark.slow
     def test_draws_identical_across_hash_seeds(self):
         assert self._run(hash_seed="0") == self._run(hash_seed="4242")
-
-    @pytest.mark.slow
-    def test_draws_identical_across_engine_paths(self):
-        assert self._run(fast="1") == self._run(fast="0")

@@ -1,12 +1,13 @@
-"""Differential and property tests for the structure-of-arrays fast path.
+"""Differential and property tests for the structure-of-arrays pipeline.
 
-The tentpole contract: the SoA pipeline (column recording, integer-coded
-dependency analysis, vectorized CSR/level construction, array-native
-engine) is **bit-identical** to the legacy object path on every observable
-— schedules (makespan, per-op start/finish, node/core mapping, message and
-byte counts), rank arrays, critical paths, bottom levels and static
-communication counts — across all policies x networks x grids, and
-independent of ``PYTHONHASHSEED``.
+The contract: the SoA pipeline (column recording, integer-coded
+dependency analysis, vectorized CSR/level construction, the array-native
+replay kernel) is **bit-identical** to the object path on every
+observable — schedules (makespan, per-op start/finish, node/core mapping,
+message and byte counts; the object path is
+:func:`repro.verify.reference.reference_schedule`), rank arrays, critical
+paths, bottom levels and static communication counts — across all
+policies x networks x grids, and independent of ``PYTHONHASHSEED``.
 """
 
 import gc
@@ -32,8 +33,10 @@ from repro.runtime.engine import (
 from repro.runtime.machine import Machine
 from repro.runtime.network import get_network_model
 from repro.runtime.policies import POLICIES, RandomPolicy, get_policy
+from repro.runtime.replay import PreparedReplay, dense_order
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
+from repro.verify.reference import reference_schedule
 
 
 @pytest.fixture(autouse=True)
@@ -67,7 +70,7 @@ def _assert_schedules_identical(a, b):
 
 
 class TestFastLegacySchedules:
-    """SoA fast path == legacy object path, every schedule field."""
+    """Replay kernel == object-path reference, every schedule field."""
 
     @pytest.mark.parametrize("network", ["uniform", "alpha-beta"])
     @pytest.mark.parametrize("policy", sorted(POLICIES))
@@ -75,29 +78,52 @@ class TestFastLegacySchedules:
     def test_bitwise_equal(self, alg, p, q, tree, machine, policy, network):
         program = get_program(alg, p, q, tree)
         fast = SimulationEngine(
-            machine, policy=policy, network=network, fast=True
+            machine, policy=policy, network=network
         ).run(program)
-        legacy = SimulationEngine(
-            machine, policy=policy, network=network, fast=False
-        ).run(program)
+        legacy = reference_schedule(
+            program, machine, policy=policy, network=network
+        )
         _assert_schedules_identical(fast, legacy)
-
-    def test_env_var_disables_fast_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_FAST", "0")
-        machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        assert SimulationEngine(machine).fast is False
-        monkeypatch.setenv("REPRO_ENGINE_FAST", "1")
-        assert SimulationEngine(machine).fast is True
-        # Explicit argument wins over the environment.
-        assert SimulationEngine(machine, fast=False).fast is False
 
     def test_empty_and_single_op_programs(self):
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
         program = get_program("bidiag", 1, 1, GreedyTree())
-        fast = SimulationEngine(machine, fast=True).run(program)
-        legacy = SimulationEngine(machine, fast=False).run(program)
+        fast = SimulationEngine(machine).run(program)
+        legacy = reference_schedule(program, machine)
         _assert_schedules_identical(fast, legacy)
         assert fast.makespan > 0
+        empty = Program.from_ops([])
+        _assert_schedules_identical(
+            SimulationEngine(machine).run(empty),
+            reference_schedule(empty, machine),
+        )
+
+    def test_big_integer_keys_keep_exact_order(self):
+        # Python ints at or above 2**53 round to equal float64 values; the
+        # dense order must still follow the exact integer comparison.
+        assert dense_order([2**53 + 1, 2**53], 2) == ([1, 0], [1, 0])
+        assert dense_order([2**53 + 1, 0.5, 2**53], 3) == ([2, 0, 1], [1, 2, 0])
+
+        class BigInts(get_policy("fifo").__class__):
+            name = "big-ints"
+
+            @property
+            def cache_token(self):
+                return None
+
+            def rank(self, program, durations, node_of_op, machine):
+                # Reverse program order, spaced one apart above 2**53.
+                return [2**53 + len(program) - i for i in range(len(program))]
+
+            def rank_array(self, program, durations, node_of_op, machine):
+                return None
+
+        program = get_program("bidiag", 6, 6, GreedyTree())
+        machine = Machine(n_nodes=2, cores_per_node=2, tile_size=100)
+        kernel = SimulationEngine(machine, policy=BigInts()).run(program)
+        _assert_schedules_identical(
+            kernel, reference_schedule(program, machine, policy=BigInts())
+        )
 
 
 class TestRankArrays:
@@ -244,12 +270,8 @@ class TestOwnerVector:
         program = get_program("bidiag", 6, 6, GreedyTree())
         machine = Machine(n_nodes=3, cores_per_node=4, tile_size=100)
         placement = [i % 3 for i in range(len(program))]
-        fast = SimulationEngine(machine, fast=True).run(
-            program, node_of_op=placement
-        )
-        legacy = SimulationEngine(machine, fast=False).run(
-            program, node_of_op=placement
-        )
+        fast = SimulationEngine(machine).run(program, node_of_op=placement)
+        legacy = reference_schedule(program, machine, node_of_op=placement)
         _assert_schedules_identical(fast, legacy)
         assert fast.node_of_task == placement
 
@@ -259,9 +281,29 @@ class TestOwnerVector:
         with pytest.raises(ValueError):
             SimulationEngine(machine).run(program, node_of_op=[0, 1])
 
+    def test_node_of_op_negative_entry_rejected(self):
+        program = get_program("bidiag", 4, 4, GreedyTree())
+        machine = Machine(n_nodes=2, cores_per_node=4, tile_size=100)
+        placement = [0] * len(program)
+        placement[3] = -1
+        with pytest.raises(ValueError, match=r"node_of_op\[3\] = -1"):
+            SimulationEngine(machine).run(program, node_of_op=placement)
+        with pytest.raises(ValueError, match=r"node_of_op\[0\] = -1"):
+            SimulationEngine(machine).run(
+                program, node_of_op=[-1] * len(program)
+            )
+
+    def test_node_of_op_entry_past_last_node_rejected(self):
+        program = get_program("bidiag", 4, 4, GreedyTree())
+        machine = Machine(n_nodes=2, cores_per_node=4, tile_size=100)
+        placement = [i % 2 for i in range(len(program))]
+        placement[5] = 5
+        with pytest.raises(ValueError, match=r"node_of_op\[5\] = 5"):
+            SimulationEngine(machine).run(program, node_of_op=placement)
+
 
 class TestMemoization:
-    """Duration/owner/rank tables are shared across engines and runs."""
+    """Duration/owner/order tables are shared across engines and runs."""
 
     def test_duration_vector_memoized_across_engines(self):
         program = get_program("bidiag", 6, 6, GreedyTree())
@@ -277,18 +319,24 @@ class TestMemoization:
         assert c is not a
 
     def test_rank_keys_memoized_per_policy(self):
+        # The memoized form of a policy's keys is its dense-rank order.
         program = get_program("bidiag", 6, 6, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=8, tile_size=160)
-        e1 = SimulationEngine(machine, policy="list")
-        e2 = SimulationEngine(machine, policy="list")
-        d = e1.duration_vector(program)
-        k1 = e1.rank_keys(program, d, None)
-        k2 = e2.rank_keys(program, d, None)
-        assert k1 is k2
+        before = engine_memo_stats()
+        o1 = PreparedReplay(SimulationEngine(machine, policy="list"), program)
+        o2 = PreparedReplay(SimulationEngine(machine, policy="list"), program)
+        assert o1.id_of is o2.id_of
+        after = engine_memo_stats()
+        assert after["order_misses"] - before["order_misses"] == 1
+        assert after["order_hits"] - before["order_hits"] == 1
         # Different random seeds must not collide in the memo.
-        r0 = SimulationEngine(machine, policy=RandomPolicy(seed=0))
-        r1 = SimulationEngine(machine, policy=RandomPolicy(seed=1))
-        assert r0.rank_keys(program, d, None) != r1.rank_keys(program, d, None)
+        r0 = PreparedReplay(
+            SimulationEngine(machine, policy=RandomPolicy(seed=0)), program
+        )
+        r1 = PreparedReplay(
+            SimulationEngine(machine, policy=RandomPolicy(seed=1)), program
+        )
+        assert r0.id_of != r1.id_of
 
     def test_owner_vector_memoized_per_grid(self):
         program = get_program("bidiag", 8, 8, FlatTTTree())
@@ -322,8 +370,8 @@ class TestMemoization:
         machine = Machine(n_nodes=4, cores_per_node=2, tile_size=100)
         plain = BlockCyclicDistribution(ProcessGrid(2, 2))
         shifted = ShiftedDistribution(ProcessGrid(2, 2))
-        fast = SimulationEngine(machine, shifted, fast=True).run(program)
-        legacy = SimulationEngine(machine, shifted, fast=False).run(program)
+        fast = SimulationEngine(machine, shifted).run(program)
+        legacy = reference_schedule(program, machine, shifted)
         _assert_schedules_identical(fast, legacy)
         want = [(plain.owner(*op.owner_tile) + 1) % 4 for op in program.ops]
         assert fast.node_of_task == want
@@ -345,11 +393,11 @@ class TestMemoization:
             machine, BlockCyclicDistribution(grid), policy="locality"
         ).run(program)
         custom_fast = SimulationEngine(
-            machine, TransposedDistribution(grid), policy="locality", fast=True
+            machine, TransposedDistribution(grid), policy="locality"
         ).run(program)
-        custom_legacy = SimulationEngine(
-            machine, TransposedDistribution(grid), policy="locality", fast=False
-        ).run(program)
+        custom_legacy = reference_schedule(
+            program, machine, TransposedDistribution(grid), policy="locality"
+        )
         _assert_schedules_identical(custom_fast, custom_legacy)
         assert custom_fast.node_of_task != plain.node_of_task
         # ... and the custom runs must not have poisoned the memo either.
@@ -372,12 +420,8 @@ class TestMemoization:
 
         program = get_program("bidiag", 8, 8, FlatTTTree())
         machine = Machine(n_nodes=4, cores_per_node=4, tile_size=100)
-        fast = SimulationEngine(
-            machine, network=QuarterTile(), fast=True
-        ).run(program)
-        legacy = SimulationEngine(
-            machine, network=QuarterTile(), fast=False
-        ).run(program)
+        fast = SimulationEngine(machine, network=QuarterTile()).run(program)
+        legacy = reference_schedule(program, machine, network=QuarterTile())
         _assert_schedules_identical(fast, legacy)
         assert fast.comm_bytes == fast.messages * (machine.tile_bytes // 4)
 
@@ -393,12 +437,8 @@ class TestMemoization:
         assert program.total_weight() == 7 * base.total_weight()
         assert program.critical_path() == 7 * base.critical_path()
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        fast = SimulationEngine(machine, policy="critical-path", fast=True).run(
-            program
-        )
-        legacy = SimulationEngine(
-            machine, policy="critical-path", fast=False
-        ).run(program)
+        fast = SimulationEngine(machine, policy="critical-path").run(program)
+        legacy = reference_schedule(program, machine, policy="critical-path")
         _assert_schedules_identical(fast, legacy)
 
     def test_csr_views_are_read_only(self):
@@ -439,7 +479,7 @@ class TestMemoization:
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
         engine = SimulationEngine(machine, policy=Custom())
         assert engine.policy.cache_token is None
-        schedule = engine.run(program)  # fast path falls back to rank()
+        schedule = engine.run(program)  # the kernel falls back to rank()
         fifo = SimulationEngine(machine, policy="fifo").run(program)
         _assert_schedules_identical(schedule, fifo)
 
@@ -481,14 +521,13 @@ class TestHashSeedDeterminism:
         "from repro.ir import compile_program\n"
         "from repro.runtime.engine import SimulationEngine\n"
         "from repro.runtime.machine import Machine\n"
+        "from repro.runtime.replay import PreparedReplay\n"
         "from repro.trees import GreedyTree\n"
         "program = compile_program('bidiag', 7, 5, GreedyTree())\n"
         "machine = Machine(n_nodes=4, cores_per_node=2, tile_size=100)\n"
         "for policy in ('list', 'critical-path', 'locality'):\n"
         "    engine = SimulationEngine(machine, policy=policy)\n"
-        "    d = engine.duration_vector(program)\n"
-        "    keys = engine.rank_keys(program, d, engine.owner_vector(program))\n"
-        "    print(policy, keys)\n"
+        "    print(policy, PreparedReplay(engine, program).id_of)\n"
         "print(program.levels_np.tolist())\n"
         "print(SimulationEngine(machine).run(program).makespan)\n"
     )

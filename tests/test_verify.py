@@ -442,19 +442,21 @@ class TestHooks:
             assert schedule.makespan > 0
 
     def test_engine_hook_raises_on_defective_schedule(self, monkeypatch):
-        # Force the engine to emit a corrupt schedule by patching the fast
-        # path, and check the exit hook catches it.
+        # Force the engine to emit a corrupt schedule by patching the
+        # replay kernel, and check the exit hook catches it.
+        from repro.runtime.replay import PreparedReplay
+
         monkeypatch.setenv(hooks.ENV_VAR, "1")
         machine = Machine(n_nodes=2, cores_per_node=2)
         program = get_program("bidiag", 4, 3, GreedyTree(), cache=False)
         engine = SimulationEngine(machine)
-        real = engine._run_fast
+        real = PreparedReplay.run
 
-        def corrupt(prog, node_of_op):
-            schedule = real(prog, node_of_op)
+        def corrupt(self, *rows):
+            schedule = real(self, *rows)
             return replace(schedule, makespan=schedule.makespan * 2.0)
 
-        monkeypatch.setattr(engine, "_run_fast", corrupt)
+        monkeypatch.setattr(PreparedReplay, "run", corrupt)
         with pytest.raises(VerificationError, match="S-MAKESPAN"):
             engine.run(program)
 

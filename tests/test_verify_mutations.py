@@ -35,7 +35,7 @@ from repro.runtime.network import NETWORK_MODELS
 from repro.runtime.policies import POLICIES
 from repro.trees.flat import FlatTSTree, FlatTTTree
 from repro.trees.greedy import GreedyTree
-from repro.verify import verify_program, verify_schedule
+from repro.verify import reference_schedule, verify_program, verify_schedule
 
 POLICY_NAMES = sorted(POLICIES)
 NETWORK_NAMES = sorted(NETWORK_MODELS)
@@ -159,15 +159,19 @@ def _verify(schedule, program, machine, engine, network):
 
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "legacy"])
 def test_clean_schedules_accepted_across_policies_networks(fast):
+    # "fast" checks the replay kernel, "legacy" the object-path reference.
     program = _compile(PROGRAM_SHAPES[0])
     combos = 0
     for machine in MACHINES:
         for policy in POLICY_NAMES:
             for network in NETWORK_NAMES:
-                engine = SimulationEngine(
-                    machine, policy=policy, network=network, fast=fast
-                )
-                schedule = engine.run(program)
+                engine = SimulationEngine(machine, policy=policy, network=network)
+                if fast:
+                    schedule = engine.run(program)
+                else:
+                    schedule = reference_schedule(
+                        program, machine, policy=policy, network=network
+                    )
                 report = _verify(schedule, program, machine, engine, network)
                 assert report.ok, (
                     f"{policy}/{network}/nodes={machine.n_nodes}: "
