@@ -13,8 +13,8 @@
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.dag.tracer import trace_bidiag
 from repro.experiments.figures import format_rows
+from repro.ir import get_program
 from repro.kernels import costs
 from repro.runtime.machine import Machine
 from repro.runtime.engine import SimulationEngine
@@ -60,12 +60,12 @@ def test_ablation_kernel_efficiency_gap(benchmark, monkeypatch):
 
 def test_ablation_scheduler_policy(benchmark):
     machine = Machine(n_nodes=1, cores_per_node=16, tile_size=160)
-    graph = trace_bidiag(24, 24, GreedyTree())
+    program = get_program("bidiag", 24, 24, GreedyTree())
 
     def run():
         rows = []
         for policy in ("list", "fifo", "weight"):
-            schedule = SimulationEngine(machine, policy=policy).run(graph)
+            schedule = SimulationEngine(machine, policy=policy).run(program)
             rows.append({"policy": policy, "makespan_ms": schedule.makespan * 1e3})
         return rows
 

@@ -3,23 +3,23 @@
 The paper attributes the distributed ranking of the trees partly to their
 communication volume: "GREEDY doubles the number of communications on
 square cases" compared to the flat top tree.  This benchmark counts the
-inter-node messages induced by the traced DAG on a block-cyclic grid and
+inter-node messages induced by the compiled DAG on a block-cyclic grid and
 checks that ordering, for square and tall-and-skinny tile shapes.
 """
 
 from benchmarks.conftest import print_table
 from repro.analysis.communication import communication_volume, panel_messages_estimate
-from repro.dag.tracer import trace_bidiag
 from repro.experiments.figures import format_rows
+from repro.ir import get_program
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import GreedyTree, HierarchicalTree
 
 
 def _volume(p, q, top, grid_rows, grid_cols):
     tree = HierarchicalTree(local_tree=GreedyTree(), top=top, grid_rows=grid_rows)
-    graph = trace_bidiag(p, q, tree, grid_rows=grid_rows)
+    program = get_program("bidiag", p, q, tree, grid_rows=grid_rows)
     dist = BlockCyclicDistribution(ProcessGrid(grid_rows, grid_cols))
-    return communication_volume(graph, dist, tile_size=160)
+    return communication_volume(program, dist, tile_size=160)
 
 
 def test_top_tree_communication_ordering(benchmark):

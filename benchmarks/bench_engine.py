@@ -1,14 +1,8 @@
 """Engine replay cost: cold per-candidate tracing vs cached Program replay.
 
 Runs a tuning-style sweep — every (tree, inner-block, policy) candidate of
-one GE2BND problem, scored by simulated makespan — three ways:
+one GE2BND problem, scored by simulated makespan — two ways:
 
-* ``legacy-frontend`` — the ``TaskGraph`` surface: trace a fresh
-  ``TaskGraph`` per candidate and hand it to
-  :meth:`SimulationEngine.run`, which wraps it back into a Program.  Note
-  this includes the Program→TaskGraph→Program conversions, so it
-  measures the current ``TaskGraph`` *API* cost, not the pre-IR
-  implementation;
 * ``cold-trace``     — compile a fresh :class:`Program` per candidate
   (cache bypassed) and replay it on the :class:`SimulationEngine`;
 * ``cached-replay``  — resolve each candidate through the shared
@@ -71,14 +65,7 @@ def _sweep(mode: str, cache: ProgramCache | None):
     traced = 0
     start = time.perf_counter()
     for _name, tree, p, q, machine, policy in _candidates():
-        if mode == "legacy-frontend":
-            # What a pre-IR call site pays today: the tracing front-end
-            # (compile + TaskGraph materialization) plus the engine's
-            # TaskGraph overload, which re-wraps the graph as a Program.
-            graph = compile_program("bidiag", p, q, tree).to_task_graph()
-            schedule = SimulationEngine(machine).run(graph)
-            traced += 1
-        elif mode == "cold-trace":
+        if mode == "cold-trace":
             program = compile_program("bidiag", p, q, tree)
             schedule = SimulationEngine(machine, policy=policy).run(program)
             traced += 1
@@ -95,7 +82,7 @@ def main() -> int:
     n_candidates = sum(1 for _ in _candidates())
     rows = []
     results = {}
-    for mode in ("legacy-frontend", "cold-trace", "cached-replay"):
+    for mode in ("cold-trace", "cached-replay"):
         cache = ProgramCache() if mode == "cached-replay" else None
         seconds, makespans, traced = _sweep(mode, cache)
         results[mode] = (seconds, makespans)
@@ -112,8 +99,8 @@ def main() -> int:
     print(f"\n{'=' * len(title)}\n{title}\n{'=' * len(title)}")
     print(format_rows(rows))
 
-    # The list-policy candidates agree across all three paths (the cached
-    # program is the same DAG the legacy tracer built).
+    # The list-policy candidates agree across both paths (the cached
+    # program is the same DAG a fresh compile builds).
     def list_policy_makespans(mode):
         return [
             makespan
@@ -121,16 +108,12 @@ def main() -> int:
             if candidate[-1] == "list"
         ]
 
-    assert (
-        list_policy_makespans("legacy-frontend")
-        == list_policy_makespans("cold-trace")
-        == list_policy_makespans("cached-replay")
+    assert list_policy_makespans("cold-trace") == list_policy_makespans(
+        "cached-replay"
     ), "cached replay changed list-policy makespans"
 
     speedup_vs_cold = results["cold-trace"][0] / results["cached-replay"][0]
-    speedup_vs_legacy = results["legacy-frontend"][0] / results["cached-replay"][0]
-    print(f"cached-replay speedup vs cold-trace      : {speedup_vs_cold:.2f}x")
-    print(f"cached-replay speedup vs legacy-frontend : {speedup_vs_legacy:.2f}x")
+    print(f"cached-replay speedup vs cold-trace: {speedup_vs_cold:.2f}x")
 
     trajectory = {
         "problem": {"m": M, "n": N, "nb": NB, "n_cores": 24},
@@ -142,7 +125,6 @@ def main() -> int:
         },
         "rows": rows,
         "speedup_cached_vs_cold": speedup_vs_cold,
-        "speedup_cached_vs_legacy_frontend": speedup_vs_legacy,
     }
     with open(ARTIFACT, "w", encoding="utf-8") as fh:
         json.dump(trajectory, fh, indent=2)

@@ -1,13 +1,13 @@
 """Section III-C — operation counts of BIDIAG vs R-BIDIAG.
 
 4 n^2 (m - n/3) vs 2 n^2 (m + n), with the crossover at m = 5n/3, plus a
-consistency check of the tiled task graphs: the total Table-I weight of the
-traced DAG matches the analytic flop count at the tile level.
+consistency check of the tiled DAG: the total Table-I weight of the
+compiled program matches the analytic flop count at the tile level.
 """
 
 from benchmarks.conftest import print_table
-from repro.dag.tracer import trace_bidiag
 from repro.experiments.figures import format_rows
+from repro.ir import get_program
 from repro.models.flops import chan_crossover_m, ge2bd_flops, rbidiag_flops
 from repro.trees import FlatTSTree
 
@@ -40,13 +40,14 @@ def test_flop_crossover_table(benchmark):
 
 
 def test_dag_weight_matches_flop_count(benchmark):
-    """The traced BIDIAG DAG performs ~4n^2(m - n/3) flops (at tile granularity)."""
+    """The compiled BIDIAG DAG performs ~4n^2(m - n/3) flops (at tile granularity)."""
     p, q, nb = 12, 8, 100
-    graph = benchmark.pedantic(
-        lambda: trace_bidiag(p, q, FlatTSTree()), rounds=1, iterations=1
+    program = benchmark.pedantic(
+        lambda: get_program("bidiag", p, q, FlatTSTree()), rounds=1, iterations=1
     )
     m, n = p * nb, q * nb
-    dag_flops = graph.total_flops(nb)
+    # Table-I weights are in units of nb^3/3 flops.
+    dag_flops = program.total_weight() * nb**3 / 3.0
     analytic = ge2bd_flops(m, n)
     # Tile-granularity overhead (panel factors, triangle padding) keeps the
     # DAG within a modest factor of the element-wise count.

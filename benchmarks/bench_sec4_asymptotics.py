@@ -6,15 +6,14 @@ Verifies, with the closed-form GREEDY critical paths, that
 * ``BIDIAG / R-BIDIAG`` converges to ``1 + a/2``
 
 for ``p = q^(1+a)``, and that the measured DAG critical paths match the
-closed forms on the sizes where tracing is feasible.
+closed forms on the sizes where compiling the DAG is feasible.
 """
 
 from benchmarks.conftest import print_table
 from repro.analysis.asymptotics import asymptotic_sweep, theorem1_limit_ratio
 from repro.analysis.formulas import bidiag_greedy_cp
-from repro.dag.critical_path import critical_path_length
-from repro.dag.tracer import trace_bidiag
 from repro.experiments.figures import format_rows
+from repro.ir import get_program
 from repro.trees import GreedyTree
 
 Q_VALUES = (64, 256, 1024, 4096)
@@ -57,7 +56,7 @@ def test_measured_cp_matches_closed_form(benchmark):
     def run():
         rows = []
         for p, q in shapes:
-            measured = critical_path_length(trace_bidiag(p, q, GreedyTree()))
+            measured = get_program("bidiag", p, q, GreedyTree()).critical_path()
             formula = bidiag_greedy_cp(p, q)
             rows.append({"p": p, "q": q, "measured": measured, "formula": formula})
         return rows

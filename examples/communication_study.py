@@ -18,13 +18,16 @@ Run:  python examples/communication_study.py
 
 import os
 
+import numpy as np
+
 from repro.analysis.communication import communication_volume, panel_messages_estimate
 from repro.analysis.speedup import amdahl_ge2val_bound, speedup_bounds, strong_scaling_efficiency
-from repro.dag.tracer import trace_bidiag
+from repro.ir import get_program
+from repro.kernels.costs import KERNEL_LIST
+from repro.obs import Tracer, utilization_summary
 from repro.runtime.machine import Machine
 from repro.runtime.engine import SimulationEngine
 from repro.runtime.simulator import post_processing_seconds, simulate_ge2bnd, simulate_ge2val
-from repro.runtime.trace import gantt_chart, utilization_report
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import GreedyTree, HierarchicalTree
 
@@ -40,8 +43,8 @@ def main() -> None:
     print(f"== communication volume, {p}x{q} tiles on a {grid_rows}x1 grid ==")
     for top in ("flat", "greedy"):
         tree = HierarchicalTree(local_tree=GreedyTree(), top=top, grid_rows=grid_rows)
-        graph = trace_bidiag(p, q, tree, grid_rows=grid_rows)
-        stats = communication_volume(graph, dist)
+        program = get_program("bidiag", p, q, tree, grid_rows=grid_rows)
+        stats = communication_volume(program, dist)
         estimate = panel_messages_estimate(grid_rows, top)
         print(f"  top tree {top:7s}: {stats.messages:5d} messages "
               f"({stats.bytes_moved / 1e6:6.1f} MB at nb=160), "
@@ -51,17 +54,22 @@ def main() -> None:
     print("\n== simulated schedule on 4 nodes x 4 cores (small instance) ==")
     machine = Machine(n_nodes=nodes, cores_per_node=4, tile_size=160)
     tree = HierarchicalTree(local_tree=GreedyTree(), top="flat", grid_rows=grid_rows)
-    graph = trace_bidiag(p, q, tree, grid_rows=grid_rows)
-    schedule = SimulationEngine(machine, dist).run(graph)
-    report = utilization_report(schedule, graph, machine)
+    program = get_program("bidiag", p, q, tree, grid_rows=grid_rows)
+    tracer = Tracer()
+    with tracer.activate():
+        schedule = SimulationEngine(machine, dist).run(program)
+    summary = utilization_summary(schedule, machine)
+    busy_by_kernel = np.bincount(
+        program.kernel_codes_np, weights=np.subtract(schedule.finish, schedule.start)
+    )
     print(f"  makespan           : {schedule.makespan * 1e3:.2f} ms")
-    print(f"  overall utilization: {report.overall_busy_fraction:.2%}")
-    print(f"  dominant kernel    : {report.critical_kernel}")
-    bounds = speedup_bounds(graph, machine, schedule)
+    print(f"  overall utilization: {summary['overall_busy_fraction']:.2%}")
+    print(f"  dominant kernel    : {KERNEL_LIST[int(busy_by_kernel.argmax())].value}")
+    bounds = speedup_bounds(program, machine, schedule)
     print(f"  T1 = {bounds.t1_seconds*1e3:.2f} ms, Tinf = {bounds.tinf_seconds*1e3:.2f} ms, "
           f"Brent bound = {bounds.brent_bound_seconds*1e3:.2f} ms, "
           f"measured/Brent = {bounds.brent_gap:.2f}")
-    print("\n" + gantt_chart(schedule, graph, machine, width=88, max_lanes=8))
+    print("\n" + tracer.gantt(width=88, max_lanes=8))
 
     sm, sn = (4800, 1200) if FAST else (24000, 6000)
     node_counts = (1, 4) if FAST else (1, 4, 9)

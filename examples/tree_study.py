@@ -16,9 +16,10 @@ Run:  python examples/tree_study.py
 
 import os
 
-from repro.dag.critical_path import critical_path_length, critical_path_tasks
-from repro.dag.tracer import trace_bidiag
+from repro.dag.critical_path import critical_path_tasks
 from repro.experiments.figures import format_rows
+from repro.ir import get_program
+from repro.kernels.costs import KERNEL_LIST
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import simulate_ge2bnd
 from repro.trees import AutoTree, FlatTSTree, FlatTTTree, GreedyTree
@@ -35,16 +36,16 @@ def dag_study(p: int, q: int) -> None:
     print(f"\n--- task graphs for a {p} x {q} tile matrix (BIDIAG) ---")
     rows = []
     for name, tree in TREES.items():
-        graph = trace_bidiag(p, q, tree)
-        cp = critical_path_length(graph)
+        program = get_program("bidiag", p, q, tree)
+        cp = program.critical_path()
         rows.append(
             {
                 "tree": name,
-                "tasks": len(graph),
-                "edges": graph.n_edges,
-                "work (nb^3/3)": graph.total_weight(),
+                "tasks": len(program),
+                "edges": program.n_edges,
+                "work (nb^3/3)": program.total_weight(),
                 "critical path": cp,
-                "parallelism": graph.total_weight() / cp,
+                "parallelism": program.total_weight() / cp,
             }
         )
     print(format_rows(rows))
@@ -53,11 +54,13 @@ def dag_study(p: int, q: int) -> None:
 def critical_path_anatomy(p: int, q: int) -> None:
     print(f"\n--- what lies on the critical path ({p} x {q}, Greedy vs FlatTS) ---")
     for name in ("FlatTS", "Greedy"):
-        graph = trace_bidiag(p, q, TREES[name])
-        path = critical_path_tasks(graph)
+        program = get_program("bidiag", p, q, TREES[name])
+        path = critical_path_tasks(program)
+        codes = program.kernel_codes_np
         kernels = {}
-        for task in path:
-            kernels[task.kernel.value] = kernels.get(task.kernel.value, 0) + 1
+        for op_id in path:
+            kernel = KERNEL_LIST[codes[op_id]].value
+            kernels[kernel] = kernels.get(kernel, 0) + 1
         summary = ", ".join(f"{k}x{v}" for v, k in sorted(((v, k) for k, v in kernels.items()), reverse=True))
         print(f"  {name:8s}: {len(path)} tasks on the path ({summary})")
 

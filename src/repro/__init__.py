@@ -20,7 +20,9 @@ The package provides, from the bottom up:
 * ``repro.ir`` — the compiled op-stream Program IR: algorithm drivers are
   captured once per DAG shape (op stream + CSR dependencies, shared
   in-process cache) and replayed by every consumer below;
-* ``repro.dag`` — legacy task-graph front-end and critical-path analyses;
+* ``repro.dag`` — structural analyses (work/span, parallelism profile,
+  kernel breakdowns), critical-path anatomy and DOT/JSON export of
+  compiled programs;
 * ``repro.runtime`` — a PaRSEC-like event-driven runtime engine with
   pluggable scheduling policies (bounded cores, nodes, network) used for
   the performance studies;
@@ -83,7 +85,6 @@ from repro.algorithms.gesvd_pipeline import gesvd_two_stage
 from repro.algorithms.svd import ge2val, gesvd, ge2bnd
 from repro.api import ResolvedPlan, RunResult, SvdPlan, execute, execute_sweep, resolve
 from repro.ir import Program, get_program, replay
-from repro.dag.critical_path import critical_path_length
 from repro.analysis.formulas import (
     bidiag_flatts_cp,
     bidiag_flattt_cp,
@@ -127,7 +128,6 @@ __all__ = [
     "Program",
     "get_program",
     "replay",
-    "critical_path_length",
     "bidiag_flatts_cp",
     "bidiag_flattt_cp",
     "bidiag_greedy_cp",

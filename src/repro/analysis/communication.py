@@ -7,8 +7,7 @@ the flat tree, which is why the flat tree can win despite exposing less
 parallelism.  These tools quantify that trade-off:
 
 * :func:`communication_volume` counts, from a compiled
-  :class:`~repro.ir.program.Program` (or a legacy traced task graph) and a
-  block-cyclic distribution, the inter-node messages the owner-computes
+  :class:`~repro.ir.program.Program` and a block-cyclic distribution, the inter-node messages the owner-computes
   rule induces (one message per produced data item and destination node,
   matching the runtime simulator's accounting);
 * :func:`communication_matrix` breaks the same count down by
@@ -27,28 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.dag.task import TaskGraph
 from repro.ir.program import Program
 from repro.tiles.distribution import BlockCyclicDistribution
 
-GraphLike = Union[TaskGraph, Program]
-
-
-def _owner_tiles(graph: GraphLike) -> List[Tuple[int, int]]:
-    """Owner tile of every task/op, indexed by dense id."""
-    if isinstance(graph, Program):
-        return list(
-            zip(graph.owner_rows_np.tolist(), graph.owner_cols_np.tolist())
-        )
-    return [t.owner_tile for t in graph.tasks]
-
 
 def _cross_edge_pairs(
-    graph: Program, distribution: BlockCyclicDistribution
+    program: Program, distribution: BlockCyclicDistribution
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deduplicated cross-node transfers of a compiled program, vectorized.
 
@@ -59,12 +46,12 @@ def _cross_edge_pairs(
     vector op, compare the two sides of every dependency edge, and unique
     the surviving (producer, destination) keys.
     """
-    owner = distribution.owner_array(graph.owner_rows_np, graph.owner_cols_np)
-    n = len(graph)
+    owner = distribution.owner_array(program.owner_rows_np, program.owner_cols_np)
+    n = len(program)
     src = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(graph.succ_indptr_np)
+        np.arange(n, dtype=np.int64), np.diff(program.succ_indptr_np)
     )
-    dst_node = owner[graph.succ_ids_np]
+    dst_node = owner[program.succ_ids_np]
     src_node = owner[src]
     cross = src_node != dst_node
     n_nodes = distribution.grid.size
@@ -73,24 +60,38 @@ def _cross_edge_pairs(
     return src_u, owner[src_u], pair % n_nodes
 
 
-def _successor_lists(graph: GraphLike) -> Iterator[Tuple[int, Sequence[int]]]:
-    """``(task id, successor ids)`` pairs for either DAG container."""
-    if isinstance(graph, Program):
-        for src_id in range(len(graph)):
-            yield src_id, graph.successors(src_id)
-    else:
-        for src_id, dsts in graph.successors.items():
-            yield src_id, dsts
+def _cross_edges_walk(
+    program: Program, distribution: BlockCyclicDistribution
+) -> Iterator[Tuple[int, int]]:
+    """``(src node, dst node)`` of every deduplicated transfer, edge by edge.
+
+    The per-edge form of :func:`_cross_edge_pairs`, resolving each op's
+    node through ``distribution.owner()`` so distribution subclasses with
+    a custom mapping are honoured.
+    """
+    owner = [
+        distribution.owner(i, j)
+        for i, j in zip(program.owner_rows_np.tolist(), program.owner_cols_np.tolist())
+    ]
+    seen: set[Tuple[int, int]] = set()
+    for src_id in range(len(program)):
+        src_node = owner[src_id]
+        for dst_id in program.successors(src_id):
+            dst_node = owner[dst_id]
+            if dst_node == src_node or (src_id, dst_node) in seen:
+                continue
+            seen.add((src_id, dst_node))
+            yield src_node, dst_node
 
 
 @dataclass(frozen=True)
 class CommunicationStats:
-    """Inter-node communication induced by a task graph on a distribution.
+    """Inter-node communication induced by a program on a distribution.
 
     Attributes
     ----------
     messages:
-        Number of distinct (producer task, destination node) transfers.
+        Number of distinct (producer op, destination node) transfers.
     tile_transfers:
         Same count — kept as an explicit alias because each message carries
         exactly one tile in this model.
@@ -114,16 +115,15 @@ class CommunicationStats:
 
 
 def communication_volume(
-    graph: GraphLike,
+    program: Program,
     distribution: BlockCyclicDistribution,
     *,
     tile_size: int = 160,
 ) -> CommunicationStats:
-    """Count the inter-node transfers of ``graph`` under ``distribution``.
+    """Count the inter-node transfers of ``program`` under ``distribution``.
 
-    ``graph`` may be a compiled :class:`~repro.ir.program.Program` or a
-    legacy :class:`~repro.dag.task.TaskGraph`.  A transfer happens when a
-    task's output is consumed by a task mapped to a different node;
+    A transfer happens when an op's output is consumed by an op mapped to
+    a different node;
     transfers of the same output to the same node are counted once (the
     runtime caches remote tiles), mirroring the *message-count* accounting
     of :class:`repro.runtime.engine.SimulationEngine` under every network
@@ -131,31 +131,20 @@ def communication_volume(
     engine's ``comm_bytes`` only under ``network="uniform"``.
     """
     n_nodes = distribution.grid.size
-    if isinstance(graph, Program) and type(distribution) is BlockCyclicDistribution:
+    if type(distribution) is BlockCyclicDistribution:
         # Vectorized static count (same dedup rule, whole-array passes).
-        _, src_nodes, dst_nodes = _cross_edge_pairs(graph, distribution)
+        _, src_nodes, dst_nodes = _cross_edge_pairs(program, distribution)
         messages = int(src_nodes.size)
         sent = np.bincount(src_nodes, minlength=n_nodes).tolist()
         received = np.bincount(dst_nodes, minlength=n_nodes).tolist()
     else:
-        owner = [distribution.owner(*tile) for tile in _owner_tiles(graph)]
-        seen: set[Tuple[int, int]] = set()
         sent = [0] * n_nodes
         received = [0] * n_nodes
         messages = 0
-        for src_id, dsts in _successor_lists(graph):
-            src_node = owner[src_id]
-            for dst_id in dsts:
-                dst_node = owner[dst_id]
-                if dst_node == src_node:
-                    continue
-                key = (src_id, dst_node)
-                if key in seen:
-                    continue
-                seen.add(key)
-                messages += 1
-                sent[src_node] += 1
-                received[dst_node] += 1
+        for src_node, dst_node in _cross_edges_walk(program, distribution):
+            messages += 1
+            sent[src_node] += 1
+            received[dst_node] += 1
     tile_bytes = tile_size * tile_size * 8
     return CommunicationStats(
         messages=messages,
@@ -167,31 +156,20 @@ def communication_volume(
 
 
 def communication_matrix(
-    graph: GraphLike,
+    program: Program,
     distribution: BlockCyclicDistribution,
 ) -> List[List[int]]:
     """Message counts per (source node, destination node) pair."""
     n_nodes = distribution.grid.size
-    if isinstance(graph, Program) and type(distribution) is BlockCyclicDistribution:
-        _, src_nodes, dst_nodes = _cross_edge_pairs(graph, distribution)
+    if type(distribution) is BlockCyclicDistribution:
+        _, src_nodes, dst_nodes = _cross_edge_pairs(program, distribution)
         flat = np.bincount(
             src_nodes * n_nodes + dst_nodes, minlength=n_nodes * n_nodes
         )
         return flat.reshape(n_nodes, n_nodes).tolist()
-    owner = [distribution.owner(*tile) for tile in _owner_tiles(graph)]
     matrix = [[0] * n_nodes for _ in range(n_nodes)]
-    seen: set[Tuple[int, int]] = set()
-    for src_id, dsts in _successor_lists(graph):
-        src_node = owner[src_id]
-        for dst_id in dsts:
-            dst_node = owner[dst_id]
-            if dst_node == src_node:
-                continue
-            key = (src_id, dst_node)
-            if key in seen:
-                continue
-            seen.add(key)
-            matrix[src_node][dst_node] += 1
+    for src_node, dst_node in _cross_edges_walk(program, distribution):
+        matrix[src_node][dst_node] += 1
     return matrix
 
 
@@ -223,7 +201,7 @@ def panel_messages_estimate(grid_rows: int, top: str) -> int:
 
 def engine_communication_check(
     schedule,
-    graph: GraphLike,
+    program: Program,
     distribution: BlockCyclicDistribution,
     *,
     tile_size: int = 160,
@@ -240,7 +218,7 @@ def engine_communication_check(
     mismatch (total or per-node sent counts) and returns the static
     :class:`CommunicationStats` on success.
     """
-    stats = communication_volume(graph, distribution, tile_size=tile_size)
+    stats = communication_volume(program, distribution, tile_size=tile_size)
     if schedule.messages != stats.messages:
         raise ValueError(
             f"engine counted {schedule.messages} messages but the static "
@@ -257,17 +235,17 @@ def engine_communication_check(
 
 
 def communication_ratio(
-    graph_a: GraphLike,
-    graph_b: GraphLike,
+    program_a: Program,
+    program_b: Program,
     distribution: BlockCyclicDistribution,
 ) -> float:
-    """Ratio of message counts of two task graphs under the same distribution.
+    """Ratio of message counts of two programs under the same distribution.
 
     Used by the ablation benchmarks to verify the paper's "greedy doubles
     the communications of flat" observation at the DAG level.
     """
-    a = communication_volume(graph_a, distribution).messages
-    b = communication_volume(graph_b, distribution).messages
+    a = communication_volume(program_a, distribution).messages
+    b = communication_volume(program_b, distribution).messages
     if b == 0:
         return math.inf if a > 0 else 1.0
     return a / b

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List
 
-from repro.dag.critical_path import critical_path_length
-from repro.dag.tracer import trace_bidiag, trace_rbidiag
+from repro.ir.compiler import get_program
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
 
 #: Chan's crossover: R-bidiagonalization performs fewer flops than direct
@@ -36,13 +35,13 @@ _TREES = {
 @lru_cache(maxsize=4096)
 def measured_bidiag_cp(p: int, q: int, tree: str = "greedy") -> float:
     """Critical path of the BIDIAG task DAG (cached)."""
-    return critical_path_length(trace_bidiag(p, q, _TREES[tree]()))
+    return get_program("bidiag", p, q, _TREES[tree]()).critical_path()
 
 
 @lru_cache(maxsize=4096)
 def measured_rbidiag_cp(p: int, q: int, tree: str = "greedy") -> float:
     """Critical path of the R-BIDIAG task DAG, with panel pipelining (cached)."""
-    return critical_path_length(trace_rbidiag(p, q, _TREES[tree]()))
+    return get_program("rbidiag", p, q, _TREES[tree]()).critical_path()
 
 
 def crossover_ratio(q: int, tree: str = "greedy", p_max_factor: int = 16) -> float:

@@ -24,7 +24,6 @@ stays cheap and free of import cycles.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 
@@ -144,9 +143,11 @@ def _execute_dag(resolved: ResolvedPlan) -> RunResult:
     result.n_tasks = len(program)
     result.critical_path = program.critical_path()
     result.extras["n_edges"] = program.n_edges
-    result.extras["kernel_counts"] = dict(
-        Counter(op.kernel.name for op in program.ops)
-    )
+    # Read off the packed kernel-code column: materializing program.ops
+    # here would pin one Op object per op on the cached program.
+    result.extras["kernel_counts"] = {
+        kernel.name: count for kernel, count in program.kernel_counts().items()
+    }
     if resolved.stage == "ge2val":
         result.extras["note"] = (
             "DAG covers the tiled GE2BND stage; BND2BD/BD2VAL are not tiled"

@@ -1,16 +1,5 @@
-"""Task graphs, dependency tracing and critical-path analysis."""
+"""Structural analyses, critical-path anatomy and exports of compiled programs."""
 
-from repro.dag.task import Task, TaskGraph
-from repro.dag.tracer import TraceExecutor, trace_bidiag, trace_rbidiag, trace_qr
-from repro.dag.critical_path import critical_path_length, critical_path_tasks
+from repro.dag.critical_path import critical_path_tasks
 
-__all__ = [
-    "Task",
-    "TaskGraph",
-    "TraceExecutor",
-    "trace_bidiag",
-    "trace_rbidiag",
-    "trace_qr",
-    "critical_path_length",
-    "critical_path_tasks",
-]
+__all__ = ["critical_path_tasks"]

@@ -1,4 +1,4 @@
-"""Structural analysis of task graphs.
+"""Structural analysis of compiled programs.
 
 These tools quantify *why* a reduction tree behaves the way it does:
 
@@ -6,12 +6,16 @@ These tools quantify *why* a reduction tree behaves the way it does:
   span (critical path) is what Section IV of the paper analyses, the
   average parallelism bounds the core count beyond which adding resources
   cannot help;
-* **parallelism profile** — how many tasks are simultaneously runnable over
+* **parallelism profile** — how many ops are simultaneously runnable over
   (weighted) time under an ASAP schedule with unbounded resources; the
   FLATTS profile is flat and low, the GREEDY profile has tall spikes, which
   is exactly the trade-off the AUTO tree balances;
 * **kernel and step breakdowns** — where the work goes (panel vs update
   kernels, QR vs LQ steps).
+
+Every helper reads the program's packed columns (kernel codes, weights,
+CSR offsets), so analysing a cached program never materializes its
+``Op`` objects.
 """
 
 from __future__ import annotations
@@ -19,18 +23,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.dag.critical_path import critical_path_length
-from repro.dag.task import TaskGraph
+import numpy as np
+
+from repro.ir.program import Program
+from repro.kernels.costs import KERNEL_LIST
+
+_TS_KERNELS = ("TSMQR", "TSMLQ", "TSQRT", "TSLQT")
+_TT_KERNELS = ("TTMQR", "TTMLQ", "TTQRT", "TTLQT")
 
 
 @dataclass(frozen=True)
 class GraphStats:
-    """Summary statistics of a task graph.
+    """Summary statistics of a program's DAG.
 
     Attributes
     ----------
     n_tasks, n_edges:
-        Number of tasks and dependency edges.
+        Number of ops and dependency edges.
     work:
         Total weight (units of ``nb^3 / 3`` flops) — sequential time.
     span:
@@ -38,9 +47,9 @@ class GraphStats:
     average_parallelism:
         ``work / span``; above this core count speedup saturates.
     max_in_degree, max_out_degree:
-        Largest dependency fan-in / fan-out of any task.
+        Largest dependency fan-in / fan-out of any op.
     n_sources, n_sinks:
-        Tasks without predecessors / successors.
+        Ops without predecessors / successors.
     """
 
     n_tasks: int
@@ -54,127 +63,124 @@ class GraphStats:
     n_sinks: int
 
 
-def graph_stats(graph: TaskGraph) -> GraphStats:
-    """Compute the :class:`GraphStats` of a task graph."""
-    work = float(graph.total_weight())
-    span = critical_path_length(graph)
-    in_deg = [len(graph.predecessors[t.id]) for t in graph.tasks]
-    out_deg = [len(graph.successors[t.id]) for t in graph.tasks]
+def graph_stats(program: Program) -> GraphStats:
+    """Compute the :class:`GraphStats` of a program."""
+    work = float(program.total_weight())
+    span = program.critical_path()
+    in_deg = np.diff(program.pred_indptr_np)
+    out_deg = np.diff(program.succ_indptr_np)
     return GraphStats(
-        n_tasks=len(graph),
-        n_edges=graph.n_edges,
+        n_tasks=len(program),
+        n_edges=program.n_edges,
         work=work,
         span=span,
         average_parallelism=work / span if span > 0 else 0.0,
-        max_in_degree=max(in_deg, default=0),
-        max_out_degree=max(out_deg, default=0),
-        n_sources=len(graph.sources()),
-        n_sinks=len(graph.sinks()),
+        max_in_degree=int(in_deg.max(initial=0)),
+        max_out_degree=int(out_deg.max(initial=0)),
+        n_sources=int(np.count_nonzero(in_deg == 0)),
+        n_sinks=int(np.count_nonzero(out_deg == 0)),
     )
 
 
-def parallelism_profile(graph: TaskGraph, n_bins: int = 50) -> List[Tuple[float, int]]:
-    """Number of concurrently running tasks over time (ASAP, unbounded cores).
+def parallelism_profile(program: Program, n_bins: int = 50) -> List[Tuple[float, int]]:
+    """Number of concurrently running ops over time (ASAP, unbounded cores).
 
-    Every task starts as soon as its predecessors finish (weights are the
+    Every op starts as soon as its predecessors finish (weights are the
     Table-I units).  The profile is sampled at ``n_bins`` evenly spaced
-    points of the span and returned as ``(time, active_tasks)`` pairs.
+    points of the span and returned as ``(time, active_ops)`` pairs.
     """
-    if len(graph) == 0:
+    if len(program) == 0:
         return []
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    start = [0.0] * len(graph)
-    finish = [0.0] * len(graph)
-    for tid in graph.topological_order():
-        s = 0.0
-        for pred in graph.predecessors[tid]:
-            if finish[pred] > s:
-                s = finish[pred]
-        start[tid] = s
-        finish[tid] = s + float(graph.tasks[tid].weight)
-    span = max(finish)
+    weights = program.weights_np.astype(np.float64)
+    finish = program.finish_times_np(weights)
+    start = finish - weights
+    span = float(finish.max())
     if span <= 0:
-        return [(0.0, len(graph))]
-    profile: List[Tuple[float, int]] = []
-    for b in range(n_bins):
-        t = span * (b + 0.5) / n_bins
-        active = sum(1 for tid in range(len(graph)) if start[tid] <= t < finish[tid])
-        profile.append((t, active))
-    return profile
+        return [(0.0, len(program))]
+    times = [span * (b + 0.5) / n_bins for b in range(n_bins)]
+    # Active at t: started (start <= t) and not yet finished (finish > t);
+    # weights are non-negative, so every finished op has also started.
+    started = np.searchsorted(np.sort(start), times, side="right")
+    finished = np.searchsorted(np.sort(finish), times, side="right")
+    return [(t, int(a)) for t, a in zip(times, started - finished)]
 
 
-def max_parallelism(graph: TaskGraph, n_bins: int = 200) -> int:
+def max_parallelism(program: Program, n_bins: int = 200) -> int:
     """Peak of the :func:`parallelism_profile` (sampled)."""
-    profile = parallelism_profile(graph, n_bins=n_bins)
+    profile = parallelism_profile(program, n_bins=n_bins)
     return max((active for _, active in profile), default=0)
 
 
-def kernel_breakdown(graph: TaskGraph) -> Dict[str, Dict[str, float]]:
-    """Per-kernel task counts and work shares.
+def _work_by_kernel(program: Program) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-kernel-code op counts and summed weights."""
+    codes = program.kernel_codes_np
+    k = len(KERNEL_LIST)
+    counts = np.bincount(codes, minlength=k)
+    work = np.bincount(codes, weights=program.weights_np, minlength=k)
+    return counts, work
+
+
+def kernel_breakdown(program: Program) -> Dict[str, Dict[str, float]]:
+    """Per-kernel op counts and work shares.
 
     Returns ``{kernel_name: {"count": ..., "work": ..., "work_fraction": ...}}``.
     """
-    total = float(graph.total_weight())
-    out: Dict[str, Dict[str, float]] = {}
-    for task in graph.tasks:
-        entry = out.setdefault(task.kernel.value, {"count": 0.0, "work": 0.0})
-        entry["count"] += 1
-        entry["work"] += float(task.weight)
-    for entry in out.values():
-        entry["work_fraction"] = entry["work"] / total if total > 0 else 0.0
-    return out
+    counts, work = _work_by_kernel(program)
+    total = float(program.total_weight())
+    return {
+        KERNEL_LIST[code].value: {
+            "count": float(counts[code]),
+            "work": float(work[code]),
+            "work_fraction": float(work[code]) / total if total > 0 else 0.0,
+        }
+        for code in np.flatnonzero(counts).tolist()
+    }
 
 
-def ts_tt_work_split(graph: TaskGraph) -> Tuple[float, float]:
+def ts_tt_work_split(program: Program) -> Tuple[float, float]:
     """Fractions of the update work done by TS kernels vs TT kernels.
 
     The paper's AUTO tree exists because TS updates run near GEMM speed
     while TT updates do not; this split quantifies how much of the work each
     tree routes through the efficient kernels.
     """
-    ts = tt = 0.0
-    for task in graph.tasks:
-        name = task.kernel.value
-        if name in ("TSMQR", "TSMLQ", "TSQRT", "TSLQT"):
-            ts += float(task.weight)
-        elif name in ("TTMQR", "TTMLQ", "TTQRT", "TTLQT"):
-            tt += float(task.weight)
+    _, work = _work_by_kernel(program)
+    by_name = {k.value: float(w) for k, w in zip(KERNEL_LIST, work)}
+    ts = sum(by_name[name] for name in _TS_KERNELS)
+    tt = sum(by_name[name] for name in _TT_KERNELS)
     total = ts + tt
     if total <= 0:
         return 0.0, 0.0
     return ts / total, tt / total
 
 
-def step_breakdown(graph: TaskGraph) -> Dict[str, float]:
-    """Work per algorithm step (``QR(k)`` / ``LQ(k)``) as labelled by the tracer.
+def step_breakdown(program: Program) -> Dict[str, float]:
+    """Work per algorithm step (``QR(k)`` / ``LQ(k)``) as labelled by the recorder.
 
-    Tasks with an empty ``step`` label are aggregated under ``"(unlabelled)"``.
+    Ops with an empty ``step`` label are aggregated under ``"(unlabelled)"``.
     """
+    cols = program.columns
+    steps = cols.steps if cols is not None else [op.step for op in program.ops]
     out: Dict[str, float] = {}
-    for task in graph.tasks:
-        key = task.step or "(unlabelled)"
-        out[key] = out.get(key, 0.0) + float(task.weight)
+    for step, weight in zip(steps, program.weights_np.tolist()):
+        key = step or "(unlabelled)"
+        out[key] = out.get(key, 0.0) + float(weight)
     return out
 
 
-def memory_footprint_tiles(graph: TaskGraph) -> int:
-    """Number of distinct tiles touched by the graph (working-set size in tiles)."""
-    tiles = set()
-    for task in graph.tasks:
-        for _, i, j in task.touched:
-            tiles.add((i, j))
-    return len(tiles)
-
-
-def schedule_utilization(schedule: "object", machine: "object") -> Dict[str, object]:
-    """Busy/idle utilization breakdown of one executed schedule.
-
-    Thin front door to the shared :func:`repro.obs.util.utilization_summary`
-    helper (the same computation backing ``RunResult.metrics`` and the
-    Gantt exporters), so DAG-level analyses and notebooks get per-node and
-    per-core busy fractions without re-deriving them from schedule rows.
-    """
-    from repro.obs.util import utilization_summary
-
-    return utilization_summary(schedule, machine)
+def memory_footprint_tiles(program: Program) -> int:
+    """Number of distinct tiles touched by the program (working-set size in tiles)."""
+    cols = program.columns
+    if cols is not None:
+        # Item codes: upper half of (i, j) is i*q + j, lower half adds p*q.
+        return len({
+            code % cols.pq
+            for items in (cols.reads, cols.writes)
+            for row in items
+            for code in row
+        })
+    return len({
+        (i, j) for op in program.ops for _, i, j in op.reads | op.writes
+    })

@@ -1,92 +1,51 @@
-"""Critical-path computation on task graphs.
+"""Which ops lie on the critical path of a compiled program.
 
-The critical path of a task graph is the heaviest chain of dependent tasks,
+The critical path of a program is the heaviest chain of dependent ops,
 using the Table-I kernel weights (units of ``nb^3 / 3`` flops).  It models
 the execution time with unbounded resources and no communication — exactly
-the quantity analysed in Section IV of the paper.
+the quantity analysed in Section IV of the paper.  Its *length* is
+:meth:`repro.ir.program.Program.critical_path`; this module recovers the
+chain itself.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, List, Optional
 
-from repro.dag.task import Task, TaskGraph
+import numpy as np
 
-
-def critical_path_length(
-    graph: Union[TaskGraph, "Program"],  # noqa: F821 - forward ref, see below
-    weight_fn: Optional[Callable[[Task], float]] = None,
-) -> float:
-    """Length of the critical path of ``graph``.
-
-    ``weight_fn`` maps a task to its duration; the default uses the Table-I
-    weight carried by the task (``nb^3 / 3`` flop units), which is what the
-    paper's closed-form critical paths are expressed in.
-
-    Accepts a legacy :class:`~repro.dag.task.TaskGraph` (per-node
-    recursion below) or a compiled :class:`~repro.ir.program.Program`
-    (delegated to its vectorized topological level sweep — bit-identical
-    results, no per-task Python loop).
-    """
-    if not isinstance(graph, TaskGraph):
-        # A compiled Program: its critical_path() runs the vectorized
-        # forward level sweep (or the per-op loop for a custom weight_fn).
-        return graph.critical_path(weight_fn=weight_fn)
-    if len(graph) == 0:
-        return 0.0
-    if weight_fn is None:
-        weight_fn = lambda task: float(task.weight)  # noqa: E731
-    finish: Dict[int, float] = {}
-    best = 0.0
-    for tid in graph.topological_order():
-        task = graph.tasks[tid]
-        start = 0.0
-        for pred in graph.predecessors[tid]:
-            if finish[pred] > start:
-                start = finish[pred]
-        end = start + weight_fn(task)
-        finish[tid] = end
-        if end > best:
-            best = end
-    return best
+from repro.ir.program import Op, Program
 
 
 def critical_path_tasks(
-    graph: TaskGraph,
-    weight_fn: Optional[Callable[[Task], float]] = None,
-) -> List[Task]:
-    """The tasks on (one of) the critical path(s), in execution order.
+    program: Program,
+    weight_fn: Optional[Callable[[Op], float]] = None,
+) -> List[int]:
+    """The op ids on (one of) the critical path(s), in execution order.
 
     Useful for understanding *where* the time goes: e.g. for BIDIAG with a
     FLATTS tree the path is dominated by TSMQR chains, while with GREEDY it
-    alternates short TTMQR chains of logarithmic depth.
+    alternates short TTMQR chains of logarithmic depth.  ``weight_fn``
+    maps an :class:`~repro.ir.program.Op` to its duration (default: the
+    Table-I weight column).  Ties go to the lowest op id.
     """
-    if len(graph) == 0:
+    if len(program) == 0:
         return []
     if weight_fn is None:
-        weight_fn = lambda task: float(task.weight)  # noqa: E731
-    finish: Dict[int, float] = {}
-    critical_pred: Dict[int, Optional[int]] = {}
-    best_task = None
-    best = -1.0
-    for tid in graph.topological_order():
-        task = graph.tasks[tid]
-        start = 0.0
-        pred_choice: Optional[int] = None
-        for pred in graph.predecessors[tid]:
-            if finish[pred] > start:
-                start = finish[pred]
-                pred_choice = pred
-        end = start + weight_fn(task)
-        finish[tid] = end
-        critical_pred[tid] = pred_choice
-        if end > best:
-            best = end
-            best_task = tid
-    path: List[Task] = []
-    cursor: Optional[int] = best_task
-    while cursor is not None:
-        path.append(graph.tasks[cursor])
-        cursor = critical_pred[cursor]
+        durations = program.weights_np.astype(np.float64)
+    else:
+        durations = np.array([weight_fn(op) for op in program.ops], dtype=np.float64)
+    finish = program.finish_times_np(durations).tolist()
+    cursor = int(np.argmax(finish))
+    path = [cursor]
+    while True:
+        best, choice = 0.0, -1
+        for pred in program.predecessors(cursor):
+            if finish[pred] > best:
+                best, choice = finish[pred], pred
+        if choice < 0:
+            break
+        cursor = choice
+        path.append(cursor)
     path.reverse()
     return path

@@ -1,16 +1,16 @@
-"""Export task graphs to standard formats (DOT, JSON).
+"""Export compiled programs to standard formats (DOT, JSON).
 
 PaRSEC can dump the DAG it executes for inspection; these helpers provide
-the same capability for the traced task graphs, so that small instances can
+the same capability for compiled programs, so that small instances can
 be rendered with Graphviz or post-processed by external tools.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.dag.task import TaskGraph
+from repro.ir.program import Program
 
 #: Graphviz fill colours per kernel family (panel kernels darker).
 _KERNEL_COLORS: Dict[str, str] = {
@@ -30,18 +30,18 @@ _KERNEL_COLORS: Dict[str, str] = {
 
 
 def to_dot(
-    graph: TaskGraph,
+    program: Program,
     *,
     name: str = "taskgraph",
     max_tasks: Optional[int] = 2000,
     include_step: bool = True,
 ) -> str:
-    """Render the task graph in Graphviz DOT format.
+    """Render the program's DAG in Graphviz DOT format.
 
     Parameters
     ----------
-    graph:
-        The traced task graph.
+    program:
+        The compiled program.
     name:
         DOT graph name.
     max_tasks:
@@ -50,58 +50,62 @@ def to_dot(
     include_step:
         Append the algorithm step (``QR(k)`` / ``LQ(k)``) to each label.
     """
-    if max_tasks is not None and len(graph) > max_tasks:
+    if max_tasks is not None and len(program) > max_tasks:
         raise ValueError(
-            f"graph has {len(graph)} tasks, above the max_tasks={max_tasks} limit; "
+            f"program has {len(program)} ops, above the max_tasks={max_tasks} limit; "
             "export a smaller instance or raise the limit explicitly"
         )
     lines = [f"digraph {name} {{", "  rankdir=TB;", "  node [style=filled, shape=box];"]
-    for task in graph.tasks:
-        kernel = task.kernel.value
+    for op in program.ops:
+        kernel = op.kernel.value
         color = _KERNEL_COLORS.get(kernel, "#cccccc")
-        label = f"{kernel}{task.params}"
-        if include_step and task.step:
-            label += f"\\n{task.step}"
-        lines.append(f'  t{task.id} [label="{label}", fillcolor="{color}"];')
-    for src, dsts in graph.successors.items():
-        for dst in dsts:
-            lines.append(f"  t{src} -> t{dst};")
+        label = f"{kernel}{op.params}"
+        if include_step and op.step:
+            label += f"\\n{op.step}"
+        lines.append(f'  t{op.index} [label="{label}", fillcolor="{color}"];')
+    for src, dst in _edges_by_source(program):
+        lines.append(f"  t{src} -> t{dst};")
     lines.append("}")
     return "\n".join(lines)
 
 
-def to_json(graph: TaskGraph, *, indent: Optional[int] = None) -> str:
-    """Serialise the task graph as JSON (tasks + edges)."""
+def _edges_by_source(program: Program) -> List[Tuple[int, int]]:
+    """All ``(src, dst)`` edges, ascending by source then destination."""
+    return [
+        (src, dst) for src in range(len(program)) for dst in program.successors(src)
+    ]
+
+
+def to_json(program: Program, *, indent: Optional[int] = None) -> str:
+    """Serialise the program's DAG as JSON (tasks + edges)."""
     payload = {
-        "n_tasks": len(graph),
-        "n_edges": graph.n_edges,
+        "n_tasks": len(program),
+        "n_edges": program.n_edges,
         "tasks": [
             {
-                "id": task.id,
-                "kernel": task.kernel.value,
-                "params": list(task.params),
-                "weight": task.weight,
-                "owner_tile": list(task.owner_tile),
-                "step": task.step,
-                "reads": sorted([list(item) for item in task.reads]),
-                "writes": sorted([list(item) for item in task.writes]),
+                "id": op.index,
+                "kernel": op.kernel.value,
+                "params": list(op.params),
+                "weight": op.weight,
+                "owner_tile": list(op.owner_tile),
+                "step": op.step,
+                "reads": sorted([list(item) for item in op.reads]),
+                "writes": sorted([list(item) for item in op.writes]),
             }
-            for task in graph.tasks
+            for op in program.ops
         ],
-        "edges": [
-            [src, dst] for src, dsts in sorted(graph.successors.items()) for dst in sorted(dsts)
-        ],
+        "edges": [list(edge) for edge in _edges_by_source(program)],
     }
     return json.dumps(payload, indent=indent)
 
 
-def save_dot(graph: TaskGraph, path: str, **kwargs) -> None:
-    """Write the DOT rendering of ``graph`` to ``path``."""
+def save_dot(program: Program, path: str, **kwargs) -> None:
+    """Write the DOT rendering of ``program`` to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_dot(graph, **kwargs))
+        handle.write(to_dot(program, **kwargs))
 
 
-def save_json(graph: TaskGraph, path: str, **kwargs) -> None:
-    """Write the JSON serialisation of ``graph`` to ``path``."""
+def save_json(program: Program, path: str, **kwargs) -> None:
+    """Write the JSON serialisation of ``program`` to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_json(graph, **kwargs))
+        handle.write(to_json(program, **kwargs))

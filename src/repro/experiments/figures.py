@@ -22,8 +22,7 @@ from repro.analysis.formulas import (
     bidiag_greedy_cp,
     rbidiag_cp,
 )
-from repro.dag.critical_path import critical_path_length
-from repro.dag.tracer import trace_bidiag, trace_rbidiag
+from repro.ir.compiler import get_program
 from repro.kernels.costs import KERNEL_WEIGHTS, KernelName
 from repro.models.competitors import COMPETITORS
 from repro.runtime.machine import Machine
@@ -99,7 +98,7 @@ def critical_path_table(shapes: Iterable[tuple] = ((4, 4), (8, 8), (16, 8), (32,
     }
     for p, q in shapes:
         for name, (tree, formula) in trees.items():
-            measured = critical_path_length(trace_bidiag(p, q, tree))
+            measured = get_program("bidiag", p, q, tree).critical_path()
             rows.append(
                 {
                     "p": p,
@@ -110,7 +109,7 @@ def critical_path_table(shapes: Iterable[tuple] = ((4, 4), (8, 8), (16, 8), (32,
                     "cp_formula": formula(p, q),
                 }
             )
-            measured_r = critical_path_length(trace_rbidiag(p, q, tree))
+            measured_r = get_program("rbidiag", p, q, tree).critical_path()
             rows.append(
                 {
                     "p": p,

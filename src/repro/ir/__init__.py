@@ -10,8 +10,7 @@ scheduling:
 * :class:`Program` — a compact, immutable op stream with a CSR-style
   dependency structure; compiled once per ``(algorithm, p, q, tree,
   n_cores, grid_rows)`` shape and replayed many times;
-* :class:`DependencyAnalyzer` — the reusable superscalar RAW/WAR inference
-  (previously buried in :mod:`repro.dag.tracer`);
+* :class:`DependencyAnalyzer` — the reusable superscalar RAW/WAR inference;
 * :class:`ProgramRecorder` — the :class:`~repro.algorithms.executor.KernelExecutor`
   that captures a driver run into a :class:`Program`;
 * :func:`compile_program` / :func:`get_program` — the compiler front-end and

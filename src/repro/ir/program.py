@@ -9,20 +9,20 @@ sweep trace each DAG shape once and re-schedule it many times.
 
 The dependencies are inferred by :class:`DependencyAnalyzer`, the
 superscalar logic a PaRSEC/StarPU-style runtime applies to its task
-stream (previously buried inside :mod:`repro.dag.tracer`):
+stream:
 
 * a task that *writes* a data item depends on the item's last writer and on
   every reader since that write (RAW + WAR);
 * a task that *reads* a data item depends on its last writer (RAW).
 
 Data items are tile *halves* (upper = factor part, lower = reflector part);
-see :mod:`repro.dag.task` for why this split is needed to reproduce the
+see :data:`DataItem` for why this split is needed to reproduce the
 dependency structure — and hence the critical paths — of the paper.
 
 Structure-of-arrays fast path
 -----------------------------
 
-Besides the legacy object form (a tuple of :class:`Op` records), a program
+Besides the object form (a tuple of :class:`Op` records), a program
 carries packed *columns*: numpy vectors of kernel codes, Table-I weights,
 owner-tile coordinates and CSR views, plus a cached topological level
 decomposition.  The columns are what the batched task-runtime designs the
@@ -32,7 +32,7 @@ arrays, never per-op Python objects.  Programs recorded through
 :class:`~repro.ir.recorder.ProgramRecorder` are born in column form
 (:meth:`Program.from_columns`) and materialize the ``ops`` tuple lazily —
 compiling a million-op DAG never builds a million ``Op`` objects unless a
-legacy consumer asks for them.  Both forms describe the same program; the
+consumer asks for them.  Both forms describe the same program; the
 vectorized analyses are bit-identical to the per-node recursions they
 replace (asserted by the equivalence tests).
 """
@@ -56,7 +56,6 @@ from typing import (
 
 import numpy as np
 
-from repro.dag.task import DataItem, Task, TaskGraph
 from repro.kernels.costs import (
     KERNEL_CODES,
     KERNEL_LIST,
@@ -70,14 +69,33 @@ _WEIGHT_BY_CODE = np.array(
 )
 _WEIGHT_BY_CODE.setflags(write=False)
 
+#: A data item is one half of a tile: ("U", i, j) is the upper (R/L factor)
+#: part, ("L", i, j) the lower (reflector) part.  Splitting tiles this way
+#: reproduces PLASMA's dependency structure, where e.g. TSQRT only touches
+#: the R part of the pivot tile while UNMQR only reads its reflectors.
+DataItem = Tuple[str, int, int]
+
 
 @dataclass(frozen=True)
 class Op:
     """One tile-kernel instance in a compiled program.
 
-    The fields mirror :class:`repro.dag.task.Task` (``index`` plays the
-    role of the dense task id) so that programs and legacy task graphs are
-    freely interconvertible.
+    Attributes
+    ----------
+    index:
+        Dense op id (position in the stream).
+    kernel:
+        Which tile kernel this op runs.
+    params:
+        The kernel's tile indices, as passed to the executor.
+    reads, writes:
+        Data items read / written (a data item is half a tile).
+    weight:
+        Critical-path weight in units of ``nb^3 / 3`` flops (Table I).
+    owner_tile:
+        Tile coordinate the owner-computes rule maps to a node.
+    step:
+        The panel step (``QR(k)`` / ``LQ(k)``) the op belongs to.
     """
 
     index: int
@@ -216,7 +234,7 @@ class OpColumns:
     and ``rows``/``cols`` the owner-tile coordinates.  Produced by
     :class:`~repro.ir.recorder.ProgramRecorder`, consumed by
     :meth:`Program.from_columns`; :meth:`op` decodes one column row back
-    into a full :class:`Op` object for the legacy consumers.
+    into a full :class:`Op` object for the object-path consumers.
     """
 
     __slots__ = (
@@ -305,10 +323,10 @@ def _np_view(a: array) -> np.ndarray:
 class Program:
     """An immutable op stream with CSR dependency structure.
 
-    Build one with :meth:`from_ops` (runs the :class:`DependencyAnalyzer`),
-    :meth:`from_task_graph` (wraps a legacy :class:`~repro.dag.task.TaskGraph`),
-    :meth:`from_columns` (the structure-of-arrays compiler path) or, most
-    commonly, through :func:`repro.ir.compiler.compile_program`.
+    Build one from explicit ``(ops, pred_lists)``, with :meth:`from_ops`
+    (runs the :class:`DependencyAnalyzer`), :meth:`from_columns` (the
+    structure-of-arrays compiler path) or, most commonly, through
+    :func:`repro.ir.compiler.compile_program`.
 
     The dependency CSR is stored twice: as ``array('q')`` (fast scalar
     access from the engine's event loop) and as zero-copy numpy views
@@ -363,25 +381,6 @@ class Program:
         analyzer = DependencyAnalyzer()
         pred_lists = [analyzer.add(op.reads, op.writes) for op in ops]
         return cls(ops, pred_lists, key=key)
-
-    @classmethod
-    def from_task_graph(cls, graph: TaskGraph) -> "Program":
-        """Wrap an explicit legacy task graph (keeps its exact edge set)."""
-        ops = [
-            Op(
-                index=t.id,
-                kernel=t.kernel,
-                params=t.params,
-                reads=t.reads,
-                writes=t.writes,
-                weight=t.weight,
-                owner_tile=t.owner_tile,
-                step=t.step,
-            )
-            for t in graph.tasks
-        ]
-        pred_lists = [sorted(graph.predecessors[t.id]) for t in graph.tasks]
-        return cls(ops, pred_lists)
 
     @classmethod
     def from_columns(
@@ -717,15 +716,12 @@ class Program:
             out[nodes] = durations[nodes] + seg
         return out
 
-    def critical_path_np(self, durations: np.ndarray) -> float:
-        """Vectorized duration-weighted critical path (bit-identical).
+    def finish_times_np(self, durations: np.ndarray) -> np.ndarray:
+        """Earliest finish time of every op with unbounded cores (ASAP).
 
-        A forward topological level sweep over the predecessor CSR; the
-        critical path is the max finish time.
+        A forward topological level sweep over the predecessor CSR: every
+        op starts when its last predecessor finishes.
         """
-        n = len(self)
-        if n == 0:
-            return 0.0
         durations = np.ascontiguousarray(durations, dtype=np.float64)
         finish = durations.copy()
         groups = self._sweep_groups(
@@ -735,7 +731,16 @@ class Program:
         for nodes, gather, offsets in groups:
             seg = np.maximum.reduceat(finish[gather], offsets)
             finish[nodes] = durations[nodes] + seg
-        return float(finish.max())
+        return finish
+
+    def critical_path_np(self, durations: np.ndarray) -> float:
+        """Vectorized duration-weighted critical path (bit-identical).
+
+        The max of :meth:`finish_times_np`.
+        """
+        if len(self) == 0:
+            return 0.0
+        return float(self.finish_times_np(durations).max())
 
     def critical_path_many(self, durations_2d: np.ndarray) -> np.ndarray:
         """Critical paths for a stack of duration vectors at once.
@@ -788,9 +793,9 @@ class Program:
         """Length of the heaviest dependent chain.
 
         The default weighs ops by their Table-I weight (``nb^3 / 3`` flop
-        units), matching :func:`repro.dag.critical_path.critical_path_length`,
-        and runs the vectorized level sweep; an explicit ``weight_fn``
-        falls back to the per-op loop (it needs the ``Op`` objects).
+        units), the unit of the paper's closed-form critical paths, and
+        runs the vectorized level sweep; an explicit ``weight_fn`` falls
+        back to the per-op loop (it needs the ``Op`` objects).
         """
         if len(self) == 0:
             return 0.0
@@ -822,33 +827,6 @@ class Program:
                     succ_best = levels[s]
             levels[i] = durations[i] + succ_best
         return levels
-
-    # ------------------------------------------------------------------ #
-    # Interop
-    # ------------------------------------------------------------------ #
-    def to_task_graph(self) -> TaskGraph:
-        """Materialize a fresh legacy :class:`~repro.dag.task.TaskGraph`.
-
-        Each call builds a new graph, so callers may mutate the result
-        without corrupting a cached program.
-        """
-        graph = TaskGraph()
-        for op in self.ops:
-            graph.add_task(
-                Task(
-                    id=op.index,
-                    kernel=op.kernel,
-                    params=op.params,
-                    reads=op.reads,
-                    writes=op.writes,
-                    weight=op.weight,
-                    owner_tile=op.owner_tile,
-                    step=op.step,
-                )
-            )
-        for src, dst in self.edges():
-            graph.add_edge(src, dst)
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Program(n_ops={len(self)}, n_edges={self.n_edges}, key={self.key!r})"

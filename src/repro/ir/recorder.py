@@ -4,11 +4,11 @@
 :class:`~repro.algorithms.executor.KernelExecutor` interface: instead of
 touching numbers it appends one row of packed *columns* per kernel call —
 kernel code, tile-index params, integer-coded read/write sets (tile halves,
-the access-set conventions the legacy :class:`repro.dag.tracer.TraceExecutor`
-pioneered), owner tile and step label.  No :class:`~repro.ir.program.Op`
-objects or frozensets are built while recording: a million-op driver run
-costs a million small tuple appends, and the object form materializes
-lazily only if a legacy consumer asks for it.
+see :data:`~repro.ir.program.DataItem`), owner tile and step label.  No
+:class:`~repro.ir.program.Op` objects or frozensets are built while
+recording: a million-op driver run costs a million small tuple appends,
+and the object form materializes lazily only if a consumer asks the
+finished :class:`~repro.ir.program.Program` for it.
 
 The dependency edges are *not* inferred here; that is
 :func:`~repro.ir.program.analyze_coded_stream`'s job (the integer-coded
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.algorithms.executor import KernelExecutor
-from repro.ir.program import Op, OpColumns, Program, analyze_coded_stream
+from repro.ir.program import OpColumns, Program, analyze_coded_stream
 from repro.kernels.costs import KERNEL_CODES, KernelName
 
 _GEQRT = KERNEL_CODES[KernelName.GEQRT]
@@ -50,9 +50,7 @@ class ProgramRecorder(KernelExecutor):
     Each kernel method appends one ``(kernel code, params, coded reads,
     coded writes, owner row, owner col, step)`` row; :meth:`program`
     finalizes the stream (dependency analysis + CSR build) into an
-    immutable :class:`~repro.ir.program.Program`.  The :attr:`ops`
-    property materializes legacy :class:`~repro.ir.program.Op` objects on
-    demand for backward-compatible consumers.
+    immutable :class:`~repro.ir.program.Program`.
     """
 
     def __init__(self, p: int, q: int) -> None:
@@ -63,8 +61,6 @@ class ProgramRecorder(KernelExecutor):
         self._pq = p * q
         #: One row per recorded op (see class docstring for the layout).
         self._rows: List[Tuple] = []
-        self._ops_cache: Optional[List[Op]] = None
-        self._ops_count = -1
         #: Panel step label (``QR(k)`` / ``LQ(k)``) stamped on recorded ops;
         #: the drivers update it as they go.
         self.current_step: str = ""
@@ -90,15 +86,6 @@ class ProgramRecorder(KernelExecutor):
             self._q, self._pq, kernels, params, reads, writes, rows, cols,
             steps,
         )
-
-    @property
-    def ops(self) -> List[Op]:
-        """Legacy view: the stream as :class:`Op` objects (built on demand)."""
-        if self._ops_cache is None or self._ops_count != len(self._rows):
-            cols = self.columns()
-            self._ops_cache = [cols.op(i) for i in range(len(cols))]
-            self._ops_count = len(self._rows)
-        return self._ops_cache
 
     def program(self, key: Optional[Tuple] = None) -> Program:
         """Finalize the recorded stream into an immutable :class:`Program`."""

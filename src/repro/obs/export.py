@@ -31,9 +31,9 @@ durations, integral pids/tids.
 
 The Gantt renderers (:func:`gantt_text`, :func:`gantt_svg`) draw the same
 run directly from the :class:`~repro.obs.tracer.EngineRun` record — one
-lane per core plus a NIC lane per node — reusing the kernel glyph table
-the legacy ASCII chart established and the shared busy-fraction helpers
-of :mod:`repro.obs.util`.
+lane per core plus a NIC lane per node — with one glyph per kernel
+(:data:`KERNEL_GLYPHS`) and the shared busy-fraction helpers of
+:mod:`repro.obs.util`.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.util import core_busy_seconds
 
-#: One-character glyph per kernel, shared with the legacy ASCII Gantt
-#: chart of :mod:`repro.runtime.trace` (which imports it from here).
+#: One-character glyph per kernel in the text Gantt chart.
 KERNEL_GLYPHS: Dict[str, str] = {
     "GEQRT": "Q",
     "TSQRT": "S",

@@ -1,10 +1,8 @@
 """Shared utilization / idle-time helpers over executed schedules.
 
-Per-node and per-core busy/idle accounting used to be re-derived ad hoc
-wherever it was needed — :meth:`repro.runtime.scheduler.Schedule.
-node_utilization`, the trace tooling of :mod:`repro.runtime.trace`, the
-benchmarks.  This module is the single implementation all of them (plus
-the metrics registry and the Gantt exporters) now share.
+Per-node and per-core busy/idle accounting has one implementation, here:
+:meth:`repro.runtime.scheduler.Schedule.node_utilization`, the metrics
+registry, the Gantt exporters and the benchmarks all share it.
 
 Everything is duck-typed over the ``Schedule`` record (``makespan``,
 ``busy_time_per_node``, ``start`` / ``finish`` / ``node_of_task`` /
@@ -27,9 +25,8 @@ def node_busy_fractions(
 ) -> List[float]:
     """Fraction of available core-seconds each node spent computing.
 
-    The canonical form of the legacy ``Schedule.node_utilization``: a zero
-    (or negative) makespan yields all-zero fractions rather than a
-    division error.
+    Backs ``Schedule.node_utilization``: a zero (or negative) makespan
+    yields all-zero fractions rather than a division error.
     """
     if makespan <= 0:
         return [0.0 for _ in busy_time_per_node]

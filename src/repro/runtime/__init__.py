@@ -20,7 +20,6 @@ from repro.runtime.machine import Machine
 from repro.runtime.engine import (
     SimulationEngine,
     critical_path_seconds,
-    run_policy,
     serial_seconds,
 )
 from repro.runtime.network import (
@@ -47,7 +46,6 @@ from repro.runtime.batch import (
 )
 from repro.runtime.simulator import (
     SimulationResult,
-    simulate_graph,
     simulate_ge2bnd,
     simulate_ge2val,
 )
@@ -115,7 +113,6 @@ __all__ = [
     "run_scenario",
     "serial_seconds",
     "simulate_batch",
-    "simulate_graph",
     "simulate_ge2bnd",
     "simulate_ge2val",
     "simulate_resolved_batch",

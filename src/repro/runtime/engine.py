@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.dag.task import TaskGraph
 from repro.ir.program import Program
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import Tracer, TransferRecord, current_tracer
@@ -245,21 +244,17 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     def run(
         self,
-        program: Union[Program, TaskGraph],
+        program: Program,
         *,
         node_of_op: Optional[Sequence[int]] = None,
     ) -> Schedule:
         """Simulate one replay of ``program`` and return the schedule.
 
-        Accepts a compiled :class:`~repro.ir.program.Program` (preferred —
-        replayable for free) or a legacy :class:`~repro.dag.task.TaskGraph`
-        (wrapped on the fly).  ``node_of_op`` optionally supplies a
-        precomputed owner-node array (one entry per op), skipping the
-        distribution lookup entirely — useful when a caller already
-        resolved the mapping, e.g. for a custom placement study.
+        ``node_of_op`` optionally supplies a precomputed owner-node array
+        (one entry per op), skipping the distribution lookup entirely —
+        useful when a caller already resolved the mapping, e.g. for a
+        custom placement study.
         """
-        if isinstance(program, TaskGraph):
-            program = Program.from_task_graph(program)
         # Ambient tracer pickup: one thread-local read.  The kernel never
         # consults the tracer — it records nothing while running — so
         # traced and untraced replays execute identical instructions and
@@ -339,44 +334,18 @@ class SimulationEngine:
         )
 
 
-def run_policy(
-    program: Union[Program, TaskGraph],
-    machine: Machine,
-    *,
-    policy: Union[str, SchedulingPolicy] = "list",
-    distribution: Optional[BlockCyclicDistribution] = None,
-    network: Union[str, NetworkModel] = "uniform",
-) -> Schedule:
-    """One-shot convenience wrapper around :class:`SimulationEngine`."""
-    return SimulationEngine(
-        machine, distribution, policy=policy, network=network
-    ).run(program)
-
-
-def critical_path_seconds(
-    program: Union[Program, TaskGraph],
-    machine: Machine,
-) -> float:
+def critical_path_seconds(program: Program, machine: Machine) -> float:
     """Duration-weighted critical path: the makespan lower bound no
     scheduling policy can beat on ``machine`` (unbounded cores, free
     communication)."""
-    if isinstance(program, TaskGraph):
-        program = Program.from_task_graph(program)
-    if len(program) == 0:
-        return 0.0
     return program.critical_path_np(
         machine.kernel_duration_table()[program.kernel_codes_np]
     )
 
 
-def serial_seconds(
-    program: Union[Program, TaskGraph],
-    machine: Machine,
-) -> float:
+def serial_seconds(program: Program, machine: Machine) -> float:
     """Single-core replay time: the makespan upper bound for any policy."""
-    if isinstance(program, TaskGraph):
-        program = Program.from_task_graph(program)
-    # Summed in stream order (not numpy pairwise), bit-identical to the
-    # legacy per-op accumulation.
+    # Summed in stream order (not numpy pairwise), bit-identical to adding
+    # up machine.kernel_duration op by op.
     table = machine.kernel_duration_table()
     return sum(table[program.kernel_codes_np].tolist())

@@ -118,7 +118,7 @@ class AlphaBetaNetwork(NetworkModel):
     One message per deduplicated (producer op, destination node) pair:
 
     * the payload is the producing op's written tile halves — each
-      :data:`~repro.dag.task.DataItem` is half an ``nb x nb`` tile, so
+      :data:`~repro.ir.program.DataItem` is half an ``nb x nb`` tile, so
       bandwidth cost scales with the tile size of the machine the program
       is replayed on;
     * the sending node's NIC injects messages one at a time

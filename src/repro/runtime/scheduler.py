@@ -41,8 +41,8 @@ class Schedule:
     messages: int
     comm_bytes: int
     #: Core index (within its node) each task ran on; filled by the
-    #: simulation engine and used by the Gantt-chart / utilization tooling
-    #: in :mod:`repro.runtime.trace`.  ``None`` for schedules built by hand.
+    #: simulation engine and used by the per-core utilization and Gantt
+    #: tooling in :mod:`repro.obs`.  ``None`` for schedules built by hand.
     core_of_task: Optional[List[int]] = None
     #: Seconds each node spent sending (NIC injection time under the
     #: alpha-beta network model; ``sent * transfer_time`` under uniform).

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
-from repro.dag.task import TaskGraph
 from repro.ir.compiler import get_program
 from repro.ir.program import Program
 from repro.models.flops import (
@@ -139,20 +138,6 @@ def _default_grid(machine: Machine, p: int, q: int) -> ProcessGrid:
     from repro.api.resolver import default_grid
 
     return default_grid(machine.n_nodes, p, q)
-
-
-def simulate_graph(
-    graph: Union[TaskGraph, Program],
-    machine: Machine,
-    distribution: Optional[BlockCyclicDistribution] = None,
-    *,
-    policy: Union[str, SchedulingPolicy] = "list",
-    network: Union[str, NetworkModel] = "uniform",
-) -> Schedule:
-    """Replay an explicit task graph / program on the simulation engine."""
-    return SimulationEngine(
-        machine, distribution, policy=policy, network=network
-    ).run(graph)
 
 
 @dataclass(frozen=True)
@@ -345,10 +330,9 @@ def simulate_ge2bnd(
     if scen is None or scen.is_trivial:
         # The no-scenario path (and the explicit "none" scenario) is the
         # plain engine run — bit-identical to what it always produced.
-        schedule = simulate_graph(
-            setup.program, machine, setup.distribution, policy=policy,
-            network=network,
-        )
+        schedule = SimulationEngine(
+            machine, setup.distribution, policy=policy, network=network
+        ).run(setup.program)
         result = _ge2bnd_result(
             setup, machine, schedule, policy=policy, network=network
         )

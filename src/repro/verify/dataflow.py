@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.dag.task import DataItem
-from repro.ir.program import Program
+from repro.ir.program import DataItem, Program
 from repro.verify.findings import (
     P_ACCESS_SET,
     P_LEVELS,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.dag.task import TaskGraph
 from repro.ir.program import Program
 from repro.runtime.machine import Machine
 from repro.runtime.network import NetworkModel, get_network_model
@@ -33,7 +32,7 @@ __all__ = ["reference_schedule"]
 
 
 def reference_schedule(
-    program: Union[Program, TaskGraph],
+    program: Program,
     machine: Machine,
     distribution: Optional[BlockCyclicDistribution] = None,
     *,
@@ -49,8 +48,6 @@ def reference_schedule(
     on every field.  Machines with per-node or per-core slowdowns are
     rejected: the reference prices nominal kernel durations only.
     """
-    if isinstance(program, TaskGraph):
-        program = Program.from_task_graph(program)
     if machine.heterogeneous:
         raise ValueError(
             "reference_schedule prices nominal durations only; got a "

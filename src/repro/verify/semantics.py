@@ -2,16 +2,16 @@
 
 This module re-derives, from the *mathematical definition* of each tile
 kernel, which tile halves the kernel reads and which it read-modify-writes.
-It deliberately shares no code with the compiler front-ends
-(:class:`~repro.ir.recorder.ProgramRecorder`, :mod:`repro.dag.tracer`) or
-the dependency analyzers: the whole point is that
+It deliberately shares no code with the compiler front-end
+(:class:`~repro.ir.recorder.ProgramRecorder`) or the dependency
+analyzers: the whole point is that
 :func:`repro.verify.dataflow.verify_program` checks the compiled artifact
 against a second, independent statement of the semantics, so a bug in the
 recorder's coded access sets cannot silently vouch for itself.
 
-Conventions (see :mod:`repro.dag.task`): a data item is one *half* of a
-tile — ``("U", i, j)`` the upper (R/L-factor) part, ``("L", i, j)`` the
-lower (reflector) part.  "Writes" are read-modify-writes (a kernel that
+Conventions (see :data:`repro.ir.program.DataItem`): a data item is one
+*half* of a tile — ``("U", i, j)`` the upper (R/L-factor) part,
+``("L", i, j)`` the lower (reflector) part.  "Writes" are read-modify-writes (a kernel that
 factorizes a tile in place both consumes and produces it), which is exactly
 how the superscalar RAW/WAR rules interpret them.
 
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Tuple
 
-from repro.dag.task import DataItem
+from repro.ir.program import DataItem
 from repro.kernels.costs import KernelName
 
 AccessSets = Tuple[FrozenSet[DataItem], FrozenSet[DataItem]]

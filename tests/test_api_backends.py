@@ -74,6 +74,27 @@ class TestBackendParity:
         assert dag.variant == sim.variant
         assert (dag.p, dag.q) == (sim.p, sim.q)
 
+    def test_dag_backend_leaves_ops_unmaterialized(self):
+        from repro.ir import clear_program_cache, get_program, program_cache_stats
+
+        clear_program_cache()
+        plan = SvdPlan(m=96, n=64, tile_size=8, stage="ge2bnd", tree="greedy")
+        result = execute(plan, backend="dag")
+        resolved = resolve(plan)
+        misses = program_cache_stats()["misses"]
+        program = get_program(
+            resolved.variant, resolved.p, resolved.q, resolved.tree,
+            n_cores=plan.n_cores, grid_rows=resolved.grid.rows,
+        )
+        assert program_cache_stats()["misses"] == misses  # the backend's program
+        # The counts came from the packed kernel-code column.
+        assert program._ops is None
+        tally = {}
+        for op in program.ops:
+            tally[op.kernel.name] = tally.get(op.kernel.name, 0) + 1
+        assert result.extras["kernel_counts"] == tally
+        clear_program_cache()
+
     def test_gesvd_rejected_by_non_numeric_backends(self):
         plan = SvdPlan(m=16, n=16, tile_size=4, stage="gesvd")
         with pytest.raises(ValueError, match="numeric"):

@@ -97,13 +97,12 @@ class TestPlanBackedLegacyCommands:
         assert "t_post" in out
 
     def test_critical_path_matches_direct_trace(self, capsys):
-        from repro.dag.critical_path import critical_path_length
-        from repro.dag.tracer import trace_bidiag
+        from repro.ir import compile_program
         from repro.trees import GreedyTree
 
         assert main(["critical-path", "8", "4", "--tree", "greedy"]) == 0
         out = capsys.readouterr().out
-        expected = critical_path_length(trace_bidiag(8, 4, GreedyTree()))
+        expected = compile_program("bidiag", 8, 4, GreedyTree()).critical_path()
         measured = [l for l in out.splitlines() if l.startswith("measured")][0]
         assert float(measured.split(":")[1]) == pytest.approx(expected)
 

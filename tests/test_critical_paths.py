@@ -22,9 +22,13 @@ from repro.analysis.formulas import (
     qr_step_cp,
     rbidiag_cp,
 )
-from repro.dag.critical_path import critical_path_length
-from repro.dag.tracer import trace_bidiag, trace_qr, trace_rbidiag
+from repro.ir import get_program
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
+
+def _cp(algorithm, p, q, tree):
+    """Measured critical path of the compiled DAG (Table-I units)."""
+    return get_program(algorithm, p, q, tree).critical_path()
+
 
 SHAPES = [(1, 1), (2, 1), (3, 2), (4, 4), (6, 3), (8, 2), (8, 8), (10, 5), (12, 4), (7, 7)]
 
@@ -56,9 +60,9 @@ class TestStepFormulas:
     def test_single_step_matches_dag(self):
         # A p x 1 tile matrix exercises exactly one QR step.
         for p in (1, 2, 3, 5, 9):
-            measured = critical_path_length(trace_qr(p, 1, FlatTSTree()))
+            measured = _cp("qr", p, 1, FlatTSTree())
             assert measured == qr_step_cp(p, 1, "flatts")
-            measured_g = critical_path_length(trace_qr(p, 1, GreedyTree()))
+            measured_g = _cp("qr", p, 1, GreedyTree())
             assert measured_g == qr_step_cp(p, 1, "greedy")
 
 
@@ -70,20 +74,20 @@ class TestBidiagClosedForms:
     def test_flatts_closed_form(self, p, q):
         assert bidiag_flatts_cp(p, q) == 12 * p * q - 6 * p + 2 * q - 4
         assert bidiag_cp(p, q, "flatts") == bidiag_flatts_cp(p, q)
-        measured = critical_path_length(trace_bidiag(p, q, FlatTSTree()))
+        measured = _cp("bidiag", p, q, FlatTSTree())
         assert measured == bidiag_flatts_cp(p, q)
 
     @pytest.mark.parametrize("p,q", SHAPES)
     def test_flattt_closed_form(self, p, q):
         assert bidiag_flattt_cp(p, q) == 6 * p * q - 4 * p + 12 * q - 10
         assert bidiag_cp(p, q, "flattt") == bidiag_flattt_cp(p, q)
-        measured = critical_path_length(trace_bidiag(p, q, FlatTTTree()))
+        measured = _cp("bidiag", p, q, FlatTTTree())
         assert measured == bidiag_flattt_cp(p, q)
 
     @pytest.mark.parametrize("p,q", SHAPES)
     def test_greedy_closed_form(self, p, q):
         assert bidiag_cp(p, q, "greedy") == bidiag_greedy_cp(p, q)
-        measured = critical_path_length(trace_bidiag(p, q, GreedyTree()))
+        measured = _cp("bidiag", p, q, GreedyTree())
         assert measured == bidiag_greedy_cp(p, q)
 
     def test_greedy_power_of_two_square_formula(self):
@@ -104,8 +108,8 @@ class TestBidiagClosedForms:
     @given(q=st.integers(min_value=1, max_value=10), extra=st.integers(min_value=0, max_value=12))
     def test_property_measured_equals_formula(self, q, extra):
         p = q + extra
-        assert critical_path_length(trace_bidiag(p, q, FlatTSTree())) == bidiag_flatts_cp(p, q)
-        assert critical_path_length(trace_bidiag(p, q, GreedyTree())) == bidiag_greedy_cp(p, q)
+        assert _cp("bidiag", p, q, FlatTSTree()) == bidiag_flatts_cp(p, q)
+        assert _cp("bidiag", p, q, GreedyTree()) == bidiag_greedy_cp(p, q)
 
     def test_greedy_asymptotically_better(self):
         # Θ(q log p) vs Θ(pq): the ratio must grow with the problem size.
@@ -134,7 +138,7 @@ class TestRBidiag:
     def test_measured_at_most_formula(self, p, q, tree_name, tree):
         # The closed form ignores the QR/BIDIAG overlap, so it is an upper
         # bound on the DAG critical path — and not a loose one.
-        measured = critical_path_length(trace_rbidiag(p, q, tree))
+        measured = _cp("rbidiag", p, q, tree)
         formula = rbidiag_cp(p, q, tree_name)
         assert measured <= formula
         # The overlap between the preliminary QR and the bidiagonalization of
@@ -165,12 +169,9 @@ class TestRBidiag:
     def test_pipelined_greedy_qr_has_short_critical_path(self):
         """The cross-panel GREEDY QR factorization has a critical path close
         to the 22q + o(q) bound of the paper, essentially independent of p."""
-        from repro.dag.tracer import trace_qr
-        from repro.trees import GreedyTree
-
         q = 6
-        cp_tall = critical_path_length(trace_qr(12 * q, q, GreedyTree()))
-        cp_very_tall = critical_path_length(trace_qr(24 * q, q, GreedyTree()))
+        cp_tall = _cp("qr", 12 * q, q, GreedyTree())
+        cp_very_tall = _cp("qr", 24 * q, q, GreedyTree())
         assert cp_tall <= 22 * q + 6 * math.ceil(math.log2(12 * q)) + 10
         # Doubling p only adds a logarithmic amount.
         assert cp_very_tall - cp_tall <= 12

@@ -1,20 +1,19 @@
-"""Tests for the task graph, the tracer and the critical-path engine."""
+"""Tests for hand-built programs, the recorder front-end and the critical path."""
 
 import numpy as np
 import pytest
 
-from repro.dag.critical_path import critical_path_length, critical_path_tasks
-from repro.dag.task import Task, TaskGraph
-from repro.dag.tracer import TraceExecutor, trace_bidiag, trace_qr, trace_rbidiag
+from repro.dag.critical_path import critical_path_tasks
+from repro.ir import Op, Program, ProgramRecorder, get_program
 from repro.kernels.costs import KernelName
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
 
 
-def _mk_task(tid, weight=1, kernel=KernelName.GEQRT):
-    return Task(
-        id=tid,
+def _mk_op(index, weight=1, kernel=KernelName.GEQRT):
+    return Op(
+        index=index,
         kernel=kernel,
-        params=(tid,),
+        params=(index,),
         reads=frozenset(),
         writes=frozenset(),
         weight=weight,
@@ -22,145 +21,119 @@ def _mk_task(tid, weight=1, kernel=KernelName.GEQRT):
     )
 
 
-class TestTaskGraph:
-    def test_add_task_and_edges(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0))
-        g.add_task(_mk_task(1))
-        g.add_edge(0, 1)
-        assert g.successors[0] == [1]
-        assert g.predecessors[1] == [0]
-        assert g.n_edges == 1
+def _program(weights, edges=()):
+    """A hand-built program: one op per weight, ``edges`` as (src, dst)."""
+    preds = [[] for _ in weights]
+    for src, dst in edges:
+        preds[dst].append(src)
+    return Program([_mk_op(i, w) for i, w in enumerate(weights)], preds)
 
-    def test_duplicate_edge_ignored(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0))
-        g.add_task(_mk_task(1))
-        g.add_edge(0, 1)
-        g.add_edge(0, 1)
-        assert g.n_edges == 1
 
-    def test_self_loop_ignored(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0))
-        g.add_edge(0, 0)
-        assert g.n_edges == 0
+class TestHandBuiltProgram:
+    def test_ops_and_edges(self):
+        program = _program([1, 1], [(0, 1)])
+        assert list(program.successors(0)) == [1]
+        assert list(program.predecessors(1)) == [0]
+        assert program.n_edges == 1
 
-    def test_non_dense_id_rejected(self):
-        g = TaskGraph()
+    def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
-            g.add_task(_mk_task(3))
+            _program([1], [(0, 0)])
 
     def test_sources_and_sinks(self):
-        g = TaskGraph()
-        for i in range(3):
-            g.add_task(_mk_task(i))
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)
-        assert g.sources() == [0]
-        assert g.sinks() == [2]
+        program = _program([1, 1, 1], [(0, 1), (1, 2)])
+        assert program.sources() == [0]
+        assert [i for i in range(len(program)) if not len(program.successors(i))] == [2]
 
-    def test_total_weight_and_flops(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0, weight=4))
-        g.add_task(_mk_task(1, weight=6))
-        assert g.total_weight() == 10
-        assert g.total_flops(3) == pytest.approx(10 * 27 / 3)
+    def test_total_weight(self):
+        assert _program([4, 6]).total_weight() == 10
 
 
 class TestCriticalPathEngine:
     def test_chain(self):
-        g = TaskGraph()
-        for i in range(4):
-            g.add_task(_mk_task(i, weight=2))
-        for i in range(3):
-            g.add_edge(i, i + 1)
-        assert critical_path_length(g) == 8
+        program = _program([2, 2, 2, 2], [(0, 1), (1, 2), (2, 3)])
+        assert program.critical_path() == 8
 
     def test_diamond(self):
-        g = TaskGraph()
-        weights = [1, 5, 2, 1]
-        for i, w in enumerate(weights):
-            g.add_task(_mk_task(i, weight=w))
-        g.add_edge(0, 1)
-        g.add_edge(0, 2)
-        g.add_edge(1, 3)
-        g.add_edge(2, 3)
-        assert critical_path_length(g) == 7
-        path = critical_path_tasks(g)
-        assert [t.id for t in path] == [0, 1, 3]
+        program = _program([1, 5, 2, 1], [(0, 1), (0, 2), (1, 3), (2, 3)])
+        assert program.critical_path() == 7
+        assert critical_path_tasks(program) == [0, 1, 3]
 
     def test_empty_graph(self):
-        assert critical_path_length(TaskGraph()) == 0.0
-        assert critical_path_tasks(TaskGraph()) == []
+        empty = Program([], [])
+        assert empty.critical_path() == 0.0
+        assert critical_path_tasks(empty) == []
 
     def test_custom_weight_function(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0, weight=4))
-        g.add_task(_mk_task(1, weight=4))
-        g.add_edge(0, 1)
-        assert critical_path_length(g, weight_fn=lambda t: 1.0) == 2.0
+        program = _program([4, 4], [(0, 1)])
+        assert program.critical_path(weight_fn=lambda op: 1.0) == 2.0
+        assert critical_path_tasks(program, weight_fn=lambda op: 1.0) == [0, 1]
+
+    def test_path_length_matches_critical_path(self):
+        program = get_program("bidiag", 8, 6, GreedyTree())
+        path = critical_path_tasks(program)
+        weights = program.weights_np
+        assert sum(int(weights[i]) for i in path) == program.critical_path()
+        # Consecutive path ops are dependency edges.
+        for src, dst in zip(path, path[1:]):
+            assert src in program.predecessors(dst)
 
 
 class TestTracer:
     def test_shape_properties(self):
-        tracer = TraceExecutor(5, 3)
-        assert tracer.p == 5
-        assert tracer.q == 3
+        recorder = ProgramRecorder(5, 3)
+        assert recorder.p == 5
+        assert recorder.q == 3
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
-            TraceExecutor(0, 3)
+            ProgramRecorder(0, 3)
 
     def test_qr_task_count_flatts(self):
         # FlatTS QR of a p x q tile matrix: per step k (0-based, u = p-k,
         # v = q-k-1): 1 GEQRT + v UNMQR + (u-1) TSQRT + (u-1)*v TSMQR.
         p, q = 5, 3
-        g = trace_qr(p, q, FlatTSTree())
+        program = get_program("qr", p, q, FlatTSTree())
         expected = 0
         for k in range(q):
             u, v = p - k, q - k - 1
             expected += 1 + v + (u - 1) + (u - 1) * v
-        assert len(g) == expected
+        assert len(program) == expected
 
     def test_bidiag_kernel_mix(self):
-        g = trace_bidiag(4, 4, FlatTSTree())
-        counts = g.kernel_counts()
+        counts = get_program("bidiag", 4, 4, FlatTSTree()).kernel_counts()
         assert counts[KernelName.GEQRT] == 4          # one per QR step
         assert counts[KernelName.GELQT] == 3          # one per LQ step
         assert KernelName.TTQRT not in counts         # FlatTS never uses TT
         assert counts[KernelName.TSQRT] == 3 + 2 + 1  # rows below diagonal
 
     def test_greedy_uses_tt_kernels_only(self):
-        g = trace_bidiag(6, 3, GreedyTree())
-        counts = g.kernel_counts()
+        counts = get_program("bidiag", 6, 3, GreedyTree()).kernel_counts()
         assert KernelName.TSQRT not in counts
         assert KernelName.TSMQR not in counts
         assert counts[KernelName.TTQRT] > 0
 
     def test_insertion_order_is_topological(self):
-        g = trace_bidiag(6, 4, GreedyTree())
-        # raises if any edge goes backwards
-        order = g.topological_order()
-        assert order == sorted(order)
+        program = get_program("bidiag", 6, 4, GreedyTree())
+        assert all(src < dst for src, dst in program.edges())
 
     def test_flattt_same_work_shorter_span_than_flatts(self):
         # FlatTS and FlatTT perform exactly the same number of flops
         # (a TS elimination costs 6+12v, a TT elimination 4+6v+2+6v = 6+12v),
         # but FlatTT's critical path is shorter: a pure work/span trade-off.
-        g_ts = trace_bidiag(6, 4, FlatTSTree())
-        g_tt = trace_bidiag(6, 4, FlatTTTree())
-        assert g_tt.total_weight() == g_ts.total_weight()
-        assert critical_path_length(g_tt) < critical_path_length(g_ts)
+        p_ts = get_program("bidiag", 6, 4, FlatTSTree())
+        p_tt = get_program("bidiag", 6, 4, FlatTTTree())
+        assert p_tt.total_weight() == p_ts.total_weight()
+        assert p_tt.critical_path() < p_ts.critical_path()
 
     def test_rbidiag_has_more_tasks_than_bidiag_for_square(self):
         # For square matrices R-BIDIAG repeats work (QR then square BIDIAG).
-        g_b = trace_bidiag(6, 6, GreedyTree())
-        g_r = trace_rbidiag(6, 6, GreedyTree())
-        assert len(g_r) > len(g_b)
+        p_b = get_program("bidiag", 6, 6, GreedyTree())
+        p_r = get_program("rbidiag", 6, 6, GreedyTree())
+        assert len(p_r) > len(p_b)
 
     def test_tracer_and_numeric_executor_same_operation_count(self, rng):
-        """The numeric and trace executors see exactly the same kernel calls."""
+        """The numeric executor and the recorder see exactly the same kernel calls."""
         from repro.algorithms.bidiag import bidiag_ge2bnd
         from repro.algorithms.executor import MultiExecutor, NumericExecutor
         from repro.tiles.matrix import TiledMatrix
@@ -168,11 +141,11 @@ class TestTracer:
         a = rng.standard_normal((20, 12))
         mat = TiledMatrix.from_dense(a, 4)
         numeric = NumericExecutor(mat)
-        tracer = TraceExecutor(mat.p, mat.q)
-        bidiag_ge2bnd(MultiExecutor([numeric, tracer]), GreedyTree())
-        # The trace matches a standalone trace of the same configuration.
-        standalone = trace_bidiag(mat.p, mat.q, GreedyTree())
-        assert len(tracer.graph) == len(standalone)
+        recorder = ProgramRecorder(mat.p, mat.q)
+        bidiag_ge2bnd(MultiExecutor([numeric, recorder]), GreedyTree())
+        # The recording matches a standalone compile of the same configuration.
+        standalone = get_program("bidiag", mat.p, mat.q, GreedyTree())
+        assert len(recorder.program()) == len(standalone)
         # And the numeric result is still correct.
         ref = np.linalg.svd(a, compute_uv=False)
         got = np.linalg.svd(mat.to_dense(), compute_uv=False)
@@ -190,4 +163,4 @@ class TestMultiExecutorValidation:
         from repro.algorithms.executor import MultiExecutor
 
         with pytest.raises(ValueError):
-            MultiExecutor([TraceExecutor(2, 2), TraceExecutor(3, 2)])
+            MultiExecutor([ProgramRecorder(2, 2), ProgramRecorder(3, 2)])

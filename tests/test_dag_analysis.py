@@ -1,4 +1,4 @@
-"""Tests for task-graph analysis and export tools."""
+"""Tests for program analysis and export tools."""
 
 import json
 
@@ -15,18 +15,18 @@ from repro.dag.analysis import (
     ts_tt_work_split,
 )
 from repro.dag.export import save_dot, save_json, to_dot, to_json
-from repro.dag.tracer import trace_bidiag, trace_qr
+from repro.ir import Program, compile_program, get_program
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
 
 
 @pytest.fixture(scope="module")
 def greedy_graph():
-    return trace_bidiag(8, 6, GreedyTree())
+    return get_program("bidiag", 8, 6, GreedyTree())
 
 
 @pytest.fixture(scope="module")
 def flatts_graph():
-    return trace_bidiag(8, 6, FlatTSTree())
+    return get_program("bidiag", 8, 6, FlatTSTree())
 
 
 class TestGraphStats:
@@ -73,9 +73,21 @@ class TestParallelismProfile:
         assert max_parallelism(greedy_graph) >= max_parallelism(flatts_graph)
 
     def test_empty_graph(self):
-        from repro.dag.task import TaskGraph
+        assert parallelism_profile(Program([], [])) == []
 
-        assert parallelism_profile(TaskGraph()) == []
+    def test_profile_matches_per_op_count(self, greedy_graph):
+        # Independent reference: ASAP start/finish by a per-op loop over
+        # the materialized ops, then a direct count per sample point.
+        program = Program.from_ops(greedy_graph.ops)
+        n = len(program)
+        finish = [0.0] * n
+        start = [0.0] * n
+        for i, op in enumerate(program.ops):
+            start[i] = max((finish[p] for p in program.predecessors(i)), default=0.0)
+            finish[i] = start[i] + float(op.weight)
+        got = parallelism_profile(greedy_graph, n_bins=37)
+        for t, active in got:
+            assert active == sum(1 for i in range(n) if start[i] <= t < finish[i])
 
     def test_invalid_bins(self, greedy_graph):
         with pytest.raises(ValueError):
@@ -105,9 +117,37 @@ class TestBreakdowns:
         assert memory_footprint_tiles(greedy_graph) == 8 * 6
 
 
+class TestColumnReads:
+    """The helpers read packed columns and agree with object-built programs."""
+
+    def test_helpers_leave_ops_unmaterialized(self):
+        program = compile_program("bidiag", 6, 4, GreedyTree())
+        graph_stats(program)
+        parallelism_profile(program)
+        kernel_breakdown(program)
+        ts_tt_work_split(program)
+        step_breakdown(program)
+        memory_footprint_tiles(program)
+        assert program._ops is None
+
+    def test_column_and_object_programs_agree(self):
+        program = compile_program("rbidiag", 7, 3, FlatTTTree())
+        rebuilt = Program.from_ops(program.ops)
+        assert rebuilt.columns is None
+        for helper in (
+            graph_stats,
+            parallelism_profile,
+            kernel_breakdown,
+            ts_tt_work_split,
+            step_breakdown,
+            memory_footprint_tiles,
+        ):
+            assert helper(program) == helper(rebuilt), helper.__name__
+
+
 class TestExport:
     def test_dot_contains_all_tasks(self):
-        graph = trace_qr(3, 2, GreedyTree())
+        graph = get_program("qr", 3, 2, GreedyTree())
         dot = to_dot(graph)
         assert dot.startswith("digraph")
         assert dot.count(" [label=") == len(graph)
@@ -119,7 +159,7 @@ class TestExport:
         assert to_dot(flatts_graph, max_tasks=None)
 
     def test_json_roundtrip_structure(self):
-        graph = trace_qr(4, 3, FlatTTTree())
+        graph = get_program("qr", 4, 3, FlatTTTree())
         payload = json.loads(to_json(graph))
         assert payload["n_tasks"] == len(graph)
         assert payload["n_edges"] == graph.n_edges
@@ -129,7 +169,7 @@ class TestExport:
         assert "GEQRT" in kernels
 
     def test_save_helpers(self, tmp_path):
-        graph = trace_qr(3, 3, GreedyTree())
+        graph = get_program("qr", 3, 3, GreedyTree())
         dot_path = tmp_path / "g.dot"
         json_path = tmp_path / "g.json"
         save_dot(graph, str(dot_path))

@@ -25,7 +25,6 @@ from repro.ir import clear_program_cache, get_program
 from repro.runtime.engine import (
     SimulationEngine,
     critical_path_seconds,
-    run_policy,
     serial_seconds,
 )
 from repro.runtime.machine import Machine
@@ -61,7 +60,7 @@ class TestListPolicyMatchesLegacy:
     @pytest.mark.parametrize("alg,p,q,tree,machine", CONFIGS)
     def test_exact_schedule_equality(self, alg, p, q, tree, machine):
         program = get_program(alg, p, q, tree)
-        legacy = reference_schedule(program.to_task_graph(), machine)
+        legacy = reference_schedule(program, machine)
         engine = SimulationEngine(machine, policy="list").run(program)
         assert engine.makespan == legacy.makespan  # bitwise, not approx
         assert engine.start == legacy.start
@@ -95,9 +94,7 @@ class TestListPolicyMatchesLegacy:
         program = get_program("bidiag", 6, 4, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
         for policy in ("list", "fifo", "weight"):
-            legacy = reference_schedule(
-                program.to_task_graph(), machine, policy=policy
-            )
+            legacy = reference_schedule(program, machine, policy=policy)
             engine = SimulationEngine(machine, policy=policy).run(program)
             assert engine.makespan == legacy.makespan
 
@@ -128,9 +125,12 @@ class TestPolicyBounds:
     def test_informed_policies_beat_random_here(self):
         program = get_program("bidiag", 12, 10, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=8, tile_size=160)
-        random_makespan = run_policy(program, machine, policy="random").makespan
+        def makespan(policy):
+            return SimulationEngine(machine, policy=policy).run(program).makespan
+
+        random_makespan = makespan("random")
         for policy in ("list", "critical-path", "locality"):
-            assert run_policy(program, machine, policy=policy).makespan < random_makespan
+            assert makespan(policy) < random_makespan
 
 
 class TestDeterminism:
@@ -182,8 +182,8 @@ class TestRandomPolicy:
     def test_same_seed_reproduces(self):
         program = get_program("bidiag", 6, 5, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        a = run_policy(program, machine, policy=RandomPolicy(seed=7))
-        b = run_policy(program, machine, policy=RandomPolicy(seed=7))
+        a = SimulationEngine(machine, policy=RandomPolicy(seed=7)).run(program)
+        b = SimulationEngine(machine, policy=RandomPolicy(seed=7)).run(program)
         assert a.makespan == b.makespan
         assert a.start == b.start
 
@@ -191,7 +191,7 @@ class TestRandomPolicy:
         program = get_program("bidiag", 10, 8, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=8, tile_size=100)
         makespans = {
-            run_policy(program, machine, policy=RandomPolicy(seed=s)).makespan
+            SimulationEngine(machine, policy=RandomPolicy(seed=s)).run(program).makespan
             for s in range(5)
         }
         assert len(makespans) > 1  # different seeds explore different orders

@@ -30,10 +30,9 @@ from repro.analysis.communication import (
     engine_communication_check,
 )
 from repro.cli import main
-from repro.dag.task import Task, TaskGraph
 from repro.ir import clear_program_cache, get_program
-from repro.ir.program import Program
-from repro.runtime.engine import SimulationEngine, run_policy
+from repro.ir.program import Op, Program
+from repro.runtime.engine import SimulationEngine
 from repro.runtime.machine import Machine
 from repro.runtime.network import (
     NETWORK_MODELS,
@@ -65,22 +64,25 @@ CONFIGS = [
 ]
 
 
+def _op(index, reads, writes, tile):
+    """A weight-4 GEQRT op reading/writing the given upper tile halves."""
+    return Op(index, KernelName.GEQRT, (index,),
+              frozenset(("U", i, j) for i, j in reads),
+              frozenset(("U", i, j) for i, j in writes), 4, tile)
+
+
 def _chain_graph():
     """A 3-node line of tiles: one producer on node 0, consumers on 1 and 2.
 
     Tile ``(i, 0)`` is owned by node ``i`` on the 3x1 grid; every task
     writes its own tile, so owner-computes pins the mapping.
     """
-    graph = TaskGraph()
-    graph.add_task(Task(0, KernelName.GEQRT, (0,), frozenset(),
-                        frozenset({("U", 0, 0)}), 4, (0, 0)))
-    graph.add_task(Task(1, KernelName.GEQRT, (1,), frozenset({("U", 0, 0)}),
-                        frozenset({("U", 1, 0)}), 4, (1, 0)))
-    graph.add_task(Task(2, KernelName.GEQRT, (2,), frozenset({("U", 0, 0)}),
-                        frozenset({("U", 2, 0)}), 4, (2, 0)))
-    graph.add_edge(0, 1)
-    graph.add_edge(0, 2)
-    return graph
+    ops = [
+        _op(0, [], [(0, 0)], (0, 0)),
+        _op(1, [(0, 0)], [(1, 0)], (1, 0)),
+        _op(2, [(0, 0)], [(2, 0)], (2, 0)),
+    ]
+    return Program(ops, [[], [0], [0]])
 
 
 def _three_node_engine(network, cores=1, tile_size=100):
@@ -112,7 +114,7 @@ class TestUniformIsLegacy:
         program = get_program(alg, p, q, tree)
         explicit = SimulationEngine(machine, network="uniform").run(program)
         default = SimulationEngine(machine).run(program)
-        legacy = reference_schedule(program.to_task_graph(), machine)
+        legacy = reference_schedule(program, machine)
         assert explicit.makespan == default.makespan == legacy.makespan
         assert explicit.start == default.start == legacy.start
         assert explicit.messages == default.messages == legacy.messages
@@ -216,21 +218,18 @@ class TestAlphaBeta:
         s_large = large_engine.run(graph)
         assert s_large.comm_bytes == 4 * s_small.comm_bytes
         model = AlphaBetaNetwork()
-        op = Program.from_task_graph(graph).ops[0]
+        op = graph.ops[0]
         assert model.message_bytes(op, large) == 4 * model.message_bytes(op, small)
 
     def test_transfer_cached_per_destination_node(self):
         """Two consumers of the same producer on the *same* remote node pay
         for one message (the runtime caches remote tiles)."""
-        graph = TaskGraph()
-        graph.add_task(Task(0, KernelName.GEQRT, (0,), frozenset(),
-                            frozenset({("U", 0, 0)}), 4, (0, 0)))
-        graph.add_task(Task(1, KernelName.GEQRT, (1,), frozenset({("U", 0, 0)}),
-                            frozenset({("U", 1, 0)}), 4, (1, 0)))
-        graph.add_task(Task(2, KernelName.GEQRT, (2,), frozenset({("U", 0, 0)}),
-                            frozenset({("U", 3, 0)}), 4, (3, 0)))
-        graph.add_edge(0, 1)
-        graph.add_edge(0, 2)
+        ops = [
+            _op(0, [], [(0, 0)], (0, 0)),
+            _op(1, [(0, 0)], [(1, 0)], (1, 0)),
+            _op(2, [(0, 0)], [(3, 0)], (3, 0)),
+        ]
+        graph = Program(ops, [[], [0], [0]])
         machine = Machine(n_nodes=2, cores_per_node=2, tile_size=100)
         distribution = BlockCyclicDistribution(ProcessGrid(2, 1))
         for network in NETWORK_MODELS:
@@ -253,19 +252,13 @@ class TestSeenTransfersDedupAudit:
     def _reproduced_tile_graph():
         """Tile (0,0) is written twice (tasks 0 and 2); after each write a
         task on the other node consumes it."""
-        graph = TaskGraph()
-        graph.add_task(Task(0, KernelName.GEQRT, (0,), frozenset(),
-                            frozenset({("U", 0, 0)}), 4, (0, 0)))
-        graph.add_task(Task(1, KernelName.GEQRT, (1,), frozenset({("U", 0, 0)}),
-                            frozenset({("U", 1, 0)}), 4, (1, 0)))
-        graph.add_task(Task(2, KernelName.GEQRT, (2,), frozenset({("U", 1, 0)}),
-                            frozenset({("U", 0, 0)}), 4, (0, 0)))
-        graph.add_task(Task(3, KernelName.GEQRT, (3,), frozenset({("U", 0, 0)}),
-                            frozenset({("U", 3, 0)}), 4, (1, 0)))
-        graph.add_edge(0, 1)
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 3)
-        return graph
+        ops = [
+            _op(0, [], [(0, 0)], (0, 0)),
+            _op(1, [(0, 0)], [(1, 0)], (1, 0)),
+            _op(2, [(1, 0)], [(0, 0)], (0, 0)),
+            _op(3, [(0, 0)], [(3, 0)], (1, 0)),
+        ]
+        return Program(ops, [[], [0], [1], [2]])
 
     @pytest.mark.parametrize("network", sorted(NETWORK_MODELS))
     def test_reproduced_tile_retriggers_transfer(self, network):
@@ -281,7 +274,7 @@ class TestSeenTransfersDedupAudit:
         assert static.messages == 3
 
     def test_static_and_engine_agree_on_program_form(self):
-        program = Program.from_task_graph(self._reproduced_tile_graph())
+        program = self._reproduced_tile_graph()
         machine = Machine(n_nodes=2, cores_per_node=2, tile_size=100)
         distribution = BlockCyclicDistribution(ProcessGrid(2, 1))
         schedule = SimulationEngine(
@@ -298,10 +291,9 @@ class TestEngineMatchesStaticAnalysis:
         machine = Machine(n_nodes=4, cores_per_node=4, tile_size=100)
         distribution = BlockCyclicDistribution(ProcessGrid(2, 2))
         program = get_program("bidiag", 8, 8, FlatTTTree())
-        schedule = run_policy(
-            program, machine, policy=policy, distribution=distribution,
-            network=network,
-        )
+        schedule = SimulationEngine(
+            machine, distribution, policy=policy, network=network
+        ).run(program)
         stats = engine_communication_check(schedule, program, distribution)
         assert sum(stats.per_node_sent) == schedule.messages
 

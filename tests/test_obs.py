@@ -404,16 +404,6 @@ def test_utilization_summary_matches_schedule():
     json.dumps(summary)
 
 
-def test_schedule_utilization_delegates_to_obs():
-    from repro.dag.analysis import schedule_utilization
-
-    machine = _machine(n_nodes=2, cores=2)
-    schedule = _simulate(machine)
-    assert schedule_utilization(schedule, machine) == utilization_summary(
-        schedule, machine
-    )
-
-
 # --------------------------------------------------------------------------- #
 # run_metrics / RunResult.metrics
 # --------------------------------------------------------------------------- #

@@ -2,7 +2,7 @@
 
 Covers the dependency analyzer, the Program/CSR structure, the compiler
 and its shared in-process cache, replay onto the numeric executor, and the
-1x1 / empty-post-stage edge cases the legacy path handles.
+1x1 / empty-post-stage edge cases.
 """
 
 import subprocess
@@ -14,8 +14,6 @@ import pytest
 from repro.algorithms.bidiag import bidiag_ge2bnd
 from repro.algorithms.executor import NumericExecutor
 from repro.algorithms.rbidiag import rbidiag_ge2bnd
-from repro.dag.critical_path import critical_path_length
-from repro.dag.tracer import TraceExecutor, trace_bidiag, trace_qr, trace_rbidiag
 from repro.ir import (
     DependencyAnalyzer,
     Program,
@@ -84,43 +82,37 @@ class TestProgramStructure:
             assert preds == sorted(preds)
             assert all(0 <= s < dst for s in preds)
 
-    def test_matches_legacy_task_graph(self):
-        for alg, tracer in (
-            ("qr", trace_qr),
-            ("bidiag", trace_bidiag),
-            ("rbidiag", trace_rbidiag),
-        ):
+    def test_matches_object_path_analysis(self):
+        # The coded compiler path and the object-path DependencyAnalyzer
+        # (Program.from_ops over the materialized ops) infer the same DAG.
+        for alg in ("qr", "bidiag", "rbidiag"):
             program = compile_program(alg, 6, 4, GreedyTree())
-            graph = tracer(6, 4, GreedyTree())
-            assert len(program) == len(graph)
-            assert program.n_edges == graph.n_edges
-            assert [op.kernel for op in program.ops] == [t.kernel for t in graph.tasks]
-            assert [op.params for op in program.ops] == [t.params for t in graph.tasks]
-            got = set(program.edges())
-            want = {(s, d) for d, ss in graph.predecessors.items() for s in ss}
-            assert got == want
+            again = Program.from_ops(program.ops)
+            assert len(again) == len(program)
+            assert again.n_edges == program.n_edges
+            assert list(again.edges()) == list(program.edges())
 
-    def test_to_task_graph_round_trip(self):
+    def test_object_built_round_trip(self):
         program = compile_program("bidiag", 4, 4, FlatTSTree())
-        graph = program.to_task_graph()
-        back = Program.from_task_graph(graph)
+        preds = [list(program.predecessors(i)) for i in range(len(program))]
+        back = Program(program.ops, preds)
+        assert back.columns is None
         assert len(back) == len(program)
         assert set(back.edges()) == set(program.edges())
         assert back.total_weight() == program.total_weight()
 
-    def test_to_task_graph_gives_fresh_graphs(self):
-        program = compile_program("qr", 3, 2, GreedyTree())
-        g1, g2 = program.to_task_graph(), program.to_task_graph()
-        assert g1 is not g2
-        g1.add_edge(0, len(g1) - 1)  # mutate one copy
-        assert g2.n_edges == program.n_edges
-
-    def test_aggregates_match_task_graph(self):
+    def test_aggregates_match_object_path(self):
         program = compile_program("bidiag", 5, 5, FlatTSTree())
-        graph = program.to_task_graph()
-        assert program.total_weight() == graph.total_weight()
-        assert program.kernel_counts() == graph.kernel_counts()
-        assert program.critical_path() == critical_path_length(graph)
+        ops = program.ops
+        assert program.total_weight() == sum(op.weight for op in ops)
+        tally = {}
+        for op in ops:
+            tally[op.kernel] = tally.get(op.kernel, 0) + 1
+        assert program.kernel_counts() == tally
+        # Vectorized level sweep == per-op loop (an explicit weight_fn).
+        assert program.critical_path() == program.critical_path(
+            weight_fn=lambda op: float(op.weight)
+        )
 
     def test_sources_and_indegrees(self):
         program = compile_program("bidiag", 4, 3, GreedyTree())
@@ -137,12 +129,12 @@ class TestProgramStructure:
 
 
 class TestRecorder:
-    def test_trace_executor_is_a_recorder(self):
-        tracer = TraceExecutor(4, 3)
-        assert isinstance(tracer, ProgramRecorder)
-        bidiag_ge2bnd(tracer, GreedyTree())
-        assert len(tracer.graph) == len(tracer.ops)
-        assert tracer.graph.n_edges == tracer.program().n_edges
+    def test_recorder_captures_driver_run(self):
+        recorder = ProgramRecorder(4, 3)
+        bidiag_ge2bnd(recorder, GreedyTree())
+        program = recorder.program()
+        assert len(recorder) == len(program)
+        assert program.n_edges == compile_program("bidiag", 4, 3, GreedyTree()).n_edges
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
@@ -270,12 +262,6 @@ class TestEdgeCases:
             assert program.n_edges == 0
             assert program.critical_path() == program.total_weight()
 
-    def test_single_tile_matches_legacy_trace(self):
-        graph = trace_bidiag(1, 1, GreedyTree())
-        program = get_program("bidiag", 1, 1, GreedyTree())
-        assert len(graph) == len(program) == 1
-        assert graph.n_edges == program.n_edges == 0
-
     def test_single_column_has_no_lq_stage(self):
         # p x 1: one QR panel, never an LQ step (the post-QR stages are empty).
         program = compile_program("bidiag", 5, 1, GreedyTree())
@@ -300,9 +286,8 @@ class TestEdgeCases:
         from repro.verify.reference import reference_schedule
 
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        graph = trace_bidiag(1, 1, GreedyTree())
         program = get_program("bidiag", 1, 1, GreedyTree())
-        legacy = reference_schedule(graph, machine)
+        legacy = reference_schedule(program, machine)
         engine = SimulationEngine(machine, policy="list").run(program)
         assert engine.makespan == legacy.makespan > 0
 

@@ -3,27 +3,32 @@
 import pytest
 
 from repro.config import MIRIEL, Config, get_preset
-from repro.dag.task import Task, TaskGraph
-from repro.dag.tracer import trace_bidiag
-from repro.dag.critical_path import critical_path_length
+from repro.ir import Op, Program, get_program
 from repro.kernels.costs import KernelName
 from repro.runtime.machine import Machine
 from repro.runtime.engine import SimulationEngine
-from repro.runtime.simulator import simulate_ge2bnd, simulate_ge2val, simulate_graph
+from repro.runtime.simulator import simulate_ge2bnd, simulate_ge2val
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTSTree, GreedyTree
 
 
-def _mk_task(tid, kernel=KernelName.TSMQR, tile=(0, 0)):
-    return Task(
-        id=tid,
+def _mk_op(index, kernel=KernelName.TSMQR, tile=(0, 0)):
+    return Op(
+        index=index,
         kernel=kernel,
-        params=(tid,),
+        params=(index,),
         reads=frozenset(),
         writes=frozenset(),
         weight=12,
         owner_tile=tile,
     )
+
+
+def _program(ops, edges=()):
+    preds = [[] for _ in ops]
+    for src, dst in edges:
+        preds[dst].append(src)
+    return Program(ops, preds)
 
 
 class TestConfig:
@@ -96,42 +101,32 @@ class TestMachine:
 
 class TestListScheduler:
     def test_independent_tasks_run_in_parallel(self):
-        g = TaskGraph()
-        for i in range(4):
-            g.add_task(_mk_task(i))
+        g = _program([_mk_op(i) for i in range(4)])
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
         schedule = SimulationEngine(machine).run(g)
         # All four tasks fit on four cores simultaneously.
         assert schedule.makespan == pytest.approx(machine.kernel_duration(KernelName.TSMQR))
 
     def test_chain_serializes(self):
-        g = TaskGraph()
-        for i in range(4):
-            g.add_task(_mk_task(i))
-        for i in range(3):
-            g.add_edge(i, i + 1)
+        g = _program([_mk_op(i) for i in range(4)], [(i, i + 1) for i in range(3)])
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
         schedule = SimulationEngine(machine).run(g)
         assert schedule.makespan == pytest.approx(4 * machine.kernel_duration(KernelName.TSMQR))
 
     def test_single_core_serializes_everything(self):
-        g = TaskGraph()
-        for i in range(5):
-            g.add_task(_mk_task(i))
+        g = _program([_mk_op(i) for i in range(5)])
         machine = Machine(n_nodes=1, cores_per_node=1, tile_size=100)
         schedule = SimulationEngine(machine).run(g)
         assert schedule.makespan == pytest.approx(5 * machine.kernel_duration(KernelName.TSMQR))
 
     def test_empty_graph(self):
         machine = Machine()
-        schedule = SimulationEngine(machine).run(TaskGraph())
+        schedule = SimulationEngine(machine).run(Program([], []))
         assert schedule.makespan == 0.0
 
     def test_cross_node_edges_counted(self):
-        g = TaskGraph()
-        g.add_task(_mk_task(0, tile=(0, 0)))
-        g.add_task(_mk_task(1, tile=(1, 0)))  # different block-cyclic owner
-        g.add_edge(0, 1)
+        # Op 1's tile has a different block-cyclic owner than op 0's.
+        g = _program([_mk_op(0, tile=(0, 0)), _mk_op(1, tile=(1, 0))], [(0, 1)])
         machine = Machine(n_nodes=2, cores_per_node=2, tile_size=100)
         dist = BlockCyclicDistribution(ProcessGrid(2, 1))
         schedule = SimulationEngine(machine, dist).run(g)
@@ -147,16 +142,16 @@ class TestListScheduler:
     def test_schedule_bounds(self):
         """Makespan is bounded below by the critical path and above by the
         serial time (fundamental scheduling bounds)."""
-        g = trace_bidiag(6, 4, GreedyTree())
+        g = get_program("bidiag", 6, 4, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=8, tile_size=160)
         schedule = SimulationEngine(machine).run(g)
-        cp_time = critical_path_length(g, weight_fn=lambda t: machine.kernel_duration(t.kernel))
-        serial_time = sum(machine.kernel_duration(t.kernel) for t in g.tasks)
+        cp_time = g.critical_path(weight_fn=lambda op: machine.kernel_duration(op.kernel))
+        serial_time = sum(machine.kernel_duration(op.kernel) for op in g.ops)
         assert cp_time <= schedule.makespan + 1e-12
         assert schedule.makespan <= serial_time + 1e-12
 
     def test_node_utilization(self):
-        g = trace_bidiag(4, 4, FlatTSTree())
+        g = get_program("bidiag", 4, 4, FlatTSTree())
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=160)
         schedule = SimulationEngine(machine).run(g)
         util = schedule.node_utilization(machine)
@@ -209,9 +204,3 @@ class TestSimulator:
         machine = Machine(n_nodes=1, cores_per_node=24, tile_size=160)
         result = simulate_ge2val(20000, 2000, machine, tree="greedy")
         assert result.algorithm == "ge2val-rbidiag"
-
-    def test_simulate_graph_direct(self):
-        g = trace_bidiag(4, 4, FlatTSTree())
-        machine = Machine(n_nodes=1, cores_per_node=4, tile_size=160)
-        schedule = simulate_graph(g, machine)
-        assert schedule.makespan > 0

@@ -22,7 +22,6 @@ from repro.analysis.communication import (
     communication_matrix,
     communication_volume,
 )
-from repro.dag.critical_path import critical_path_length
 from repro.ir import Program, clear_program_cache, compile_program, get_program
 from repro.runtime.engine import (
     SimulationEngine,
@@ -156,21 +155,15 @@ class TestRankArrays:
     def test_critical_path_vectorized_bitwise(self):
         for alg, p, q, tree, machine in CONFIGS:
             program = get_program(alg, p, q, tree)
-            # Default Table-I weights: vectorized sweep vs legacy graph walk.
-            assert program.critical_path() == critical_path_length(
-                program.to_task_graph()
+            # Default Table-I weights: vectorized sweep vs the per-op loop.
+            assert program.critical_path() == program.critical_path(
+                weight_fn=lambda op: float(op.weight)
             )
             # Duration weights: vectorized sweep vs explicit weight_fn loop.
             want = program.critical_path(
                 weight_fn=lambda op: machine.kernel_duration(op.kernel)
             )
             assert critical_path_seconds(program, machine) == want
-
-    def test_critical_path_length_accepts_programs(self):
-        program = get_program("bidiag", 6, 5, GreedyTree())
-        assert critical_path_length(program) == critical_path_length(
-            program.to_task_graph()
-        )
 
     def test_serial_seconds_matches_per_op_sum(self):
         program = get_program("bidiag", 8, 6, GreedyTree())
@@ -426,7 +419,7 @@ class TestMemoization:
         assert fast.comm_bytes == fast.messages * (machine.tile_bytes // 4)
 
     def test_object_built_programs_honor_custom_weights(self):
-        # Regression: from_ops/from_task_graph programs carry whatever
+        # Regression: object-built programs (from_ops) carry whatever
         # weight the caller stamped on each Op; the packed weight column
         # must read it rather than re-deriving Table-I values.
         import dataclasses
@@ -485,22 +478,25 @@ class TestMemoization:
 
 
 class TestStaticCommunication:
-    """Vectorized static message counts == legacy per-edge walk."""
+    """Vectorized static message counts == the per-edge walk."""
+
+    class _PerEdgeWalk(BlockCyclicDistribution):
+        """The same mapping; any subclass routes counts through the walk."""
 
     @pytest.mark.parametrize("grid", [ProcessGrid(2, 2), ProcessGrid(3, 2),
                                       ProcessGrid(4, 1)])
-    def test_volume_and_matrix_match_task_graph_path(self, grid):
+    def test_volume_and_matrix_match_per_edge_walk(self, grid):
         program = get_program("bidiag", 8, 6, GreedyTree())
         dist = BlockCyclicDistribution(grid)
-        graph = program.to_task_graph()
+        walk = self._PerEdgeWalk(grid)
         fast = communication_volume(program, dist)
-        slow = communication_volume(graph, dist)
+        slow = communication_volume(program, walk)
         assert fast.messages == slow.messages
         assert fast.bytes_moved == slow.bytes_moved
         assert fast.per_node_sent == slow.per_node_sent
         assert fast.per_node_received == slow.per_node_received
         assert communication_matrix(program, dist) == communication_matrix(
-            graph, dist
+            program, walk
         )
 
     def test_message_bytes_vector_matches_per_op(self):
