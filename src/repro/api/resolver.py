@@ -82,16 +82,31 @@ def as_tiled(
     """Coerce a dense array into a :class:`TiledMatrix`.
 
     Already-tiled inputs pass through unchanged; dense inputs are tiled at
-    ``tile_size``, defaulting to :func:`default_tile_size`.
+    ``tile_size``, defaulting to :func:`default_tile_size`.  Either way the
+    input must be finite: a NaN or Inf raises :class:`ValueError` naming
+    the first such element ``(row, col)`` in row-major order.
     """
     if isinstance(a, TiledMatrix):
+        if not a.all_finite():
+            _require_finite(a.to_dense())
         return a
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-D array")
+    _require_finite(a)
     if tile_size is None:
         tile_size = default_tile_size(a.shape[0], a.shape[1], config)
     return TiledMatrix.from_dense(a, tile_size)
+
+
+def _require_finite(a: np.ndarray) -> None:
+    """Raise :class:`ValueError` at the first non-finite element of ``a``."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        row, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(
+            f"input matrix must be finite: element ({row}, {col}) is {float(a[row, col])}"
+        )
 
 
 def default_grid(n_nodes: int, p: int, q: int) -> ProcessGrid:

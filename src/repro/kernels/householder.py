@@ -1,22 +1,27 @@
-"""Compact-WY Householder machinery.
+"""Compact-WY Householder machinery on top of LAPACK.
 
-This module implements, from scratch, the LAPACK building blocks the tile
-kernels are made of:
+The building blocks the tile kernels are made of:
 
-* :func:`householder_vector` — LAPACK ``larfg``: one elementary reflector;
-* :func:`qr_factor` — unblocked Householder QR of a (possibly rectangular)
-  block, returning the ``V`` / ``T`` compact-WY representation and ``R``;
-* :func:`build_t_factor` — LAPACK ``larft`` (forward, column-wise);
-* :func:`apply_q` / :func:`apply_qt` — LAPACK ``larfb``: apply
+* :func:`householder_vector` — LAPACK ``dlarfg``: one elementary reflector
+  (used by the unblocked bidiagonal reductions);
+* :func:`qr_factor` — Householder QR of a (possibly rectangular) block by
+  one LAPACK ``dgeqrf`` call, returning the ``V`` / ``T`` compact-WY
+  representation and ``R``;
+* :func:`build_t_factor` — LAPACK ``dlarft`` (forward, column-wise) in
+  closed form;
+* :func:`apply_q` / :func:`apply_qt` — LAPACK ``dlarfb``: apply
   ``Q = I - V T V^T`` or its transpose to a block, from the left or right.
 
-Only NumPy is used; the implementation favours clarity over raw speed
-(tiles are small, ``nb x nb``) but applies reflectors in blocked form so the
-work is done by matrix-matrix products.
+Only NumPy is used: ``dgeqrf`` is reached through
+``np.linalg.qr(mode="raw")``, and ``T`` and the block reflector
+applications are a handful of matrix products on whole tiles, so no
+Python loop runs over the columns of a tile.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -35,12 +40,18 @@ def householder_vector(x: np.ndarray) -> Tuple[np.ndarray, float, float]:
     ``(I - tau * v v^T) x = beta * e_1`` and ``|beta| == ||x||_2``.
 
     Follows the sign convention of LAPACK ``dlarfg`` (``beta`` has the
-    opposite sign of ``x[0]``) which avoids cancellation.
+    opposite sign of ``x[0]``) which avoids cancellation.  A NaN or Inf
+    entry raises :class:`ValueError`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("householder_vector expects a non-empty 1-D array")
     xmax = float(np.max(np.abs(x)))
+    if not math.isfinite(xmax):
+        index = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise ValueError(
+            f"householder_vector: x must be finite: entry {index} is {float(x[index])}"
+        )
     if xmax != 0.0 and not (_RESCALE_MIN <= xmax <= _RESCALE_MAX):
         # dlarfg-style guard: squaring entries this small (large) under-
         # (over-)flows, destroying the reflector's orthogonality.  Compute
@@ -67,6 +78,25 @@ def householder_vector(x: np.ndarray) -> Tuple[np.ndarray, float, float]:
     return v, float(tau), float(beta)
 
 
+@lru_cache(maxsize=64)
+def _trapezoids(m: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only masks of an ``m x n`` ``dgeqrf`` output, ``k = min(m, n)``.
+
+    Returns the upper trapezoid (``R``, diagonal included), the strictly
+    lower ``m x k`` trapezoid (the stored part of ``V``) and ``V``'s
+    implicit unit diagonal as an ``m x k`` array.  Cached because the
+    kernels factor a handful of tile shapes thousands of times, and
+    ``np.tril`` / ``np.triu`` would rebuild their masks on every call.
+    """
+    rows, cols = np.indices((m, n))
+    upper = cols >= rows
+    below = ~upper[:, : min(m, n)]
+    unit = np.eye(m, min(m, n))
+    for arr in (upper, below, unit):
+        arr.setflags(write=False)
+    return upper, below, unit
+
+
 def build_t_factor(v: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Build the upper-triangular ``T`` factor of the compact-WY form.
 
@@ -74,81 +104,69 @@ def build_t_factor(v: np.ndarray, taus: np.ndarray) -> np.ndarray:
     zero above) and their scalars ``tau``, returns the ``k x k`` upper
     triangular ``T`` such that ``H_1 H_2 ... H_k = I - V T V^T``
     (LAPACK ``dlarft``, direction *forward*, storage *column-wise*).
+
+    ``T`` comes from the closed form ``T^{-1} = diag(1/tau) + striu(V^T V)``
+    (Joffrain et al., "Accumulating Householder transformations,
+    revisited", ACM TOMS 2006) and one ``k x k`` inversion.  A reflector
+    with ``tau = 0`` is the identity: it enters ``T^{-1}`` with a unit
+    diagonal and no coupling, and its row and column of ``T`` are zero,
+    exactly as ``dlarft`` leaves them.
     """
     v = np.asarray(v, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    k = v.shape[1]
-    t = np.zeros((k, k))
-    for j in range(k):
-        t[j, j] = taus[j]
-        if j > 0 and taus[j] != 0.0:
-            # T[0:j, j] = -tau_j * T[0:j, 0:j] @ (V[:, 0:j]^T @ V[:, j])
-            w = v[:, :j].T @ v[:, j]
-            t[:j, j] = -taus[j] * (t[:j, :j] @ w)
-    return t
+    k = taus.size
+    live = taus != 0.0
+    # One mask serves T^{-1} and T: the upper triangle, less the rows and
+    # columns of identity reflectors.  T is thus exactly upper triangular.
+    keep = _trapezoids(k, k)[0] & np.outer(live, live)
+    t_inv = np.where(keep, v.T @ v, 0.0)
+    np.fill_diagonal(t_inv, 1.0 / np.where(live, taus, 1.0))
+    return np.where(keep, np.linalg.inv(t_inv), 0.0)
 
 
 def qr_factor(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unblocked Householder QR factorization ``A = Q R``.
+    """Householder QR factorization ``A = Q R`` by one LAPACK ``dgeqrf`` call.
 
     Returns ``(V, T, R)`` where ``Q = I - V T V^T`` is ``m x m`` orthogonal,
     ``V`` is ``m x k`` unit-lower-trapezoidal (``k = min(m, n)``) and ``R``
     is the ``m x n`` upper-trapezoidal factor (zero below the diagonal).
+
+    ``V`` and ``R`` are unpacked from ``dgeqrf``'s output
+    (``np.linalg.qr(mode="raw")``) and ``T`` is built by
+    :func:`build_t_factor`.  ``dgeqrf`` (through ``dlarfg``) gives a
+    length-1 or exactly zero sub-column ``tau = 0``; that reflector is the
+    identity and its row and column of ``T`` are zero.
     """
-    a = np.array(a, dtype=float, copy=True)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("qr_factor expects a 2-D array")
-    m, n = a.shape
-    k = min(m, n)
-    v = np.zeros((m, k))
-    taus = np.zeros(k)
-    for j in range(k):
-        vec, tau, beta = householder_vector(a[j:, j])
-        v[j:, j] = vec
-        taus[j] = tau
-        a[j, j] = beta
-        a[j + 1 :, j] = 0.0
-        if tau != 0.0 and j + 1 < n:
-            w = tau * (vec @ a[j:, j + 1 :])
-            a[j:, j + 1 :] -= np.outer(vec, w)
-    t = build_t_factor(v, taus)
-    return v, t, a
+    upper, below, unit = _trapezoids(*a.shape)
+    # np.linalg.qr returns LAPACK's packed array transposed: R on and above
+    # the diagonal, the Householder vectors below it.
+    packed, taus = np.linalg.qr(a, mode="raw")
+    packed = packed.T
+    v = np.where(below, packed[:, : unit.shape[1]], unit)
+    return v, build_t_factor(v, taus), np.where(upper, packed, 0.0)
 
 
 def apply_qt(v: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Apply ``Q^T = I - V T^T V^T`` to ``C`` from the left (in place on a copy)."""
-    c = np.array(c, dtype=float, copy=True)
-    w = v.T @ c
-    w = t.T @ w
-    c -= v @ w
-    return c
+    """Apply ``Q^T = I - V T^T V^T`` to ``C`` from the left; ``C`` is unchanged."""
+    return c - v @ (t.T @ (v.T @ c))
 
 
 def apply_q(v: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Apply ``Q = I - V T V^T`` to ``C`` from the left (on a copy)."""
-    c = np.array(c, dtype=float, copy=True)
-    w = v.T @ c
-    w = t @ w
-    c -= v @ w
-    return c
+    """Apply ``Q = I - V T V^T`` to ``C`` from the left; ``C`` is unchanged."""
+    return c - v @ (t @ (v.T @ c))
 
 
 def apply_q_right(v: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Apply ``Q = I - V T V^T`` to ``C`` from the right (on a copy)."""
-    c = np.array(c, dtype=float, copy=True)
-    w = c @ v
-    w = w @ t
-    c -= w @ v.T
-    return c
+    """Apply ``Q = I - V T V^T`` to ``C`` from the right; ``C`` is unchanged."""
+    return c - ((c @ v) @ t) @ v.T
 
 
 def apply_qt_right(v: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Apply ``Q^T = I - V T^T V^T`` to ``C`` from the right (on a copy)."""
-    c = np.array(c, dtype=float, copy=True)
-    w = c @ v
-    w = w @ t.T
-    c -= w @ v.T
-    return c
+    """Apply ``Q^T = I - V T^T V^T`` to ``C`` from the right; ``C`` is unchanged."""
+    return c - ((c @ v) @ t.T) @ v.T
 
 
 def form_q(v: np.ndarray, t: np.ndarray, m: int | None = None) -> np.ndarray:

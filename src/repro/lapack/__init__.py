@@ -10,7 +10,8 @@ numerically and used as references in tests and benchmarks:
 * :mod:`repro.lapack.gebrd` — the panel-blocked one-stage bidiagonalization
   (LAPACK ``xGEBRD``), organised in panels of ``nb`` columns;
 * :mod:`repro.lapack.geqrf` — blocked Householder QR (LAPACK ``xGEQRF``),
-  the building block of Chan's algorithm;
+  the building block of Chan's algorithm; its panels are factored by the
+  tile kernels' :func:`~repro.kernels.householder.qr_factor`;
 * :mod:`repro.lapack.chan` — Chan's algorithm (preQR + bidiagonalization of
   the R factor) together with its flop-count crossover analysis.
 """

@@ -9,6 +9,7 @@ row / column may be smaller when ``m`` or ``n`` is not a multiple of ``nb``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Tuple
 
 
@@ -41,12 +42,15 @@ class TileLayout:
         if self.nb < 1:
             raise ValueError(f"tile size must be >= 1, got {self.nb}")
 
-    @property
+    # Cached on the instance (outside the dataclass fields, so equality
+    # and hashing stay on (m, n, nb)): every tile access bounds-checks
+    # against them.
+    @cached_property
     def p(self) -> int:
         """Number of tile rows."""
         return ceil_div(self.m, self.nb)
 
-    @property
+    @cached_property
     def q(self) -> int:
         """Number of tile columns."""
         return ceil_div(self.n, self.nb)

@@ -120,8 +120,9 @@ class TiledMatrix:
         if not (isinstance(key, tuple) and len(key) == 2):
             raise TypeError("tile index must be an (i, j) tuple")
         i, j = key
-        self.layout._check_tile_index(i, self.p, "row")
-        self.layout._check_tile_index(j, self.q, "column")
+        layout = self.layout
+        layout._check_tile_index(i, layout.p, "row")
+        layout._check_tile_index(j, layout.q, "column")
         return (i, j)
 
     def tiles(self) -> Iterator[Tuple[Tuple[int, int], np.ndarray]]:
@@ -145,6 +146,10 @@ class TiledMatrix:
         """Deep copy of the matrix."""
         tiles = {ij: tile.copy() for ij, tile in self._tiles.items()}
         return TiledMatrix(self.layout, dtype=self.dtype, tiles=tiles)
+
+    def all_finite(self) -> bool:
+        """Whether every element is finite (no NaN or Inf)."""
+        return bool(np.isfinite(np.concatenate(list(self._tiles.values()), axis=None)).all())
 
     def norm_fro(self) -> float:
         """Frobenius norm, computed tile by tile."""

@@ -46,6 +46,25 @@ class TestNumericBackend:
         assert "ge2bnd" in result.stage_seconds and "compose" in result.stage_seconds
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_fails_fast(self, bad, rng):
+        # Checked at the entry: past it a NaN flows through the LAPACK
+        # kernels silently and an Inf into thousands of QR sweeps that
+        # never converge.
+        a = rng.standard_normal((64, 32))
+        a[37, 5] = bad
+        plan = SvdPlan(matrix=a, tile_size=16, stage="ge2val")
+        with pytest.raises(ValueError, match=r"element \(37, 5\) is"):
+            execute(plan, "numeric")
+
+    @pytest.mark.parametrize("driver", [ge2bnd, ge2val, gesvd])
+    def test_legacy_drivers_reject_non_finite(self, driver, rng):
+        a = rng.standard_normal((24, 16))
+        a[0, 15] = -np.inf
+        with pytest.raises(ValueError, match=r"element \(0, 15\) is -inf"):
+            driver(a, tile_size=8)
+
+
 class TestBackendParity:
     def test_one_plan_all_backends(self):
         """Acceptance: one plan runs unchanged through all three backends."""

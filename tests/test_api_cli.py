@@ -82,6 +82,15 @@ class TestSvdCommand:
         np.save(path, rng.standard_normal((30, 20)))
         assert main(["svd", "--input", str(path), "--tile-size", "5"]) == 0
 
+    def test_non_finite_npy_input_is_a_user_error(self, tmp_path, capsys):
+        a = np.random.default_rng(0).standard_normal((30, 20))
+        a[3, 4] = np.nan
+        path = tmp_path / "a.npy"
+        np.save(path, a)
+        assert main(["svd", "--input", str(path), "--tile-size", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "element (3, 4) is nan" in err
+
 
 class TestPlanBackedLegacyCommands:
     def test_simulate_output_labels(self, capsys):

@@ -202,6 +202,16 @@ class TestAsTiled:
         with pytest.raises(ValueError, match="2-D"):
             as_tiled(np.zeros(3))
 
+    @pytest.mark.parametrize("tiled", [False, True], ids=["dense", "tiled"])
+    def test_rejects_non_finite(self, tiled, rng):
+        a = rng.standard_normal((12, 8))
+        a[9, 2] = np.inf
+        a[10, 1] = np.nan
+        src = TiledMatrix.from_dense(a, 4) if tiled else a
+        # The first non-finite element in row-major order is named.
+        with pytest.raises(ValueError, match=r"element \(9, 2\) is inf"):
+            as_tiled(src)
+
     def test_config_default(self, rng):
         a = rng.standard_normal((40, 24))
         assert as_tiled(a).nb == 6

@@ -15,6 +15,60 @@ from repro.kernels.householder import (
     qr_factor,
 )
 
+EPS = np.finfo(float).eps
+
+
+def reference_qr(a):
+    """Column-by-column Householder QR: the differential oracle.
+
+    One ``householder_vector`` and one rank-1 update per column, then the
+    ``dlarft`` recursion for ``T`` column by column; returns ``(V, T, R)``
+    like :func:`qr_factor`.
+    """
+    a = np.array(a, dtype=float, copy=True)
+    m, n = a.shape
+    k = min(m, n)
+    v = np.zeros((m, k))
+    taus = np.zeros(k)
+    for j in range(k):
+        vec, tau, beta = householder_vector(a[j:, j])
+        v[j:, j] = vec
+        taus[j] = tau
+        a[j, j] = beta
+        a[j + 1 :, j] = 0.0
+        if tau != 0.0 and j + 1 < n:
+            a[j:, j + 1 :] -= np.outer(vec, tau * (vec @ a[j:, j + 1 :]))
+    t = np.zeros((k, k))
+    for j in range(k):
+        t[j, j] = taus[j]
+        if j > 0 and taus[j] != 0.0:
+            t[:j, j] = -taus[j] * (t[:j, :j] @ (v[:, :j].T @ v[:, j]))
+    return v, t, a
+
+
+def _hostile_qr_inputs():
+    """Extreme scales, degenerate structure and edge shapes for qr_factor."""
+    gen = np.random.default_rng(2017)
+    a = gen.standard_normal((16, 16))
+    zero_column = a.copy()
+    zero_column[:, 5] = 0.0
+    upper = np.triu(gen.standard_normal((16, 16)))
+    cases = {
+        "scale-1e-162": a * 1e-162,
+        "scale-2e-309-subnormal": a * 2e-309,
+        "scale-1e150": a * 1e150,
+        "zero": np.zeros((16, 16)),
+        "zero-column": zero_column,
+        "rank-1": np.outer(gen.standard_normal(16), gen.standard_normal(16)),
+        "upper-triangular": upper,
+        "stacked-r-over-zero": np.vstack([upper, np.zeros((16, 16))]),
+        "1x1": gen.standard_normal((1, 1)),
+        "1x5": gen.standard_normal((1, 5)),
+        "10x16": gen.standard_normal((10, 16)),
+        "16x10": gen.standard_normal((16, 10)),
+    }
+    return [pytest.param(case, id=name) for name, case in cases.items()]
+
 
 def finite_vectors(min_size=1, max_size=12):
     return hnp.arrays(
@@ -64,6 +118,11 @@ class TestHouseholderVector:
         with pytest.raises(ValueError):
             householder_vector(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="entry 1 is"):
+            householder_vector(np.array([1.0, bad, 2.0]))
+
     @settings(max_examples=50, deadline=None)
     @given(x=finite_vectors())
     def test_property_reflection(self, x):
@@ -76,17 +135,45 @@ class TestHouseholderVector:
 
 
 class TestQRFactor:
-    @pytest.mark.parametrize("shape", [(4, 4), (6, 3), (3, 3), (8, 5), (5, 1), (1, 1)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(4, 4), (6, 3), (3, 3), (8, 5), (5, 1), (1, 1)] + _hostile_qr_inputs(),
+    )
     def test_factorization(self, shape, rng):
-        a = rng.standard_normal(shape)
+        # A shape draws a standard normal matrix; the hostile inputs are
+        # the matrix itself.
+        a = rng.standard_normal(shape) if isinstance(shape, tuple) else shape
+        m, n = a.shape
         v, t, r = qr_factor(a)
         q = form_q(v, t)
-        # R upper trapezoidal
-        np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=1e-12)
-        # A = Q R
-        np.testing.assert_allclose(q @ r, a, atol=1e-12)
+        tol = 10 * max(m, n) * EPS
+        # R upper trapezoidal, exactly
+        assert not np.tril(r, -1).any()
+        # A = Q R, relative to the input's scale (max norms: no squares to
+        # under- or overflow at the extreme scales)
+        assert np.max(np.abs(q @ r - a)) <= tol * np.max(np.abs(a))
         # Q orthogonal
-        np.testing.assert_allclose(q.T @ q, np.eye(shape[0]), atol=1e-12)
+        assert np.max(np.abs(q.T @ q - np.eye(m))) <= tol
+        # T upper triangular with exact zeros; an identity reflector
+        # (tau = 0, no stored vector below the diagonal) has an all-zero
+        # row and column, as LAPACK dlarft leaves them.
+        assert not np.tril(t, -1).any()
+        identity = np.diagonal(t) == 0.0
+        np.testing.assert_array_equal(identity, ~np.tril(v, -1).any(axis=0))
+        assert not t[identity, :].any() and not t[:, identity].any()
+        if m <= n:
+            assert identity[-1]  # the length-1 last reflector
+
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 16), (32, 32), (10, 16), (16, 10), (7, 1)])
+    def test_matches_reference_loop(self, shape, rng):
+        a = rng.standard_normal(shape)
+        v, t, r = qr_factor(a)
+        v0, t0, r0 = reference_qr(a)
+        for got, want in ((v, v0), (t, t0), (r, r0)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        k = min(shape)
+        np.testing.assert_array_equal(np.sign(np.diagonal(r)[:k]), np.sign(np.diagonal(r0)[:k]))
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):

@@ -43,16 +43,20 @@ class TestHouseholderProperties:
         m=st.integers(min_value=1, max_value=10),
         n=st.integers(min_value=1, max_value=10),
         seed=st.integers(min_value=0, max_value=10**6),
+        exponent=st.integers(min_value=-307, max_value=300),
     )
     @settings(**SETTINGS)
-    def test_qr_factor_reconstructs(self, m, n, seed):
+    def test_qr_factor_reconstructs(self, m, n, seed, exponent):
+        # Scaled over the whole double range, down to the edge of the
+        # subnormals; the tolerances scale with the input.
+        scale = 10.0**exponent
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((m, n))
+        a = rng.standard_normal((m, n)) * scale
         v, t, r = qr_factor(a)
         q = np.eye(m) - v @ t @ v.T
-        assert np.allclose(q @ r, a, atol=1e-9)
+        assert np.allclose(q @ r, a, rtol=0.0, atol=1e-9 * scale)
         assert np.allclose(q.T @ q, np.eye(m), atol=1e-9)
-        assert np.allclose(np.tril(r[:, : min(m, n)], -1), 0.0, atol=1e-10)
+        assert np.allclose(np.tril(r[:, : min(m, n)], -1), 0.0, atol=1e-10 * scale)
 
 
 class TestTileKernelProperties:
