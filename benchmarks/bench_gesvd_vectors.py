@@ -14,8 +14,7 @@ two-stage GESVD on moderate matrices and reports
 import numpy as np
 
 from benchmarks.conftest import print_table
-from repro.algorithms.gesvd_pipeline import gesvd_two_stage
-from repro.algorithms.svd import ge2val
+from repro.api import SvdPlan, execute
 from repro.experiments.figures import format_rows
 from repro.utils.generators import graded_singular_values, latms
 from repro.utils.validation import orthogonality_error, reconstruction_error
@@ -29,7 +28,9 @@ def test_gesvd_vector_accuracy(benchmark):
         for m, n in shapes:
             sv = graded_singular_values(n, condition=1e8)
             a = latms(m, n, sv, seed=m + n)
-            res = gesvd_two_stage(a, tile_size=max(8, n // 6), tree="auto", n_cores=8)
+            plan = SvdPlan(matrix=a, stage="gesvd", tile_size=max(8, n // 6),
+                           tree="auto", n_cores=8)
+            res = execute(plan, backend="numeric")
             rows.append(
                 {
                     "m": m,
@@ -57,14 +58,11 @@ def test_vector_accumulation_overhead(benchmark):
     def run():
         rng = np.random.default_rng(5)
         a = rng.standard_normal((m, n))
-        import time
+        plan = SvdPlan(matrix=a, tile_size=16, tree="greedy")
+        values_only = execute(plan, backend="numeric").time_seconds
 
-        t0 = time.perf_counter()
-        ge2val(a, tile_size=16, tree="greedy")
-        values_only = time.perf_counter() - t0
-
-        res = gesvd_two_stage(a, tile_size=16, tree="greedy")
-        with_vectors = sum(res.stage_seconds.values())
+        res = execute(plan.with_(stage="gesvd"), backend="numeric")
+        with_vectors = res.time_seconds
         rows = [
             {"pipeline": "GE2VAL (values only)", "seconds": values_only},
             {"pipeline": "GESVD (with vectors)", "seconds": with_vectors},

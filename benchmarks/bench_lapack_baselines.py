@@ -12,7 +12,7 @@ import numpy as np
 
 from benchmarks.conftest import print_table
 from repro.algorithms.bd2val import bidiagonal_singular_values
-from repro.algorithms.svd import ge2val
+from repro.api import SvdPlan, execute
 from repro.experiments.figures import format_rows
 from repro.lapack import chan_bidiagonalization, chan_flops, gebd2, gebd2_flops
 from repro.models.competitors import ScalapackModel
@@ -28,7 +28,8 @@ def test_all_algorithms_agree_numerically(benchmark):
         for m, n in ((120, 60), (200, 40)):
             sv = np.linspace(1.0, 100.0, n)[::-1]
             a = latms(m, n, sv, seed=7)
-            tiled = ge2val(a, tile_size=max(8, n // 5), tree="greedy")
+            plan = SvdPlan(matrix=a, tile_size=max(8, n // 5), tree="greedy")
+            tiled = execute(plan, backend="numeric").singular_values
             one_stage = gebd2(a)
             one_stage_sv = bidiagonal_singular_values(one_stage.d, one_stage.e)
             chan = chan_bidiagonalization(a)

@@ -10,7 +10,7 @@ numeric pipeline at a small size.
 import numpy as np
 
 from benchmarks.conftest import print_table
-from repro.algorithms.svd import ge2val
+from repro.api import SvdPlan, execute
 from repro.experiments.figures import format_rows
 from repro.utils.generators import graded_singular_values, latms
 from repro.utils.validation import max_relative_error
@@ -34,7 +34,8 @@ def test_latms_accuracy_table(benchmark):
             else:
                 sigma = np.linspace(10.0, 1.0, n)
             a = latms(m, n, sigma, rng=rng)
-            sv = ge2val(a, tile_size=8, tree=tree, variant=variant)
+            plan = SvdPlan(matrix=a, tile_size=8, tree=tree, variant=variant)
+            sv = execute(plan, backend="numeric").singular_values
             rows.append({"case": name, "max_rel_err": max_relative_error(sv, sigma)})
         return rows
 
@@ -47,6 +48,7 @@ def test_latms_accuracy_table(benchmark):
 def test_bench_ge2val_numeric(benchmark):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((64, 32))
-    sv = benchmark(ge2val, a, tile_size=8, tree="greedy")
+    plan = SvdPlan(matrix=a, tile_size=8, tree="greedy")
+    result = benchmark(execute, plan, "numeric")
     ref = np.linalg.svd(a, compute_uv=False)
-    assert np.allclose(sv, ref, atol=1e-9)
+    assert np.allclose(result.singular_values, ref, atol=1e-9)

@@ -16,10 +16,9 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import ge2val, gesvd
+from repro import SvdPlan, execute
 from repro.algorithms.bd2val import bidiagonal_singular_values
 from repro.algorithms.bnd2bd import band_to_bidiagonal
-from repro.algorithms.svd import ge2bnd
 from repro.utils.generators import latms
 from repro.utils.validation import max_relative_error, reconstruction_error
 
@@ -31,15 +30,17 @@ def main() -> None:
     # 1. One-call interface
     # ----------------------------------------------------------------- #
     a = rng.standard_normal((120, 60))
-    sv = ge2val(a, tile_size=12, tree="greedy")
+    result = execute(SvdPlan(matrix=a, tile_size=12, tree="greedy"), backend="numeric")
+    sv = result.singular_values
     ref = np.linalg.svd(a, compute_uv=False)
-    print("one-call ge2val:")
+    print(f"one-call ge2val ({result.variant}, {result.p}x{result.q} tiles):")
     print(f"  max relative error vs numpy.linalg.svd : {max_relative_error(sv, ref):.2e}")
 
     # ----------------------------------------------------------------- #
     # 2. Stage by stage (what the one-call interface does internally)
     # ----------------------------------------------------------------- #
-    band, matrix, _ = ge2bnd(a, tile_size=12, tree="auto", n_cores=8)
+    plan = SvdPlan(matrix=a, tile_size=12, tree="auto", n_cores=8, stage="ge2bnd")
+    band = execute(plan, backend="numeric").extras["band"]
     print("\nstage by stage:")
     print(f"  band bidiagonal form : n={band.n}, bandwidth={band.bandwidth}")
     d, e = band_to_bidiagonal(band)
@@ -52,14 +53,16 @@ def main() -> None:
     # ----------------------------------------------------------------- #
     sigma = np.linspace(10.0, 0.1, 40)
     a_latms = latms(100, 40, sigma, rng=rng)
-    sv_latms = ge2val(a_latms, tile_size=10, variant="rbidiag")
+    plan = SvdPlan(matrix=a_latms, tile_size=10, variant="rbidiag")
+    sv_latms = execute(plan, backend="numeric").singular_values
     print("\nLATMS matrix with prescribed singular values (R-BIDIAG path):")
     print(f"  max relative error vs prescription : {max_relative_error(sv_latms, sigma):.2e}")
 
     # ----------------------------------------------------------------- #
     # 4. Full SVD with singular vectors
     # ----------------------------------------------------------------- #
-    u, s, vt = gesvd(a, tile_size=12)
+    full = execute(SvdPlan(matrix=a, tile_size=12, stage="gesvd"), backend="numeric")
+    u, s, vt = full.u, full.singular_values, full.vt
     print("\nfull SVD (gesvd):")
     print(f"  reconstruction error ||A - U S V^T|| / ||A|| : {reconstruction_error(a, u, s, vt):.2e}")
 

@@ -21,7 +21,7 @@ Run:  python examples/singular_vectors.py
 
 import numpy as np
 
-from repro.algorithms.gesvd_pipeline import gesvd_two_stage
+from repro import SvdPlan, execute
 from repro.utils.validation import orthogonality_error, reconstruction_error
 
 
@@ -39,7 +39,8 @@ def main() -> None:
     a, signal = make_low_rank_plus_noise(m, n, rank, noise=0.05, seed=3)
 
     print(f"matrix: {m} x {n}, true signal rank {rank}, tile size 18")
-    result = gesvd_two_stage(a, tile_size=18, tree="auto", n_cores=8)
+    plan = SvdPlan(matrix=a, stage="gesvd", tile_size=18, tree="auto", n_cores=8)
+    result = execute(plan, backend="numeric")
 
     print("\nstage timings (seconds):")
     for stage, seconds in result.stage_seconds.items():

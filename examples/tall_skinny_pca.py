@@ -12,14 +12,14 @@ The example
 * runs both BIDIAG and R-BIDIAG numerically and checks they agree,
 * compares their *critical paths* (the paper's contribution: the comparison
   in parallel time, not flops),
-* and extracts the leading principal components with ``gesvd``.
+* and extracts the leading principal components with the ``gesvd`` stage.
 
 Run:  python examples/tall_skinny_pca.py
 """
 
 import numpy as np
 
-from repro import ge2val, gesvd
+from repro import SvdPlan, execute
 from repro.analysis.crossover import measured_bidiag_cp, measured_rbidiag_cp
 from repro.models.flops import chan_crossover_m, ge2bd_flops, rbidiag_flops
 from repro.utils.validation import max_relative_error
@@ -52,8 +52,11 @@ def main() -> None:
     # ----------------------------------------------------------------- #
     # Numerical agreement of the two variants
     # ----------------------------------------------------------------- #
-    sv_bidiag = ge2val(data, tile_size=12, variant="bidiag", tree="greedy")
-    sv_rbidiag = ge2val(data, tile_size=12, variant="rbidiag", tree="greedy")
+    sv_bidiag, sv_rbidiag = (
+        execute(SvdPlan(matrix=data, tile_size=12, variant=variant, tree="greedy"),
+                backend="numeric").singular_values
+        for variant in ("bidiag", "rbidiag")
+    )
     print(f"\nBIDIAG vs R-BIDIAG singular values agree to "
           f"{max_relative_error(sv_rbidiag, sv_bidiag):.2e}")
 
@@ -71,7 +74,9 @@ def main() -> None:
     # ----------------------------------------------------------------- #
     # PCA: energy captured by the leading components
     # ----------------------------------------------------------------- #
-    u, s, vt = gesvd(data, tile_size=12, variant="rbidiag")
+    plan = SvdPlan(matrix=data, tile_size=12, variant="rbidiag", stage="gesvd")
+    pca = execute(plan, backend="numeric")
+    u, s = pca.u, pca.singular_values
     energy = np.cumsum(s**2) / np.sum(s**2)
     print("\nPCA spectrum (cumulative explained variance):")
     for k in range(min(8, s.size)):

@@ -12,9 +12,9 @@ The package provides, from the bottom up:
   together with the Table-I cost model;
 * ``repro.trees`` — QR/LQ reduction trees (FlatTS, FlatTT, Greedy,
   Fibonacci, Binary, Auto, hierarchical distributed trees);
-* ``repro.algorithms`` — tiled QR/LQ, BIDIAG (GE2BND), R-BIDIAG, BND2BD,
-  BD2VAL and the GE2VAL / GESVD drivers (including the singular-vector
-  pipeline :func:`~repro.algorithms.gesvd_pipeline.gesvd_two_stage`);
+* ``repro.algorithms`` — tiled QR/LQ, BIDIAG (GE2BND), R-BIDIAG, BND2BD
+  bulge chasing and the BD2VAL bidiagonal solvers, each with optional
+  singular-vector accumulation;
 * ``repro.lapack`` — classical one-stage baselines (GEBD2, GEBRD, GEQRF,
   Chan's algorithm) used as numerical references and competitor models;
 * ``repro.ir`` — the compiled op-stream Program IR: algorithm drivers are
@@ -34,8 +34,8 @@ The package provides, from the bottom up:
   regenerate each figure and table of the paper;
 * ``repro.api`` — the unified plan API: one declarative
   :class:`~repro.api.plan.SvdPlan` resolved once and executed through the
-  numeric, DAG or simulation backend, all returning a
-  :class:`~repro.api.result.RunResult`.
+  numeric (GE2BND, GE2VAL or GESVD), DAG or simulation backend, all
+  returning a :class:`~repro.api.result.RunResult`.
 
 Quickstart
 ----------
@@ -49,14 +49,13 @@ True
 >>> execute(plan, backend="dag").n_tasks == execute(plan, backend="simulate").n_tasks
 True
 
-The classic function-style drivers remain available:
+An explicit matrix goes in the plan; the numeric backend reduces a copy:
 
 >>> import numpy as np
->>> from repro import ge2val
 >>> rng = np.random.default_rng(0)
 >>> a = rng.standard_normal((40, 24))
->>> sv = ge2val(a, tile_size=8)
->>> np.allclose(np.sort(sv)[::-1], np.linalg.svd(a, compute_uv=False))
+>>> sv = execute(SvdPlan(matrix=a, tile_size=8)).singular_values
+>>> np.allclose(sv, np.linalg.svd(a, compute_uv=False))
 True
 """
 
@@ -78,11 +77,7 @@ from repro.algorithms.tiled_lq import tiled_lq
 from repro.algorithms.bidiag import bidiag_ge2bnd
 from repro.algorithms.rbidiag import rbidiag_ge2bnd
 from repro.algorithms.bnd2bd import band_to_bidiagonal
-from repro.algorithms.bnd2bd_uv import band_to_bidiagonal_uv
-from repro.algorithms.bd2val import bidiagonal_singular_values
-from repro.algorithms.bdsqr import bdsqr
-from repro.algorithms.gesvd_pipeline import gesvd_two_stage
-from repro.algorithms.svd import ge2val, gesvd, ge2bnd
+from repro.algorithms.bd2val import bdsqr, bidiagonal_singular_values
 from repro.api import ResolvedPlan, RunResult, SvdPlan, execute, execute_sweep, resolve
 from repro.ir import Program, get_program, replay
 from repro.analysis.formulas import (
@@ -118,13 +113,8 @@ __all__ = [
     "bidiag_ge2bnd",
     "rbidiag_ge2bnd",
     "band_to_bidiagonal",
-    "band_to_bidiagonal_uv",
     "bidiagonal_singular_values",
     "bdsqr",
-    "gesvd_two_stage",
-    "ge2val",
-    "gesvd",
-    "ge2bnd",
     "Program",
     "get_program",
     "replay",

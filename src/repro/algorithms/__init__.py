@@ -1,4 +1,9 @@
-"""Tiled algorithms: QR, LQ, BIDIAG, R-BIDIAG, BND2BD, BD2VAL and SVD drivers."""
+"""Tiled algorithms and the numeric stages of the SVD pipeline.
+
+Tiled QR, LQ, BIDIAG and R-BIDIAG (GE2BND), BND2BD bulge chasing and the
+BD2VAL bidiagonal solvers.  :func:`repro.api.execute` with the
+``"numeric"`` backend chains them into GE2VAL and GESVD.
+"""
 
 from repro.algorithms.executor import KernelExecutor, NumericExecutor, MultiExecutor
 from repro.algorithms.tiled_qr import tiled_qr, qr_step
@@ -6,10 +11,13 @@ from repro.algorithms.tiled_lq import tiled_lq, lq_step
 from repro.algorithms.bidiag import bidiag_ge2bnd
 from repro.algorithms.rbidiag import rbidiag_ge2bnd
 from repro.algorithms.band import BandBidiagonal, extract_band
-from repro.algorithms.ge2bd import golub_kahan_bidiagonalization
 from repro.algorithms.bnd2bd import band_to_bidiagonal
-from repro.algorithms.bd2val import bidiagonal_singular_values, bidiagonal_sv_bisection
-from repro.algorithms.svd import ge2bnd, ge2val, gesvd
+from repro.algorithms.bd2val import (
+    ConvergenceError,
+    bdsqr,
+    bidiagonal_singular_values,
+    bidiagonal_sv_bisection,
+)
 
 __all__ = [
     "KernelExecutor",
@@ -23,11 +31,9 @@ __all__ = [
     "rbidiag_ge2bnd",
     "BandBidiagonal",
     "extract_band",
-    "golub_kahan_bidiagonalization",
     "band_to_bidiagonal",
     "bidiagonal_singular_values",
     "bidiagonal_sv_bisection",
-    "ge2bnd",
-    "ge2val",
-    "gesvd",
+    "bdsqr",
+    "ConvergenceError",
 ]

@@ -1,6 +1,6 @@
 """Accumulation of the orthogonal factors of the tiled reduction.
 
-When the GESVD driver needs singular vectors, the
+When the numeric backend's ``gesvd`` stage needs singular vectors, the
 :class:`~repro.algorithms.executor.NumericExecutor` is run with
 ``log_transformations=True`` and this module replays the logged compact-WY
 reflectors onto identity matrices, producing the orthogonal factors

@@ -1,25 +1,96 @@
-"""BD2VAL: singular values of a real upper bidiagonal matrix.
+"""BD2VAL: singular values (and vectors) of a real upper bidiagonal matrix.
 
 Two independent solvers are provided:
 
-* :func:`bidiagonal_singular_values` — the Golub–Kahan implicit-shift QR
-  iteration (the algorithm behind LAPACK ``xBDSQR``), with deflation and
-  the standard zero-diagonal handling;
+* the Golub–Kahan implicit-shift QR iteration (the algorithm behind LAPACK
+  ``xBDSQR``), with deflation and the standard zero-diagonal handling.
+  :func:`bidiagonal_singular_values` runs it for the values alone and
+  :func:`bdsqr` runs the same iteration while accumulating its rotations,
+  for the full SVD ``bidiag(d, e) = U · diag(σ) · V^T``;
 * :func:`bidiagonal_sv_bisection` — bisection on Sturm counts of the
   Golub–Kahan tridiagonal form ``TGK = [[0, B^T], [B, 0]]`` (permuted to a
   tridiagonal with zero diagonal), the algorithm behind ``xBDSVX``.
 
-Both take the two diagonals ``(d, e)`` and return the singular values in
-descending order.  They are used as the last stage of the GE2VAL pipeline
-and to cross-check each other in the property-based tests.
+All take the two diagonals ``(d, e)`` and return the singular values in
+descending order.  They are the last stage of the GE2VAL / GESVD pipeline
+and cross-check each other in the property-based tests.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
+
+#: The QR iteration scales ``(d, e)`` by a power of two when their largest
+#: magnitude lies outside this range: the Wilkinson shift forms fourth
+#: powers of the entries, which overflow or underflow beyond it.
+_SAFE_MIN = 2.0**-255
+_SAFE_MAX = 2.0**255
+
+
+class ConvergenceError(RuntimeError):
+    """The bidiagonal QR iteration exhausted its sweep budget.
+
+    Carries the iteration state at the failure: ``sweeps`` performed, the
+    active ``block`` ``(lo, hi)`` being swept, and copies of the current
+    diagonals ``d`` and ``e`` (in the input's scale).
+    """
+
+    def __init__(
+        self, sweeps: int, block: Tuple[int, int], d: np.ndarray, e: np.ndarray
+    ) -> None:
+        super().__init__(
+            f"bidiagonal QR iteration did not converge after {sweeps} sweeps "
+            f"(active block {block[0]}..{block[1]})"
+        )
+        self.sweeps = sweeps
+        self.block = block
+        self.d = d
+        self.e = e
+
+
+@dataclass
+class BdsqrResult:
+    """SVD of an upper bidiagonal matrix.
+
+    Attributes
+    ----------
+    singular_values:
+        The singular values in descending order.
+    u:
+        Left singular vectors (``n x n``), column ``i`` pairs with
+        ``singular_values[i]``.
+    vt:
+        Right singular vectors, transposed (``n x n``).
+    sweeps:
+        Number of QR sweeps performed (diagnostic).
+    """
+
+    singular_values: np.ndarray
+    u: np.ndarray
+    vt: np.ndarray
+    sweeps: int
+
+
+def bidiagonal_to_dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Assemble the dense upper bidiagonal matrix from its two diagonals."""
+    d, e = _diagonals(d, e)
+    b = np.diag(d)
+    if d.size > 1:
+        b[np.arange(d.size - 1), np.arange(1, d.size)] = e
+    return b
+
+
+def _diagonals(d: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Private float copies of ``(d, e)``, checked for matching lengths."""
+    d = np.array(d, dtype=float, copy=True).ravel()
+    e = np.array(e, dtype=float, copy=True).ravel()
+    if e.size != max(d.size - 1, 0):
+        raise ValueError(f"superdiagonal must have length {d.size - 1}, got {e.size}")
+    return d, e
 
 
 def _givens(f: float, g: float) -> Tuple[float, float, float]:
@@ -30,6 +101,28 @@ def _givens(f: float, g: float) -> Tuple[float, float, float]:
         return 0.0, 1.0, g
     r = math.hypot(f, g)
     return f / r, g / r, r
+
+
+def _rotate_cols(
+    a: np.ndarray, c1: int, c2: int, c: float, s: float, stop: Optional[int] = None
+) -> None:
+    """Rotate columns ``(c1, c2)`` of ``a`` in rows ``[0, stop)``:
+    ``c1 := c*c1 + s*c2`` and ``c2 := -s*c1 + c*c2``."""
+    col1 = a[:stop, c1].copy()
+    col2 = a[:stop, c2].copy()
+    a[:stop, c1] = c * col1 + s * col2
+    a[:stop, c2] = -s * col1 + c * col2
+
+
+def _rotate_rows(
+    a: np.ndarray, r1: int, r2: int, c: float, s: float, start: int = 0
+) -> None:
+    """Rotate rows ``(r1, r2)`` of ``a`` in columns ``[start, end)``, as
+    :func:`_rotate_cols` does columns."""
+    row1 = a[r1, start:].copy()
+    row2 = a[r2, start:].copy()
+    a[r1, start:] = c * row1 + s * row2
+    a[r2, start:] = -s * row1 + c * row2
 
 
 def _wilkinson_shift(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> float:
@@ -47,7 +140,14 @@ def _wilkinson_shift(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> float:
     return dn - off * off / denom
 
 
-def _gk_sweep(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> None:
+def _gk_sweep(
+    d: np.ndarray,
+    e: np.ndarray,
+    lo: int,
+    hi: int,
+    u: Optional[np.ndarray],
+    vt: Optional[np.ndarray],
+) -> None:
     """One implicit-shift Golub–Kahan QR sweep on the block ``[lo, hi]``."""
     mu = _wilkinson_shift(d, e, lo, hi)
     y = d[lo] * d[lo] - mu
@@ -64,12 +164,16 @@ def _gk_sweep(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> None:
         h = d[k + 1]
         bulge = s * h
         d[k + 1] = c * h
+        if vt is not None:
+            _rotate_rows(vt, k, k + 1, c, s)
         # Left rotation on rows (k, k+1): zeroes the subdiagonal bulge.
         c, s, r = _givens(d[k], bulge)
         d[k] = r
         f, g = e[k], d[k + 1]
         e[k] = c * f + s * g
         d[k + 1] = -s * f + c * g
+        if u is not None:
+            _rotate_cols(u, k, k + 1, c, s)
         if k < hi - 1:
             g = e[k + 1]
             bulge = s * g
@@ -78,19 +182,22 @@ def _gk_sweep(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> None:
             z = bulge
 
 
-def _deflate_zero_diagonal(d: np.ndarray, e: np.ndarray, lo: int, hi: int, idx: int) -> None:
-    """Rotate away the superdiagonal entries coupled to a zero diagonal ``d[idx]``.
+def _chase_zero_diagonal(
+    d: np.ndarray, e: np.ndarray, hi: int, idx: int, u: Optional[np.ndarray]
+) -> None:
+    """Rotate away the superdiagonal entry coupled to a zero diagonal ``d[idx]``.
 
     When ``d[idx] == 0`` the implicit QR iteration stalls; the standard cure
     (LAPACK ``dbdsqr``) applies row rotations that chase ``e[idx]`` to the
     right until it vanishes, splitting the problem.
     """
-    # Chase e[idx] rightwards using rotations involving row idx.
     f = e[idx]
     e[idx] = 0.0
     for j in range(idx + 1, hi + 1):
         c, s, r = _givens(d[j], f)
         d[j] = r
+        if u is not None:
+            _rotate_cols(u, j, idx, c, s)
         if j < hi:
             f = -s * e[j]
             e[j] = c * e[j]
@@ -98,39 +205,36 @@ def _deflate_zero_diagonal(d: np.ndarray, e: np.ndarray, lo: int, hi: int, idx: 
             break
 
 
-def bidiagonal_singular_values(
+def _qr_iteration(
     d: np.ndarray,
     e: np.ndarray,
-    *,
-    tol: float = 1e-14,
-    max_sweeps: int = 200,
-) -> np.ndarray:
-    """Singular values of the upper bidiagonal matrix ``B = bidiag(d, e)``.
+    tol: float,
+    max_sweeps: int,
+    u: Optional[np.ndarray] = None,
+    vt: Optional[np.ndarray] = None,
+) -> int:
+    """Diagonalize ``bidiag(d, e)`` in place; return the sweep count.
 
-    Implicit-shift Golub–Kahan QR iteration with deflation.  The result is
-    returned in descending order.
-
-    Parameters
-    ----------
-    d, e:
-        Main diagonal (length ``n``) and superdiagonal (length ``n - 1``).
-    tol:
-        Relative deflation threshold for superdiagonal entries.
-    max_sweeps:
-        Maximum number of QR sweeps per singular value before giving up
-        (raises ``RuntimeError``); the typical count is 2–3.
+    On return ``d`` holds the signed singular values and ``e`` is zero.
+    Every left rotation is folded into the columns of ``u`` and every right
+    rotation into the rows of ``vt``, when given, so identities passed in
+    come back as ``U`` and ``V^T`` with ``bidiag(d, e) = U · diag(d) · V^T``.
+    Raises :class:`ConvergenceError` beyond ``max_sweeps`` sweeps per
+    singular value.
     """
-    d = np.array(d, dtype=float, copy=True).ravel()
-    e = np.array(e, dtype=float, copy=True).ravel()
     n = d.size
-    if e.size != max(n - 1, 0):
-        raise ValueError(f"superdiagonal must have length {n - 1}, got {e.size}")
-    if n == 0:
-        return np.array([])
-    if n == 1:
-        return np.abs(d)
-
-    norm = max(float(np.max(np.abs(d))), float(np.max(np.abs(e))), 1e-300)
+    if n < 2:
+        return 0
+    big = max(float(np.max(np.abs(d))), float(np.max(np.abs(e))))
+    scale = 0
+    if big > 0.0 and not _SAFE_MIN <= big <= _SAFE_MAX:
+        # Exact power-of-two scaling into [0.5, 1): rotations are
+        # scale-invariant, so only sigma needs scaling back.
+        scale = math.frexp(big)[1]
+        d[:] = np.ldexp(d, -scale)
+        e[:] = np.ldexp(e, -scale)
+        big = math.ldexp(big, -scale)
+    norm = max(big, 1e-300)
     total_sweeps = 0
     sweep_budget = max_sweeps * n
     hi = n - 1
@@ -154,15 +258,86 @@ def bidiagonal_singular_values(
                 break
         if zero_idx is not None:
             d[zero_idx] = 0.0
-            _deflate_zero_diagonal(d, e, lo, hi, zero_idx)
+            _chase_zero_diagonal(d, e, hi, zero_idx, u)
             continue
-        _gk_sweep(d, e, lo, hi)
+        _gk_sweep(d, e, lo, hi, u, vt)
         total_sweeps += 1
         if total_sweeps > sweep_budget:
-            raise RuntimeError(
-                f"bidiagonal QR iteration did not converge after {total_sweeps} sweeps"
+            raise ConvergenceError(
+                total_sweeps, (lo, hi), np.ldexp(d, scale), np.ldexp(e, scale)
             )
+    if scale:
+        d[:] = np.ldexp(d, scale)
+    return total_sweeps
+
+
+def bidiagonal_singular_values(
+    d: np.ndarray,
+    e: np.ndarray,
+    *,
+    tol: float = 1e-14,
+    max_sweeps: int = 200,
+) -> np.ndarray:
+    """Singular values of the upper bidiagonal matrix ``B = bidiag(d, e)``.
+
+    Implicit-shift Golub–Kahan QR iteration with deflation.  The result is
+    returned in descending order.
+
+    Parameters
+    ----------
+    d, e:
+        Main diagonal (length ``n``) and superdiagonal (length ``n - 1``).
+    tol:
+        Relative deflation threshold for superdiagonal entries.
+    max_sweeps:
+        Maximum number of QR sweeps per singular value before giving up
+        (raises :class:`ConvergenceError`); the typical count is 2–3.
+    """
+    d, e = _diagonals(d, e)
+    _qr_iteration(d, e, tol, max_sweeps)
     return np.sort(np.abs(d))[::-1]
+
+
+def bdsqr(
+    d: np.ndarray,
+    e: np.ndarray,
+    *,
+    tol: float = 1e-14,
+    max_sweeps: int = 200,
+) -> BdsqrResult:
+    """Full SVD of the upper bidiagonal matrix ``bidiag(d, e)``.
+
+    The same QR iteration as :func:`bidiagonal_singular_values`, with its
+    rotations accumulated into ``U`` and ``V^T``.
+
+    Parameters
+    ----------
+    d, e:
+        Main diagonal (length ``n``) and superdiagonal (length ``n - 1``).
+    tol:
+        Relative deflation threshold for superdiagonal entries.
+    max_sweeps:
+        Sweep budget per singular value (:class:`ConvergenceError` beyond it).
+
+    Returns
+    -------
+    BdsqrResult
+        Singular values in descending order with matching ``u`` / ``vt``.
+    """
+    d, e = _diagonals(d, e)
+    u = np.eye(d.size)
+    vt = np.eye(d.size)
+    sweeps = _qr_iteration(d, e, tol, max_sweeps, u, vt)
+    # Fix signs (singular values must be non-negative) and sort descending.
+    u = u * np.where(d < 0, -1.0, 1.0)[np.newaxis, :]
+    sigma = np.abs(d)
+    order = np.argsort(sigma)[::-1]
+    return BdsqrResult(
+        singular_values=sigma[order],
+        u=u[:, order],
+        vt=vt[order, :],
+        sweeps=sweeps,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -211,13 +386,10 @@ def bidiagonal_sv_bisection(
     Robust (never fails to converge) but slower than the QR iteration; used
     as an independent cross-check and for subset computations.
     """
-    d = np.asarray(d, dtype=float).ravel()
-    e = np.asarray(e, dtype=float).ravel()
+    d, e = _diagonals(d, e)
     n = d.size
     if n == 0:
         return np.array([])
-    if e.size != max(n - 1, 0):
-        raise ValueError(f"superdiagonal must have length {n - 1}, got {e.size}")
     off = _tgk_offdiagonal(d, e)
     # Upper bound on the spectral radius: Gershgorin on TGK.
     bound = 0.0

@@ -23,37 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.algorithms.band import BandBidiagonal
-
-
-def _givens(f: float, g: float) -> Tuple[float, float, float]:
-    """Return ``(c, s, r)`` such that ``[c s; -s c]^T [f; g] = [r; 0]``.
-
-    Conventions match the rotations used below: combining two columns
-    ``(c1, c2)`` as ``new1 = c*c1 + s*c2``, ``new2 = -s*c1 + c*c2`` zeroes
-    the ``g`` entry, and likewise for rows.
-    """
-    if g == 0.0:
-        return 1.0, 0.0, f
-    if f == 0.0:
-        return 0.0, 1.0, g
-    r = float(np.hypot(f, g))
-    return f / r, g / r, r
-
-
-def _rotate_cols(b: np.ndarray, c1: int, c2: int, c: float, s: float, row_hi: int) -> None:
-    """Apply a right Givens rotation to columns ``(c1, c2)`` for rows ``[0, row_hi]``."""
-    col1 = b[: row_hi + 1, c1].copy()
-    col2 = b[: row_hi + 1, c2].copy()
-    b[: row_hi + 1, c1] = c * col1 + s * col2
-    b[: row_hi + 1, c2] = -s * col1 + c * col2
-
-
-def _rotate_rows(b: np.ndarray, r1: int, r2: int, c: float, s: float, col_lo: int) -> None:
-    """Apply a left Givens rotation to rows ``(r1, r2)`` for columns ``[col_lo, n)``."""
-    row1 = b[r1, col_lo:].copy()
-    row2 = b[r2, col_lo:].copy()
-    b[r1, col_lo:] = c * row1 + s * row2
-    b[r2, col_lo:] = -s * row1 + c * row2
+from repro.algorithms.bd2val import _givens, _rotate_cols, _rotate_rows
 
 
 def band_to_bidiagonal(
@@ -61,6 +31,8 @@ def band_to_bidiagonal(
     bandwidth: Optional[int] = None,
     *,
     zero_tol: float = 0.0,
+    u: Optional[np.ndarray] = None,
+    vt: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Reduce an upper-banded matrix to upper bidiagonal form.
 
@@ -74,6 +46,14 @@ def band_to_bidiagonal(
     zero_tol:
         Entries whose magnitude is at most ``zero_tol`` are treated as
         already zero (skipping their annihilation).
+    u, vt:
+        Optional accumulators, updated in place (the ``NRU`` / ``NCVT``
+        convention of LAPACK ``dbdsqr``): every left rotation of the band is
+        applied to the columns of ``u`` (``n`` columns) and every right
+        rotation to the rows of ``vt`` (``n`` rows).  Passed in as
+        identities they come back as the orthogonal factors of the
+        reduction, ``B_band = u · bidiag(d, e) · vt`` — the piece that
+        extends GE2VAL to singular vectors (GESVD).
 
     Returns
     -------
@@ -94,6 +74,8 @@ def band_to_bidiagonal(
     n = b.shape[0]
     if bw < 1:
         raise ValueError("bandwidth must be >= 1")
+    if (u is not None and u.shape[1] != n) or (vt is not None and vt.shape[0] != n):
+        raise ValueError(f"u needs {n} columns and vt {n} rows")
     if n == 1:
         return np.array([b[0, 0]]), np.array([])
     if bw == 1:
@@ -108,7 +90,9 @@ def band_to_bidiagonal(
             # Column rotation (j-1, j) zeroing b[i, j]; may create a
             # subdiagonal bulge at (j, j-1).
             c, s, _ = _givens(b[i, j - 1], b[i, j])
-            _rotate_cols(b, j - 1, j, c, s, row_hi=min(j, n - 1))
+            _rotate_cols(b, j - 1, j, c, s, stop=min(j + 1, n))
+            if vt is not None:
+                _rotate_rows(vt, j - 1, j, c, s)
             b[i, j] = 0.0
 
             bulge_row, bulge_col = j, j - 1
@@ -120,7 +104,9 @@ def band_to_bidiagonal(
                 # subdiagonal bulge; may create an above-band bulge at
                 # (bulge_col, bulge_row + bw).
                 c, s, _ = _givens(b[bulge_col, bulge_col], b[bulge_row, bulge_col])
-                _rotate_rows(b, bulge_col, bulge_row, c, s, col_lo=bulge_col)
+                _rotate_rows(b, bulge_col, bulge_row, c, s, start=bulge_col)
+                if u is not None:
+                    _rotate_cols(u, bulge_col, bulge_row, c, s)
                 b[bulge_row, bulge_col] = 0.0
 
                 fill_row, fill_col = bulge_col, bulge_row + bw
@@ -130,7 +116,9 @@ def band_to_bidiagonal(
                 # above-band bulge; may create the next subdiagonal bulge at
                 # (fill_col, fill_col - 1).
                 c, s, _ = _givens(b[fill_row, fill_col - 1], b[fill_row, fill_col])
-                _rotate_cols(b, fill_col - 1, fill_col, c, s, row_hi=min(fill_col, n - 1))
+                _rotate_cols(b, fill_col - 1, fill_col, c, s, stop=min(fill_col + 1, n))
+                if vt is not None:
+                    _rotate_rows(vt, fill_col - 1, fill_col, c, s)
                 b[fill_row, fill_col] = 0.0
                 bulge_row, bulge_col = fill_col, fill_col - 1
 

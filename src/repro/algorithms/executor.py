@@ -112,7 +112,7 @@ class NumericExecutor(KernelExecutor):
         When ``True`` every orthogonal transformation is appended to
         :attr:`transform_log` as ``(side, kind, indices, reflector)`` so that
         the orthogonal factors ``U`` / ``V`` can be accumulated afterwards
-        (used by the GESVD driver).
+        (used by the numeric backend's ``gesvd`` stage).
     """
 
     def __init__(self, matrix: TiledMatrix, log_transformations: bool = False) -> None:

@@ -1,11 +1,9 @@
 """Plan canonicalization.
 
-This module is the single home of the resolution logic that used to be
-duplicated across ``algorithms/svd.py``, ``cli.py`` and
-``runtime/simulator.py``:
+This module is the single home of the resolution logic every backend,
+the CLI and the simulator share:
 
-* Chan's BIDIAG / R-BIDIAG flop crossover (``m >= 5n/3``, in elements or
-  tiles);
+* Chan's BIDIAG / R-BIDIAG flop crossover (``m >= 5n/3``, in elements);
 * reduction-tree canonicalization (names → instances, AUTO parallelism
   hint, hierarchical wrapping for multi-node machines);
 * tile geometry (config-driven default tile size, ``p x q`` tile shape,
@@ -39,13 +37,8 @@ from repro.trees.base import ReductionTree
 def chan_prefers_rbidiag(rows: int, cols: int) -> bool:
     """Chan's flop crossover: R-BIDIAG wins as soon as ``m >= 5n/3``.
 
-    The predicate itself is scale-free and is shared by every call site,
-    but the *units* differ: the plan resolver (and historically the CLI
-    and simulator) evaluates it on element dimensions ``(m, n)``, while
-    the legacy numeric driver evaluates it on tile dimensions ``(p, q)``.
-    Because ``p = ceil(m/nb)`` rounds, the two can disagree for shapes
-    right at the ``5/3`` boundary; pass an explicit variant when that
-    distinction matters.
+    The predicate is scale-free; :func:`resolve_variant` evaluates it on
+    element dimensions ``(m, n)`` for every backend.
     """
     return 3 * rows >= 5 * cols
 
@@ -128,7 +121,7 @@ def resolve_tree(
 ) -> ReductionTree:
     """Canonicalize a shared-memory tree spec (name / instance / None).
 
-    ``None`` means GREEDY (the numeric drivers' historical default);
+    ``None`` means GREEDY;
     ``"auto"`` builds the adaptive tree with the given parallelism hint and
     the config's ``gamma``.
     """
@@ -232,8 +225,15 @@ class ResolvedPlan:
         return rng.standard_normal((self.m, self.n))
 
     def build_tiled(self) -> TiledMatrix:
-        """The input matrix in tiled form, at the resolved tile size."""
-        return as_tiled(self.build_matrix(), self.tile_size, self.config)
+        """A fresh tiled copy of the input matrix, at the resolved tile size.
+
+        The numeric backend reduces it in place, so a tiled input is copied
+        too: the caller's matrix is never modified.
+        """
+        a = self.build_matrix()
+        if isinstance(a, TiledMatrix):
+            a = a.copy()
+        return as_tiled(a, self.tile_size, self.config)
 
 
 def resolve(plan: SvdPlan, config: Optional[Config] = None) -> ResolvedPlan:

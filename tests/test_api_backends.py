@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.ir
 from repro.api import BACKENDS, RunResult, SvdPlan, execute, execute_sweep, resolve
-from repro.algorithms.gesvd_pipeline import gesvd_two_stage
-from repro.algorithms.svd import ge2bnd, ge2val, gesvd
+from repro.tiles.matrix import TiledMatrix
 
 
 def _sv(a):
@@ -57,12 +57,36 @@ class TestNumericBackend:
         with pytest.raises(ValueError, match=r"element \(37, 5\) is"):
             execute(plan, "numeric")
 
-    @pytest.mark.parametrize("driver", [ge2bnd, ge2val, gesvd])
-    def test_legacy_drivers_reject_non_finite(self, driver, rng):
+    @pytest.mark.parametrize("stage", ["ge2bnd", "ge2val", "gesvd"])
+    def test_every_stage_rejects_non_finite(self, stage, rng):
         a = rng.standard_normal((24, 16))
         a[0, 15] = -np.inf
         with pytest.raises(ValueError, match=r"element \(0, 15\) is -inf"):
-            driver(a, tile_size=8)
+            execute(SvdPlan(matrix=a, tile_size=8, stage=stage), "numeric")
+
+    @pytest.mark.parametrize("stage", ["ge2bnd", "ge2val", "gesvd"])
+    def test_tiled_input_is_left_unchanged(self, stage, rng):
+        a = rng.standard_normal((24, 16))
+        tiled = TiledMatrix.from_dense(a, 8)
+        result = execute(SvdPlan(matrix=tiled, stage=stage), "numeric")
+        np.testing.assert_array_equal(tiled.to_dense(), a)
+        if stage != "ge2bnd":
+            assert result.max_rel_error < 1e-12
+
+    def test_error_is_measured_against_the_input(self, rng, monkeypatch):
+        # A GE2BND that corrupts a tile after its replay: the error must
+        # show, so the reference cannot be the reduced matrix.
+        real_replay = repro.ir.replay
+
+        def corrupting_replay(program, executor):
+            out = real_replay(program, executor)
+            executor.matrix[0, 0][0, 0] *= 2.0
+            return out
+
+        monkeypatch.setattr(repro.ir, "replay", corrupting_replay)
+        a = rng.standard_normal((48, 32))
+        result = execute(SvdPlan(matrix=a, tile_size=8), "numeric")
+        assert result.max_rel_error > 0.1
 
 
 class TestBackendParity:
@@ -127,52 +151,7 @@ class TestBackendParity:
 
 
 class TestShimEquivalence:
-    """The legacy drivers and the plan API must produce identical numbers."""
-
-    def test_ge2val_bitwise(self, rng):
-        a = rng.standard_normal((48, 32))
-        legacy = ge2val(a, tile_size=8, tree="greedy", variant="bidiag")
-        result = execute(
-            SvdPlan(matrix=a, tile_size=8, tree="greedy", variant="bidiag"),
-            backend="numeric",
-        )
-        np.testing.assert_array_equal(legacy, result.singular_values)
-
-    def test_ge2val_auto_variant(self, rng):
-        a = rng.standard_normal((80, 16))  # clearly tall-skinny: rbidiag both ways
-        legacy = ge2val(a, tile_size=8)
-        result = execute(SvdPlan(matrix=a, tile_size=8), backend="numeric")
-        assert result.variant == "rbidiag"
-        np.testing.assert_array_equal(legacy, result.singular_values)
-
-    def test_ge2bnd_bitwise(self, rng):
-        a = rng.standard_normal((24, 16))
-        band_legacy, _, _ = ge2bnd(a, tile_size=4, variant="bidiag")
-        result = execute(
-            SvdPlan(matrix=a, tile_size=4, variant="bidiag", stage="ge2bnd"),
-            backend="numeric",
-        )
-        np.testing.assert_array_equal(
-            band_legacy.to_dense(), result.extras["band"].to_dense()
-        )
-
-    def test_gesvd_two_stage_bitwise(self, rng):
-        a = rng.standard_normal((24, 16))
-        legacy = gesvd_two_stage(a, tile_size=4, variant="bidiag")
-        result = execute(
-            SvdPlan(matrix=a, tile_size=4, variant="bidiag", stage="gesvd"),
-            backend="numeric",
-        )
-        np.testing.assert_array_equal(legacy.singular_values, result.singular_values)
-        np.testing.assert_array_equal(legacy.u, result.u)
-        np.testing.assert_array_equal(legacy.vt, result.vt)
-
-    def test_gesvd_jacobi_shim_still_works(self, rng):
-        a = rng.standard_normal((24, 16))
-        u, s, vt = gesvd(a, tile_size=4)
-        np.testing.assert_allclose(
-            u @ np.diag(s) @ vt, a, atol=1e-9 * np.linalg.norm(a)
-        )
+    """The legacy simulate driver and the plan API must produce identical numbers."""
 
     def test_simulate_matches_legacy_driver(self):
         from repro.runtime.machine import Machine

@@ -116,13 +116,6 @@ class TestChanCrossover:
         with pytest.raises(ValueError):
             resolve_variant("bogus", 4, 4)
 
-    def test_matches_legacy_tile_level_helper(self):
-        from repro.algorithms.svd import _choose_variant
-
-        for p in range(1, 12):
-            for q in range(1, p + 1):
-                assert _choose_variant("auto", p, q) == resolve_variant("auto", p, q)
-
 
 class TestResolve:
     def test_tile_geometry(self):

@@ -1,4 +1,4 @@
-"""Tests for the band container, BND2BD, BD2VAL, GE2BD and the Jacobi SVD."""
+"""Tests for the band container, BND2BD and BD2VAL."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.band import BandBidiagonal
 from repro.algorithms.bd2val import (
+    ConvergenceError,
+    bdsqr,
     bidiagonal_singular_values,
     bidiagonal_sv_bisection,
+    bidiagonal_to_dense,
 )
 from repro.algorithms.bnd2bd import band_to_bidiagonal
-from repro.algorithms.ge2bd import bidiagonal_to_dense, golub_kahan_bidiagonalization
-from repro.algorithms.jacobi import jacobi_svd
 
 
 def _sv(a):
@@ -145,6 +146,25 @@ class TestBd2Val:
         with pytest.raises(ValueError):
             bidiagonal_sv_bisection([1.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("solver", [bidiagonal_singular_values, bdsqr])
+    def test_non_convergence_raises_typed_error(self, solver):
+        rng = np.random.default_rng(4)
+        d, e = rng.standard_normal(6), rng.standard_normal(5)
+        with pytest.raises(ConvergenceError) as info:
+            solver(d, e, max_sweeps=0)
+        err = info.value
+        assert isinstance(err, RuntimeError)
+        assert err.sweeps == 1
+        lo, hi = err.block
+        assert 0 <= lo < hi <= 5
+        assert err.d.shape == (6,) and err.e.shape == (5,)
+        # The state is the iterate after one sweep, not the input.
+        assert not np.array_equal(err.d, d)
+
+    def test_bidiagonal_to_dense_validates(self):
+        with pytest.raises(ValueError):
+            bidiagonal_to_dense([1.0, 2.0], [1.0, 2.0])
+
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(min_value=1, max_value=25), seed=st.integers(min_value=0, max_value=10**6))
     def test_property_random_bidiagonals(self, n, seed):
@@ -154,46 +174,3 @@ class TestBd2Val:
         ref = np.sort(_sv(bidiagonal_to_dense(d, e)))[::-1]
         got = bidiagonal_singular_values(d, e)
         np.testing.assert_allclose(got, ref, atol=1e-8 * max(1.0, abs(ref[0])))
-
-
-class TestGe2Bd:
-    @pytest.mark.parametrize("shape", [(10, 10), (20, 8), (15, 1), (5, 5)])
-    def test_matches_numpy(self, shape, rng):
-        a = rng.standard_normal(shape)
-        d, e = golub_kahan_bidiagonalization(a)
-        ref = np.sort(_sv(a))[::-1]
-        got = np.sort(_sv(bidiagonal_to_dense(d, e)))[::-1]
-        np.testing.assert_allclose(got, ref, atol=1e-10 * max(1, ref[0]))
-
-    def test_rejects_wide(self, rng):
-        with pytest.raises(ValueError):
-            golub_kahan_bidiagonalization(rng.standard_normal((3, 5)))
-
-    def test_bidiagonal_to_dense_validates(self):
-        with pytest.raises(ValueError):
-            bidiagonal_to_dense([1.0, 2.0], [1.0, 2.0])
-
-
-class TestJacobi:
-    def test_reconstruction(self, rng):
-        a = rng.standard_normal((10, 6))
-        u, s, vt = jacobi_svd(a)
-        np.testing.assert_allclose((u * s) @ vt, a, atol=1e-10)
-        np.testing.assert_allclose(u.T @ u, np.eye(6), atol=1e-10)
-        np.testing.assert_allclose(vt @ vt.T, np.eye(6), atol=1e-10)
-        np.testing.assert_allclose(s, _sv(a), atol=1e-10)
-
-    def test_descending_order(self, rng):
-        _, s, _ = jacobi_svd(rng.standard_normal((8, 8)))
-        assert np.all(np.diff(s) <= 1e-12)
-
-    def test_rank_deficient(self, rng):
-        x = rng.standard_normal((8, 2))
-        a = x @ rng.standard_normal((2, 5))
-        u, s, vt = jacobi_svd(a)
-        np.testing.assert_allclose((u * s) @ vt, a, atol=1e-10)
-        assert np.sum(s > 1e-10) == 2
-
-    def test_rejects_wide(self, rng):
-        with pytest.raises(ValueError):
-            jacobi_svd(rng.standard_normal((3, 5)))

@@ -11,7 +11,9 @@ matrix:
   transpose, as the drivers require ``m >= n``);
 * a single-tile problem (every reduction tree degenerates);
 * prime tile counts (no tile divides evenly into the process grid);
-* near-rank-deficient spectra (clustered and tiny singular values).
+* near-rank-deficient spectra (clustered and tiny singular values);
+* hostile inputs for GE2VAL and GESVD: scales from subnormal to 1e150,
+  the zero and rank-1 matrices, and a single tile column.
 
 Assertions are in units of the baseline's largest singular value
 (``max |sigma - sigma_ref| / sigma_ref[0]``), plus explicit orthogonality
@@ -25,8 +27,6 @@ import pytest
 
 from repro.algorithms.bd2val import bidiagonal_singular_values
 from repro.algorithms.bnd2bd import band_to_bidiagonal
-from repro.algorithms.gesvd_pipeline import gesvd_two_stage
-from repro.algorithms.svd import ge2bnd
 from repro.api import SvdPlan, execute
 from repro.lapack.gebrd import gebrd
 from repro.tiles.matrix import TiledMatrix
@@ -45,9 +45,33 @@ SHAPES = [
     ("ragged-edge", 53, 37, 8),          # prime dims: ragged last tile row/col
 ]
 
+#: (label, m, n, tile_size, kind) — hostile inputs of the whole pipeline.
+#: ``kind`` scales the standard normal matrix (0.0 gives the zero matrix)
+#: or is ``"rank-1"``.
+HOSTILE = [
+    ("scale-1e-150", 48, 32, 8, 1e-150),
+    ("scale-1e150", 48, 32, 8, 1e150),
+    ("scale-1e-300", 48, 32, 8, 1e-300),
+    ("subnormal-2e-309", 48, 32, 8, 2e-309),
+    ("zero", 40, 24, 8, 0.0),
+    ("rank-1", 40, 24, 8, "rank-1"),
+    ("one-tile-column", 40, 6, 8, 1.0),  # q = 1 with p = 5
+]
+
+#: Inputs of the GE2VAL and GESVD differentials: the shape matrix, then
+#: the hostile inputs.
+INPUTS = [(*shape, 1.0) for shape in SHAPES] + HOSTILE
+
 
 def _matrix(m: int, n: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((m, n))
+
+
+def _input(m: int, n: int, seed: int, kind: float | str) -> np.ndarray:
+    a = _matrix(m, n, seed)
+    if kind == "rank-1":
+        return np.outer(a[:, 0], a[0])
+    return kind * a
 
 
 def _rank_deficient(m: int, n: int, seed: int = 3) -> np.ndarray:
@@ -61,15 +85,15 @@ def _rank_deficient(m: int, n: int, seed: int = 3) -> np.ndarray:
 
 
 def _sv_error(values: np.ndarray, ref: np.ndarray) -> float:
-    return float(np.max(np.abs(values - ref)) / ref[0])
+    return float(np.max(np.abs(values - ref)) / (ref[0] if ref[0] > 0 else 1.0))
 
 
 class TestSingularValuesAgainstNumpy:
-    @pytest.mark.parametrize("label,m,n,tile_size", SHAPES,
-                             ids=[s[0] for s in SHAPES])
+    @pytest.mark.parametrize("label,m,n,tile_size,kind", INPUTS,
+                             ids=[s[0] for s in INPUTS])
     @pytest.mark.parametrize("variant", ["bidiag", "rbidiag"])
-    def test_ge2val_matches_numpy(self, label, m, n, tile_size, variant):
-        a = _matrix(m, n)
+    def test_ge2val_matches_numpy(self, label, m, n, tile_size, kind, variant):
+        a = _input(m, n, 0, kind)
         plan = SvdPlan(matrix=a, stage="ge2val", variant=variant,
                        tile_size=tile_size)
         result = execute(plan, backend="numeric")
@@ -123,7 +147,8 @@ class TestBidiagonalizationAgainstLapackBaseline:
         ref = np.linalg.svd(a, compute_uv=False)
 
         tiled = TiledMatrix.from_dense(a, tile_size)
-        band, _, _ = ge2bnd(tiled)
+        plan = SvdPlan(matrix=tiled, stage="ge2bnd")
+        band = execute(plan, backend="numeric").extras["band"]
         d, e = band_to_bidiagonal(band)
         tiled_values = bidiagonal_singular_values(d, e)
         assert _sv_error(tiled_values, ref) < SV_TOL
@@ -137,19 +162,24 @@ class TestBidiagonalizationAgainstLapackBaseline:
 
 
 class TestVectorPipelineOrthogonality:
-    @pytest.mark.parametrize("label,m,n,tile_size", SHAPES,
-                             ids=[s[0] for s in SHAPES])
-    def test_gesvd_orthogonality_and_reconstruction(self, label, m, n, tile_size):
-        a = _matrix(m, n, seed=9)
-        res = gesvd_two_stage(a, tile_size=tile_size)
+    @pytest.mark.parametrize("label,m,n,tile_size,kind", INPUTS,
+                             ids=[s[0] for s in INPUTS])
+    def test_gesvd_orthogonality_and_reconstruction(self, label, m, n, tile_size, kind):
+        a = _input(m, n, 9, kind)
+        plan = SvdPlan(matrix=a, stage="gesvd", tile_size=tile_size)
+        res = execute(plan, backend="numeric")
         ref = np.linalg.svd(a, compute_uv=False)
         assert _sv_error(res.singular_values, ref) < SV_TOL
+        assert res.max_rel_error < SV_TOL
         eye_u = res.u.T @ res.u
         eye_v = res.vt @ res.vt.T
         assert np.linalg.norm(eye_u - np.eye(n)) < UV_TOL
         assert np.linalg.norm(eye_v - np.eye(n)) < UV_TOL
-        scale = np.linalg.norm(a)
-        assert np.linalg.norm(res.reconstruct() - a) / scale < UV_TOL
+        # Residuals of A / max|A|: the norm of a 1e-300 residual underflows.
+        amax = np.max(np.abs(a)) or 1.0
+        recon = (res.u * (res.singular_values / amax)) @ res.vt
+        scale = np.linalg.norm(a / amax) or 1.0
+        assert np.linalg.norm(recon - a / amax) / scale < UV_TOL
 
     def test_gesvd_through_plan_api(self):
         a = _matrix(40, 24, seed=13)

@@ -1,14 +1,12 @@
-"""Tests for the singular-vector pipeline (BND2BD-UV, BDSQR, GESVD driver)."""
+"""Tests for the singular-vector pipeline (BND2BD with vectors, BDSQR, GESVD)."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms.band import BandBidiagonal
-from repro.algorithms.bd2val import bidiagonal_singular_values
-from repro.algorithms.bdsqr import bdsqr
+from repro.algorithms.bd2val import bdsqr, bidiagonal_singular_values
 from repro.algorithms.bnd2bd import band_to_bidiagonal
-from repro.algorithms.bnd2bd_uv import band_to_bidiagonal_uv
-from repro.algorithms.gesvd_pipeline import gesvd_two_stage
+from repro.api import SvdPlan, execute
 from repro.utils.generators import latms
 
 
@@ -27,50 +25,76 @@ def _random_band(n, bw, seed=0):
     return a - np.triu(a, bw + 1)
 
 
+def _chase_uv(band, bandwidth=None):
+    """BND2BD accumulating into identities: ``(d, e, u2, v2t)``."""
+    n = band.n if isinstance(band, BandBidiagonal) else band.shape[0]
+    u2, v2t = np.eye(n), np.eye(n)
+    d, e = band_to_bidiagonal(band, bandwidth, u=u2, vt=v2t)
+    return d, e, u2, v2t
+
+
 class TestBnd2bdUV:
     def test_reconstruction(self):
         a = _random_band(14, 4, seed=1)
-        d, e, u2, v2t = band_to_bidiagonal_uv(a, bandwidth=4)
+        d, e, u2, v2t = _chase_uv(a, bandwidth=4)
         assert np.allclose(u2 @ _bidiagonal(d, e) @ v2t, a, atol=1e-12)
 
     def test_orthogonality(self):
         a = _random_band(10, 3, seed=2)
-        _, _, u2, v2t = band_to_bidiagonal_uv(a, bandwidth=3)
+        _, _, u2, v2t = _chase_uv(a, bandwidth=3)
         assert np.allclose(u2.T @ u2, np.eye(10), atol=1e-12)
         assert np.allclose(v2t @ v2t.T, np.eye(10), atol=1e-12)
 
     def test_matches_vectorless_variant(self):
         a = _random_band(12, 5, seed=3)
         d1, e1 = band_to_bidiagonal(a, bandwidth=5)
-        d2, e2, _, _ = band_to_bidiagonal_uv(a, bandwidth=5)
-        assert np.allclose(d1, d2)
-        assert np.allclose(e1, e2)
+        d2, e2, _, _ = _chase_uv(a, bandwidth=5)
+        np.testing.assert_array_equal(d1, d2)
+        np.testing.assert_array_equal(e1, e2)
+
+    def test_accumulates_into_given_factors(self):
+        # The NRU/NCVT convention: rotations post-multiply u and
+        # pre-multiply vt, so an outer factor passes straight through.
+        a = _random_band(9, 3, seed=6)
+        rng = np.random.default_rng(7)
+        q1, _ = np.linalg.qr(rng.standard_normal((15, 9)))
+        q2, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        u, vt = q1.copy(), q2.T.copy()
+        d, e = band_to_bidiagonal(a, bandwidth=3, u=u, vt=vt)
+        _, _, u2, v2t = _chase_uv(a, bandwidth=3)
+        np.testing.assert_allclose(u, q1 @ u2, atol=1e-12)
+        np.testing.assert_allclose(vt, v2t @ q2.T, atol=1e-12)
+        assert np.allclose(u @ _bidiagonal(d, e) @ vt, q1 @ a @ q2.T, atol=1e-12)
 
     def test_band_container_input(self):
         a = _random_band(9, 2, seed=4)
         band = BandBidiagonal.from_dense(a, bandwidth=2)
-        d, e, u2, v2t = band_to_bidiagonal_uv(band)
+        d, e, u2, v2t = _chase_uv(band)
         assert np.allclose(u2 @ _bidiagonal(d, e) @ v2t, a, atol=1e-12)
 
     def test_bandwidth_one_is_identity(self):
         a = _random_band(7, 1, seed=5)
-        d, e, u2, v2t = band_to_bidiagonal_uv(a, bandwidth=1)
+        d, e, u2, v2t = _chase_uv(a, bandwidth=1)
         assert np.allclose(u2, np.eye(7))
         assert np.allclose(v2t, np.eye(7))
         assert np.allclose(d, np.diagonal(a))
 
     def test_trivial_sizes(self):
-        d, e, u2, v2t = band_to_bidiagonal_uv(np.array([[3.0]]), bandwidth=1)
+        d, e, u2, v2t = _chase_uv(np.array([[3.0]]), bandwidth=1)
         assert d.shape == (1,) and e.shape == (0,)
         assert u2.shape == (1, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            band_to_bidiagonal_uv(np.zeros((3, 4)), bandwidth=2)
+            _chase_uv(np.zeros((3, 4)), bandwidth=2)
         with pytest.raises(ValueError):
-            band_to_bidiagonal_uv(np.zeros((3, 3)))
+            _chase_uv(np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            band_to_bidiagonal_uv(np.zeros((3, 3)), bandwidth=0)
+            _chase_uv(np.zeros((3, 3)), bandwidth=0)
+        with pytest.raises(ValueError, match="columns"):
+            band_to_bidiagonal(np.zeros((3, 3)), 2, u=np.eye(4))
+        with pytest.raises(ValueError, match="rows"):
+            band_to_bidiagonal(np.zeros((3, 3)), 2, vt=np.eye(2))
 
 
 class TestBdsqr:
@@ -131,43 +155,51 @@ class TestBdsqr:
             bdsqr(np.ones(4), np.ones(4))
 
 
+def _gesvd(a, **plan):
+    return execute(SvdPlan(matrix=a, stage="gesvd", **plan), backend="numeric")
+
+
+def _reconstruct(res):
+    return res.u @ np.diag(res.singular_values) @ res.vt
+
+
 class TestGesvdTwoStage:
     @pytest.mark.parametrize("tree", ["flatts", "flattt", "greedy", "auto"])
     def test_reconstruction_all_trees(self, tree):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((18, 10))
-        res = gesvd_two_stage(a, tile_size=4, tree=tree, n_cores=4)
-        assert np.allclose(res.reconstruct(), a, atol=1e-10)
+        res = _gesvd(a, tile_size=4, tree=tree, n_cores=4)
+        assert np.allclose(_reconstruct(res), a, atol=1e-10)
 
     def test_values_match_numpy(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((20, 12))
-        res = gesvd_two_stage(a, tile_size=5)
+        res = _gesvd(a, tile_size=5)
         assert np.allclose(res.singular_values, np.linalg.svd(a, compute_uv=False), atol=1e-10)
 
     def test_vectors_orthonormal(self):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((16, 8))
-        res = gesvd_two_stage(a, tile_size=4)
+        res = _gesvd(a, tile_size=4)
         assert np.allclose(res.u.T @ res.u, np.eye(8), atol=1e-10)
         assert np.allclose(res.vt @ res.vt.T, np.eye(8), atol=1e-10)
 
     def test_rbidiag_variant(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((30, 8))
-        res = gesvd_two_stage(a, tile_size=4, variant="rbidiag")
-        assert np.allclose(res.reconstruct(), a, atol=1e-10)
+        res = _gesvd(a, tile_size=4, variant="rbidiag")
+        assert np.allclose(_reconstruct(res), a, atol=1e-10)
 
     def test_prescribed_singular_values(self):
         sv = np.array([10.0, 5.0, 2.0, 1.0, 0.5, 0.1])
         a = latms(18, 6, sv, seed=3)
-        res = gesvd_two_stage(a, tile_size=3)
+        res = _gesvd(a, tile_size=3)
         assert np.allclose(res.singular_values, sv, atol=1e-10)
 
     def test_stage_timings_present(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((12, 6))
-        res = gesvd_two_stage(a, tile_size=3)
+        res = _gesvd(a, tile_size=3)
         assert set(res.stage_seconds) == {
             "ge2bnd",
             "accumulate_u1v1",
@@ -180,5 +212,5 @@ class TestGesvdTwoStage:
     def test_square_matrix(self):
         rng = np.random.default_rng(15)
         a = rng.standard_normal((12, 12))
-        res = gesvd_two_stage(a, tile_size=4)
-        assert np.allclose(res.reconstruct(), a, atol=1e-10)
+        res = _gesvd(a, tile_size=4)
+        assert np.allclose(_reconstruct(res), a, atol=1e-10)

@@ -5,8 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.band import BandBidiagonal
-from repro.algorithms.bd2val import bidiagonal_singular_values, bidiagonal_sv_bisection
-from repro.algorithms.bdsqr import bdsqr
+from repro.algorithms.bd2val import bdsqr, bidiagonal_singular_values, bidiagonal_sv_bisection
 from repro.algorithms.bnd2bd import band_to_bidiagonal
 from repro.kernels.householder import householder_vector, qr_factor
 from repro.kernels.qr_kernels import geqrt, tsqrt, ttqrt, unmqr
