@@ -8,7 +8,7 @@ runs that full pipeline on a low-rank-plus-noise matrix, the typical PCA /
 compression scenario that motivates large SVDs:
 
 1. GE2BND (tiled BIDIAG or R-BIDIAG) with transformation logging;
-2. BND2BD with accumulation of the Givens rotations;
+2. BND2BD with accumulation of the Householder reflectors;
 3. BD2VAL QR iteration with vector accumulation;
 4. composition of the three orthogonal factors.
 

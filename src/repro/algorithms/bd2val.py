@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -103,29 +103,24 @@ def _givens(f: float, g: float) -> Tuple[float, float, float]:
     return f / r, g / r, r
 
 
-def _rotate_cols(
-    a: np.ndarray, c1: int, c2: int, c: float, s: float, stop: Optional[int] = None
-) -> None:
-    """Rotate columns ``(c1, c2)`` of ``a`` in rows ``[0, stop)``:
+def _rotate_cols(a: np.ndarray, c1: int, c2: int, c: float, s: float) -> None:
+    """Rotate columns ``(c1, c2)`` of ``a``:
     ``c1 := c*c1 + s*c2`` and ``c2 := -s*c1 + c*c2``."""
-    col1 = a[:stop, c1].copy()
-    col2 = a[:stop, c2].copy()
-    a[:stop, c1] = c * col1 + s * col2
-    a[:stop, c2] = -s * col1 + c * col2
+    col1 = a[:, c1].copy()
+    col2 = a[:, c2].copy()
+    a[:, c1] = c * col1 + s * col2
+    a[:, c2] = -s * col1 + c * col2
 
 
-def _rotate_rows(
-    a: np.ndarray, r1: int, r2: int, c: float, s: float, start: int = 0
-) -> None:
-    """Rotate rows ``(r1, r2)`` of ``a`` in columns ``[start, end)``, as
-    :func:`_rotate_cols` does columns."""
-    row1 = a[r1, start:].copy()
-    row2 = a[r2, start:].copy()
-    a[r1, start:] = c * row1 + s * row2
-    a[r2, start:] = -s * row1 + c * row2
+def _rotate_rows(a: np.ndarray, r1: int, r2: int, c: float, s: float) -> None:
+    """Rotate rows ``(r1, r2)`` of ``a``, as :func:`_rotate_cols` does columns."""
+    row1 = a[r1].copy()
+    row2 = a[r2].copy()
+    a[r1] = c * row1 + s * row2
+    a[r2] = -s * row1 + c * row2
 
 
-def _wilkinson_shift(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> float:
+def _wilkinson_shift(d: List[float], e: List[float], lo: int, hi: int) -> float:
     """Wilkinson shift from the trailing 2x2 block of ``B^T B``."""
     dm = d[hi - 1] ** 2 + (e[hi - 2] ** 2 if hi - 1 > lo else 0.0)
     dn = d[hi] ** 2 + e[hi - 1] ** 2
@@ -141,8 +136,8 @@ def _wilkinson_shift(d: np.ndarray, e: np.ndarray, lo: int, hi: int) -> float:
 
 
 def _gk_sweep(
-    d: np.ndarray,
-    e: np.ndarray,
+    d: List[float],
+    e: List[float],
     lo: int,
     hi: int,
     u: Optional[np.ndarray],
@@ -183,7 +178,7 @@ def _gk_sweep(
 
 
 def _chase_zero_diagonal(
-    d: np.ndarray, e: np.ndarray, hi: int, idx: int, u: Optional[np.ndarray]
+    d: List[float], e: List[float], hi: int, idx: int, u: Optional[np.ndarray]
 ) -> None:
     """Rotate away the superdiagonal entry coupled to a zero diagonal ``d[idx]``.
 
@@ -235,6 +230,13 @@ def _qr_iteration(
         e[:] = np.ldexp(e, -scale)
         big = math.ldexp(big, -scale)
     norm = max(big, 1e-300)
+    # The scalar core runs on Python floats: element access and arithmetic
+    # on numpy scalars cost several times more, for the same IEEE results.
+    # The shift squares with `** 2`, not `x * x`: both float types square
+    # through C `pow`, which rounds differently from `x * x` on a few
+    # inputs, so `** 2` keeps σ, U and V^T independent of the scalar type.
+    d_out, e_out = d, e
+    d, e = d.tolist(), e.tolist()
     total_sweeps = 0
     sweep_budget = max_sweeps * n
     hi = n - 1
@@ -266,8 +268,10 @@ def _qr_iteration(
             raise ConvergenceError(
                 total_sweeps, (lo, hi), np.ldexp(d, scale), np.ldexp(e, scale)
             )
+    d_out[:] = d
+    e_out[:] = e
     if scale:
-        d[:] = np.ldexp(d, scale)
+        d_out[:] = np.ldexp(d_out, scale)
     return total_sweeps
 
 

@@ -2,18 +2,28 @@
 
 This is the second stage of the two-stage approach (Großer & Lang; PLASMA's
 ``BND2BD``): the band produced by GE2BND is reduced to a proper bidiagonal
-matrix by *bulge chasing* with Givens rotations.  Each band element beyond
-the first superdiagonal is annihilated by a column rotation whose fill-in
-(a bulge) is chased down and off the matrix by alternating row and column
-rotations.  The stage performs ``O(n^2 b)`` flops on an ``O(n b)`` data
-footprint — much less work than GE2BND but memory-bound, which is why the
-paper keeps it on a single node.
+matrix by a Householder *bulge chase*, the scheme of PLASMA's second stage
+(Ltaief, Luszczek & Dongarra, "High-performance bidiagonal reduction using
+tile algorithms on homogeneous multicore architectures", ACM TOMS 39(3),
+2013) and of successive band reduction (Bischof, Lang & Sun, ACM TOMS
+26(4), 2000).
 
-The implementation operates on a dense copy for indexing simplicity (the
-matrices handed to the *numeric* layer are moderate) but only ever touches
-the banded region plus the transient bulge, so its operation count matches
-the real algorithm; the runtime simulator uses the analytic cost from
-:mod:`repro.models.flops`, not this code.
+Sweep ``i`` annihilates row ``i`` beyond the superdiagonal with one right
+reflector.  That fills the ``nb x nb`` block below it (a bulge); one left
+reflector removes the bulge's first column, which pushes fill one band
+width to the right of the block's top row, and the next right reflector
+removes that row.  The sweep walks down the band this way, one reflector
+per bulge row or column.  The rest of each bulge (its lower triangle past
+the first column) stays behind and the following sweeps clear it, as
+PLASMA's element-wise kernels do.  Every reflector touches a block of at
+most ``2 nb x nb`` entries, so the stage performs ``O(n^2 nb)`` flops on
+the band plus the transient bulges — much less work than GE2BND but
+memory-bound, which is why the paper keeps it on a single node.
+
+The implementation works on a dense copy for indexing simplicity (the
+matrices handed to the *numeric* layer are moderate); the runtime
+simulator uses the analytic cost from :mod:`repro.models.flops`, not this
+code.
 """
 
 from __future__ import annotations
@@ -23,14 +33,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.algorithms.band import BandBidiagonal
-from repro.algorithms.bd2val import _givens, _rotate_cols, _rotate_rows
+from repro.kernels.householder import householder_vector
 
 
 def band_to_bidiagonal(
     band: "BandBidiagonal | np.ndarray",
     bandwidth: Optional[int] = None,
     *,
-    zero_tol: float = 0.0,
     u: Optional[np.ndarray] = None,
     vt: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -43,14 +52,11 @@ def band_to_bidiagonal(
         square array that is upper banded.
     bandwidth:
         Required when ``band`` is a dense array; ignored otherwise.
-    zero_tol:
-        Entries whose magnitude is at most ``zero_tol`` are treated as
-        already zero (skipping their annihilation).
     u, vt:
         Optional accumulators, updated in place (the ``NRU`` / ``NCVT``
-        convention of LAPACK ``dbdsqr``): every left rotation of the band is
-        applied to the columns of ``u`` (``n`` columns) and every right
-        rotation to the rows of ``vt`` (``n`` rows).  Passed in as
+        convention of LAPACK ``dbdsqr``): every left reflector of the band
+        is applied to the columns of ``u`` (``n`` columns) and every right
+        reflector to the rows of ``vt`` (``n`` rows).  Passed in as
         identities they come back as the orthogonal factors of the
         reduction, ``B_band = u · bidiag(d, e) · vt`` — the piece that
         extends GE2VAL to singular vectors (GESVD).
@@ -81,46 +87,38 @@ def band_to_bidiagonal(
     if bw == 1:
         return np.diagonal(b).copy(), np.diagonal(b, offset=1).copy()
 
+    # The update slices below cover every nonzero a reflector reaches, the
+    # bulge fill included; a narrower slice silently drops part of it.
     for i in range(n - 1):
-        # Annihilate the band elements of row i beyond the superdiagonal,
-        # rightmost first so earlier zeros are preserved.
-        for j in range(min(i + bw, n - 1), i + 1, -1):
-            if abs(b[i, j]) <= zero_tol:
-                continue
-            # Column rotation (j-1, j) zeroing b[i, j]; may create a
-            # subdiagonal bulge at (j, j-1).
-            c, s, _ = _givens(b[i, j - 1], b[i, j])
-            _rotate_cols(b, j - 1, j, c, s, stop=min(j + 1, n))
-            if vt is not None:
-                _rotate_rows(vt, j - 1, j, c, s)
-            b[i, j] = 0.0
-
-            bulge_row, bulge_col = j, j - 1
-            while True:
-                if abs(b[bulge_row, bulge_col]) <= zero_tol:
-                    b[bulge_row, bulge_col] = 0.0
-                    break
-                # Row rotation (bulge_col, bulge_row) removing the
-                # subdiagonal bulge; may create an above-band bulge at
-                # (bulge_col, bulge_row + bw).
-                c, s, _ = _givens(b[bulge_col, bulge_col], b[bulge_row, bulge_col])
-                _rotate_rows(b, bulge_col, bulge_row, c, s, start=bulge_col)
-                if u is not None:
-                    _rotate_cols(u, bulge_col, bulge_row, c, s)
-                b[bulge_row, bulge_col] = 0.0
-
-                fill_row, fill_col = bulge_col, bulge_row + bw
-                if fill_col >= n or abs(b[fill_row, fill_col]) <= zero_tol:
-                    break
-                # Column rotation (fill_col-1, fill_col) removing the
-                # above-band bulge; may create the next subdiagonal bulge at
-                # (fill_col, fill_col - 1).
-                c, s, _ = _givens(b[fill_row, fill_col - 1], b[fill_row, fill_col])
-                _rotate_cols(b, fill_col - 1, fill_col, c, s, stop=min(fill_col + 1, n))
+        row, c0 = i, i + 1
+        while c0 + 1 < n:  # the block [c0, c1) has two or more columns
+            c1 = min(c0 + bw, n)
+            # Right reflector on columns [c0, c1): zeroes row `row` past
+            # column c0 and fills the block below it (the bulge).  A zero
+            # tau needs no update, but the sweep goes on: the bulges that
+            # earlier sweeps left behind still need clearing further down.
+            v, tau, beta = householder_vector(b[row, c0:c1])
+            if tau != 0.0:
+                block = b[row:c1, c0:c1]
+                block -= np.outer(block @ v, tau * v)
                 if vt is not None:
-                    _rotate_rows(vt, fill_col - 1, fill_col, c, s)
-                b[fill_row, fill_col] = 0.0
-                bulge_row, bulge_col = fill_col, fill_col - 1
+                    rows = vt[c0:c1]
+                    rows -= np.outer(tau * v, v @ rows)
+            b[row, c0] = beta
+            b[row, c0 + 1 : c1] = 0.0
+            # Left reflector on rows [c0, c1): zeroes the bulge's first
+            # column and spills the rows up to one band width past the
+            # block; the next step's right reflector clears row c0.
+            v, tau, beta = householder_vector(b[c0:c1, c0])
+            if tau != 0.0:
+                block = b[c0:c1, c0 : min(c1 + bw, n)]
+                block -= np.outer(tau * v, v @ block)
+                if u is not None:
+                    cols = u[:, c0:c1]
+                    cols -= np.outer(cols @ v, tau * v)
+            b[c0, c0] = beta
+            b[c0 + 1 : c1, c0] = 0.0
+            row, c0 = c0, c0 + bw
 
     d = np.diagonal(b).copy()
     e = np.diagonal(b, offset=1).copy()

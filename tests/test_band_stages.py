@@ -7,12 +7,17 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms.band import BandBidiagonal
 from repro.algorithms.bd2val import (
     ConvergenceError,
+    _givens,
     bdsqr,
     bidiagonal_singular_values,
     bidiagonal_sv_bisection,
     bidiagonal_to_dense,
 )
 from repro.algorithms.bnd2bd import band_to_bidiagonal
+from repro.api import SvdPlan, execute
+
+#: Kinds of the ``structured_band`` fixture.
+STRUCTURED = ("zero", "rank-1", "bidiagonal", "exact-zeros")
 
 
 def _sv(a):
@@ -23,6 +28,48 @@ def _random_band(n, bw, rng):
     a = np.triu(rng.standard_normal((n, n)))
     a = np.triu(a) - np.triu(a, bw + 1)
     return a
+
+
+def _rotate(x, y, c, s):
+    """``(x, y) := (c x + s y, -s x + c y)`` on two views, in place."""
+    x[:], y[:] = c * x + s * y, -s * x + c * y
+
+
+def reference_chase(a, bw):
+    """Givens bulge chase: the differential oracle of BND2BD.
+
+    One rotation per annihilated band element and one per bulge step, each
+    spanning a whole row or column prefix, so the chase costs ``O(n^3)``;
+    returns ``(d, e)`` like :func:`band_to_bidiagonal`.
+    """
+    b = np.array(a, dtype=float, copy=True)
+    n = b.shape[0]
+    for i in range(n - 1):
+        # Annihilate row i beyond the superdiagonal, rightmost first.
+        for j in range(min(i + bw, n - 1), i + 1, -1):
+            if b[i, j] == 0.0:
+                continue
+            # Column rotation (j-1, j); may create a bulge at (j, j-1).
+            c, s, _ = _givens(b[i, j - 1], b[i, j])
+            _rotate(b[: j + 1, j - 1], b[: j + 1, j], c, s)
+            b[i, j] = 0.0
+            row, col = j, j - 1
+            while b[row, col] != 0.0:
+                # Row rotation (col, row) removing the subdiagonal bulge;
+                # may create a bulge above the band at (col, row + bw).
+                c, s, _ = _givens(b[col, col], b[row, col])
+                _rotate(b[col, col:], b[row, col:], c, s)
+                b[row, col] = 0.0
+                fill = row + bw
+                if fill >= n or b[col, fill] == 0.0:
+                    break
+                # Column rotation (fill-1, fill) removing it; may create the
+                # next subdiagonal bulge at (fill, fill - 1).
+                c, s, _ = _givens(b[col, fill - 1], b[col, fill])
+                _rotate(b[: fill + 1, fill - 1], b[: fill + 1, fill], c, s)
+                b[col, fill] = 0.0
+                row, col = fill, fill - 1
+    return np.diagonal(b).copy(), np.diagonal(b, offset=1).copy()
 
 
 class TestBandContainer:
@@ -65,12 +112,69 @@ class TestBandContainer:
 
 
 class TestBnd2Bd:
-    @pytest.mark.parametrize("n,bw", [(8, 2), (12, 3), (20, 4), (15, 5), (10, 9)])
-    def test_preserves_singular_values(self, n, bw, rng):
-        dense = _random_band(n, bw, rng)
+    @pytest.mark.parametrize(
+        "n,bw,kind",
+        [
+            pytest.param(n, bw, "random", id=f"{n}-{bw}")
+            for n, bw in [(8, 2), (12, 3), (20, 4), (15, 5), (10, 9)]
+        ]
+        + [pytest.param(12, 4, kind, id=kind) for kind in STRUCTURED],
+    )
+    def test_preserves_singular_values(self, n, bw, kind, rng, structured_band):
+        if kind == "random":
+            dense = _random_band(n, bw, rng)
+        else:
+            dense = structured_band(kind, n, bw)
         d, e = band_to_bidiagonal(dense, bandwidth=bw)
         b = bidiagonal_to_dense(d, e)
         np.testing.assert_allclose(np.sort(_sv(b)), np.sort(_sv(dense)), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Sweep 0 swaps columns 1 and 3, then rows 1 and 3, which drops
+            # row 1's entry to (3, 2) below the diagonal.  Sweep 1's right
+            # reflector has tau = 0; its left reflector must still run.
+            pytest.param(
+                [[0, 0, 0, -2], [0, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 2]],
+                id="right-tau-zero",
+            ),
+            # Sweep 1's left reflector has tau = 0 while row 2 still holds
+            # sweep 0's spill at (2, 6); the next right reflector clears it.
+            pytest.param(
+                [
+                    [0, 0, 0, 1, 0, 0, 0],
+                    [0, 0, 0, 0, 0, 0, 0],
+                    [0, 0, -3, 0, -3, 0, 0],
+                    [0, 0, 0, 2, 1, 0, -3],
+                    [0, 0, 0, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 0, -1, 0],
+                    [0, 0, 0, 0, 0, 0, 0],
+                ],
+                id="left-tau-zero",
+            ),
+        ],
+    )
+    def test_zero_reflector_does_not_end_the_sweep(self, rows):
+        dense = np.array(rows, dtype=float)
+        b = bidiagonal_to_dense(*band_to_bidiagonal(dense, bandwidth=3))
+        np.testing.assert_allclose(np.sort(_sv(b)), np.sort(_sv(dense)), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "m,n,nb",
+        [(1536, 96, 16), (256, 256, 32)],
+        ids=["numeric-tall", "numeric-square"],
+    )
+    def test_matches_givens_oracle_at_harness_bands(self, m, n, nb):
+        # The GE2BND bands of the benchmark harness's numeric workloads.
+        a = np.random.default_rng(1).standard_normal((m, n))
+        plan = SvdPlan(matrix=a, tile_size=nb, stage="ge2bnd", tree="greedy")
+        band = execute(plan, "numeric").extras["band"]
+        got = bidiagonal_singular_values(*band_to_bidiagonal(band))
+        want = bidiagonal_singular_values(
+            *reference_chase(band.to_dense(), band.bandwidth)
+        )
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
 
     def test_accepts_band_container(self, rng):
         dense = _random_band(12, 3, rng)
