@@ -14,6 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.tiles.layout import ceil_div
 from repro.tiles.matrix import TiledMatrix
 
 
@@ -99,8 +100,17 @@ def extract_band(matrix: TiledMatrix, *, n_cols: int | None = None) -> BandBidia
     """
     n = matrix.n if n_cols is None else n_cols
     n = min(n, matrix.m)
-    dense = matrix.to_dense()[:n, :n]
-    return BandBidiagonal.from_dense(dense, bandwidth=min(matrix.nb, n - 1) if n > 1 else 1)
+    nb = matrix.nb
+    # Every band element (r, c), 0 <= c - r <= nb, lies in a diagonal tile
+    # (k, k) or a superdiagonal tile (k, k + 1): read only those tiles of
+    # the top-left n x n block, not the whole matrix.
+    dense = np.zeros((n, n), dtype=matrix.dtype)
+    for k in range(ceil_div(n, nb)):
+        for j in (k, k + 1):
+            if j * nb < n:
+                block = dense[k * nb : (k + 1) * nb, j * nb : (j + 1) * nb]
+                block[...] = matrix[k, j][: block.shape[0], : block.shape[1]]
+    return BandBidiagonal.from_dense(dense, bandwidth=min(nb, n - 1) if n > 1 else 1)
 
 
 def band_residual(matrix: TiledMatrix, *, n_cols: int | None = None) -> float:

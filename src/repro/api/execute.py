@@ -88,7 +88,17 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     seconds = result.stage_seconds
     gesvd = resolved.stage == "gesvd"
     tiled = resolved.build_tiled()
-    reference = None if resolved.stage == "ge2bnd" else tiled.to_dense()
+    # The accuracy reference: the plan's dense input when it carries one,
+    # otherwise the input assembled back from its tiles before they are
+    # reduced.
+    source = resolved.plan.matrix
+    reference: Optional[np.ndarray]
+    if resolved.stage == "ge2bnd":
+        reference = None
+    elif isinstance(source, np.ndarray):
+        reference = np.asarray(source, dtype=float)
+    else:
+        reference = tiled.to_dense()
 
     t0 = time.perf_counter()
     executor = NumericExecutor(tiled, log_transformations=gesvd)

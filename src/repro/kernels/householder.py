@@ -16,6 +16,14 @@ Only NumPy is used: ``dgeqrf`` is reached through
 ``np.linalg.qr(mode="raw")``, and ``T`` and the block reflector
 applications are a handful of matrix products on whole tiles, so no
 Python loop runs over the columns of a tile.
+
+Every function but :func:`householder_vector` and :func:`form_q` also
+accepts a *stack* of blocks (a leading axis of independent problems of
+one shape) and treats each slice exactly as a 2-D call would: numpy runs
+``dgeqrf``, the ``T`` inversion and the matrix products slice by slice,
+so a stacked call gives bitwise the same result per slice.  This is what
+lets the numeric replay run all the same-shaped ops of one DAG level as
+one kernel call.
 """
 
 from __future__ import annotations
@@ -103,7 +111,9 @@ def build_t_factor(v: np.ndarray, taus: np.ndarray) -> np.ndarray:
     Given the ``m x k`` matrix of Householder vectors ``V`` (unit diagonal,
     zero above) and their scalars ``tau``, returns the ``k x k`` upper
     triangular ``T`` such that ``H_1 H_2 ... H_k = I - V T V^T``
-    (LAPACK ``dlarft``, direction *forward*, storage *column-wise*).
+    (LAPACK ``dlarft``, direction *forward*, storage *column-wise*).  A
+    stack of ``V`` (``g x m x k``) with its ``g x k`` scalars gives the
+    ``g x k x k`` stack of ``T``.
 
     ``T`` comes from the closed form ``T^{-1} = diag(1/tau) + striu(V^T V)``
     (Joffrain et al., "Accumulating Householder transformations,
@@ -114,13 +124,14 @@ def build_t_factor(v: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    k = taus.size
+    k = taus.shape[-1]
     live = taus != 0.0
     # One mask serves T^{-1} and T: the upper triangle, less the rows and
     # columns of identity reflectors.  T is thus exactly upper triangular.
-    keep = _trapezoids(k, k)[0] & np.outer(live, live)
-    t_inv = np.where(keep, v.T @ v, 0.0)
-    np.fill_diagonal(t_inv, 1.0 / np.where(live, taus, 1.0))
+    keep = _trapezoids(k, k)[0] & (live[..., :, None] & live[..., None, :])
+    t_inv = np.where(keep, v.mT @ v, 0.0)
+    diag = np.arange(k)
+    t_inv[..., diag, diag] = 1.0 / np.where(live, taus, 1.0)
     return np.where(keep, np.linalg.inv(t_inv), 0.0)
 
 
@@ -130,6 +141,8 @@ def qr_factor(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(V, T, R)`` where ``Q = I - V T V^T`` is ``m x m`` orthogonal,
     ``V`` is ``m x k`` unit-lower-trapezoidal (``k = min(m, n)``) and ``R``
     is the ``m x n`` upper-trapezoidal factor (zero below the diagonal).
+    A stack of ``g`` blocks (``g x m x n``) gives stacks of all three, one
+    ``dgeqrf`` call per slice.
 
     ``V`` and ``R`` are unpacked from ``dgeqrf``'s output
     (``np.linalg.qr(mode="raw")``) and ``T`` is built by
@@ -138,35 +151,35 @@ def qr_factor(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     identity and its row and column of ``T`` are zero.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("qr_factor expects a 2-D array")
-    upper, below, unit = _trapezoids(*a.shape)
+    if a.ndim < 2:
+        raise ValueError("qr_factor expects a 2-D array or a stack of them")
+    upper, below, unit = _trapezoids(*a.shape[-2:])
     # np.linalg.qr returns LAPACK's packed array transposed: R on and above
     # the diagonal, the Householder vectors below it.
     packed, taus = np.linalg.qr(a, mode="raw")
-    packed = packed.T
-    v = np.where(below, packed[:, : unit.shape[1]], unit)
+    packed = packed.mT
+    v = np.where(below, packed[..., : unit.shape[1]], unit)
     return v, build_t_factor(v, taus), np.where(upper, packed, 0.0)
 
 
 def apply_qt(v: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Apply ``Q^T = I - V T^T V^T`` to ``C`` from the left; ``C`` is unchanged."""
-    return c - v @ (t.T @ (v.T @ c))
+    return c - v @ (t.mT @ (v.mT @ c))
 
 
 def apply_q(v: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Apply ``Q = I - V T V^T`` to ``C`` from the left; ``C`` is unchanged."""
-    return c - v @ (t @ (v.T @ c))
+    return c - v @ (t @ (v.mT @ c))
 
 
 def apply_q_right(v: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Apply ``Q = I - V T V^T`` to ``C`` from the right; ``C`` is unchanged."""
-    return c - ((c @ v) @ t) @ v.T
+    return c - ((c @ v) @ t) @ v.mT
 
 
 def apply_qt_right(v: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Apply ``Q^T = I - V T^T V^T`` to ``C`` from the right; ``C`` is unchanged."""
-    return c - ((c @ v) @ t.T) @ v.T
+    return c - ((c @ v) @ t.mT) @ v.mT
 
 
 def form_q(v: np.ndarray, t: np.ndarray, m: int | None = None) -> np.ndarray:

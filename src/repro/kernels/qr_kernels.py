@@ -16,6 +16,12 @@ Naming follows Table I of the paper:
 The kernels are pure functions: they never modify their inputs and return
 new tiles together with a :class:`QRReflector` holding the compact-WY
 representation needed by the corresponding update kernel.
+
+Every kernel also accepts a stack of ``g`` same-shaped tiles (a leading
+axis) and then returns stacked tiles and a reflector whose ``v`` and ``t``
+carry the same leading axis; an update kernel takes such a stacked
+reflector with its stack of tiles.  Each slice is bitwise what the 2-D
+call on that slice returns (see :mod:`repro.kernels.householder`).
 """
 
 from __future__ import annotations
@@ -35,9 +41,10 @@ class QRReflector:
     Attributes
     ----------
     v:
-        Householder vectors (unit lower trapezoidal), ``rows x k``.
+        Householder vectors (unit lower trapezoidal), ``rows x k``, or a
+        ``g x rows x k`` stack of them.
     t:
-        ``k x k`` upper triangular factor.
+        ``k x k`` upper triangular factor, or a ``g x k x k`` stack.
     split:
         For the two-tile kernels (TS/TT), the number of rows of the *top*
         tile inside the stacked representation; ``0`` for single-tile
@@ -67,9 +74,9 @@ def unmqr(refl: QRReflector, c: np.ndarray) -> np.ndarray:
     """Apply ``Q^T`` from a :func:`geqrt` factorization to tile ``C``."""
     if refl.kind != "GEQRT":
         raise ValueError(f"unmqr expects a GEQRT reflector, got {refl.kind}")
-    if c.shape[0] != refl.v.shape[0]:
+    if c.shape[-2] != refl.v.shape[-2]:
         raise ValueError(
-            f"row mismatch: C has {c.shape[0]} rows, reflector expects {refl.v.shape[0]}"
+            f"row mismatch: C has {c.shape[-2]} rows, reflector expects {refl.v.shape[-2]}"
         )
     return apply_qt(refl.v, refl.t, c)
 
@@ -78,14 +85,14 @@ def _stacked_qr(top: np.ndarray, bottom: np.ndarray, kind: str) -> Tuple[
     np.ndarray, np.ndarray, QRReflector
 ]:
     """QR of ``[top; bottom]`` stacked vertically; shared by TSQRT/TTQRT."""
-    if top.shape[1] != bottom.shape[1]:
+    if top.shape[-1] != bottom.shape[-1]:
         raise ValueError(
-            f"column mismatch: top has {top.shape[1]} columns, bottom has {bottom.shape[1]}"
+            f"column mismatch: top has {top.shape[-1]} columns, bottom has {bottom.shape[-1]}"
         )
-    stacked = np.vstack([top, bottom])
+    stacked = np.concatenate([top, bottom], axis=-2)
     v, t, r = qr_factor(stacked)
-    split = top.shape[0]
-    new_top = r[:split, :]
+    split = top.shape[-2]
+    new_top = r[..., :split, :]
     new_bottom = np.zeros_like(bottom)
     return new_top, new_bottom, QRReflector(v=v, t=t, split=split, kind=kind)
 
@@ -112,18 +119,18 @@ def ttqrt(r_top: np.ndarray, r_bottom: np.ndarray) -> Tuple[np.ndarray, np.ndarr
 def _stacked_apply(refl: QRReflector, c_top: np.ndarray, c_bottom: np.ndarray) -> Tuple[
     np.ndarray, np.ndarray
 ]:
-    if c_top.shape[0] != refl.split:
+    if c_top.shape[-2] != refl.split:
         raise ValueError(
-            f"top tile has {c_top.shape[0]} rows but reflector was built with split={refl.split}"
+            f"top tile has {c_top.shape[-2]} rows but reflector was built with split={refl.split}"
         )
-    if c_top.shape[0] + c_bottom.shape[0] != refl.v.shape[0]:
+    if c_top.shape[-2] + c_bottom.shape[-2] != refl.v.shape[-2]:
         raise ValueError(
             "stacked row count does not match the reflector "
-            f"({c_top.shape[0]} + {c_bottom.shape[0]} != {refl.v.shape[0]})"
+            f"({c_top.shape[-2]} + {c_bottom.shape[-2]} != {refl.v.shape[-2]})"
         )
-    stacked = np.vstack([c_top, c_bottom])
+    stacked = np.concatenate([c_top, c_bottom], axis=-2)
     updated = apply_qt(refl.v, refl.t, stacked)
-    return updated[: refl.split, :], updated[refl.split :, :]
+    return updated[..., : refl.split, :], updated[..., refl.split :, :]
 
 
 def tsmqr(refl: QRReflector, c_top: np.ndarray, c_bottom: np.ndarray) -> Tuple[

@@ -8,7 +8,7 @@ which is what allows the tiled algorithms to expose task parallelism.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,12 +55,17 @@ class TiledMatrix:
         if a.ndim != 2:
             raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
         layout = TileLayout(a.shape[0], a.shape[1], tile_size)
-        mat = cls(layout, dtype=a.dtype if a.dtype.kind == "f" else np.float64)
-        for i, j in layout.tiles():
-            r0, r1 = layout.row_range(i)
-            c0, c1 = layout.col_range(j)
-            mat._tiles[(i, j)] = np.array(a[r0:r1, c0:c1], dtype=mat.dtype, copy=True)
-        return mat
+        dtype = a.dtype if a.dtype.kind == "f" else np.float64
+        a = a.astype(dtype, copy=False)
+        nb = layout.nb
+        # Slicing clips at the matrix edge, which gives the ragged last
+        # tile row and column their layout shapes.
+        tiles = {
+            (i, j): a[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb].copy()
+            for i in range(layout.p)
+            for j in range(layout.q)
+        }
+        return cls(layout, dtype=dtype, tiles=tiles)
 
     @classmethod
     def zeros(cls, m: int, n: int, tile_size: int, dtype=np.float64) -> "TiledMatrix":
@@ -125,6 +130,46 @@ class TiledMatrix:
         layout._check_tile_index(j, layout.q, "column")
         return (i, j)
 
+    def gather(self, keys: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Stack the tiles ``keys`` along a new leading axis (a copy).
+
+        The tiles must share one shape; a key outside the tile grid raises
+        :class:`IndexError`.
+        """
+        try:
+            # np.array stacks a list of same-shaped arrays like np.stack,
+            # at a fraction of its call overhead, and raises on mixed shapes.
+            return np.array([self._tiles[key] for key in keys])
+        except KeyError as exc:
+            raise IndexError(
+                f"tile {exc.args[0]} is outside the {self.p}x{self.q} tile grid"
+            ) from None
+
+    def scatter(self, keys: Sequence[Tuple[int, int]], stack: np.ndarray) -> None:
+        """Store ``stack[g]`` as tile ``keys[g]``: the inverse of :meth:`gather`.
+
+        The stored tiles are views of ``stack``.  Every key must name a tile
+        of ``stack``'s slice shape, as :meth:`__setitem__` requires.
+        """
+        stack = np.asarray(stack, dtype=self.dtype)
+        if stack.ndim != 3 or len(stack) != len(keys):
+            raise ValueError(
+                f"expected a stack of {len(keys)} tiles, got shape {stack.shape}"
+            )
+        tiles = self._tiles
+        shape = stack.shape[1:]
+        try:
+            wrong = [key for key in keys if tiles[key].shape != shape]
+        except KeyError as exc:
+            raise IndexError(
+                f"tile {exc.args[0]} is outside the {self.p}x{self.q} tile grid"
+            ) from None
+        if wrong:
+            raise ValueError(
+                f"tile {wrong[0]} must have shape {tiles[wrong[0]].shape}, got {shape}"
+            )
+        tiles.update(zip(keys, stack))
+
     def tiles(self) -> Iterator[Tuple[Tuple[int, int], np.ndarray]]:
         """Iterate over ``((i, j), tile)`` pairs in row-major order."""
         for ij in self.layout.tiles():
@@ -136,10 +181,9 @@ class TiledMatrix:
     def to_dense(self) -> np.ndarray:
         """Assemble the tiles back into a dense 2-D array."""
         out = np.zeros(self.shape, dtype=self.dtype)
-        for (i, j), tile in self.tiles():
-            r0, r1 = self.layout.row_range(i)
-            c0, c1 = self.layout.col_range(j)
-            out[r0:r1, c0:c1] = tile
+        nb = self.nb
+        for (i, j), tile in self._tiles.items():
+            out[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = tile
         return out
 
     def copy(self) -> "TiledMatrix":

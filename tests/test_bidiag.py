@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.band import band_residual, extract_band
+from repro.algorithms.band import BandBidiagonal, band_residual, extract_band
 from repro.algorithms.bidiag import bidiag_ge2bnd
 from repro.algorithms.rbidiag import rbidiag_ge2bnd
 from repro.tiles.matrix import TiledMatrix
@@ -15,6 +15,22 @@ TREES = [FlatTSTree(), FlatTTTree(), GreedyTree(), FibonacciTree(), AutoTree(n_c
 
 def _sv(a):
     return np.linalg.svd(a, compute_uv=False)
+
+
+class TestExtractBand:
+    @pytest.mark.parametrize(
+        "shape, nb, n_cols",
+        [((16, 16), 4, None), ((13, 9), 3, None), ((30, 7), 4, None), ((24, 12), 5, 9), ((5, 3), 8, None)],
+    )
+    def test_reads_the_band_of_the_dense_block(self, shape, nb, n_cols, rng):
+        # extract_band reads only the diagonal and superdiagonal tiles; on
+        # any matrix it must pack what the whole dense n x n block holds.
+        mat = TiledMatrix.from_dense(rng.standard_normal(shape), nb)
+        n = min(shape[1] if n_cols is None else n_cols, shape[0])
+        band = extract_band(mat, n_cols=n_cols)
+        want = BandBidiagonal.from_dense(mat.to_dense()[:n, :n], min(nb, n - 1))
+        assert (band.n, band.bandwidth) == (want.n, want.bandwidth)
+        np.testing.assert_array_equal(band.data, want.data)
 
 
 class TestBidiag:

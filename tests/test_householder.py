@@ -10,6 +10,7 @@ from repro.kernels.householder import (
     apply_q_right,
     apply_qt,
     apply_qt_right,
+    build_t_factor,
     form_q,
     householder_vector,
     qr_factor,
@@ -229,3 +230,48 @@ class TestApply:
         a = rng.standard_normal((6, 4))
         v, t, _ = qr_factor(a)
         np.testing.assert_allclose(np.tril(t, -1), 0.0, atol=0.0)
+
+
+class TestStacked:
+    """A stack of g blocks gives bitwise what g 2-D calls give.
+
+    Slice 0 of every stack has a column whose reflector is the identity
+    (tau = 0), and the shapes include a ragged edge tile.
+    """
+
+    @staticmethod
+    def _stack(rng, g, shape):
+        a = rng.standard_normal((g, *shape))
+        a[0, 1:, 0] = 0.0
+        return a
+
+    @pytest.mark.parametrize("g", [1, 3, 22])
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 16), (5, 3), (3, 5)])
+    def test_qr_factor(self, rng, g, shape):
+        a = self._stack(rng, g, shape)
+        v, t, r = qr_factor(a)
+        assert t[0, 0, 0] == 0.0
+        for s in range(g):
+            for got, want in zip((v[s], t[s], r[s]), qr_factor(a[s])):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("g", [1, 3, 22])
+    def test_build_t_factor(self, rng, g):
+        v, t, _ = qr_factor(self._stack(rng, g, (12, 8)))
+        taus = np.diagonal(t, axis1=-2, axis2=-1)
+        stacked = build_t_factor(v, taus)
+        np.testing.assert_array_equal(stacked, t)
+        for s in range(g):
+            np.testing.assert_array_equal(stacked[s], build_t_factor(v[s], taus[s]))
+
+    @pytest.mark.parametrize("g", [1, 3, 22])
+    @pytest.mark.parametrize(
+        "apply, c_shape",
+        [(apply_qt, (12, 5)), (apply_q, (12, 5)), (apply_q_right, (4, 12)), (apply_qt_right, (4, 12))],
+    )
+    def test_apply(self, rng, g, apply, c_shape):
+        v, t, _ = qr_factor(self._stack(rng, g, (12, 8)))
+        c = rng.standard_normal((g, *c_shape))
+        got = apply(v, t, c)
+        for s in range(g):
+            np.testing.assert_array_equal(got[s], apply(v[s], t[s], c[s]))
