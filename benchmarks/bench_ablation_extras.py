@@ -13,17 +13,18 @@
 import pytest
 
 from benchmarks.conftest import print_table
+from repro.api import SvdPlan, execute
 from repro.experiments.figures import format_rows
 from repro.ir import get_program
 from repro.kernels import costs
 from repro.runtime.machine import Machine
 from repro.runtime.engine import SimulationEngine
-from repro.runtime.simulator import simulate_ge2bnd
 from repro.trees import AutoTree, GreedyTree
 
 
 def test_ablation_kernel_efficiency_gap(benchmark, monkeypatch):
-    machine = Machine(n_nodes=1, cores_per_node=24, tile_size=160)
+    base = SvdPlan(m=6000, n=6000, stage="ge2bnd", variant="bidiag",
+                   tile_size=160, n_cores=24)
 
     def run():
         rows = []
@@ -33,10 +34,8 @@ def test_ablation_kernel_efficiency_gap(benchmark, monkeypatch):
         ):
             if efficiencies is not None:
                 monkeypatch.setattr(costs, "KERNEL_EFFICIENCY", efficiencies)
-            auto = simulate_ge2bnd(
-                6000, 6000, machine, tree=AutoTree(n_cores=24), algorithm="bidiag"
-            )
-            greedy = simulate_ge2bnd(6000, 6000, machine, tree="greedy", algorithm="bidiag")
+            auto = execute(base.with_(tree=AutoTree(n_cores=24)), "simulate")
+            greedy = execute(base.with_(tree="greedy"), "simulate")
             rows.append(
                 {
                     "scenario": label,

@@ -9,20 +9,23 @@
 """
 
 from benchmarks.conftest import print_table
+from repro.api import SvdPlan, execute
 from repro.experiments.figures import format_rows
-from repro.runtime.machine import Machine
-from repro.runtime.simulator import simulate_ge2bnd, simulate_ge2val
 from repro.trees import AutoTree, GreedyTree, HierarchicalTree
 
 
-def test_ablation_auto_gamma(benchmark):
-    machine = Machine(n_nodes=1, cores_per_node=24, tile_size=160)
+def simulate(m, n, **fields):
+    """Simulate one plan on miriel nodes (24 cores and nb = 160 by default)."""
+    fields = {"tile_size": 160, "n_cores": 24, **fields}
+    return execute(SvdPlan(m=m, n=n, **fields), "simulate")
 
+
+def test_ablation_auto_gamma(benchmark):
     def run():
         rows = []
         for gamma in (1.0, 2.0, 4.0, 8.0):
-            tree = AutoTree(n_cores=machine.cores_per_node, gamma=gamma)
-            sim = simulate_ge2bnd(4000, 4000, machine, tree=tree)
+            tree = AutoTree(n_cores=24, gamma=gamma)
+            sim = simulate(4000, 4000, stage="ge2bnd", variant="bidiag", tree=tree)
             rows.append({"gamma": gamma, "gflops": sim.gflops})
         return rows
 
@@ -35,16 +38,14 @@ def test_ablation_auto_gamma(benchmark):
 
 
 def test_ablation_auto_domain_size(benchmark):
-    machine = Machine(n_nodes=1, cores_per_node=24, tile_size=160)
-
     def run():
         rows = []
         for a in (1, 2, 4, 8, 16):
             tree = AutoTree(fixed_domain_size=a)
-            sim = simulate_ge2bnd(4000, 4000, machine, tree=tree)
+            sim = simulate(4000, 4000, stage="ge2bnd", variant="bidiag", tree=tree)
             rows.append({"domain_size": a, "gflops": sim.gflops})
-        adaptive = simulate_ge2bnd(
-            4000, 4000, machine, tree=AutoTree(n_cores=machine.cores_per_node)
+        adaptive = simulate(
+            4000, 4000, stage="ge2bnd", variant="bidiag", tree=AutoTree(n_cores=24)
         )
         rows.append({"domain_size": "adaptive", "gflops": adaptive.gflops})
         return rows
@@ -61,9 +62,9 @@ def test_ablation_distributed_top_tree(benchmark):
     def run():
         rows = []
         for top in ("flat", "greedy", "fibonacci"):
-            machine = Machine(n_nodes=4, cores_per_node=12, tile_size=160)
             tree = HierarchicalTree(local_tree=GreedyTree(), top=top, grid_rows=2)
-            sim = simulate_ge2bnd(4000, 4000, machine, tree=tree)
+            sim = simulate(4000, 4000, stage="ge2bnd", variant="bidiag", tree=tree,
+                           n_nodes=4, n_cores=12)
             rows.append(
                 {"top_tree": top, "gflops": sim.gflops, "messages": sim.messages}
             )
@@ -81,13 +82,13 @@ def test_ablation_tile_size(benchmark):
     def run():
         rows = []
         for nb in (80, 160, 320):
-            machine = Machine(n_nodes=1, cores_per_node=24, tile_size=nb)
-            sim = simulate_ge2val(6000, 6000, machine, tree="auto", algorithm="bidiag")
+            sim = simulate(6000, 6000, stage="ge2val", variant="bidiag", tree="auto",
+                           tile_size=nb)
             rows.append(
                 {
                     "nb": nb,
-                    "ge2bnd_s": sim.ge2bnd_seconds,
-                    "bnd2bd+bd2val_s": sim.post_seconds,
+                    "ge2bnd_s": sim.stage_seconds["ge2bnd"],
+                    "bnd2bd+bd2val_s": sim.stage_seconds["post"],
                     "ge2val_gflops": sim.gflops,
                 }
             )

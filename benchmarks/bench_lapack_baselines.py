@@ -18,7 +18,6 @@ from repro.lapack import chan_bidiagonalization, chan_flops, gebd2, gebd2_flops
 from repro.models.competitors import ScalapackModel
 from repro.models.roofline import attainable_gflops, gemv_intensity, tile_kernel_intensity
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import simulate_ge2val
 from repro.utils.generators import latms
 
 
@@ -61,7 +60,9 @@ def test_one_stage_is_memory_bound_two_stage_is_not(benchmark):
         blas2_roof = attainable_gflops(gemv_intensity())
         tile_roof = attainable_gflops(tile_kernel_intensity(160))
         for m, n in ((8000, 8000), (24000, 2000)):
-            dplasma = simulate_ge2val(m, n, machine, tree="auto")
+            dplasma = execute(
+                SvdPlan(m=m, n=n, tree="auto", tile_size=160, n_cores=24), "simulate"
+            )
             scalapack = ScalapackModel().gflops(m, n, machine)
             rows.append(
                 {

@@ -22,12 +22,12 @@ import numpy as np
 
 from repro.analysis.communication import communication_volume, panel_messages_estimate
 from repro.analysis.speedup import amdahl_ge2val_bound, speedup_bounds, strong_scaling_efficiency
+from repro.api import SvdPlan, execute
 from repro.ir import get_program
 from repro.kernels.costs import KERNEL_LIST
 from repro.obs import Tracer, utilization_summary
 from repro.runtime.machine import Machine
 from repro.runtime.engine import SimulationEngine
-from repro.runtime.simulator import post_processing_seconds, simulate_ge2bnd, simulate_ge2val
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import GreedyTree, HierarchicalTree
 
@@ -74,16 +74,17 @@ def main() -> None:
     sm, sn = (4800, 1200) if FAST else (24000, 6000)
     node_counts = (1, 4) if FAST else (1, 4, 9)
     print(f"\n== strong scaling of GE2BND vs the GE2VAL Amdahl bound (m={sm}, n={sn}) ==")
+    base = SvdPlan(m=sm, n=sn, stage="ge2bnd", variant="rbidiag", tree="auto",
+                   tile_size=160, n_cores=24)
+    single_node = execute(base, "simulate")
     times = {}
     for n_nodes in node_counts:
-        mach = Machine(n_nodes=n_nodes, cores_per_node=24, tile_size=160)
-        sim = simulate_ge2bnd(sm, sn, mach, tree="auto", algorithm="rbidiag")
-        ge2val = simulate_ge2val(sm, sn, mach, tree="auto")
+        sim = execute(base.with_(n_nodes=n_nodes), "simulate")
+        ge2val = execute(
+            base.with_(n_nodes=n_nodes, stage="ge2val", variant="auto"), "simulate"
+        )
         bound = amdahl_ge2val_bound(
-            simulate_ge2bnd(sm, sn, Machine(n_nodes=1, cores_per_node=24, tile_size=160),
-                            tree="auto", algorithm="rbidiag").time_seconds,
-            post_processing_seconds(sn, mach),
-            n_nodes,
+            single_node.time_seconds, ge2val.stage_seconds["post"], n_nodes
         )
         times[n_nodes] = sim.time_seconds
         print(f"  {n_nodes:2d} nodes: GE2BND {sim.gflops:7.1f} GFlop/s, "

@@ -13,20 +13,24 @@ Run:  python examples/distributed_simulation.py
 
 import os
 
+from repro.api import SvdPlan, execute
 from repro.experiments.figures import format_rows
 from repro.models.competitors import COMPETITORS
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import simulate_ge2bnd, simulate_ge2val
-from repro.tiles.distribution import ProcessGrid
+
+
+def simulate(m: int, n: int, nodes: int, cores: int, **fields):
+    """Simulate one plan on ``nodes`` miriel nodes with nb = 160."""
+    plan = SvdPlan(m=m, n=n, tile_size=160, n_nodes=nodes, n_cores=cores, **fields)
+    return execute(plan, "simulate")
 
 
 def strong_scaling(m: int, n: int, node_counts) -> None:
     print(f"\n--- strong scaling, GE2BND, m={m}, n={n} ---")
     rows = []
     for nodes in node_counts:
-        machine = Machine(n_nodes=nodes, cores_per_node=23, tile_size=160)
         for tree in ("flatts", "greedy", "auto"):
-            sim = simulate_ge2bnd(m, n, machine, tree=tree, algorithm="bidiag")
+            sim = simulate(m, n, nodes, 23, stage="ge2bnd", variant="bidiag", tree=tree)
             rows.append(
                 {
                     "nodes": nodes,
@@ -44,7 +48,7 @@ def ge2val_vs_competitors(m: int, n: int, node_counts) -> None:
     rows = []
     for nodes in node_counts:
         machine = Machine(n_nodes=nodes, cores_per_node=23, tile_size=160)
-        dplasma = simulate_ge2val(m, n, machine, tree="auto")
+        dplasma = simulate(m, n, nodes, 23, stage="ge2val", tree="auto")
         rows.append({"nodes": nodes, "library": "DPLASMA (this work)", "gflops": dplasma.gflops})
         for name in ("Elemental", "ScaLAPACK"):
             rows.append(
@@ -59,12 +63,11 @@ def weak_scaling(n: int, rows_per_node: int, node_counts) -> None:
     for nodes in node_counts:
         m = rows_per_node * nodes
         machine = Machine(n_nodes=nodes, cores_per_node=24, tile_size=160)
-        grid = ProcessGrid.for_tall_skinny_matrix(nodes)
-        sim = simulate_ge2bnd(m, n, machine, tree="auto", algorithm="rbidiag")
+        sim = simulate(m, n, nodes, 24, stage="ge2bnd", variant="rbidiag", tree="auto")
         rows.append(
             {
                 "nodes": nodes,
-                "grid": f"{grid.rows}x{grid.cols}",
+                "grid": sim.grid,
                 "m": m,
                 "gflops": sim.gflops,
                 "gflops/node": sim.gflops / nodes,

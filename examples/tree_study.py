@@ -16,12 +16,11 @@ Run:  python examples/tree_study.py
 
 import os
 
+from repro.api import SvdPlan, execute
 from repro.dag.critical_path import critical_path_tasks
 from repro.experiments.figures import format_rows
 from repro.ir import get_program
 from repro.kernels.costs import KERNEL_LIST
-from repro.runtime.machine import Machine
-from repro.runtime.simulator import simulate_ge2bnd
 from repro.trees import AutoTree, FlatTSTree, FlatTTTree, GreedyTree
 
 TREES = {
@@ -66,12 +65,13 @@ def critical_path_anatomy(p: int, q: int) -> None:
 
 
 def simulated_performance(m: int, n: int) -> None:
-    machine = Machine(n_nodes=1, cores_per_node=24, tile_size=160)
     print(f"\n--- simulated GE2BND on one 24-core node, m={m}, n={n} ---")
     rows = []
     for tree in ("flatts", "flattt", "greedy", "auto"):
         for algorithm in ("bidiag", "rbidiag") if m >= 2 * n else ("bidiag",):
-            sim = simulate_ge2bnd(m, n, machine, tree=tree, algorithm=algorithm)
+            plan = SvdPlan(m=m, n=n, stage="ge2bnd", variant=algorithm, tree=tree,
+                           tile_size=160, n_cores=24)
+            sim = execute(plan, "simulate")
             rows.append(
                 {
                     "tree": tree,

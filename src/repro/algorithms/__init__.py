@@ -5,7 +5,7 @@ BD2VAL bidiagonal solvers.  :func:`repro.api.execute` with the
 ``"numeric"`` backend chains them into GE2VAL and GESVD.
 """
 
-from repro.algorithms.executor import KernelExecutor, NumericExecutor, MultiExecutor
+from repro.algorithms.executor import KernelExecutor, NumericExecutor
 from repro.algorithms.tiled_qr import tiled_qr, qr_step
 from repro.algorithms.tiled_lq import tiled_lq, lq_step
 from repro.algorithms.bidiag import bidiag_ge2bnd
@@ -22,7 +22,6 @@ from repro.algorithms.bd2val import (
 __all__ = [
     "KernelExecutor",
     "NumericExecutor",
-    "MultiExecutor",
     "tiled_qr",
     "qr_step",
     "tiled_lq",

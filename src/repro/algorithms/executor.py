@@ -16,9 +16,7 @@ meaning:
 * :class:`~repro.ir.recorder.ProgramRecorder` (defined with the IR)
   records each operation as an op with its read/write sets, producing the
   compiled :class:`~repro.ir.program.Program` used for critical-path
-  analysis and runtime simulation;
-* :class:`MultiExecutor` fans an operation out to several executors, so one
-  run can produce the numbers *and* the DAG that was executed.
+  analysis and runtime simulation.
 
 This split guarantees that the DAG we analyse is exactly the DAG we
 execute — both come from the same driver code path.
@@ -322,63 +320,3 @@ class NumericExecutor(KernelExecutor):
         left, right = lqk.ttmlq(refl, self.matrix[i, piv], self.matrix[i, j])
         self.matrix[i, piv] = left
         self.matrix[i, j] = right
-
-
-class MultiExecutor(KernelExecutor):
-    """Fan every operation out to several executors (e.g. numeric + trace)."""
-
-    def __init__(self, executors: Sequence[KernelExecutor]) -> None:
-        if not executors:
-            raise ValueError("MultiExecutor needs at least one executor")
-        shapes = {(e.p, e.q) for e in executors}
-        if len(shapes) != 1:
-            raise ValueError(f"executors disagree on the tile shape: {shapes}")
-        self.executors = list(executors)
-
-    @property
-    def p(self) -> int:
-        return self.executors[0].p
-
-    @property
-    def q(self) -> int:
-        return self.executors[0].q
-
-    def _broadcast(self, method: str, *args) -> None:
-        for executor in self.executors:
-            getattr(executor, method)(*args)
-
-    def geqrt(self, i, k):
-        self._broadcast("geqrt", i, k)
-
-    def unmqr(self, i, k, j):
-        self._broadcast("unmqr", i, k, j)
-
-    def tsqrt(self, piv, i, k):
-        self._broadcast("tsqrt", piv, i, k)
-
-    def tsmqr(self, piv, i, k, j):
-        self._broadcast("tsmqr", piv, i, k, j)
-
-    def ttqrt(self, piv, i, k):
-        self._broadcast("ttqrt", piv, i, k)
-
-    def ttmqr(self, piv, i, k, j):
-        self._broadcast("ttmqr", piv, i, k, j)
-
-    def gelqt(self, k, j):
-        self._broadcast("gelqt", k, j)
-
-    def unmlq(self, k, j, i):
-        self._broadcast("unmlq", k, j, i)
-
-    def tslqt(self, piv, j, k):
-        self._broadcast("tslqt", piv, j, k)
-
-    def tsmlq(self, piv, j, k, i):
-        self._broadcast("tsmlq", piv, j, k, i)
-
-    def ttlqt(self, piv, j, k):
-        self._broadcast("ttlqt", piv, j, k)
-
-    def ttmlq(self, piv, j, k, i):
-        self._broadcast("ttmlq", piv, j, k, i)

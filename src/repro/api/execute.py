@@ -13,9 +13,10 @@ resolved form to one of three backends:
   compiled program under the plan's scheduling policy; reports simulated
   time, GFlop/s, task and message counts.
 
-All three backends resolve their op stream through the shared in-process
-program cache (:data:`repro.ir.compiler.PROGRAM_CACHE`), so a sweep traces
-each DAG shape once, no matter how many candidates consume it.
+All three backends read one op stream,
+:meth:`~repro.api.resolver.ResolvedPlan.program`, through the shared
+in-process program cache (:data:`repro.ir.compiler.PROGRAM_CACHE`), so a
+sweep traces each DAG shape once, no matter how many candidates consume it.
 
 Backend modules are imported lazily so that importing :mod:`repro.api`
 stays cheap and free of import cycles.
@@ -38,6 +39,7 @@ from repro.obs.profile import profiled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
+    from repro.runtime.simulator import SimulationResult
 
 #: Names accepted by :func:`execute`.
 BACKENDS = ("numeric", "dag", "simulate")
@@ -69,7 +71,8 @@ def _base_result(resolved: ResolvedPlan, backend: str) -> RunResult:
 def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     """The paper's numeric pipeline: GE2BND, then BND2BD and BD2VAL.
 
-    The tiled GE2BND stage replays the compiled Program (the op stream the
+    The tiled GE2BND stage replays the plan's compiled Program
+    (:meth:`~repro.api.resolver.ResolvedPlan.program`, the op stream the
     DAG and simulate backends read for the same plan) onto a private copy
     of the input.  ``ge2val`` continues with bulge chasing and the
     bidiagonal QR iteration; ``gesvd`` logs the GE2BND reflectors and runs
@@ -82,7 +85,7 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     from repro.algorithms.bd2val import bdsqr, bidiagonal_singular_values
     from repro.algorithms.bnd2bd import band_to_bidiagonal
     from repro.algorithms.executor import NumericExecutor
-    from repro.ir import get_program, replay
+    from repro.ir import replay
 
     result = _base_result(resolved, "numeric")
     seconds = result.stage_seconds
@@ -102,11 +105,7 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
 
     t0 = time.perf_counter()
     executor = NumericExecutor(tiled, log_transformations=gesvd)
-    program = get_program(
-        resolved.variant, resolved.p, resolved.q, resolved.tree,
-        n_cores=resolved.plan.n_cores,
-    )
-    replay(program, executor)
+    replay(resolved.program(), executor)
     band = extract_band(tiled)
     seconds["ge2bnd"] = time.perf_counter() - t0
 
@@ -152,25 +151,15 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
 # DAG backend
 # --------------------------------------------------------------------------- #
 def _execute_dag(resolved: ResolvedPlan) -> RunResult:
-    from repro.ir import get_program
-
     if resolved.stage == "gesvd":
         raise ValueError(
             "stage 'gesvd' is only supported by the 'numeric' backend "
             "(the DAG tracer covers the tiled GE2BND stage)"
         )
-    plan = resolved.plan
     # The DAG backend is a Program interpreter: the critical-path engine
     # reads the same compiled op stream (shared in-process cache) that the
     # numeric executor replays and the simulation engine schedules.
-    program = get_program(
-        resolved.variant,
-        resolved.p,
-        resolved.q,
-        resolved.tree,
-        n_cores=plan.n_cores,
-        grid_rows=resolved.grid.rows,
-    )
+    program = resolved.program()
     result = _base_result(resolved, "dag")
     result.n_tasks = len(program)
     result.critical_path = program.critical_path()
@@ -190,58 +179,39 @@ def _execute_dag(resolved: ResolvedPlan) -> RunResult:
 # --------------------------------------------------------------------------- #
 # Simulation backend
 # --------------------------------------------------------------------------- #
-def _simulate_run_result(resolved: ResolvedPlan, sim) -> RunResult:
+def _simulate_run_result(resolved: ResolvedPlan, sim: "SimulationResult") -> RunResult:
     """Fold one :class:`~repro.runtime.simulator.SimulationResult` into a
     :class:`RunResult` (shared by the per-plan and batched sweep paths)."""
+    from repro.obs.metrics import run_metrics
+    from repro.obs.tracer import current_tracer
+
+    plan = resolved.plan
+    schedule = sim.schedule
     result = _base_result(resolved, "simulate")
-    result.policy = sim.policy
-    result.network = sim.network
-    result.scenario = sim.scenario
+    result.policy = plan.policy
+    result.network = plan.network
+    if resolved.scenario is not None:
+        result.scenario = resolved.scenario.name
     result.distribution = sim.distribution
     result.time_seconds = sim.time_seconds
     result.gflops = sim.gflops
     result.n_tasks = sim.n_tasks
-    result.messages = sim.messages
-    result.comm_bytes = sim.comm_bytes
-    result.comm_seconds = sim.comm_seconds
+    result.messages = schedule.messages
+    result.comm_bytes = schedule.comm_bytes
+    result.comm_seconds = schedule.comm_seconds
     result.stage_seconds["ge2bnd"] = sim.ge2bnd_seconds
     if resolved.stage == "ge2val":
         result.stage_seconds["post"] = sim.post_seconds
-    if sim.schedule is not None:
-        from repro.obs.metrics import run_metrics
-        from repro.obs.tracer import current_tracer
-
-        # The cache-delta slot is filled by execute()'s registry bracket,
-        # which also covers plan resolution and program compilation.
-        result.metrics = run_metrics(
-            sim.schedule, resolved.machine, tracer=current_tracer()
-        )
+    # The cache-delta slot is filled by execute()'s registry bracket,
+    # which also covers plan resolution and program compilation.
+    result.metrics = run_metrics(schedule, resolved.machine, tracer=current_tracer())
     return result
 
 
 def _execute_simulate(resolved: ResolvedPlan) -> RunResult:
-    from repro.runtime.simulator import simulate_ge2bnd, simulate_ge2val
+    from repro.runtime.simulator import simulate
 
-    if resolved.stage == "gesvd":
-        raise ValueError(
-            "stage 'gesvd' is only supported by the 'numeric' backend "
-            "(the simulator models GE2BND and GE2VAL)"
-        )
-    simulate = simulate_ge2bnd if resolved.stage == "ge2bnd" else simulate_ge2val
-    sim = simulate(
-        resolved.m,
-        resolved.n,
-        resolved.machine,
-        tree=resolved.tree,
-        algorithm=resolved.variant,
-        grid=resolved.grid,
-        policy=resolved.plan.policy,
-        network=resolved.plan.network,
-        scenario=resolved.scenario,
-        draws=resolved.draws,
-        seed=resolved.plan.seed,
-    )
-    return _simulate_run_result(resolved, sim)
+    return _simulate_run_result(resolved, simulate(resolved))
 
 
 _BACKEND_FNS = {

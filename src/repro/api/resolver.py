@@ -17,7 +17,7 @@ backend consumes without re-deriving anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from repro.tiles.layout import ceil_div
 from repro.tiles.matrix import TiledMatrix
 from repro.trees import AutoTree, GreedyTree, HierarchicalTree, make_tree
 from repro.trees.base import ReductionTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ir.program import Program
 
 
 # --------------------------------------------------------------------------- #
@@ -141,18 +144,15 @@ def resolve_distributed_tree(
     *,
     n_nodes: int,
     n_cores: int,
-    p: int,
-    q: int,
+    grid: ProcessGrid,
     config: Optional[Config] = None,
-    grid: Optional[ProcessGrid] = None,
 ) -> ReductionTree:
     """Canonicalize a tree spec for an ``n_nodes``-node machine.
 
     Explicit instances pass through unchanged.  Named trees map to the
     shared-memory trees on one node; on several nodes they are wrapped in
     the paper's hierarchical configuration (flat top tree for
-    FlatTS/FlatTT, greedy top tree for Greedy/Auto) over ``grid`` — or the
-    default process grid for the ``p x q`` tile shape when ``None``.
+    FlatTS/FlatTT, greedy top tree for Greedy/Auto) over ``grid``.
     """
     if isinstance(tree, ReductionTree):
         return tree
@@ -161,8 +161,6 @@ def resolve_distributed_tree(
         return base
     name = (tree or "greedy").strip().lower()
     top = "flat" if name in ("flatts", "flattt") else "greedy"
-    if grid is None:
-        grid = default_grid(n_nodes, p, q)
     return HierarchicalTree(local_tree=base, top=top, grid_rows=grid.rows)
 
 
@@ -217,6 +215,25 @@ class ResolvedPlan:
     def preset(self) -> MachinePreset:
         return self.machine.preset
 
+    def program(self) -> "Program":
+        """The plan's compiled GE2BND Program, through the shared cache.
+
+        The one op stream every backend reads for this plan: the numeric
+        backend replays it, the DAG backend interprets it and the
+        simulator schedules it.  The compiler is imported lazily, like the
+        backends, so that importing :mod:`repro.api` stays cheap.
+        """
+        from repro.ir.compiler import get_program
+
+        return get_program(
+            self.variant,
+            self.p,
+            self.q,
+            self.tree,
+            n_cores=self.plan.n_cores,
+            grid_rows=self.grid.rows,
+        )
+
     def build_matrix(self) -> ArrayOrTiled:
         """The plan's input matrix (explicit, or seeded standard normal)."""
         if self.plan.matrix is not None:
@@ -268,10 +285,8 @@ def resolve(plan: SvdPlan, config: Optional[Config] = None) -> ResolvedPlan:
         plan.tree,
         n_nodes=plan.n_nodes,
         n_cores=plan.n_cores,
-        p=p,
-        q=q,
-        config=config,
         grid=grid,
+        config=config,
     )
     machine = Machine(
         n_nodes=plan.n_nodes,

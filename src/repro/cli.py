@@ -679,10 +679,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.api import SvdPlan
     from repro.api.resolver import resolve
-    from repro.ir.compiler import get_program
     from repro.ir.program import Program
     from repro.runtime.engine import SimulationEngine
-    from repro.tiles.distribution import BlockCyclicDistribution
     from repro.verify import verify_program, verify_schedule
 
     try:
@@ -702,14 +700,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         resolved = resolve(plan)
     except ValueError as exc:
         return _user_error("verify", exc)
-    program = get_program(
-        resolved.variant,
-        resolved.p,
-        resolved.q,
-        resolved.tree,
-        n_cores=resolved.machine.cores_per_node,
-        grid_rows=resolved.grid.rows,
-    )
+    program = resolved.program()
     if args.inject_defect == "drop-edge":
         # Self-test: remove the last predecessor edge of the last op that
         # has one — the dataflow oracle must flag the resulting data race.
@@ -741,7 +732,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     networks = (
         _NETWORK_CHOICES if args.all_networks else [args.network]
     )
-    distribution = BlockCyclicDistribution(resolved.grid)
+    distribution = resolved.distribution
     for policy in policies:
         for network in networks:
             engine = SimulationEngine(

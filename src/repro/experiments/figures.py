@@ -22,11 +22,11 @@ from repro.analysis.formulas import (
     bidiag_greedy_cp,
     rbidiag_cp,
 )
+from repro.api import BACKENDS, RunResult, SvdPlan, execute, execute_sweep
 from repro.ir.compiler import get_program
 from repro.kernels.costs import KERNEL_WEIGHTS, KernelName
 from repro.models.competitors import COMPETITORS
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import simulate_ge2bnd, simulate_ge2val
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
 
 Row = Dict[str, object]
@@ -143,14 +143,32 @@ def _default_machine(n_nodes: int = 1, cores: int = 24, nb: int = 160) -> Machin
     return Machine(n_nodes=n_nodes, cores_per_node=cores, tile_size=nb)
 
 
+def _simulate(
+    m: int,
+    n: int,
+    *,
+    stage: str = "ge2bnd",
+    tree: str = "auto",
+    variant: str = "auto",
+    n_nodes: int = 1,
+    n_cores: int = 24,
+    nb: int = 160,
+) -> RunResult:
+    """One simulated figure point, through the plan API."""
+    plan = SvdPlan(
+        m=m, n=n, stage=stage, variant=variant, tree=tree,
+        tile_size=nb, n_cores=n_cores, n_nodes=n_nodes,
+    )
+    return execute(plan, "simulate")
+
+
 def fig2_ge2bnd_square(
     sizes: Optional[Sequence[int]] = None,
     trees: Sequence[str] = TREES,
-    machine: Optional[Machine] = None,
+    n_cores: int = 24,
+    nb: int = 160,
 ) -> List[Row]:
     """Figure 2 (top-left): shared-memory GE2BND on square matrices."""
-    if machine is None:
-        machine = _default_machine()
     if sizes is None:
         sizes = (
             (2500, 5000, 10000, 15000, 20000, 25000, 30000)
@@ -160,7 +178,7 @@ def fig2_ge2bnd_square(
     rows: List[Row] = []
     for mn in sizes:
         for tree in trees:
-            sim = simulate_ge2bnd(mn, mn, machine, tree=tree, algorithm="bidiag")
+            sim = _simulate(mn, mn, tree=tree, variant="bidiag", n_cores=n_cores, nb=nb)
             rows.append({"m": mn, "n": mn, "tree": tree, "gflops": sim.gflops})
     return rows
 
@@ -169,12 +187,11 @@ def fig2_ge2bnd_tall_skinny(
     n: int = 2000,
     m_values: Optional[Sequence[int]] = None,
     trees: Sequence[str] = TREES,
-    machine: Optional[Machine] = None,
+    n_cores: int = 24,
+    nb: int = 160,
 ) -> List[Row]:
     """Figure 2 (top-middle / top-right): GE2BND on tall-skinny matrices,
     BIDIAG vs R-BIDIAG for every tree."""
-    if machine is None:
-        machine = _default_machine()
     if m_values is None:
         if n <= 2000:
             m_values = (
@@ -188,7 +205,7 @@ def fig2_ge2bnd_tall_skinny(
     for m in m_values:
         for tree in trees:
             for alg in ("bidiag", "rbidiag"):
-                sim = simulate_ge2bnd(m, n, machine, tree=tree, algorithm=alg)
+                sim = _simulate(m, n, tree=tree, variant=alg, n_cores=n_cores, nb=nb)
                 rows.append(
                     {"m": m, "n": n, "tree": tree, "algorithm": alg, "gflops": sim.gflops}
                 )
@@ -197,11 +214,11 @@ def fig2_ge2bnd_tall_skinny(
 
 def fig2_ge2val_comparison(
     shapes: Optional[Sequence[tuple]] = None,
-    machine: Optional[Machine] = None,
+    n_cores: int = 24,
+    nb: int = 160,
 ) -> List[Row]:
     """Figure 2 (bottom row): GE2VAL, DPLASMA (best tree) vs competitors."""
-    if machine is None:
-        machine = _default_machine()
+    machine = _default_machine(cores=n_cores, nb=nb)
     if shapes is None:
         if full_scale():
             shapes = [(10000, 10000), (20000, 20000), (30000, 30000), (20000, 2000), (40000, 2000)]
@@ -209,7 +226,7 @@ def fig2_ge2val_comparison(
             shapes = [(4000, 4000), (8000, 8000), (16000, 2000), (30000, 2000)]
     rows: List[Row] = []
     for m, n in shapes:
-        dplasma = simulate_ge2val(m, n, machine, tree="auto")
+        dplasma = _simulate(m, n, stage="ge2val", n_cores=n_cores, nb=nb)
         rows.append({"m": m, "n": n, "library": "DPLASMA", "gflops": dplasma.gflops})
         for name, model in COMPETITORS.items():
             rows.append({"m": m, "n": n, "library": name, "gflops": model.gflops(m, n, machine)})
@@ -229,10 +246,12 @@ def fig3_strong_scaling_ge2bnd(
 ) -> List[Row]:
     """Figure 3 (top row): distributed GE2BND strong scaling."""
     rows: List[Row] = []
+    cores = 23 if m == n else 24
     for nodes in node_counts:
-        machine = _default_machine(n_nodes=nodes, cores=23 if m == n else 24, nb=nb)
         for tree in trees:
-            sim = simulate_ge2bnd(m, n, machine, tree=tree, algorithm=algorithm)
+            sim = _simulate(
+                m, n, tree=tree, variant=algorithm, n_nodes=nodes, n_cores=cores, nb=nb
+            )
             rows.append(
                 {
                     "nodes": nodes,
@@ -255,9 +274,10 @@ def fig3_strong_scaling_ge2val(
 ) -> List[Row]:
     """Figure 3 (bottom row): distributed GE2VAL vs Elemental / ScaLAPACK."""
     rows: List[Row] = []
+    cores = 23 if m == n else 24
     for nodes in node_counts:
-        machine = _default_machine(n_nodes=nodes, cores=23 if m == n else 24, nb=nb)
-        dplasma = simulate_ge2val(m, n, machine, tree="auto")
+        machine = _default_machine(n_nodes=nodes, cores=cores, nb=nb)
+        dplasma = _simulate(m, n, stage="ge2val", n_nodes=nodes, n_cores=cores, nb=nb)
         rows.append({"nodes": nodes, "library": "DPLASMA", "gflops": dplasma.gflops})
         for name in ("Elemental", "ScaLAPACK"):
             rows.append(
@@ -294,7 +314,7 @@ def fig4_weak_scaling(
         m = rows_per_node * nodes
         machine = _default_machine(n_nodes=nodes, cores=24, nb=nb)
         for tree in trees:
-            sim = simulate_ge2bnd(m, n, machine, tree=tree, algorithm="rbidiag")
+            sim = _simulate(m, n, tree=tree, variant="rbidiag", n_nodes=nodes, nb=nb)
             rows.append(
                 {
                     "nodes": nodes,
@@ -305,7 +325,7 @@ def fig4_weak_scaling(
                     "gflops": sim.gflops,
                 }
             )
-        ge2val = simulate_ge2val(m, n, machine, tree="auto")
+        ge2val = _simulate(m, n, stage="ge2val", n_nodes=nodes, nb=nb)
         rows.append(
             {
                 "nodes": nodes,
@@ -349,8 +369,6 @@ def plan_tree_sweep(
     :meth:`~repro.api.SvdPlan.sweep` over the unified plan API instead of
     hand-rolled loops.
     """
-    from repro.api import SvdPlan, execute_sweep
-
     if full_scale():
         m = n = 20000
         tile_size = 160
@@ -376,8 +394,6 @@ def policy_sweep(
     shared through the in-process program cache), so the rows isolate pure
     scheduling effects.
     """
-    from repro.api import SvdPlan, execute_sweep
-
     if full_scale():
         m = n = 20000
         tile_size = 160
@@ -407,8 +423,6 @@ def network_sweep(
     messages cost, which is where the greedy top tree's extra traffic
     becomes visible.
     """
-    from repro.api import SvdPlan, execute_sweep
-
     if full_scale():
         m = n = 20000
         tile_size = 160
@@ -444,8 +458,6 @@ def scenario_sweep(
     ``mc_p50`` / ``mc_p95``); deterministic rows only the nominal time —
     the ``none`` row is bit-identical to the default simulate path.
     """
-    from repro.api import SvdPlan, execute_sweep
-
     if full_scale():
         m = n = 20000
         tile_size = 160
@@ -470,8 +482,6 @@ def plan_backend_matrix(
     Demonstrates (and regression-checks) that the numeric, DAG and
     simulation lenses of the paper agree on one problem description.
     """
-    from repro.api import BACKENDS, SvdPlan, execute
-
     plan = SvdPlan(m=m, n=n, stage="ge2val", tile_size=tile_size, tree=tree)
     return [execute(plan, backend=backend).to_row() for backend in BACKENDS]
 
@@ -492,7 +502,6 @@ def tuning_sweep(
     experiment is self-contained; pass ``use_cache=True`` to go through the
     persistent plan cache.
     """
-    from repro.api import SvdPlan
     from repro.tuning import SearchSpace, tune
 
     if full_scale():

@@ -76,12 +76,16 @@ class PlasmaModel(CompetitorModel):
     runtime_efficiency: float = 0.95
 
     def time_seconds(self, m: int, n: int, machine: Machine) -> float:
-        from repro.runtime.simulator import simulate_ge2bnd
+        from repro.api import SvdPlan, execute
 
-        single_node = machine.with_nodes(1)
-        sim = simulate_ge2bnd(m, n, single_node, tree="flatts", algorithm="bidiag")
+        plan = SvdPlan(
+            m=m, n=n, stage="ge2bnd", variant="bidiag", tree="flatts",
+            tile_size=machine.tile_size, n_cores=machine.cores_per_node,
+            machine=machine.preset.name,
+        )
+        sim = execute(plan, "simulate")
         return sim.time_seconds / self.runtime_efficiency + _second_stage_seconds(
-            n, single_node
+            n, machine.with_nodes(1)
         )
 
 

@@ -8,11 +8,14 @@ prices inter-node messages (``uniform`` legacy flat cost or
 and the :class:`~repro.runtime.engine.SimulationEngine` replays a compiled
 :class:`~repro.ir.program.Program` through all three, running the one
 replay kernel (:class:`~repro.runtime.replay.PreparedReplay`) that the
-batch engine and the scenario driver share.  The drivers in
-:mod:`~repro.runtime.simulator` wrap the stack into the GE2BND / GE2VAL
-results the paper's figures report.  On top, :mod:`~repro.runtime.scenario`
-layers machine realism — heterogeneity, fault models, network noise — and
-replays the same program across Monte-Carlo draws into a
+batch engine and the scenario driver share.  The simulate backend's one
+driver, :func:`repro.runtime.simulator.simulate`, runs a resolved plan
+through the stack and prices the schedule into the GE2BND / GE2VAL
+results the paper's figures report; ``repro.execute`` and
+``repro.execute_sweep`` are the front doors to it.  On top,
+:mod:`~repro.runtime.scenario` layers machine realism — heterogeneity,
+fault models, network noise — and replays the same program across
+Monte-Carlo draws into a
 :class:`~repro.runtime.scenario.MakespanDistribution`.
 """
 
@@ -44,11 +47,7 @@ from repro.runtime.batch import (
     simulate_batch,
     simulate_resolved_batch,
 )
-from repro.runtime.simulator import (
-    SimulationResult,
-    simulate_ge2bnd,
-    simulate_ge2val,
-)
+from repro.runtime.simulator import SimulationResult
 from repro.runtime.faults import (
     FAULT_MODELS,
     NOISE_MODELS,
@@ -113,7 +112,5 @@ __all__ = [
     "run_scenario",
     "serial_seconds",
     "simulate_batch",
-    "simulate_ge2bnd",
-    "simulate_ge2val",
     "simulate_resolved_batch",
 ]

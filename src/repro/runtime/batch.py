@@ -50,13 +50,12 @@ exports.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.ir.program import Program
-from repro.models.flops import ge2bnd_reported_flops, ge2val_reported_flops
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import current_tracer
 from repro.runtime.engine import SimulationEngine
@@ -74,10 +73,9 @@ from repro.runtime.scenario import run_scenario
 from repro.runtime.scheduler import Schedule
 from repro.runtime.simulator import (
     SimulationResult,
-    _ge2bnd_result,
-    _ge2bnd_setup,
-    _ge2val_result,
-    post_processing_seconds,
+    price_schedule,
+    require_simulated_stage,
+    stage_cost,
 )
 from repro.tiles.distribution import BlockCyclicDistribution
 
@@ -356,7 +354,7 @@ def _outcome_score(
     if objective == "gflops":
         return float(result.gflops)
     if objective == "comm-time":
-        return float(result.comm_seconds)
+        return float(result.schedule.comm_seconds)
     if objective == "robust-makespan":
         # p95 across Monte-Carlo draws; deterministic runs (no scenario,
         # or a fault-free one) degrade to the nominal makespan.
@@ -377,9 +375,12 @@ def simulate_resolved_batch(
 
     ``resolved_plans`` are :class:`~repro.api.resolver.ResolvedPlan`
     instances (possibly spanning several DAG shapes — candidates are
-    grouped per compiled program).  ``objective`` selects the extracted
-    score (``"makespan"`` / ``"gflops"`` / ``"comm-time"`` /
-    ``"robust-makespan"``; ``None`` returns raw
+    grouped per :meth:`~repro.api.resolver.ResolvedPlan.program`), and
+    each schedule is priced by
+    :func:`~repro.runtime.simulator.price_schedule`, as in
+    :func:`~repro.runtime.simulator.simulate`.  ``objective`` selects
+    the extracted score (``"makespan"`` / ``"gflops"`` / ``"comm-time"``
+    / ``"robust-makespan"``; ``None`` returns raw
     :class:`~repro.runtime.simulator.SimulationResult` objects only).
     With ``prune=True`` and a bounded objective, candidates are evaluated
     most-promising-first against the engine's analytic lower bounds and
@@ -395,59 +396,41 @@ def simulate_resolved_batch(
     (:func:`repro.runtime.scenario.run_scenario`) instead — matching what
     ``execute`` does for the same plan, draw for draw.
 
-    A per-plan resolution or simulation failure is captured on that plan's
-    :class:`PlanOutcome` (``error`` / ``exception``) instead of aborting
-    the batch.
+    A per-plan failure (an unsupported stage, compilation or simulation)
+    is captured on that plan's :class:`PlanOutcome` (``error`` /
+    ``exception``) instead of aborting the batch.
     """
     outcomes = [PlanOutcome() for _ in resolved_plans]
     REGISTRY.inc("engine.memo.batch.candidates", len(resolved_plans))
     tracer = current_tracer()
 
-    # ---------------- prepare: resolve every candidate, group by program
+    # ---------------- prepare: group every candidate by its program
     groups: Dict[int, _PreparedBatch] = {}
-    #: Per candidate: (group, member, setup, resolved plan, post, scenario).
+    #: Per candidate: (group, member, resolved plan, non-trivial scenario).
     prep: List[Optional[Tuple]] = [None] * len(resolved_plans)
     with tracer.phase("batch.prepare") if tracer else nullcontext():
         for i, rp in enumerate(resolved_plans):
             try:
-                if rp.stage == "gesvd":
-                    raise ValueError(
-                        "stage 'gesvd' is only supported by the 'numeric' "
-                        "backend (the simulator models GE2BND and GE2VAL)"
-                    )
-                setup = _ge2bnd_setup(
-                    rp.m,
-                    rp.n,
-                    rp.machine,
-                    tree=rp.tree,
-                    algorithm=rp.variant,
-                    grid=rp.grid,
-                )
-                group = groups.get(id(setup.program))
+                require_simulated_stage(rp)
+                program = rp.program()
+                group = groups.get(id(program))
                 if group is None:
-                    group = _PreparedBatch(setup.program, dedup=dedup)
-                    groups[id(setup.program)] = group
+                    group = _PreparedBatch(program, dedup=dedup)
+                    groups[id(program)] = group
                 member = group.add(
                     BatchCandidate(
                         machine=rp.machine,
-                        distribution=setup.distribution,
+                        distribution=rp.distribution,
                         policy=rp.plan.policy,
                         network=rp.plan.network,
                     )
                 )
-                post = (
-                    post_processing_seconds(rp.n, rp.machine)
-                    if rp.stage == "ge2val"
-                    else 0.0
-                )
                 # Trivial scenarios (no heterogeneity, no faults, no noise)
-                # replay through the batched loop bit-identically; only the
-                # name survives, to label the result like execute() does.
-                scen = getattr(rp, "scenario", None)
+                # replay through the batched loop bit-identically.
+                scen = rp.scenario
                 if scen is not None and scen.is_trivial:
                     scen = None
-                scen_name = getattr(getattr(rp, "scenario", None), "name", None)
-                prep[i] = (group, member, setup, rp, post, scen, scen_name)
+                prep[i] = (group, member, rp, scen)
             except Exception as exc:
                 outcomes[i].error = f"{type(exc).__name__}: {exc}"
                 outcomes[i].exception = exc
@@ -459,15 +442,12 @@ def simulate_resolved_batch(
         for i, entry in enumerate(prep):
             if entry is None:
                 continue
-            group, member, setup, rp, post, _scen, _scen_name = entry
+            group, member, rp, _scen = entry
+            post, flops = stage_cost(rp)
             bound_time = float(group.lower_bounds()[member]) + post
             if objective in ("makespan", "robust-makespan"):
                 bound_cost[i] = bound_time
             else:  # gflops is maximized: cost is the negated score
-                if rp.stage == "ge2val":
-                    flops = ge2val_reported_flops(rp.m, rp.n)
-                else:
-                    flops = ge2bnd_reported_flops(rp.m, rp.n)
                 bound_cost[i] = (
                     -(flops / bound_time / 1e9) if bound_time > 0 else None
                 )
@@ -480,7 +460,7 @@ def simulate_resolved_batch(
     best_cost = float("inf")
     with tracer.phase("batch.simulate") if tracer else nullcontext():
         for i in order:
-            group, member, setup, rp, post, scen, scen_name = prep[i]
+            group, member, rp, scen = prep[i]
             bc = bound_cost[i]
             # Strictly-worse only, with a relative-epsilon slack so float
             # noise in the bound arithmetic can never prune a tied winner.
@@ -495,39 +475,18 @@ def simulate_resolved_batch(
             try:
                 if scen is not None:
                     run = run_scenario(
-                        setup.program,
+                        group.program,
                         rp.machine,
                         scen,
-                        setup.distribution,
+                        rp.distribution,
                         policy=rp.plan.policy,
                         network=rp.plan.network,
-                        draws=getattr(rp, "draws", None),
+                        draws=rp.draws,
                         seed=rp.plan.seed,
                     )
-                    result = replace(
-                        _ge2bnd_result(
-                            setup,
-                            rp.machine,
-                            run.schedule,
-                            policy=rp.plan.policy,
-                            network=rp.plan.network,
-                        ),
-                        scenario=scen_name,
-                        distribution=run.distribution,
-                    )
+                    result = price_schedule(rp, run.schedule, run.distribution)
                 else:
-                    schedule = group.schedule(member)
-                    result = _ge2bnd_result(
-                        setup,
-                        rp.machine,
-                        schedule,
-                        policy=rp.plan.policy,
-                        network=rp.plan.network,
-                    )
-                    if scen_name is not None:
-                        result = replace(result, scenario=scen_name)
-                if rp.stage == "ge2val":
-                    result = _ge2val_result(result, rp.machine, rp.variant)
+                    result = price_schedule(rp, group.schedule(member))
                 outcomes[i].result = result
                 score = _outcome_score(objective, result)
                 outcomes[i].score = score

@@ -215,18 +215,9 @@ class CommVolumeObjective(Objective):
 
     def score(self, resolved: ResolvedPlan) -> float:
         from repro.analysis.communication import communication_volume
-        from repro.ir import get_program
 
-        program = get_program(
-            resolved.variant,
-            resolved.p,
-            resolved.q,
-            resolved.tree,
-            n_cores=resolved.plan.n_cores,
-            grid_rows=resolved.grid.rows,
-        )
         stats = communication_volume(
-            program, resolved.distribution, tile_size=resolved.tile_size
+            resolved.program(), resolved.distribution, tile_size=resolved.tile_size
         )
         return float(stats.bytes_moved)
 

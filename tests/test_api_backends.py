@@ -117,18 +117,37 @@ class TestBackendParity:
         assert dag.variant == sim.variant
         assert (dag.p, dag.q) == (sim.p, sim.q)
 
+    def test_numeric_backend_replays_the_plans_program(self, monkeypatch):
+        # Two nodes, R-BIDIAG and an explicit GREEDY tree: GREEDY's
+        # cross-panel plan depends on the grid rows, so a program compiled
+        # without them would be a different op stream from the one the DAG
+        # and simulate backends read.
+        from repro.trees import GreedyTree
+
+        plan = SvdPlan(m=600, n=300, tile_size=50, n_nodes=2, n_cores=4,
+                       tree=GreedyTree(), variant="rbidiag")
+        real_replay = repro.ir.replay
+        replayed = []
+
+        def spying_replay(program, executor):
+            replayed.append(program)
+            return real_replay(program, executor)
+
+        monkeypatch.setattr(repro.ir, "replay", spying_replay)
+        result = execute(plan, "numeric")
+        assert len(replayed) == 1
+        assert replayed[0] is resolve(plan).program()
+        assert result.max_rel_error < 1e-12
+
     def test_dag_backend_leaves_ops_unmaterialized(self):
-        from repro.ir import clear_program_cache, get_program, program_cache_stats
+        from repro.ir import clear_program_cache, program_cache_stats
 
         clear_program_cache()
         plan = SvdPlan(m=96, n=64, tile_size=8, stage="ge2bnd", tree="greedy")
         result = execute(plan, backend="dag")
         resolved = resolve(plan)
         misses = program_cache_stats()["misses"]
-        program = get_program(
-            resolved.variant, resolved.p, resolved.q, resolved.tree,
-            n_cores=plan.n_cores, grid_rows=resolved.grid.rows,
-        )
+        program = resolved.program()
         assert program_cache_stats()["misses"] == misses  # the backend's program
         # The counts came from the packed kernel-code column.
         assert program._ops is None
@@ -148,26 +167,6 @@ class TestBackendParity:
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
             execute(SvdPlan(m=8, n=8), backend="quantum")
-
-
-class TestShimEquivalence:
-    """The legacy simulate driver and the plan API must produce identical numbers."""
-
-    def test_simulate_matches_legacy_driver(self):
-        from repro.runtime.machine import Machine
-        from repro.runtime.simulator import simulate_ge2val
-
-        machine = Machine(n_nodes=2, cores_per_node=8, tile_size=200)
-        legacy = simulate_ge2val(4000, 1000, machine, tree="greedy", algorithm="auto")
-        result = execute(
-            SvdPlan(m=4000, n=1000, tile_size=200, n_nodes=2, n_cores=8,
-                    tree="greedy", stage="ge2val"),
-            backend="simulate",
-        )
-        assert result.time_seconds == pytest.approx(legacy.time_seconds)
-        assert result.gflops == pytest.approx(legacy.gflops)
-        assert result.n_tasks == legacy.n_tasks
-        assert result.messages == legacy.messages
 
 
 class TestSweepExecution:

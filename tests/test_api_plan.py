@@ -162,6 +162,19 @@ class TestResolve:
         # Tall-skinny tile shape (20 x 5) gets the nodes x 1 grid.
         assert (r.grid.rows, r.grid.cols) == (4, 1)
 
+    def test_program_shared_across_resolutions(self):
+        from repro.ir import get_program
+
+        plan = SvdPlan(m=600, n=300, tile_size=50, n_nodes=2, n_cores=4,
+                       tree="greedy", variant="rbidiag")
+        first, second = resolve(plan), resolve(plan)
+        program = first.program()
+        assert second.program() is program
+        assert program is get_program(
+            first.variant, first.p, first.q, first.tree,
+            n_cores=plan.n_cores, grid_rows=first.grid.rows,
+        )
+
     def test_variant_resolved_element_level(self):
         assert resolve(SvdPlan(m=100, n=60)).variant == "rbidiag"
         assert resolve(SvdPlan(m=60, n=60)).variant == "bidiag"

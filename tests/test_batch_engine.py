@@ -19,7 +19,7 @@ import sys
 
 import pytest
 
-from repro.api.execute import execute, execute_sweep
+from repro.api.execute import _simulate_run_result, execute, execute_sweep
 from repro.api.plan import SvdPlan
 from repro.api.resolver import resolve
 from repro.ir import clear_program_cache, get_program
@@ -31,7 +31,6 @@ from repro.runtime.batch import (
 )
 from repro.runtime.engine import SimulationEngine, engine_memo_stats
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import _ge2bnd_setup
 from repro.tiles.distribution import ProcessGrid
 from repro.trees import make_tree
 from repro.tuning.search import tune
@@ -75,11 +74,20 @@ def _assert_schedules_identical(a, b):
 
 
 def _setup(config):
+    """The config's machine and its resolved GE2BND plan."""
     alg, p, q, tree, machine, grid = config
-    m, n = p * machine.tile_size, q * machine.tile_size
-    return machine, _ge2bnd_setup(
-        m, n, machine, tree=tree, algorithm=alg, grid=grid
+    plan = SvdPlan(
+        m=p * machine.tile_size,
+        n=q * machine.tile_size,
+        stage="ge2bnd",
+        variant=alg,
+        tree=tree,
+        tile_size=machine.tile_size,
+        n_cores=machine.cores_per_node,
+        n_nodes=machine.n_nodes,
+        grid=(grid.rows, grid.cols) if grid is not None else None,
     )
+    return machine, resolve(plan)
 
 
 class TestBatchEquivalence:
@@ -90,12 +98,12 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("engine_fast", [True, False])
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c[0]}-{c[1]}x{c[2]}")
     def test_policy_network_matrix(self, config, engine_fast):
-        machine, setup = _setup(config)
+        machine, rp = _setup(config)
         candidates = [
-            BatchCandidate(machine, setup.distribution, policy=pol, network=net)
+            BatchCandidate(machine, rp.distribution, policy=pol, network=net)
             for pol, net in itertools.product(ALL_POLICIES, NETWORKS)
         ]
-        schedules = simulate_batch(setup.program, candidates)
+        schedules = simulate_batch(rp.program(), candidates)
         for cand, got in zip(candidates, schedules):
             if engine_fast:
                 ref = SimulationEngine(
@@ -103,10 +111,10 @@ class TestBatchEquivalence:
                     cand.distribution,
                     policy=cand.policy,
                     network=cand.network,
-                ).run(setup.program)
+                ).run(rp.program())
             else:
                 ref = reference_schedule(
-                    setup.program,
+                    rp.program(),
                     cand.machine,
                     cand.distribution,
                     policy=cand.policy,
@@ -136,43 +144,43 @@ class TestBatchEquivalence:
         assert len(makespans) > 1  # the machines genuinely differ
 
     def test_dedup_false_still_identical(self):
-        machine, setup = _setup(CONFIGS[0])
+        machine, rp = _setup(CONFIGS[0])
         candidates = [
-            BatchCandidate(machine, setup.distribution, policy=pol)
+            BatchCandidate(machine, rp.distribution, policy=pol)
             for pol in ("list", "locality")  # identical order on one node
         ]
-        dedup = simulate_batch(setup.program, candidates, dedup=True)
-        fresh = simulate_batch(setup.program, candidates, dedup=False)
+        dedup = simulate_batch(rp.program(), candidates, dedup=True)
+        fresh = simulate_batch(rp.program(), candidates, dedup=False)
         assert dedup[0] is dedup[1]  # shared object
         assert fresh[0] is not fresh[1]
         _assert_schedules_identical(dedup[1], fresh[1])
 
     def test_verify_hooks_accept_batched_schedules(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY", "1")
-        machine, setup = _setup(CONFIGS[1])
+        machine, rp = _setup(CONFIGS[1])
         candidates = [
-            BatchCandidate(machine, setup.distribution, policy=pol, network=net)
+            BatchCandidate(machine, rp.distribution, policy=pol, network=net)
             for pol in ("list", "locality")
             for net in NETWORKS
         ]
-        schedules = simulate_batch(setup.program, candidates)
+        schedules = simulate_batch(rp.program(), candidates)
         for cand, got in zip(candidates, schedules):
             ref = SimulationEngine(
                 cand.machine, cand.distribution,
                 policy=cand.policy, network=cand.network,
-            ).run(setup.program)
+            ).run(rp.program())
             _assert_schedules_identical(got, ref)
 
     def test_lower_bounds_never_exceed_makespans(self):
         for config in CONFIGS:
-            machine, setup = _setup(config)
+            machine, rp = _setup(config)
             candidates = [
-                BatchCandidate(machine, setup.distribution, policy=pol)
+                BatchCandidate(machine, rp.distribution, policy=pol)
                 for pol in ALL_POLICIES
             ]
             engine = BatchEngine()
-            bounds = engine.lower_bounds(setup.program, candidates)
-            schedules = engine.run_batch(setup.program, candidates)
+            bounds = engine.lower_bounds(rp.program(), candidates)
+            schedules = engine.run_batch(rp.program(), candidates)
             for bound, sched in zip(bounds, schedules):
                 assert 0.0 < bound <= sched.makespan
 
@@ -185,13 +193,13 @@ class TestBatchMemoStats:
         return {k: stats[k] - before.get(k, 0) for k in stats}
 
     def test_dedup_and_simulation_counts(self):
-        machine, setup = _setup(CONFIGS[0])
+        machine, rp = _setup(CONFIGS[0])
         before = engine_memo_stats()
         candidates = [
-            BatchCandidate(machine, setup.distribution, policy=pol)
+            BatchCandidate(machine, rp.distribution, policy=pol)
             for pol in ("list", "locality", "fifo")
         ]
-        simulate_batch(setup.program, candidates)
+        simulate_batch(rp.program(), candidates)
         delta = self._delta(before)
         assert delta["batch_candidates"] == 3
         # list and locality coincide on one node -> one dedup hit.
@@ -224,11 +232,11 @@ class TestBatchMemoStats:
         assert delta["batch_deduped"] == 0
 
     def test_second_batch_hits_order_memo(self):
-        machine, setup = _setup(CONFIGS[0])
-        candidates = [BatchCandidate(machine, setup.distribution, policy="list")]
-        simulate_batch(setup.program, candidates)
+        machine, rp = _setup(CONFIGS[0])
+        candidates = [BatchCandidate(machine, rp.distribution, policy="list")]
+        simulate_batch(rp.program(), candidates)
         before = engine_memo_stats()
-        simulate_batch(setup.program, candidates)
+        simulate_batch(rp.program(), candidates)
         delta = self._delta(before)
         assert delta["order_hits"] == 1
         assert delta["order_misses"] == 0
@@ -248,7 +256,7 @@ class TestBatchMemoStats:
 
 
 class TestResolvedPlanBatch:
-    """simulate_resolved_batch == execute(plan, 'simulate'), scalar for scalar."""
+    """simulate_resolved_batch == execute(plan, 'simulate'), row for row."""
 
     def _plans(self, stage="ge2bnd", network="alpha-beta"):
         return [
@@ -266,15 +274,8 @@ class TestResolvedPlanBatch:
         for rp, outcome in zip(resolved, outcomes):
             assert outcome.error is None
             ref = execute(rp, "simulate")
-            sim = outcome.result
-            assert sim.time_seconds == ref.time_seconds
-            assert sim.gflops == ref.gflops
-            assert sim.messages == ref.messages
-            assert sim.comm_bytes == ref.comm_bytes
-            assert sim.comm_seconds == ref.comm_seconds
-            assert sim.n_tasks == ref.n_tasks
-            assert sim.policy == ref.policy
-            assert sim.network == ref.network
+            row = _simulate_run_result(rp, outcome.result).to_row()
+            assert row == ref.to_row()  # every column, bitwise
             assert outcome.score == ref.time_seconds
 
     @pytest.mark.parametrize("objective", ["makespan", "gflops"])

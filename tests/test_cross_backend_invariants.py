@@ -49,7 +49,7 @@ def _program_and_machine(algorithm, p, q, rows, cols):
     grid = ProcessGrid(rows, cols)
     machine = Machine(n_nodes=nodes, cores_per_node=4, tile_size=100)
     tree = resolve_distributed_tree(
-        "greedy", n_nodes=nodes, n_cores=4, p=p, q=q, grid=grid
+        "greedy", n_nodes=nodes, n_cores=4, grid=grid
     )
     program = get_program(algorithm, p, q, tree, n_cores=4, grid_rows=rows)
     return program, machine, BlockCyclicDistribution(grid)

@@ -135,14 +135,14 @@ class TestTracer:
     def test_tracer_and_numeric_executor_same_operation_count(self, rng):
         """The numeric executor and the recorder see exactly the same kernel calls."""
         from repro.algorithms.bidiag import bidiag_ge2bnd
-        from repro.algorithms.executor import MultiExecutor, NumericExecutor
+        from repro.algorithms.executor import NumericExecutor
         from repro.tiles.matrix import TiledMatrix
 
         a = rng.standard_normal((20, 12))
         mat = TiledMatrix.from_dense(a, 4)
-        numeric = NumericExecutor(mat)
         recorder = ProgramRecorder(mat.p, mat.q)
-        bidiag_ge2bnd(MultiExecutor([numeric, recorder]), GreedyTree())
+        bidiag_ge2bnd(recorder, GreedyTree())
+        bidiag_ge2bnd(NumericExecutor(mat), GreedyTree())
         # The recording matches a standalone compile of the same configuration.
         standalone = get_program("bidiag", mat.p, mat.q, GreedyTree())
         assert len(recorder.program()) == len(standalone)
@@ -151,16 +151,3 @@ class TestTracer:
         got = np.linalg.svd(mat.to_dense(), compute_uv=False)
         np.testing.assert_allclose(got, ref, atol=1e-9)
 
-
-class TestMultiExecutorValidation:
-    def test_empty_rejected(self):
-        from repro.algorithms.executor import MultiExecutor
-
-        with pytest.raises(ValueError):
-            MultiExecutor([])
-
-    def test_shape_mismatch_rejected(self):
-        from repro.algorithms.executor import MultiExecutor
-
-        with pytest.raises(ValueError):
-            MultiExecutor([ProgramRecorder(2, 2), ProgramRecorder(3, 2)])

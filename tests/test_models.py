@@ -106,9 +106,12 @@ class TestCompetitors:
         assert g20 < 1.3 * g10
 
     def test_plasma_close_to_but_below_dplasma(self):
-        from repro.runtime.simulator import simulate_ge2val
+        from repro.api import SvdPlan, execute
 
-        dplasma = simulate_ge2val(6000, 6000, self.machine, tree="flatts", algorithm="bidiag")
+        plan = SvdPlan(m=6000, n=6000, variant="bidiag", tree="flatts",
+                       tile_size=self.machine.tile_size,
+                       n_cores=self.machine.cores_per_node)
+        dplasma = execute(plan, "simulate")
         plasma = PlasmaModel().gflops(6000, 6000, self.machine)
         assert plasma <= dplasma.gflops * 1.05
         assert plasma > 0.5 * dplasma.gflops

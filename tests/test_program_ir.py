@@ -355,14 +355,13 @@ class TestEdgeCases:
         assert engine.makespan == legacy.makespan > 0
 
     def test_ge2val_single_tile_simulation(self):
-        from repro.runtime.machine import Machine
-        from repro.runtime.simulator import simulate_ge2val
+        from repro.api import SvdPlan, execute
 
-        machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        result = simulate_ge2val(100, 100, machine)  # p = q = 1
+        plan = SvdPlan(m=100, n=100, tree="auto", tile_size=100, n_cores=4)
+        result = execute(plan, "simulate")  # p = q = 1
         assert result.p == result.q == 1
         assert result.time_seconds > 0
-        assert result.post_seconds > 0
+        assert result.stage_seconds["post"] > 0
 
 
 class TestHashSeedIndependence:

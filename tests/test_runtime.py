@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.api import SvdPlan, execute, resolve
 from repro.config import MIRIEL, Config, get_preset
 from repro.ir import Op, Program, get_program
 from repro.kernels.costs import KernelName
 from repro.runtime.machine import Machine
 from repro.runtime.engine import SimulationEngine
-from repro.runtime.simulator import simulate_ge2bnd, simulate_ge2val
+from repro.runtime.simulator import simulate
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.trees import FlatTSTree, GreedyTree
 
@@ -159,48 +160,64 @@ class TestListScheduler:
         assert 0.0 < util[0] <= 1.0
 
 
+def _simulate(m, n, *, stage="ge2bnd", variant="bidiag", tree="auto",
+              n_nodes=1, n_cores=24):
+    plan = SvdPlan(m=m, n=n, stage=stage, variant=variant, tree=tree,
+                   tile_size=160, n_nodes=n_nodes, n_cores=n_cores)
+    return execute(plan, "simulate")
+
+
 class TestSimulator:
     def test_gflops_below_machine_peak(self):
         machine = Machine(n_nodes=1, cores_per_node=24, tile_size=160)
-        result = simulate_ge2bnd(4000, 4000, machine, tree="auto")
+        result = _simulate(4000, 4000, tree="auto")
         assert 0 < result.gflops < machine.peak_gflops
 
     def test_more_cores_never_slower(self):
-        small = Machine(n_nodes=1, cores_per_node=4, tile_size=160)
-        big = Machine(n_nodes=1, cores_per_node=24, tile_size=160)
-        r_small = simulate_ge2bnd(3000, 3000, small, tree="greedy")
-        r_big = simulate_ge2bnd(3000, 3000, big, tree="greedy")
+        r_small = _simulate(3000, 3000, tree="greedy", n_cores=4)
+        r_big = _simulate(3000, 3000, tree="greedy", n_cores=24)
         assert r_big.time_seconds <= r_small.time_seconds * 1.01
 
     def test_single_node_has_no_messages(self):
-        machine = Machine(n_nodes=1, cores_per_node=24, tile_size=160)
-        result = simulate_ge2bnd(3000, 3000, machine, tree="flatts")
+        result = _simulate(3000, 3000, tree="flatts")
         assert result.messages == 0
 
     def test_multi_node_communicates(self):
-        machine = Machine(n_nodes=4, cores_per_node=8, tile_size=160)
-        result = simulate_ge2bnd(4000, 4000, machine, tree="greedy")
+        result = _simulate(4000, 4000, tree="greedy", n_nodes=4, n_cores=8)
         assert result.messages > 0
         assert result.comm_bytes > 0
 
     def test_rejects_wide(self):
-        machine = Machine()
-        with pytest.raises(ValueError):
-            simulate_ge2bnd(1000, 2000, machine)
+        with pytest.raises(ValueError, match="transpose"):
+            _simulate(1000, 2000)
 
     def test_rejects_unknown_algorithm(self):
-        machine = Machine()
-        with pytest.raises(ValueError):
-            simulate_ge2bnd(2000, 1000, machine, algorithm="qr-only")
+        with pytest.raises(ValueError, match="variant"):
+            _simulate(2000, 1000, variant="qr-only")
+
+    def test_rejects_gesvd_stage(self):
+        resolved = resolve(SvdPlan(m=2000, n=1000, stage="gesvd", tile_size=160))
+        with pytest.raises(ValueError, match="numeric"):
+            simulate(resolved)
+
+    def test_driver_matches_execute(self):
+        plan = SvdPlan(m=4000, n=1000, tile_size=200, n_nodes=2, n_cores=8,
+                       tree="greedy", stage="ge2val")
+        sim = simulate(resolve(plan))
+        result = execute(plan, "simulate")
+        assert result.time_seconds == sim.time_seconds
+        assert result.gflops == sim.gflops
+        assert result.n_tasks == sim.n_tasks
+        assert result.messages == sim.schedule.messages > 0
+        assert result.stage_seconds["ge2bnd"] == sim.ge2bnd_seconds
+        assert result.stage_seconds["post"] == sim.post_seconds > 0
 
     def test_ge2val_slower_than_ge2bnd(self):
-        machine = Machine(n_nodes=1, cores_per_node=24, tile_size=160)
-        bnd = simulate_ge2bnd(3000, 3000, machine, tree="auto")
-        val = simulate_ge2val(3000, 3000, machine, tree="auto")
+        bnd = _simulate(3000, 3000, tree="auto")
+        val = _simulate(3000, 3000, stage="ge2val", variant="auto", tree="auto")
         assert val.time_seconds > bnd.time_seconds
-        assert val.post_seconds > 0
+        assert val.stage_seconds["post"] > 0
 
     def test_ge2val_auto_picks_rbidiag_for_tall_skinny(self):
-        machine = Machine(n_nodes=1, cores_per_node=24, tile_size=160)
-        result = simulate_ge2val(20000, 2000, machine, tree="greedy")
-        assert result.algorithm == "ge2val-rbidiag"
+        result = _simulate(20000, 2000, stage="ge2val", variant="auto", tree="greedy")
+        assert result.variant == "rbidiag"

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.api import SvdPlan, execute, execute_sweep
+from repro.api import SvdPlan, execute, execute_sweep, resolve
 from repro.obs.metrics import REGISTRY
 from repro.runtime.batch import BatchCandidate, simulate_batch
 from repro.runtime.engine import SimulationEngine
@@ -40,7 +40,7 @@ from repro.runtime.scenario import (
     run_scenario,
 )
 from repro.runtime.replay import PreparedReplay
-from repro.runtime.simulator import _ge2bnd_setup, simulate_ge2bnd, simulate_ge2val
+from repro.runtime.simulator import simulate
 
 
 # --------------------------------------------------------------------------- #
@@ -229,8 +229,8 @@ class TestMakespanDistribution:
 # --------------------------------------------------------------------------- #
 # Golden pin: the default (no scenario) path must not move
 # --------------------------------------------------------------------------- #
-#: float.hex() makespans of simulate_ge2bnd(300, 200, 2x2-core machine,
-#: nb=100) pinned at the introduction of the scenario subsystem.  Any drift
+#: float.hex() makespans of the 300x200 GE2BND pin plan (2 nodes x 2
+#: cores, nb=100) pinned at the introduction of the scenario subsystem.  Any drift
 #: here means the zero-scenario fast path changed bitwise — that is a
 #: regression, not a tolerance issue.
 GOLDEN_MAKESPANS = {
@@ -253,10 +253,22 @@ def _pin_machine() -> Machine:
     return Machine(n_nodes=2, cores_per_node=2, tile_size=100)
 
 
+def _pin_plan(m=300, n=200, **fields) -> SvdPlan:
+    """A GE2BND plan on the pin machine (AUTO tree, BIDIAG)."""
+    fields = {"stage": "ge2bnd", "variant": "bidiag", "tree": "auto",
+              "tile_size": 100, "n_cores": 2, "n_nodes": 2, **fields}
+    return SvdPlan(m=m, n=n, **fields)
+
+
+def _pin_run(m=300, n=200, **fields):
+    """``execute`` of a pin plan on the simulate backend."""
+    return execute(_pin_plan(m, n, **fields), backend="simulate")
+
+
 #: sha256 digests of whole schedules (see :func:`_schedule_digest`), pinned
 #: before the engine, batch and scenario loops were folded into one replay
-#: kernel.  Keys are (case, policy, network).  ``2x2`` is
-#: simulate_ge2bnd(300, 200) on the pin machine; the other cases replay
+#: kernel.  Keys are (case, policy, network).  ``2x2`` is the 300x200 pin
+#: plan; the other cases replay
 #: 600x400: ``1x4`` on one 4-core node, ``hetero`` / ``slow-core`` the
 #: nominal scenario replays, ``straggler[0]`` / ``noisy-net[0]`` the first
 #: Monte-Carlo draw at seed 0.
@@ -311,10 +323,10 @@ def _first_draw(scenario_name, network):
     """The first seed-0 Monte-Carlo draw's schedule, replayed directly."""
     machine = _pin_machine()
     scenario = SCENARIOS[scenario_name]
-    setup = _ge2bnd_setup(600, 400, machine)
-    program = setup.program
+    resolved = resolve(_pin_plan(600, 400))
+    program = resolved.program()
     engine = SimulationEngine(scenario.apply_to_machine(machine),
-                              setup.distribution, network=network)
+                              resolved.distribution, network=network)
     rng = np.random.default_rng(0)
     faults, _ = scenario.faults.sample(rng, 4, len(program))
     noise = scenario.noise.sample(rng, 4, len(program))
@@ -323,7 +335,7 @@ def _first_draw(scenario_name, network):
         None if scenario.noise.deterministic else noise[0],
     )
     # The same draw as run_scenario's first Monte-Carlo makespan.
-    run = run_scenario(program, machine, scenario, setup.distribution,
+    run = run_scenario(program, machine, scenario, resolved.distribution,
                        network=network, draws=4, seed=0)
     assert run.distribution.makespans[0] == schedule.makespan
     return schedule
@@ -331,22 +343,20 @@ def _first_draw(scenario_name, network):
 
 def _golden_schedule(case, policy, network):
     if case == "2x2":
-        return simulate_ge2bnd(300, 200, _pin_machine(), policy=policy,
-                               network=network).schedule
-    if case == "1x4":
-        machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
-        return simulate_ge2bnd(600, 400, machine, policy=policy).schedule
-    if case.endswith("[0]"):
+        plan = _pin_plan(policy=policy, network=network)
+    elif case == "1x4":
+        plan = _pin_plan(600, 400, n_nodes=1, n_cores=4, policy=policy)
+    elif case.endswith("[0]"):
         return _first_draw(case[:-3], network)
-    return simulate_ge2bnd(600, 400, _pin_machine(), network=network,
-                           scenario=case).schedule
+    else:
+        plan = _pin_plan(600, 400, network=network, scenario=case)
+    return simulate(resolve(plan)).schedule
 
 
 class TestGoldenPinnedDefaultPath:
     @pytest.mark.parametrize("policy,network", sorted(GOLDEN_MAKESPANS))
     def test_default_path_is_bit_identical(self, policy, network):
-        result = simulate_ge2bnd(300, 200, _pin_machine(),
-                                 policy=policy, network=network)
+        result = simulate(resolve(_pin_plan(policy=policy, network=network)))
         assert result.time_seconds.hex() == GOLDEN_MAKESPANS[(policy, network)]
 
     @pytest.mark.parametrize("policy,network", sorted(GOLDEN_MAKESPANS))
@@ -355,9 +365,9 @@ class TestGoldenPinnedDefaultPath:
         # replay kernel, so it pins the same bits independently.
         from repro.verify.reference import reference_schedule
 
-        setup = _ge2bnd_setup(300, 200, _pin_machine())
-        schedule = reference_schedule(setup.program, _pin_machine(),
-                                      setup.distribution, policy=policy,
+        resolved = resolve(_pin_plan())
+        schedule = reference_schedule(resolved.program(), _pin_machine(),
+                                      resolved.distribution, policy=policy,
                                       network=network)
         assert schedule.makespan.hex() == GOLDEN_MAKESPANS[(policy, network)]
 
@@ -369,8 +379,8 @@ class TestGoldenPinnedDefaultPath:
         ]
 
     def test_trivial_scenario_is_bit_identical_to_default(self):
-        plain = simulate_ge2bnd(300, 200, _pin_machine())
-        via_none = simulate_ge2bnd(300, 200, _pin_machine(), scenario="none")
+        plain = _pin_run()
+        via_none = _pin_run(scenario="none")
         assert via_none.time_seconds.hex() == plain.time_seconds.hex()
         assert via_none.scenario == "none"
         assert via_none.distribution is None
@@ -402,15 +412,14 @@ class TestGoldenPinnedDefaultPath:
 # --------------------------------------------------------------------------- #
 class TestScenarioExecution:
     def test_heterogeneity_slows_the_nominal_makespan(self):
-        plain = simulate_ge2bnd(300, 200, _pin_machine())
-        het = simulate_ge2bnd(300, 200, _pin_machine(), scenario="hetero")
+        plain = _pin_run()
+        het = _pin_run(scenario="hetero")
         assert het.scenario == "hetero"
         assert het.distribution is None  # deterministic scenario
         assert het.time_seconds > plain.time_seconds
 
     def test_stochastic_scenario_draws(self):
-        result = simulate_ge2bnd(300, 200, _pin_machine(),
-                                 scenario="straggler", draws=12, seed=4)
+        result = _pin_run(scenario="straggler", draws=12, seed=4)
         dist = result.distribution
         assert dist is not None and dist.n_draws == 12 and dist.seed == 4
         assert len(dist.makespans) == 12
@@ -419,20 +428,15 @@ class TestScenarioExecution:
         assert dist.p95 >= dist.p50 >= dist.p5
 
     def test_same_seed_identical_different_seed_distinct(self):
-        a = simulate_ge2bnd(300, 200, _pin_machine(),
-                            scenario="straggler", draws=8, seed=11)
-        b = simulate_ge2bnd(300, 200, _pin_machine(),
-                            scenario="straggler", draws=8, seed=11)
-        c = simulate_ge2bnd(300, 200, _pin_machine(),
-                            scenario="straggler", draws=8, seed=12)
+        a = _pin_run(scenario="straggler", draws=8, seed=11)
+        b = _pin_run(scenario="straggler", draws=8, seed=11)
+        c = _pin_run(scenario="straggler", draws=8, seed=12)
         assert a.distribution == b.distribution  # bitwise draw equality
         assert a.distribution != c.distribution
 
     def test_ge2val_shifts_distribution_by_post_processing(self):
-        bnd = simulate_ge2bnd(300, 200, _pin_machine(),
-                              scenario="fail-stop", draws=6, seed=2)
-        val = simulate_ge2val(300, 200, _pin_machine(),
-                              scenario="fail-stop", draws=6, seed=2)
+        bnd = _pin_run(scenario="fail-stop", draws=6, seed=2)
+        val = _pin_run(stage="ge2val", scenario="fail-stop", draws=6, seed=2)
         post = val.time_seconds - bnd.time_seconds
         assert post > 0
         assert val.distribution.mean == pytest.approx(bnd.distribution.mean + post)
@@ -440,8 +444,7 @@ class TestScenarioExecution:
 
     def test_mc_metrics_counters(self):
         snap = REGISTRY.snapshot()
-        simulate_ge2bnd(300, 200, _pin_machine(),
-                        scenario="straggler", draws=5, seed=0)
+        _pin_run(scenario="straggler", draws=5, seed=0)
         delta = REGISTRY.delta_since(snap)
         assert delta.get("engine.mc.runs") == 1
         assert delta.get("engine.mc.draws") == 5
@@ -450,8 +453,25 @@ class TestScenarioExecution:
         # REPRO_VERIFY=1 re-checks the nominal replay and one faulty draw
         # with realized durations; a finding would raise here.
         monkeypatch.setenv("REPRO_VERIFY", "1")
-        result = simulate_ge2bnd(300, 200, _pin_machine(),
-                                 scenario="hostile", draws=3, seed=1)
+        result = _pin_run(scenario="hostile", draws=3, seed=1)
+        assert result.distribution.n_draws == 3
+
+    def test_simulate_calls_module_run_scenario(self, monkeypatch):
+        # The scenario driver is looked up as a module global at call time,
+        # so wrapping repro.runtime.simulator.run_scenario sees every call.
+        import repro.runtime.simulator as simulator
+
+        calls = []
+
+        def spying_run_scenario(*args, **kwargs):
+            calls.append(kwargs["draws"])
+            return run_scenario(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_scenario", spying_run_scenario)
+        simulate(resolve(_pin_plan()))
+        assert calls == []
+        result = simulate(resolve(_pin_plan(scenario="straggler", draws=3, seed=4)))
+        assert calls == [3]
         assert result.distribution.n_draws == 3
 
     def test_plan_coerces_scenario_and_validates_draws(self):
@@ -493,6 +513,27 @@ class TestBatchedScenarios:
             if single.distribution is not None:
                 assert row["mc_p95"] == single.distribution.p95
                 assert row["mc_mean"] == single.distribution.mean
+
+    def test_batch_calls_module_run_scenario(self, monkeypatch):
+        # As in simulate(): the batch layer's scenario branch resolves
+        # repro.runtime.batch.run_scenario at call time.
+        import repro.runtime.batch as batch
+
+        calls = []
+
+        def spying_run_scenario(*args, **kwargs):
+            calls.append(kwargs["draws"])
+            return run_scenario(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "run_scenario", spying_run_scenario)
+        plans = [_pin_plan(), _pin_plan(scenario="straggler", draws=3, seed=4)]
+        outcomes = batch.simulate_resolved_batch(
+            [resolve(p) for p in plans], objective="makespan", prune=False
+        )
+        assert calls == [3]
+        assert [o.error for o in outcomes] == [None, None]
+        assert outcomes[0].result.distribution is None
+        assert outcomes[1].result.distribution.n_draws == 3
 
     def test_batch_engine_rejects_heterogeneous_machines(self):
         from repro.ir.compiler import get_program
@@ -584,11 +625,12 @@ class TestSeededDeterminism:
 
     SNIPPET = (
         "import sys; sys.path.insert(0, 'src')\n"
-        "from repro.runtime.machine import Machine\n"
-        "from repro.runtime.simulator import simulate_ge2bnd\n"
-        "machine = Machine(n_nodes=2, cores_per_node=2, tile_size=100)\n"
-        "r = simulate_ge2bnd(300, 200, machine, scenario='hostile',\n"
-        "                    draws=6, seed=13)\n"
+        "from repro.api import SvdPlan, resolve\n"
+        "from repro.runtime.simulator import simulate\n"
+        "plan = SvdPlan(m=300, n=200, stage='ge2bnd', variant='bidiag',\n"
+        "               tree='auto', tile_size=100, n_cores=2, n_nodes=2,\n"
+        "               scenario='hostile', draws=6, seed=13)\n"
+        "r = simulate(resolve(plan))\n"
         "print(r.time_seconds.hex())\n"
         "print([m.hex() for m in r.distribution.makespans])\n"
     )

@@ -1,5 +1,8 @@
 """Tests for the generators, validation helpers and the experiment harness."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,6 @@ from repro.experiments.figures import (
     format_rows,
     table1_kernel_costs,
 )
-from repro.runtime.machine import Machine
 from repro.utils.generators import graded_singular_values, latms, random_matrix
 from repro.utils.validation import (
     max_relative_error,
@@ -24,7 +26,10 @@ from repro.utils.validation import (
     relative_error,
 )
 
-SMALL_MACHINE = Machine(n_nodes=1, cores_per_node=8, tile_size=250)
+
+def _rows_digest(rows) -> str:
+    """Short sha256 of a figure's rows: pins every value bitwise."""
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
 
 
 class TestGenerators:
@@ -109,22 +114,27 @@ class TestExperimentHarness:
         assert all(2.0 <= r["delta_s"] <= 9.0 for r in rows)
 
     def test_fig2_square_small(self):
-        rows = fig2_ge2bnd_square(sizes=(1500, 3000), trees=("flatts", "greedy"), machine=SMALL_MACHINE)
+        rows = fig2_ge2bnd_square(
+            sizes=(1500, 3000), trees=("flatts", "greedy"), n_cores=8, nb=250
+        )
         assert len(rows) == 4
         assert all(r["gflops"] > 0 for r in rows)
+        assert _rows_digest(rows) == "766756918bc58463"
 
     def test_fig2_tall_skinny_small(self):
         rows = fig2_ge2bnd_tall_skinny(
-            n=1000, m_values=(4000, 8000), trees=("greedy",), machine=SMALL_MACHINE
+            n=1000, m_values=(4000, 8000), trees=("greedy",), n_cores=8, nb=250
         )
         by_alg = {(r["m"], r["algorithm"]): r["gflops"] for r in rows}
         # R-BIDIAG overtakes BIDIAG as the matrix gets taller.
         assert by_alg[(8000, "rbidiag")] > by_alg[(8000, "bidiag")] * 0.8
+        assert _rows_digest(rows) == "1dd60bfc70dc2cac"
 
     def test_fig2_ge2val_small(self):
-        rows = fig2_ge2val_comparison(shapes=[(3000, 3000)], machine=SMALL_MACHINE)
+        rows = fig2_ge2val_comparison(shapes=[(3000, 3000)], n_cores=8, nb=250)
         libs = {r["library"] for r in rows}
         assert {"DPLASMA", "PLASMA", "MKL", "ScaLAPACK", "Elemental"} <= libs
+        assert _rows_digest(rows) == "ae05b720d4f69fc4"
 
     def test_fig3_strong_scaling_small(self):
         rows = fig3_strong_scaling_ge2bnd(
@@ -132,10 +142,12 @@ class TestExperimentHarness:
         )
         g = {r["nodes"]: r["gflops"] for r in rows}
         assert g[4] > g[1]
+        assert _rows_digest(rows) == "e342e2c45f7cce2c"
 
     def test_fig3_ge2val_small(self):
         rows = fig3_strong_scaling_ge2val(m=3000, n=3000, node_counts=(1, 4), nb=250)
         assert {r["library"] for r in rows} == {"DPLASMA", "Elemental", "ScaLAPACK"}
+        assert _rows_digest(rows) == "7913a93fd477aa65"
 
     def test_fig4_weak_scaling_small(self):
         rows = fig4_weak_scaling(
@@ -143,6 +155,7 @@ class TestExperimentHarness:
         )
         stages = {r["stage"] for r in rows}
         assert stages == {"ge2bnd", "ge2val"}
+        assert _rows_digest(rows) == "641696e801483e54"
 
     def test_format_rows(self):
         text = format_rows([{"a": 1, "b": 2.5}, {"a": 10, "b": 0.123}])
