@@ -10,16 +10,27 @@
   parallelism) contributes to the simulated rates.
 """
 
+import gc
+
 import pytest
 
 from benchmarks.conftest import print_table
 from repro.api import SvdPlan, execute
 from repro.experiments.figures import format_rows
-from repro.ir import get_program
+from repro.ir import clear_program_cache, get_program
 from repro.kernels import costs
-from repro.runtime.machine import Machine
+from repro.runtime.machine import Machine, _kernel_duration_table
 from repro.runtime.engine import SimulationEngine
 from repro.trees import AutoTree, GreedyTree
+
+
+def _clear_priced_caches():
+    """Drop every table priced from ``costs``: the per-machine kernel
+    duration tables, and (with the programs they are weak-keyed on) the
+    replay memos, whose machine-keyed dispatch orders rank by duration."""
+    _kernel_duration_table.cache_clear()
+    clear_program_cache()
+    gc.collect()
 
 
 def test_ablation_kernel_efficiency_gap(benchmark, monkeypatch):
@@ -34,6 +45,7 @@ def test_ablation_kernel_efficiency_gap(benchmark, monkeypatch):
         ):
             if efficiencies is not None:
                 monkeypatch.setattr(costs, "KERNEL_EFFICIENCY", efficiencies)
+                _clear_priced_caches()
             auto = execute(base.with_(tree=AutoTree(n_cores=24)), "simulate")
             greedy = execute(base.with_(tree="greedy"), "simulate")
             rows.append(
@@ -45,6 +57,7 @@ def test_ablation_kernel_efficiency_gap(benchmark, monkeypatch):
                 }
             )
             monkeypatch.undo()
+            _clear_priced_caches()  # no later test may read patched tables
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,7 +9,7 @@ of one GE2BND problem — timed four ways, written to ``BENCH_batch.json``:
    program cache (what PR 5 already gives a sweep that reuses programs);
 3. ``batch-full``       — :class:`repro.runtime.batch.BatchEngine` over
    the same candidates: axes hoisted per unique (machine, grid, network),
-   dense rank orders memoized across candidates, schedule dedup on —
+   dispatch orders memoized across candidates, schedule dedup on —
    every candidate still simulated, schedules **bit-identical** to the
    per-candidate runs and to the object-path reference scheduler
    (audited field-by-field as part of the exit status);

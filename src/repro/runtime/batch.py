@@ -13,10 +13,12 @@ candidate product around it:
   machine); through the memo tables of :mod:`repro.runtime.replay`, so
   the work is shared with plain engine runs too, and through one dict of
   Python lists shared by the members of a batch;
-* **policy orders are memoized dense ranks** — one stable argsort per
+* **dispatch orders are memoized** — one stable argsort and one
+  structural pass (:func:`~repro.runtime.replay.dispatch_order`) per
   unique (policy, machine, grid), shared by every candidate with the same
   order (machine-invariant policies such as ``critical-path`` / ``fifo``
-  / ``random`` fold the machine out of the key entirely);
+  / ``random`` fold the machine out of the key entirely), so each
+  candidate's event loop is a timing-only walk;
 * **identical-order candidates are deduplicated** — two candidates whose
   (machine, grid, network, dispatch order) agree produce the same
   schedule by construction, so the second reuses the first's
@@ -155,7 +157,7 @@ class _PreparedBatch:
                 # order, placement, network pricing, core count) — all
                 # captured here, so equal keys imply equal schedules.
                 member.dedup_key = (
-                    engine.machine, dist_tok, net_tok, tuple(replay.id_of)
+                    engine.machine, dist_tok, net_tok, tuple(replay.order)
                 )
         self.members.append(member)
         self._bounds = None

@@ -6,9 +6,9 @@ The :class:`SimulationEngine` is an engine/policy/network split:
   queues), dependency release, owner-computes mapping — and is agnostic of
   both the scheduling order and the communication cost;
 * the **policy** (:mod:`repro.runtime.policies`) only ranks ops; the
-  engine pops ready ops in ``(policy key, op id)`` order, so tie-breaking
-  is stable task-id ordering and schedules are bit-reproducible across
-  runs and Python hash seeds;
+  engine dispatches ready ops in ``(policy key, op id)`` order, so
+  tie-breaking is stable task-id ordering and schedules are
+  bit-reproducible across runs and Python hash seeds;
 * the **network model** (:mod:`repro.runtime.network`) prices cross-node
   transfers: ``uniform`` is a flat pre-charge per edge (golden-pinned),
   ``alpha-beta`` turns each deduplicated (producer, destination node)
@@ -18,8 +18,10 @@ The :class:`SimulationEngine` is an engine/policy/network split:
 
 :meth:`SimulationEngine.run` is a thin caller of the replay kernel
 (:class:`~repro.runtime.replay.PreparedReplay`), which prices every op
-through memoized structure-of-arrays vectors and runs the one event
-loop; the engine adds trace recording and the ``REPRO_VERIFY`` hook.
+through memoized structure-of-arrays vectors, fixes the memoized
+dispatch order (ready ops release on their predecessors' dispatch, so
+the order is structural) and walks it once with the time arithmetic;
+the engine adds trace recording and the ``REPRO_VERIFY`` hook.
 The per-op duration and owner vectors come from :meth:`SimulationEngine.
 duration_vector` and :meth:`SimulationEngine.owner_vector`, memoized per
 (program, machine) and (program, grid) in weak-keyed module tables, so a
@@ -64,7 +66,10 @@ def engine_memo_stats() -> Dict[str, int]:
     (:data:`repro.obs.metrics.REGISTRY`, names ``engine.memo.*``), so
     callers can bracket a run with ``REGISTRY.snapshot()`` /
     ``delta_since`` for per-run figures or ``REGISTRY.reset("engine.memo.")``
-    instead of inheriting totals from unrelated runs.
+    instead of inheriting totals from unrelated runs.  ``order_*`` counts
+    the memoized dispatch orders (:func:`~repro.runtime.replay.policy_order`,
+    one entry per policy, machine or ``None``, and grid); a hit skips both
+    the ranking and the structural pass.
     """
     with _MEMO_LOCK:
         stats = {
@@ -264,6 +269,8 @@ class SimulationEngine:
             schedule = PreparedReplay(self, program, node_of_op=node_of_op).run()
         else:
             with tracer.phase("simulate"):
+                # Ranking and, on a memo miss, the structural dispatch-order
+                # pass; the rest of the simulate phase is the timing walk.
                 with tracer.phase("rank"):
                     replay = PreparedReplay(self, program, node_of_op=node_of_op)
                 state = replay.run_state()

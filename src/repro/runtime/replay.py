@@ -9,30 +9,31 @@ between replays, once:
   the program's kernel-code column), with per-node slowdowns folded in;
 * the **owner vector** (vectorized block-cyclic mapping, or the caller's
   ``node_of_op``) and the per-core slowdown factors;
-* the policy's total order as **dense ranks** — ``rank_of[op]`` is the
-  op's position in the stable ``(policy key, op id)`` sort and ``id_of``
-  inverts it — computed from the *nominal* durations, so every replay of
-  a prepared program pops ready ops in the same order and the heaps hold
-  small distinct ints instead of ``(key, id)`` tuples;
+* the **dispatch order** — the op ids in the order the loop dispatches
+  them (:func:`dispatch_order`), derived from the policy's ranks over the
+  *nominal* durations and memoized, so every replay of a prepared
+  program dispatches ops in the same order;
 * the successor lists and the message-byte vector.
 
 :meth:`PreparedReplay.run` then replays: one pass of the greedy
 owner-computes list-scheduling discipline the paper's PaRSEC runtime
-implements.  There are two loop bodies and the node count selects
-between them.  On one node every edge is local, so a single drain loop
-empties the ready heap.  On several nodes a greedy round-robin drains
-each node's ready heap in turn; every deduplicated (producer,
-destination node) transfer is priced by the network model, and each
-node's NIC serializes its injections in *dispatch order* — the order
-ops are popped, not the order they finish.  That is the same
-no-lookahead discipline the loop applies to cores, kept deliberately: a
-time-ordered NIC would need a global message event queue and would
-reprice every schedule.
+implements.  An op becomes ready when its last predecessor is
+*dispatched*, not when it finishes, so the order is structural and the
+replay is a timing-only walk over it: core heaps, ready times and
+transfers.  There are two walks and the node count selects between
+them.  On one node every edge is local.  On several nodes the order is
+a greedy node round-robin; every deduplicated (producer, destination
+node) transfer is priced by the network model, and each node's NIC
+serializes its injections in dispatch order, not the order ops finish.
+That is the same no-lookahead discipline the loop applies to cores,
+kept deliberately: a time-ordered NIC would need a global message event
+queue and would reprice every schedule.
 
 ``run(duration_row, noise_row)`` multiplies op durations and per-message
 wire times by per-op factor rows (the scenario layer's Monte-Carlo draws).
-``x * 1.0 == x`` is exact in IEEE-754 and the pop order does not depend
-on the rows, so unit rows reproduce the nominal schedule bit for bit.
+``x * 1.0 == x`` is exact in IEEE-754 and the dispatch order does not
+depend on the rows, so unit rows reproduce the nominal schedule bit for
+bit.
 
 :class:`~repro.runtime.engine.SimulationEngine`, the batch engine
 (:mod:`repro.runtime.batch`) and the scenario driver
@@ -71,6 +72,7 @@ __all__ = [
     "PreparedReplay",
     "ReplayState",
     "dense_order",
+    "dispatch_order",
     "network_token",
     "policy_order",
     "successors",
@@ -91,7 +93,7 @@ _DURATION_VECTORS: "weakref.WeakKeyDictionary[Program, Dict]" = (
 _OWNER_VECTORS: "weakref.WeakKeyDictionary[Program, Dict]" = (
     weakref.WeakKeyDictionary()
 )
-#: program -> {(policy token, machine-or-None, grid key): (rank_of, id_of)}
+#: program -> {(policy token, machine-or-None, grid key): dispatch order}
 #: ``machine`` is folded to ``None`` for machine-invariant rankings so
 #: configurations that differ only in their machine share one entry.
 _RANK_ORDERS: "weakref.WeakKeyDictionary[Program, Dict]" = (
@@ -153,7 +155,7 @@ def successors(program: Program) -> Tuple[List[List[int]], List[int], List[int]]
 
 
 # --------------------------------------------------------------------------- #
-# Policy orders as dense ranks
+# Dispatch orders
 # --------------------------------------------------------------------------- #
 #: A dense-rank policy ordering: ``rank_of[op]`` is the op's position in
 #: the stable ``(key, op id)`` sort and ``id_of[position]`` inverts it.
@@ -199,10 +201,52 @@ def dense_order(keys: Sequence[object], n: int) -> DenseOrder:
         return rank_of, id_of
     rank_np = np.empty(n, dtype=np.int64)
     rank_np[id_of_np] = np.arange(n, dtype=np.int64)
-    # Both lists hold the ints 0..n-1: share one object per value (the
-    # orders are memoized, so this halves their resident size).
-    ints = list(range(n)).__getitem__
-    return list(map(ints, rank_np.tolist())), list(map(ints, id_of_np.tolist()))
+    return rank_np.tolist(), id_of_np.tolist()
+
+
+def dispatch_order(
+    program: Program,
+    ranks: DenseOrder,
+    node_of: Optional[Sequence[int]],
+    n_nodes: int,
+) -> List[int]:
+    """The op ids in the order the event loop dispatches them.
+
+    An op becomes ready when its last predecessor is *dispatched*, and
+    ready ops are dispatched by rank, so the order depends only on the
+    ranks, the DAG and the placement — never on durations, slowdowns,
+    factor rows or the network.  A greedy round-robin drains each node's
+    rank heap in turn: an op made ready for a later node is dispatched in
+    the same round, one made ready for an earlier node in the next.  On
+    one node (``node_of`` is ``None``) that is a single rank-heap drain.
+    """
+    rank_of, id_of = ranks
+    succ_lists, indegree, init_ready = successors(program)
+    indegree = indegree.copy()
+    n = len(program)
+    if node_of is None:
+        node_of, n_nodes = [0] * n, 1
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    ready_heaps: List[List[int]] = [[] for _ in range(n_nodes)]
+    for op_id in init_ready:
+        heappush(ready_heaps[node_of[op_id]], rank_of[op_id])
+    order: List[int] = []
+    dispatch = order.append
+    while len(order) < n:
+        dispatched = len(order)
+        for heap in ready_heaps:
+            while heap:
+                op_id = id_of[heappop(heap)]
+                dispatch(op_id)
+                for succ in succ_lists[op_id]:
+                    deg = indegree[succ] - 1
+                    indegree[succ] = deg
+                    if deg == 0:
+                        heappush(ready_heaps[node_of[succ]], rank_of[succ])
+        if len(order) == dispatched:  # pragma: no cover - defensive (cycle)
+            raise RuntimeError("engine stalled: the program has a cycle")
+    return order
 
 
 def policy_order(
@@ -212,21 +256,23 @@ def policy_order(
     node_np: Optional[np.ndarray],
     *,
     cacheable: bool = True,
-) -> DenseOrder:
-    """The engine policy's dense-rank order over ``program`` (memoized).
+) -> List[int]:
+    """The engine policy's dispatch order over ``program`` (memoized).
 
     Keys come from the policy's vectorized
     :meth:`~repro.runtime.policies.SchedulingPolicy.rank_array` hook when
     it has one, else from :meth:`~repro.runtime.policies.SchedulingPolicy.
-    rank`.  Memoized per (policy token, machine, grid); machine-invariant
-    policies drop the machine from the key so one order serves every
-    machine.  Only the canonical block-cyclic mapping may hit the memo: a
-    distribution subclass with its own ``owner()`` produces different node
-    vectors for the same grid shape.
+    rank`; their dense ranks are transient, only the
+    :func:`dispatch_order` they induce is kept.  Memoized per (policy
+    token, machine, grid); machine-invariant policies drop the machine
+    from the key so one order serves every machine.  Only the canonical
+    block-cyclic mapping may hit the memo: a distribution subclass with
+    its own ``owner()`` produces different node vectors for the same grid
+    shape.
     """
     n = len(program)
     if n == 0:
-        return [], []
+        return []
     machine = engine.machine
     policy = engine.policy
     token = policy.cache_token
@@ -257,7 +303,8 @@ def policy_order(
         raise ValueError(
             f"policy {policy.name!r} ranked {len(keys)} ops, expected {n}"
         )
-    order = dense_order(keys, n)
+    node_of = None if node_np is None else node_np.tolist()
+    order = dispatch_order(program, dense_order(keys, n), node_of, machine.n_nodes)
     if key is not None:
         _memo_put(_RANK_ORDERS, program, key, order)
     return order
@@ -329,6 +376,8 @@ class PreparedReplay:
     optionally overrides the distribution's owner-computes placement.
     ``shared`` is a dict the batch engine passes to every member of one
     batch, so members with equal axes reuse one Python list per axis.
+    ``order`` is the dispatch order (:func:`policy_order`) every
+    :meth:`run` walks.
     """
 
     def __init__(
@@ -367,7 +416,7 @@ class PreparedReplay:
         # Ranks come from the *nominal* durations: the policy orders ops by
         # its model of the machine and cannot foresee slowdowns or faults,
         # which is also what lets every draw share one memoized order.
-        self.rank_of, self.id_of = policy_order(
+        self.order = policy_order(
             engine, program, nominal, node_np, cacheable=node_of_op is None
         )
         self.node_np = node_np
@@ -379,7 +428,7 @@ class PreparedReplay:
             )
 
         # Node slowdowns fold into the base durations (owner nodes are fixed
-        # per op); core slowdowns apply at pop time, when the core is known.
+        # per op); core slowdowns apply at dispatch, when the core is known.
         node_factors = machine.node_factors()
         if node_factors is None:
             self.durations_np = nominal
@@ -391,7 +440,7 @@ class PreparedReplay:
         # Always multiplied, never branched on: ``x * 1.0 == x`` exactly.
         self.core_factors = list(machine.core_factors() or [1.0] * self.cores)
 
-        self.succ_lists, self.indegree, self.init_ready = successors(program)
+        self.succ_lists = successors(program)[0]
         self.msg_bytes: Optional[List[int]] = None
         if n_nodes > 1 and network.event_driven:
             token = network_token(network)
@@ -432,26 +481,21 @@ class PreparedReplay:
         return self._round_robin(durations, noise)
 
     def _drain(self, durations: List[float]) -> ReplayState:
-        """Single node: every edge is local, one drain loop empties the heap."""
+        """Single node: every edge is local; walk the dispatch order."""
         n = self.n
-        rank_of, id_of = self.rank_of, self.id_of
         succ_lists = self.succ_lists
         cf = self.core_factors
-        indegree = self.indegree.copy()
         ready_time = [0.0] * n
         start = [0.0] * n
         finish = [0.0] * n
         core_of_op = [0] * n
-        heappush = heapq.heappush
-        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         core_heap = [(0.0, c) for c in range(self.cores)]  # already a heap
-        ready = [rank_of[op_id] for op_id in self.init_ready]
-        heapq.heapify(ready)
         busy = 0.0
-        scheduled = 0
-        while ready:
-            op_id = id_of[heappop(ready)]
-            core_free, core_idx = heappop(core_heap)
+        for op_id in self.order:
+            # Heap entries are distinct (time, core) pairs, so replacing the
+            # top yields the cores in the same sequence as pop-then-push.
+            core_free, core_idx = core_heap[0]
             rt = ready_time[op_id]
             t_start = core_free if core_free > rt else rt
             d = durations[op_id] * cf[core_idx]
@@ -459,20 +503,13 @@ class PreparedReplay:
             start[op_id] = t_start
             finish[op_id] = t_finish
             core_of_op[op_id] = core_idx
-            # Accumulated in pop order: a vectorized sum would associate
+            # Accumulated in dispatch order: a vectorized sum would associate
             # differently and change the pinned bits.
             busy += d
-            heappush(core_heap, (t_finish, core_idx))
-            scheduled += 1
+            heapreplace(core_heap, (t_finish, core_idx))
             for succ in succ_lists[op_id]:
                 if t_finish > ready_time[succ]:
                     ready_time[succ] = t_finish
-                deg = indegree[succ] - 1
-                indegree[succ] = deg
-                if deg == 0:
-                    heappush(ready, rank_of[succ])
-        if scheduled < n:  # pragma: no cover - defensive (cycle)
-            raise RuntimeError("engine stalled: the program has a cycle")
         schedule = Schedule(
             makespan=max(finish),
             start=start,
@@ -490,22 +527,19 @@ class PreparedReplay:
     def _round_robin(
         self, durations: List[float], noise: Optional[List[float]]
     ) -> ReplayState:
-        """Several nodes: greedy node round-robin, dispatch-order NIC."""
+        """Several nodes: walk the round-robin order; dispatch-order NIC."""
         n = self.n
         machine = self.engine.machine
         network = self.engine.network
         n_nodes = self.n_nodes
-        rank_of, id_of = self.rank_of, self.id_of
         node_of = self.node_of
         succ_lists = self.succ_lists
         cf = self.core_factors
-        indegree = self.indegree.copy()
         ready_time = [0.0] * n
         start = [0.0] * n
         finish = [0.0] * n
         core_of_op = [0] * n
-        heappush = heapq.heappush
-        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
 
         busy = [0.0] * n_nodes
         messages = 0
@@ -514,6 +548,7 @@ class PreparedReplay:
         comm_time = [0.0] * n_nodes
         event_driven = network.event_driven
         transfer = machine.transfer_time()
+        tile_bytes = machine.tile_bytes
         handshake = network.handshake_seconds(machine)
         msg_bytes = self.msg_bytes
         # (injection seconds, wire seconds) per distinct payload size — the
@@ -530,83 +565,64 @@ class PreparedReplay:
         core_heaps: List[List[Tuple[float, int]]] = [
             [(0.0, c) for c in range(self.cores)] for _ in range(n_nodes)
         ]
-        ready_heaps: List[List[int]] = [[] for _ in range(n_nodes)]
-        for op_id in self.init_ready:
-            heappush(ready_heaps[node_of[op_id]], rank_of[op_id])
-
-        scheduled = 0
-        while scheduled < n:
-            progressed = False
-            for node in range(n_nodes):
-                heap = ready_heaps[node]
-                core_heap = core_heaps[node]
-                while heap:
-                    op_id = id_of[heappop(heap)]
-                    core_free, core_idx = heappop(core_heap)
-                    rt = ready_time[op_id]
-                    t_start = core_free if core_free > rt else rt
-                    d = durations[op_id] * cf[core_idx]
-                    t_finish = t_start + d
-                    start[op_id] = t_start
-                    finish[op_id] = t_finish
-                    core_of_op[op_id] = core_idx
-                    busy[node] += d
-                    heappush(core_heap, (t_finish, core_idx))
-                    scheduled += 1
-                    progressed = True
-                    for succ in succ_lists[op_id]:
-                        dst = node_of[succ]
-                        arrival = t_finish
-                        if dst != node:
-                            tkey = (op_id, dst)
-                            if event_driven:
-                                cached = transfer_arrival.get(tkey)
-                                if cached is None:
-                                    n_bytes = msg_bytes[op_id]
-                                    cost = msg_cost_cache.get(n_bytes)
-                                    if cost is None:
-                                        cost = (
-                                            machine.injection_seconds(n_bytes),
-                                            network.message_seconds(
-                                                n_bytes, machine
-                                            ),
-                                        )
-                                        msg_cost_cache[n_bytes] = cost
-                                    injection, wire = cost
-                                    if noise is not None:
-                                        # Noise stretches the wire, not the
-                                        # sender's NIC occupancy.
-                                        wire = wire * noise[op_id]
-                                    inject_start = t_finish + handshake
-                                    if nic_free[node] > inject_start:
-                                        inject_start = nic_free[node]
-                                    nic_free[node] = inject_start + injection
-                                    cached = inject_start + wire
-                                    transfer_arrival[tkey] = cached
-                                    messages += 1
-                                    comm_bytes += n_bytes
-                                    sent[node] += 1
-                                    comm_time[node] += injection
-                                arrival = cached
-                            else:
-                                hop = transfer
-                                if noise is not None:
-                                    hop = hop * noise[op_id]
-                                arrival += hop
-                                if tkey not in seen_transfers:
-                                    seen_transfers.add(tkey)
-                                    messages += 1
-                                    comm_bytes += machine.tile_bytes
-                                    sent[node] += 1
-                                    comm_time[node] += hop
-                        if arrival > ready_time[succ]:
-                            ready_time[succ] = arrival
-                        deg = indegree[succ] - 1
-                        indegree[succ] = deg
-                        if deg == 0:
-                            heappush(ready_heaps[dst], rank_of[succ])
-            if not progressed:  # pragma: no cover - defensive (cycle)
-                raise RuntimeError("engine stalled: the program has a cycle")
+        for op_id in self.order:
+            node = node_of[op_id]
+            core_heap = core_heaps[node]
+            core_free, core_idx = core_heap[0]
+            rt = ready_time[op_id]
+            t_start = core_free if core_free > rt else rt
+            d = durations[op_id] * cf[core_idx]
+            t_finish = t_start + d
+            start[op_id] = t_start
+            finish[op_id] = t_finish
+            core_of_op[op_id] = core_idx
+            busy[node] += d
+            heapreplace(core_heap, (t_finish, core_idx))
+            for succ in succ_lists[op_id]:
+                dst = node_of[succ]
+                arrival = t_finish
+                if dst != node:
+                    tkey = (op_id, dst)
+                    if event_driven:
+                        cached = transfer_arrival.get(tkey)
+                        if cached is None:
+                            n_bytes = msg_bytes[op_id]
+                            cost = msg_cost_cache.get(n_bytes)
+                            if cost is None:
+                                cost = (
+                                    machine.injection_seconds(n_bytes),
+                                    network.message_seconds(n_bytes, machine),
+                                )
+                                msg_cost_cache[n_bytes] = cost
+                            injection, wire = cost
+                            if noise is not None:
+                                # Noise stretches the wire, not the sender's
+                                # NIC occupancy.
+                                wire = wire * noise[op_id]
+                            inject_start = t_finish + handshake
+                            if nic_free[node] > inject_start:
+                                inject_start = nic_free[node]
+                            nic_free[node] = inject_start + injection
+                            cached = inject_start + wire
+                            transfer_arrival[tkey] = cached
+                            messages += 1
+                            comm_bytes += n_bytes
+                            sent[node] += 1
+                            comm_time[node] += injection
+                        arrival = cached
+                    else:
+                        hop = transfer
+                        if noise is not None:
+                            hop = hop * noise[op_id]
+                        arrival += hop
+                        if tkey not in seen_transfers:
+                            seen_transfers.add(tkey)
+                            messages += 1
+                            comm_bytes += tile_bytes
+                            sent[node] += 1
+                            comm_time[node] += hop
+                if arrival > ready_time[succ]:
+                    ready_time[succ] = arrival
 
         schedule = Schedule(
             makespan=max(finish),

@@ -11,7 +11,7 @@ pricing through :meth:`~repro.runtime.machine.Machine.kernel_duration`,
 per-op ownership through ``distribution.owner()``, the policy's
 per-op :meth:`~repro.runtime.policies.SchedulingPolicy.rank` keys in
 ``(key, op id)`` tuple heaps, and per-message network pricing.  It shares
-no precomputed vector, memo table or dense-rank order with the kernel.
+no precomputed vector, memo table or dispatch order with the kernel.
 
 It is slow by design and is meant for tests and audits, not for sweeps.
 """

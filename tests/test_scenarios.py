@@ -407,6 +407,68 @@ class TestGoldenPinnedDefaultPath:
         )
 
 
+#: sha256 digests (see :func:`_schedule_digest`) of one perturbed replay per
+#: (layout, policy): a p=q=6 GREEDY bidiag program replayed with lognormal
+#: (sigma 0.3) duration and noise rows drawn from ``default_rng(case
+#: index)``.  ``1x4`` is one 4-core node; ``2x2-*`` a 2x2 grid of 2-core
+#: nodes under either network; ``custom-placement`` overrides the owner
+#: vector (the uncached order path).  Pinned before the replay walked a
+#: precomputed dispatch order, so a wrong structural order under any policy
+#: shows here, not only at nominal durations.
+GOLDEN_PERTURBED = {
+    ('1x4', 'critical-path'): '4ddf9b249414f6686f6a56a734ee9423ef2734c067b2c5df3a7a3c0debf63fac',
+    ('1x4', 'fifo'): '6c87f655521ce41ed1cb1977c8f03d52c3a8300be8fb6b129aedfd64b6cbe660',
+    ('1x4', 'list'): '5742ba1977d7e7b09cfcc3811ff8d3ff379f3cb04ed2fe753d73326a5da24437',
+    ('1x4', 'locality'): '48be61af9dc469caa13d28dfd7fe4569d907fddf2956672ef2b4c1a3648235bd',
+    ('1x4', 'random'): '58ec17621a7a71c7be639510d570000af19041a67d9689f555632bf47abaec78',
+    ('1x4', 'weight'): '397df72f827fd8f4a90ac69366e148323e52a14e49ddb7546b9525cfe5b93f7b',
+    ('2x2-uniform', 'critical-path'): 'e247b8ca5a912bbcf96657f747e17ce762760a0df344a697f3f9f823d89fb43b',
+    ('2x2-uniform', 'fifo'): 'bf24c6d3b1229ededc84863108eed670782ba35101848dcd9ad5f7c64fcff741',
+    ('2x2-uniform', 'list'): '6e83d64105c9845f9e38e15f228345253cbf4dfc2e2a6b324fd2da55f4c34326',
+    ('2x2-uniform', 'locality'): 'b862b366063e8fe01740ed3008eed16d117c8ec877c661b0cb4384cdca78a235',
+    ('2x2-uniform', 'random'): '89273e03a2a425ef4bbb502dbc748895eceaa8f50c31b88bc02bc32b2a148668',
+    ('2x2-uniform', 'weight'): 'c8da15fac7508f2bbc9137841b163d6c967678c17926cda353811e81f303097e',
+    ('2x2-alpha-beta', 'critical-path'): '48f6ff49d3462ff54825ece2495b4ea9bab8d80d23b1e2e1d2e7e4196265a11d',
+    ('2x2-alpha-beta', 'fifo'): 'c57bdf2f95d772feadf45c336345bf7ed73bad829ea508924b4e00ab83d0bf0d',
+    ('2x2-alpha-beta', 'list'): '98120d61c69683c84ecd23866f5e6c6b8296b6bd9636d580e8a2c31639e26cec',
+    ('2x2-alpha-beta', 'locality'): '3485a7e497dca60d1f0e4de684c2933cd67405046b27160826e17ab4ead2f533',
+    ('2x2-alpha-beta', 'random'): 'c9f47e39e8775354a654381acef9a5e9e0394ee62bf3011351db6eb44b07526c',
+    ('2x2-alpha-beta', 'weight'): '82b6f4a0a20602e9d4b382c3dd1d128cf4470dd21e013caccae33002cf7901fe',
+    ('custom-placement', 'locality'): '86ce4c8d05745bb73024a5958a4c2fc7c0907d14b21d1e0d18a2e6428709a345',
+}
+
+
+def _perturbed_schedule(layout, policy):
+    from repro.ir.compiler import get_program
+    from repro.trees import GreedyTree
+
+    program = get_program("bidiag", 6, 6, GreedyTree())
+    n = len(program)
+    node_of_op = None
+    if layout == "1x4":
+        machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
+        network = "uniform"
+    else:
+        machine = Machine(n_nodes=4, cores_per_node=2, tile_size=100)
+        network = "uniform" if layout == "2x2-uniform" else "alpha-beta"
+        if layout == "custom-placement":
+            node_of_op = [(7 * op_id) % 4 for op_id in range(n)]
+    engine = SimulationEngine(machine, policy=policy, network=network)
+    rng = np.random.default_rng(list(GOLDEN_PERTURBED).index((layout, policy)))
+    duration_row = rng.lognormal(0.0, 0.3, n)
+    noise_row = rng.lognormal(0.0, 0.3, n)
+    return PreparedReplay(engine, program, node_of_op=node_of_op).run(
+        duration_row, noise_row
+    )
+
+
+class TestPerturbedDrawPins:
+    @pytest.mark.parametrize("layout,policy", list(GOLDEN_PERTURBED))
+    def test_perturbed_replay_is_bit_identical(self, layout, policy):
+        schedule = _perturbed_schedule(layout, policy)
+        assert _schedule_digest(schedule) == GOLDEN_PERTURBED[(layout, policy)]
+
+
 # --------------------------------------------------------------------------- #
 # Scenario execution through the simulator / plan API
 # --------------------------------------------------------------------------- #

@@ -312,13 +312,13 @@ class TestMemoization:
         assert c is not a
 
     def test_rank_keys_memoized_per_policy(self):
-        # The memoized form of a policy's keys is its dense-rank order.
+        # The memoized form of a policy's keys is its dispatch order.
         program = get_program("bidiag", 6, 6, GreedyTree())
         machine = Machine(n_nodes=1, cores_per_node=8, tile_size=160)
         before = engine_memo_stats()
         o1 = PreparedReplay(SimulationEngine(machine, policy="list"), program)
         o2 = PreparedReplay(SimulationEngine(machine, policy="list"), program)
-        assert o1.id_of is o2.id_of
+        assert o1.order is o2.order
         after = engine_memo_stats()
         assert after["order_misses"] - before["order_misses"] == 1
         assert after["order_hits"] - before["order_hits"] == 1
@@ -329,7 +329,19 @@ class TestMemoization:
         r1 = PreparedReplay(
             SimulationEngine(machine, policy=RandomPolicy(seed=1)), program
         )
-        assert r0.id_of != r1.id_of
+        assert r0.order != r1.order
+
+    @pytest.mark.parametrize("n_nodes", [1, 4])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_dispatch_order_is_a_topological_permutation(self, policy, n_nodes):
+        program = get_program("bidiag", 6, 6, GreedyTree())
+        machine = Machine(n_nodes=n_nodes, cores_per_node=2, tile_size=100)
+        order = PreparedReplay(SimulationEngine(machine, policy=policy), program).order
+        assert sorted(order) == list(range(len(program)))
+        position = {op_id: i for i, op_id in enumerate(order)}
+        for op_id in range(len(program)):
+            for pred in program.predecessors(op_id):
+                assert position[pred] < position[op_id]
 
     def test_owner_vector_memoized_per_grid(self):
         program = get_program("bidiag", 8, 8, FlatTTTree())
@@ -523,7 +535,7 @@ class TestHashSeedDeterminism:
         "machine = Machine(n_nodes=4, cores_per_node=2, tile_size=100)\n"
         "for policy in ('list', 'critical-path', 'locality'):\n"
         "    engine = SimulationEngine(machine, policy=policy)\n"
-        "    print(policy, PreparedReplay(engine, program).id_of)\n"
+        "    print(policy, PreparedReplay(engine, program).order)\n"
         "print(program.levels_np.tolist())\n"
         "print(SimulationEngine(machine).run(program).makespan)\n"
     )
