@@ -131,6 +131,42 @@ def greedy_asymptotic_cp(q: int, alpha: float = 0.0) -> float:
 
 
 # --------------------------------------------------------------------------- #
+# Total work (the tiled programs' Table-I weight)
+# --------------------------------------------------------------------------- #
+def qr_step_weight(u: int, v: int) -> int:
+    """Total weight of one QR or LQ step on a ``(u, v)`` tile matrix.
+
+    ``4 + 6(u-1) + 6(v-1) + 12(u-1)(v-1)`` whatever the tree: a TS
+    elimination (TSQRT 6, TSMQR 12) costs what a TT one does together
+    with the GEQRT and UNMQR it needs first (2 + 4, 6 + 6).  Symmetric
+    in ``u`` and ``v``, so it prices LQ steps too.
+    """
+    return 4 + 6 * (u - 1) + 6 * (v - 1) + 12 * (u - 1) * (v - 1)
+
+
+def bidiag_weight(p: int, q: int) -> int:
+    """Total weight of BIDIAG(p, q), any tree (its Program's total weight)."""
+    if p < q or q < 1:
+        raise ValueError(f"expected p >= q >= 1, got ({p}, {q})")
+    return qr_step_weight(p - q + 1, 1) + sum(
+        qr_step_weight(p - k + 1, q - k + 1) + qr_step_weight(p - k + 1, q - k)
+        for k in range(1, q)
+    )
+
+
+def rbidiag_weight(p: int, q: int) -> int:
+    """Total weight of R-BIDIAG(p, q): ``QR(p, q) + BIDIAG(q, q) - QR(1)``.
+
+    The square bidiagonalization skips its first QR step: R is already
+    upper triangular.
+    """
+    if p < q or q < 1:
+        raise ValueError(f"expected p >= q >= 1, got ({p}, {q})")
+    qr = sum(qr_step_weight(p - k + 1, q - k + 1) for k in range(1, q + 1))
+    return qr + bidiag_weight(q, q) - qr_step_weight(q, q)
+
+
+# --------------------------------------------------------------------------- #
 # R-BIDIAG
 # --------------------------------------------------------------------------- #
 def qr_factorization_cp(p: int, q: int, tree: str) -> int:

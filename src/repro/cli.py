@@ -162,7 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="scoring objective (see repro.tuning.OBJECTIVES)")
     tune.add_argument("--strategy", default="grid", choices=["grid", "halving"])
     tune.add_argument("--workers", type=int, default=1,
-                      help="parallel candidate evaluations (concurrent.futures)")
+                      help="process-pool width for searches nothing can prune "
+                           "(--no-prune, or critical-path / comm-volume / "
+                           "comm-time); a prunable search walks serially")
     tune.add_argument("--tile-sizes", default=None,
                       help="comma-separated nb candidates (default: problem-derived)")
     tune.add_argument("--inner-blocks", default=None,
@@ -172,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--variants", default=None,
                       help="comma-separated variants (default: bidiag,rbidiag)")
     tune.add_argument("--no-prune", action="store_true",
-                      help="disable analytic-model pruning (exhaustive evaluation)")
+                      help="disable bound pruning (exhaustive evaluation)")
     tune.add_argument("--no-cache", action="store_true",
                       help="do not read or write the persistent plan cache")
     tune.add_argument("--force", action="store_true",

@@ -776,35 +776,6 @@ class Program:
             return 0.0
         return float(self.finish_times_np(durations).max())
 
-    def critical_path_many(self, durations_2d: np.ndarray) -> np.ndarray:
-        """Critical paths for a stack of duration vectors at once.
-
-        ``durations_2d`` has shape ``(k, n_ops)`` — one row per candidate
-        machine.  Each row's result is bit-identical to
-        :meth:`critical_path_np` on that row alone: the same cached sweep
-        groups drive a segmented max with ``axis=1``, so the batch layer
-        can bound k candidates with one pass over the level structure.
-        """
-        durations_2d = np.ascontiguousarray(durations_2d, dtype=np.float64)
-        if durations_2d.ndim != 2:
-            raise ValueError("critical_path_many expects a 2-D (k, n_ops) array")
-        k, n = durations_2d.shape
-        if n != len(self):
-            raise ValueError(
-                f"durations_2d has {n} columns for a {len(self)}-op program"
-            )
-        if n == 0 or k == 0:
-            return np.zeros(k, dtype=np.float64)
-        finish = durations_2d.copy()
-        groups = self._sweep_groups(
-            "fwd_sweep", self.pred_indptr_np, self.pred_ids_np,
-            descending=False,
-        )
-        for nodes, gather, offsets in groups:
-            seg = np.maximum.reduceat(finish[:, gather], offsets, axis=1)
-            finish[:, nodes] = durations_2d[:, nodes] + seg
-        return finish.max(axis=1)
-
     # ------------------------------------------------------------------ #
     # Aggregates and analyses
     # ------------------------------------------------------------------ #

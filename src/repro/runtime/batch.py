@@ -24,12 +24,12 @@ candidate product around it:
   schedule by construction, so the second reuses the first's
   :class:`~repro.runtime.scheduler.Schedule` (e.g. ``list`` and
   ``locality`` coincide on one node, where every producer is local);
-* **analytic bounds prune before any event loop** — stacked per-machine
-  duration rows go through one ``np.maximum.reduceat`` level sweep
-  (:meth:`~repro.ir.program.Program.critical_path_many`) plus a per-node
-  area bound, and :func:`simulate_resolved_batch` evaluates candidates in
-  ascending-bound order against the running incumbent, so provably worse
-  candidates never touch the engine.
+* **analytic bounds prune before any event loop** — each candidate's
+  :meth:`~repro.runtime.engine.SimulationEngine.lower_bound` (critical
+  path and per-node area, memoized per (program, machine, grid); the
+  tuner prunes with the same bound), and :func:`simulate_resolved_batch`
+  evaluates candidates in ascending-bound order against the running
+  incumbent, so provably worse candidates never touch the engine.
 
 Every produced schedule is the one the corresponding individual
 ``SimulationEngine(machine, ...).run(program)`` returns — both run the
@@ -64,13 +64,7 @@ from repro.runtime.engine import SimulationEngine
 from repro.runtime.machine import Machine
 from repro.runtime.network import NetworkModel
 from repro.runtime.policies import SchedulingPolicy
-from repro.runtime.replay import (
-    _BATCH_BOUNDS,
-    PreparedReplay,
-    _memo_get,
-    _memo_put,
-    network_token,
-)
+from repro.runtime.replay import PreparedReplay, network_token
 from repro.runtime.scenario import run_scenario
 from repro.runtime.scheduler import Schedule
 from repro.runtime.simulator import (
@@ -121,7 +115,6 @@ class _PreparedBatch:
     def __init__(self, program: Program, *, dedup: bool = True) -> None:
         self.program = program
         self.dedup = dedup
-        self.n = len(program)
         self.members: List[_Member] = []
         self._lists: Dict = {}
         self._schedules: Dict[Tuple, Schedule] = {}
@@ -167,72 +160,18 @@ class _PreparedBatch:
     # Analytic lower bounds (no event loop)
     # ------------------------------------------------------------------ #
     def lower_bounds(self) -> np.ndarray:
-        """Per-candidate makespan lower bounds in seconds (vectorized).
+        """Per-candidate makespan lower bounds in seconds (no event loop).
 
-        ``max(critical path, area)``: no schedule can beat the heaviest
-        dependent chain, nor can a node finish before its owner-computes
-        work divided by its core count.  The critical paths of all unique
-        machines come from one stacked level sweep
-        (:meth:`~repro.ir.program.Program.critical_path_many`).
+        Each member's :meth:`~repro.runtime.engine.SimulationEngine.lower_bound`,
+        memoized per (program, machine, grid), so candidates sharing those
+        axes (and repeated sweeps) share one computation.
         """
-        if self._bounds is not None:
-            return self._bounds
-        k = len(self.members)
-        if self.n == 0 or k == 0:
-            self._bounds = np.zeros(k, dtype=np.float64)
-            return self._bounds
-        bounds = np.empty(k, dtype=np.float64)
-        # Bounds are pure functions of (program, machine, grid): resolve
-        # through the module memo first so repeated sweeps (and candidates
-        # sharing axes) skip the level sweep entirely.
-        pending: List[Tuple[int, Optional[Tuple]]] = []
-        replays = [member.replay for member in self.members]
-        for i, replay in enumerate(replays):
-            machine = replay.engine.machine
-            dist = replay.engine.distribution
-            if replay.node_np is None:
-                bound_key: Optional[Tuple] = (machine, None)
-            elif type(dist) is BlockCyclicDistribution:
-                bound_key = (machine, (dist.grid.rows, dist.grid.cols))
-            else:
-                bound_key = None  # placement not keyable
-            if bound_key is not None:
-                cached = _memo_get(
-                    _BATCH_BOUNDS, self.program, bound_key, "batch.bound"
-                )
-                if cached is not None:
-                    bounds[i] = cached
-                    continue
-            pending.append((i, bound_key))
-        if pending:
-            machine_row: Dict[Machine, int] = {}
-            rows: List[np.ndarray] = []
-            for i, _bound_key in pending:
-                machine = replays[i].engine.machine
-                if machine not in machine_row:
-                    machine_row[machine] = len(rows)
-                    rows.append(replays[i].durations_np)
-            cps = self.program.critical_path_many(np.stack(rows))
-            for i, bound_key in pending:
-                replay = replays[i]
-                machine = replay.engine.machine
-                cp = float(cps[machine_row[machine]])
-                cores = machine.cores_per_node
-                if replay.node_np is None:
-                    area = float(replay.durations_np.sum()) / cores
-                else:
-                    node_work = np.bincount(
-                        replay.node_np,
-                        weights=replay.durations_np,
-                        minlength=machine.n_nodes,
-                    )
-                    area = float(node_work.max()) / cores
-                bound = cp if cp > area else area
-                bounds[i] = bound
-                if bound_key is not None:
-                    _memo_put(_BATCH_BOUNDS, self.program, bound_key, bound)
-        self._bounds = bounds
-        return bounds
+        if self._bounds is None:
+            self._bounds = np.array(
+                [m.replay.engine.lower_bound(self.program) for m in self.members],
+                dtype=np.float64,
+            )
+        return self._bounds
 
     # ------------------------------------------------------------------ #
     # Simulation

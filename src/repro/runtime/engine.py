@@ -27,6 +27,9 @@ duration_vector` and :meth:`SimulationEngine.owner_vector`, memoized per
 (program, machine) and (program, grid) in weak-keyed module tables, so a
 tuning sweep whose candidates share a cached program shares the pricing
 work, and dropping a program from the program cache frees its tables.
+:meth:`SimulationEngine.lower_bound` prices a program's makespan lower
+bound from the same vectors without an event loop; the batch engine and
+the tuner both prune with it.
 The object-path oracle the tests compare the kernel against is
 :func:`repro.verify.reference.reference_schedule`.
 """
@@ -83,8 +86,8 @@ def engine_memo_stats() -> Dict[str, int]:
             stats[f"{name}_{outcome}"] = int(
                 REGISTRY.counter(f"engine.memo.{name}.{outcome}")
             )
-    # Batch-level reuse (see repro.runtime.batch): bound memo lookups and
-    # the candidate dispositions.
+    # Schedule-bound memo lookups (SimulationEngine.lower_bound) and the
+    # batch engine's candidate dispositions (see repro.runtime.batch).
     for outcome in ("hits", "misses"):
         stats[f"batch_bound_{outcome}"] = int(
             REGISTRY.counter(f"engine.memo.batch.bound.{outcome}")
@@ -245,6 +248,44 @@ class SimulationEngine:
             dtype=np.int64,
             count=len(program),
         )
+
+    def lower_bound(self, program: Program) -> float:
+        """Makespan lower bound in seconds, without an event loop (memoized).
+
+        ``max(critical path, area)``: no schedule can beat the heaviest
+        dependent chain, nor can a node finish before its owner-computes
+        work divided by its core count.  Both price the nominal durations,
+        so the bound also holds for every scenario draw (each slowdown
+        factor is ``>= 1``).  Memoized per (program, machine, grid); no
+        dispatch order is computed.
+        """
+        if len(program) == 0:
+            return 0.0
+        machine = self.machine
+        dist = self.distribution
+        key: Optional[Tuple] = None
+        if machine.n_nodes == 1:
+            key = (machine, None)
+        elif type(dist) is BlockCyclicDistribution:
+            key = (machine, (dist.grid.rows, dist.grid.cols))
+        if key is not None:
+            cached = _memo_get(_BATCH_BOUNDS, program, key, "batch.bound")
+            if cached is not None:
+                return cached
+        durations = self.duration_vector(program)
+        cp = program.critical_path_np(durations)
+        owner = self.owner_vector(program)
+        if owner is None:
+            work = float(durations.sum())
+        else:
+            work = float(
+                np.bincount(owner, weights=durations, minlength=machine.n_nodes).max()
+            )
+        area = work / machine.cores_per_node
+        bound = cp if cp > area else area
+        if key is not None:
+            _memo_put(_BATCH_BOUNDS, program, key, bound)
+        return bound
 
     # ------------------------------------------------------------------ #
     def run(

@@ -80,9 +80,9 @@ __all__ = [
 
 # --------------------------------------------------------------------------- #
 # Per-(program, ...) memo tables.  Weak keys: dropping a Program from the
-# program cache frees its derived tables.  A single lock guards them all —
-# the tuning thread pools hit them concurrently and the values are cheap to
-# (re)build, so contention is negligible.
+# program cache frees its derived tables.  A single lock guards them all,
+# so threads that share a program may replay it concurrently; the values
+# are cheap to (re)build, so contention is negligible.
 # --------------------------------------------------------------------------- #
 _MEMO_LOCK = threading.Lock()
 #: program -> {machine: duration vector (float64, read-only)}
@@ -105,9 +105,10 @@ _SUCCESSORS: "weakref.WeakKeyDictionary[Program, Dict]" = (
     weakref.WeakKeyDictionary()
 )
 #: program -> {(machine, grid key): makespan lower bound in seconds}
-#: Analytic ``max(critical path, area)`` bounds used by the batch engine's
-#: pre-pruning; keyed per (machine, grid) because both the duration vector
-#: and the owner-computes placement feed the bound.
+#: :meth:`SimulationEngine.lower_bound`'s ``max(critical path, area)``,
+#: which the batch engine and the tuner prune with; keyed per (machine,
+#: grid) because both the duration vector and the owner-computes placement
+#: feed the bound.
 _BATCH_BOUNDS: "weakref.WeakKeyDictionary[Program, Dict]" = (
     weakref.WeakKeyDictionary()
 )

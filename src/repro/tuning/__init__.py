@@ -7,7 +7,7 @@ subsystem finds those parameters instead of asking for them:
 
 >>> from repro.api import SvdPlan
 >>> from repro.tuning import tune
->>> result = tune(SvdPlan(m=2000, n=2000, n_cores=24), workers=4)
+>>> result = tune(SvdPlan(m=2000, n=2000, n_cores=24))
 >>> result.best_plan.tile_size          # doctest: +SKIP
 160
 
@@ -15,8 +15,10 @@ subsystem finds those parameters instead of asking for them:
   trees, variants, process grids);
 * :mod:`~repro.tuning.objectives` scores candidates through the simulator,
   the critical-path engine or the communication-volume analysis;
-* :class:`GridSearch` / :class:`SuccessiveHalving` drive the sweep, in
-  parallel (``concurrent.futures``) and with analytic-model pruning;
+* :class:`GridSearch` / :class:`SuccessiveHalving` drive the sweep
+  through one bound-ordered walk that compiles and simulates only the
+  candidates that can still win (a process pool serves the races where
+  nothing can be pruned);
 * :class:`PlanCache` persists the winners so repeated calls — including
   every ``SvdPlan(tile_size="auto")`` resolution — are O(1).
 """

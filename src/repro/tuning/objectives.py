@@ -15,11 +15,16 @@ serves shared-memory, distributed and tall-skinny scenarios alike:
 * ``comm-volume``   — inter-node bytes moved under the block-cyclic
   distribution (minimize; zero on one node).
 
-Objectives may also expose an *optimistic analytic bound* on their score
-(:meth:`Objective.bound`): a flop-count limit no schedule can beat within
-the performance model.  The search strategies use it to prune candidates
-that provably cannot improve on the best score already measured, which is
-what keeps large sweeps fast.
+Objectives may also expose two *optimistic bounds* on their score, which
+the search strategies use to skip candidates that provably cannot improve
+on the best score already measured:
+
+* :meth:`Objective.bound` — a flop-count limit no schedule can beat
+  within the performance model; a closed form, so it needs no compile;
+* :meth:`Objective.schedule_bound` — the compiled program's schedule
+  bound (:meth:`~repro.runtime.engine.SimulationEngine.lower_bound`: the
+  heavier of the critical path and the busiest node's work per core,
+  plus the post stages), tighter but paid for with a compile.
 
 All the DAG-consuming objectives resolve their op stream through the
 shared in-process program cache (:mod:`repro.ir`): candidates that share a
@@ -29,24 +34,19 @@ from then on, instead of re-tracing per candidate.  Replays additionally
 share the engine's per-program memo tables
 (:mod:`repro.runtime.engine`): the (machine, program) duration vector,
 the (program, grid) owner vector and the (program, machine, grid,
-policy) rank keys are computed once per cached program and reused by
-every candidate — and every tuning worker thread — that shares it, so a
-policy or inner-block sweep pays the array setup once and then only the
-event loop per candidate.
+policy) dispatch orders are computed once per cached program and reused
+by every candidate that shares it, so a policy or inner-block sweep pays
+the array setup once and then only the event loop per candidate.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.analysis.formulas import bidiag_weight, rbidiag_weight
 from repro.api.resolver import ResolvedPlan
 from repro.kernels.costs import KernelName, kernel_efficiency
-from repro.models.flops import (
-    ge2bd_flops,
-    ge2bnd_reported_flops,
-    ge2val_reported_flops,
-    rbidiag_flops,
-)
+from repro.models.flops import ge2bnd_reported_flops, ge2val_reported_flops
 
 
 def _analytic_time_bound(resolved: ResolvedPlan) -> float:
@@ -56,14 +56,16 @@ def _analytic_time_bound(resolved: ResolvedPlan) -> float:
     per-kernel rate of the resolved tile geometry, and the GE2VAL
     post-processing stages run at fixed single-node rates — both are cheap
     closed forms, so the bound costs nothing compared to a simulation.
+    The work is the tiled program's exact Table-I weight, which the tile
+    grid fixes whatever the tree: the asymptotic ``4n^2(m - n/3)`` exceeds
+    it by up to a fifth on small grids, where a bound priced from it would
+    exceed the schedule bound, and the makespan.
     """
     from repro.runtime.simulator import post_processing_seconds
 
     machine = resolved.machine
-    if resolved.variant == "rbidiag":
-        work = rbidiag_flops(resolved.m, resolved.n)
-    else:
-        work = ge2bd_flops(resolved.m, resolved.n)
+    weight = rbidiag_weight if resolved.variant == "rbidiag" else bidiag_weight
+    work = weight(resolved.p, resolved.q) * machine.tile_size**3 / 3.0
     best_eff = max(
         kernel_efficiency(kernel, machine.tile_size, machine.inner_block)
         for kernel in KernelName
@@ -72,6 +74,19 @@ def _analytic_time_bound(resolved: ResolvedPlan) -> float:
     if resolved.stage == "ge2val":
         bound += post_processing_seconds(resolved.n, machine)
     return bound
+
+
+def _schedule_seconds(resolved: ResolvedPlan) -> float:
+    """Lower bound on ``resolved``'s simulated seconds (compiles the plan).
+
+    The engine's schedule bound on the GE2BND makespan plus the
+    deterministic post stages of the plan's stage.
+    """
+    from repro.runtime.engine import SimulationEngine
+    from repro.runtime.simulator import stage_cost
+
+    engine = SimulationEngine(resolved.machine, resolved.distribution)
+    return engine.lower_bound(resolved.program()) + stage_cost(resolved)[0]
 
 
 class Objective:
@@ -86,19 +101,21 @@ class Objective:
     direction: str = "min"
     units: str = ""
     description: str = ""
-    #: Batch objective key understood by
-    #: :func:`repro.runtime.batch.simulate_resolved_batch`, or ``None``
-    #: when the objective must be scored per plan (non-simulator backends,
-    #: custom subclasses).  Simulator-backed objectives set it so the
-    #: search strategies can evaluate whole candidate waves through one
-    #: vectorized engine pass with bit-identical scores.
-    batch_key: Optional[str] = None
 
     def score(self, resolved: ResolvedPlan) -> float:
         raise NotImplementedError
 
     def bound(self, resolved: ResolvedPlan) -> Optional[float]:
         """Optimistic score bound, or ``None`` when no cheap bound exists."""
+        return None
+
+    def schedule_bound(self, resolved: ResolvedPlan) -> Optional[float]:
+        """Optimistic score from the compiled schedule bound, or ``None``.
+
+        At least as tight as :meth:`bound` but compiles the plan's
+        program; ``None`` (the default) means the simulated time does not
+        bound this objective's score.
+        """
         return None
 
     def cost(self, score: float) -> float:
@@ -121,15 +138,17 @@ class MakespanObjective(Objective):
     direction = "min"
     units = "s"
     description = "simulated runtime (list scheduler, Section V machine model)"
-    batch_key = "makespan"
 
     def score(self, resolved: ResolvedPlan) -> float:
-        from repro.api.execute import execute
+        from repro.runtime.simulator import simulate
 
-        return float(execute(resolved, backend="simulate").time_seconds)
+        return float(simulate(resolved).time_seconds)
 
     def bound(self, resolved: ResolvedPlan) -> Optional[float]:
         return _analytic_time_bound(resolved)
+
+    def schedule_bound(self, resolved: ResolvedPlan) -> Optional[float]:
+        return _schedule_seconds(resolved)
 
 
 class GflopsObjective(Objective):
@@ -139,12 +158,11 @@ class GflopsObjective(Objective):
     direction = "max"
     units = "GFlop/s"
     description = "simulated rate, normalised by the direct-bidiagonalization flops"
-    batch_key = "gflops"
 
     def score(self, resolved: ResolvedPlan) -> float:
-        from repro.api.execute import execute
+        from repro.runtime.simulator import simulate
 
-        return float(execute(resolved, backend="simulate").gflops)
+        return float(simulate(resolved).gflops)
 
     def bound(self, resolved: ResolvedPlan) -> Optional[float]:
         if resolved.stage == "ge2val":
@@ -152,6 +170,12 @@ class GflopsObjective(Objective):
         else:
             reported = ge2bnd_reported_flops(resolved.m, resolved.n)
         return reported / _analytic_time_bound(resolved) / 1e9
+
+    def schedule_bound(self, resolved: ResolvedPlan) -> Optional[float]:
+        from repro.runtime.simulator import stage_cost
+
+        seconds = _schedule_seconds(resolved)
+        return stage_cost(resolved)[1] / seconds / 1e9 if seconds > 0 else None
 
 
 class RobustMakespanObjective(Objective):
@@ -164,10 +188,10 @@ class RobustMakespanObjective(Objective):
     makespan (the distributions collapse to a point), making the
     objective a drop-in superset of ``makespan``.
 
-    The analytic bound stays the deterministic one: every scenario
-    perturbation factor is ``>= 1`` by construction
-    (:mod:`repro.runtime.faults`), so no draw — hence no p95 — can beat
-    the ideal-machine flop bound, and pruning remains conservative.
+    Both bounds stay the deterministic ones: every scenario perturbation
+    factor is ``>= 1`` (:mod:`repro.runtime.scenario` rejects smaller
+    ones), so no draw — hence no p95 — can beat the nominal machine's
+    flop or schedule bound, and pruning remains conservative.
     """
 
     name = "robust-makespan"
@@ -177,18 +201,20 @@ class RobustMakespanObjective(Objective):
         "p95 simulated runtime across Monte-Carlo scenario draws "
         "(reliability-aware tuning; needs SvdPlan(scenario=...))"
     )
-    batch_key = "robust-makespan"
 
     def score(self, resolved: ResolvedPlan) -> float:
-        from repro.api.execute import execute
+        from repro.runtime.simulator import simulate
 
-        result = execute(resolved, backend="simulate")
+        result = simulate(resolved)
         if result.distribution is not None:
             return float(result.distribution.p95)
         return float(result.time_seconds)
 
     def bound(self, resolved: ResolvedPlan) -> Optional[float]:
         return _analytic_time_bound(resolved)
+
+    def schedule_bound(self, resolved: ResolvedPlan) -> Optional[float]:
+        return _schedule_seconds(resolved)
 
 
 class CriticalPathObjective(Objective):
@@ -236,16 +262,15 @@ class CommTimeObjective(Objective):
     name = "comm-time"
     direction = "min"
     units = "s"
-    batch_key = "comm-time"
     description = (
         "simulated sending seconds under the plan's network model "
         "(alpha-beta for message-level fidelity, Section VI-D)"
     )
 
     def score(self, resolved: ResolvedPlan) -> float:
-        from repro.api.execute import execute
+        from repro.runtime.simulator import simulate
 
-        return float(execute(resolved, backend="simulate").comm_seconds)
+        return float(simulate(resolved).schedule.comm_seconds)
 
 
 #: Name -> objective instance (objectives are stateless).

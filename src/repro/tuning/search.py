@@ -1,37 +1,48 @@
 """Search strategies and the :func:`tune` entry point.
 
-Two strategies cover the sweep shapes the paper's tuning needs:
+Both strategies score candidates through one loop, :func:`_race`, a walk
+in bound order that compiles only the candidates that can still win:
 
-* :class:`GridSearch` — evaluate every candidate, optionally in parallel
-  (``concurrent.futures``) and with analytic-model pruning: candidates are
-  visited most-promising-first (by the objective's optimistic bound) and a
-  candidate whose bound already exceeds the best *measured* cost is skipped
-  without running its simulation.  Pruning is conservative — only strictly
-  worse candidates are dropped — so a pruned grid search returns the same
-  winner as the exhaustive one.
+* candidates are ordered by the objective's analytic bound
+  (:meth:`~repro.tuning.objectives.Objective.bound`, a closed form that
+  needs no compile); a *run* of candidates that bound cannot tell apart —
+  the same tile size, inner block and variant, with a different tree or
+  grid — is pruned without compiling when its bound is strictly worse
+  than the best cost measured so far;
+* a surviving run is compiled together and walked in *schedule-bound*
+  order (:meth:`~repro.tuning.objectives.Objective.schedule_bound`); a
+  member whose schedule bound is strictly worse than the incumbent is
+  pruned without running the event loop, and the rest are scored.
 
-* :class:`SuccessiveHalving` — evaluate every candidate on a scaled-down
-  problem first, keep the top ``1/eta`` fraction, scale the problem up and
-  repeat; only the survivors ever run at full size.  Cheap for large spaces
+Pruning is conservative — only strictly worse candidates are dropped — so
+a pruned search returns the same winner and best score as the exhaustive
+one.  When nothing in a race can be pruned (``prune=False``, or an
+objective without a bound: ``critical-path``, ``comm-volume``,
+``comm-time``), ``workers > 1`` fans the candidates out over a process
+pool as one chunked map; a prunable race walks serially, because its
+walk is what skips the work.
+
+* :class:`GridSearch` — every candidate, in one race.
+* :class:`SuccessiveHalving` — every candidate on a scaled-down problem
+  first, the top ``1/eta`` fraction promoted to a larger one, and so on;
+  only the survivors ever run at full size.  Cheap for large spaces
   where the ranking stabilises early.
 
 :func:`tune` wraps a strategy with the persistent
 :class:`~repro.tuning.cache.PlanCache`, keyed by (problem, machine,
-objective, strategy, expanded space), so a repeated call answers in O(1)
-without touching the simulator.
+objective, strategy settings, expanded space), so a repeated call answers
+in O(1) without touching the simulator.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.plan import SvdPlan
@@ -47,33 +58,20 @@ from repro.utils.retry import retry
 # --------------------------------------------------------------------------- #
 # Candidate evaluation (shared by both strategies)
 # --------------------------------------------------------------------------- #
-def _score_one(
-    objective: Union[str, Objective], plan: SvdPlan
+def _score(
+    objective: Objective, candidate: Union[SvdPlan, ResolvedPlan]
 ) -> Tuple[Optional[float], Optional[str]]:
-    """Score one candidate; module-level so process pools can pickle it.
+    """Score one candidate, reporting a failure instead of raising.
 
-    The objective comes first so waves can map ``partial(_score_one,
-    objective)`` over plans — the objective is then pickled once per
-    ``Executor.map`` call instead of once per candidate.
+    Module-level so the process pool can pickle it; the objective comes
+    first so the pool maps ``partial(_score, objective)`` over plans.  The
+    serial walk passes the plan it already resolved for the bounds.
     """
     try:
-        objective = get_objective(objective)
-        return objective.score(resolve(plan)), None
+        if isinstance(candidate, SvdPlan):
+            candidate = resolve(candidate)
+        return objective.score(candidate), None
     except Exception as exc:  # a failing candidate is reported, not fatal
-        return None, f"{type(exc).__name__}: {exc}"
-
-
-def _score_resolved(
-    plan: SvdPlan,
-    resolved: Optional[ResolvedPlan],
-    objective: Objective,
-) -> Tuple[Optional[float], Optional[str]]:
-    """Serial-path scorer, reusing the resolution done for the bound."""
-    try:
-        if resolved is None:
-            resolved = resolve(plan)
-        return objective.score(resolved), None
-    except Exception as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
@@ -84,12 +82,22 @@ class Evaluation:
     plan: SvdPlan
     score: Optional[float] = None
     cost: float = float("inf")
+    #: The analytic bound's cost, or ``None`` when the candidate cannot
+    #: be pruned.
     bound: Optional[float] = None
     pruned: bool = False
     error: Optional[str] = None
     #: The (m, n) shape the score was measured at (successive halving
     #: scores early rungs on scaled-down problems).
     fidelity: Optional[Tuple[int, int]] = None
+
+    def record(
+        self, objective: Objective, score: Optional[float], error: Optional[str]
+    ) -> None:
+        """Store one :func:`_score` outcome (and its cost)."""
+        self.score, self.error = score, error
+        if score is not None:
+            self.cost = objective.cost(score)
 
     def to_row(self) -> Dict[str, object]:
         plan = self.plan
@@ -111,45 +119,49 @@ class Evaluation:
 
 
 class _PoolBox:
-    """A self-healing ``concurrent.futures`` pool for candidate scoring.
+    """A lazily spawned, self-healing process pool for candidate scoring.
 
-    A worker process dying (OOM kill, hard crash in a scoring run) breaks
-    a ``ProcessPoolExecutor`` permanently; every later ``map`` raises
-    ``BrokenProcessPool``.  This wrapper routes ``map`` through
-    :func:`repro.utils.retry.retry`, respawning the pool between attempts
-    — a search survives worker deaths at the cost of re-scoring the
-    broken wave — and reports each respawn on the
+    Worker processes start on the first :meth:`map`, so a search that
+    walks serially never pays for them.  A worker dying (OOM kill, hard
+    crash in a scoring run) breaks a ``ProcessPoolExecutor`` permanently;
+    every later ``map`` raises ``BrokenProcessPool``.  ``map`` therefore
+    goes through :func:`repro.utils.retry.retry`, respawning the pool
+    between attempts — a search survives worker deaths at the cost of
+    re-scoring the broken map — and reports each respawn on the
     ``tuning.pool.respawns`` counter.
     """
 
-    #: Map attempts per wave (original + retries after respawn).
+    #: Map attempts (original + retries after respawn).
     attempts = 3
 
-    def __init__(self, workers: int, executor: str) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = workers
-        self.executor = executor
-        self._pool = self._build()
+        self._pool: Optional[ProcessPoolExecutor] = None
 
-    def _build(self) -> Executor:
-        pool_cls = (
-            ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
-        )
-        return pool_cls(max_workers=self.workers)
+    def __enter__(self) -> "_PoolBox":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
 
     def _respawn(self, attempt: int, exc: BaseException, delay: float) -> None:
         from repro.obs.metrics import REGISTRY
 
         REGISTRY.inc("tuning.pool.respawns")
-        try:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+        try:  # the next attempt spawns a fresh pool
+            self.shutdown(wait=False)
         except Exception:  # pragma: no cover - defensive
             pass
-        self._pool = self._build()
+
+    def _map_once(self, fn, items: list, chunksize: int) -> list:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return list(self._pool.map(fn, items, chunksize=chunksize))
 
     def map(self, fn, items, chunksize: int = 1) -> list:
         items = list(items)
         return retry(
-            lambda: list(self._pool.map(fn, items, chunksize=chunksize)),
+            lambda: self._map_once(fn, items, chunksize),
             attempts=self.attempts,
             backoff=0.05,
             key="tuning-pool",
@@ -158,161 +170,120 @@ class _PoolBox:
         )
 
     def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait)
-
-
-def _make_pool(
-    workers: int, executor: str, n_candidates: int
-) -> Optional[_PoolBox]:
-    """One shared pool for a whole search, or ``None`` when serial wins."""
-    if workers > 1 and n_candidates > 1:
-        return _PoolBox(workers, executor)
-    return None
-
-
-def _race_batch(
-    candidates: Sequence[SvdPlan],
-    objective: Objective,
-    *,
-    prune: bool,
-    fidelity: Optional[Tuple[int, int]] = None,
-) -> List[Evaluation]:
-    """Score a whole candidate wave through one vectorized engine pass.
-
-    Routes every resolvable candidate through
-    :func:`repro.runtime.batch.simulate_resolved_batch`, which shares the
-    compiled program, duration/owner/rank vectors and analytic pruning
-    bounds across the wave; scores are bit-identical to per-candidate
-    ``objective.score(resolve(plan))`` calls and the pruned winner matches
-    the exhaustive one.  Pruning decisions come from the batch layer's
-    engine-level lower bounds (at least as tight as
-    :meth:`~repro.tuning.objectives.Objective.bound`), so
-    ``Evaluation.bound`` is left unset here.
-    """
-    from repro.runtime.batch import simulate_resolved_batch
-
-    evals = [Evaluation(plan=plan, fidelity=fidelity) for plan in candidates]
-    indices: List[int] = []
-    resolved_plans: List[ResolvedPlan] = []
-    for i, ev in enumerate(evals):
-        try:
-            resolved_plans.append(resolve(ev.plan))
-        except Exception as exc:
-            ev.error = f"{type(exc).__name__}: {exc}"
-            continue
-        indices.append(i)
-    outcomes = simulate_resolved_batch(
-        resolved_plans, objective=objective.batch_key, prune=prune
-    )
-    for i, outcome in zip(indices, outcomes):
-        ev = evals[i]
-        if outcome.pruned:
-            ev.pruned = True
-        elif outcome.error is not None:
-            ev.error = outcome.error
-        elif outcome.score is not None:
-            ev.score = outcome.score
-            ev.cost = objective.cost(outcome.score)
-    return evals
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait, cancel_futures=not wait)
 
 
 def _race(
     candidates: Sequence[SvdPlan],
     objective: Objective,
     *,
-    workers: int,
-    executor: str,
     prune: bool,
+    pool: _PoolBox,
     fidelity: Optional[Tuple[int, int]] = None,
-    batch: bool = False,
-    pool: Optional[_PoolBox] = None,
 ) -> List[Evaluation]:
-    """Evaluate ``candidates``, most-promising-first, pruning hopeless ones.
+    """Evaluate ``candidates`` in bound order, pruning the hopeless ones.
 
     Returns one :class:`Evaluation` per candidate, in the original order.
-    A candidate is pruned only when its optimistic bound is *strictly*
-    worse than a cost already measured, so the best (cost, index) pair is
+    A candidate is pruned only when one of its bounds is *strictly* worse
+    than a cost already measured, so the best (cost, index) pair is
     identical to an exhaustive evaluation whenever the bounds are valid.
-
-    ``batch=True`` scores the whole wave through one vectorized engine
-    pass (see :func:`_race_batch`); otherwise waves of up to ``workers``
-    candidates are scored concurrently on one shared
-    ``concurrent.futures`` pool — the caller may pass a ``pool`` to reuse
-    across several races (successive-halving rungs), else one is created
-    and shut down here.
+    When nothing can be pruned and ``pool`` has more than one worker, the
+    candidates go out over it as one chunked map instead.
     """
-    if batch:
-        return _race_batch(candidates, objective, prune=prune, fidelity=fidelity)
     evals = [Evaluation(plan=plan, fidelity=fidelity) for plan in candidates]
-    resolved: List[Optional[ResolvedPlan]] = [None] * len(evals)
+    # Each candidate as resolved for its bounds, so scoring reuses the
+    # resolution (without pruning, the plan itself: _score resolves it).
+    resolved: List[Union[SvdPlan, ResolvedPlan]] = list(candidates)
     if prune:
         for i, ev in enumerate(evals):
             try:
                 resolved[i] = resolve(ev.plan)
                 bound = objective.bound(resolved[i])
-            except Exception:
+            except Exception:  # scored (and its error recorded) below
                 bound = None
             ev.bound = None if bound is None else objective.cost(bound)
-    # Most promising first; unbounded candidates go first (they can never
-    # be pruned, and evaluating them early tightens the incumbent).
-    order = sorted(
-        range(len(evals)),
-        key=lambda i: (evals[i].bound is not None, evals[i].bound or 0.0, i),
-    )
-    own_pool = pool is None
-    if own_pool:
-        pool = _make_pool(workers, executor, len(candidates))
-    try:
-        best_cost = float("inf")
-        # Without pruning there is no incumbent to tighten between waves,
-        # so the whole set goes out as one chunked map.
-        wave = max(1, workers) if prune else max(1, len(order))
-        score_fn = partial(_score_one, objective)
-        cursor = 0
-        while cursor < len(order):
-            batch_ix: List[int] = []
-            while cursor < len(order) and len(batch_ix) < wave:
-                idx = order[cursor]
-                cursor += 1
-                if prune and evals[idx].bound is not None and evals[idx].bound > best_cost:
-                    evals[idx].pruned = True
-                    continue
-                batch_ix.append(idx)
-            if not batch_ix:
-                continue
-            if pool is not None and len(batch_ix) > 1:
-                scores = list(
-                    pool.map(
-                        score_fn,
-                        [evals[i].plan for i in batch_ix],
-                        chunksize=max(1, -(-len(batch_ix) // max(1, workers))),
-                    )
-                )
+    if pool.workers > 1 and len(evals) > 1 and all(ev.bound is None for ev in evals):
+        # Four chunks per worker: costs differ several-fold across tile
+        # sizes, so one chunk each would leave one worker all the slow
+        # candidates, while a chunk keeps neighbours (which share a
+        # program) on one worker's caches.
+        outcomes = pool.map(
+            partial(_score, objective),
+            candidates,
+            chunksize=max(1, len(evals) // (4 * pool.workers)),
+        )
+        for ev, (score, error) in zip(evals, outcomes):
+            ev.record(objective, score, error)
+        return evals
+
+    best = float("inf")
+
+    def score(i: int) -> None:
+        nonlocal best
+        evals[i].record(objective, *_score(objective, resolved[i]))
+        if evals[i].cost < best:
+            best = evals[i].cost
+
+    # Unbounded candidates go first: they can never be pruned, and scoring
+    # them early tightens the incumbent.
+    bounded = []
+    for i, ev in enumerate(evals):
+        if ev.bound is None:
+            score(i)
+        else:
+            bounded.append(i)
+    bounded.sort(key=lambda i: (evals[i].bound, i))
+    runs = [list(run) for _, run in groupby(bounded, key=lambda i: evals[i].bound)]
+    # One heap of (cost bound, kind, item).  Kind 0 is a run not compiled
+    # yet, keyed by its analytic bound; kind 1 a compiled candidate, keyed
+    # by its schedule bound.  A run's analytic bound never exceeds its
+    # members' schedule bounds, so candidates pop in exactly (schedule
+    # bound, index) order while a run compiles only when its analytic
+    # bound reaches the front.
+    heap: List[Tuple[float, int, int]] = [
+        (evals[run[0]].bound, 0, k) for k, run in enumerate(runs)
+    ]
+    heapq.heapify(heap)
+    while heap:
+        key, kind, item = heapq.heappop(heap)
+        if kind == 1:
+            # Strictly worse only, with a relative slack so float noise in
+            # the bound arithmetic can never prune a tied winner.
+            if key > best + 1e-12 * max(abs(best), 1.0):
+                evals[item].pruned = True
             else:
-                scores = [
-                    _score_resolved(evals[i].plan, resolved[i], objective)
-                    for i in batch_ix
-                ]
-            for idx, (score, error) in zip(batch_ix, scores):
-                ev = evals[idx]
-                ev.score, ev.error = score, error
-                if score is not None:
-                    ev.cost = objective.cost(score)
-                    if ev.cost < best_cost:
-                        best_cost = ev.cost
-    finally:
-        if own_pool and pool is not None:
-            pool.shutdown()
+                score(item)
+            continue
+        if key > best:
+            for i in runs[item]:
+                evals[i].pruned = True
+            continue
+        for i in runs[item]:
+            try:
+                tight = objective.schedule_bound(resolved[i])
+            except Exception:  # scored (and its error recorded) right away
+                tight = None
+            if tight is None:
+                score(i)
+            else:
+                heapq.heappush(heap, (objective.cost(tight), 1, i))
     return evals
 
 
-def _best_index(evals: Sequence[Evaluation]) -> int:
-    """Index of the winning evaluation (lowest cost, earliest on ties)."""
+def _best_index(evals: Sequence[Evaluation], attempted: Sequence[Evaluation]) -> int:
+    """Index of the winning evaluation (lowest cost, earliest on ties).
+
+    ``attempted`` is every evaluation of the search (successive halving's
+    early rungs included), where the first error is looked up when no
+    candidate scored.
+    """
     scored = [i for i, ev in enumerate(evals) if ev.score is not None]
     if not scored:
         raise RuntimeError(
             "no candidate could be evaluated; first error: "
-            + next((ev.error for ev in evals if ev.error), "none recorded")
+            + next((ev.error for ev in attempted if ev.error), "none recorded")
         )
     return min(scored, key=lambda i: (evals[i].cost, i))
 
@@ -320,21 +291,9 @@ def _best_index(evals: Sequence[Evaluation]) -> int:
 # --------------------------------------------------------------------------- #
 # Strategies
 # --------------------------------------------------------------------------- #
-def _use_batch(batch: Optional[bool], objective: Objective) -> bool:
-    """Resolve the ``batch`` tri-state against the objective's capability.
-
-    ``None`` (default) turns batching on exactly when the objective is
-    simulator-backed (it advertises a
-    :attr:`~repro.tuning.objectives.Objective.batch_key`); ``False``
-    forces the per-candidate path; ``True`` requests batching but still
-    falls back per-candidate for objectives the batch layer cannot score.
-    """
-    return batch is not False and objective.batch_key is not None
-
-
 @dataclass(frozen=True)
 class GridSearch:
-    """Exhaustive sweep with optional analytic pruning."""
+    """Exhaustive sweep with optional pruning."""
 
     name: str = field(default="grid", init=False)
     prune: bool = True
@@ -345,17 +304,9 @@ class GridSearch:
         objective: Objective,
         *,
         workers: int = 1,
-        executor: str = "process",
-        batch: Optional[bool] = None,
     ) -> List[Evaluation]:
-        return _race(
-            candidates,
-            objective,
-            workers=workers,
-            executor=executor,
-            prune=self.prune,
-            batch=_use_batch(batch, objective),
-        )
+        with _PoolBox(workers) as pool:
+            return _race(candidates, objective, prune=self.prune, pool=pool)
 
 
 @dataclass(frozen=True)
@@ -400,8 +351,6 @@ class SuccessiveHalving:
         objective: Objective,
         *,
         workers: int = 1,
-        executor: str = "process",
-        batch: Optional[bool] = None,
     ) -> List[Evaluation]:
         max_tile = max(
             plan.tile_size for plan in candidates if isinstance(plan.tile_size, int)
@@ -410,11 +359,9 @@ class SuccessiveHalving:
         fidelities = self._fidelities(base.m, base.n, max_tile, len(candidates))
         alive = list(range(len(candidates)))
         all_evals: List[Evaluation] = []
-        use_batch = _use_batch(batch, objective)
         # One pool for all rungs: spawning worker processes per rung costs
-        # more than most rungs' actual scoring.  Batch mode needs none.
-        pool = None if use_batch else _make_pool(workers, executor, len(candidates))
-        try:
+        # more than most rungs' actual scoring.
+        with _PoolBox(workers) as pool:
             for rung, (fm, fn) in enumerate(fidelities):
                 at_full = (fm, fn) == (base.m, base.n)
                 scaled = [
@@ -424,14 +371,11 @@ class SuccessiveHalving:
                 evals = _race(
                     scaled,
                     objective,
-                    workers=workers,
-                    executor=executor,
                     # Bounds are only proven against costs of the same fidelity,
                     # so pruning stays rung-local (and therefore safe).
                     prune=self.prune,
-                    fidelity=None if at_full else (fm, fn),
-                    batch=use_batch,
                     pool=pool,
+                    fidelity=None if at_full else (fm, fn),
                 )
                 # Record against the original (full-size) candidate plans.
                 for local, i in enumerate(alive):
@@ -445,9 +389,6 @@ class SuccessiveHalving:
                 )
                 keep = max(1, -(-len(alive) // self.eta))
                 alive = [alive[local] for local in ranked[:keep]]
-        finally:
-            if pool is not None:
-                pool.shutdown()
         return all_evals
 
 
@@ -554,7 +495,10 @@ def _apply_overrides(base: SvdPlan, overrides: Dict[str, object]) -> SvdPlan:
 
 
 def _tune_cache_key(
-    base: SvdPlan, space: SearchSpace, objective: Objective, strategy_name: str
+    base: SvdPlan,
+    space: SearchSpace,
+    objective: Objective,
+    strategy: Union[GridSearch, SuccessiveHalving],
 ) -> str:
     config = base.config if base.config is not None else default_config
     key = {
@@ -568,7 +512,9 @@ def _tune_cache_key(
         "network": base.network,
         "auto_gamma": config.auto_gamma,
         "objective": objective.name,
-        "strategy": strategy_name,
+        # Every setting, not just the name: halving's eta, tile floor and
+        # pruning all change which candidates survive.
+        "strategy": dataclasses.asdict(strategy),
         "space": space.fingerprint(base),
     }
     if base.scenario is not None:
@@ -590,8 +536,6 @@ def tune(
     workers: int = 1,
     cache: Union[PlanCache, bool, None] = True,
     force: bool = False,
-    executor: str = "process",
-    batch: Optional[bool] = None,
 ) -> TuningResult:
     """Search the plan space around ``plan`` and return the best candidate.
 
@@ -612,31 +556,20 @@ def tune(
         ``"grid"`` (exhaustive + pruning) or ``"halving"`` (successive
         halving), or a configured strategy instance.
     workers:
-        Parallel evaluation width; ``1`` evaluates serially, larger values
-        fan candidates out over a ``concurrent.futures`` pool.
+        Process-pool width for races where nothing can be pruned (the
+        strategy's ``prune=False``, or an objective without a bound such
+        as ``comm-time``); ``1`` evaluates serially.  A prunable race
+        walks serially whatever ``workers`` says: its bound-ordered walk
+        skips most candidates, which a pool would score anyway.
     cache:
         ``True`` (default) uses the persistent default cache, ``False`` /
         ``None`` disables caching, or pass an explicit
         :class:`~repro.tuning.cache.PlanCache`.
     force:
         Re-run the search even on a cache hit (and refresh the entry).
-    executor:
-        ``"process"`` (default; real parallelism for the pure-Python
-        simulator) or ``"thread"``.
-    batch:
-        ``None`` (default) batches candidate waves through one vectorized
-        engine pass (:mod:`repro.runtime.batch`) whenever the objective is
-        simulator-backed — scores stay bit-identical to per-candidate
-        evaluation while the shared setup, analytic pruning and schedule
-        deduplication make large sweeps several times faster.  ``False``
-        forces the per-candidate path (e.g. to fan out over a process
-        pool); ``True`` requests batching, falling back per-candidate for
-        objectives the batch layer cannot score.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if executor not in ("process", "thread"):
-        raise ValueError(f"executor must be 'process' or 'thread', got {executor!r}")
     objective = get_objective(objective)
     objective.check_stage(plan.stage)
     strategy = get_strategy(strategy)
@@ -661,7 +594,7 @@ def tune(
 
     key = None
     if store is not None:
-        key = _tune_cache_key(base, space, objective, strategy.name)
+        key = _tune_cache_key(base, space, objective, strategy)
         record = None if force else store.get(key)
         if record is not None:
             return TuningResult(
@@ -681,13 +614,11 @@ def tune(
 
     start = time.perf_counter()
     candidates = space.candidates(base)
-    evaluations = strategy.run(
-        candidates, objective, workers=workers, executor=executor, batch=batch
-    )
+    evaluations = strategy.run(candidates, objective, workers=workers)
     # Successive halving re-scores survivors at several fidelities; the
     # winner is picked among full-fidelity evaluations only.
     final = [ev for ev in evaluations if ev.fidelity is None]
-    best = final[_best_index(final)]
+    best = final[_best_index(final, evaluations)]
     elapsed = time.perf_counter() - start
     best_plan = best.plan if matrix is None else best.plan.with_(matrix=matrix)
     result = TuningResult(

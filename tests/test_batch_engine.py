@@ -31,10 +31,10 @@ from repro.runtime.batch import (
 )
 from repro.runtime.engine import SimulationEngine, engine_memo_stats
 from repro.runtime.machine import Machine
+from repro.runtime.simulator import simulate, stage_cost
 from repro.tiles.distribution import ProcessGrid
 from repro.trees import make_tree
-from repro.tuning.search import tune
-from repro.tuning.space import SearchSpace
+from repro.tuning.objectives import get_objective
 from repro.verify.reference import reference_schedule
 
 
@@ -172,17 +172,45 @@ class TestBatchEquivalence:
             _assert_schedules_identical(got, ref)
 
     def test_lower_bounds_never_exceed_makespans(self):
+        # One schedule bound (SimulationEngine.lower_bound) serves the batch
+        # layer and the tuner; it never exceeds any policy's makespan, any
+        # GE2VAL time once the post stages are added, nor any draw of a
+        # straggler scenario.
         for config in CONFIGS:
             machine, rp = _setup(config)
+            program = rp.program()
             candidates = [
                 BatchCandidate(machine, rp.distribution, policy=pol)
                 for pol in ALL_POLICIES
             ]
             engine = BatchEngine()
-            bounds = engine.lower_bounds(rp.program(), candidates)
-            schedules = engine.run_batch(rp.program(), candidates)
-            for bound, sched in zip(bounds, schedules):
+            bounds = engine.lower_bounds(program, candidates)
+            schedules = engine.run_batch(program, candidates)
+            for cand, bound, sched in zip(candidates, bounds, schedules):
+                shared = SimulationEngine(
+                    cand.machine, cand.distribution, policy=cand.policy
+                ).lower_bound(program)
+                assert bound == shared
                 assert 0.0 < bound <= sched.makespan
+
+            ge2val = resolve(rp.plan.with_(stage="ge2val"))
+            post, _ = stage_cost(ge2val)
+            assert post > 0.0
+            seconds = get_objective("makespan").schedule_bound(ge2val)
+            assert seconds == bounds[0] + post
+            for pol in ALL_POLICIES:
+                sim = simulate(resolve(ge2val.plan.with_(policy=pol)))
+                assert seconds <= sim.time_seconds
+
+            straggler = resolve(
+                rp.plan.with_(scenario="straggler", draws=8, seed=3)
+            )
+            dist = simulate(straggler).distribution
+            assert dist is not None
+            assert bounds[0] <= dist.min <= dist.p95
+            assert get_objective("robust-makespan").schedule_bound(
+                straggler
+            ) <= dist.p95
 
 
 class TestBatchMemoStats:
@@ -315,45 +343,6 @@ class TestResolvedPlanBatch:
         outcomes = simulate_resolved_batch(resolved, objective="comm-time",
                                            prune=True)
         assert all(not o.pruned and o.score is not None for o in outcomes)
-
-
-class TestTuningBatchMode:
-    """tune(batch=...) is score-for-score identical across both paths."""
-
-    PLAN = SvdPlan(m=1600, n=1600, stage="ge2bnd", n_cores=8)
-    SPACE = SearchSpace(tile_sizes=(100, 160), trees=("greedy", "flattt"),
-                        variants=("bidiag",), inner_blocks=(40,))
-
-    @pytest.mark.parametrize("strategy", ["grid", "halving"])
-    def test_batch_matches_per_candidate(self, strategy):
-        batched = tune(self.PLAN, space=self.SPACE, strategy=strategy,
-                       cache=False, batch=True)
-        serial = tune(self.PLAN, space=self.SPACE, strategy=strategy,
-                      cache=False, batch=False)
-        assert batched.best_score == serial.best_score
-        assert batched.best_plan.tile_size == serial.best_plan.tile_size
-        assert str(batched.best_plan.tree) == str(serial.best_plan.tree)
-        # Non-pruned candidates agree score-for-score as well.
-        by_key = {
-            (ev.plan.tile_size, str(ev.plan.tree), ev.fidelity): ev
-            for ev in serial.evaluations
-        }
-        for ev in batched.evaluations:
-            ref = by_key[(ev.plan.tile_size, str(ev.plan.tree), ev.fidelity)]
-            if ev.score is not None and ref.score is not None:
-                assert ev.score == ref.score
-
-    def test_default_batches_simulator_objectives(self):
-        # batch=None (the default) must agree with explicit batch=True.
-        auto = tune(self.PLAN, space=self.SPACE, cache=False)
-        explicit = tune(self.PLAN, space=self.SPACE, cache=False, batch=True)
-        assert auto.best_score == explicit.best_score
-
-    def test_non_simulator_objective_falls_back(self):
-        # critical-path has no batch_key; batch=True must still work.
-        result = tune(self.PLAN, space=self.SPACE, cache=False,
-                      objective="critical-path", batch=True)
-        assert result.best_score > 0
 
 
 class TestSweepBatchMode:

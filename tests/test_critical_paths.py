@@ -16,14 +16,16 @@ from repro.analysis.formulas import (
     bidiag_flatts_cp,
     bidiag_flattt_cp,
     bidiag_greedy_cp,
+    bidiag_weight,
     greedy_asymptotic_cp,
     lq_step_cp,
     qr_factorization_cp,
     qr_step_cp,
     rbidiag_cp,
+    rbidiag_weight,
 )
 from repro.ir import get_program
-from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
+from repro.trees import BinaryTree, FlatTSTree, FlatTTTree, GreedyTree
 
 def _cp(algorithm, p, q, tree):
     """Measured critical path of the compiled DAG (Table-I units)."""
@@ -175,6 +177,18 @@ class TestRBidiag:
         assert cp_tall <= 22 * q + 6 * math.ceil(math.log2(12 * q)) + 10
         # Doubling p only adds a logarithmic amount.
         assert cp_very_tall - cp_tall <= 12
+
+
+class TestTotalWork:
+    @pytest.mark.parametrize("p,q", SHAPES + [(16, 4), (10, 10)])
+    @pytest.mark.parametrize(
+        "tree", [FlatTSTree(), FlatTTTree(), GreedyTree(), BinaryTree()],
+        ids=lambda t: type(t).__name__,
+    )
+    def test_weights_equal_program_totals(self, p, q, tree):
+        # Exact, and the same for every tree.
+        assert bidiag_weight(p, q) == get_program("bidiag", p, q, tree).total_weight()
+        assert rbidiag_weight(p, q) == get_program("rbidiag", p, q, tree).total_weight()
 
 
 class TestCrossover:

@@ -624,21 +624,22 @@ class TestBatchedScenarios:
         assert first.best_score == winner.distribution.p95
 
     def test_tune_cache_key_sees_scenario(self):
-        from repro.tuning import SearchSpace, get_objective
+        from repro.tuning import GridSearch, SearchSpace, get_objective
         from repro.tuning.search import _tune_cache_key
 
         space = SearchSpace()
         obj = get_objective("makespan")
+        grid = GridSearch()
         base = SvdPlan(m=300, n=200, stage="ge2bnd", n_cores=2, n_nodes=2)
         keys = {
-            _tune_cache_key(base, space, obj, "grid"),
+            _tune_cache_key(base, space, obj, grid),
             _tune_cache_key(base.with_(scenario="straggler", draws=8),
-                            space, obj, "grid"),
+                            space, obj, grid),
             _tune_cache_key(base.with_(scenario="straggler", draws=16),
-                            space, obj, "grid"),
+                            space, obj, grid),
             _tune_cache_key(base.with_(scenario="straggler", draws=8, seed=1),
-                            space, obj, "grid"),
-            _tune_cache_key(base.with_(scenario="hetero"), space, obj, "grid"),
+                            space, obj, grid),
+            _tune_cache_key(base.with_(scenario="hetero"), space, obj, grid),
         }
         assert len(keys) == 5
 

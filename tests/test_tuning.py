@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.api import SvdPlan, execute, resolve
 from repro.config import Config
+from repro.runtime.simulator import simulate
 from repro.tuning import (
     OBJECTIVES,
     GridSearch,
@@ -210,20 +212,47 @@ class TestGridSearch:
         }
         assert result.best_score <= min(scores.values())
 
-    def test_parallel_workers_agree_with_serial(self):
-        serial = tune(SMALL_PLAN, space=SMALL_SPACE, cache=False, workers=1)
-        threaded = tune(
-            SMALL_PLAN, space=SMALL_SPACE, cache=False, workers=3, executor="thread"
-        )
-        assert threaded.best_plan == serial.best_plan
-        assert threaded.best_score == pytest.approx(serial.best_score)
+    def test_process_pool_agrees_with_serial(self, monkeypatch):
+        from repro.tuning import search
 
-    def test_process_pool_agrees_with_serial(self):
-        serial = tune(SMALL_PLAN, space=SMALL_SPACE, cache=False, workers=1)
-        parallel = tune(
-            SMALL_PLAN, space=SMALL_SPACE, cache=False, workers=2, executor="process"
-        )
-        assert parallel.best_plan == serial.best_plan
+        mapped = []
+        real_map = search._PoolBox.map
+
+        def spy(self, fn, items, chunksize=1):
+            items = list(items)
+            mapped.append(len(items))
+            return real_map(self, fn, items, chunksize)
+
+        monkeypatch.setattr(search._PoolBox, "map", spy)
+        # Unprunable races fan out over the pool, bitwise equal to serial.
+        four_nodes = SvdPlan(m=400, n=400, stage="ge2val", n_cores=2, n_nodes=4)
+        for plan, kwargs in (
+            (four_nodes, dict(objective="comm-volume")),
+            (SMALL_PLAN, dict(strategy=GridSearch(prune=False))),
+        ):
+            serial = tune(plan, space=SMALL_SPACE, cache=False, **kwargs)
+            assert mapped == []
+            parallel = tune(plan, space=SMALL_SPACE, cache=False, workers=2, **kwargs)
+            assert mapped == [serial.n_candidates]  # the pool really ran
+            mapped.clear()
+            assert [ev.score for ev in parallel.evaluations] == [
+                ev.score for ev in serial.evaluations
+            ]
+            assert parallel.best_plan == serial.best_plan
+            assert parallel.best_score == serial.best_score
+
+        # A prunable race walks serially and never builds a pool.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a prunable race built a process pool")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        for strategy in ("grid", "halving"):
+            kwargs = dict(space=SMALL_SPACE, cache=False, strategy=strategy)
+            serial = tune(SMALL_PLAN, **kwargs)
+            parallel = tune(SMALL_PLAN, workers=2, **kwargs)
+            assert parallel.n_pruned > 0
+            assert parallel.best_score == serial.best_score
+        assert mapped == []
 
     def test_rows_flag_exactly_one_best(self):
         result = tune(SMALL_PLAN, space=SMALL_SPACE, cache=False)
@@ -235,8 +264,6 @@ class TestGridSearch:
     def test_invalid_knobs_are_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             tune(SMALL_PLAN, space=SMALL_SPACE, cache=False, workers=0)
-        with pytest.raises(ValueError, match="executor"):
-            tune(SMALL_PLAN, space=SMALL_SPACE, cache=False, executor="gpu")
         with pytest.raises(ValueError, match="unknown strategy"):
             get_strategy("anneal")
 
@@ -295,6 +322,22 @@ class TestTuneCache:
             SMALL_PLAN, space=SMALL_SPACE, objective="gflops", cache=cache
         )
         assert not other_objective.from_cache
+
+    def test_key_distinguishes_strategy_settings(self, tmp_path):
+        cache = PlanCache(tmp_path / "cache.json")
+        tune(SMALL_PLAN, space=SMALL_SPACE, strategy=SuccessiveHalving(eta=2), cache=cache)
+        for strategy in (
+            SuccessiveHalving(eta=8, prune=False),
+            SuccessiveHalving(eta=2, min_tile_multiple=3),
+            SuccessiveHalving(eta=2, prune=False),
+            GridSearch(prune=False),
+        ):
+            other = tune(SMALL_PLAN, space=SMALL_SPACE, strategy=strategy, cache=cache)
+            assert not other.from_cache, strategy
+        again = tune(
+            SMALL_PLAN, space=SMALL_SPACE, strategy=SuccessiveHalving(eta=2), cache=cache
+        )
+        assert again.from_cache
 
     def test_tile_size_auto_resolves_through_tuner(self):
         plan = SvdPlan(m=300, n=300, tile_size="auto", n_cores=4)
@@ -356,6 +399,151 @@ class TestTuneCache:
 
         result = tune(SMALL_PLAN, space=SMALL_SPACE, objective=NegTileSize(), cache=False)
         assert result.best_plan.tile_size == 80  # maximizing tile size
+
+
+# --------------------------------------------------------------------------- #
+# The scoring route: one bound-ordered walk for both strategies
+# --------------------------------------------------------------------------- #
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _simulated_score(objective: str, plan: SvdPlan) -> float:
+    sim = simulate(resolve(plan))
+    if objective == "robust-makespan" and sim.distribution is not None:
+        return sim.distribution.p95
+    return {
+        "makespan": sim.time_seconds,
+        "robust-makespan": sim.time_seconds,
+        "gflops": sim.gflops,
+        "comm-time": sim.schedule.comm_seconds,
+    }[objective]
+
+
+class TestTuningRoute:
+    #: One SMALL_PLAN-sized problem per simulator objective.
+    PLANS = {
+        "makespan": SMALL_PLAN,
+        "gflops": SMALL_PLAN,
+        "robust-makespan": SMALL_PLAN.with_(
+            n_cores=2, n_nodes=2, scenario="straggler", draws=4, seed=3
+        ),
+        "comm-time": SMALL_PLAN.with_(n_cores=2, n_nodes=2, network="alpha-beta"),
+    }
+
+    @pytest.mark.parametrize("objective", ["makespan", "gflops", "robust-makespan"])
+    def test_pruned_winner_matches_exhaustive(self, objective):
+        plan = self.PLANS[objective]
+        exhaustive = tune(
+            plan, space=SMALL_SPACE, objective=objective,
+            strategy=GridSearch(prune=False), cache=False,
+        )
+        pruned = tune(plan, space=SMALL_SPACE, objective=objective, cache=False)
+        assert exhaustive.n_pruned == 0 and pruned.n_pruned > 0
+        assert pruned.best_plan == exhaustive.best_plan
+        assert pruned.best_score == exhaustive.best_score  # bitwise
+
+    #: One-core problems on small tile grids: an analytic bound priced
+    #: from the asymptotic flop count exceeds the tiled work there and
+    #: would prune the winner's run (nb = 75 at 500 x 300, 44 at 350 x 350).
+    TINY_GRIDS = (
+        SvdPlan(m=500, n=300, stage="ge2val", n_cores=1),
+        SvdPlan(m=350, n=350, stage="ge2val", n_cores=1),
+    )
+
+    @pytest.mark.parametrize("objective", ["makespan", "gflops"])
+    def test_analytic_bound_never_exceeds_schedule_bound(self, objective):
+        obj = get_objective(objective)
+        plans = self.TINY_GRIDS + (self.PLANS["comm-time"],)
+        for plan in plans:
+            for candidate in SearchSpace().candidates(plan):
+                resolved = resolve(candidate)
+                assert obj.cost(obj.bound(resolved)) <= obj.cost(
+                    obj.schedule_bound(resolved)
+                )
+
+    @pytest.mark.parametrize("plan", TINY_GRIDS, ids=["500x300", "350x350"])
+    def test_tiny_grids_keep_the_exhaustive_winner(self, plan):
+        exhaustive = tune(plan, strategy=GridSearch(prune=False), cache=False)
+        pruned = tune(plan, cache=False)
+        assert pruned.best_plan == exhaustive.best_plan
+        assert pruned.best_score == exhaustive.best_score
+
+    @pytest.mark.parametrize("strategy", ["grid", "halving"])
+    @pytest.mark.parametrize("objective", sorted(PLANS))
+    def test_scores_equal_simulate(self, objective, strategy):
+        result = tune(
+            self.PLANS[objective], space=SMALL_SPACE, objective=objective,
+            strategy=strategy, cache=False,
+        )
+        scored = [ev for ev in result.evaluations if ev.score is not None]
+        assert scored
+        for ev in scored:
+            plan = ev.plan
+            if ev.fidelity is not None:
+                plan = plan.with_(m=ev.fidelity[0], n=ev.fidelity[1])
+            assert ev.score == _simulated_score(objective, plan)  # bitwise
+
+    def test_default_space_compiles_few_programs(self):
+        from repro.ir import clear_program_cache
+        from repro.obs.metrics import REGISTRY
+
+        clear_program_cache()
+        before = REGISTRY.counter("program_cache.misses")
+        result = tune(SvdPlan(m=1600, n=1600, stage="ge2val", n_cores=24), cache=False)
+        assert result.n_candidates == 40
+        # Only the runs whose analytic bound can still win are compiled.
+        assert REGISTRY.counter("program_cache.misses") - before <= 8
+
+    @pytest.mark.parametrize("strategy", ["grid", "halving"])
+    def test_first_error_is_reported(self, strategy):
+        from repro.tuning.objectives import Objective
+
+        class Kaboom(Objective):
+            name = "kaboom"
+
+            def score(self, resolved):
+                raise RuntimeError("kaboom")
+
+        with pytest.raises(RuntimeError, match="first error: RuntimeError: kaboom"):
+            tune(SMALL_PLAN, space=SMALL_SPACE, objective=Kaboom(),
+                 strategy=strategy, cache=False)
+
+
+class TestWinnerPins:
+    """Winners pinned (bitwise best scores) from the batched scoring route
+    that the bound-ordered walk replaced."""
+
+    def test_tuning_sweep_rows(self):
+        from repro.experiments.registry import run_experiment
+
+        rows = run_experiment(
+            "tuning-sweep", shapes=((800, 800), (1200, 400)), n_cores=8
+        )
+        winners = [
+            (r["m"], r["n"], r["tile_size"], str(r["tree"]), r["variant"],
+             r["best_score"].hex())
+            for r in rows
+        ]
+        assert _digest(winners) == "b08aa0fd84412827"
+
+    def test_halving_winner(self):
+        space = SearchSpace(
+            tile_sizes=(20, 40, 80),
+            trees=("flatts", "flattt", "greedy", "auto"),
+            variants=("bidiag", "rbidiag"),
+        )
+        result = tune(
+            SvdPlan(m=800, n=800, n_cores=4, stage="ge2val"),
+            space=space, strategy="halving", cache=False,
+        )
+        best = result.best_plan
+        winner = (
+            best.tile_size, str(best.tree), best.variant,
+            best.config.inner_block if best.config else None,
+            result.best_score.hex(),
+        )
+        assert _digest(winner) == "ac5be6f76750216e"
 
 
 # --------------------------------------------------------------------------- #
