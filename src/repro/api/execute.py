@@ -35,7 +35,6 @@ from repro.api.resolver import ResolvedPlan, resolve
 from repro.api.result import RunResult
 from repro.config import Config
 from repro.obs.metrics import REGISTRY
-from repro.obs.profile import profiled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
@@ -275,7 +274,7 @@ def execute(
     tracer = _resolve_tracer(trace, source_plan)
     before = REGISTRY.snapshot()
     ambient = tracer.activate() if tracer is not None else nullcontext()
-    with ambient, profiled(f"execute.{name}"):
+    with ambient:
         resolved = (
             plan if isinstance(plan, ResolvedPlan) else resolve(plan, config=config)
         )
@@ -310,21 +309,18 @@ def _execute_sweep_batched(
     source_plans = [p.plan if isinstance(p, ResolvedPlan) else p for p in plans]
     if trace_enabled() or any(plan.trace for plan in source_plans):
         return None
-    with profiled("execute.sweep"):
-        resolved = [
-            plan
-            if isinstance(plan, ResolvedPlan)
-            else resolve(plan, config=config)
-            for plan in plans
-        ]
-        outcomes = simulate_resolved_batch(resolved, objective=None, prune=False)
-        rows = []
-        for rp, outcome in zip(resolved, outcomes):
-            if outcome.exception is not None:
-                # Match the per-plan path, which raises at the first
-                # failing plan (in sweep order).
-                raise outcome.exception
-            rows.append(_simulate_run_result(rp, outcome.result).to_row())
+    resolved = [
+        plan if isinstance(plan, ResolvedPlan) else resolve(plan, config=config)
+        for plan in plans
+    ]
+    outcomes = simulate_resolved_batch(resolved, objective=None, prune=False)
+    rows = []
+    for rp, outcome in zip(resolved, outcomes):
+        if outcome.exception is not None:
+            # Match the per-plan path, which raises at the first failing
+            # plan (in sweep order).
+            raise outcome.exception
+        rows.append(_simulate_run_result(rp, outcome.result).to_row())
     return rows
 
 

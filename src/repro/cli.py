@@ -32,15 +32,24 @@ without writing any Python:
 * ``svd``             — compute singular values of a random or ``.npy`` matrix
   with the numeric tiled pipeline and compare against ``numpy.linalg.svd``.
 
-The ``plan``, ``simulate``, ``critical-path`` and ``svd`` commands are all
-thin shells over the unified plan API (:mod:`repro.api`).
+Every plan-backed command (``plan``, ``tune``, ``critical-path``,
+``simulate``, ``trace``, ``stats``, ``verify`` and ``svd``) is a thin shell
+over the unified plan API (:mod:`repro.api`).  Each declares its plan flags
+as ``(spelling, field, default[, overrides])`` rows over one table,
+:data:`_FIELDS`, which gives every :class:`~repro.api.plan.SvdPlan` field the
+CLI exposes its type, choices and help; every such flag stores into the
+field's name, and :func:`_plan_from_args` builds every plan from them.  A new
+plan flag is one ``_FIELDS`` row, plus one row in each command that takes it.
+:func:`main` dispatches through one table and is the one user-error
+boundary: a ``ValueError`` from any command exits 2 with a one-line
+``repro <command>: error: ...`` on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,52 +60,83 @@ from repro.runtime.policies import POLICIES
 from repro.runtime.scenario import SCENARIOS
 from repro.trees import TREE_REGISTRY
 
-_TREE_CHOICES = sorted(TREE_REGISTRY)
-_VARIANT_CHOICES = list(VARIANTS)
 _POLICY_CHOICES = sorted(POLICIES)
 _NETWORK_CHOICES = sorted(NETWORK_MODELS)
-_SCENARIO_CHOICES = sorted(SCENARIOS)
+
+#: Type, choices and help of every :class:`~repro.api.plan.SvdPlan` field
+#: the CLI exposes, keyed by field name.
+_FIELDS = {
+    "m": {"type": int, "help": "matrix rows"},
+    "n": {"type": int, "help": "matrix columns"},
+    "stage": {"choices": list(STAGES), "help": "pipeline stage"},
+    "tile_size": {"type": int, "help": "tile size nb"},
+    "tree": {"choices": sorted(TREE_REGISTRY), "help": "reduction tree"},
+    "variant": {"choices": list(VARIANTS), "help": "BIDIAG / R-BIDIAG / Chan auto-crossover"},
+    "n_cores": {"type": int, "help": "cores per node (AUTO-tree hint / simulator cores)"},
+    "n_nodes": {"type": int, "help": "node count"},
+    "machine": {"choices": sorted(PRESETS), "help": "machine preset"},
+    "policy": {"choices": _POLICY_CHOICES, "help": "scheduling policy of the simulation engine"},
+    "network": {"choices": _NETWORK_CHOICES,
+                "help": "communication model of the simulation engine"},
+    "scenario": {"choices": sorted(SCENARIOS), "help": "machine-realism scenario "
+                 "(heterogeneity / faults / noise; see 'repro scenarios')"},
+    "draws": {"type": int, "help": "Monte-Carlo draw count for stochastic scenarios "
+              "(default: the scenario's own)"},
+    "seed": {"type": int,
+             "help": "seed of the generated input matrix and of the Monte-Carlo scenario draws"},
+}
+
+#: A row default meaning "the flag is required".
+_REQUIRED = object()
+
+#: The simulation dialect of simulate, trace, stats and verify.
+_SIM_ROWS = [
+    ("m", "m", None),
+    ("n", "n", None),
+    ("--nodes", "n_nodes", 1),
+    ("--cores", "n_cores", 24),
+    ("--nb", "tile_size", 160),
+    ("--tree", "tree", "auto"),
+    ("--algorithm", "variant", "auto"),
+    ("--policy", "policy", "list"),
+    ("--network", "network", "uniform"),
+]
+
+#: The scenario flags of simulate, trace, stats and tune.
+_SCENARIO_ROWS = [
+    ("--scenario", "scenario", None),
+    ("--draws", "draws", None),
+    ("--seed", "seed", 0),
+]
 
 
-def _add_plan_arguments(parser: argparse.ArgumentParser) -> None:
-    """Arguments shared by every plan-backed command."""
-    parser.add_argument("--tree", default=None, choices=_TREE_CHOICES,
-                        help="reduction tree (default: greedy)")
-    parser.add_argument("--variant", default="auto", choices=_VARIANT_CHOICES,
-                        help="BIDIAG / R-BIDIAG / Chan auto-crossover")
-    parser.add_argument("--n-cores", type=int, default=1,
-                        help="cores per node (AUTO-tree hint / simulator cores)")
-    parser.add_argument("--nodes", type=int, default=1, help="node count")
-    parser.add_argument("--machine", default="miriel", choices=sorted(PRESETS),
-                        help="machine preset")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed of the generated input matrix")
+def _add_fields(parser: argparse.ArgumentParser, rows: Sequence[tuple], **helps: str) -> None:
+    """Declare plan flags from ``(spelling, field, default[, overrides])``
+    rows: each stores into its field's name; a spelling without dashes is a
+    positional; ``overrides`` narrow the field (e.g. fewer choices) and
+    ``helps`` re-word a field's help for a command where it means more."""
+    for spelling, name, default, *narrowed in rows:
+        kwargs = {**_FIELDS[name], **(narrowed[0] if narrowed else {})}
+        if name in helps:
+            kwargs["help"] = helps[name]
+        if not spelling.startswith("-"):
+            parser.add_argument(name, metavar=spelling, **kwargs)
+            continue
+        if "choices" not in kwargs:
+            # Usage names the flag, not the field: --nb NB, not --nb TILE_SIZE.
+            kwargs["metavar"] = spelling.lstrip("-").replace("-", "_").upper()
+        required = default is _REQUIRED
+        parser.add_argument(spelling, dest=name, required=required,
+                            default=None if required else default, **kwargs)
 
 
-def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
-    """Arguments shared by the simulation-backed commands
-    (``simulate`` / ``trace`` / ``stats``)."""
-    parser.add_argument("m", type=int, help="matrix rows")
-    parser.add_argument("n", type=int, help="matrix columns")
-    parser.add_argument("--nodes", type=int, default=1)
-    parser.add_argument("--cores", type=int, default=24)
-    parser.add_argument("--nb", type=int, default=160)
-    parser.add_argument("--tree", default="auto", choices=_TREE_CHOICES)
-    parser.add_argument("--algorithm", default="auto", choices=_VARIANT_CHOICES)
-    parser.add_argument("--policy", default="list", choices=_POLICY_CHOICES,
-                        help="scheduling policy of the simulation engine")
-    parser.add_argument("--network", default="uniform", choices=_NETWORK_CHOICES,
-                        help="communication model of the simulation engine")
-    parser.add_argument("--scenario", default=None, choices=_SCENARIO_CHOICES,
-                        help="machine-realism scenario (heterogeneity / faults / "
-                             "noise; see 'repro scenarios')")
-    parser.add_argument("--draws", type=int, default=None,
-                        help="Monte-Carlo draw count for stochastic scenarios "
-                             "(default: the scenario's own)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed of the Monte-Carlo scenario draws")
-    parser.add_argument("--ge2val", action="store_true",
-                        help="include BND2BD + BD2VAL stages")
+def _plan_from_args(args: argparse.Namespace, **fixed):
+    """The one plan builder: every field the command declared, then
+    ``fixed`` (the fields the command itself decides)."""
+    from repro.api import SvdPlan
+
+    declared = {name: getattr(args, name) for name in _FIELDS if hasattr(args, name)}
+    return SvdPlan(**{**declared, **fixed})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,20 +146,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list the registered paper experiments")
-
-    sub.add_parser(
-        "policies", help="list the simulation engine's scheduling policies"
-    )
-
-    sub.add_parser(
-        "networks", help="list the simulation engine's network models"
-    )
-
-    sub.add_parser(
-        "scenarios",
-        help="list the machine-realism scenarios and their fault/noise models",
-    )
+    for name, chelp in (
+        ("list", "list the registered paper experiments"),
+        ("policies", "list the simulation engine's scheduling policies"),
+        ("networks", "list the simulation engine's network models"),
+        ("scenarios", "list the machine-realism scenarios and their fault/noise models"),
+    ):
+        sub.add_parser(name, help=chelp)
 
     run = sub.add_parser("run", help="run a registered experiment")
     run.add_argument("experiment", help="experiment key (see 'repro list')")
@@ -137,27 +170,46 @@ def _build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser(
         "plan", help="run one SvdPlan through the numeric / dag / simulate backends"
     )
-    plan.add_argument("--m", type=int, required=True, help="matrix rows")
-    plan.add_argument("--n", type=int, required=True, help="matrix columns")
-    plan.add_argument("--stage", default="ge2val", choices=list(STAGES))
+    _add_fields(plan, [
+        ("--m", "m", _REQUIRED),
+        ("--n", "n", _REQUIRED),
+        ("--stage", "stage", "ge2val"),
+        ("--tile-size", "tile_size", None),
+        ("--tree", "tree", None),
+        ("--variant", "variant", "auto"),
+        ("--n-cores", "n_cores", 1),
+        ("--nodes", "n_nodes", 1),
+        ("--machine", "machine", "miriel"),
+        ("--policy", "policy", "list"),
+        ("--network", "network", "uniform"),
+        ("--seed", "seed", 0),
+    ])
     plan.add_argument("--backend", default="numeric",
                       choices=[*BACKENDS, "all"])
-    plan.add_argument("--tile-size", type=int, default=None,
-                      help="tile size nb (default: config-driven)")
-    plan.add_argument("--policy", default="list", choices=_POLICY_CHOICES,
-                      help="scheduling policy (simulate backend)")
-    plan.add_argument("--network", default="uniform", choices=_NETWORK_CHOICES,
-                      help="communication model (simulate backend)")
     plan.add_argument("--json", help="write the result row(s) to this JSON file")
-    _add_plan_arguments(plan)
 
     tune = sub.add_parser(
         "tune", help="autotune tile size / tree / variant / grid for one problem"
     )
-    tune.add_argument("--m", type=int, required=True, help="matrix rows")
-    tune.add_argument("--n", type=int, required=True, help="matrix columns")
-    tune.add_argument("--stage", default="ge2val",
-                      choices=[s for s in STAGES if s != "gesvd"])
+    _add_fields(
+        tune,
+        [
+            ("--m", "m", _REQUIRED),
+            ("--n", "n", _REQUIRED),
+            ("--stage", "stage", "ge2val",
+             {"choices": [s for s in STAGES if s != "gesvd"]}),
+            ("--n-cores", "n_cores", 24),
+            ("--nodes", "n_nodes", 1),
+            ("--machine", "machine", "miriel"),
+            ("--policy", "policy", "list"),
+            ("--network", "network", "uniform"),
+            *_SCENARIO_ROWS,
+        ],
+        policy="scheduling policy scoring simulated candidates",
+        network="communication model scoring simulated candidates",
+        scenario="machine-realism scenario the candidates run under "
+                 "(pair with --objective robust-makespan)",
+    )
     tune.add_argument("--objective", default="makespan",
                       help="scoring objective (see repro.tuning.OBJECTIVES)")
     tune.add_argument("--strategy", default="grid", choices=["grid", "halving"])
@@ -184,75 +236,56 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--cache-file", default=None,
                       help="plan cache location (default: $REPRO_TUNE_CACHE or "
                            "~/.cache/repro/plan_cache.json)")
-    tune.add_argument("--policy", default="list", choices=_POLICY_CHOICES,
-                      help="scheduling policy scoring simulated candidates")
-    tune.add_argument("--network", default="uniform", choices=_NETWORK_CHOICES,
-                      help="communication model scoring simulated candidates")
-    tune.add_argument("--scenario", default=None, choices=_SCENARIO_CHOICES,
-                      help="machine-realism scenario the candidates run under "
-                           "(pair with --objective robust-makespan)")
-    tune.add_argument("--draws", type=int, default=None,
-                      help="Monte-Carlo draw count for stochastic scenarios")
-    tune.add_argument("--seed", type=int, default=0,
-                      help="seed of the Monte-Carlo scenario draws")
     tune.add_argument("--json", help="write the evaluation rows to this JSON file")
-    tune.add_argument("--n-cores", type=int, default=24,
-                      help="cores per node (default: 24, the paper's miriel node)")
-    tune.add_argument("--nodes", type=int, default=1, help="node count")
-    tune.add_argument("--machine", default="miriel", choices=sorted(PRESETS),
-                      help="machine preset")
 
     cp = sub.add_parser("critical-path", help="critical paths of BIDIAG / R-BIDIAG")
-    cp.add_argument("p", type=int, help="tile rows")
-    cp.add_argument("q", type=int, help="tile columns")
-    cp.add_argument("--tree", default="greedy", choices=["flatts", "flattt", "greedy"])
-    cp.add_argument("--algorithm", default="bidiag", choices=["bidiag", "rbidiag"])
-
-    sim = sub.add_parser("simulate", help="simulate one GE2BND / GE2VAL run")
-    _add_sim_arguments(sim)
-
-    trace = sub.add_parser(
-        "trace",
-        help="simulate one run with execution tracing and export the "
-             "timeline (Chrome/Perfetto trace JSON, optional Gantt)",
+    _add_fields(
+        cp,
+        [
+            ("p", "m", None),
+            ("q", "n", None),
+            ("--tree", "tree", "greedy", {"choices": ["flatts", "flattt", "greedy"]}),
+            ("--algorithm", "variant", "bidiag", {"choices": ["bidiag", "rbidiag"]}),
+        ],
+        m="tile rows",
+        n="tile columns",
     )
-    _add_sim_arguments(trace)
-    trace.add_argument("--out", default="trace.json",
-                       help="trace-event JSON output path (default: trace.json; "
-                            "load in ui.perfetto.dev or chrome://tracing)")
-    trace.add_argument("--gantt", default=None, metavar="PATH",
-                       help="also write an ASCII Gantt chart ('-' = stdout)")
-    trace.add_argument("--svg", default=None, metavar="PATH",
-                       help="also write an SVG Gantt timeline")
 
-    stats = sub.add_parser(
-        "stats",
-        help="simulate one run and report its observability metrics "
-             "(cache hit/miss, utilization, communication)",
-    )
-    _add_sim_arguments(stats)
-    stats.add_argument("--json", default=None, metavar="PATH",
-                       help="write the metrics as JSON ('-' = stdout) instead "
-                            "of the human-readable report")
+    for name, chelp in (
+        ("simulate", "simulate one GE2BND / GE2VAL run"),
+        ("trace", "simulate one run with execution tracing and export the "
+                  "timeline (Chrome/Perfetto trace JSON, optional Gantt)"),
+        ("stats", "simulate one run and report its observability metrics "
+                  "(cache hit/miss, utilization, communication)"),
+    ):
+        sim = sub.add_parser(name, help=chelp)
+        _add_fields(sim, [*_SIM_ROWS, *_SCENARIO_ROWS])
+        sim.add_argument("--ge2val", action="store_true",
+                         help="include BND2BD + BD2VAL stages")
+        if name == "trace":
+            sim.add_argument("--out", default="trace.json",
+                             help="trace-event JSON output path (default: trace.json; "
+                                  "load in ui.perfetto.dev or chrome://tracing)")
+            sim.add_argument("--gantt", default=None, metavar="PATH",
+                             help="also write an ASCII Gantt chart ('-' = stdout)")
+            sim.add_argument("--svg", default=None, metavar="PATH",
+                             help="also write an SVG Gantt timeline")
+        elif name == "stats":
+            sim.add_argument("--json", default=None, metavar="PATH",
+                             help="write the metrics as JSON ('-' = stdout) instead "
+                                  "of the human-readable report")
 
     ver = sub.add_parser(
         "verify",
         help="statically verify the compiled Program and engine Schedules "
              "for one plan (dataflow oracle + feasibility sanitizer)",
     )
-    ver.add_argument("m", type=int, help="matrix rows")
-    ver.add_argument("n", type=int, help="matrix columns")
-    ver.add_argument("--nodes", type=int, default=1)
-    ver.add_argument("--cores", type=int, default=24)
-    ver.add_argument("--nb", type=int, default=160)
-    ver.add_argument("--tree", default="auto", choices=_TREE_CHOICES)
-    ver.add_argument("--algorithm", default="auto", choices=_VARIANT_CHOICES)
-    ver.add_argument("--machine", default="miriel", choices=sorted(PRESETS),
-                     help="machine preset")
-    ver.add_argument("--policy", default="list", choices=_POLICY_CHOICES,
-                     help="scheduling policy to sanitize (unless --all-policies)")
-    ver.add_argument("--network", default="uniform", choices=_NETWORK_CHOICES,
-                     help="network model to sanitize (unless --all-networks)")
+    _add_fields(
+        ver,
+        [*_SIM_ROWS, ("--machine", "machine", "miriel")],
+        policy="scheduling policy to sanitize (unless --all-policies)",
+        network="network model to sanitize (unless --all-networks)",
+    )
     ver.add_argument("--all-policies", action="store_true",
                      help="sanitize schedules under every scheduling policy")
     ver.add_argument("--all-networks", action="store_true",
@@ -313,19 +346,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     svd = sub.add_parser("svd", help="singular values via the numeric tiled pipeline")
     svd.add_argument("--input", help=".npy file holding the matrix (random if omitted)")
-    svd.add_argument("--m", type=int, default=120)
-    svd.add_argument("--n", type=int, default=80)
-    svd.add_argument("--tile-size", type=int, default=20)
-    svd.add_argument("--tree", default="greedy", choices=_TREE_CHOICES)
-    svd.add_argument("--variant", default="auto", choices=_VARIANT_CHOICES)
-    svd.add_argument("--n-cores", type=int, default=1,
-                     help="AUTO-tree parallelism hint")
-    svd.add_argument("--seed", type=int, default=0)
+    _add_fields(svd, [
+        ("--m", "m", 120),
+        ("--n", "n", 80),
+        ("--tile-size", "tile_size", 20),
+        ("--tree", "tree", "greedy"),
+        ("--variant", "variant", "auto"),
+        ("--n-cores", "n_cores", 1),
+        ("--seed", "seed", 0),
+    ])
 
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     from repro.experiments.registry import list_experiments
 
     for exp in list_experiments():
@@ -333,7 +367,7 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_policies() -> int:
+def _cmd_policies(args: argparse.Namespace) -> int:
     from repro.runtime.policies import available_policies
 
     for name, description in available_policies():
@@ -341,7 +375,7 @@ def _cmd_policies() -> int:
     return 0
 
 
-def _cmd_networks() -> int:
+def _cmd_networks(args: argparse.Namespace) -> int:
     from repro.runtime.network import available_networks
 
     for name, description in available_networks():
@@ -349,7 +383,7 @@ def _cmd_networks() -> int:
     return 0
 
 
-def _cmd_scenarios() -> int:
+def _cmd_scenarios(args: argparse.Namespace) -> int:
     from repro.runtime.faults import available_fault_models, available_noise_models
     from repro.runtime.scenario import available_scenarios
 
@@ -384,7 +418,7 @@ def _parse_params(pairs: Sequence[str]) -> dict:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.figures import format_rows
     from repro.experiments.registry import run_experiment
-    from repro.utils.io import rows_to_markdown, save_rows_csv, save_rows_json
+    from repro.utils.io import rows_to_markdown
 
     try:
         rows = run_experiment(args.experiment, **_parse_params(args.param))
@@ -398,12 +432,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(rows_to_markdown(rows))
     else:
         print(format_rows(rows))
-    if args.csv:
-        save_rows_csv(rows, args.csv)
-        print(f"wrote {len(rows)} rows to {args.csv}")
-    if args.json:
-        save_rows_json(rows, args.json)
-        print(f"wrote {len(rows)} rows to {args.json}")
+    _write_rows(rows, csv=args.csv, json=args.json)
     return 0
 
 
@@ -412,64 +441,59 @@ def _user_error(command: str, exc: Exception) -> int:
     return 2
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.api import SvdPlan, execute
+def _write_rows(rows: list, *, csv: Optional[str] = None,
+                json: Optional[str] = None) -> None:
+    """The one rows writer behind every ``--csv`` / ``--json`` row output."""
+    from repro.utils.io import save_rows_csv, save_rows_json
 
-    try:
-        plan = SvdPlan(
-            m=args.m,
-            n=args.n,
-            stage=args.stage,
-            variant=args.variant,
-            tree=args.tree,
-            tile_size=args.tile_size,
-            n_cores=args.n_cores,
-            n_nodes=args.nodes,
-            machine=args.machine,
-            policy=args.policy,
-            network=args.network,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        return _user_error("plan", exc)
+    for path, save in ((csv, save_rows_csv), (json, save_rows_json)):
+        if path:
+            save(rows, path)
+            print(f"wrote {len(rows)} rows to {path}")
+
+
+def _write_text(text: str, path: str, what: str) -> None:
+    """Print ``text`` when ``path`` is ``-``, else write it to ``path``."""
+    if path == "-":
+        print(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    print(f"{what} written to {path}")
+
+
+def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro.api import execute
+
+    plan = _plan_from_args(args)
     backends = list(BACKENDS) if args.backend == "all" else [args.backend]
     rows = []
     for backend in backends:
         try:
             result = execute(plan, backend=backend)
         except ValueError as exc:
-            if args.backend == "all":
-                # A backend that cannot model this stage (e.g. gesvd under
-                # the simulator) is skipped, not fatal, when sweeping all.
-                print(f"(skipped {backend}: {exc})")
-                continue
-            return _user_error("plan", exc)
+            if args.backend != "all":
+                raise
+            # A backend that cannot model this stage (e.g. gesvd under the
+            # simulator) is skipped, not fatal, when sweeping all.
+            print(f"(skipped {backend}: {exc})")
+            continue
         if rows:
             print()
         print(result.summary())
         rows.append(result.to_row())
-    if args.json:
-        from repro.utils.io import save_rows_json
-
-        save_rows_json(rows, args.json)
-        print(f"wrote {len(rows)} rows to {args.json}")
+    _write_rows(rows, json=args.json)
     return 0
 
 
-def _parse_int_list(raw: Optional[str]) -> Optional[List[int]]:
+def _parse_list(raw: Optional[str], cast) -> Optional[list]:
+    """A comma-separated flag value as a list (``None`` when absent)."""
     if raw is None:
         return None
-    return [int(v) for v in raw.split(",") if v.strip()]
-
-
-def _parse_name_list(raw: Optional[str]) -> Optional[List[str]]:
-    if raw is None:
-        return None
-    return [v.strip().lower() for v in raw.split(",") if v.strip()]
+    return [cast(v.strip()) for v in raw.split(",") if v.strip()]
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.api import SvdPlan
     from repro.experiments.figures import format_rows
     from repro.tuning import (
         GridSearch,
@@ -484,41 +508,23 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         removed = cache.clear()
         print(f"cleared {removed} cached plan(s) from {cache.path}")
         return 0
-    try:
-        plan = SvdPlan(
-            m=args.m,
-            n=args.n,
-            stage=args.stage,
-            n_cores=args.n_cores,
-            n_nodes=args.nodes,
-            machine=args.machine,
-            policy=args.policy,
-            network=args.network,
-            scenario=args.scenario,
-            draws=args.draws,
-            seed=args.seed,
-        )
-        space = SearchSpace(
-            tile_sizes=_parse_int_list(args.tile_sizes),
-            inner_blocks=_parse_int_list(args.inner_blocks),
-            trees=_parse_name_list(args.trees) or SearchSpace().trees,
-            variants=_parse_name_list(args.variants) or SearchSpace().variants,
-        )
-        if args.strategy == "grid":
-            strategy = GridSearch(prune=not args.no_prune)
-        else:
-            strategy = SuccessiveHalving(prune=not args.no_prune)
-        result = tune(
-            plan,
-            space=space,
-            objective=args.objective,
-            strategy=strategy,
-            workers=args.workers,
-            cache=False if args.no_cache else cache,
-            force=args.force,
-        )
-    except ValueError as exc:
-        return _user_error("tune", exc)
+    plan = _plan_from_args(args)
+    space = SearchSpace(
+        tile_sizes=_parse_list(args.tile_sizes, int),
+        inner_blocks=_parse_list(args.inner_blocks, int),
+        trees=_parse_list(args.trees, str.lower) or SearchSpace().trees,
+        variants=_parse_list(args.variants, str.lower) or SearchSpace().variants,
+    )
+    search = GridSearch if args.strategy == "grid" else SuccessiveHalving
+    result = tune(
+        plan,
+        space=space,
+        objective=args.objective,
+        strategy=search(prune=not args.no_prune),
+        workers=args.workers,
+        cache=False if args.no_cache else cache,
+        force=args.force,
+    )
     rows = result.rows()
     if rows:
         # format_rows prints floats at fixed .1f; scores can be milliseconds.
@@ -529,51 +535,39 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(format_rows(display))
         print()
     print(result.summary())
-    if args.json:
-        from repro.utils.io import save_rows_json
-
-        save_rows_json(rows, args.json)
-        print(f"wrote {len(rows)} rows to {args.json}")
+    _write_rows(rows, json=args.json)
     return 0
 
 
 def _cmd_critical_path(args: argparse.Namespace) -> int:
     from repro.analysis.formulas import bidiag_cp, rbidiag_cp
-    from repro.api import SvdPlan, execute
+    from repro.api import execute
 
     # tile_size=1 makes the element shape equal the tile shape, so one DAG
     # plan covers the (p, q) tile-level studies of Section IV.
-    try:
-        plan = SvdPlan(
-            m=args.p,
-            n=args.q,
-            tile_size=1,
-            tree=args.tree,
-            variant=args.algorithm,
-            stage="ge2bnd",
-        )
-        result = execute(plan, backend="dag")
-    except ValueError as exc:
-        return _user_error("critical-path", exc)
-    if args.algorithm == "bidiag":
-        formula = bidiag_cp(args.p, args.q, args.tree)
-    else:
-        formula = rbidiag_cp(args.p, args.q, args.tree)
-    print(f"algorithm      : {args.algorithm}")
+    plan = _plan_from_args(args, tile_size=1, stage="ge2bnd")
+    result = execute(plan, backend="dag")
+    formula = (bidiag_cp if args.variant == "bidiag" else rbidiag_cp)(
+        args.m, args.n, args.tree
+    )
+    print(f"algorithm      : {args.variant}")
     print(f"tree           : {args.tree}")
-    print(f"tiles          : {args.p} x {args.q}")
+    print(f"tiles          : {args.m} x {args.n}")
     print(f"closed form    : {formula}")
     print(f"measured (DAG) : {result.critical_path:.0f}")
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _simulated(args: argparse.Namespace, *, trace: bool):
+    """The one simulation of simulate / trace / stats."""
     from repro.api import execute
 
-    try:
-        result = execute(_sim_plan_from_args(args), backend="simulate")
-    except ValueError as exc:
-        return _user_error("simulate", exc)
+    stage = "ge2val" if args.ge2val else "ge2bnd"
+    return execute(_plan_from_args(args, stage=stage, trace=trace), backend="simulate")
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    result = _simulated(args, trace=False)
     print(result.summary())
     if result.trace is not None:
         # REPRO_TRACE=1 turns any simulate into a trace run; the file
@@ -585,47 +579,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sim_plan_from_args(args: argparse.Namespace, *, trace: bool = False):
-    """Build the :class:`SvdPlan` shared by simulate / trace / stats."""
-    from repro.api import SvdPlan
-
-    return SvdPlan(
-        m=args.m,
-        n=args.n,
-        stage="ge2val" if args.ge2val else "ge2bnd",
-        variant=args.algorithm,
-        tree=args.tree,
-        tile_size=args.nb,
-        n_cores=args.cores,
-        n_nodes=args.nodes,
-        policy=args.policy,
-        network=args.network,
-        scenario=args.scenario,
-        draws=args.draws,
-        seed=args.seed,
-        trace=trace,
-    )
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.api import execute
-
-    try:
-        result = execute(_sim_plan_from_args(args, trace=True), backend="simulate")
-    except ValueError as exc:
-        return _user_error("trace", exc)
+    result = _simulated(args, trace=True)
     tracer = result.trace
     path = tracer.write(args.out)
     print(result.summary())
     print(f"trace written to {path} (load in ui.perfetto.dev or chrome://tracing)")
     if args.gantt is not None:
-        chart = tracer.gantt()
-        if args.gantt == "-":
-            print(chart)
-        else:
-            with open(args.gantt, "w", encoding="utf-8") as fh:
-                fh.write(chart + "\n")
-            print(f"gantt written to {args.gantt}")
+        _write_text(tracer.gantt(), args.gantt, "gantt")
     if args.svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(tracer.gantt_svg() + "\n")
@@ -636,24 +597,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json
 
-    from repro.api import execute
-
-    try:
-        # Tracing on: the metrics then include ready-queue depth and
-        # message-size histograms on top of cache/utilization figures.
-        result = execute(_sim_plan_from_args(args, trace=True), backend="simulate")
-    except ValueError as exc:
-        return _user_error("stats", exc)
+    # Tracing on: the metrics then include ready-queue depth and
+    # message-size histograms on top of cache/utilization figures.
+    result = _simulated(args, trace=True)
     metrics = result.metrics or {}
     if args.json is not None:
         payload = {"plan": result.plan.describe(), "metrics": metrics}
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"stats written to {args.json}")
+        _write_text(json.dumps(payload, indent=2, sort_keys=True), args.json, "stats")
         return 0
     print(result.summary())
     util = metrics.get("utilization", {})
@@ -679,29 +629,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.api import SvdPlan
+    from dataclasses import replace
+
     from repro.api.resolver import resolve
     from repro.ir.program import Program
     from repro.runtime.engine import SimulationEngine
     from repro.verify import verify_program, verify_schedule
 
-    try:
-        plan = SvdPlan(
-            m=args.m,
-            n=args.n,
-            stage="ge2bnd",
-            variant=args.algorithm,
-            tree=args.tree,
-            tile_size=args.nb,
-            n_cores=args.cores,
-            n_nodes=args.nodes,
-            machine=args.machine,
-            policy=args.policy,
-            network=args.network,
-        )
-        resolved = resolve(plan)
-    except ValueError as exc:
-        return _user_error("verify", exc)
+    resolved = resolve(_plan_from_args(args, stage="ge2bnd"))
     program = resolved.program()
     if args.inject_defect == "drop-edge":
         # Self-test: remove the last predecessor edge of the last op that
@@ -713,9 +648,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             (i for i in range(len(program)) if pred_lists[i]), default=None
         )
         if victim is None:
-            return _user_error(
-                "verify", ValueError("program has no edges to drop")
-            )
+            raise ValueError("program has no edges to drop")
         pred_lists[victim].pop()
         program = Program(list(program.ops), pred_lists, key=program.key)
 
@@ -742,15 +675,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
             schedule = engine.run(program)
             if args.inject_defect == "perturb-start":
-                from dataclasses import replace
-
                 mid = len(schedule.start) // 2
                 start = list(schedule.start)
                 start[mid] += 0.5 * (schedule.makespan or 1.0)
                 schedule = replace(schedule, start=start)
             elif args.inject_defect == "swap-owner":
-                from dataclasses import replace
-
                 mid = len(schedule.node_of_task) // 2
                 nodes = list(schedule.node_of_task)
                 nodes[mid] = (nodes[mid] + 1) % resolved.machine.n_nodes
@@ -817,17 +746,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(campaign_table(args.store, columns=None))
         else:
             print(campaign_table(args.store))
-        rows = campaign_rows(args.store)
-        if args.csv:
-            from repro.utils.io import save_rows_csv
-
-            save_rows_csv(rows, args.csv)
-            print(f"wrote {len(rows)} rows to {args.csv}")
-        if args.json:
-            from repro.utils.io import save_rows_json
-
-            save_rows_json(rows, args.json)
-            print(f"wrote {len(rows)} rows to {args.json}")
+        _write_rows(campaign_rows(args.store), csv=args.csv, json=args.json)
         return 0
     # run / resume
     try:
@@ -859,68 +778,36 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_svd(args: argparse.Namespace) -> int:
-    from repro.api import SvdPlan, execute
+    from repro.api import execute
 
-    try:
-        if args.input:
-            plan = SvdPlan(
-                matrix=np.load(args.input),
-                stage="ge2val",
-                variant=args.variant,
-                tree=args.tree,
-                tile_size=args.tile_size,
-                n_cores=args.n_cores,
-            )
-        else:
-            plan = SvdPlan(
-                m=args.m,
-                n=args.n,
-                seed=args.seed,
-                stage="ge2val",
-                variant=args.variant,
-                tree=args.tree,
-                tile_size=args.tile_size,
-                n_cores=args.n_cores,
-            )
-        result = execute(plan, backend="numeric")
-    except ValueError as exc:
-        return _user_error("svd", exc)
+    given = {}
+    if args.input:
+        # An .npy input replaces the generated m x n matrix and its seed.
+        given = {"matrix": np.load(args.input), "m": None, "n": None, "seed": 0}
+    plan = _plan_from_args(args, stage="ge2val", **given)
+    result = execute(plan, backend="numeric")
     print(result.summary())
     return 0 if result.max_rel_error < 1e-8 else 1
+
+
+#: Subcommand -> handler; every handler returns the exit code.
+_COMMANDS = {
+    "list": _cmd_list, "policies": _cmd_policies, "networks": _cmd_networks,
+    "scenarios": _cmd_scenarios, "run": _cmd_run, "plan": _cmd_plan, "tune": _cmd_tune,
+    "critical-path": _cmd_critical_path, "simulate": _cmd_simulate, "trace": _cmd_trace,
+    "stats": _cmd_stats, "verify": _cmd_verify, "campaign": _cmd_campaign, "svd": _cmd_svd,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "policies":
-        return _cmd_policies()
-    if args.command == "networks":
-        return _cmd_networks()
-    if args.command == "scenarios":
-        return _cmd_scenarios()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "plan":
-        return _cmd_plan(args)
-    if args.command == "tune":
-        return _cmd_tune(args)
-    if args.command == "critical-path":
-        return _cmd_critical_path(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "svd":
-        return _cmd_svd(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        # The one user-error boundary: a bad plan, stage/backend pairing,
+        # objective or input exits 2 with one line, not a traceback.
+        return _user_error(args.command, exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

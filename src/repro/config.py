@@ -31,14 +31,11 @@ class Config:
         The ``gamma`` parameter of the AUTO tree: at every panel step the
         FlatTS sub-domain size ``a`` is chosen so that the number of
         independent tasks is at least ``gamma * n_cores``.
-    dtype:
-        NumPy dtype used by the numeric layer.
     """
 
     tile_size: int = 160
     inner_block: int = 32
     auto_gamma: float = 2.0
-    dtype: str = "float64"
 
     def with_(self, **kwargs) -> "Config":
         """Return a copy of this configuration with some fields replaced."""

@@ -1,4 +1,4 @@
-"""Observability: execution tracing, metrics, and profiling.
+"""Observability: execution tracing and metrics.
 
 The paper's whole methodology is trace-driven — scheduling quality, idle
 time, and communication overlap are read off execution timelines — and
@@ -14,7 +14,6 @@ this package is the repo's counterpart to that tooling:
 * :mod:`repro.obs.metrics` — a stdlib metrics registry (cache hit/miss,
   engine memo traffic) and the per-run snapshot on ``RunResult.metrics``;
 * :mod:`repro.obs.util` — the shared per-node/per-core busy/idle helpers;
-* :mod:`repro.obs.profile` — ``REPRO_PROFILE=1`` span timers;
 * :mod:`repro.obs.clock` — the injectable clock that keeps wall-clock
   reads out of the deterministic core.
 
@@ -33,13 +32,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.metrics import REGISTRY, Histogram, MetricsRegistry, run_metrics
-from repro.obs.profile import (
-    PROFILE_ENV,
-    profile_enabled,
-    profile_snapshot,
-    profiled,
-    reset_profiles,
-)
 from repro.obs.tracer import (
     TRACE_ENV,
     TRACE_FILE_ENV,
@@ -72,11 +64,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "run_metrics",
-    "PROFILE_ENV",
-    "profile_enabled",
-    "profile_snapshot",
-    "profiled",
-    "reset_profiles",
     "TRACE_ENV",
     "TRACE_FILE_ENV",
     "EngineRun",

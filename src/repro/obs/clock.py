@@ -1,10 +1,10 @@
 """Injectable clocks for the observability layer.
 
-The tracer and the profiling hooks measure *wall-clock* phase durations
-(compile, dependency analysis, rank, simulate) — but the deterministic
-core under :mod:`repro.runtime` is forbidden from reading the wall clock
-(the ``DTM003`` lint rule): simulated time must come from the machine
-model only.  The resolution is ownership: the engine never reads a clock;
+The tracer measures *wall-clock* phase durations (compile, dependency
+analysis, rank, simulate) — but the deterministic core under
+:mod:`repro.runtime` is forbidden from reading the wall clock (the
+``DTM003`` lint rule): simulated time must come from the machine model
+only.  The resolution is ownership: the engine never reads a clock;
 it calls into a :class:`~repro.obs.tracer.Tracer`, and the tracer owns a
 :class:`Clock` behind this injectable interface.  Production code uses
 :class:`WallClock` (``time.perf_counter``); tests inject a
@@ -18,7 +18,7 @@ import time
 
 
 class Clock:
-    """Monotonic-seconds source consumed by tracer and profiler."""
+    """Monotonic-seconds source consumed by the tracer."""
 
     def now(self) -> float:
         """Current time in seconds (monotonic within one process)."""

@@ -29,7 +29,7 @@ into the registry without import cycles.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.obs.util import utilization_summary
 
@@ -225,7 +225,8 @@ def run_metrics(
     :class:`~repro.runtime.machine.Machine`) so this module stays free of
     runtime imports.  ``counters_delta`` is the registry increment
     bracketing the run (cache hits/misses, memo traffic);  ``tracer``
-    contributes the trace-only extras (ready-queue depth, message sizes).
+    contributes the trace-only extras (ready-queue depth, message sizes)
+    of the run it recorded for ``schedule``.
     """
     comm: Dict[str, Any] = {
         "messages": schedule.messages,
@@ -241,9 +242,13 @@ def run_metrics(
         "communication": comm,
         "cache": dict(counters_delta) if counters_delta else {},
     }
-    runs: List[Any] = list(getattr(tracer, "runs", ()) or ())
-    if runs:
-        run = runs[-1]
+    # The run this schedule was recorded as, if any: a shared tracer may
+    # hold other plans' runs, and an untraced schedule has none.
+    run = next(
+        (r for r in reversed(getattr(tracer, "runs", ())) if r.start is schedule.start),
+        None,
+    )
+    if run is not None:
         out["ready_queue"] = _ready_queue_stats(run)
         out["message_sizes"] = _message_size_histogram(run)
         out["network"] = run.network

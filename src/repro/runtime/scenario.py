@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.ir.program import Program
 from repro.obs.metrics import REGISTRY
+from repro.obs.tracer import current_tracer
 from repro.runtime.faults import (
     FailStopFaults,
     FaultModel,
@@ -374,7 +375,8 @@ def run_scenario(
     ``draws`` Monte-Carlo draws (default: the scenario's own ``draws``)
     seeded by ``seed`` — fault factors are sampled before noise factors,
     always, so a seed identifies its draws regardless of engine path or
-    hash seed.
+    hash seed.  Under an ambient tracer (:mod:`repro.obs`) the nominal
+    replay is recorded as an engine run; the draws are not.
     """
     from repro.runtime.engine import SimulationEngine
 
@@ -383,7 +385,14 @@ def run_scenario(
         eff_machine, distribution, policy=policy, network=network
     )
     replay = PreparedReplay(engine, program, node_of_op=node_of_op)
-    nominal = replay.run()
+    tracer = current_tracer()
+    if tracer is None:
+        nominal = replay.run()
+    else:
+        # The draws stay unrecorded: their distribution summarizes them.
+        state = replay.run_state()
+        nominal = state.schedule
+        engine._record_run(tracer, replay, state)
     _maybe_verify(replay, nominal, fault_row=None)
     if not scenario.stochastic:
         return ScenarioRun(schedule=nominal)

@@ -6,8 +6,8 @@ tracing on and off under every scheduling policy and network model.  On
 top of that, this module pins the Chrome trace-event export for a small
 fixed program (schema validity, pid/tid <-> node/core mapping, matched
 B/E phase spans, monotonic timestamps) and unit-tests the metrics
-registry, the shared utilization helpers, the injectable clock and the
-span profiler.
+registry, the shared utilization helpers and the injectable clock, and
+checks that a scenario's nominal replay is traced like an engine run.
 """
 
 import json
@@ -27,10 +27,6 @@ from repro.obs import (
     core_busy_seconds,
     current_tracer,
     node_busy_fractions,
-    profile_enabled,
-    profile_snapshot,
-    profiled,
-    reset_profiles,
     run_metrics,
     trace_enabled,
     utilization_summary,
@@ -479,7 +475,7 @@ def test_numeric_backend_also_carries_cache_metrics():
 
 
 # --------------------------------------------------------------------------- #
-# Clock, activation, profiler
+# Clock, activation
 # --------------------------------------------------------------------------- #
 def test_fake_clock_steps_and_advances():
     clock = FakeClock(start=1.0, step=0.25)
@@ -498,29 +494,6 @@ def test_tracer_activation_is_scoped_and_nestable():
             assert current_tracer() is inner
         assert current_tracer() is outer
     assert current_tracer() is None
-
-
-def test_profiler_disabled_by_default_and_enabled_by_env(monkeypatch):
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    reset_profiles(reread_env=True)
-    assert not profile_enabled()
-    with profiled("noop"):
-        pass
-    assert profile_snapshot() == {}
-
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    reset_profiles(reread_env=True)
-    assert profile_enabled()
-    for _ in range(3):
-        with profiled("span"):
-            pass
-    snap = profile_snapshot()
-    assert snap["span"]["count"] == 3
-    assert snap["span"]["total_s"] >= 0.0
-    assert snap["span"]["min_s"] <= snap["span"]["max_s"]
-
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    reset_profiles(reread_env=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -625,3 +598,95 @@ def test_tracer_meta_lands_in_other_data():
     tracer.meta["experiment"] = "fig3"
     _simulate(_machine(n_nodes=1), tracer=tracer, tree=GreedyTree())
     assert chrome_trace(tracer)["otherData"]["experiment"] == "fig3"
+
+
+# --------------------------------------------------------------------------- #
+# Scenario runs are traced
+# --------------------------------------------------------------------------- #
+def _scenario_plan(**changes):
+    """1200^2 on 150-wide tiles, 2 nodes x 4 cores."""
+    plan = SvdPlan(m=1200, n=1200, stage="ge2bnd", tile_size=150, n_cores=4, n_nodes=2)
+    return plan.with_(**changes)
+
+
+class TestScenarioTracing:
+    """A scenario's nominal replay is recorded like an engine run; its
+    Monte-Carlo draws are not (their distribution summarizes them)."""
+
+    @pytest.mark.parametrize("scenario", ["hetero", "straggler"])
+    def test_nominal_replay_is_recorded_once(self, scenario):
+        plan = _scenario_plan(scenario=scenario, draws=4, policy="fifo")
+        result = execute(plan, "simulate", trace=True)
+        (run,) = result.trace.runs
+        assert run.policy == "fifo" and run.network == "uniform"
+        assert run.makespan == result.stage_seconds["ge2bnd"]
+
+    @pytest.mark.parametrize("scenario", ["hetero", "straggler"])
+    def test_metrics_carry_the_trace_extras(self, scenario):
+        plan = _scenario_plan(scenario=scenario, draws=4)
+        metrics = execute(plan, "simulate", trace=True).metrics
+        for key in ("ready_queue", "message_sizes", "network", "policy"):
+            assert key in metrics, key
+
+    def test_shared_tracer_reports_each_runs_own_run(self):
+        tracer = Tracer(clock=FakeClock())
+        a = _scenario_plan(policy="list", network="alpha-beta")
+        b = _scenario_plan(policy="fifo", network="uniform", scenario="hetero")
+        first = execute(a, "simulate", trace=tracer).metrics
+        second = execute(b, "simulate", trace=tracer).metrics
+        assert (first["policy"], first["network"]) == ("list", "alpha-beta")
+        assert (second["policy"], second["network"]) == ("fifo", "uniform")
+        assert [run.policy for run in tracer.runs] == ["list", "fifo"]
+        alone = execute(b, "simulate", trace=True).metrics
+        assert second["ready_queue"] == alone["ready_queue"]
+
+    def test_unrecorded_schedule_gets_no_trace_extras(self):
+        tracer = Tracer(clock=FakeClock())
+        machine = _machine(n_nodes=2)
+        _simulate(machine, tracer=tracer, policy="fifo")
+        untraced = _simulate(machine)
+        metrics = run_metrics(untraced, machine, tracer=tracer)
+        assert not {"ready_queue", "message_sizes", "network", "policy"} & set(metrics)
+
+    @pytest.mark.parametrize("scenario", ["hetero", "straggler", "hostile"])
+    def test_tracing_leaves_scenario_schedules_bitwise_equal(self, scenario):
+        from repro.api.resolver import resolve
+        from repro.runtime.simulator import simulate
+
+        plan = _scenario_plan(scenario=scenario, draws=4, seed=3)
+        plain = simulate(resolve(plan))
+        with Tracer(clock=FakeClock()).activate():
+            traced = simulate(resolve(plan))
+        _assert_schedules_identical(plain.schedule, traced.schedule)
+        if plain.distribution is not None:
+            assert plain.distribution.makespans == traced.distribution.makespans
+
+    def test_cli_trace_svg_and_gantt(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out, svg = tmp_path / "t.json", tmp_path / "t.svg"
+        code = main([
+            "trace", "1200", "1200", "--nb", "150", "--cores", "4", "--nodes", "2",
+            "--scenario", "hetero", "--policy", "fifo",
+            "--out", str(out), "--svg", str(svg), "--gantt", "-",
+        ])
+        assert code == 0
+        assert "(no engine run recorded)" not in capsys.readouterr().out
+        with open(out, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert validate_chrome_trace(payload) == []
+        (run,) = payload["otherData"]["runs"]
+        assert run["policy"] == "fifo"
+        assert svg.read_text().startswith("<svg")
+
+    def test_cli_stats_json(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "stats", "1200", "1200", "--nb", "150", "--cores", "4", "--nodes", "2",
+            "--scenario", "straggler", "--draws", "4", "--json", "-",
+        ])
+        assert code == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        for key in ("ready_queue", "message_sizes", "network", "policy"):
+            assert key in metrics, key
