@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from repro.api.plan import SvdPlan
-from repro.api.resolver import ResolvedPlan, resolve
+from repro.api.resolver import ResolvedPlan, overflow_exponent, resolve
 from repro.api.result import RunResult
 from repro.config import Config
 from repro.obs.metrics import REGISTRY
@@ -76,6 +76,11 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     of the input.  ``ge2val`` continues with bulge chasing and the
     bidiagonal QR iteration; ``gesvd`` logs the GE2BND reflectors and runs
     every stage again on the vectors, ``A = (U1 U2 U3) Σ (V3ᵀ V2ᵀ V1ᵀ)``.
+
+    Input near overflow (max|a_ij| above ``2**NUMERIC_MAX_ABS_LOG2``) is
+    reduced scaled by ``2**-e`` (:func:`~repro.api.resolver.overflow_exponent`)
+    and σ and the band are scaled back exactly; a σ or band entry that
+    does not fit in double precision then raises :class:`ValueError`.
     """
     # Imported here, not at module level: the layers are looked up on their
     # modules at call time, where the benchmark harness's probes wrap them.
@@ -94,13 +99,18 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     # otherwise the input assembled back from its tiles before they are
     # reduced.
     source = resolved.plan.matrix
+    dense = np.asarray(source, dtype=float) if isinstance(source, np.ndarray) else None
     reference: Optional[np.ndarray]
     if resolved.stage == "ge2bnd":
         reference = None
-    elif isinstance(source, np.ndarray):
-        reference = np.asarray(source, dtype=float)
+    elif dense is not None:
+        reference = dense
     else:
         reference = tiled.to_dense()
+    exponent = overflow_exponent(dense if dense is not None else tiled)
+    if exponent:
+        for _, tile in tiled.tiles():
+            np.ldexp(tile, -exponent, out=tile)
 
     t0 = time.perf_counter()
     executor = NumericExecutor(tiled, log_transformations=gesvd)
@@ -134,6 +144,8 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
             result.singular_values = bidiagonal_singular_values(d, e)
             seconds["bd2val"] = time.perf_counter() - t0
 
+    if exponent:
+        _scale_back(result, exponent)
     result.time_seconds = sum(seconds.values())
     if reference is not None and result.singular_values is not None:
         # Against the input, not the reduced matrix: an error anywhere in
@@ -144,6 +156,28 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
             np.max(np.abs(result.singular_values - ref)) / scale
         )
     return result
+
+
+def _scale_back(result: RunResult, exponent: int) -> None:
+    """Undo the front door's ``2**-exponent`` scaling on σ and the band."""
+    from repro.algorithms.band import BandBidiagonal
+
+    scaled: List[np.ndarray] = []
+    with np.errstate(over="ignore"):
+        if result.singular_values is not None:
+            result.singular_values = np.ldexp(result.singular_values, exponent)
+            scaled.append(result.singular_values)
+        band = result.extras.get("band")
+        if isinstance(band, BandBidiagonal):
+            data = np.ldexp(band.data, exponent)
+            result.extras["band"] = BandBidiagonal(data, band.n, band.bandwidth)
+            scaled.append(data)
+    if not all(np.isfinite(values).all() for values in scaled):
+        raise ValueError(
+            "input near overflow: its singular values exceed the double "
+            "precision range (the reduction ran scaled by "
+            f"2**-{exponent}); scale the matrix down"
+        )
 
 
 # --------------------------------------------------------------------------- #

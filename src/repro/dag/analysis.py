@@ -161,10 +161,8 @@ def step_breakdown(program: Program) -> Dict[str, float]:
 
     Ops with an empty ``step`` label are aggregated under ``"(unlabelled)"``.
     """
-    cols = program.columns
-    steps = cols.steps if cols is not None else [op.step for op in program.ops]
     out: Dict[str, float] = {}
-    for step, weight in zip(steps, program.weights_np.tolist()):
+    for step, weight in zip(program.step_labels(), program.weights_np.tolist()):
         key = step or "(unlabelled)"
         out[key] = out.get(key, 0.0) + float(weight)
     return out
@@ -172,15 +170,8 @@ def step_breakdown(program: Program) -> Dict[str, float]:
 
 def memory_footprint_tiles(program: Program) -> int:
     """Number of distinct tiles touched by the program (working-set size in tiles)."""
-    cols = program.columns
-    if cols is not None:
-        # Item codes: upper half of (i, j) is i*q + j, lower half adds p*q.
-        return len({
-            code % cols.pq
-            for items in (cols.reads, cols.writes)
-            for row in items
-            for code in row
-        })
-    return len({
-        (i, j) for op in program.ops for _, i, j in op.reads | op.writes
-    })
+    tiles = set()
+    for index in range(len(program)):
+        op = program.op(index)  # decoded one at a time, not kept
+        tiles.update((i, j) for _, i, j in op.reads | op.writes)
+    return len(tiles)

@@ -7,12 +7,15 @@ package separates *compilation* from *execution*, the way the superscalar
 runtimes the paper targets (PaRSEC, StarPU) separate DAG construction from
 scheduling:
 
-* :class:`Program` — a compact, immutable op stream with a CSR-style
-  dependency structure; compiled once per ``(algorithm, p, q, tree,
-  n_cores, grid_rows)`` shape and replayed many times;
-* :class:`DependencyAnalyzer` — the reusable superscalar RAW/WAR inference;
+* :class:`Program` — a compact, immutable op stream (kernel codes, int32
+  params, a predecessor CSR, hop levels and successor lists); compiled
+  once per ``(algorithm, p, q, tree, n_cores, grid_rows)`` shape and
+  replayed many times;
+* :class:`DependencyAnalyzer` — the superscalar RAW/WAR inference over
+  hand-made :class:`Op` records (:meth:`Program.from_ops`);
 * :class:`ProgramRecorder` — the :class:`~repro.algorithms.executor.KernelExecutor`
-  that captures a driver run into a :class:`Program`;
+  that captures a driver run into a :class:`Program`, finding the
+  dependencies while it records;
 * :func:`compile_program` / :func:`get_program` — the compiler front-end and
   the shared in-process :class:`ProgramCache`;
 * :func:`replay` — interpret a :class:`Program` against any executor (the
@@ -21,13 +24,7 @@ scheduling:
   stream.
 """
 
-from repro.ir.program import (
-    DependencyAnalyzer,
-    Op,
-    OpColumns,
-    Program,
-    analyze_coded_stream,
-)
+from repro.ir.program import DependencyAnalyzer, Op, Program
 from repro.ir.recorder import ProgramRecorder
 from repro.ir.compiler import (
     ALGORITHMS,
@@ -45,9 +42,7 @@ __all__ = [
     "ALGORITHMS",
     "DependencyAnalyzer",
     "Op",
-    "OpColumns",
     "Program",
-    "analyze_coded_stream",
     "ProgramCache",
     "ProgramRecorder",
     "clear_program_cache",

@@ -136,9 +136,13 @@ class ProgramCache:
     ``max_ops`` caps the *total op count* across entries — program memory
     grows roughly linearly in ops (~p^2*q ops for a p x q GE2BND), so an
     entry cap alone would let a paper-scale sweep (millions of ops per
-    shape) pin tens of gigabytes.  The most recently used program is never
-    evicted, so even a program larger than ``max_ops`` on its own is
-    served from cache while it is the active shape.
+    shape) pin tens of gigabytes.  After an insertion the most recently
+    used program is kept, so even a program larger than ``max_ops`` on
+    its own is served from cache while it is the active shape.  On a
+    miss, least-recently-used entries are evicted *before* compiling
+    while the total exceeds ``max_ops``, that most recent program
+    included: an over-budget program (and the memo tables keyed on it)
+    is freed before the next shape is traced, not after.
     """
 
     def __init__(self, maxsize: int = 128, max_ops: int = 4_000_000) -> None:
@@ -158,9 +162,10 @@ class ProgramCache:
         with self._lock:
             return len(self._programs)
 
-    def _evict_locked(self) -> None:
-        """Drop LRU entries until within both bounds (keep the newest)."""
-        while len(self._programs) > 1 and (
+    def _evict_locked(self, keep: int = 1) -> None:
+        """Drop LRU entries until within both bounds, keeping the newest
+        ``keep`` entries."""
+        while len(self._programs) > keep and (
             len(self._programs) > self.maxsize or self._total_ops > self.max_ops
         ):
             _, evicted = self._programs.popitem(last=False)
@@ -217,6 +222,7 @@ class ProgramCache:
                 REGISTRY.inc("program_cache.hits")
                 return program
             self.misses += 1
+            self._evict_locked(keep=0)
         REGISTRY.inc("program_cache.misses")
         # Compile outside the lock (tracing a large DAG takes a while);
         # a rare duplicate compilation of the same key is harmless.

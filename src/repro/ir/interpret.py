@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from repro.algorithms.executor import KernelExecutor
 from repro.ir.program import Program
-from repro.kernels.costs import KERNEL_LIST
-
-#: Executor method name per kernel code (replay dispatch table).
-_METHOD_NAMES = tuple(k.name.lower() for k in KERNEL_LIST)
+from repro.ir.recorder import METHOD_NAMES
 
 
 def replay(program: Program, executor: KernelExecutor) -> None:
@@ -47,14 +44,8 @@ def replay(program: Program, executor: KernelExecutor) -> None:
         for code, params in program.level_groups():
             run_group(code, params)
         return
-    cols = program.columns
-    if cols is not None:
-        # Column path: dispatch straight off the packed kernel-code and
-        # params columns — no Op materialization, one bound method per
-        # kernel resolved up front.
-        methods = [getattr(executor, name) for name in _METHOD_NAMES]
-        for code, params in zip(cols.kernels, cols.params):
-            methods[code](*params)
-        return
-    for op in program.ops:
-        getattr(executor, op.kernel.name.lower())(*op.params)
+    # Dispatch straight off the kernel codes and params — no Op
+    # materialization, one bound method per kernel resolved up front.
+    methods = [getattr(executor, name) for name in METHOD_NAMES]
+    for code, params in program.kernel_calls():
+        methods[code](*params)

@@ -1,15 +1,14 @@
 """The op-stream Program IR and its dependency analyzer.
 
 A :class:`Program` is the compiled form of one tiled algorithm at one tile
-shape: a flat stream of :class:`Op` records (one per tile-kernel call, in
-the sequentially consistent order the driver issued them) plus the
-dependency DAG stored as two CSR arrays (predecessors and successors).
-Programs are immutable and cheap to replay, which is what lets a tuning
-sweep trace each DAG shape once and re-schedule it many times.
+shape: a flat stream of ops (one per tile-kernel call, in the sequentially
+consistent order the driver issued them) plus the dependency DAG, stored
+as a predecessor CSR and per-op successor lists.  Programs are immutable
+and cheap to replay, which is what lets a tuning sweep trace each DAG
+shape once and re-schedule it many times.
 
-The dependencies are inferred by :class:`DependencyAnalyzer`, the
-superscalar logic a PaRSEC/StarPU-style runtime applies to its task
-stream:
+The dependencies follow the superscalar logic a PaRSEC/StarPU-style
+runtime applies to its task stream (:class:`DependencyAnalyzer`):
 
 * a task that *writes* a data item depends on the item's last writer and on
   every reader since that write (RAW + WAR);
@@ -19,27 +18,42 @@ Data items are tile *halves* (upper = factor part, lower = reflector part);
 see :data:`DataItem` for why this split is needed to reproduce the
 dependency structure — and hence the critical paths — of the paper.
 
-Structure-of-arrays fast path
------------------------------
+Compact storage
+---------------
 
-Besides the object form (a tuple of :class:`Op` records), a program
-carries packed *columns*: numpy vectors of kernel codes, Table-I weights,
-owner-tile coordinates and CSR views, plus a cached topological level
-decomposition.  The columns are what the batched task-runtime designs the
-paper builds on (PaRSEC/DPLASMA) keep hot: the simulation engine's inner
-loop and the critical-path/bottom-level analyses touch only flat int/float
-arrays, never per-op Python objects.  Programs recorded through
-:class:`~repro.ir.recorder.ProgramRecorder` are born in column form
-(:meth:`Program.from_columns`) and materialize the ``ops`` tuple lazily —
-compiling a million-op DAG never builds a million ``Op`` objects unless a
-consumer asks for them.  Both forms describe the same program; the
-vectorized analyses are bit-identical to the per-node recursions they
+A Program recorded by :class:`~repro.ir.recorder.ProgramRecorder` holds
+typed buffers and no per-op Python object but its successor list:
+
+* kernel codes (one byte per op) and tile-index params (one int32 row of
+  four per op, zero-padded); the step labels, run-length coded;
+* the predecessor CSR (``array('q')``, ascending within each op) and the
+  hop levels, both found while recording;
+* each op's successor list, ascending: the replay walks these lists
+  (walking ``array('q')`` CSR slices instead took 3x as long, 6.7
+  against 2.1 ms over 18.4k ops).
+
+Everything else is derived on demand and cached where a hot path reads
+it: Table-I weights and write counts from the kernel codes, owner tiles
+gathered from (kernel, params), the successor CSR from the successor
+lists.  :class:`Op` records, with their read/write sets, are decoded on
+demand by running the recorder's own kernel method
+(:func:`~repro.ir.recorder.access_decoder`), so the access rules have one
+definition; :mod:`repro.verify.semantics` states them a second,
+independent time as the verifier's oracle.  The vectorized analyses read
+only flat arrays and are bit-identical to the per-node recursions they
 replace (asserted by the equivalence tests).
+
+Programs built from explicit :class:`Op` records (``Program(ops,
+pred_lists)`` and :meth:`Program.from_ops`) keep those records and read
+every column off them, custom weights and access sets included; tests
+and the verifier's mutation suites build the programs the recorder never
+would that way.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
@@ -48,6 +62,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -56,6 +71,13 @@ from typing import (
 
 import numpy as np
 
+from repro.ir.recorder import (
+    KERNEL_SIGNATURES,
+    PARAM_STRIDE,
+    WRITE_COUNTS,
+    Access,
+    access_decoder,
+)
 from repro.kernels.costs import (
     KERNEL_CODES,
     KERNEL_LIST,
@@ -63,11 +85,20 @@ from repro.kernels.costs import (
     KernelName,
 )
 
-#: Table-I weights indexed by kernel code (see ``KERNEL_LIST``).
-_WEIGHT_BY_CODE = np.array(
-    [KERNEL_WEIGHTS[k] for k in KERNEL_LIST], dtype=np.int64
-)
-_WEIGHT_BY_CODE.setflags(write=False)
+
+def _read_only(values: Sequence[int]) -> np.ndarray:
+    out = np.array(values, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+#: Table-I weights, tile halves written, params arity and owner-tile param
+#: positions, indexed by kernel code (see ``KERNEL_LIST``).
+_WEIGHT_BY_CODE = _read_only([KERNEL_WEIGHTS[k] for k in KERNEL_LIST])
+_WRITES_BY_CODE = _read_only(WRITE_COUNTS)
+_ARITY_BY_CODE = _read_only([arity for arity, _, _ in KERNEL_SIGNATURES])
+_OWNER_ROW_BY_CODE = _read_only([row for _, row, _ in KERNEL_SIGNATURES])
+_OWNER_COL_BY_CODE = _read_only([col for _, _, col in KERNEL_SIGNATURES])
 
 #: A data item is one half of a tile: ("U", i, j) is the upper (R/L factor)
 #: part, ("L", i, j) the lower (reflector) part.  Splitting tiles this way
@@ -116,9 +147,10 @@ class DependencyAnalyzer:
     the produced edge ordering is independent of ``PYTHONHASHSEED`` — a
     prerequisite for bit-reproducible schedules.
 
-    This is the object-path analyzer (data items are tuples); the compiler
-    hot path uses :func:`analyze_coded_stream`, the same rules specialized
-    for integer-coded items over dense tables.
+    This is the object-path analyzer (data items are tuples), behind
+    :meth:`Program.from_ops`; the compiler applies the same rules to
+    integer-coded items while it records
+    (:meth:`repro.ir.recorder.ProgramRecorder._record`).
     """
 
     def __init__(self) -> None:
@@ -150,150 +182,6 @@ class DependencyAnalyzer:
         return sorted(preds)
 
 
-def analyze_coded_stream(
-    reads_list: Sequence[Tuple[int, ...]],
-    writes_list: Sequence[Tuple[int, ...]],
-    n_items: int,
-) -> Tuple[List[List[int]], List[int]]:
-    """RAW/WAR inference over integer-coded data items (the compiler hot path).
-
-    Applies exactly the rules of :class:`DependencyAnalyzer` — the produced
-    predecessor *sets* are identical — but items are dense integer codes
-    indexed into flat tables instead of tuples hashed into dicts, which is
-    several times faster on the million-op streams the SoA path targets.
-    Each op's predecessor list is returned unsorted (deterministically:
-    integer set iteration does not depend on ``PYTHONHASHSEED``);
-    :meth:`Program.from_columns` normalizes edge order with one vectorized
-    lexsort instead of one ``sorted()`` per op.  Also returns each op's
-    topological *hop level* (``1 + max`` over predecessor levels), computed
-    for free while the predecessors are in hand; the level decomposition
-    drives the vectorized critical-path / bottom-level sweeps of
-    :class:`Program`.
-    """
-    n = len(reads_list)
-    last_writer = [-1] * n_items
-    readers: List[Optional[List[int]]] = [None] * n_items
-    # Predecessor dedup via epoch stamps: stamp[w] == tid + 1 means
-    # producer w is already collected for the op being analyzed.  O(1)
-    # integer compares instead of per-op set construction and hashing.
-    stamp = [0] * n
-    pred_lists: List[List[int]] = []
-    levels: List[int] = []
-    add_preds = pred_lists.append
-    add_level = levels.append
-    for tid, (reads, writes) in enumerate(zip(reads_list, writes_list)):
-        mark = tid + 1
-        stamp[tid] = mark  # pre-marking tid makes self-edges impossible
-        preds: List[int] = []
-        collect = preds.append
-        for it in reads:
-            w = last_writer[it]
-            if w >= 0 and stamp[w] != mark:
-                stamp[w] = mark
-                collect(w)
-        # One fused pass per written item: RAW edge, WAR edges, then claim
-        # the item (items are distinct within one op's write set, so the
-        # in-place claim cannot affect a later item of the same op).
-        for it in writes:
-            w = last_writer[it]
-            if w >= 0 and stamp[w] != mark:
-                stamp[w] = mark
-                collect(w)
-            r = readers[it]
-            if r:
-                for x in r:
-                    if stamp[x] != mark:
-                        stamp[x] = mark
-                        collect(x)
-            last_writer[it] = tid
-            readers[it] = None
-        for it in reads:
-            if it not in writes:
-                r = readers[it]
-                if r is None:
-                    readers[it] = [tid]
-                else:
-                    r.append(tid)
-        lv = 0
-        for w in preds:
-            cand = levels[w] + 1
-            if cand > lv:
-                lv = cand
-        add_level(lv)
-        add_preds(preds)
-    return pred_lists, levels
-
-
-class OpColumns:
-    """One op stream in structure-of-arrays form (parallel per-op columns).
-
-    ``kernels`` holds kernel codes (indices into
-    :data:`repro.kernels.costs.KERNEL_LIST`); ``reads``/``writes`` hold
-    tuples of integer-coded data items — the upper half of tile ``(i, j)``
-    codes as ``i * q + j`` and the lower half as ``p * q + i * q + j`` —
-    and ``rows``/``cols`` the owner-tile coordinates.  Produced by
-    :class:`~repro.ir.recorder.ProgramRecorder`, consumed by
-    :meth:`Program.from_columns`; :meth:`op` decodes one column row back
-    into a full :class:`Op` object for the object-path consumers.
-    """
-
-    __slots__ = (
-        "q", "pq", "kernels", "params", "reads", "writes", "rows", "cols",
-        "steps",
-    )
-
-    def __init__(
-        self,
-        q: int,
-        pq: int,
-        kernels: Sequence[int],
-        params: Sequence[Tuple[int, ...]],
-        reads: Sequence[Tuple[int, ...]],
-        writes: Sequence[Tuple[int, ...]],
-        rows: Sequence[int],
-        cols: Sequence[int],
-        steps: Sequence[str],
-    ) -> None:
-        self.q = q
-        self.pq = pq
-        self.kernels = kernels
-        self.params = params
-        self.reads = reads
-        self.writes = writes
-        self.rows = rows
-        self.cols = cols
-        self.steps = steps
-
-    def __len__(self) -> int:
-        return len(self.kernels)
-
-    def decode_item(self, code: int) -> DataItem:
-        """Integer item code back to the ``("U"/"L", i, j)`` tuple form."""
-        if code < self.pq:
-            return ("U", code // self.q, code % self.q)
-        code -= self.pq
-        return ("L", code // self.q, code % self.q)
-
-    def op(self, index: int) -> Op:
-        """Materialize one :class:`Op` from the columns."""
-        kernel = KERNEL_LIST[self.kernels[index]]
-        decode = self.decode_item
-        return Op(
-            index=index,
-            kernel=kernel,
-            params=self.params[index],
-            reads=frozenset(decode(c) for c in self.reads[index]),
-            writes=frozenset(decode(c) for c in self.writes[index]),
-            weight=KERNEL_WEIGHTS[kernel],
-            owner_tile=(self.rows[index], self.cols[index]),
-            step=self.steps[index],
-        )
-
-    def to_ops(self) -> Tuple[Op, ...]:
-        """Materialize the whole stream as :class:`Op` objects."""
-        return tuple(self.op(i) for i in range(len(self.kernels)))
-
-
 def _csr_from_lists(lists: Sequence[Sequence[int]]) -> Tuple[array, array]:
     indptr = array("q", [0])
     ids = array("q")
@@ -303,44 +191,38 @@ def _csr_from_lists(lists: Sequence[Sequence[int]]) -> Tuple[array, array]:
     return indptr, ids
 
 
-def _array_from_np(a: np.ndarray) -> array:
-    """int64 numpy array -> ``array('q')`` (fast Python-loop element access)."""
-    out = array("q")
-    out.frombytes(np.ascontiguousarray(a, dtype=np.int64).tobytes())
-    return out
-
-
-def _np_view(a: array) -> np.ndarray:
-    """Zero-copy read-only int64 view of an ``array('q')``."""
-    if len(a) == 0:
-        out = np.zeros(0, dtype=np.int64)
-    else:
-        out = np.frombuffer(a, dtype=np.int64)
+def _np_view(a: array, dtype: Any = np.int64) -> np.ndarray:
+    """Zero-copy read-only numpy view of a typed ``array`` buffer."""
+    out = np.frombuffer(a, dtype=dtype) if len(a) else np.zeros(0, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
 class Program:
-    """An immutable op stream with CSR dependency structure.
+    """An immutable op stream with its dependency DAG.
 
-    Build one from explicit ``(ops, pred_lists)``, with :meth:`from_ops`
-    (runs the :class:`DependencyAnalyzer`), :meth:`from_columns` (the
-    structure-of-arrays compiler path) or, most commonly, through
-    :func:`repro.ir.compiler.compile_program`.
+    Compiled programs come from :func:`repro.ir.compiler.compile_program`
+    (through :meth:`from_recording`, the recorder's finalize step); build
+    one from explicit ``(ops, pred_lists)`` or with :meth:`from_ops` (runs
+    the :class:`DependencyAnalyzer`) when the ops are hand-made.
 
-    The dependency CSR is stored twice: as ``array('q')`` (fast scalar
-    access from the engine's event loop) and as zero-copy numpy views
-    (``pred_indptr_np`` and friends) feeding the vectorized analyses.
+    The predecessor CSR is stored as ``array('q')`` (fast scalar access)
+    with zero-copy numpy views (``pred_indptr_np``, ``pred_ids_np``) for
+    the vectorized analyses; the successors are per-op lists, with a
+    numpy CSR (``succ_indptr_np``, ``succ_ids_np``) derived on demand.
     """
 
     __slots__ = (
         "key",
         "_ops",
-        "_cols",
+        "_shape",
+        "_codes",
+        "_params",
+        "_steps",
+        "_levels",
         "_pred_indptr",
         "_pred_ids",
-        "_succ_indptr",
-        "_succ_ids",
+        "_succ",
         "_cache",
         "__weakref__",
     )
@@ -352,7 +234,11 @@ class Program:
         key: Optional[Tuple] = None,
     ) -> None:
         self._ops: Optional[Tuple[Op, ...]] = tuple(ops)
-        self._cols: Optional[OpColumns] = None
+        self._shape: Optional[Tuple[int, int]] = None
+        self._codes: Optional[array] = None
+        self._params: Optional[array] = None
+        self._steps: Tuple[Tuple[int, str], ...] = ()
+        self._levels: Optional[array] = None
         self._cache: Dict[str, object] = {}
         self.key = key
         n = len(self._ops)
@@ -360,119 +246,101 @@ class Program:
             raise ValueError(
                 f"{n} ops but {len(pred_lists)} predecessor lists"
             )
-        succ_lists: List[List[int]] = [[] for _ in range(n)]
+        succ: List[List[int]] = [[] for _ in range(n)]
         for dst, preds in enumerate(pred_lists):
             for src in preds:
                 if not (0 <= src < dst):
                     raise ValueError(
                         f"edge {src} -> {dst} violates insertion-order topology"
                     )
-                succ_lists[src].append(dst)
+                succ[src].append(dst)
         self._pred_indptr, self._pred_ids = _csr_from_lists(pred_lists)
-        self._succ_indptr, self._succ_ids = _csr_from_lists(succ_lists)
+        self._succ = succ
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
     def from_ops(cls, ops: Iterable[Op], key: Optional[Tuple] = None) -> "Program":
-        """Analyze the access sets of ``ops`` and build the CSR dependency DAG."""
+        """Analyze the access sets of ``ops`` and build the dependency DAG."""
         ops = tuple(ops)
         analyzer = DependencyAnalyzer()
         pred_lists = [analyzer.add(op.reads, op.writes) for op in ops]
         return cls(ops, pred_lists, key=key)
 
     @classmethod
-    def from_columns(
+    def from_recording(
         cls,
-        cols: OpColumns,
-        pred_lists: Sequence[Sequence[int]],
+        shape: Tuple[int, int],
+        codes: array,
+        params: array,
+        steps: Tuple[Tuple[int, str], ...],
+        pred_indptr: array,
+        pred_ids: array,
+        levels: array,
+        successors: List[List[int]],
         key: Optional[Tuple] = None,
-        levels: Optional[Sequence[int]] = None,
     ) -> "Program":
-        """Build a program from packed columns (the SoA compiler path).
+        """Adopt a recorder's buffers (the compiler's finalize step).
 
-        ``pred_lists`` may be unsorted within each op (as
-        :func:`analyze_coded_stream` emits them); edge order is normalized
-        here with one vectorized lexsort, and the insertion-order topology
-        (``src < dst``) is validated with two whole-array comparisons.
-        ``levels``, when given, are the hop levels the analyzer computed
-        alongside.  ``ops`` materializes lazily on first access.
+        ``codes`` is an ``array('b')`` of kernel codes, ``params`` an
+        ``array('i')`` of :data:`~repro.ir.recorder.PARAM_STRIDE` entries
+        per op, ``steps`` the ``(first op, label)`` runs, ``pred_indptr``
+        / ``pred_ids`` the ``array('q')`` predecessor CSR, ``levels`` the
+        hop levels and ``successors`` the per-op successor lists.  The
+        buffers are taken over, not copied.  The lengths must agree and
+        every edge must respect the insertion-order topology
+        (``0 <= src < dst``), checked with two segmented reductions.
         """
-        n = len(cols)
-        if len(pred_lists) != n:
+        n = len(codes)
+        if not (
+            len(params) == PARAM_STRIDE * n
+            and len(pred_indptr) == n + 1
+            and len(levels) == n
+            and len(successors) == n
+        ):
             raise ValueError(
-                f"{n} ops but {len(pred_lists)} predecessor lists"
+                f"{n} kernel codes but {len(params)} params, "
+                f"{len(pred_indptr)} CSR offsets, {len(levels)} levels and "
+                f"{len(successors)} successor lists"
             )
         self = object.__new__(cls)
         self._ops = None
-        self._cols = cols
+        self._shape = shape
+        self._codes = codes
+        self._params = params
+        self._steps = steps
+        self._levels = levels
+        self._pred_indptr = pred_indptr
+        self._pred_ids = pred_ids
+        self._succ = successors
         self._cache = {}
         self.key = key
-
-        counts = np.fromiter(map(len, pred_lists), dtype=np.int64, count=n)
-        pred_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=pred_indptr[1:])
-        total = int(pred_indptr[-1])
-        pred_ids = np.fromiter(
-            chain.from_iterable(pred_lists), dtype=np.int64, count=total
-        )
-        dst = np.repeat(np.arange(n, dtype=np.int64), counts)
-        # Normalize: predecessors ascending within each op (one lexsort —
-        # dst groups are already contiguous, pred order within may not be).
-        pred_ids = pred_ids[np.lexsort((pred_ids, dst))]
-        if total and (
-            int(pred_ids.min()) < 0 or bool(np.any(pred_ids >= dst))
-        ):
-            bad = int(np.flatnonzero((pred_ids < 0) | (pred_ids >= dst))[0])
+        indptr = self.pred_indptr_np
+        ids = self.pred_ids_np
+        if len(ids) != int(indptr[-1]):
             raise ValueError(
-                f"edge {int(pred_ids[bad])} -> {int(dst[bad])} violates "
-                "insertion-order topology"
+                f"predecessor CSR ends at {int(indptr[-1])} but holds {len(ids)} ids"
             )
-        # Successor CSR: edges sorted by src (stable, so dst stays ascending
-        # within each src — the edge stream is grouped by dst ascending).
-        order = np.argsort(pred_ids, kind="stable")
-        succ_ids = dst[order]
-        succ_counts = (
-            np.bincount(pred_ids, minlength=n) if total else
-            np.zeros(n, dtype=np.int64)
-        )
-        succ_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(succ_counts, out=succ_indptr[1:])
-
-        self._pred_indptr = _array_from_np(pred_indptr)
-        self._pred_ids = _array_from_np(pred_ids)
-        self._succ_indptr = _array_from_np(succ_indptr)
-        self._succ_ids = _array_from_np(succ_ids)
-        if levels is not None:
-            lv = np.asarray(levels, dtype=np.int64)
-            lv.setflags(write=False)
-            self._cache["levels"] = lv
+        rows = np.flatnonzero(np.diff(indptr))
+        if rows.size:
+            starts = indptr[rows]
+            low = np.minimum.reduceat(ids, starts)
+            high = np.maximum.reduceat(ids, starts)
+            bad = np.flatnonzero((low < 0) | (high >= rows))
+            if bad.size:
+                b = int(bad[0])
+                src = int(low[b]) if low[b] < 0 else int(high[b])
+                raise ValueError(
+                    f"edge {src} -> {int(rows[b])} violates insertion-order topology"
+                )
         return self
 
     # ------------------------------------------------------------------ #
     # Structure
     # ------------------------------------------------------------------ #
-    @property
-    def ops(self) -> Tuple[Op, ...]:
-        """The op stream as :class:`Op` objects (materialized lazily)."""
-        ops = self._ops
-        if ops is None:
-            assert self._cols is not None
-            ops = self._cols.to_ops()
-            self._ops = ops
-        return ops
-
-    @property
-    def columns(self) -> Optional[OpColumns]:
-        """The packed columns, or ``None`` for object-built programs."""
-        return self._cols
-
     def __len__(self) -> int:
-        if self._ops is not None:
-            return len(self._ops)
-        assert self._cols is not None
-        return len(self._cols)
+        return len(self._succ)
 
     @property
     def n_edges(self) -> int:
@@ -483,23 +351,133 @@ class Program:
         return self._pred_ids[self._pred_indptr[index]: self._pred_indptr[index + 1]]
 
     def successors(self, index: int) -> Sequence[int]:
-        """Ids of the ops depending on ``index`` (ascending)."""
-        return self._succ_ids[self._succ_indptr[index]: self._succ_indptr[index + 1]]
+        """Ids of the ops depending on ``index`` (ascending; do not mutate)."""
+        return self._succ[index]
+
+    def successor_lists(self) -> List[List[int]]:
+        """Every op's successor list (shared; callers must not mutate)."""
+        return self._succ
 
     def indegrees(self) -> List[int]:
         """Number of predecessors of each op (fresh list, safe to mutate)."""
-        indptr = self._pred_indptr
-        return [indptr[i + 1] - indptr[i] for i in range(len(self))]
+        return np.diff(self.pred_indptr_np).tolist()
 
     def sources(self) -> List[int]:
         """Ops with no predecessors."""
-        return [i for i, d in enumerate(self.indegrees()) if d == 0]
+        return np.flatnonzero(np.diff(self.pred_indptr_np) == 0).tolist()
 
     def edges(self) -> Iterable[Tuple[int, int]]:
         """All ``(src, dst)`` dependency pairs, grouped by ``dst``."""
         for dst in range(len(self)):
             for src in self.predecessors(dst):
                 yield (src, dst)
+
+    # ------------------------------------------------------------------ #
+    # The op stream
+    # ------------------------------------------------------------------ #
+    @property
+    def ops(self) -> Tuple[Op, ...]:
+        """The op stream as :class:`Op` objects (decoded once, then kept).
+
+        Materializing pins one object per op on the program; loops that
+        only pass through use :meth:`op`, :meth:`kernel_calls` or the
+        numpy columns instead.
+        """
+        ops = self._ops
+        if ops is None:
+            ops = tuple(self._decode_ops())
+            self._ops = ops
+        return ops
+
+    def op(self, index: int) -> Op:
+        """One op, decoded on demand (no per-op state is kept)."""
+        if self._ops is not None:
+            return self._ops[index]
+        index = range(len(self))[index]  # bounds check; negative indices count back
+        code = int(self.kernel_codes_np[index])
+        params = tuple(self._param_table()[index, : KERNEL_SIGNATURES[code][0]].tolist())
+        starts = [start for start, _ in self._steps]
+        step = self._steps[bisect_right(starts, index) - 1][1]
+        return self._make_op(index, code, params, step, self._access())
+
+    def kernel_calls(self) -> List[Tuple[int, Tuple[int, ...]]]:
+        """``(kernel code, params)`` of every op, in stream order."""
+        return list(zip(self.kernel_codes_np.tolist(), self._param_tuples()))
+
+    def step_labels(self) -> List[str]:
+        """The panel step label of every op, in stream order."""
+        if self._codes is None:
+            return [op.step for op in self.ops]
+        labels: List[str] = []
+        ends = [start for start, _ in self._steps[1:]] + [len(self)]
+        for (start, label), end in zip(self._steps, ends):
+            labels.extend([label] * (end - start))
+        return labels
+
+    def _access(self) -> Callable[[int, Sequence[int]], Access]:
+        shape = self._shape
+        assert shape is not None
+        return self._cached("access", lambda: access_decoder(*shape))
+
+    def _buffers(self) -> Tuple[array, array]:
+        """The kernel-code and params buffers of a compiled program."""
+        assert self._codes is not None and self._params is not None
+        return self._codes, self._params
+
+    def _make_op(
+        self,
+        index: int,
+        code: int,
+        params: Tuple[int, ...],
+        step: str,
+        access: Callable[[int, Sequence[int]], Access],
+    ) -> Op:
+        assert self._shape is not None
+        q = self._shape[1]
+        pq = self._shape[0] * q
+
+        def item(c: int) -> DataItem:
+            return ("U", c // q, c % q) if c < pq else ("L", (c - pq) // q, c % q)
+
+        reads, writes = access(code, params)
+        kernel = KERNEL_LIST[code]
+        _, row, col = KERNEL_SIGNATURES[code]
+        return Op(
+            index=index,
+            kernel=kernel,
+            params=params,
+            reads=frozenset(map(item, reads)),
+            writes=frozenset(map(item, writes)),
+            weight=KERNEL_WEIGHTS[kernel],
+            owner_tile=(params[row], params[col]),
+            step=step,
+        )
+
+    def _decode_ops(self) -> Iterator[Op]:
+        access = self._access()
+        calls = zip(self.kernel_calls(), self.step_labels())
+        for index, ((code, params), step) in enumerate(calls):
+            yield self._make_op(index, code, params, step, access)
+
+    def _param_table(self) -> np.ndarray:
+        """The params buffer as an ``(ops, PARAM_STRIDE)`` int32 view."""
+        return self._cached(
+            "params",
+            lambda: _np_view(self._buffers()[1], np.intc).reshape(-1, PARAM_STRIDE),
+        )
+
+    def _param_tuples(self, order: Optional[np.ndarray] = None) -> List[Tuple[int, ...]]:
+        """Each op's params, in stream order or in the op order ``order``."""
+        if self._codes is None:
+            ops = self.ops
+            ids = range(len(ops)) if order is None else order.tolist()
+            return [ops[i].params for i in ids]
+        table = self._param_table()
+        codes = self.kernel_codes_np
+        if order is not None:
+            table, codes = table[order], codes[order]
+        arity = _ARITY_BY_CODE[codes].tolist()
+        return [tuple(row[:a]) for row, a in zip(table.tolist(), arity)]
 
     # ------------------------------------------------------------------ #
     # Structure-of-arrays columns (cached, zero-copy where possible)
@@ -522,29 +500,43 @@ class Program:
 
     @property
     def succ_indptr_np(self) -> np.ndarray:
-        return self._cached("succ_indptr", lambda: _np_view(self._succ_indptr))
+        def build() -> np.ndarray:
+            out = np.zeros(len(self) + 1, dtype=np.int64)
+            np.cumsum(
+                np.fromiter(map(len, self._succ), dtype=np.int64, count=len(self)),
+                out=out[1:],
+            )
+            out.setflags(write=False)
+            return out
+
+        return self._cached("succ_indptr", build)
 
     @property
     def succ_ids_np(self) -> np.ndarray:
-        return self._cached("succ_ids", lambda: _np_view(self._succ_ids))
+        def build() -> np.ndarray:
+            out = np.fromiter(
+                chain.from_iterable(self._succ), dtype=np.int64, count=self.n_edges
+            )
+            out.setflags(write=False)
+            return out
 
-    def _int_column(
+        return self._cached("succ_ids", build)
+
+    def _column(
         self,
         name: str,
-        from_cols: Callable[[OpColumns], Sequence[int]],
-        from_ops: Callable[[Sequence[Op]], Iterable[int]],
+        compact: Callable[[], np.ndarray],
+        from_ops: Callable[[Op], int],
     ) -> np.ndarray:
+        """A cached int64 per-op column: derived from the buffers, or read
+        off the :class:`Op` records of an object-built program."""
         def build() -> np.ndarray:
-            n = len(self)
-            if self._cols is not None:
-                src = from_cols(self._cols)
+            if self._codes is not None:
+                out = np.ascontiguousarray(compact(), dtype=np.int64)
             else:
-                assert self._ops is not None
-                src = from_ops(self._ops)
-            if isinstance(src, (tuple, list)):
-                out = np.array(src, dtype=np.int64)
-            else:
-                out = np.fromiter(src, dtype=np.int64, count=n)
+                out = np.fromiter(
+                    map(from_ops, self.ops), dtype=np.int64, count=len(self)
+                )
             out.setflags(write=False)
             return out
 
@@ -553,71 +545,69 @@ class Program:
     @property
     def kernel_codes_np(self) -> np.ndarray:
         """Kernel code of every op (index into ``KERNEL_LIST``), int64."""
-        return self._int_column(
+        return self._column(
             "kernel_codes",
-            lambda c: c.kernels,
-            lambda ops: (KERNEL_CODES[op.kernel] for op in ops),
+            lambda: _np_view(self._buffers()[0], np.int8),
+            lambda op: KERNEL_CODES[op.kernel],
         )
 
     @property
     def weights_np(self) -> np.ndarray:
         """Weight of every op (``nb^3/3`` flop units), int64.
 
-        Column-built programs derive the Table-I weights from the kernel
-        codes (the recorder stamps exactly those); object-built programs
-        read the ``weight`` field actually carried by each :class:`Op`,
-        which callers are free to have customized.
+        Compiled programs derive the Table-I weights from the kernel
+        codes; object-built programs read the ``weight`` field actually
+        carried by each :class:`Op`, which callers are free to have
+        customized.
         """
-        def build() -> np.ndarray:
-            if self._cols is not None:
-                out = _WEIGHT_BY_CODE[self.kernel_codes_np]
-            else:
-                assert self._ops is not None
-                out = np.fromiter(
-                    (op.weight for op in self._ops),
-                    dtype=np.int64,
-                    count=len(self._ops),
-                )
-            out.setflags(write=False)
-            return out
+        return self._column(
+            "weights",
+            lambda: _WEIGHT_BY_CODE[self.kernel_codes_np],
+            lambda op: op.weight,
+        )
 
-        return self._cached("weights", build)
+    def _owner_param(self, positions: np.ndarray) -> np.ndarray:
+        """Gather each op's param at ``positions[kernel code]``."""
+        table = self._param_table()
+        return table[np.arange(len(self)), positions[self.kernel_codes_np]]
 
     @property
     def owner_rows_np(self) -> np.ndarray:
         """Owner-tile row coordinate of every op, int64."""
-        return self._int_column(
+        return self._column(
             "owner_rows",
-            lambda c: c.rows,
-            lambda ops: (op.owner_tile[0] for op in ops),
+            lambda: self._owner_param(_OWNER_ROW_BY_CODE),
+            lambda op: op.owner_tile[0],
         )
 
     @property
     def owner_cols_np(self) -> np.ndarray:
         """Owner-tile column coordinate of every op, int64."""
-        return self._int_column(
+        return self._column(
             "owner_cols",
-            lambda c: c.cols,
-            lambda ops: (op.owner_tile[1] for op in ops),
+            lambda: self._owner_param(_OWNER_COL_BY_CODE),
+            lambda op: op.owner_tile[1],
         )
 
     @property
     def writes_count_np(self) -> np.ndarray:
         """Number of data items (tile halves) each op writes, int64."""
-        return self._int_column(
+        return self._column(
             "writes_count",
-            lambda c: map(len, c.writes),
-            lambda ops: (len(op.writes) for op in ops),
+            lambda: _WRITES_BY_CODE[self.kernel_codes_np],
+            lambda op: len(op.writes),
         )
 
     @property
     def levels_np(self) -> np.ndarray:
         """Topological hop level of every op (``1 + max`` over predecessors).
 
-        Computed by the analyzer on the compiler path; object-built
-        programs derive it with one forward pass over the pred CSR.
+        Found while recording on the compiler path; object-built programs
+        derive it with one forward pass over the pred CSR.
         """
         def build() -> np.ndarray:
+            if self._levels is not None:
+                return _np_view(self._levels)
             n = len(self)
             indptr = self._pred_indptr
             ids = self._pred_ids
@@ -629,9 +619,7 @@ class Program:
                     if lv > best:
                         best = lv
                 level[i] = best + 1
-            out = np.array(level, dtype=np.int64)
-            out.setflags(write=False)
-            return out
+            return _read_only(level)
 
         return self._cached("levels", build)
 
@@ -674,11 +662,7 @@ class Program:
                 (level[1:] != level[:-1]) | (code[1:] != code[:-1])
             ) + 1
             bounds = [0, *change.tolist(), n]
-            cols = self._cols
-            params = (
-                cols.params if cols is not None else [op.params for op in self.ops]
-            )
-            picked = [params[i] for i in order.tolist()]
+            picked = self._param_tuples(order)
             code_list = code.tolist()
             return tuple(
                 (code_list[a], tuple(picked[a:b]))

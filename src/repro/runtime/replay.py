@@ -13,7 +13,8 @@ between replays, once:
   them (:func:`dispatch_order`), derived from the policy's ranks over the
   *nominal* durations and memoized, so every replay of a prepared
   program dispatches ops in the same order;
-* the successor lists and the message-byte vector.
+* the message-byte vector; the successor lists it walks are the
+  program's own.
 
 :meth:`PreparedReplay.run` then replays: one pass of the greedy
 owner-computes list-scheduling discipline the paper's PaRSEC runtime
@@ -75,7 +76,6 @@ __all__ = [
     "dispatch_order",
     "network_token",
     "policy_order",
-    "successors",
 ]
 
 # --------------------------------------------------------------------------- #
@@ -97,11 +97,6 @@ _OWNER_VECTORS: "weakref.WeakKeyDictionary[Program, Dict]" = (
 #: ``machine`` is folded to ``None`` for machine-invariant rankings so
 #: configurations that differ only in their machine share one entry.
 _RANK_ORDERS: "weakref.WeakKeyDictionary[Program, Dict]" = (
-    weakref.WeakKeyDictionary()
-)
-#: program -> {None: (successor lists, indegrees, source ops)}, all shared
-#: and never mutated
-_SUCCESSORS: "weakref.WeakKeyDictionary[Program, Dict]" = (
     weakref.WeakKeyDictionary()
 )
 #: program -> {(machine, grid key): makespan lower bound in seconds}
@@ -132,27 +127,6 @@ def _memo_put(table, program: Program, key, value) -> None:
             per = {}
             table[program] = per
         per[key] = value
-
-
-def successors(program: Program) -> Tuple[List[List[int]], List[int], List[int]]:
-    """Per-op successor lists, indegrees and source ops (memoized; shared).
-
-    The kernel walks each op's successors once per replay; pre-sliced
-    lists replace two CSR index lookups per edge with one iteration.
-    Callers copy the indegrees before decrementing them.
-    """
-    value = _memo_get(_SUCCESSORS, program, None, "successors")
-    if value is None:
-        indptr = program.succ_indptr_np.tolist()
-        ids = program.succ_ids_np.tolist()
-        indegree = np.diff(program.pred_indptr_np)
-        value = (
-            [ids[a:b] for a, b in zip(indptr, indptr[1:])],
-            indegree.tolist(),
-            np.flatnonzero(indegree == 0).tolist(),
-        )
-        _memo_put(_SUCCESSORS, program, None, value)
-    return value
 
 
 # --------------------------------------------------------------------------- #
@@ -222,15 +196,15 @@ def dispatch_order(
     one node (``node_of`` is ``None``) that is a single rank-heap drain.
     """
     rank_of, id_of = ranks
-    succ_lists, indegree, init_ready = successors(program)
-    indegree = indegree.copy()
+    succ_lists = program.successor_lists()
+    indegree = program.indegrees()
     n = len(program)
     if node_of is None:
         node_of, n_nodes = [0] * n, 1
     heappush = heapq.heappush
     heappop = heapq.heappop
     ready_heaps: List[List[int]] = [[] for _ in range(n_nodes)]
-    for op_id in init_ready:
+    for op_id in program.sources():
         heappush(ready_heaps[node_of[op_id]], rank_of[op_id])
     order: List[int] = []
     dispatch = order.append
@@ -441,7 +415,7 @@ class PreparedReplay:
         # Always multiplied, never branched on: ``x * 1.0 == x`` exactly.
         self.core_factors = list(machine.core_factors() or [1.0] * self.cores)
 
-        self.succ_lists = successors(program)[0]
+        self.succ_lists = program.successor_lists()
         self.msg_bytes: Optional[List[int]] = None
         if n_nodes > 1 and network.event_driven:
             token = network_token(network)

@@ -4,10 +4,11 @@
 :class:`~repro.ir.program.Program` against the per-kernel read/write-set
 semantics of :mod:`repro.verify.semantics` — a second, independent
 statement of the tile-half access rules, sharing no code with
-:class:`~repro.ir.program.DependencyAnalyzer` or
-:func:`~repro.ir.program.analyze_coded_stream` — and recomputes the full
-superscalar RAW/WAR edge set from scratch.  It then diffs that oracle
-against the Program's stored CSR structure and reports:
+:class:`~repro.ir.program.DependencyAnalyzer` or with
+:class:`~repro.ir.recorder.ProgramRecorder`, whose kernel methods define
+the access sets and find the edges while recording — and recomputes the
+full superscalar RAW/WAR edge set from scratch.  It then diffs that
+oracle against the Program's stored dependency structure and reports:
 
 * ``P-ACCESS-SET`` — an op's recorded read/write sets disagree with the
   kernel semantics (a recorder bug: wrong tile halves traced);
@@ -23,8 +24,8 @@ against the Program's stored CSR structure and reports:
   previous kernel, so this always indicates a malformed stream);
 * ``P-TOPOLOGY`` — CSR malformations: edges violating the insertion-order
   topology (``src >= dst``), unsorted or duplicated predecessor rows, or
-  a successor CSR that is not the exact transpose of the predecessor CSR
-  (the engine's event loop consumes the successor side);
+  successor lists that are not the exact transpose of the predecessor CSR
+  (the replay walks the successor side);
 * ``P-LEVELS`` — the cached topological level column disagrees with the
   levels recomputed from the CSR (the vectorized critical-path and
   bottom-level sweeps group ops by this column).
@@ -65,7 +66,9 @@ def verify_program(program: Program) -> VerificationReport:
     """
     report = VerificationReport(subject=f"program[{program.key!r}]")
     n = len(program)
-    ops = program.ops
+    # Decoded here rather than through ``program.ops``, which would keep
+    # one Op object per op on a (possibly cached) program.
+    ops = [program.op(i) for i in range(n)]
 
     # ------------------------------------------------------------------ #
     # Pass 1: per-op access sets + owner tiles against the oracle, and the
@@ -173,8 +176,8 @@ def verify_program(program: Program) -> VerificationReport:
             )
 
     # ------------------------------------------------------------------ #
-    # Pass 3: successor CSR must be the exact transpose of the pred CSR
-    # (the engine's release loop walks the successor side).
+    # Pass 3: the successor lists must be the exact transpose of the pred
+    # CSR (the replay's release loop walks the successor side).
     # ------------------------------------------------------------------ #
     succ_from_pred: List[List[int]] = [[] for _ in range(n)]
     for dst in range(n):

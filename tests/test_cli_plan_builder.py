@@ -130,6 +130,7 @@ PLAN_ARGVS = [
     "critical-path 8 4 --tree greedy",
     "simulate 2000 2000 --nb 200 --cores 8",
     "svd --input a.npy --tile-size 8",
+    "svd --input a.npy --tile-size 16",
     "plan --m 48 --n 32 --tile-size 8 --stage gesvd --backend numeric",
     "simulate 2000 2000 --nb 200 --cores 8 --policy critical-path",
     "simulate 2000 2000 --nb 200 --cores 8 --nodes 4 --scenario straggler --draws 16 --seed 1",
@@ -238,6 +239,8 @@ PLAN_PINS = {
         ((2000, 2000, "ge2bnd", "auto", "auto", 200, 8, 1, None, "miriel", "list", "uniform", None, None, 0), False, None),
     "svd --input a.npy --tile-size 8":
         ((40, 24, "ge2val", "auto", "greedy", 8, 1, 1, None, "miriel", "list", "uniform", None, None, 0), False, (40, 24)),
+    "svd --input a.npy --tile-size 16":
+        ((40, 24, "ge2val", "auto", "greedy", 16, 1, 1, None, "miriel", "list", "uniform", None, None, 0), False, (40, 24)),
     "plan --m 48 --n 32 --tile-size 8 --stage gesvd --backend numeric":
         ((48, 32, "gesvd", "auto", "greedy", 8, 1, 1, None, "miriel", "list", "uniform", None, None, 0), False, None),
     "simulate 2000 2000 --nb 200 --cores 8 --policy critical-path":

@@ -133,7 +133,7 @@ class TestColumnReads:
     def test_column_and_object_programs_agree(self):
         program = compile_program("rbidiag", 7, 3, FlatTTTree())
         rebuilt = Program.from_ops(program.ops)
-        assert rebuilt.columns is None
+        assert rebuilt._codes is None  # object-built: reads its Op records
         for helper in (
             graph_stats,
             parallelism_profile,

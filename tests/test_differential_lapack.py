@@ -188,3 +188,70 @@ class TestVectorPipelineOrthogonality:
         assert result.u is not None and result.vt is not None
         recon = result.u @ np.diag(result.singular_values) @ result.vt
         assert np.linalg.norm(recon - a) / np.linalg.norm(a) < UV_TOL
+
+
+class TestNearOverflowInput:
+    """Input near overflow is reduced scaled by a power of two, and σ and the
+    band are scaled back exactly; U and Vᵀ do not change.  Without the
+    front-door rescale, 1e307·A raised ``LinAlgError: Singular matrix``
+    from the T factor."""
+
+    @staticmethod
+    def _matrix():
+        return np.random.default_rng(9).standard_normal((96, 64))
+
+    def _run(self, a, stage):
+        return execute(SvdPlan(matrix=a, tile_size=16, stage=stage), "numeric")
+
+    def test_exponent_leaves_the_normal_range_alone(self):
+        from repro.api.resolver import NUMERIC_MAX_ABS_LOG2, overflow_exponent
+
+        a = self._matrix()
+        edge = a / np.abs(a).max() * 2.0**NUMERIC_MAX_ABS_LOG2
+        for scaled in (a, 1e150 * a, 1e300 * a, edge, 0.0 * a):
+            assert overflow_exponent(TiledMatrix.from_dense(scaled, 16)) == 0
+        e = overflow_exponent(TiledMatrix.from_dense(1e307 * a, 16))
+        assert e > 0
+        assert np.abs(1e307 * a).max() * 2.0**-e <= 2.0**NUMERIC_MAX_ABS_LOG2
+
+    @pytest.mark.parametrize("stage", ["ge2bnd", "ge2val", "gesvd"])
+    @pytest.mark.parametrize("label", ["scale-1e307", "one-entry-1e308"])
+    def test_scaled_back_exactly(self, stage, label):
+        from repro.api.resolver import overflow_exponent
+
+        a = self._matrix()
+        if label == "scale-1e307":
+            big = 1e307 * a
+        else:
+            big = a.copy()
+            big[3, 5] = 1e308
+        e = overflow_exponent(TiledMatrix.from_dense(big, 16))
+        got = self._run(big, stage)
+        # The same reduction on the pre-scaled input, by hand.
+        want = self._run(np.ldexp(big, -e), stage)
+        if stage == "gesvd":
+            np.testing.assert_array_equal(got.u, want.u)
+            np.testing.assert_array_equal(got.vt, want.vt)
+        if stage == "ge2bnd":
+            np.testing.assert_array_equal(
+                got.extras["band"].data, np.ldexp(want.extras["band"].data, e)
+            )
+            assert np.isfinite(got.extras["band"].data).all()
+        else:
+            np.testing.assert_array_equal(
+                got.singular_values, np.ldexp(want.singular_values, e)
+            )
+            assert got.max_rel_error < SV_TOL
+
+    def test_gesvd_reconstructs_the_scaled_input(self):
+        a = 1e307 * self._matrix()
+        result = self._run(a, "gesvd")
+        # Norms of a itself overflow, so check on copies scaled by 2**-1020.
+        s = np.ldexp(result.singular_values, -1020)
+        resid = np.ldexp(a, -1020) - (result.u[:, : s.size] * s) @ result.vt
+        assert np.linalg.norm(resid) / np.linalg.norm(np.ldexp(a, -1020)) < UV_TOL
+
+    def test_unrepresentable_singular_values_raise(self):
+        # sigma_max of 2.5e307·A is about 4e308: no double holds it.
+        with pytest.raises(ValueError, match="exceed the double precision range"):
+            self._run(2.5e307 * self._matrix(), "ge2val")

@@ -98,7 +98,7 @@ class TestProgramStructure:
         program = compile_program("bidiag", 4, 4, FlatTSTree())
         preds = [list(program.predecessors(i)) for i in range(len(program))]
         back = Program(program.ops, preds)
-        assert back.columns is None
+        assert back._codes is None  # object-built: reads its Op records
         assert len(back) == len(program)
         assert set(back.edges()) == set(program.edges())
         assert back.total_weight() == program.total_weight()
@@ -141,6 +141,18 @@ class TestRecorder:
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
             ProgramRecorder(1, 0)
+
+    def test_recorder_finalizes_once(self):
+        # The Program adopts the recorder's buffers, so the recorder must
+        # not append to them afterwards.
+        recorder = ProgramRecorder(2, 2)
+        recorder.geqrt(0, 0)
+        program = recorder.program()
+        with pytest.raises(RuntimeError, match="already produced its Program"):
+            recorder.unmqr(0, 0, 1)
+        with pytest.raises(RuntimeError, match="already produced its Program"):
+            recorder.program()
+        assert len(program) == len(recorder) == 1
 
 
 class TestProgramCache:
@@ -216,6 +228,31 @@ class TestProgramCache:
         assert cache.get_or_compile("bidiag", 5, 4, GreedyTree()) is b
         with pytest.raises(ValueError):
             ProgramCache(max_ops=0)
+
+    def test_over_budget_program_is_freed_before_the_next_compile(self, monkeypatch):
+        import gc
+        import weakref
+
+        import repro.ir.compiler as compiler
+
+        cache = ProgramCache(maxsize=10, max_ops=1)
+        big = weakref.ref(cache.get_or_compile("bidiag", 4, 4, GreedyTree()))
+        alive_at_compile = []
+        original = compiler.compile_program
+
+        def watching(*args, **kwargs):
+            gc.collect()
+            alive_at_compile.append(big() is not None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(compiler, "compile_program", watching)
+        cache.get_or_compile("bidiag", 5, 4, GreedyTree())
+        assert alive_at_compile == [False]
+        # A hit still serves the newest program, over budget or not.
+        assert cache.get_or_compile("bidiag", 5, 4, GreedyTree()) is cache.get_or_compile(
+            "bidiag", 5, 4, GreedyTree()
+        )
+        assert alive_at_compile == [False]
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,14 @@ from repro.analysis.communication import (
     communication_matrix,
     communication_volume,
 )
-from repro.ir import Program, clear_program_cache, compile_program, get_program
+from repro.algorithms.tiled_qr import tiled_qr
+from repro.ir import (
+    Program,
+    ProgramRecorder,
+    clear_program_cache,
+    compile_program,
+    get_program,
+)
 from repro.runtime.engine import (
     SimulationEngine,
     critical_path_seconds,
@@ -189,9 +196,9 @@ class TestSoAColumns:
 
     def test_ops_materialize_lazily(self):
         program = compile_program("bidiag", 6, 6, FlatTSTree())
-        assert program._ops is None  # compiled in column form
+        assert program._ops is None  # compiled in compact form
         assert len(program) > 0  # length needs no materialization
-        assert program.columns is not None
+        assert program._codes is not None
         ops = program.ops  # first touch materializes
         assert program._ops is ops
         assert all(op.index == i for i, op in enumerate(ops))
@@ -221,27 +228,43 @@ class TestSoAColumns:
                     rebuilt.predecessors(i)
                 )
 
-    def test_from_columns_rejects_backward_edges(self):
-        program = compile_program("qr", 2, 1, GreedyTree())
-        cols = program.columns
-        bad = [[1]] + [[] for _ in range(len(program) - 1)]
-        with pytest.raises(ValueError):
-            Program.from_columns(cols, bad)
+    def test_finalize_rejects_backward_edges(self):
+        # The recorder's finalize step (Program.from_recording) keeps the
+        # insertion-order topology check: a predecessor id at or past its
+        # op, or negative, is refused.
+        from array import array
 
-    def test_replay_column_dispatch_matches_object_dispatch(self):
-        from repro.ir import ProgramRecorder, replay
+        recorder = ProgramRecorder(2, 1)
+        tiled_qr(recorder, GreedyTree())
+        n = len(recorder)
+        for bad_src in (1, 5, -1):
+            with pytest.raises(ValueError, match="insertion-order topology"):
+                Program.from_recording(
+                    (2, 1),
+                    recorder._codes,
+                    recorder._params,
+                    tuple(recorder._steps),
+                    array("q", [0] + [1] * n),
+                    array("q", [bad_src]),
+                    recorder._levels,
+                    recorder._successors,
+                )
+        # The recorder's own buffers pass.
+        assert len(recorder.program()) == n
+
+    def test_replay_dispatch_matches_object_dispatch(self):
+        from repro.ir import replay
 
         program = compile_program("bidiag", 5, 4, GreedyTree())
-        assert program.columns is not None
-        via_columns = ProgramRecorder(5, 4)
-        replay(program, via_columns)
-        rebuilt = Program.from_ops(program.ops)  # object-built: no columns
-        assert rebuilt.columns is None
+        assert program._codes is not None
+        via_buffers = ProgramRecorder(5, 4)
+        replay(program, via_buffers)
+        rebuilt = Program.from_ops(program.ops)  # object-built: Op records
+        assert rebuilt._codes is None
         via_ops = ProgramRecorder(5, 4)
         replay(rebuilt, via_ops)
-        a, b = via_columns.columns(), via_ops.columns()
-        assert list(a.kernels) == list(b.kernels)
-        assert list(a.params) == list(b.params)
+        a, b = via_buffers.program(), via_ops.program()
+        assert a.kernel_calls() == b.kernel_calls() == program.kernel_calls()
 
 
 class TestOwnerVector:
