@@ -38,7 +38,6 @@ from repro.obs.metrics import REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
-    from repro.runtime.simulator import SimulationResult
 
 #: Names accepted by :func:`execute`.
 BACKENDS = ("numeric", "dag", "simulate")
@@ -212,12 +211,12 @@ def _execute_dag(resolved: ResolvedPlan) -> RunResult:
 # --------------------------------------------------------------------------- #
 # Simulation backend
 # --------------------------------------------------------------------------- #
-def _simulate_run_result(resolved: ResolvedPlan, sim: "SimulationResult") -> RunResult:
-    """Fold one :class:`~repro.runtime.simulator.SimulationResult` into a
-    :class:`RunResult` (shared by the per-plan and batched sweep paths)."""
+def _execute_simulate(resolved: ResolvedPlan) -> RunResult:
     from repro.obs.metrics import run_metrics
     from repro.obs.tracer import current_tracer
+    from repro.runtime.simulator import simulate
 
+    sim = simulate(resolved)
     plan = resolved.plan
     schedule = sim.schedule
     result = _base_result(resolved, "simulate")
@@ -239,12 +238,6 @@ def _simulate_run_result(resolved: ResolvedPlan, sim: "SimulationResult") -> Run
     # which also covers plan resolution and program compilation.
     result.metrics = run_metrics(schedule, resolved.machine, tracer=current_tracer())
     return result
-
-
-def _execute_simulate(resolved: ResolvedPlan) -> RunResult:
-    from repro.runtime.simulator import simulate
-
-    return _simulate_run_result(resolved, simulate(resolved))
 
 
 _BACKEND_FNS = {
@@ -322,62 +315,19 @@ def execute(
     return result
 
 
-def _execute_sweep_batched(
-    plans: List[Union[SvdPlan, ResolvedPlan]],
-    *,
-    config: Optional[Config],
-) -> Optional[List[Dict[str, object]]]:
-    """Batched simulate-backend sweep, or ``None`` to use the per-plan path.
-
-    All candidates go through one vectorized engine pass
-    (:func:`repro.runtime.batch.simulate_resolved_batch`), which shares
-    the compiled program, duration/owner/rank vectors and deduplicated
-    schedules across the sweep; the returned rows are identical to
-    per-plan ``execute(plan, "simulate").to_row()`` calls.  Falls back
-    (returns ``None``) when any plan requests execution tracing — batched
-    replays carry no per-task traces.
-    """
-    from repro.obs.tracer import trace_enabled
-    from repro.runtime.batch import simulate_resolved_batch
-
-    source_plans = [p.plan if isinstance(p, ResolvedPlan) else p for p in plans]
-    if trace_enabled() or any(plan.trace for plan in source_plans):
-        return None
-    resolved = [
-        plan if isinstance(plan, ResolvedPlan) else resolve(plan, config=config)
-        for plan in plans
-    ]
-    outcomes = simulate_resolved_batch(resolved, objective=None, prune=False)
-    rows = []
-    for rp, outcome in zip(resolved, outcomes):
-        if outcome.exception is not None:
-            # Match the per-plan path, which raises at the first failing
-            # plan (in sweep order).
-            raise outcome.exception
-        rows.append(_simulate_run_result(rp, outcome.result).to_row())
-    return rows
-
-
 def execute_sweep(
     plans: Iterable[Union[SvdPlan, ResolvedPlan]],
     backend: str = "simulate",
     *,
     config: Optional[Config] = None,
-    batch: Optional[bool] = None,
 ) -> List[Dict[str, object]]:
     """Execute a list of plans (e.g. from :meth:`SvdPlan.sweep`) and return
     the flattened result rows — the surface experiment tables build on.
 
-    ``batch`` (default ``None`` = auto) routes simulate-backend sweeps of
-    more than one plan through the batch engine
-    (:mod:`repro.runtime.batch`): one vectorized pass over all candidates
-    with bit-identical rows.  ``False`` forces per-plan execution; other
-    backends (and sweeps that request tracing) always run per plan.
+    Each plan runs through :func:`execute`, in order, so a row is exactly
+    that plan's ``execute(plan, backend).to_row()``, an ambient tracer
+    records every simulated plan, and the first failing plan raises.
+    Candidates that share a compiled program share its memoized pricing
+    and dispatch orders (:mod:`repro.runtime.replay`).
     """
-    plans = list(plans)
-    name = backend.strip().lower()
-    if batch is not False and name == "simulate" and len(plans) > 1:
-        rows = _execute_sweep_batched(plans, config=config)
-        if rows is not None:
-            return rows
     return [execute(plan, backend, config=config).to_row() for plan in plans]

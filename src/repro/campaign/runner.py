@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.faults import CampaignFaults, InjectedFault, active_faults, maybe_inject
+from repro.campaign.faults import CampaignFaults, active_faults, maybe_inject
 from repro.campaign.spec import Candidate, CampaignSpec, build_chunks
 from repro.campaign.store import ResultStore
 from repro.obs.metrics import REGISTRY
@@ -85,67 +85,24 @@ def _execute_one(plan, backend: str) -> Dict[str, object]:
     return execute(plan, backend=backend).to_row()
 
 
-def _run_batched_chunk(items: Sequence[Tuple[str, object]]) -> List[TaskResult]:
-    """Simulate several same-Program candidates in one batched engine pass.
-
-    Rows are bit-identical to per-candidate ``execute`` calls (the batch
-    engine's contract, pinned by its own test suite), so chunked and
-    unchunked campaigns produce byte-equal stores.
-    """
-    from repro.api.execute import _simulate_run_result
-    from repro.api.resolver import resolve
-    from repro.runtime.batch import simulate_resolved_batch
-
-    t0 = time.perf_counter()
-    results: List[TaskResult] = []
-    resolved = []
-    for cid, plan in items:
-        try:
-            resolved.append((cid, resolve(plan)))
-        except Exception as exc:
-            results.append((cid, None, f"{type(exc).__name__}: {exc}", 0.0))
-    outcomes = simulate_resolved_batch(
-        [rp for _, rp in resolved], objective=None, prune=False
-    )
-    share = (time.perf_counter() - t0) / max(1, len(resolved))
-    for (cid, rp), outcome in zip(resolved, outcomes):
-        if outcome.error is not None or outcome.result is None:
-            results.append((cid, None, outcome.error or "no result", share))
-        else:
-            row = _simulate_run_result(rp, outcome.result).to_row()
-            results.append((cid, row, None, share))
-    return results
-
-
 def _run_task(payload: Tuple) -> List[TaskResult]:
     """Execute one dispatched chunk inside a worker process.
 
     ``payload`` is ``(backend, faults, items)`` with ``items`` a list of
-    ``(candidate_id, plan, attempt)``.  Fault injection (if armed) runs
-    per candidate *before* its execution, keyed by the attempt number so
-    retries draw independently.  Per-candidate failures are reported as
-    data, never raised — only a crash/hang (or a harness bug) takes the
-    whole task down.
+    ``(candidate_id, plan, attempt)``.  Each candidate runs through
+    :func:`_execute_one`, one ``execute`` call, in chunk order.  Fault
+    injection (if armed) runs per candidate *before* its execution, keyed
+    by the attempt number so retries draw independently.  Per-candidate
+    failures are reported as data, never raised — only a crash/hang (or a
+    harness bug) takes the whole task down.
     """
     backend, faults, items = payload
     results: List[TaskResult] = []
-    live: List[Tuple[str, object]] = []
     for cid, plan, attempt in items:
         t0 = time.perf_counter()
         try:
             maybe_inject(faults, cid, attempt)
-        except InjectedFault as exc:
-            results.append(
-                (cid, None, f"{type(exc).__name__}: {exc}", time.perf_counter() - t0)
-            )
-            continue
-        live.append((cid, plan))
-    if backend == "simulate" and len(live) > 1:
-        results.extend(_run_batched_chunk(live))
-        return results
-    for cid, plan in live:
-        t0 = time.perf_counter()
-        try:
+            t0 = time.perf_counter()  # a hang fault's sleep is not run time
             row = _execute_one(plan, backend)
         except Exception as exc:
             results.append(
@@ -375,7 +332,7 @@ class CampaignRunner:
             c for c in candidates if status.get(c.candidate_id) in ("pending", "failed")
         ]
         pending: Deque[List[Candidate]] = deque(
-            build_chunks(todo, spec.backend, self.chunk_size)
+            build_chunks(todo, self.chunk_size)
         )
         delayed: List[Tuple[float, int, List[Candidate]]] = []
         inflight: Dict[Future, _InFlight] = {}

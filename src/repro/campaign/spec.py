@@ -31,7 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.api.execute import BACKENDS
 from repro.api.plan import SvdPlan
@@ -107,10 +107,9 @@ class CampaignSpec:
     workers:
         Process fan-out width (``None`` defers to the runner default).
     chunk_size:
-        Candidates per worker task.  Chunks are built per compiled
-        Program, so ``> 1`` routes same-DAG simulate candidates through
-        one :func:`repro.runtime.batch.simulate_resolved_batch` pass
-        (bit-identical rows, shared setup); retries and timeouts then
+        Candidates per worker task: consecutive slices of the expansion
+        order, each candidate still one ``execute`` call.  ``> 1`` saves
+        pool round trips on tiny candidates; retries and timeouts then
         apply chunk-wise.
     """
 
@@ -270,45 +269,14 @@ class CampaignSpec:
         return out
 
 
-def _chunk_key(plan: SvdPlan) -> Tuple:
-    """Grouping key for batched execution: candidates with equal keys
-    share one compiled :class:`~repro.ir.program.Program` (the
-    :func:`repro.ir.compiler.program_key` axes) and may be simulated in
-    one :func:`~repro.runtime.batch.simulate_resolved_batch` pass."""
-    from repro.ir.compiler import tree_fingerprint
-
-    resolved = resolve(plan)
-    return (
-        resolved.stage,
-        resolved.variant,
-        resolved.p,
-        resolved.q,
-        tree_fingerprint(resolved.tree),
-        plan.n_cores,
-        resolved.grid.rows,
-    )
-
-
 def build_chunks(
-    candidates: Sequence[Candidate], backend: str, chunk_size: int
+    candidates: Sequence[Candidate], chunk_size: int
 ) -> List[List[Candidate]]:
     """Partition candidates into worker tasks of at most ``chunk_size``.
 
-    With ``chunk_size == 1`` (the robustness default) every candidate is
-    its own task.  Larger chunks group *simulate* candidates by compiled
-    Program so each worker task is one batched engine pass; other
-    backends chunk in plain expansion order.
+    Chunks are consecutive slices of the expansion order, for every
+    backend.  With ``chunk_size == 1`` (the robustness default) every
+    candidate is its own task.
     """
-    if chunk_size <= 1:
-        return [[c] for c in candidates]
-    groups: Dict[object, List[Candidate]] = {}
-    for cand in candidates:
-        key: object = _chunk_key(cand.plan) if backend == "simulate" else "order"
-        groups.setdefault(key, []).append(cand)
-    chunks: List[List[Candidate]] = []
-    for members in groups.values():
-        for i in range(0, len(members), chunk_size):
-            chunks.append(members[i : i + chunk_size])
-    # Deterministic dispatch order: by first member's expansion index.
-    chunks.sort(key=lambda chunk: chunk[0].index)
-    return chunks
+    size = max(1, chunk_size)
+    return [list(candidates[i : i + size]) for i in range(0, len(candidates), size)]

@@ -8,11 +8,11 @@ prices inter-node messages (``uniform`` legacy flat cost or
 and the :class:`~repro.runtime.engine.SimulationEngine` replays a compiled
 :class:`~repro.ir.program.Program` through all three, running the one
 replay kernel (:class:`~repro.runtime.replay.PreparedReplay`) that the
-batch engine and the scenario driver share.  The simulate backend's one
-driver, :func:`repro.runtime.simulator.simulate`, runs a resolved plan
-through the stack and prices the schedule into the GE2BND / GE2VAL
-results the paper's figures report; ``repro.execute`` and
-``repro.execute_sweep`` are the front doors to it.  On top,
+scenario driver shares.  The simulate backend's one driver,
+:func:`repro.runtime.simulator.simulate`, runs a resolved plan through
+the stack and prices the schedule into the GE2BND / GE2VAL results the
+paper's figures report; ``repro.execute`` is the front door to it, and
+``repro.execute_sweep`` calls ``execute`` once per plan.  On top,
 :mod:`~repro.runtime.scenario` layers machine realism — heterogeneity,
 fault models, network noise — and replays the same program across
 Monte-Carlo draws into a
@@ -41,12 +41,6 @@ from repro.runtime.policies import (
 )
 from repro.runtime.scheduler import Schedule
 from repro.runtime.replay import PreparedReplay
-from repro.runtime.batch import (
-    BatchCandidate,
-    BatchEngine,
-    simulate_batch,
-    simulate_resolved_batch,
-)
 from repro.runtime.simulator import SimulationResult
 from repro.runtime.faults import (
     FAULT_MODELS,
@@ -74,8 +68,6 @@ from repro.runtime.scenario import (
 
 __all__ = [
     "AlphaBetaNetwork",
-    "BatchCandidate",
-    "BatchEngine",
     "FAULT_MODELS",
     "FailStopFaults",
     "FaultModel",
@@ -111,6 +103,4 @@ __all__ = [
     "get_scenario",
     "run_scenario",
     "serial_seconds",
-    "simulate_batch",
-    "simulate_resolved_batch",
 ]

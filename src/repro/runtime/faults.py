@@ -17,10 +17,10 @@ pluggable ``FaultModel`` hierarchy of the slp framework (see PAPERS.md):
   occupancy stays nominal — noise models the link, not the sender).
 
 Every factor is ``>= 1.0`` by construction.  That invariant is what keeps
-the analytic ``max(critical path, area)`` lower bounds of
-:mod:`repro.runtime.batch` valid on every draw (perturbations only ever
-slow a schedule down), so the ``robust-makespan`` tuning objective can
-keep pruning.  Models are frozen dataclasses: hashable (they ride on
+the analytic ``max(critical path, area)`` lower bound of
+:meth:`~repro.runtime.engine.SimulationEngine.lower_bound` valid on every
+draw (perturbations only ever slow a schedule down), so the
+``robust-makespan`` tuning objective can keep pruning.  Models are frozen dataclasses: hashable (they ride on
 frozen :class:`~repro.runtime.scenario.Scenario` instances and tuning
 cache keys) and reproducible (all randomness flows through the caller's
 seeded generator; the models themselves hold no state).

@@ -120,7 +120,7 @@ class Machine:
         """Whether any node or core runs slower than nominal.
 
         All-ones slowdown tuples count as homogeneous, so such machines
-        keep their memo-table and batch-dedup keys.
+        keep their memo-table keys.
         """
         return bool(
             (self.node_slowdowns and any(f != 1.0 for f in self.node_slowdowns))

@@ -36,16 +36,16 @@ wire times by per-op factor rows (the scenario layer's Monte-Carlo draws).
 depend on the rows, so unit rows reproduce the nominal schedule bit for
 bit.
 
-:class:`~repro.runtime.engine.SimulationEngine`, the batch engine
-(:mod:`repro.runtime.batch`) and the scenario driver
-(:mod:`repro.runtime.scenario`) are thin callers of this kernel.  The
+:class:`~repro.runtime.engine.SimulationEngine` and the scenario driver
+(:mod:`repro.runtime.scenario`) are thin callers of this kernel; every
+plan, sweeps included, reaches it through one of the two.  The
 independent check against it is the object-path oracle
 :func:`repro.verify.reference.reference_schedule` plus the golden pins.
 
 The per-program memo tables live here too.  They are keyed by weak
 program references, so a sweep whose candidates share a cached program
-shares the pricing and ordering work, and dropping a program from the
-program cache frees its tables.
+shares the pricing and ordering work across its per-plan replays, and
+dropping a program from the program cache frees its tables.
 """
 
 from __future__ import annotations
@@ -59,12 +59,7 @@ import numpy as np
 
 from repro.ir.program import Program
 from repro.obs.metrics import REGISTRY
-from repro.runtime.network import (
-    AlphaBetaNetwork,
-    NetworkModel,
-    UniformNetwork,
-    resolved_message_bytes_vector,
-)
+from repro.runtime.network import resolved_message_bytes_vector
 from repro.runtime.policies import get_policy
 from repro.runtime.scheduler import Schedule
 from repro.tiles.distribution import BlockCyclicDistribution
@@ -74,7 +69,6 @@ __all__ = [
     "ReplayState",
     "dense_order",
     "dispatch_order",
-    "network_token",
     "policy_order",
 ]
 
@@ -101,10 +95,9 @@ _RANK_ORDERS: "weakref.WeakKeyDictionary[Program, Dict]" = (
 )
 #: program -> {(machine, grid key): makespan lower bound in seconds}
 #: :meth:`SimulationEngine.lower_bound`'s ``max(critical path, area)``,
-#: which the batch engine and the tuner prune with; keyed per (machine,
-#: grid) because both the duration vector and the owner-computes placement
-#: feed the bound.
-_BATCH_BOUNDS: "weakref.WeakKeyDictionary[Program, Dict]" = (
+#: which the tuner prunes with; keyed per (machine, grid) because both the
+#: duration vector and the owner-computes placement feed the bound.
+_BOUNDS: "weakref.WeakKeyDictionary[Program, Dict]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -312,19 +305,6 @@ def _empty_state(n_nodes: int) -> ReplayState:
     return ReplayState(schedule, [], {}, set())
 
 
-def network_token(network: NetworkModel) -> object:
-    """Hashable identity of a network model's pricing.
-
-    Unknown subclasses get a fresh sentinel (never equal to anything):
-    their pricing may depend on state no caller can see.
-    """
-    if type(network) is UniformNetwork:
-        return ("uniform",)
-    if type(network) is AlphaBetaNetwork:
-        return ("alpha-beta", network.eager)
-    return object()
-
-
 def _placement(node_of_op: Sequence[int], n: int, n_nodes: int) -> np.ndarray:
     """A caller-supplied owner vector, length- and range-checked."""
     if len(node_of_op) != n:
@@ -349,8 +329,6 @@ class PreparedReplay:
     ``engine`` supplies the machine, distribution, policy and network
     (a :class:`~repro.runtime.engine.SimulationEngine`); ``node_of_op``
     optionally overrides the distribution's owner-computes placement.
-    ``shared`` is a dict the batch engine passes to every member of one
-    batch, so members with equal axes reuse one Python list per axis.
     ``order`` is the dispatch order (:func:`policy_order`) every
     :meth:`run` walks.
     """
@@ -361,7 +339,6 @@ class PreparedReplay:
         program: Program,
         *,
         node_of_op: Optional[Sequence[int]] = None,
-        shared: Optional[Dict] = None,
     ) -> None:
         machine = engine.machine
         network = engine.network
@@ -370,60 +347,42 @@ class PreparedReplay:
         self.n = n = len(program)
         self.n_nodes = n_nodes = machine.n_nodes
         self.cores = machine.cores_per_node
-        mirrors = {} if shared is None else shared
-
-        def mirror(key, build) -> list:
-            value = mirrors.get(key)
-            if value is None:
-                value = mirrors[key] = build()
-            return value
 
         nominal = engine.duration_vector(program)
-        dist = engine.distribution
         if node_of_op is None:
             node_np = engine.owner_vector(program)
-            canonical = type(dist) is BlockCyclicDistribution
         else:
             node_np = _placement(node_of_op, n, n_nodes)
             if n_nodes == 1:
                 node_np = None
-            canonical = False
         # Ranks come from the *nominal* durations: the policy orders ops by
         # its model of the machine and cannot foresee slowdowns or faults,
         # which is also what lets every draw share one memoized order.
         self.order = policy_order(
             engine, program, nominal, node_np, cacheable=node_of_op is None
         )
-        self.node_np = node_np
-        self.node_of: Optional[List[int]] = None
-        if node_np is not None:
-            grid_key = ("nodes", dist.grid.rows, dist.grid.cols)
-            self.node_of = (
-                mirror(grid_key, node_np.tolist) if canonical else node_np.tolist()
-            )
+        self.node_of: Optional[List[int]] = (
+            None if node_np is None else node_np.tolist()
+        )
 
         # Node slowdowns fold into the base durations (owner nodes are fixed
         # per op); core slowdowns apply at dispatch, when the core is known.
         node_factors = machine.node_factors()
         if node_factors is None:
             self.durations_np = nominal
-            self.durations = mirror(("durations", machine), nominal.tolist)
         else:
             nf = np.asarray(node_factors, dtype=np.float64)
             self.durations_np = nominal * (nf[node_np] if node_np is not None else nf[0])
-            self.durations = self.durations_np.tolist()
+        self.durations = self.durations_np.tolist()
         # Always multiplied, never branched on: ``x * 1.0 == x`` exactly.
         self.core_factors = list(machine.core_factors() or [1.0] * self.cores)
 
         self.succ_lists = program.successor_lists()
         self.msg_bytes: Optional[List[int]] = None
         if n_nodes > 1 and network.event_driven:
-            token = network_token(network)
-            key = ("msg_bytes", token, machine) if isinstance(token, tuple) else object()
-            self.msg_bytes = mirror(
-                key,
-                lambda: resolved_message_bytes_vector(network, program, machine).tolist(),
-            )
+            self.msg_bytes = resolved_message_bytes_vector(
+                network, program, machine
+            ).tolist()
 
     # ------------------------------------------------------------------ #
     def run(

@@ -33,7 +33,8 @@ Two modeling decisions worth knowing:
   per-draw marginal cost is one event loop and nothing else.
 * **all factors are >= 1.**  Slowdowns, fault factors and noise factors
   only ever delay; the nominal analytic lower bound therefore bounds
-  every draw, which keeps batch pruning sound for ``robust-makespan``.
+  every draw, which keeps the tuner's pruning sound for
+  ``robust-makespan``.
 
 Observability: every Monte-Carlo run reports ``engine.mc.draws`` /
 ``engine.mc.runs`` counters and an ``engine.mc.fault_events`` per-draw
@@ -178,8 +179,8 @@ def _cycle(pattern: Tuple[float, ...], count: int) -> Optional[Tuple[float, ...]
     """Expand a slowdown pattern block-cyclically to ``count`` entries.
 
     Returns ``None`` when the expansion is a no-op (empty or all-ones
-    pattern), so homogeneous machines keep ``slowdowns=None`` and stay
-    batchable.
+    pattern), so homogeneous machines keep ``slowdowns=None`` and share
+    the nominal machine's memo entries.
     """
     if not pattern or all(f == 1.0 for f in pattern):
         return None

@@ -2,9 +2,9 @@
 
 Schedules come from the replay kernel
 (:class:`~repro.runtime.replay.PreparedReplay`) behind the
-:class:`~repro.runtime.engine.SimulationEngine`, the batch engine and the
-scenario driver: makespan, per-task start/finish times, the node and core
-mapping, and communication statistics.
+:class:`~repro.runtime.engine.SimulationEngine` and the scenario driver:
+makespan, per-task start/finish times, the node and core mapping, and
+communication statistics.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ GE2VAL adds the single-node BND2BD and BD2VAL stages on top of the
 simulated GE2BND time, reproducing the paper's setup where those two
 stages are not distributed.
 
-``execute(plan, "simulate")`` and ``execute_sweep`` are the front doors;
-call ``simulate(resolve(plan))`` directly only to get at the
-:class:`~repro.runtime.scheduler.Schedule`.
+``execute(plan, "simulate")`` is the front door (``execute_sweep`` calls
+it once per plan); call ``simulate(resolve(plan))`` directly only to get
+at the :class:`~repro.runtime.scheduler.Schedule`.
 """
 
 from __future__ import annotations
@@ -63,15 +63,6 @@ class SimulationResult:
     )
 
 
-def require_simulated_stage(resolved: "ResolvedPlan") -> None:
-    """Reject the stages the simulator does not model."""
-    if resolved.stage == "gesvd":
-        raise ValueError(
-            "stage 'gesvd' is only supported by the 'numeric' backend "
-            "(the simulator models GE2BND and GE2VAL)"
-        )
-
-
 def stage_cost(resolved: "ResolvedPlan") -> Tuple[float, float]:
     """``(post seconds, reported flops)`` of the plan's stage.
 
@@ -118,7 +109,11 @@ def simulate(resolved: "ResolvedPlan") -> SimulationResult:
     gives ``time_seconds`` and whose Monte-Carlo draws (``resolved.draws``,
     seeded by the plan's seed) give ``distribution``.
     """
-    require_simulated_stage(resolved)
+    if resolved.stage == "gesvd":
+        raise ValueError(
+            "stage 'gesvd' is only supported by the 'numeric' backend "
+            "(the simulator models GE2BND and GE2VAL)"
+        )
     plan = resolved.plan
     program = resolved.program()
     scenario = resolved.scenario

@@ -1,7 +1,7 @@
 """Object-path reference scheduler: the oracle the replay kernel is held to.
 
-Every simulation path — :meth:`~repro.runtime.engine.SimulationEngine.run`,
-the batch engine and the scenario driver — runs one shared kernel,
+Every simulation path — :meth:`~repro.runtime.engine.SimulationEngine.run`
+and the scenario driver — runs one shared kernel,
 :class:`~repro.runtime.replay.PreparedReplay`.  Comparing those paths
 against each other therefore checks nothing about the kernel itself.
 :func:`reference_schedule` is the independent check: a deliberately

@@ -164,24 +164,18 @@ class TestCampaignSpec:
 
     def test_build_chunks_singletons_by_default(self):
         cands = small_spec().expand()
-        chunks = build_chunks(cands, "simulate", 1)
+        chunks = build_chunks(cands, 1)
         assert [len(c) for c in chunks] == [1, 1, 1, 1]
 
-    def test_build_chunks_groups_same_program(self):
-        # Same tree/grid/cores, different seeds: one compiled Program, so
-        # chunks of size 3 group them for the batched engine.
-        spec = CampaignSpec(
-            name="chunky",
-            base={**BASE, "tree": "flatts"},
-            axes={"seed": [1, 2, 3, 4, 5, 6]},
-            chunk_size=3,
-        )
-        chunks = build_chunks(spec.expand(), "simulate", 3)
-        assert sorted(len(c) for c in chunks) == [3, 3]
-        # Different trees compile different Programs: never share a chunk.
-        mixed = build_chunks(small_spec().expand(), "simulate", 4)
-        for chunk in mixed:
-            assert len({c.plan.tree for c in chunk}) == 1
+    def test_build_chunks_slices_expansion_order(self):
+        # Chunks are consecutive slices of the expansion order, whatever
+        # program each candidate compiles to: the last one may be short.
+        cands = small_spec().expand()
+        chunks = build_chunks(cands, 3)
+        assert chunks == [cands[:3], cands[3:]]
+        assert [c for chunk in chunks for c in chunk] == cands
+        assert len({c.plan.tree for c in chunks[0]}) == 2
+        assert build_chunks(cands, 4) == [cands]
 
 
 # --------------------------------------------------------------------------- #
@@ -371,6 +365,22 @@ class TestCampaignRunner:
             chunk_size=3,
             workers=2,
             backoff_seconds=0.01,
+        )
+        report = run_campaign(spec, tmp_path / "s.sqlite")
+        assert report.complete
+        store = ResultStore(tmp_path / "s.sqlite")
+        rows = {r.candidate_id: r.row for r in store.records("done")}
+        store.close()
+        for cand in spec.expand():
+            ref = execute(cand.plan, backend="simulate").to_row()
+            assert row_key(rows[cand.candidate_id]) == row_key(ref)
+
+    def test_chunks_mixing_programs_are_bitwise_equal(self, tmp_path):
+        # Expansion-order chunks mix trees (programs) and policies.
+        spec = small_spec(chunk_size=3)
+        assert any(
+            len({c.plan.tree for c in chunk}) > 1
+            for chunk in build_chunks(spec.expand(), spec.chunk_size)
         )
         report = run_campaign(spec, tmp_path / "s.sqlite")
         assert report.complete

@@ -41,7 +41,7 @@ REPLAY_SHAPES = [(24, 16, 4), (40, 12, 4), (100, 70, 16), (200, 45, 8), (33, 17,
 REPLAY_TREES = ["flatts", "flattt", "greedy", "auto"]
 
 #: The (algorithm, p, q, tree) shapes of the engine test CONFIGS
-#: (test_soa_fast_path, test_network, test_engine_policies, test_batch_engine).
+#: (test_soa_fast_path, test_network, test_engine_policies).
 CONFIG_SHAPES = [
     ("bidiag", 10, 8, "greedy"),
     ("bidiag", 8, 8, "flattt"),

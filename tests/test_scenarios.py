@@ -4,7 +4,7 @@ Covers the fault/noise models, the scenario registry and its validation,
 heterogeneous Machine slowdowns, the MakespanDistribution summary, the
 golden-pinned default simulate path (the zero-scenario route must stay
 bit-identical across policies, networks and engine paths), scenario
-execution through the plan API and the batched sweep path, robust-makespan
+execution through the plan API and through sweeps, robust-makespan
 tuning reproducibility, the CLI surface, and — under ``@slow`` — seeded
 determinism across PYTHONHASHSEED / engine-path subprocesses.
 """
@@ -19,7 +19,6 @@ import pytest
 
 from repro.api import SvdPlan, execute, execute_sweep, resolve
 from repro.obs.metrics import REGISTRY
-from repro.runtime.batch import BatchCandidate, simulate_batch
 from repro.runtime.engine import SimulationEngine
 from repro.runtime.faults import (
     FailStopFaults,
@@ -560,9 +559,9 @@ class TestScenarioExecution:
 
 
 # --------------------------------------------------------------------------- #
-# Batched sweeps and tuning
+# Sweeps and tuning
 # --------------------------------------------------------------------------- #
-class TestBatchedScenarios:
+class TestScenarioSweeps:
     def test_sweep_matches_per_plan_execute(self):
         base = SvdPlan(m=300, n=200, stage="ge2bnd", tile_size=100,
                        n_cores=2, n_nodes=2, draws=6, seed=9)
@@ -575,37 +574,6 @@ class TestBatchedScenarios:
             if single.distribution is not None:
                 assert row["mc_p95"] == single.distribution.p95
                 assert row["mc_mean"] == single.distribution.mean
-
-    def test_batch_calls_module_run_scenario(self, monkeypatch):
-        # As in simulate(): the batch layer's scenario branch resolves
-        # repro.runtime.batch.run_scenario at call time.
-        import repro.runtime.batch as batch
-
-        calls = []
-
-        def spying_run_scenario(*args, **kwargs):
-            calls.append(kwargs["draws"])
-            return run_scenario(*args, **kwargs)
-
-        monkeypatch.setattr(batch, "run_scenario", spying_run_scenario)
-        plans = [_pin_plan(), _pin_plan(scenario="straggler", draws=3, seed=4)]
-        outcomes = batch.simulate_resolved_batch(
-            [resolve(p) for p in plans], objective="makespan", prune=False
-        )
-        assert calls == [3]
-        assert [o.error for o in outcomes] == [None, None]
-        assert outcomes[0].result.distribution is None
-        assert outcomes[1].result.distribution.n_draws == 3
-
-    def test_batch_engine_rejects_heterogeneous_machines(self):
-        from repro.ir.compiler import get_program
-        from repro.trees import GreedyTree
-
-        program = get_program("bidiag", 2, 2, GreedyTree())
-        het = Machine(n_nodes=1, cores_per_node=2, tile_size=100,
-                      core_slowdowns=(1.5, 1.0))
-        with pytest.raises(ValueError, match="nominal durations only"):
-            simulate_batch(program, [BatchCandidate(machine=het)])
 
     def test_robust_makespan_tuning_is_reproducible(self):
         from repro.tuning import SearchSpace, tune

@@ -7,7 +7,8 @@ observable — schedules (makespan, per-op start/finish, node/core mapping,
 message and byte counts; the object path is
 :func:`repro.verify.reference.reference_schedule`), rank arrays, critical
 paths, bottom levels and static communication counts — across all
-policies x networks x grids, and independent of ``PYTHONHASHSEED``.
+policies x networks x grids, and independent of ``PYTHONHASHSEED``.  It
+also pins the engine's memo counts and its schedule lower bound.
 """
 
 import gc
@@ -23,6 +24,8 @@ from repro.analysis.communication import (
     communication_volume,
 )
 from repro.algorithms.tiled_qr import tiled_qr
+from repro.api.plan import SvdPlan
+from repro.api.resolver import resolve
 from repro.ir import (
     Program,
     ProgramRecorder,
@@ -40,8 +43,10 @@ from repro.runtime.machine import Machine
 from repro.runtime.network import get_network_model
 from repro.runtime.policies import POLICIES, RandomPolicy, get_policy
 from repro.runtime.replay import PreparedReplay, dense_order
+from repro.runtime.simulator import simulate, stage_cost
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
-from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
+from repro.trees import FlatTSTree, FlatTTTree, GreedyTree, make_tree
+from repro.tuning.objectives import get_objective
 from repro.verify.reference import reference_schedule
 
 
@@ -59,6 +64,9 @@ CONFIGS = [
     ("bidiag", 8, 8, FlatTTTree(), Machine(n_nodes=4, cores_per_node=4, tile_size=100)),
     ("bidiag", 9, 6, FlatTSTree(), Machine(n_nodes=6, cores_per_node=2, tile_size=120)),
     ("rbidiag", 12, 4, GreedyTree(), Machine(n_nodes=2, cores_per_node=4, tile_size=100)),
+    # 1600² on 100-wide tiles, one 24-core node, auto tree, ib 40.
+    ("bidiag", 16, 16, make_tree("auto", n_cores=24),
+     Machine(n_nodes=1, cores_per_node=24, tile_size=100, inner_block=40)),
 ]
 
 
@@ -177,6 +185,65 @@ class TestRankArrays:
         machine = Machine(n_nodes=1, cores_per_node=8, tile_size=160)
         want = sum(machine.kernel_duration(op.kernel) for op in program.ops)
         assert serial_seconds(program, machine) == want
+
+
+class TestScheduleBound:
+    """SimulationEngine.lower_bound: the one schedule bound the tuner prunes
+    with lies below every makespan, post stage and scenario draw."""
+
+    #: (algorithm, p, q, tree, machine, grid): single- and multi-node
+    #: shapes, square and tall-skinny grids.
+    PLANS = [
+        ("bidiag", 10, 8, "greedy",
+         Machine(n_nodes=1, cores_per_node=8, tile_size=160), None),
+        ("bidiag", 8, 8, "flattt",
+         Machine(n_nodes=4, cores_per_node=4, tile_size=100), ProcessGrid(2, 2)),
+        ("rbidiag", 12, 4, "greedy",
+         Machine(n_nodes=2, cores_per_node=4, tile_size=100), ProcessGrid(2, 1)),
+    ]
+
+    @staticmethod
+    def _resolved(alg, p, q, tree, machine, grid):
+        return resolve(SvdPlan(
+            m=p * machine.tile_size,
+            n=q * machine.tile_size,
+            stage="ge2bnd",
+            variant=alg,
+            tree=tree,
+            tile_size=machine.tile_size,
+            n_cores=machine.cores_per_node,
+            n_nodes=machine.n_nodes,
+            grid=(grid.rows, grid.cols) if grid is not None else None,
+        ))
+
+    def test_lower_bounds_never_exceed_makespans(self):
+        for alg, p, q, tree, machine, grid in self.PLANS:
+            rp = self._resolved(alg, p, q, tree, machine, grid)
+            program = rp.program()
+            bound = SimulationEngine(machine, rp.distribution).lower_bound(program)
+            for policy in sorted(POLICIES):
+                engine = SimulationEngine(machine, rp.distribution, policy=policy)
+                assert engine.lower_bound(program) == bound  # policy-free
+                assert 0.0 < bound <= engine.run(program).makespan
+
+            ge2val = resolve(rp.plan.with_(stage="ge2val"))
+            post, _ = stage_cost(ge2val)
+            assert post > 0.0
+            seconds = get_objective("makespan").schedule_bound(ge2val)
+            assert seconds == bound + post
+            for policy in sorted(POLICIES):
+                sim = simulate(resolve(ge2val.plan.with_(policy=policy)))
+                assert seconds <= sim.time_seconds
+
+            straggler = resolve(
+                rp.plan.with_(scenario="straggler", draws=8, seed=3)
+            )
+            dist = simulate(straggler).distribution
+            assert dist is not None
+            assert bound <= dist.min <= dist.p95
+            assert get_objective("robust-makespan").schedule_bound(
+                straggler
+            ) <= dist.p95
 
 
 class TestSoAColumns:
@@ -354,6 +421,53 @@ class TestMemoization:
         )
         assert r0.order != r1.order
 
+    def test_machine_invariant_order_shared_across_machines(self):
+        program = get_program("bidiag", 8, 6, GreedyTree())
+        machines = [
+            Machine(n_nodes=1, cores_per_node=8, tile_size=160, inner_block=ib)
+            for ib in (32, 40)
+        ]
+        before = engine_memo_stats()
+        # critical-path ranks by Table-I weights: one order serves both
+        # machines.  list ranks by durations: one order per machine.
+        for policy in ("critical-path", "list"):
+            for machine in machines:
+                SimulationEngine(machine, policy=policy).run(program)
+        after = engine_memo_stats()
+        assert after["order_misses"] - before["order_misses"] == 3
+        assert after["order_hits"] - before["order_hits"] == 1
+
+    def test_locality_resolves_through_list_on_one_node(self):
+        # On one node locality's keys sort exactly like list's, so its
+        # order resolves through list's memo entry: 2 misses (list, fifo)
+        # and 1 hit.
+        program = get_program("bidiag", 10, 8, GreedyTree())
+        machine = Machine(n_nodes=1, cores_per_node=8, tile_size=160)
+        before = engine_memo_stats()
+        runs = {
+            policy: SimulationEngine(machine, policy=policy).run(program)
+            for policy in ("list", "locality", "fifo")
+        }
+        after = engine_memo_stats()
+        assert after["order_misses"] - before["order_misses"] == 2
+        assert after["order_hits"] - before["order_hits"] == 1
+        _assert_schedules_identical(runs["list"], runs["locality"])
+
+    def test_stats_expose_batch_keys(self):
+        # benchmarks/harness/probes.py reads these keys; the batch_* ones
+        # have no producer left and read 0.
+        stats = engine_memo_stats()
+        for key in (
+            "order_programs",
+            "order_hits",
+            "order_misses",
+            "bound_hits",
+            "bound_misses",
+        ):
+            assert key in stats
+        for name in ("candidates", "simulated", "deduped", "pruned"):
+            assert stats[f"batch_{name}"] == 0
+
     @pytest.mark.parametrize("n_nodes", [1, 4])
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_dispatch_order_is_a_topological_permutation(self, policy, n_nodes):
@@ -379,6 +493,9 @@ class TestMemoization:
 
     def test_memo_tables_release_dropped_programs(self):
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
+        # Free programs an earlier test left in reference cycles (a caught
+        # exception's traceback, say), so the baseline counts live ones only.
+        gc.collect()
         before = engine_memo_stats()["duration_programs"]
         program = compile_program("bidiag", 5, 5, GreedyTree())
         SimulationEngine(machine).run(program)
