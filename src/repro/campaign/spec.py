@@ -109,7 +109,8 @@ class CampaignSpec:
     chunk_size:
         Candidates per worker task: consecutive slices of the expansion
         order, each candidate still one ``execute`` call.  ``> 1`` saves
-        pool round trips on tiny candidates; retries and timeouts then
+        pool round trips, which dominate on tiny candidates (the README's
+        campaign section gives a measurement); retries and timeouts then
         apply chunk-wise.
     """
 

@@ -20,10 +20,11 @@ Every factor is ``>= 1.0`` by construction.  That invariant is what keeps
 the analytic ``max(critical path, area)`` lower bound of
 :meth:`~repro.runtime.engine.SimulationEngine.lower_bound` valid on every
 draw (perturbations only ever slow a schedule down), so the
-``robust-makespan`` tuning objective can keep pruning.  Models are frozen dataclasses: hashable (they ride on
-frozen :class:`~repro.runtime.scenario.Scenario` instances and tuning
-cache keys) and reproducible (all randomness flows through the caller's
-seeded generator; the models themselves hold no state).
+``robust-makespan`` tuning objective can keep pruning.  Models are frozen
+dataclasses: hashable (they ride on frozen
+:class:`~repro.runtime.scenario.Scenario` instances and tuning cache keys)
+and reproducible (all randomness flows through the caller's seeded
+generator; the models themselves hold no state).
 
 Registries follow :mod:`repro.runtime.network`: look a model up by name
 through :func:`get_fault_model` / :func:`get_noise_model`, optionally with

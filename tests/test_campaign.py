@@ -357,31 +357,20 @@ class TestCampaignRunner:
             assert row_key(rows[cand.candidate_id]) == row_key(ref)
         store.close()
 
-    def test_chunked_campaign_is_bitwise_equal(self, tmp_path):
-        spec = CampaignSpec(
+    @pytest.mark.parametrize("spec", [
+        # Same tree, different seeds: every chunk holds one program.
+        pytest.param(CampaignSpec(
             name="chunky",
             base={**BASE, "tree": "flatts"},
             axes={"seed": [1, 2, 3, 4, 5, 6]},
             chunk_size=3,
             workers=2,
             backoff_seconds=0.01,
-        )
-        report = run_campaign(spec, tmp_path / "s.sqlite")
-        assert report.complete
-        store = ResultStore(tmp_path / "s.sqlite")
-        rows = {r.candidate_id: r.row for r in store.records("done")}
-        store.close()
-        for cand in spec.expand():
-            ref = execute(cand.plan, backend="simulate").to_row()
-            assert row_key(rows[cand.candidate_id]) == row_key(ref)
-
-    def test_chunks_mixing_programs_are_bitwise_equal(self, tmp_path):
-        # Expansion-order chunks mix trees (programs) and policies.
-        spec = small_spec(chunk_size=3)
-        assert any(
-            len({c.plan.tree for c in chunk}) > 1
-            for chunk in build_chunks(spec.expand(), spec.chunk_size)
-        )
+        ), id="same-program"),
+        # Expansion-order chunks that mix trees (programs) and policies.
+        pytest.param(small_spec(chunk_size=3), id="mixed-programs"),
+    ])
+    def test_chunked_campaign_is_bitwise_equal(self, tmp_path, spec):
         report = run_campaign(spec, tmp_path / "s.sqlite")
         assert report.complete
         store = ResultStore(tmp_path / "s.sqlite")

@@ -57,17 +57,25 @@ def _fresh_program_cache():
     clear_program_cache()
 
 
-#: (algorithm, p, q, tree, machine) configurations spanning single- and
-#: multi-node shapes, square and tall-skinny grids.
+#: (algorithm, p, q, tree, machine, grid) configurations spanning single-
+#: and multi-node shapes, square and tall-skinny grids.  ``grid`` None is
+#: the engine's default near-square grid; ProcessGrid(2, 1) is the n x 1
+#: grid the resolver picks for tall-skinny shapes.
 CONFIGS = [
-    ("bidiag", 10, 8, GreedyTree(), Machine(n_nodes=1, cores_per_node=8, tile_size=160)),
-    ("bidiag", 8, 8, FlatTTTree(), Machine(n_nodes=4, cores_per_node=4, tile_size=100)),
-    ("bidiag", 9, 6, FlatTSTree(), Machine(n_nodes=6, cores_per_node=2, tile_size=120)),
-    ("rbidiag", 12, 4, GreedyTree(), Machine(n_nodes=2, cores_per_node=4, tile_size=100)),
+    ("bidiag", 10, 8, GreedyTree(), Machine(n_nodes=1, cores_per_node=8, tile_size=160), None),
+    ("bidiag", 8, 8, FlatTTTree(), Machine(n_nodes=4, cores_per_node=4, tile_size=100), None),
+    ("bidiag", 9, 6, FlatTSTree(), Machine(n_nodes=6, cores_per_node=2, tile_size=120), None),
+    ("rbidiag", 12, 4, GreedyTree(), Machine(n_nodes=2, cores_per_node=4, tile_size=100), None),
+    ("rbidiag", 12, 4, GreedyTree(), Machine(n_nodes=2, cores_per_node=4, tile_size=100),
+     ProcessGrid(2, 1)),
     # 1600² on 100-wide tiles, one 24-core node, auto tree, ib 40.
     ("bidiag", 16, 16, make_tree("auto", n_cores=24),
-     Machine(n_nodes=1, cores_per_node=24, tile_size=100, inner_block=40)),
+     Machine(n_nodes=1, cores_per_node=24, tile_size=100, inner_block=40), None),
 ]
+
+
+def _distribution(grid):
+    return BlockCyclicDistribution(grid) if grid is not None else None
 
 
 def _assert_schedules_identical(a, b):
@@ -88,14 +96,15 @@ class TestFastLegacySchedules:
 
     @pytest.mark.parametrize("network", ["uniform", "alpha-beta"])
     @pytest.mark.parametrize("policy", sorted(POLICIES))
-    @pytest.mark.parametrize("alg,p,q,tree,machine", CONFIGS)
-    def test_bitwise_equal(self, alg, p, q, tree, machine, policy, network):
+    @pytest.mark.parametrize("alg,p,q,tree,machine,grid", CONFIGS)
+    def test_bitwise_equal(self, alg, p, q, tree, machine, grid, policy, network):
         program = get_program(alg, p, q, tree)
+        dist = _distribution(grid)
         fast = SimulationEngine(
-            machine, policy=policy, network=network
+            machine, dist, policy=policy, network=network
         ).run(program)
         legacy = reference_schedule(
-            program, machine, policy=policy, network=network
+            program, machine, dist, policy=policy, network=network
         )
         _assert_schedules_identical(fast, legacy)
 
@@ -144,10 +153,10 @@ class TestRankArrays:
     """Vectorized policy ranking == legacy per-node recursion, bitwise."""
 
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-    @pytest.mark.parametrize("alg,p,q,tree,machine", CONFIGS[:2])
-    def test_rank_array_matches_rank(self, alg, p, q, tree, machine, policy_name):
+    @pytest.mark.parametrize("alg,p,q,tree,machine,grid", CONFIGS[:2])
+    def test_rank_array_matches_rank(self, alg, p, q, tree, machine, grid, policy_name):
         program = get_program(alg, p, q, tree)
-        engine = SimulationEngine(machine, policy=policy_name)
+        engine = SimulationEngine(machine, _distribution(grid), policy=policy_name)
         durations = engine.duration_vector(program)
         node_np = engine.owner_vector(program)
         node_list = (
@@ -168,7 +177,7 @@ class TestRankArrays:
         )
 
     def test_critical_path_vectorized_bitwise(self):
-        for alg, p, q, tree, machine in CONFIGS:
+        for alg, p, q, tree, machine, _grid in CONFIGS:
             program = get_program(alg, p, q, tree)
             # Default Table-I weights: vectorized sweep vs the per-op loop.
             assert program.critical_path() == program.critical_path(
