@@ -2,10 +2,10 @@
 
 The existing :func:`repro.api.execute_sweep` runs a parameter sweep in
 one process and loses everything on the first crash.  This package turns
-a sweep into a *campaign* — a declarative spec executed through a
-process pool with bounded retries, per-task timeouts, worker-crash
-recovery and a crash-consistent sqlite result store, so a killed or
-interrupted campaign resumes exactly where it stopped::
+a sweep into a *campaign* — a declarative spec executed by worker
+processes with bounded retries, per-task timeouts, worker-crash recovery
+and a crash-consistent sqlite result store, so a killed or interrupted
+campaign resumes exactly where it stopped::
 
     from repro.campaign import CampaignSpec, run_campaign
 
@@ -21,7 +21,8 @@ interrupted campaign resumes exactly where it stopped::
 
 Modules: :mod:`~repro.campaign.spec` (declarative sweeps, stable
 candidate ids), :mod:`~repro.campaign.store` (sqlite WAL ledger,
-exactly-once results), :mod:`~repro.campaign.runner` (pool fan-out,
+exactly-once results), :mod:`~repro.campaign.runner` (one pipe per
+worker, each failure charged to the chunk that caused it,
 retry/timeout/respawn/quarantine, signal-drain resume),
 :mod:`~repro.campaign.faults` (campaign-level crash/hang/raise
 injection) and :mod:`~repro.campaign.aggregate` (tables and summaries).

@@ -2,9 +2,9 @@
 
 Distinct from :mod:`repro.runtime.faults` (which perturbs the *simulated*
 machine inside the engine), this module attacks the campaign runner's own
-workers so its recovery paths — ``BrokenProcessPool`` respawn, per-task
-timeouts, bounded retries, quarantine — are themselves tested and
-benchmarked, not just written.
+workers so its recovery paths — worker respawn, per-task timeouts,
+bounded retries, quarantine — are themselves tested and benchmarked, not
+just written.
 
 Faults are declared in the environment so any campaign entry point can be
 hardened without code changes::
@@ -14,7 +14,8 @@ hardened without code changes::
 Syntax: comma-separated ``kind:probability`` terms, where ``kind`` is
 
 * ``crash`` — the worker process dies hard (``os._exit``), exactly like
-  a kill -9 / OOM kill: the pool breaks and must be respawned;
+  a kill -9 / OOM kill: the runner charges the chunk that worker held and
+  starts a new worker in its place;
 * ``hang``  — the worker sleeps (default effectively forever; an optional
   third field sets the duration, e.g. ``hang:0.1:0.5``), exercising the
   per-task timeout and kill path;

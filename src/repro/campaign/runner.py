@@ -1,32 +1,34 @@
-"""Fault-tolerant campaign execution over a process pool.
+"""Fault-tolerant campaign execution over the runner's own worker processes.
 
 :class:`CampaignRunner` drives the candidates of one
-:class:`~repro.campaign.spec.CampaignSpec` through a
-``concurrent.futures`` process pool to completion, surviving everything
-the satellites throw at it:
+:class:`~repro.campaign.spec.CampaignSpec` to completion through
+``workers`` processes.  Each worker is joined to the parent by one duplex
+pipe and holds at most one chunk at a time, so every failure is charged
+to the chunk that caused it:
 
 * **bounded retries with backoff** — a failing candidate is retried up to
   ``max_attempts`` times, delayed by exponential backoff with
   deterministic per-candidate jitter (:mod:`repro.utils.retry`);
-* **per-task timeouts** — a task past its deadline has the (possibly
-  hung) workers killed, costs the culprit one attempt, and re-queues the
-  innocent in-flight tasks uncharged;
+* **per-task timeouts** — a chunk's clock starts when it is handed to an
+  idle worker; past its deadline that worker alone is killed, the chunk
+  is charged one attempt and the other workers keep running;
 * **worker-crash recovery** — a dead worker (kill -9, OOM, injected
-  ``os._exit``) breaks the whole pool, so the crash cannot be attributed
-  to one of the in-flight tasks.  The pool is respawned and the in-flight
-  work re-enqueued *uncharged*; a candidate caught in repeated breaks is
-  then dispatched in *isolation* (alone in the pool), where the next
-  break is attributable and charges it — innocents never lose their
-  retry budget to a neighbour's crash, while a candidate that itself
-  crashes deterministically still marches to quarantine;
+  ``os._exit``) is charged the chunk it held, and only that worker is
+  replaced;
 * **graceful degradation** — a candidate that exhausts its attempts is
   *quarantined* with its last error while the campaign continues;
 * **resumable interruption** — SIGINT/SIGTERM stops dispatch, drains
   in-flight work into the store and returns with ``interrupted=True``;
-  a second signal tears the pool down immediately.  Either way the
-  crash-consistent :class:`~repro.campaign.store.ResultStore` holds
-  exactly the finished work, and a later ``run()`` (or ``repro campaign
-  resume``) executes exactly the remainder.
+  a second signal kills the busy workers and re-queues their chunks
+  uncharged.  Either way the crash-consistent
+  :class:`~repro.campaign.store.ResultStore` holds exactly the finished
+  work, and a later ``run()`` (or ``repro campaign resume``) executes
+  exactly the remainder.
+
+Each round of the dispatch loop waits until a busy worker answers, dies
+or overruns, hands the next pending chunk to every idle worker, and then,
+while the workers compute, commits the round's results and hand-offs in
+one store transaction.
 
 Progress counters (``campaign.retries`` / ``timeouts`` / ``respawns`` /
 ``quarantined`` / ``resumed_skips`` / ``done``) report into the
@@ -44,11 +46,11 @@ import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future
-from concurrent.futures import ProcessPoolExecutor, wait as futures_wait
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.faults import CampaignFaults, active_faults, maybe_inject
 from repro.campaign.spec import Candidate, CampaignSpec, build_chunks
@@ -57,13 +59,16 @@ from repro.obs.metrics import REGISTRY
 from repro.utils.retry import RetryPolicy, backoff_delay
 
 #: (candidate_id, row-or-None, error-or-None, wall_seconds) per candidate.
-TaskResult = Tuple[str, Optional[Dict[str, object]], Optional[str], float]
+TaskResult = Tuple[str, Optional[Dict[str, object]], Optional[str], Optional[float]]
+
+#: One dispatched candidate: (candidate_id, plan, attempt).
+TaskItem = Tuple[str, object, int]
 
 #: Poll tick of the dispatch loop (also the signal-responsiveness bound).
 _TICK_SECONDS = 0.2
 
-#: Candidates seen in this many pool breaks run isolated from then on.
-_ISOLATE_AFTER = 2
+#: How long a stopped worker may take to exit before it is killed.
+_STOP_SECONDS = 2.0
 
 
 def default_workers() -> int:
@@ -77,7 +82,7 @@ def default_store_path(spec: CampaignSpec) -> Path:
 
 
 # --------------------------------------------------------------------------- #
-# The worker side (module-level so process pools can pickle it)
+# The worker side (module-level so a spawned worker can import it)
 # --------------------------------------------------------------------------- #
 def _execute_one(plan, backend: str) -> Dict[str, object]:
     from repro.api.execute import execute
@@ -85,18 +90,18 @@ def _execute_one(plan, backend: str) -> Dict[str, object]:
     return execute(plan, backend=backend).to_row()
 
 
-def _run_task(payload: Tuple) -> List[TaskResult]:
+def _run_task(
+    backend: str, faults: Optional[CampaignFaults], items: List[TaskItem]
+) -> List[TaskResult]:
     """Execute one dispatched chunk inside a worker process.
 
-    ``payload`` is ``(backend, faults, items)`` with ``items`` a list of
-    ``(candidate_id, plan, attempt)``.  Each candidate runs through
-    :func:`_execute_one`, one ``execute`` call, in chunk order.  Fault
-    injection (if armed) runs per candidate *before* its execution, keyed
-    by the attempt number so retries draw independently.  Per-candidate
-    failures are reported as data, never raised — only a crash/hang (or a
-    harness bug) takes the whole task down.
+    Each candidate runs through :func:`_execute_one`, one ``execute``
+    call, in chunk order.  Fault injection (if armed) runs per candidate
+    *before* its execution, keyed by the attempt number so retries draw
+    independently.  Per-candidate failures are reported as data, never
+    raised — only a crash/hang (or a harness bug) takes the whole chunk
+    down.
     """
-    backend, faults, items = payload
     results: List[TaskResult] = []
     for cid, plan, attempt in items:
         t0 = time.perf_counter()
@@ -111,6 +116,32 @@ def _run_task(payload: Tuple) -> List[TaskResult]:
         else:
             results.append((cid, row, None, time.perf_counter() - t0))
     return results
+
+
+def _worker_loop(
+    conn: Connection,
+    parent_end: Connection,
+    backend: str,
+    faults: Optional[CampaignFaults],
+) -> None:
+    """Body of one worker process: run each chunk received, send back its
+    results, and stop on ``None`` or when the parent is gone."""
+    # Close the inherited copy of the parent's end, so that the parent's
+    # death reads as EOF here.
+    parent_end.close()
+    # An interrupt at the terminal reaches every process of the group; the
+    # parent decides, and drains the chunk this worker holds.  A forked
+    # worker inherits the runner's SIGTERM handler: restore the default.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
+        try:
+            items = conn.recv()
+            if items is None:
+                return
+            conn.send(_run_task(backend, faults, items))
+        except (EOFError, OSError):
+            return
 
 
 # --------------------------------------------------------------------------- #
@@ -177,20 +208,20 @@ class CampaignReport:
             f"skipped (already done) : {self.resumed_skips}",
             f"retries        : {self.retries}",
             f"timeouts       : {self.timeouts}",
-            f"pool respawns  : {self.respawns}",
+            f"worker respawns: {self.respawns}",
             f"elapsed        : {self.elapsed_seconds:.2f}s",
         ]
         return "\n".join(lines)
 
 
 @dataclass
-class _InFlight:
-    """Bookkeeping of one dispatched task."""
+class _Worker:
+    """One worker process, the parent's end of its pipe, and its chunk."""
 
-    future: Future
-    items: List[Tuple[str, object, int]]  # (cid, plan, attempt)
-    deadline: Optional[float]
-    isolated: bool = False
+    proc: BaseProcess
+    conn: Connection
+    items: Optional[List[TaskItem]] = None  # the chunk in flight, if busy
+    deadline: Optional[float] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -237,68 +268,74 @@ class CampaignRunner:
             )
         self._mp_context = multiprocessing.get_context(mp_context)
         self._install_signals = install_signal_handlers
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._workers: List[_Worker] = []
         self._interrupts = 0
-        self._report: Optional[CampaignReport] = None
-        self._seq_counter = 0
-        self._candidates_by_id: Optional[Dict[str, Candidate]] = None
-        # Crash attribution: pool-break counts per candidate id; at
-        # _ISOLATE_AFTER the candidate runs alone so breaks attribute.
-        self._crash_streak: Dict[str, int] = {}
-        self._hotq: Deque[Candidate] = deque()
-        self._hot_inflight = False
 
     # ------------------------------------------------------------------ #
-    # Pool plumbing
+    # Workers
     # ------------------------------------------------------------------ #
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._mp_context
-            )
-        return self._pool
+    def _start_worker(self) -> _Worker:
+        conn, child_end = self._mp_context.Pipe()
+        proc = self._mp_context.Process(
+            target=_worker_loop,
+            args=(child_end, conn, self.spec.backend, self.faults),
+        )
+        proc.start()
+        child_end.close()
+        worker = _Worker(proc, conn)
+        self._workers.append(worker)
+        return worker
 
-    def _teardown_pool(self, kill: bool = True) -> None:
-        """Abandon the current pool, killing its workers if asked.
+    def _retire(
+        self, worker: _Worker, report: Optional[CampaignReport] = None
+    ) -> None:
+        """Kill (if still alive), reap and forget one worker.  Given the
+        ``report``, the worker was lost (crash, timeout kill) and the next
+        hand-off starts its replacement: count one respawn."""
+        worker.proc.kill()
+        worker.proc.join()
+        worker.conn.close()
+        self._workers.remove(worker)
+        if report is not None:
+            report.respawns += 1
+            REGISTRY.inc("campaign.respawns")
 
-        Used on timeouts (the only portable way to stop a hung worker is
-        to kill it), on pool breakage, and on hard interrupts.  A fresh
-        pool is spawned lazily by the next dispatch.
+    def _stop_workers(self) -> None:
+        """Stop and reap every worker, so that none outlives ``run()``.
+
+        Idle workers are told to exit; a worker still holding a chunk
+        (hard interrupt, or an exception in the loop) is killed.
         """
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        procs = list(getattr(pool, "_processes", {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        if not kill:
-            return
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - SIGTERM-immune worker
-                proc.kill()
+        for worker in self._workers:
+            try:
+                if worker.items is None:
+                    worker.conn.send(None)
+                else:
+                    worker.proc.kill()
+            except OSError:  # already dead
+                pass
+        for worker in self._workers:
+            worker.proc.join(_STOP_SECONDS)
+            if worker.proc.is_alive():  # pragma: no cover - stuck in exit
+                worker.proc.kill()
+                worker.proc.join()
+            worker.conn.close()
+        self._workers.clear()
 
     def worker_pids(self) -> List[int]:
         """Live worker process ids (for tests that kill them)."""
-        pool = self._pool
-        if pool is None:
-            return []
         return [
-            proc.pid
-            for proc in getattr(pool, "_processes", {}).values()
-            if proc.is_alive() and proc.pid is not None
+            worker.proc.pid
+            for worker in list(self._workers)
+            if worker.proc.is_alive() and worker.proc.pid is not None
         ]
 
     # ------------------------------------------------------------------ #
     # Signals
     # ------------------------------------------------------------------ #
     def _signal_handler(self, signum, frame) -> None:  # pragma: no cover - timing
+        # The loop polls the count: one drains, two stop waiting.
         self._interrupts += 1
-        if self._interrupts >= 2:
-            # Second signal: stop waiting on in-flight work.
-            self._teardown_pool()
 
     def _with_signals(self) -> bool:
         if self._install_signals is not None:
@@ -323,230 +360,189 @@ class CampaignRunner:
             n_candidates=len(candidates),
             resumed_skips=reg.already_done,
         )
-        self._report = report
 
-        records = self.store.records()
-        status = {rec.candidate_id: rec.status for rec in records}
-        attempts = {rec.candidate_id: rec.attempts for rec in records}
+        progress = self.store.progress()
+        attempts = {cid: n for cid, (_, n) in progress.items()}
         todo = [
-            c for c in candidates if status.get(c.candidate_id) in ("pending", "failed")
+            c for c in candidates
+            if progress[c.candidate_id][0] in ("pending", "failed")
         ]
-        pending: Deque[List[Candidate]] = deque(
-            build_chunks(todo, self.chunk_size)
-        )
-        delayed: List[Tuple[float, int, List[Candidate]]] = []
-        inflight: Dict[Future, _InFlight] = {}
-        window = self.workers * 2
-        interrupted = False
+        pending: Deque[List[Candidate]] = deque(build_chunks(todo, self.chunk_size))
+        by_id = {c.candidate_id: c for c in candidates}
 
         old_handlers = {}
         if self._with_signals():
             for sig in (signal.SIGINT, signal.SIGTERM):
                 old_handlers[sig] = signal.signal(sig, self._signal_handler)
         try:
-            while pending or delayed or inflight or self._hotq:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    self._enqueue(heapq.heappop(delayed)[2], pending)
-                if self._interrupts == 0:
-                    self._submit(pending, attempts, inflight, window)
-                if not inflight:
-                    if self._interrupts:
-                        break
-                    if pending or self._hotq:
-                        continue
-                    # Only backoff-delayed retries remain: sleep to the next.
-                    time.sleep(
-                        min(_TICK_SECONDS, max(0.0, delayed[0][0] - now))
-                        if delayed
-                        else _TICK_SECONDS
-                    )
-                    continue
-                timeout = _TICK_SECONDS
-                deadlines = [t.deadline for t in inflight.values() if t.deadline]
-                if deadlines:
-                    timeout = min(timeout, max(0.01, min(deadlines) - now))
-                done, _ = futures_wait(
-                    set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                broken = False
-                for future in done:
-                    task = inflight.pop(future)
-                    if task.isolated:
-                        self._hot_inflight = False
-                    try:
-                        results = future.result()
-                    except BrokenExecutor:
-                        broken = True
-                        if task.isolated:
-                            # Alone in the pool: the crash is attributable.
-                            self._charge_task(
-                                task,
-                                "worker crashed (BrokenProcessPool, isolated run)",
-                                attempts, pending, delayed, report,
-                            )
-                        else:
-                            self._crashed(task, pending)
-                    except Exception as exc:  # harness-level task failure
-                        self._charge_task(
-                            task, f"{type(exc).__name__}: {exc}",
-                            attempts, pending, delayed, report,
-                        )
-                    else:
-                        self._absorb(task, results, attempts, pending, delayed, report)
-                if broken:
-                    report.respawns += 1
-                    REGISTRY.inc("campaign.respawns")
-                    self._teardown_pool()
-                    for task in inflight.values():
-                        if task.isolated:  # pragma: no cover - defensive
-                            self._hot_inflight = False
-                        self._crashed(task, pending)
-                    inflight.clear()
-                self._expire(inflight, attempts, pending, delayed, report)
-            interrupted = self._interrupts > 0
-            if interrupted and inflight:
-                # Hard interrupt: the pool is gone; re-queue uncharged.
-                for task in inflight.values():
-                    self.store.release([cid for cid, _, _ in task.items])
-                inflight.clear()
+            self._drive(by_id, pending, attempts, report)
         except KeyboardInterrupt:
-            # No handler installed (e.g. non-main thread): treat like one
-            # graceful signal, leaving in-flight rows to requeue_interrupted.
-            interrupted = True
-            self._teardown_pool()
+            # No handler installed (e.g. non-main thread): stop now, leaving
+            # in-flight rows to requeue_interrupted.
+            self._interrupts += 1
         finally:
             for sig, handler in old_handlers.items():
                 signal.signal(sig, handler)
-            self._teardown_pool(kill=self._interrupts > 0)
-        report.interrupted = interrupted or self._interrupts > 0
+            self._stop_workers()
+        report.interrupted = self._interrupts > 0
         report.counts = self.store.counts()
         report.elapsed_seconds = time.perf_counter() - t_start
         self.store.set_meta("last_run", json.dumps(report.to_dict(), sort_keys=True))
         return report
 
-    # ------------------------------------------------------------------ #
-    # Dispatch / absorb helpers
-    # ------------------------------------------------------------------ #
-    def _hot(self, cid: str) -> bool:
-        return self._crash_streak.get(cid, 0) >= _ISOLATE_AFTER
+    def _drive(
+        self,
+        by_id: Dict[str, Candidate],
+        pending: Deque[List[Candidate]],
+        attempts: Dict[str, int],
+        report: CampaignReport,
+    ) -> None:
+        """The dispatch loop; returns when nothing is left to run or wait for."""
+        delayed: List[Tuple[float, str]] = []  # (due, candidate_id) retries
+        settled: List[TaskResult] = []
+        released: List[str] = []
+        while True:
+            now = time.monotonic()
+            while delayed and delayed[0][0] <= now:
+                pending.append([by_id[heapq.heappop(delayed)[1]]])
+            sent = [] if self._interrupts else self._hand_out(pending, attempts, report)
+            if settled or released or sent:
+                with self.store.transaction():
+                    for cid, row, error, wall in settled:
+                        if error is not None:
+                            self._charge(cid, error, wall, attempts, delayed, report)
+                        elif self.store.mark_done(cid, row, wall):
+                            REGISTRY.inc("campaign.done")
+                        else:
+                            report.duplicates += 1
+                            REGISTRY.inc("campaign.duplicate_results")
+                    if released:
+                        self.store.release(released)
+                    if sent:
+                        self.store.mark_running(sent)
+                settled, released = [], []
+            busy = [w for w in self._workers if w.items is not None]
+            if busy:
+                settled, released = self._collect(busy, report)
+            elif self._interrupts or not (pending or delayed):
+                return
+            else:
+                # Only backoff-delayed retries remain: sleep to the next.
+                time.sleep(
+                    min(_TICK_SECONDS, max(0.0, delayed[0][0] - now))
+                    if delayed
+                    else _TICK_SECONDS
+                )
 
-    def _enqueue(self, chunk: Sequence[Candidate], pending: Deque) -> None:
-        """Route re-queued work: crash-suspect candidates go to the
-        isolation queue (run alone), the rest back to the normal queue."""
-        cold = [c for c in chunk if not self._hot(c.candidate_id)]
-        for cand in chunk:
-            if self._hot(cand.candidate_id):
-                self._hotq.append(cand)
-        if cold:
-            pending.append(cold)
-
-    def _submit(
+    # ------------------------------------------------------------------ #
+    # Dispatch / collect helpers
+    # ------------------------------------------------------------------ #
+    def _hand_out(
         self,
         pending: Deque[List[Candidate]],
         attempts: Dict[str, int],
-        inflight: Dict[Future, _InFlight],
-        window: int,
-    ) -> None:
-        if self._hot_inflight:
-            return  # an isolated suspect owns the pool
-        if self._hotq:
-            # Drain the pool, then run the next suspect alone.
-            if not inflight:
-                cand = self._hotq.popleft()
-                if not self._dispatch([cand], attempts, inflight, isolated=True):
-                    self._hotq.appendleft(cand)
-            return
-        while pending and len(inflight) < window:
-            chunk = pending.popleft()
-            if not self._dispatch(chunk, attempts, inflight):
-                pending.appendleft(chunk)
-                return
-
-    def _dispatch(
-        self,
-        chunk: Sequence[Candidate],
-        attempts: Dict[str, int],
-        inflight: Dict[Future, _InFlight],
-        *,
-        isolated: bool = False,
-    ) -> bool:
-        items = [
-            (c.candidate_id, c.plan, attempts.get(c.candidate_id, 0) + 1)
-            for c in chunk
-        ]
-        self.store.mark_running([cid for cid, _, _ in items])
-        try:
-            future = self._ensure_pool().submit(
-                _run_task, (self.spec.backend, self.faults, items)
-            )
-        except BrokenExecutor:
-            # A concurrent worker crash broke the pool before this chunk
-            # was accepted: nothing ran, so nobody is charged.  Tear the
-            # pool down so the next dispatch spawns a fresh one; if no
-            # work is in flight nothing else will surface the break, so
-            # count the respawn here.
-            self.store.release([cid for cid, _, _ in items])
-            self._teardown_pool()
-            if not inflight and self._report is not None:
-                self._report.respawns += 1
-                REGISTRY.inc("campaign.respawns")
-            return False
-        deadline = None
-        if self.timeout_seconds is not None:
-            deadline = time.monotonic() + self.timeout_seconds * len(items)
-        inflight[future] = _InFlight(
-            future=future, items=items, deadline=deadline, isolated=isolated
-        )
-        if isolated:
-            self._hot_inflight = True
-        return True
-
-    def _absorb(
-        self, task, results, attempts, pending, delayed, report
-    ) -> None:
-        for cid, row, error, wall in results:
-            if error is None and row is not None:
-                self._crash_streak.pop(cid, None)
-                if self.store.mark_done(cid, row, wall):
-                    REGISTRY.inc("campaign.done")
-                else:
-                    report.duplicates += 1
-                    REGISTRY.inc("campaign.duplicate_results")
+        report: CampaignReport,
+    ) -> List[str]:
+        """Send the next pending chunk to every idle worker, starting
+        workers up to ``self.workers``; returns the candidate ids sent."""
+        sent: List[str] = []
+        idle = [w for w in self._workers if w.items is None]
+        while pending:
+            if idle:
+                worker = idle.pop()
+            elif len(self._workers) < self.workers:
+                worker = self._start_worker()
             else:
-                self._charge_one(
-                    cid, error or "no result", attempts, pending, delayed, report,
-                    wall_seconds=wall,
+                break
+            chunk = pending.popleft()
+            items = [(c.candidate_id, c.plan, attempts[c.candidate_id] + 1) for c in chunk]
+            try:
+                worker.conn.send(items)
+            except OSError:
+                # The worker died idle: nothing ran, nobody is charged.  Its
+                # replacement starts next round.
+                pending.appendleft(chunk)
+                self._retire(worker, report)
+                break
+            worker.items = items
+            if self.timeout_seconds is not None:
+                worker.deadline = time.monotonic() + self.timeout_seconds * len(items)
+            sent.extend(cid for cid, _, _ in items)
+        return sent
+
+    def _collect(
+        self, busy: List[_Worker], report: CampaignReport
+    ) -> Tuple[List[TaskResult], List[str]]:
+        """Wait for busy workers; returns the results to settle (a lost
+        chunk as one error per candidate) and the ids to release uncharged."""
+        settled: List[TaskResult] = []
+        released: List[str] = []
+        if self._interrupts > 1:
+            # Second signal: stop waiting on in-flight work.
+            for worker in busy:
+                released.extend(cid for cid, _, _ in worker.items or ())
+                self._retire(worker)
+            return settled, released
+        timeout = _TICK_SECONDS
+        deadlines = [w.deadline for w in busy if w.deadline is not None]
+        if deadlines:
+            timeout = min(timeout, max(0.0, min(deadlines) - time.monotonic()))
+        ready = set(wait([w.conn for w in busy] + [w.proc.sentinel for w in busy], timeout))
+        now = time.monotonic()
+        for worker in busy:
+            items = worker.items or []
+            answered = worker.conn in ready
+            dead = worker.proc.sentinel in ready
+            if answered or dead:
+                try:
+                    # A dead worker's pipe holds its result or EOF.
+                    if answered or worker.conn.poll():
+                        settled.extend(worker.conn.recv())
+                        worker.items = None
+                except (EOFError, OSError):
+                    dead = True
+                if not dead:
+                    continue
+                self._retire(worker, report)
+                if worker.items is None:  # answered, then died: nothing lost
+                    continue
+                if self._interrupts:  # perhaps the signal's doing: no charge
+                    released.extend(cid for cid, _, _ in items)
+                    continue
+                error = f"WorkerCrash: worker exited with code {worker.proc.exitcode}"
+            elif worker.deadline is not None and worker.deadline <= now:
+                self._retire(worker, report)
+                report.timeouts += len(items)
+                REGISTRY.inc("campaign.timeouts", len(items))
+                error = (
+                    f"TimeoutError: exceeded the {self.timeout_seconds}s "
+                    "per-candidate budget"
                 )
+            else:
+                continue
+            settled.extend(
+                (cid, None, f"{error} (attempt {attempt})", None)
+                for cid, _, attempt in items
+            )
+        return settled, released
 
-    def _crashed(self, task: _InFlight, pending: Deque) -> None:
-        """Re-queue a task lost to an unattributable pool break.
-
-        Nobody is charged an attempt — the culprit is unknown — but every
-        candidate's crash streak grows, and repeat offenders graduate to
-        isolated dispatch where the next break *is* attributable.
-        """
-        cids = [cid for cid, _, _ in task.items]
-        for cid in cids:
-            self._crash_streak[cid] = self._crash_streak.get(cid, 0) + 1
-        self.store.release(cids)
-        self._enqueue([self._candidate_of(cid) for cid in cids], pending)
-
-    def _charge_task(self, task, error, attempts, pending, delayed, report) -> None:
-        for cid, _, _ in task.items:
-            self._charge_one(cid, error, attempts, pending, delayed, report)
-
-    def _charge_one(
-        self, cid, error, attempts, pending, delayed, report, *, wall_seconds=None
+    def _charge(
+        self,
+        cid: str,
+        error: str,
+        wall: Optional[float],
+        attempts: Dict[str, int],
+        delayed: List[Tuple[float, str]],
+        report: CampaignReport,
     ) -> None:
+        """Charge one failed attempt and schedule its retry, if any."""
         status, n = self.store.charge_failure(
-            cid, error, max_attempts=self.max_attempts, wall_seconds=wall_seconds
+            cid, error, max_attempts=self.max_attempts, wall_seconds=wall
         )
         attempts[cid] = n
         if status == "quarantined":
             report.quarantined += 1
             REGISTRY.inc("campaign.quarantined")
-            self._crash_streak.pop(cid, None)
             return
         if status != "failed":  # raced a completed duplicate; nothing to retry
             return
@@ -555,66 +551,8 @@ class CampaignRunner:
         if self._interrupts:
             # Interrupted: leave it 'failed' in the store; resume retries it.
             return
-        candidate = self._candidate_of(cid)
-        delay = backoff_delay(self.retry_policy, n, key=cid)
-        heapq.heappush(
-            delayed, (time.monotonic() + delay, self._next_seq(), [candidate])
-        )
-
-    def _next_seq(self) -> int:
-        self._seq_counter += 1
-        return self._seq_counter
-
-    def _candidate_of(self, cid: str) -> Candidate:
-        if self._candidates_by_id is None:
-            self._candidates_by_id = {
-                c.candidate_id: c for c in self.spec.expand()
-            }
-        return self._candidates_by_id[cid]
-
-    def _expire(self, inflight, attempts, pending, delayed, report) -> None:
-        """Kill and re-queue work past its deadline.
-
-        The expired tasks are charged (timeout = one failed attempt);
-        since killing a hung worker can only be done by tearing the pool
-        down, the *other* in-flight tasks are re-queued uncharged at the
-        front of the line.
-        """
-        now = time.monotonic()
-        expired = [
-            future
-            for future, task in inflight.items()
-            if task.deadline is not None and task.deadline <= now
-        ]
-        if not expired:
-            return
-        report.respawns += 1
-        REGISTRY.inc("campaign.respawns")
-        self._teardown_pool()  # kills hung workers; futures are abandoned
-        for future in expired:
-            task = inflight.pop(future)
-            if task.isolated:
-                self._hot_inflight = False
-            for cid, _, attempt in task.items:
-                report.timeouts += 1
-                REGISTRY.inc("campaign.timeouts")
-                self._charge_one(
-                    cid,
-                    f"TimeoutError: attempt {attempt} exceeded "
-                    f"{self.timeout_seconds}s per-candidate budget",
-                    attempts,
-                    pending,
-                    delayed,
-                    report,
-                )
-        for task in inflight.values():
-            if task.isolated:  # pragma: no cover - defensive
-                self._hot_inflight = False
-            cids = [cid for cid, _, _ in task.items]
-            self.store.release(cids)
-            if self._interrupts == 0:
-                self._enqueue([self._candidate_of(cid) for cid in cids], pending)
-        inflight.clear()
+        due = time.monotonic() + backoff_delay(self.retry_policy, n, key=cid)
+        heapq.heappush(delayed, (due, cid))
 
 
 def run_campaign(

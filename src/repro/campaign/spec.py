@@ -98,7 +98,8 @@ class CampaignSpec:
         or timeout) this many times is *quarantined* — recorded with its
         error while the campaign continues.
     timeout_seconds:
-        Per-candidate wall-clock limit (``None`` = unlimited).  A task
+        Per-candidate wall-clock limit (``None`` = unlimited), counted
+        from the moment a worker receives the candidate's chunk.  A chunk
         past its deadline has its worker killed and counts one attempt.
     backoff_seconds:
         Base of the exponential retry backoff (doubling per attempt,
@@ -109,9 +110,9 @@ class CampaignSpec:
     chunk_size:
         Candidates per worker task: consecutive slices of the expansion
         order, each candidate still one ``execute`` call.  ``> 1`` saves
-        pool round trips, which dominate on tiny candidates (the README's
-        campaign section gives a measurement); retries and timeouts then
-        apply chunk-wise.
+        parent-worker round trips, which still dominate on tiny
+        candidates (the README's campaign section gives a measurement);
+        retries, timeouts and crash charges then apply chunk-wise.
     """
 
     name: str

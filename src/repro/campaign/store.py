@@ -31,9 +31,10 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.spec import Candidate
 
@@ -105,6 +106,7 @@ class ResultStore:
             self.path, timeout=30.0, check_same_thread=False
         )
         self._conn.row_factory = sqlite3.Row
+        self._in_transaction = False
         if not readonly:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -123,6 +125,28 @@ class ResultStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    @contextmanager
+    def transaction(self) -> Iterator["ResultStore"]:
+        """Commit every state change made inside as one transaction.
+
+        The runner writes each dispatch round this way, at the cost of one
+        commit; an exception rolls the whole round back.
+        """
+        self._in_transaction = True
+        try:
+            yield self
+        except BaseException:
+            self._conn.rollback()
+            raise
+        else:
+            self._conn.commit()
+        finally:
+            self._in_transaction = False
+
+    def _commit(self) -> None:
+        if not self._in_transaction:
+            self._conn.commit()
+
     # ------------------------------------------------------------------ #
     # Meta
     # ------------------------------------------------------------------ #
@@ -138,7 +162,7 @@ class ResultStore:
             "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
             (key, value),
         )
-        self._conn.commit()
+        self._commit()
 
     # ------------------------------------------------------------------ #
     # Registration / resume
@@ -165,25 +189,25 @@ class ResultStore:
                     "use a fresh --store path"
                 )
         requeued = self.requeue_interrupted()
-        new = 0
         now = time.time()
-        for cand in candidates:
-            cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO candidates "
-                "(candidate_id, idx, status, plan_json, updated_at) "
-                "VALUES (?, ?, 'pending', ?, ?)",
+        cursor = self._conn.executemany(
+            "INSERT OR IGNORE INTO candidates "
+            "(candidate_id, idx, status, plan_json, updated_at) "
+            "VALUES (?, ?, 'pending', ?, ?)",
+            (
                 (
                     cand.candidate_id,
                     cand.index,
                     json.dumps(cand.plan.describe(), sort_keys=True, default=str),
                     now,
-                ),
-            )
-            new += cursor.rowcount
-        self._conn.commit()
+                )
+                for cand in candidates
+            ),
+        )
+        self._commit()
         counts = self.counts()
         return RegisterReport(
-            new=new,
+            new=cursor.rowcount,
             already_done=counts.get("done", 0),
             requeued=requeued,
             pending=counts.get("pending", 0) + counts.get("failed", 0),
@@ -204,7 +228,7 @@ class ResultStore:
             "WHERE status = 'running'",
             (time.time(),),
         )
-        self._conn.commit()
+        self._commit()
         return cursor.rowcount
 
     # ------------------------------------------------------------------ #
@@ -216,7 +240,7 @@ class ResultStore:
             "WHERE candidate_id = ? AND status NOT IN ('done', 'quarantined')",
             [(time.time(), cid) for cid in candidate_ids],
         )
-        self._conn.commit()
+        self._commit()
 
     def mark_done(
         self, candidate_id: str, row: Dict[str, object], wall_seconds: float
@@ -239,7 +263,7 @@ class ResultStore:
                 candidate_id,
             ),
         )
-        self._conn.commit()
+        self._commit()
         return cursor.rowcount > 0
 
     def charge_failure(
@@ -273,20 +297,20 @@ class ResultStore:
             "WHERE candidate_id = ?",
             (status, attempts, error, wall_seconds, time.time(), candidate_id),
         )
-        self._conn.commit()
+        self._commit()
         return status, attempts
 
     def release(self, candidate_ids: Iterable[str]) -> None:
         """Put ``running`` candidates back to ``pending`` *without*
         charging an attempt — for in-flight work re-queued through no
-        fault of its own (a sibling's timeout tore down the pool, or a
-        graceful shutdown drained the queue)."""
+        fault of its own (a second interrupt killed its worker, or its
+        worker died while the campaign was interrupted)."""
         self._conn.executemany(
             "UPDATE candidates SET status = 'pending', updated_at = ? "
             "WHERE candidate_id = ? AND status = 'running'",
             [(time.time(), cid) for cid in candidate_ids],
         )
-        self._conn.commit()
+        self._commit()
 
     def requeue_quarantined(self) -> int:
         """Give every quarantined candidate a fresh retry budget."""
@@ -295,7 +319,7 @@ class ResultStore:
             "updated_at = ? WHERE status = 'quarantined'",
             (time.time(),),
         )
-        self._conn.commit()
+        self._commit()
         return cursor.rowcount
 
     # ------------------------------------------------------------------ #
@@ -309,6 +333,16 @@ class ResultStore:
         ):
             out[str(row["status"])] = int(row["n"])
         return out
+
+    def progress(self) -> Dict[str, Tuple[str, int]]:
+        """``candidate_id -> (status, attempts)`` for every row, decoding
+        no plan or result JSON."""
+        return {
+            str(cid): (str(status), int(attempts))
+            for cid, status, attempts in self._conn.execute(
+                "SELECT candidate_id, status, attempts FROM candidates"
+            )
+        }
 
     def status_of(self, candidate_id: str) -> Optional[str]:
         row = self._conn.execute(

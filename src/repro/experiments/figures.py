@@ -548,7 +548,7 @@ def campaign_demo(
     """Run a small sweep through the fault-tolerant campaign runner.
 
     The registry's face of :mod:`repro.campaign`: the (tree, policy)
-    product executes as a resumable campaign — process-pool fan-out,
+    product executes as a resumable campaign — worker-process fan-out,
     bounded retries, crash-consistent sqlite store — and the completed
     result rows come back annotated with the campaign's bookkeeping
     (candidate id, attempts charged).  Fault injection still applies when

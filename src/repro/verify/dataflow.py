@@ -37,7 +37,7 @@ for the simulation hot path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.ir.program import DataItem, Program
 from repro.verify.findings import (

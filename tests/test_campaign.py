@@ -16,7 +16,6 @@ from repro.api import SvdPlan
 from repro.api.execute import execute
 from repro.campaign import (
     CampaignFaults,
-    CampaignRunner,
     CampaignSpec,
     InjectedFault,
     ResultStore,
@@ -446,6 +445,34 @@ class TestCampaignRunner:
         for cand in spec.expand():
             ref = execute(cand.plan, backend="simulate").to_row()
             assert row_key(rows[cand.candidate_id]) == row_key(ref)
+
+    def test_crash_is_charged_to_the_crasher_alone(self, tmp_path):
+        spec = small_spec(
+            axes={"tree": ["flatts", "flattt", "greedy", "binary"],
+                  "policy": ["list", "fifo"]},
+            max_attempts=3,
+        )
+        cands = spec.expand()
+
+        def crashers(seed):
+            faults = CampaignFaults(crash=0.2, seed=seed, limit=1)
+            return [c.candidate_id for c in cands
+                    if fault_draw(faults, c.candidate_id, 1) == "crash"]
+
+        seed = next(s for s in range(100) if len(crashers(s)) == 1)
+        (crasher,) = crashers(seed)
+        report = run_campaign(
+            spec, tmp_path / "s.sqlite",
+            faults=CampaignFaults(crash=0.2, seed=seed, limit=1),
+        )
+        assert report.complete, report.summary()
+        assert report.respawns == 1
+        assert report.retries == 1
+        store = ResultStore(tmp_path / "s.sqlite")
+        attempts = {r.candidate_id: r.attempts for r in store.records()}
+        store.close()
+        assert attempts == {c.candidate_id: int(c.candidate_id == crasher)
+                            for c in cands}
 
     def test_metrics_counters_reported(self, tmp_path):
         from repro.obs.metrics import REGISTRY

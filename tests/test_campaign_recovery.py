@@ -2,16 +2,16 @@
 
 The claims under test are the PR's headline guarantees:
 
-* a worker killed with SIGKILL mid-campaign breaks the process pool; the
-  runner respawns it and the campaign still completes with zero lost and
-  zero duplicated result rows;
+* a worker killed with SIGKILL mid-campaign is replaced, and the campaign
+  still completes with zero lost and zero duplicated result rows;
 * a campaign process interrupted with SIGINT exits resumable (code 3)
   with the store holding exactly the finished work; a resume executes
   exactly the remainder and the final store is bitwise identical to an
   uninterrupted sequential run;
 * a hung worker trips the per-task timeout, costs an attempt, and a
   candidate that always hangs ends quarantined — the campaign finishes
-  instead of hanging with it.
+  instead of hanging with it; time a chunk waits for a worker does not
+  count against its timeout.
 """
 
 import json
@@ -152,6 +152,30 @@ class TestHangTimeoutQuarantine:
         assert report.timeouts >= 1
         assert_store_matches_reference(tmp_path / "s.sqlite", spec)
 
+    def test_queue_wait_does_not_count_against_the_timeout(self, tmp_path):
+        # Four 0.7 s candidates on two workers: the last two wait 0.7 s for
+        # a worker, yet none of them runs past its 1.0 s budget.
+        spec = CampaignSpec(
+            name="queued",
+            base=dict(BASE),
+            axes={"tree": ["flatts", "flattt", "greedy", "binary"]},
+            workers=2,
+            max_attempts=3,
+            timeout_seconds=1.0,
+            backoff_seconds=0.01,
+        )
+        report = run_campaign(
+            spec,
+            tmp_path / "s.sqlite",
+            faults=CampaignFaults(hang=1.0, hang_seconds=0.7),
+        )
+        assert report.complete, report.summary()
+        assert report.timeouts == 0
+        assert report.retries == 0
+        store = ResultStore(tmp_path / "s.sqlite")
+        assert [rec.attempts for rec in store.records()] == [0, 0, 0, 0]
+        store.close()
+
 
 class TestSigintResume:
     """Interrupt a real campaign process, then resume it to completion."""
@@ -248,3 +272,40 @@ class TestSigintResume:
 
         # Zero lost, zero duplicated, bitwise equal to a sequential run.
         assert_store_matches_reference(store_path, spec)
+
+    def test_second_sigint_stops_without_waiting(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.spec_payload()))
+        store_path = tmp_path / "s.sqlite"
+        # Every candidate hangs 30 s: a drain after one SIGINT would wait
+        # for that, and a worker left alive would hold the output open.
+        proc = self.launch(spec_path, store_path, faults="hang:1.0:30")
+        try:
+            deadline = time.time() + 30.0
+            while time.time() < deadline:
+                if store_path.exists():
+                    store = ResultStore(store_path)
+                    running = store.counts().get("running", 0)
+                    store.close()
+                    if running:
+                        break
+                time.sleep(0.05)
+            t0 = time.time()
+            proc.send_signal(signal.SIGINT)
+            time.sleep(0.3)
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=20.0)
+            stopped_after = time.time() - t0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 3, out
+        assert stopped_after < 10.0
+        store = ResultStore(store_path)
+        counts = store.counts()
+        attempts = {rec.attempts for rec in store.records()}
+        store.close()
+        # The killed chunks went back uncharged.
+        assert counts == {"pending": 12}, counts
+        assert attempts == {0}
