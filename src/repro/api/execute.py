@@ -33,7 +33,6 @@ import numpy as np
 from repro.api.plan import SvdPlan
 from repro.api.resolver import ResolvedPlan, overflow_exponent, resolve
 from repro.api.result import RunResult
-from repro.config import Config
 from repro.obs.metrics import REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -272,7 +271,6 @@ def execute(
     plan: Union[SvdPlan, ResolvedPlan],
     backend: str = "numeric",
     *,
-    config: Optional[Config] = None,
     trace: Union[bool, "Tracer", None] = None,
 ) -> RunResult:
     """Run one plan through one backend and return a :class:`RunResult`.
@@ -302,9 +300,7 @@ def execute(
     before = REGISTRY.snapshot()
     ambient = tracer.activate() if tracer is not None else nullcontext()
     with ambient:
-        resolved = (
-            plan if isinstance(plan, ResolvedPlan) else resolve(plan, config=config)
-        )
+        resolved = plan if isinstance(plan, ResolvedPlan) else resolve(plan)
         result = fn(resolved)
     cache_delta = REGISTRY.delta_since(before)
     if result.metrics is None:
@@ -318,8 +314,6 @@ def execute(
 def execute_sweep(
     plans: Iterable[Union[SvdPlan, ResolvedPlan]],
     backend: str = "simulate",
-    *,
-    config: Optional[Config] = None,
 ) -> List[Dict[str, object]]:
     """Execute a list of plans (e.g. from :meth:`SvdPlan.sweep`) and return
     the flattened result rows — the surface experiment tables build on.
@@ -330,4 +324,4 @@ def execute_sweep(
     Candidates that share a compiled program share its memoized pricing
     and dispatch orders (:mod:`repro.runtime.replay`).
     """
-    return [execute(plan, backend, config=config).to_row() for plan in plans]
+    return [execute(plan, backend).to_row() for plan in plans]

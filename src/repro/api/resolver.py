@@ -285,14 +285,13 @@ class ResolvedPlan:
         return as_tiled(a, self.tile_size, self.config)
 
 
-def resolve(plan: SvdPlan, config: Optional[Config] = None) -> ResolvedPlan:
+def resolve(plan: SvdPlan) -> ResolvedPlan:
     """Canonicalize ``plan`` once, for any backend.
 
-    ``config`` overrides the plan's own config, which in turn overrides
+    The plan's own config, if any, overrides
     :data:`repro.config.default_config`.
     """
-    if config is None:
-        config = plan.config if plan.config is not None else default_config
+    config = plan.config if plan.config is not None else default_config
     m, n = plan.m, plan.n
     if isinstance(plan.matrix, TiledMatrix):
         tile_size = plan.matrix.nb
@@ -306,7 +305,7 @@ def resolve(plan: SvdPlan, config: Optional[Config] = None) -> ResolvedPlan:
         # lazily: repro.tuning builds on this module.
         from repro.tuning import resolve_auto_tile_size
 
-        tile_size = resolve_auto_tile_size(plan, config=config)
+        tile_size = resolve_auto_tile_size(plan)
     elif plan.tile_size is not None:
         tile_size = plan.tile_size
     else:

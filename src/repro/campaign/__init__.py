@@ -22,8 +22,9 @@ campaign resumes exactly where it stopped::
 Modules: :mod:`~repro.campaign.spec` (declarative sweeps, stable
 candidate ids), :mod:`~repro.campaign.store` (sqlite WAL ledger,
 exactly-once results), :mod:`~repro.campaign.runner` (one pipe per
-worker, each failure charged to the chunk that caused it,
-retry/timeout/respawn/quarantine, signal-drain resume),
+worker through :mod:`repro.utils.workers`, each failure charged to the
+chunk that caused it, retry/timeout/respawn/quarantine, signal-drain
+resume),
 :mod:`~repro.campaign.faults` (campaign-level crash/hang/raise
 injection) and :mod:`~repro.campaign.aggregate` (tables and summaries).
 """

@@ -1,10 +1,11 @@
-"""Fault-tolerant campaign execution over the runner's own worker processes.
+"""Fault-tolerant campaign execution over a pool of worker processes.
 
 :class:`CampaignRunner` drives the candidates of one
 :class:`~repro.campaign.spec.CampaignSpec` to completion through
-``workers`` processes.  Each worker is joined to the parent by one duplex
-pipe and holds at most one chunk at a time, so every failure is charged
-to the chunk that caused it:
+``workers`` processes of a :class:`~repro.utils.workers.WorkerPool` (the
+worker module the tuner's unprunable races use too).  Each worker is
+joined to the parent by one duplex pipe and holds at most one chunk at a
+time, so every failure is charged to the chunk that caused it:
 
 * **bounded retries with backoff** — a failing candidate is retried up to
   ``max_attempts`` times, delayed by exponential backoff with
@@ -23,7 +24,7 @@ to the chunk that caused it:
   uncharged.  Either way the crash-consistent
   :class:`~repro.campaign.store.ResultStore` holds exactly the finished
   work, and a later ``run()`` (or ``repro campaign resume``) executes
-  exactly the remainder.
+  exactly the remainder.  A killed runner's workers exit with it.
 
 Each round of the dispatch loop waits until a busy worker answers, dies
 or overruns, hands the next pending chunk to every idle worker, and then,
@@ -40,15 +41,13 @@ from __future__ import annotations
 
 import heapq
 import json
-import multiprocessing
 import os
 import signal
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection, wait
-from multiprocessing.process import BaseProcess
+from functools import partial
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
@@ -57,6 +56,7 @@ from repro.campaign.spec import Candidate, CampaignSpec, build_chunks
 from repro.campaign.store import ResultStore
 from repro.obs.metrics import REGISTRY
 from repro.utils.retry import RetryPolicy, backoff_delay
+from repro.utils.workers import Worker, WorkerPool
 
 #: (candidate_id, row-or-None, error-or-None, wall_seconds) per candidate.
 TaskResult = Tuple[str, Optional[Dict[str, object]], Optional[str], Optional[float]]
@@ -66,9 +66,6 @@ TaskItem = Tuple[str, object, int]
 
 #: Poll tick of the dispatch loop (also the signal-responsiveness bound).
 _TICK_SECONDS = 0.2
-
-#: How long a stopped worker may take to exit before it is killed.
-_STOP_SECONDS = 2.0
 
 
 def default_workers() -> int:
@@ -116,32 +113,6 @@ def _run_task(
         else:
             results.append((cid, row, None, time.perf_counter() - t0))
     return results
-
-
-def _worker_loop(
-    conn: Connection,
-    parent_end: Connection,
-    backend: str,
-    faults: Optional[CampaignFaults],
-) -> None:
-    """Body of one worker process: run each chunk received, send back its
-    results, and stop on ``None`` or when the parent is gone."""
-    # Close the inherited copy of the parent's end, so that the parent's
-    # death reads as EOF here.
-    parent_end.close()
-    # An interrupt at the terminal reaches every process of the group; the
-    # parent decides, and drains the chunk this worker holds.  A forked
-    # worker inherits the runner's SIGTERM handler: restore the default.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    while True:
-        try:
-            items = conn.recv()
-            if items is None:
-                return
-            conn.send(_run_task(backend, faults, items))
-        except (EOFError, OSError):
-            return
 
 
 # --------------------------------------------------------------------------- #
@@ -214,16 +185,6 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-@dataclass
-class _Worker:
-    """One worker process, the parent's end of its pipe, and its chunk."""
-
-    proc: BaseProcess
-    conn: Connection
-    items: Optional[List[TaskItem]] = None  # the chunk in flight, if busy
-    deadline: Optional[float] = None
-
-
 # --------------------------------------------------------------------------- #
 # The runner
 # --------------------------------------------------------------------------- #
@@ -242,7 +203,6 @@ class CampaignRunner:
         chunk_size: Optional[int] = None,
         faults: Optional[CampaignFaults] = None,
         requeue_quarantined: bool = False,
-        mp_context: Optional[str] = None,
         install_signal_handlers: Optional[bool] = None,
     ) -> None:
         self.spec = spec
@@ -262,73 +222,22 @@ class CampaignRunner:
         self.chunk_size = chunk_size or spec.chunk_size
         self.faults = active_faults() if faults is None else faults
         self.requeue_quarantined = requeue_quarantined
-        if mp_context is None:
-            mp_context = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-        self._mp_context = multiprocessing.get_context(mp_context)
         self._install_signals = install_signal_handlers
-        self._workers: List[_Worker] = []
+        self._pool = WorkerPool(partial(_run_task, spec.backend, self.faults), self.workers)
         self._interrupts = 0
 
     # ------------------------------------------------------------------ #
     # Workers
     # ------------------------------------------------------------------ #
-    def _start_worker(self) -> _Worker:
-        conn, child_end = self._mp_context.Pipe()
-        proc = self._mp_context.Process(
-            target=_worker_loop,
-            args=(child_end, conn, self.spec.backend, self.faults),
-        )
-        proc.start()
-        child_end.close()
-        worker = _Worker(proc, conn)
-        self._workers.append(worker)
-        return worker
-
-    def _retire(
-        self, worker: _Worker, report: Optional[CampaignReport] = None
-    ) -> None:
-        """Kill (if still alive), reap and forget one worker.  Given the
-        ``report``, the worker was lost (crash, timeout kill) and the next
-        hand-off starts its replacement: count one respawn."""
-        worker.proc.kill()
-        worker.proc.join()
-        worker.conn.close()
-        self._workers.remove(worker)
-        if report is not None:
-            report.respawns += 1
-            REGISTRY.inc("campaign.respawns")
-
-    def _stop_workers(self) -> None:
-        """Stop and reap every worker, so that none outlives ``run()``.
-
-        Idle workers are told to exit; a worker still holding a chunk
-        (hard interrupt, or an exception in the loop) is killed.
-        """
-        for worker in self._workers:
-            try:
-                if worker.items is None:
-                    worker.conn.send(None)
-                else:
-                    worker.proc.kill()
-            except OSError:  # already dead
-                pass
-        for worker in self._workers:
-            worker.proc.join(_STOP_SECONDS)
-            if worker.proc.is_alive():  # pragma: no cover - stuck in exit
-                worker.proc.kill()
-                worker.proc.join()
-            worker.conn.close()
-        self._workers.clear()
+    def _respawn(self, report: CampaignReport) -> None:
+        """Count one worker lost to a crash or a timeout kill (the next
+        hand-off starts its replacement)."""
+        report.respawns += 1
+        REGISTRY.inc("campaign.respawns")
 
     def worker_pids(self) -> List[int]:
         """Live worker process ids (for tests that kill them)."""
-        return [
-            worker.proc.pid
-            for worker in list(self._workers)
-            if worker.proc.is_alive() and worker.proc.pid is not None
-        ]
+        return [w.proc.pid for w in list(self._pool.workers) if w.proc.is_alive()]
 
     # ------------------------------------------------------------------ #
     # Signals
@@ -383,7 +292,7 @@ class CampaignRunner:
         finally:
             for sig, handler in old_handlers.items():
                 signal.signal(sig, handler)
-            self._stop_workers()
+            self._pool.stop()
         report.interrupted = self._interrupts > 0
         report.counts = self.store.counts()
         report.elapsed_seconds = time.perf_counter() - t_start
@@ -421,9 +330,8 @@ class CampaignRunner:
                     if sent:
                         self.store.mark_running(sent)
                 settled, released = [], []
-            busy = [w for w in self._workers if w.items is not None]
-            if busy:
-                settled, released = self._collect(busy, report)
+            if self._pool.busy():
+                settled, released = self._collect(report)
             elif self._interrupts or not (pending or delayed):
                 return
             else:
@@ -446,84 +354,70 @@ class CampaignRunner:
         """Send the next pending chunk to every idle worker, starting
         workers up to ``self.workers``; returns the candidate ids sent."""
         sent: List[str] = []
-        idle = [w for w in self._workers if w.items is None]
         while pending:
-            if idle:
-                worker = idle.pop()
-            elif len(self._workers) < self.workers:
-                worker = self._start_worker()
-            else:
+            worker = self._pool.free_worker()
+            if worker is None:
                 break
             chunk = pending.popleft()
             items = [(c.candidate_id, c.plan, attempts[c.candidate_id] + 1) for c in chunk]
-            try:
-                worker.conn.send(items)
-            except OSError:
+            if not self._pool.send(worker, items):
                 # The worker died idle: nothing ran, nobody is charged.  Its
                 # replacement starts next round.
                 pending.appendleft(chunk)
-                self._retire(worker, report)
+                self._respawn(report)
                 break
-            worker.items = items
             if self.timeout_seconds is not None:
                 worker.deadline = time.monotonic() + self.timeout_seconds * len(items)
             sent.extend(cid for cid, _, _ in items)
         return sent
 
-    def _collect(
-        self, busy: List[_Worker], report: CampaignReport
-    ) -> Tuple[List[TaskResult], List[str]]:
+    def _collect(self, report: CampaignReport) -> Tuple[List[TaskResult], List[str]]:
         """Wait for busy workers; returns the results to settle (a lost
         chunk as one error per candidate) and the ids to release uncharged."""
         settled: List[TaskResult] = []
         released: List[str] = []
+        busy = self._pool.busy()
         if self._interrupts > 1:
             # Second signal: stop waiting on in-flight work.
             for worker in busy:
-                released.extend(cid for cid, _, _ in worker.items or ())
-                self._retire(worker)
+                released.extend(cid for cid, _, _ in worker.task)
+                self._pool.retire(worker)
             return settled, released
         timeout = _TICK_SECONDS
         deadlines = [w.deadline for w in busy if w.deadline is not None]
         if deadlines:
             timeout = min(timeout, max(0.0, min(deadlines) - time.monotonic()))
-        ready = set(wait([w.conn for w in busy] + [w.proc.sentinel for w in busy], timeout))
-        now = time.monotonic()
-        for worker in busy:
-            items = worker.items or []
-            answered = worker.conn in ready
-            dead = worker.proc.sentinel in ready
-            if answered or dead:
-                try:
-                    # A dead worker's pipe holds its result or EOF.
-                    if answered or worker.conn.poll():
-                        settled.extend(worker.conn.recv())
-                        worker.items = None
-                except (EOFError, OSError):
-                    dead = True
-                if not dead:
-                    continue
-                self._retire(worker, report)
-                if worker.items is None:  # answered, then died: nothing lost
-                    continue
-                if self._interrupts:  # perhaps the signal's doing: no charge
-                    released.extend(cid for cid, _, _ in items)
-                    continue
-                error = f"WorkerCrash: worker exited with code {worker.proc.exitcode}"
-            elif worker.deadline is not None and worker.deadline <= now:
-                self._retire(worker, report)
-                report.timeouts += len(items)
-                REGISTRY.inc("campaign.timeouts", len(items))
-                error = (
-                    f"TimeoutError: exceeded the {self.timeout_seconds}s "
-                    "per-candidate budget"
-                )
-            else:
-                continue
+
+        def charge_all(worker: Worker, error: str) -> None:
             settled.extend(
                 (cid, None, f"{error} (attempt {attempt})", None)
-                for cid, _, attempt in items
+                for cid, _, attempt in worker.task
             )
+
+        for worker, answer in self._pool.wait(timeout):
+            if answer is not None:
+                settled.extend(answer)
+            if not worker.lost:
+                continue
+            self._respawn(report)
+            if answer is not None:  # answered, then died: nothing lost
+                continue
+            if self._interrupts:  # perhaps the signal's doing: no charge
+                released.extend(cid for cid, _, _ in worker.task)
+            else:
+                charge_all(worker, worker.crash_error())
+        now = time.monotonic()
+        for worker in self._pool.busy():
+            if worker.deadline is not None and worker.deadline <= now:
+                self._pool.retire(worker)
+                self._respawn(report)
+                report.timeouts += len(worker.task)
+                REGISTRY.inc("campaign.timeouts", len(worker.task))
+                charge_all(
+                    worker,
+                    f"TimeoutError: exceeded the {self.timeout_seconds}s "
+                    "per-candidate budget",
+                )
         return settled, released
 
     def _charge(

@@ -218,8 +218,7 @@ class Tracer:
         The IR compiler and the simulation engine poll
         :func:`current_tracer`; activation is what connects them to this
         instance without threading a parameter through every layer.
-        Activation is per-thread: worker threads of a tuning pool do not
-        inherit it.
+        Activation is per-thread: other threads do not inherit it.
         """
         previous = current_tracer()
         _ACTIVE.tracer = self

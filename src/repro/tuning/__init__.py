@@ -17,8 +17,9 @@ subsystem finds those parameters instead of asking for them:
   the critical-path engine or the communication-volume analysis;
 * :class:`GridSearch` / :class:`SuccessiveHalving` drive the sweep
   through one bound-ordered walk that compiles and simulates only the
-  candidates that can still win (a process pool serves the races where
-  nothing can be pruned);
+  candidates that can still win (the campaign runner's worker processes,
+  :mod:`repro.utils.workers`, serve the races where nothing can be
+  pruned);
 * :class:`PlanCache` persists the winners so repeated calls — including
   every ``SvdPlan(tile_size="auto")`` resolution — are O(1).
 """

@@ -18,9 +18,10 @@ Pruning is conservative — only strictly worse candidates are dropped — so
 a pruned search returns the same winner and best score as the exhaustive
 one.  When nothing in a race can be pruned (``prune=False``, or an
 objective without a bound: ``critical-path``, ``comm-volume``,
-``comm-time``), ``workers > 1`` fans the candidates out over a process
-pool as one chunked map; a prunable race walks serially, because its
-walk is what skips the work.
+``comm-time``), ``workers > 1`` scores the candidates in chunks on the
+worker processes of a :class:`~repro.utils.workers.WorkerPool`, the
+campaign runner's worker module; a prunable race walks serially, because
+its walk is what skips the work.
 
 * :class:`GridSearch` — every candidate, in one race.
 * :class:`SuccessiveHalving` — every candidate on a scaled-down problem
@@ -39,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
@@ -52,7 +53,7 @@ from repro.tiles.matrix import TiledMatrix
 from repro.tuning.cache import PlanCache, cache_key
 from repro.tuning.objectives import Objective, get_objective
 from repro.tuning.space import SearchSpace
-from repro.utils.retry import retry
+from repro.utils.workers import WorkerPool
 
 
 # --------------------------------------------------------------------------- #
@@ -63,9 +64,8 @@ def _score(
 ) -> Tuple[Optional[float], Optional[str]]:
     """Score one candidate, reporting a failure instead of raising.
 
-    Module-level so the process pool can pickle it; the objective comes
-    first so the pool maps ``partial(_score, objective)`` over plans.  The
-    serial walk passes the plan it already resolved for the bounds.
+    The serial walk passes the plan it already resolved for the bounds; a
+    worker gets the plan and resolves it here.
     """
     try:
         if isinstance(candidate, SvdPlan):
@@ -118,61 +118,50 @@ class Evaluation:
         return row
 
 
-class _PoolBox:
-    """A lazily spawned, self-healing process pool for candidate scoring.
+def _score_task(
+    objective: Objective, task: List[Tuple[int, SvdPlan]]
+) -> List[Tuple[int, Optional[float], Optional[str]]]:
+    """Score one task of ``(index, plan)`` pairs in a worker process.
 
-    Worker processes start on the first :meth:`map`, so a search that
-    walks serially never pays for them.  A worker dying (OOM kill, hard
-    crash in a scoring run) breaks a ``ProcessPoolExecutor`` permanently;
-    every later ``map`` raises ``BrokenProcessPool``.  ``map`` therefore
-    goes through :func:`repro.utils.retry.retry`, respawning the pool
-    between attempts — a search survives worker deaths at the cost of
-    re-scoring the broken map — and reports each respawn on the
-    ``tuning.pool.respawns`` counter.
+    Module-level so a spawned worker can unpickle it.
     """
+    return [(i, *_score(objective, plan)) for i, plan in task]
 
-    #: Map attempts (original + retries after respawn).
-    attempts = 3
 
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._pool: Optional[ProcessPoolExecutor] = None
+def _pool_scores(
+    pool: WorkerPool, candidates: Sequence[SvdPlan]
+) -> List[Tuple[Optional[float], Optional[str]]]:
+    """:func:`_score` every candidate on ``pool``'s workers.
 
-    def __enter__(self) -> "_PoolBox":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    def _respawn(self, attempt: int, exc: BaseException, delay: float) -> None:
-        from repro.obs.metrics import REGISTRY
-
-        REGISTRY.inc("tuning.pool.respawns")
-        try:  # the next attempt spawns a fresh pool
-            self.shutdown(wait=False)
-        except Exception:  # pragma: no cover - defensive
-            pass
-
-    def _map_once(self, fn, items: list, chunksize: int) -> list:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return list(self._pool.map(fn, items, chunksize=chunksize))
-
-    def map(self, fn, items, chunksize: int = 1) -> list:
-        items = list(items)
-        return retry(
-            lambda: self._map_once(fn, items, chunksize),
-            attempts=self.attempts,
-            backoff=0.05,
-            key="tuning-pool",
-            retry_on=(BrokenExecutor,),
-            on_retry=self._respawn,
-        )
-
-    def shutdown(self, wait: bool = True) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=not wait)
+    A worker that dies loses the whole task it held, so a lost task of
+    several candidates is re-run one candidate per task, and a candidate
+    whose own task is lost is recorded with the crash as its error: a
+    crash costs the candidate that causes it, not the search.
+    """
+    # Four chunks per worker: costs differ several-fold across tile
+    # sizes, so one chunk each would leave one worker all the slow
+    # candidates, while a chunk keeps neighbours (which share a program)
+    # on one worker's caches.
+    size = max(1, len(candidates) // (4 * pool.size))
+    indexed = list(enumerate(candidates))
+    tasks = deque(indexed[k:k + size] for k in range(0, len(indexed), size))
+    outcomes: List[Tuple[Optional[float], Optional[str]]] = [(None, None)] * len(indexed)
+    while tasks or pool.busy():
+        while tasks:
+            worker = pool.free_worker()
+            if worker is None:
+                break
+            if pool.send(worker, tasks[0]):  # else it died idle: try another
+                tasks.popleft()
+        for worker, answer in pool.wait(None):
+            if answer is not None:
+                for i, score, error in answer:
+                    outcomes[i] = (score, error)
+            elif len(worker.task) > 1:
+                tasks.extend([item] for item in worker.task)
+            else:
+                outcomes[worker.task[0][0]] = (None, worker.crash_error())
+    return outcomes
 
 
 def _race(
@@ -180,7 +169,7 @@ def _race(
     objective: Objective,
     *,
     prune: bool,
-    pool: _PoolBox,
+    pool: WorkerPool,
     fidelity: Optional[Tuple[int, int]] = None,
 ) -> List[Evaluation]:
     """Evaluate ``candidates`` in bound order, pruning the hopeless ones.
@@ -190,7 +179,7 @@ def _race(
     than a cost already measured, so the best (cost, index) pair is
     identical to an exhaustive evaluation whenever the bounds are valid.
     When nothing can be pruned and ``pool`` has more than one worker, the
-    candidates go out over it as one chunked map instead.
+    candidates are scored on its workers instead (:func:`_pool_scores`).
     """
     evals = [Evaluation(plan=plan, fidelity=fidelity) for plan in candidates]
     # Each candidate as resolved for its bounds, so scoring reuses the
@@ -204,17 +193,8 @@ def _race(
             except Exception:  # scored (and its error recorded) below
                 bound = None
             ev.bound = None if bound is None else objective.cost(bound)
-    if pool.workers > 1 and len(evals) > 1 and all(ev.bound is None for ev in evals):
-        # Four chunks per worker: costs differ several-fold across tile
-        # sizes, so one chunk each would leave one worker all the slow
-        # candidates, while a chunk keeps neighbours (which share a
-        # program) on one worker's caches.
-        outcomes = pool.map(
-            partial(_score, objective),
-            candidates,
-            chunksize=max(1, len(evals) // (4 * pool.workers)),
-        )
-        for ev, (score, error) in zip(evals, outcomes):
+    if pool.size > 1 and len(evals) > 1 and all(ev.bound is None for ev in evals):
+        for ev, (score, error) in zip(evals, _pool_scores(pool, candidates)):
             ev.record(objective, score, error)
         return evals
 
@@ -305,7 +285,7 @@ class GridSearch:
         *,
         workers: int = 1,
     ) -> List[Evaluation]:
-        with _PoolBox(workers) as pool:
+        with WorkerPool(partial(_score_task, objective), workers) as pool:
             return _race(candidates, objective, prune=self.prune, pool=pool)
 
 
@@ -359,9 +339,9 @@ class SuccessiveHalving:
         fidelities = self._fidelities(base.m, base.n, max_tile, len(candidates))
         alive = list(range(len(candidates)))
         all_evals: List[Evaluation] = []
-        # One pool for all rungs: spawning worker processes per rung costs
+        # One pool for all rungs: starting worker processes per rung costs
         # more than most rungs' actual scoring.
-        with _PoolBox(workers) as pool:
+        with WorkerPool(partial(_score_task, objective), workers) as pool:
             for rung, (fm, fn) in enumerate(fidelities):
                 at_full = (fm, fn) == (base.m, base.n)
                 scaled = [
@@ -556,11 +536,16 @@ def tune(
         ``"grid"`` (exhaustive + pruning) or ``"halving"`` (successive
         halving), or a configured strategy instance.
     workers:
-        Process-pool width for races where nothing can be pruned (the
+        Worker processes for races where nothing can be pruned (the
         strategy's ``prune=False``, or an objective without a bound such
-        as ``comm-time``); ``1`` evaluates serially.  A prunable race
-        walks serially whatever ``workers`` says: its bound-ordered walk
-        skips most candidates, which a pool would score anyway.
+        as ``comm-time``); ``1`` evaluates serially.  The workers start on
+        the first such race and serve every race of the call; each scores
+        a chunk at a time, four chunks per worker.  A candidate that kills
+        its worker is recorded with a ``WorkerCrash`` error and no score,
+        and the other candidates of its chunk are scored again.  A
+        prunable race walks serially whatever ``workers`` says: its
+        bound-ordered walk skips most candidates, which a pool would score
+        anyway.
     cache:
         ``True`` (default) uses the persistent default cache, ``False`` /
         ``None`` disables caching, or pass an explicit
@@ -660,7 +645,7 @@ def tune(
     return result
 
 
-def resolve_auto_tile_size(plan: SvdPlan, config=None) -> int:
+def resolve_auto_tile_size(plan: SvdPlan) -> int:
     """Pick the tile size for a ``tile_size="auto"`` plan (cached).
 
     Tunes the tile-size dimension alone — tree, variant, grid and inner
@@ -670,8 +655,6 @@ def resolve_auto_tile_size(plan: SvdPlan, config=None) -> int:
     resolution after the first an O(1) lookup.
     """
     base = plan.with_(tile_size=None)
-    if config is not None:
-        base = base.with_(config=config)
     if base.stage == "gesvd":
         # The analytic backends do not model vector accumulation; the
         # GE2VAL pipeline is the closest scored proxy.

@@ -1,7 +1,8 @@
-"""Utilities: test-matrix generators, validation helpers and retry."""
+"""Utilities: test-matrix generators, validation helpers, the retry
+schedule and the worker pool (:mod:`repro.utils.workers`)."""
 
 from repro.utils.generators import latms, random_matrix, graded_singular_values
-from repro.utils.retry import RetryPolicy, backoff_delay, retry
+from repro.utils.retry import RetryPolicy, backoff_delay
 from repro.utils.validation import (
     relative_error,
     max_relative_error,
@@ -19,5 +20,4 @@ __all__ = [
     "reconstruction_error",
     "RetryPolicy",
     "backoff_delay",
-    "retry",
 ]

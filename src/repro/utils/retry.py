@@ -1,29 +1,18 @@
-"""Bounded retry with exponential backoff and deterministic jitter.
+"""Bounded retry schedule: exponential backoff with deterministic jitter.
 
-Fault-tolerant layers (the campaign runner, the tuning pool) share one
-retry shape: try a callable a bounded number of times, sleeping an
-exponentially growing delay between attempts, with a little jitter so a
-fleet of retriers does not stampede in lockstep.  The jitter here is
-*deterministic* — seeded from ``(jitter_seed, key, attempt)`` — so retry
-schedules are reproducible run to run and testable to the exact float.
-
-:func:`backoff_delay` is the pure schedule; :func:`retry` drives a
-callable through it, optionally bounding each attempt with a wall-clock
-``timeout`` (enforced by running the attempt on a worker thread — an
-attempt that overruns is *abandoned*, not killed, so only use ``timeout``
-with callables that are safe to leave running).
+The campaign runner retries a failed candidate a bounded number of times,
+sleeping an exponentially growing delay between attempts, with a little
+jitter so that many retried candidates do not come due in lockstep.  The
+jitter here is *deterministic* — seeded from ``(jitter_seed, key,
+attempt)`` — so retry schedules are reproducible run to run and testable
+to the exact float.  :class:`RetryPolicy` holds the schedule's settings
+and :func:`backoff_delay` is the pure schedule.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type, TypeVar
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -73,73 +62,3 @@ def backoff_delay(policy: RetryPolicy, attempt: int, key: str = "") -> float:
         return base
     u = random.Random(f"{policy.jitter_seed}:{key}:{attempt}").random()
     return base * (1.0 + policy.jitter * u)
-
-
-def _call_with_timeout(fn: Callable[[], T], timeout: float) -> T:
-    """Run ``fn`` with a wall-clock bound, raising ``TimeoutError``.
-
-    The attempt runs on a daemon worker thread; on timeout the thread is
-    abandoned (Python cannot kill it), so this is only suitable for
-    callables whose overrun is harmless — e.g. a blocking wait that the
-    caller is about to tear down anyway.
-    """
-    pool = ThreadPoolExecutor(max_workers=1)
-    future = pool.submit(fn)
-    try:
-        return future.result(timeout=timeout)
-    except FutureTimeoutError:
-        raise TimeoutError(f"attempt exceeded {timeout}s") from None
-    finally:
-        # Never join the (possibly still running) worker thread.
-        pool.shutdown(wait=False)
-
-
-def retry(
-    fn: Callable[[], T],
-    *,
-    attempts: int = 3,
-    backoff: float = 0.1,
-    factor: float = 2.0,
-    max_delay: float = 30.0,
-    jitter: float = 0.25,
-    jitter_seed: int = 0,
-    key: str = "",
-    timeout: Optional[float] = None,
-    retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
-) -> T:
-    """Call ``fn()`` up to ``attempts`` times, backing off between failures.
-
-    Only exceptions matching ``retry_on`` are retried; anything else (and
-    the final failure) propagates.  ``timeout`` bounds each attempt's
-    wall-clock via :func:`_call_with_timeout` (a timed-out attempt raises
-    — and is retried as — ``TimeoutError``; include it in ``retry_on`` if
-    it is not already an ``Exception`` subclass in your taxonomy).
-    ``on_retry(attempt, exc, delay)`` is invoked before each backoff
-    sleep — the hook where callers respawn broken pools or log.
-    """
-    policy = RetryPolicy(
-        attempts=attempts,
-        backoff=backoff,
-        factor=factor,
-        max_delay=max_delay,
-        jitter=jitter,
-        jitter_seed=jitter_seed,
-    )
-    last: Optional[BaseException] = None
-    for attempt in range(1, policy.attempts + 1):
-        try:
-            if timeout is not None:
-                return _call_with_timeout(fn, timeout)
-            return fn()
-        except retry_on as exc:
-            last = exc
-            if attempt == policy.attempts:
-                raise
-            delay = backoff_delay(policy, attempt, key=key)
-            if on_retry is not None:
-                on_retry(attempt, exc, delay)
-            if delay > 0:
-                sleep(delay)
-    raise AssertionError(f"unreachable retry exit (last={last!r})")  # pragma: no cover

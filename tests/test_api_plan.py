@@ -130,10 +130,9 @@ class TestResolve:
     def test_default_tile_size_uses_config(self):
         # The paper's nb = 160 from default_config for large matrices...
         assert resolve(SvdPlan(m=4000, n=4000)).tile_size == default_config.tile_size
-        # ...and a custom Config actually takes effect (both attached and passed).
+        # ...and a custom Config actually takes effect.
         small = Config(tile_size=32)
         assert resolve(SvdPlan(m=4000, n=4000, config=small)).tile_size == 32
-        assert resolve(SvdPlan(m=4000, n=4000), config=small).tile_size == 32
         assert default_tile_size(4000, 4000) == default_config.tile_size
 
     def test_tiled_matrix_input_pins_tile_size(self, rng):

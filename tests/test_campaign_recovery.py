@@ -11,7 +11,9 @@ The claims under test are the PR's headline guarantees:
 * a hung worker trips the per-task timeout, costs an attempt, and a
   candidate that always hangs ends quarantined — the campaign finishes
   instead of hanging with it; time a chunk waits for a worker does not
-  count against its timeout.
+  count against its timeout;
+* the workers of a campaign process killed with SIGKILL exit with it,
+  even in the middle of a chunk.
 """
 
 import json
@@ -309,3 +311,52 @@ class TestSigintResume:
         # The killed chunks went back uncharged.
         assert counts == {"pending": 12}, counts
         assert attempts == {0}
+
+
+class TestKilledRunner:
+    def test_workers_exit_with_a_killed_runner(self, tmp_path):
+        payload = {
+            "name": "orphans",
+            "base": dict(BASE),
+            "axes": {"tree": ["flatts", "greedy"]},
+            "backend": "simulate",
+            "workers": 2,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        store_path = tmp_path / "s.sqlite"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        # Both candidates hang 10 s: a worker that outlived the runner
+        # would hold the runner's stdout and stderr open that long.
+        env["REPRO_CAMPAIGN_FAULTS"] = "hang:1.0:10"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "campaign", "run",
+                str(spec_path), "--store", str(store_path),
+            ],
+            env=env,
+            cwd=REPO_ROOT,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.time() + 30.0
+            running = 0
+            while not running and time.time() < deadline:
+                if store_path.exists():
+                    store = ResultStore(store_path)
+                    running = store.counts().get("running", 0)
+                    store.close()
+                time.sleep(0.05)
+            assert running, "the campaign never handed out a chunk"
+            time.sleep(0.5)  # let both workers reach their hang
+            proc.kill()
+            t0 = time.time()
+            proc.communicate(timeout=30.0)
+            closed_after = time.time() - t0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert closed_after < 5.0, f"workers held the output open {closed_after:.1f}s"

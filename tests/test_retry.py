@@ -1,10 +1,8 @@
-"""Tests for the shared bounded-retry helper (:mod:`repro.utils.retry`)."""
-
-import time
+"""Tests for the bounded-retry schedule (:mod:`repro.utils.retry`)."""
 
 import pytest
 
-from repro.utils.retry import RetryPolicy, backoff_delay, retry
+from repro.utils.retry import RetryPolicy, backoff_delay
 
 
 class TestRetryPolicy:
@@ -76,114 +74,3 @@ class TestBackoffDelay:
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError):
             backoff_delay(RetryPolicy(), 0)
-
-
-class TestRetry:
-    def test_success_first_try(self):
-        calls = []
-        assert retry(lambda: calls.append(1) or 42) == 42
-        assert len(calls) == 1
-
-    def test_retries_until_success(self):
-        state = {"n": 0}
-
-        def flaky():
-            state["n"] += 1
-            if state["n"] < 3:
-                raise RuntimeError("boom")
-            return "ok"
-
-        sleeps = []
-        assert retry(flaky, attempts=5, backoff=0.01, sleep=sleeps.append) == "ok"
-        assert state["n"] == 3
-        assert len(sleeps) == 2  # slept after each of the two failures
-
-    def test_exhausted_attempts_raise_the_last_error(self):
-        state = {"n": 0}
-
-        def always_fails():
-            state["n"] += 1
-            raise ValueError(f"attempt {state['n']}")
-
-        with pytest.raises(ValueError, match="attempt 3"):
-            retry(always_fails, attempts=3, backoff=0.0, sleep=lambda d: None)
-        assert state["n"] == 3
-
-    def test_non_matching_exceptions_propagate_immediately(self):
-        state = {"n": 0}
-
-        def wrong_kind():
-            state["n"] += 1
-            raise KeyError("not retriable")
-
-        with pytest.raises(KeyError):
-            retry(wrong_kind, attempts=5, retry_on=(ValueError,))
-        assert state["n"] == 1
-
-    def test_on_retry_hook_sees_attempt_exc_delay(self):
-        events = []
-
-        def flaky():
-            if len(events) < 2:
-                raise RuntimeError("boom")
-            return "ok"
-
-        retry(
-            flaky,
-            attempts=5,
-            backoff=0.01,
-            jitter=0.0,
-            sleep=lambda d: None,
-            on_retry=lambda attempt, exc, delay: events.append(
-                (attempt, type(exc).__name__, delay)
-            ),
-        )
-        assert events == [(1, "RuntimeError", 0.01), (2, "RuntimeError", 0.02)]
-
-    def test_sleeps_follow_the_deterministic_schedule(self):
-        sleeps = []
-
-        def always_fails():
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            retry(
-                always_fails,
-                attempts=3,
-                backoff=0.1,
-                jitter=0.25,
-                jitter_seed=0,
-                key="cand-x",
-                sleep=sleeps.append,
-            )
-        policy = RetryPolicy(attempts=3, backoff=0.1, jitter=0.25, jitter_seed=0)
-        assert sleeps == [
-            backoff_delay(policy, 1, key="cand-x"),
-            backoff_delay(policy, 2, key="cand-x"),
-        ]
-
-    def test_timeout_converts_overrun_to_timeout_error(self):
-        with pytest.raises(TimeoutError):
-            retry(
-                lambda: time.sleep(5.0),
-                attempts=1,
-                timeout=0.05,
-            )
-
-    def test_timeout_retries_then_succeeds(self):
-        state = {"n": 0}
-
-        def slow_then_fast():
-            state["n"] += 1
-            if state["n"] == 1:
-                time.sleep(5.0)
-            return state["n"]
-
-        result = retry(
-            slow_then_fast,
-            attempts=3,
-            backoff=0.0,
-            timeout=0.2,
-            sleep=lambda d: None,
-        )
-        assert result == 2

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -22,6 +24,8 @@ from repro.tuning import (
     get_strategy,
     tune,
 )
+from repro.tuning.objectives import CommVolumeObjective
+from repro.utils.workers import WorkerPool
 
 #: A small, fast space shared by the search tests.
 SMALL_SPACE = SearchSpace(
@@ -31,6 +35,18 @@ SMALL_SPACE = SearchSpace(
 )
 
 SMALL_PLAN = SvdPlan(m=400, n=400, stage="ge2val", n_cores=4)
+
+
+class CrashingCommVolume(CommVolumeObjective):
+    """``comm-volume``, except that a worker process scoring nb = 64 dies."""
+
+    def __init__(self) -> None:
+        self.home_pid = os.getpid()
+
+    def score(self, resolved):
+        if resolved.tile_size == 64 and os.getpid() != self.home_pid:
+            os._exit(13)
+        return super().score(resolved)
 
 
 # --------------------------------------------------------------------------- #
@@ -213,46 +229,68 @@ class TestGridSearch:
         assert result.best_score <= min(scores.values())
 
     def test_process_pool_agrees_with_serial(self, monkeypatch):
-        from repro.tuning import search
+        sent = []
+        real_send = WorkerPool.send
 
-        mapped = []
-        real_map = search._PoolBox.map
+        def spy(self, worker, task):
+            sent.extend(i for i, _ in task)
+            return real_send(self, worker, task)
 
-        def spy(self, fn, items, chunksize=1):
-            items = list(items)
-            mapped.append(len(items))
-            return real_map(self, fn, items, chunksize)
-
-        monkeypatch.setattr(search._PoolBox, "map", spy)
-        # Unprunable races fan out over the pool, bitwise equal to serial.
+        monkeypatch.setattr(WorkerPool, "send", spy)
+        # Unprunable races score every candidate on the workers, bitwise
+        # equal to serial.
         four_nodes = SvdPlan(m=400, n=400, stage="ge2val", n_cores=2, n_nodes=4)
         for plan, kwargs in (
             (four_nodes, dict(objective="comm-volume")),
             (SMALL_PLAN, dict(strategy=GridSearch(prune=False))),
         ):
             serial = tune(plan, space=SMALL_SPACE, cache=False, **kwargs)
-            assert mapped == []
+            assert sent == []
             parallel = tune(plan, space=SMALL_SPACE, cache=False, workers=2, **kwargs)
-            assert mapped == [serial.n_candidates]  # the pool really ran
-            mapped.clear()
+            # The workers really ran, each candidate once.
+            assert sorted(sent) == list(range(serial.n_candidates))
+            sent.clear()
             assert [ev.score for ev in parallel.evaluations] == [
                 ev.score for ev in serial.evaluations
             ]
             assert parallel.best_plan == serial.best_plan
             assert parallel.best_score == serial.best_score
 
-        # A prunable race walks serially and never builds a pool.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a prunable race built a process pool")
+        # A prunable race walks serially and never starts a worker process.
+        def no_worker(self):
+            raise AssertionError("a prunable race started a worker process")
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(WorkerPool, "start", no_worker)
         for strategy in ("grid", "halving"):
             kwargs = dict(space=SMALL_SPACE, cache=False, strategy=strategy)
             serial = tune(SMALL_PLAN, **kwargs)
             parallel = tune(SMALL_PLAN, workers=2, **kwargs)
             assert parallel.n_pruned > 0
             assert parallel.best_score == serial.best_score
-        assert mapped == []
+        assert sent == []
+
+    def test_worker_crash_costs_one_candidate(self):
+        plan = SvdPlan(m=800, n=800, stage="ge2val", n_cores=2, n_nodes=4)
+        space = SearchSpace(
+            tile_sizes=(50, 64, 100), trees=("flatts", "greedy"), variants=("bidiag",)
+        )
+        serial = tune(plan, space=space, objective=CommVolumeObjective(), cache=False)
+        crashed = tune(
+            plan, space=space, objective=CrashingCommVolume(), workers=2, cache=False
+        )
+        assert multiprocessing.active_children() == []
+        assert crashed.n_candidates == len(crashed.evaluations) == 18
+        for ev, ref in zip(crashed.evaluations, serial.evaluations):
+            assert ev.plan == ref.plan
+            if ev.plan.tile_size == 64:
+                assert ev.score is None
+                assert ev.error == "WorkerCrash: worker exited with code 13"
+            else:
+                assert ev.error is None
+                assert ev.score == ref.score  # bitwise
+        assert sum(ev.error is not None for ev in crashed.evaluations) == 6
+        assert crashed.best_plan == serial.best_plan
+        assert crashed.best_score == serial.best_score
 
     def test_rows_flag_exactly_one_best(self):
         result = tune(SMALL_PLAN, space=SMALL_SPACE, cache=False)
