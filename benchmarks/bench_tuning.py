@@ -6,8 +6,9 @@ cache-hit — and writes the measured trajectory to ``BENCH_tuning.json``
 at the repo root so successive runs can be compared.  Only an unprunable
 race (``GridSearch(prune=False)`` here) is scored on the tuner's worker
 pool; a prunable one walks serially whatever ``workers`` says.  Both
-exhaustive rows start from a cleared program cache, so neither inherits
-the other's compiles.
+exhaustive rows and the ``cold-cache`` row start from a cleared program
+cache, so none inherits another row's compiles: ``cold-cache`` is the
+whole search a plan-cache hit (``warm-cache``) saves.
 
 The parallel speedup assertion is deliberately lenient (container CPU
 quotas vary); the cache assertion is not — a cache hit must be orders of
@@ -75,7 +76,7 @@ def test_bench_tuning_trajectory(benchmark, tmp_path):
             ("warm-cache", dict(cache=cache)),
             ("halving-serial", dict(strategy="halving", cache=False)),
         ):
-            if label.startswith("exhaustive"):
+            if label.startswith("exhaustive") or label == "cold-cache":
                 clear_program_cache()
             row, _ = _timed(label, **kwargs)
             rows.append(row)

@@ -2,34 +2,44 @@
 
 When the numeric backend's ``gesvd`` stage needs singular vectors, the
 :class:`~repro.algorithms.executor.NumericExecutor` is run with
-``log_transformations=True`` and this module replays the logged compact-WY
-reflectors onto identity matrices, producing the orthogonal factors
-``U1`` (left) and ``V1`` (right) such that ``A = U1 · B_band · V1^T``.
+``log_transformations=True`` and this module applies the logged
+reflectors to identity matrices from the right, with the update kernels'
+LAPACK routines (``dgemqrt`` / ``dtpmqrt``, ``side="R"``, ``trans="N"``),
+producing the orthogonal factors ``U1`` (left) and ``V1`` (right) such
+that ``A = U1 · B_band · V1^T``.
 
-The replay applies each block reflector only to the element rows / columns
-it touches, so the cost is the same order as applying the reduction itself.
+Each block reflector touches only the element columns of its tiles, so
+the cost is the same order as applying the reduction itself.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.kernels.householder import apply_q_right
+from repro.kernels import flapack
 from repro.tiles.layout import TileLayout
 
 
-def _row_indices(layout: TileLayout, tile_rows: Sequence[int]) -> np.ndarray:
-    """Element row indices of the given tile rows, concatenated in order."""
-    chunks = [np.arange(*layout.row_range(i)) for i in tile_rows]
-    return np.concatenate(chunks)
+def _apply_right(
+    factor: np.ndarray, first: slice, second: slice | None, refl
+) -> None:
+    """``factor[:, cols] := factor[:, cols] · Q`` for one logged reflector.
 
-
-def _col_indices(layout: TileLayout, tile_cols: Sequence[int]) -> np.ndarray:
-    """Element column indices of the given tile columns, concatenated in order."""
-    chunks = [np.arange(*layout.col_range(j)) for j in tile_cols]
-    return np.concatenate(chunks)
+    ``first`` holds the columns of a panel reflector, or of the pivot tile
+    of a pair reflector, whose ``second`` tile's columns follow.
+    """
+    if second is None:
+        factor[:, first] = flapack.dgemqrt(refl.v, refl.t, factor[:, first], side="R")[0]
+        return
+    # A pair reflector acts on the pivot's k leading columns only.
+    first = slice(first.start, first.start + refl.v.shape[1])
+    a, b, _ = flapack.dtpmqrt(
+        refl.l, refl.v, refl.t, factor[:, first], factor[:, second], side="R"
+    )
+    factor[:, first] = a
+    factor[:, second] = b
 
 
 def accumulate_orthogonal_factors(
@@ -48,25 +58,27 @@ def accumulate_orthogonal_factors(
     v = np.eye(layout.n)
     for side, kernel, idx, refl in transform_log:
         if side == "left":
+            # A := Q^T A on the reflector's rows, hence U := U Q on the
+            # same columns of U.
             if kernel == "GEQRT":
                 i, _k = idx
-                rows = _row_indices(layout, [i])
-            else:  # TSQRT / TTQRT: stacked (piv, i)
+                _apply_right(u, slice(*layout.row_range(i)), None, refl)
+            else:  # TSQRT / TTQRT: (piv, i)
                 piv, i, _k = idx
-                rows = _row_indices(layout, [piv, i])
-            # A := Q^T A on those rows, hence U := U Q restricted to the
-            # corresponding columns of U.
-            u[:, rows] = apply_q_right(refl.v, refl.t, u[:, rows])
+                _apply_right(
+                    u, slice(*layout.row_range(piv)), slice(*layout.row_range(i)), refl
+                )
         elif side == "right":
+            # A := A Q_lq^T = A Q on the reflector's columns, hence
+            # V := V Q on the same columns.
             if kernel == "GELQT":
                 _k, j = idx
-                cols = _col_indices(layout, [j])
-            else:  # TSLQT / TTLQT: stacked (piv, j)
+                _apply_right(v, slice(*layout.col_range(j)), None, refl)
+            else:  # TSLQT / TTLQT: (piv, j)
                 piv, j, _k = idx
-                cols = _col_indices(layout, [piv, j])
-            # A := A Q_lq^T = A (I - V T V^T) on those columns, hence
-            # V := V (I - V T V^T) on the same columns.
-            v[:, cols] = apply_q_right(refl.v, refl.t, v[:, cols])
+                _apply_right(
+                    v, slice(*layout.col_range(piv)), slice(*layout.col_range(j)), refl
+                )
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown transformation side {side!r}")
     return u, v

@@ -25,8 +25,8 @@ stays cheap and free of import cycles.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
+from contextlib import contextmanager, nullcontext
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -65,6 +65,25 @@ def _base_result(resolved: ResolvedPlan, backend: str) -> RunResult:
 # --------------------------------------------------------------------------- #
 # Numeric backend
 # --------------------------------------------------------------------------- #
+@contextmanager
+def _stage(name: str, seconds: Optional[Dict[str, float]] = None) -> Iterator[None]:
+    """One stage of the numeric pipeline.
+
+    Opens the phase ``numeric.<name>`` on the ambient tracer, if any, and
+    stores the stage's wall seconds in ``seconds[name]`` when ``seconds``
+    is given (the input build and the accuracy check are traced only:
+    ``stage_seconds`` holds the pipeline's own stages).
+    """
+    from repro.obs.tracer import current_tracer
+
+    tracer = current_tracer()
+    start = time.perf_counter()
+    with tracer.phase(f"numeric.{name}") if tracer is not None else nullcontext():
+        yield
+    if seconds is not None:
+        seconds[name] = time.perf_counter() - start
+
+
 def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     """The paper's numeric pipeline: GE2BND, then BND2BD and BD2VAL.
 
@@ -92,55 +111,51 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     result = _base_result(resolved, "numeric")
     seconds = result.stage_seconds
     gesvd = resolved.stage == "gesvd"
-    tiled = resolved.build_tiled()
-    # The accuracy reference: the plan's dense input when it carries one,
-    # otherwise the input assembled back from its tiles before they are
-    # reduced.
-    source = resolved.plan.matrix
-    dense = np.asarray(source, dtype=float) if isinstance(source, np.ndarray) else None
-    reference: Optional[np.ndarray]
-    if resolved.stage == "ge2bnd":
-        reference = None
-    elif dense is not None:
-        reference = dense
-    else:
-        reference = tiled.to_dense()
-    exponent = overflow_exponent(dense if dense is not None else tiled)
-    if exponent:
-        for _, tile in tiled.tiles():
-            np.ldexp(tile, -exponent, out=tile)
+    with _stage("input"):
+        tiled = resolved.build_tiled()
+        # The accuracy reference: the plan's dense input when it carries
+        # one, otherwise the input assembled back from its tiles before
+        # they are reduced.
+        source = resolved.plan.matrix
+        dense = np.asarray(source, dtype=float) if isinstance(source, np.ndarray) else None
+        reference: Optional[np.ndarray]
+        if resolved.stage == "ge2bnd":
+            reference = None
+        elif dense is not None:
+            reference = dense
+        else:
+            reference = tiled.to_dense()
+        exponent = overflow_exponent(dense if dense is not None else tiled)
+        if exponent:
+            for _, tile in tiled.tiles():
+                np.ldexp(tile, -exponent, out=tile)
 
-    t0 = time.perf_counter()
-    executor = NumericExecutor(tiled, log_transformations=gesvd)
-    replay(resolved.program(), executor)
-    band = extract_band(tiled)
-    seconds["ge2bnd"] = time.perf_counter() - t0
+    with _stage("ge2bnd", seconds):
+        executor = NumericExecutor(
+            tiled, log_transformations=gesvd, inner_block=resolved.config.inner_block
+        )
+        replay(resolved.program(), executor)
+        band = extract_band(tiled)
 
     if gesvd:
-        t0 = time.perf_counter()
-        u1, v1 = accumulate_orthogonal_factors(tiled.layout, executor.transform_log)
-        seconds["accumulate_u1v1"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        u2, v2t = np.eye(band.n), np.eye(band.n)
-        d, e = band_to_bidiagonal(band, u=u2, vt=v2t)
-        seconds["bnd2bd"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        bd = bdsqr(d, e)
-        seconds["bd2val"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        result.u = u1[:, : band.n] @ (u2 @ bd.u)
-        result.vt = (bd.vt @ v2t) @ v1.T
-        seconds["compose"] = time.perf_counter() - t0
+        with _stage("accumulate_u1v1", seconds):
+            u1, v1 = accumulate_orthogonal_factors(tiled.layout, executor.transform_log)
+        with _stage("bnd2bd", seconds):
+            u2, v2t = np.eye(band.n), np.eye(band.n)
+            d, e = band_to_bidiagonal(band, u=u2, vt=v2t)
+        with _stage("bd2val", seconds):
+            bd = bdsqr(d, e)
+        with _stage("compose", seconds):
+            result.u = u1[:, : band.n] @ (u2 @ bd.u)
+            result.vt = (bd.vt @ v2t) @ v1.T
         result.singular_values = bd.singular_values
     else:
         result.extras["band"] = band
         if resolved.stage == "ge2val":
-            t0 = time.perf_counter()
-            d, e = band_to_bidiagonal(band)
-            seconds["bnd2bd"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            result.singular_values = bidiagonal_singular_values(d, e)
-            seconds["bd2val"] = time.perf_counter() - t0
+            with _stage("bnd2bd", seconds):
+                d, e = band_to_bidiagonal(band)
+            with _stage("bd2val", seconds):
+                result.singular_values = bidiagonal_singular_values(d, e)
 
     if exponent:
         _scale_back(result, exponent)
@@ -148,11 +163,12 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     if reference is not None and result.singular_values is not None:
         # Against the input, not the reduced matrix: an error anywhere in
         # the pipeline, GE2BND included, shows here.
-        ref = np.linalg.svd(reference, compute_uv=False)
-        scale = ref[0] if ref[0] > 0 else 1.0
-        result.max_rel_error = float(
-            np.max(np.abs(result.singular_values - ref)) / scale
-        )
+        with _stage("check"):
+            ref = np.linalg.svd(reference, compute_uv=False)
+            scale = ref[0] if ref[0] > 0 else 1.0
+            result.max_rel_error = float(
+                np.max(np.abs(result.singular_values - ref)) / scale
+            )
     return result
 
 

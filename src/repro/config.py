@@ -25,8 +25,10 @@ class Config:
         Tile size ``nb``. Tiles are ``nb x nb`` except for the last tile row
         and column of a matrix whose dimensions are not multiples of ``nb``.
     inner_block:
-        Inner blocking ``ib`` used by the TS/TT kernels. Only affects the
-        performance model (kernel efficiency), never numerical results.
+        Inner blocking ``ib`` of the tile kernels.  The performance model
+        prices it (kernel efficiency), and the numeric kernels block their
+        ``T`` factors by ``min(ib, k)`` (LAPACK ``dgeqrt`` / ``dtpqrt``), so
+        it changes the rounding of numeric results, not their accuracy.
     auto_gamma:
         The ``gamma`` parameter of the AUTO tree: at every panel step the
         FlatTS sub-domain size ``a`` is chosen so that the number of

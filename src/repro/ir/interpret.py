@@ -1,14 +1,14 @@
 """Replay a compiled Program against any kernel executor.
 
-``replay(program, executor)`` re-issues the program's op stream as calls
-on a :class:`~repro.algorithms.executor.KernelExecutor`.  Replaying onto a
+``replay(program, executor)`` re-issues the program's op stream, in
+stream order, as one method call per op on a
+:class:`~repro.algorithms.executor.KernelExecutor`.  Replaying onto a
 :class:`~repro.algorithms.executor.NumericExecutor` performs the real
-factorization, one stacked kernel call per (DAG level, kernel) group of
-:meth:`~repro.ir.program.Program.level_groups`; replaying onto a second
-recorder re-issues the ops one by one in their original sequentially
-consistent order, and so reproduces the program.  Both orders are
-topological orders of the program's DAG, which carries every dependency
-on tile halves, so they compute the same bits.
+factorization, one LAPACK tile-kernel call per op; replaying onto a
+second recorder reproduces the program.  Stream order is the
+sequentially consistent order the drivers issued, and the program's DAG
+carries every dependency on tile halves, so any of its topological
+orders computes the same bits.
 This is what makes the numeric runs, the DAG analyses and the runtime
 simulation provably consume the same op stream: they all interpret the
 same compiled :class:`~repro.ir.program.Program`.
@@ -22,14 +22,10 @@ from repro.ir.recorder import METHOD_NAMES
 
 
 def replay(program: Program, executor: KernelExecutor) -> None:
-    """Dispatch every op of ``program`` to ``executor``.
+    """Dispatch every op of ``program`` to ``executor``, in stream order.
 
-    An executor with a ``run_group(code, params)`` method gets one call per
-    (level, kernel) group of :meth:`Program.level_groups`, levels in
-    ascending order; any other executor gets one method call per op, in
-    stream order.  The executor must cover the program's tile shape:
-    replaying a ``p x q`` program onto a smaller matrix would index out of
-    range.
+    The executor must cover the program's tile shape: replaying a
+    ``p x q`` program onto a smaller matrix would index out of range.
     """
     key = program.key
     if key is not None:
@@ -39,11 +35,6 @@ def replay(program: Program, executor: KernelExecutor) -> None:
                 f"program was compiled for {p}x{q} tiles but the executor "
                 f"covers only {executor.p}x{executor.q}"
             )
-    run_group = getattr(executor, "run_group", None)
-    if run_group is not None:
-        for code, params in program.level_groups():
-            run_group(code, params)
-        return
     # Dispatch straight off the kernel codes and params — no Op
     # materialization, one bound method per kernel resolved up front.
     methods = [getattr(executor, name) for name in METHOD_NAMES]

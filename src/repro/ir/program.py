@@ -641,36 +641,6 @@ class Program:
 
         return self._cached("level_order", build)
 
-    def level_groups(self) -> Tuple[Tuple[int, Tuple[Tuple[int, ...], ...]], ...]:
-        """The op stream as ``(kernel code, params of its ops)`` groups.
-
-        One group per (hop level, kernel) pair, levels ascending, kernel
-        codes ascending within a level and stream order within a group.
-        Ops of one level share no edge, and the program carries every RAW,
-        WAR and WAW dependency on tile halves, so running the groups in
-        this order computes what stream order computes; the numeric
-        replay runs each group as one stacked kernel call.
-        """
-        def build() -> Tuple[Tuple[int, Tuple[Tuple[int, ...], ...]], ...]:
-            n = len(self)
-            if n == 0:
-                return ()
-            codes = self.kernel_codes_np
-            order = np.lexsort((codes, self.levels_np))
-            level, code = self.levels_np[order], codes[order]
-            change = np.flatnonzero(
-                (level[1:] != level[:-1]) | (code[1:] != code[:-1])
-            ) + 1
-            bounds = [0, *change.tolist(), n]
-            picked = self._param_tuples(order)
-            code_list = code.tolist()
-            return tuple(
-                (code_list[a], tuple(picked[a:b]))
-                for a, b in zip(bounds, bounds[1:])
-            )
-
-        return self._cached("level_groups", build)
-
     def _sweep_groups(
         self, name: str, indptr_np: np.ndarray, ids_np: np.ndarray,
         descending: bool,

@@ -1,4 +1,4 @@
-"""Numerically exact tile kernels (compact-WY Householder) and their cost model.
+"""Numerically exact tile kernels (one LAPACK call each) and their cost model.
 
 The QR kernels follow the PLASMA ``core_blas`` naming (Table I of the paper):
 
@@ -13,16 +13,12 @@ The QR kernels follow the PLASMA ``core_blas`` naming (Table I of the paper):
 
 The LQ kernels (``GELQT`` / ``UNMLQ`` / ``TSLQT`` / ``TSMLQ`` / ``TTLQT`` /
 ``TTMLQ``) are the exact column-wise counterparts and are implemented through
-the transpose duality ``LQ(A) == QR(A^T)^T``.
+the transpose duality ``LQ(A) == QR(A^T)^T``.  The LAPACK routines are
+scipy's f2py wrappers, loaded on the first kernel call
+(:mod:`repro.kernels.flapack`).
 """
 
-from repro.kernels.householder import (
-    householder_vector,
-    build_t_factor,
-    qr_factor,
-    apply_q,
-    apply_qt,
-)
+from repro.kernels.householder import householder_vector
 from repro.kernels.qr_kernels import (
     geqrt,
     unmqr,
@@ -45,10 +41,6 @@ from repro.kernels.costs import KERNEL_WEIGHTS, kernel_weight, kernel_flops, Ker
 
 __all__ = [
     "householder_vector",
-    "build_t_factor",
-    "qr_factor",
-    "apply_q",
-    "apply_qt",
     "geqrt",
     "unmqr",
     "tsqrt",

@@ -3,109 +3,122 @@
 These are the exact column-wise counterparts of the QR kernels: where a QR
 step combines two tile *rows* to zero a tile below the diagonal, an LQ step
 combines two tile *columns* to zero a tile to the right of the
-superdiagonal.  They are implemented through the transpose duality
-``A = L Q  <=>  A^T = Q^T L^T`` so the numerics are shared with
-:mod:`repro.kernels.qr_kernels` — an LQ kernel is a QR kernel on the
-transposed tiles, with the orthogonal factor applied from the right.
-Like the QR kernels, every kernel also accepts a stack of same-shaped
-tiles (a leading axis), bitwise equal per slice to the 2-D call.
+superdiagonal.  They go through the transpose duality
+``A = L Q  <=>  A^T = Q^T L^T``: a factor kernel is the LAPACK QR call of
+:mod:`repro.kernels.qr_kernels` on the transposed tiles (``dgeqrt``,
+``dtpqrt``), and an update kernel applies that QR's orthogonal factor from
+the right (``dgemqrt`` / ``dtpmqrt`` with ``side="R"``).  A pair kernel
+reads only the ``k`` leading columns of the pivot triangle, ``k`` the
+tiles' row count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from repro.kernels.householder import apply_q_right, qr_factor
+from repro.kernels import flapack
+from repro.kernels.qr_kernels import INNER_BLOCK, upper_mask
 
 
-@dataclass(frozen=True)
-class LQReflector:
-    """Compact-WY representation of the row-space reflectors of an LQ kernel.
+class LQReflector(NamedTuple):
+    """LAPACK's compact-WY representation of the reflectors of an LQ kernel.
 
     The reflectors are stored exactly as their QR-on-the-transpose
-    counterparts: ``v`` has one column per Householder vector (each vector
-    acts on matrix *columns*), and ``split`` is the number of columns of the
-    *left* tile for the two-tile kernels.  A stacked kernel call gives ``v``
-    and ``t`` a leading stack axis.
+    counterparts (:class:`~repro.kernels.qr_kernels.QRReflector`): ``v``
+    has one column per Householder vector (each vector acts on matrix
+    *columns*), ``t`` holds the ``ib x k`` block factors, ``l`` is
+    ``dtpqrt``'s ``l`` and ``split`` the number of columns of the *left*
+    tile for the pair kernels.
     """
 
     v: np.ndarray
     t: np.ndarray
+    l: int
     split: int
     kind: str
 
 
-def gelqt(a: np.ndarray) -> Tuple[np.ndarray, LQReflector]:
+def gelqt(a: np.ndarray, ib: int = INNER_BLOCK) -> Tuple[np.ndarray, LQReflector]:
     """Factor tile ``A`` into ``L Q`` (LQ panel kernel).
 
-    Returns the lower-trapezoidal ``L`` (same shape as ``A``) and the
-    reflector to be passed to :func:`unmlq`.
+    Returns the lower-trapezoidal ``L`` (same shape as ``A``, exact zeros
+    above the diagonal) and the reflector to be passed to :func:`unmlq`.
     """
-    v, t, r = qr_factor(a.mT)
-    return r.mT, LQReflector(v=v, t=t, split=0, kind="GELQT")
+    k = min(a.shape)
+    packed, t, _ = flapack.dgeqrt(min(ib, k), a.T)
+    l_tile = np.where(upper_mask(*packed.shape), packed, 0.0).T
+    return l_tile, LQReflector(packed[:, :k], t, 0, 0, "GELQT")
 
 
 def unmlq(refl: LQReflector, c: np.ndarray) -> np.ndarray:
     """Apply ``Q^T`` of a :func:`gelqt` factorization to tile ``C`` from the right."""
     if refl.kind != "GELQT":
         raise ValueError(f"unmlq expects a GELQT reflector, got {refl.kind}")
-    if c.shape[-1] != refl.v.shape[-2]:
+    if c.shape[1] != refl.v.shape[0]:
         raise ValueError(
-            f"column mismatch: C has {c.shape[-1]} columns, reflector expects {refl.v.shape[-2]}"
+            f"column mismatch: C has {c.shape[1]} columns, reflector expects {refl.v.shape[0]}"
         )
     # A = L Q with Q = Qqr^T (Qqr from the QR of A^T); the trailing update is
-    # C := C Q^T = C Qqr = C (I - V T V^T).
-    return apply_q_right(refl.v, refl.t, c)
+    # C := C Q^T = C Qqr.
+    return flapack.dgemqrt(refl.v, refl.t, c, side="R", trans="N")[0]
 
 
-def _stacked_lq(left: np.ndarray, right: np.ndarray, kind: str) -> Tuple[
-    np.ndarray, np.ndarray, LQReflector
-]:
-    """LQ of ``[left | right]`` side by side; shared by TSLQT/TTLQT."""
-    if left.shape[-2] != right.shape[-2]:
-        raise ValueError(
-            f"row mismatch: left has {left.shape[-2]} rows, right has {right.shape[-2]}"
-        )
-    stacked_t = np.concatenate([left.mT, right.mT], axis=-2)
-    v, t, r = qr_factor(stacked_t)
-    split = left.shape[-1]
-    new_left = r[..., :split, :].mT
-    new_right = np.zeros_like(right)
-    return new_left, new_right, LQReflector(v=v, t=t, split=split, kind=kind)
+def _pair_factor(
+    left: np.ndarray, right: np.ndarray, ib: int, kind: str
+) -> Tuple[np.ndarray, np.ndarray, LQReflector]:
+    """``dtpqrt`` of ``[left | right]^T``; shared by TSLQT/TTLQT."""
+    k, cols = left.shape
+    if right.shape[0] != k:
+        raise ValueError(f"row mismatch: left has {k} rows, right has {right.shape[0]}")
+    if cols < k:
+        raise ValueError(f"the left tile must hold a {k}x{k} triangle, it has {cols} columns")
+    l = min(right.shape) if kind == "TTLQT" else 0
+    tri, v, t, _ = flapack.dtpqrt(l, min(ib, k), left[:, :k].T, right.T)
+    new_left = tri.T if cols == k else np.concatenate((tri.T, left[:, k:]), axis=1)
+    return new_left, np.zeros(right.shape), LQReflector(v, t, l, cols, kind)
 
 
-def tslqt(l_left: np.ndarray, a_right: np.ndarray) -> Tuple[np.ndarray, np.ndarray, LQReflector]:
+def tslqt(
+    l_left: np.ndarray, a_right: np.ndarray, ib: int = INNER_BLOCK
+) -> Tuple[np.ndarray, np.ndarray, LQReflector]:
     """Zero the square tile ``a_right`` using the lower triangle ``l_left``."""
-    return _stacked_lq(l_left, a_right, kind="TSLQT")
+    return _pair_factor(l_left, a_right, ib, "TSLQT")
 
 
-def ttlqt(l_left: np.ndarray, l_right: np.ndarray) -> Tuple[np.ndarray, np.ndarray, LQReflector]:
+def ttlqt(
+    l_left: np.ndarray, l_right: np.ndarray, ib: int = INNER_BLOCK
+) -> Tuple[np.ndarray, np.ndarray, LQReflector]:
     """Zero the *triangular* tile ``l_right`` using the lower triangle ``l_left``.
 
-    Numerically identical to :func:`tslqt`; the TS/TT distinction only
-    affects the cost model and the available parallelism.
+    Like :func:`tslqt`, but only the lower trapezoid of ``l_right`` is read
+    (the cost model's TS/TT distinction).
     """
-    return _stacked_lq(l_left, l_right, kind="TTLQT")
+    return _pair_factor(l_left, l_right, ib, "TTLQT")
 
 
-def _stacked_apply_right(refl: LQReflector, c_left: np.ndarray, c_right: np.ndarray) -> Tuple[
-    np.ndarray, np.ndarray
-]:
-    if c_left.shape[-1] != refl.split:
+def _pair_apply(
+    refl: LQReflector, c_left: np.ndarray, c_right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``dtpmqrt`` from the right on ``[c_left | c_right]``; shared by TSMLQ/TTMLQ."""
+    cols = c_left.shape[1]
+    if cols != refl.split:
         raise ValueError(
-            f"left tile has {c_left.shape[-1]} columns but reflector was built with split={refl.split}"
+            f"left tile has {cols} columns but reflector was built with split={refl.split}"
         )
-    if c_left.shape[-1] + c_right.shape[-1] != refl.v.shape[-2]:
+    if c_right.shape[1] != refl.v.shape[0]:
         raise ValueError(
             "stacked column count does not match the reflector "
-            f"({c_left.shape[-1]} + {c_right.shape[-1]} != {refl.v.shape[-2]})"
+            f"(right has {c_right.shape[1]} columns, V has {refl.v.shape[0]})"
         )
-    stacked = np.concatenate([c_left, c_right], axis=-1)
-    updated = apply_q_right(refl.v, refl.t, stacked)
-    return updated[..., : refl.split], updated[..., refl.split :]
+    k = refl.v.shape[1]
+    left, right, _ = flapack.dtpmqrt(
+        refl.l, refl.v, refl.t, c_left[:, :k], c_right, side="R", trans="N"
+    )
+    if cols > k:
+        left = np.concatenate((left, c_left[:, k:]), axis=1)
+    return left, right
 
 
 def tsmlq(refl: LQReflector, c_left: np.ndarray, c_right: np.ndarray) -> Tuple[
@@ -114,7 +127,7 @@ def tsmlq(refl: LQReflector, c_left: np.ndarray, c_right: np.ndarray) -> Tuple[
     """Apply the reflectors of a :func:`tslqt` to the tile pair ``(c_left, c_right)``."""
     if refl.kind != "TSLQT":
         raise ValueError(f"tsmlq expects a TSLQT reflector, got {refl.kind}")
-    return _stacked_apply_right(refl, c_left, c_right)
+    return _pair_apply(refl, c_left, c_right)
 
 
 def ttmlq(refl: LQReflector, c_left: np.ndarray, c_right: np.ndarray) -> Tuple[
@@ -123,4 +136,4 @@ def ttmlq(refl: LQReflector, c_left: np.ndarray, c_right: np.ndarray) -> Tuple[
     """Apply the reflectors of a :func:`ttlqt` to the tile pair ``(c_left, c_right)``."""
     if refl.kind != "TTLQT":
         raise ValueError(f"ttmlq expects a TTLQT reflector, got {refl.kind}")
-    return _stacked_apply_right(refl, c_left, c_right)
+    return _pair_apply(refl, c_left, c_right)

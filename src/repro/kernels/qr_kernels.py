@@ -1,136 +1,168 @@
 """QR tile kernels (PLASMA ``core_blas`` equivalents).
 
-Every kernel is numerically exact: it performs the real Householder
-transformations, so running a tiled algorithm with these kernels produces a
-genuine factorization whose residual and orthogonality can be checked.
+Every kernel is one LAPACK call, through scipy's f2py wrappers
+(:mod:`repro.kernels.flapack`), and performs the real Householder
+transformations, so running a tiled algorithm with these kernels produces
+a genuine factorization whose residual and orthogonality can be checked.
 
 Naming follows Table I of the paper:
 
-* ``GEQRT``  — factor a square tile into a triangle (panel kernel);
-* ``UNMQR``  — apply the panel reflectors to a tile on the same tile-row;
-* ``TSQRT``  — zero a square tile using the triangle on top of it;
-* ``TSMQR``  — apply the TSQRT reflectors to the corresponding tile pair;
-* ``TTQRT``  — zero a triangular tile using the triangle on top of it;
-* ``TTMQR``  — apply the TTQRT reflectors to the corresponding tile pair.
+* ``GEQRT``  — factor a tile into a triangle (panel kernel): ``dgeqrt``;
+* ``UNMQR``  — apply the panel reflectors to a tile on the same tile-row:
+  ``dgemqrt``;
+* ``TSQRT``  — zero a square tile using the triangle on top of it:
+  ``dtpqrt`` with ``l = 0``;
+* ``TSMQR``  — apply the TSQRT reflectors to the corresponding tile pair:
+  ``dtpmqrt`` with ``l = 0``;
+* ``TTQRT``  — zero a triangular tile using the triangle on top of it:
+  ``dtpqrt`` with ``l`` the rows of the eliminated triangle, so the zeros
+  below it cost nothing (a third of TSQRT's flops on square tiles);
+* ``TTMQR``  — apply the TTQRT reflectors to the corresponding tile pair
+  (half of TSMQR's flops).
+
+A pair kernel reads only the ``k`` leading rows of the pivot triangle
+(``k`` the tiles' column count); a ragged last tile column leaves the
+pivot's remaining rows zero and untouched.  Reflectors carry LAPACK's
+``V`` and its ``T`` factor blocked by ``ib = min(inner_block, k)``.
 
 The kernels are pure functions: they never modify their inputs and return
-new tiles together with a :class:`QRReflector` holding the compact-WY
-representation needed by the corresponding update kernel.
-
-Every kernel also accepts a stack of ``g`` same-shaped tiles (a leading
-axis) and then returns stacked tiles and a reflector whose ``v`` and ``t``
-carry the same leading axis; an update kernel takes such a stacked
-reflector with its stack of tiles.  Each slice is bitwise what the 2-D
-call on that slice returns (see :mod:`repro.kernels.householder`).
+new tiles of their inputs' shapes together with a :class:`QRReflector`
+for the corresponding update kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from functools import lru_cache
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from repro.kernels.householder import apply_qt, qr_factor
+from repro.config import default_config
+from repro.kernels import flapack
+
+#: Inner blocking of the factor kernels unless the caller passes one.
+INNER_BLOCK = default_config.inner_block
 
 
-@dataclass(frozen=True)
-class QRReflector:
-    """Compact-WY representation ``Q = I - V T V^T`` produced by a QR kernel.
+class QRReflector(NamedTuple):
+    """LAPACK's compact-WY representation of the reflectors of a QR kernel.
 
     Attributes
     ----------
     v:
-        Householder vectors (unit lower trapezoidal), ``rows x k``, or a
-        ``g x rows x k`` stack of them.
+        Householder vectors.  GEQRT: the ``rows x k`` ``dgeqrt`` output
+        (unit lower trapezoidal ``V`` below the diagonal).  TS/TT: the
+        ``dtpqrt`` ``V`` of the bottom tile, ``bottom rows x k``; the top
+        tile's part is the ``k x k`` identity.
     t:
-        ``k x k`` upper triangular factor, or a ``g x k x k`` stack.
+        ``ib x k`` triangular block factors.
+    l:
+        ``dtpqrt``'s ``l``: rows of the trailing triangle of a TT ``V``,
+        ``0`` for TS and GEQRT.
     split:
-        For the two-tile kernels (TS/TT), the number of rows of the *top*
-        tile inside the stacked representation; ``0`` for single-tile
-        kernels (GEQRT).
+        Rows of the top tile for the pair kernels (TS/TT), ``0`` for GEQRT.
     kind:
         Kernel that produced the reflector (``"GEQRT"``, ``"TSQRT"`` or
-        ``"TTQRT"``), kept for debugging and validation.
+        ``"TTQRT"``).
     """
 
     v: np.ndarray
     t: np.ndarray
+    l: int
     split: int
     kind: str
 
 
-def geqrt(a: np.ndarray) -> Tuple[np.ndarray, QRReflector]:
-    """Factor tile ``A`` into ``Q R`` (panel kernel).
+@lru_cache(maxsize=64)
+def upper_mask(rows: int, cols: int) -> np.ndarray:
+    """Read-only mask of the upper trapezoid (diagonal included), in the
+    Fortran order LAPACK returns its arrays in."""
+    mask = np.asfortranarray(np.triu(np.ones((rows, cols), dtype=bool)))
+    mask.setflags(write=False)
+    return mask
 
-    Returns the upper-trapezoidal ``R`` (same shape as ``A``) and the
-    reflector to be passed to :func:`unmqr`.
+
+def geqrt(a: np.ndarray, ib: int = INNER_BLOCK) -> Tuple[np.ndarray, QRReflector]:
+    """Factor tile ``A`` into ``Q R`` (panel kernel, ``dgeqrt``).
+
+    Returns the upper-trapezoidal ``R`` (same shape as ``A``, exact zeros
+    below the diagonal) and the reflector to be passed to :func:`unmqr`.
     """
-    v, t, r = qr_factor(a)
-    return r, QRReflector(v=v, t=t, split=0, kind="GEQRT")
+    k = min(a.shape)
+    packed, t, _ = flapack.dgeqrt(min(ib, k), a)
+    r = np.where(upper_mask(*packed.shape), packed, 0.0)
+    return r, QRReflector(packed[:, :k], t, 0, 0, "GEQRT")
 
 
 def unmqr(refl: QRReflector, c: np.ndarray) -> np.ndarray:
-    """Apply ``Q^T`` from a :func:`geqrt` factorization to tile ``C``."""
+    """Apply ``Q^T`` from a :func:`geqrt` factorization to tile ``C`` (``dgemqrt``)."""
     if refl.kind != "GEQRT":
         raise ValueError(f"unmqr expects a GEQRT reflector, got {refl.kind}")
-    if c.shape[-2] != refl.v.shape[-2]:
+    if c.shape[0] != refl.v.shape[0]:
         raise ValueError(
-            f"row mismatch: C has {c.shape[-2]} rows, reflector expects {refl.v.shape[-2]}"
+            f"row mismatch: C has {c.shape[0]} rows, reflector expects {refl.v.shape[0]}"
         )
-    return apply_qt(refl.v, refl.t, c)
+    return flapack.dgemqrt(refl.v, refl.t, c, trans="T")[0]
 
 
-def _stacked_qr(top: np.ndarray, bottom: np.ndarray, kind: str) -> Tuple[
-    np.ndarray, np.ndarray, QRReflector
-]:
-    """QR of ``[top; bottom]`` stacked vertically; shared by TSQRT/TTQRT."""
-    if top.shape[-1] != bottom.shape[-1]:
-        raise ValueError(
-            f"column mismatch: top has {top.shape[-1]} columns, bottom has {bottom.shape[-1]}"
-        )
-    stacked = np.concatenate([top, bottom], axis=-2)
-    v, t, r = qr_factor(stacked)
-    split = top.shape[-2]
-    new_top = r[..., :split, :]
-    new_bottom = np.zeros_like(bottom)
-    return new_top, new_bottom, QRReflector(v=v, t=t, split=split, kind=kind)
+def _pair_factor(
+    top: np.ndarray, bottom: np.ndarray, ib: int, kind: str
+) -> Tuple[np.ndarray, np.ndarray, QRReflector]:
+    """``dtpqrt`` of ``[top; bottom]``; shared by TSQRT/TTQRT."""
+    rows, k = top.shape
+    if bottom.shape[1] != k:
+        raise ValueError(f"column mismatch: top has {k} columns, bottom has {bottom.shape[1]}")
+    if rows < k:
+        raise ValueError(f"the top tile must hold a {k}x{k} triangle, it has {rows} rows")
+    l = min(bottom.shape) if kind == "TTQRT" else 0
+    tri, v, t, _ = flapack.dtpqrt(l, min(ib, k), top[:k], bottom)
+    new_top = tri if rows == k else np.concatenate((tri, top[k:]))
+    return new_top, np.zeros(bottom.shape), QRReflector(v, t, l, rows, kind)
 
 
-def tsqrt(r_top: np.ndarray, a_bottom: np.ndarray) -> Tuple[np.ndarray, np.ndarray, QRReflector]:
+def tsqrt(
+    r_top: np.ndarray, a_bottom: np.ndarray, ib: int = INNER_BLOCK
+) -> Tuple[np.ndarray, np.ndarray, QRReflector]:
     """Zero the square tile ``a_bottom`` using the triangle ``r_top`` above it.
 
     Computes the QR factorization of the stacked ``[r_top; a_bottom]`` block
-    and returns ``(new_r_top, zero_tile, reflector)``.
+    (only the upper triangle of ``r_top`` is read) and returns
+    ``(new_r_top, zero_tile, reflector)``.
     """
-    return _stacked_qr(r_top, a_bottom, kind="TSQRT")
+    return _pair_factor(r_top, a_bottom, ib, "TSQRT")
 
 
-def ttqrt(r_top: np.ndarray, r_bottom: np.ndarray) -> Tuple[np.ndarray, np.ndarray, QRReflector]:
+def ttqrt(
+    r_top: np.ndarray, r_bottom: np.ndarray, ib: int = INNER_BLOCK
+) -> Tuple[np.ndarray, np.ndarray, QRReflector]:
     """Zero the *triangular* tile ``r_bottom`` using the triangle ``r_top``.
 
-    Numerically identical to :func:`tsqrt`; the distinction matters for the
-    cost model (a TT elimination costs a third of a TS one, Table I) and for
-    the amount of parallelism the reduction trees can expose.
+    Like :func:`tsqrt`, but only the upper trapezoid of ``r_bottom`` is
+    read, which is what makes a TT elimination cheaper than a TS one
+    (Table I) and lets the reduction trees expose more parallelism.
     """
-    return _stacked_qr(r_top, r_bottom, kind="TTQRT")
+    return _pair_factor(r_top, r_bottom, ib, "TTQRT")
 
 
-def _stacked_apply(refl: QRReflector, c_top: np.ndarray, c_bottom: np.ndarray) -> Tuple[
-    np.ndarray, np.ndarray
-]:
-    if c_top.shape[-2] != refl.split:
+def _pair_apply(
+    refl: QRReflector, c_top: np.ndarray, c_bottom: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``dtpmqrt`` of ``Q^T`` on ``[c_top; c_bottom]``; shared by TSMQR/TTMQR."""
+    rows = c_top.shape[0]
+    if rows != refl.split:
         raise ValueError(
-            f"top tile has {c_top.shape[-2]} rows but reflector was built with split={refl.split}"
+            f"top tile has {rows} rows but reflector was built with split={refl.split}"
         )
-    if c_top.shape[-2] + c_bottom.shape[-2] != refl.v.shape[-2]:
+    if c_bottom.shape[0] != refl.v.shape[0]:
         raise ValueError(
             "stacked row count does not match the reflector "
-            f"({c_top.shape[-2]} + {c_bottom.shape[-2]} != {refl.v.shape[-2]})"
+            f"(bottom has {c_bottom.shape[0]} rows, V has {refl.v.shape[0]})"
         )
-    stacked = np.concatenate([c_top, c_bottom], axis=-2)
-    updated = apply_qt(refl.v, refl.t, stacked)
-    return updated[..., : refl.split, :], updated[..., refl.split :, :]
+    k = refl.v.shape[1]
+    top, bottom, _ = flapack.dtpmqrt(refl.l, refl.v, refl.t, c_top[:k], c_bottom, trans="T")
+    if rows > k:
+        top = np.concatenate((top, c_top[k:]))
+    return top, bottom
 
 
 def tsmqr(refl: QRReflector, c_top: np.ndarray, c_bottom: np.ndarray) -> Tuple[
@@ -139,7 +171,7 @@ def tsmqr(refl: QRReflector, c_top: np.ndarray, c_bottom: np.ndarray) -> Tuple[
     """Apply the reflectors of a :func:`tsqrt` to the tile pair ``(c_top, c_bottom)``."""
     if refl.kind != "TSQRT":
         raise ValueError(f"tsmqr expects a TSQRT reflector, got {refl.kind}")
-    return _stacked_apply(refl, c_top, c_bottom)
+    return _pair_apply(refl, c_top, c_bottom)
 
 
 def ttmqr(refl: QRReflector, c_top: np.ndarray, c_bottom: np.ndarray) -> Tuple[
@@ -148,4 +180,4 @@ def ttmqr(refl: QRReflector, c_top: np.ndarray, c_bottom: np.ndarray) -> Tuple[
     """Apply the reflectors of a :func:`ttqrt` to the tile pair ``(c_top, c_bottom)``."""
     if refl.kind != "TTQRT":
         raise ValueError(f"ttmqr expects a TTQRT reflector, got {refl.kind}")
-    return _stacked_apply(refl, c_top, c_bottom)
+    return _pair_apply(refl, c_top, c_bottom)

@@ -10,8 +10,7 @@ numerically and used as references in tests and benchmarks:
 * :mod:`repro.lapack.gebrd` — the panel-blocked one-stage bidiagonalization
   (LAPACK ``xGEBRD``), organised in panels of ``nb`` columns;
 * :mod:`repro.lapack.geqrf` — blocked Householder QR (LAPACK ``xGEQRF``),
-  the building block of Chan's algorithm; its panels are factored by the
-  tile kernels' :func:`~repro.kernels.householder.qr_factor`;
+  the building block of Chan's algorithm, as one LAPACK ``dgeqrt`` call;
 * :mod:`repro.lapack.chan` — Chan's algorithm (preQR + bidiagonalization of
   the R factor) together with its flop-count crossover analysis.
 """

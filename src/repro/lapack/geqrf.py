@@ -3,17 +3,20 @@
 Used as the ``preQR`` phase of Chan's algorithm
 (:mod:`repro.lapack.chan`) and as an independent numerical reference for
 the tiled QR factorization: both must produce the same ``R`` factor up to
-column signs and the same reconstruction ``A = Q R``.
+column signs and the same reconstruction ``A = Q R``.  The factorization
+is one LAPACK ``dgeqrt`` call (panels of ``block_size`` columns, each
+with its compact-WY ``T``), and ``Q`` is applied by ``dgemqrt``, both
+through :mod:`repro.kernels.flapack`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.kernels.householder import apply_q, apply_qt, qr_factor
+from repro.kernels import flapack
 
 
 @dataclass(frozen=True)
@@ -24,41 +27,37 @@ class QRFactorization:
     ----------
     r:
         The ``m x n`` upper-trapezoidal factor.
-    blocks:
-        List of per-panel compact-WY reflectors ``(offset, V, T)``; panel
-        reflectors act on rows ``offset:`` of the matrix.
+    v:
+        ``m x k`` Householder vectors (``k = min(m, n)``), unit lower
+        trapezoidal below the diagonal, as ``dgeqrt`` returns them.
+    t:
+        ``block_size x k`` triangular block factors of the panels.
     shape:
         Original matrix shape ``(m, n)``.
     """
 
     r: np.ndarray
-    blocks: List[Tuple[int, np.ndarray, np.ndarray]]
+    v: np.ndarray
+    t: np.ndarray
     shape: Tuple[int, int]
 
     def apply_qt(self, c: np.ndarray) -> np.ndarray:
         """Compute ``Q^T C`` without forming ``Q`` (``C`` has ``m`` rows)."""
-        c = np.array(c, dtype=float, copy=True)
-        for offset, v, t in self.blocks:
-            c[offset:, :] = apply_qt(v, t, c[offset:, :])
-        return c
+        return flapack.dgemqrt(self.v, self.t, np.asarray(c, dtype=float), trans="T")[0]
 
     def apply_q(self, c: np.ndarray) -> np.ndarray:
         """Compute ``Q C`` without forming ``Q`` (``C`` has ``m`` rows)."""
-        c = np.array(c, dtype=float, copy=True)
-        for offset, v, t in reversed(self.blocks):
-            c[offset:, :] = apply_q(v, t, c[offset:, :])
-        return c
+        return flapack.dgemqrt(self.v, self.t, np.asarray(c, dtype=float), trans="N")[0]
 
 
 def geqrf(a: np.ndarray, *, block_size: int = 32) -> QRFactorization:
     """Blocked Householder QR factorization of a real ``m x n`` matrix.
 
-    The matrix is processed in panels of ``block_size`` columns; each panel
-    is factored with the compact-WY machinery of
-    :mod:`repro.kernels.householder` and its block reflector is applied to
-    the trailing columns in one blocked update.
+    The matrix is processed in panels of ``block_size`` columns (fewer
+    when the matrix has fewer): one ``dgeqrt`` call factors every panel
+    and applies its block reflector to the trailing columns.
     """
-    a = np.array(a, dtype=float, copy=True)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("geqrf expects a 2-D array")
     m, n = a.shape
@@ -66,19 +65,10 @@ def geqrf(a: np.ndarray, *, block_size: int = 32) -> QRFactorization:
         raise ValueError(f"matrix dimensions must be >= 1, got {m}x{n}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-
-    blocks: List[Tuple[int, np.ndarray, np.ndarray]] = []
     k = min(m, n)
-    for start in range(0, k, block_size):
-        stop = min(start + block_size, k)
-        panel = a[start:, start:stop]
-        v, t, r_panel = qr_factor(panel)
-        a[start:, start:stop] = r_panel
-        if stop < n:
-            a[start:, stop:] = apply_qt(v, t, a[start:, stop:])
-        blocks.append((start, v, t))
-    # The strictly lower part holds no data of R; return the clean triangle.
-    return QRFactorization(r=np.triu(a), blocks=blocks, shape=(m, n))
+    packed, t, _ = flapack.dgeqrt(min(block_size, k), a)
+    # The strictly lower part holds V, no data of R; return the clean triangle.
+    return QRFactorization(r=np.triu(packed), v=packed[:, :k], t=t, shape=(m, n))
 
 
 def form_q_from_qr(fact: QRFactorization, economy: bool = True) -> np.ndarray:

@@ -8,7 +8,7 @@ which is what allows the tiled algorithms to expose task parallelism.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -130,45 +130,15 @@ class TiledMatrix:
         layout._check_tile_index(j, layout.q, "column")
         return (i, j)
 
-    def gather(self, keys: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Stack the tiles ``keys`` along a new leading axis (a copy).
+    @property
+    def store(self) -> Dict[Tuple[int, int], np.ndarray]:
+        """The ``(i, j) -> tile`` dict itself, for hot loops.
 
-        The tiles must share one shape; a key outside the tile grid raises
-        :class:`IndexError`.
+        Writes into it skip :meth:`__setitem__`'s checks: each value must be
+        a tile of its layout shape and of this matrix's dtype, as the tile
+        kernels return (tiles of their inputs' shapes).
         """
-        try:
-            # np.array stacks a list of same-shaped arrays like np.stack,
-            # at a fraction of its call overhead, and raises on mixed shapes.
-            return np.array([self._tiles[key] for key in keys])
-        except KeyError as exc:
-            raise IndexError(
-                f"tile {exc.args[0]} is outside the {self.p}x{self.q} tile grid"
-            ) from None
-
-    def scatter(self, keys: Sequence[Tuple[int, int]], stack: np.ndarray) -> None:
-        """Store ``stack[g]`` as tile ``keys[g]``: the inverse of :meth:`gather`.
-
-        The stored tiles are views of ``stack``.  Every key must name a tile
-        of ``stack``'s slice shape, as :meth:`__setitem__` requires.
-        """
-        stack = np.asarray(stack, dtype=self.dtype)
-        if stack.ndim != 3 or len(stack) != len(keys):
-            raise ValueError(
-                f"expected a stack of {len(keys)} tiles, got shape {stack.shape}"
-            )
-        tiles = self._tiles
-        shape = stack.shape[1:]
-        try:
-            wrong = [key for key in keys if tiles[key].shape != shape]
-        except KeyError as exc:
-            raise IndexError(
-                f"tile {exc.args[0]} is outside the {self.p}x{self.q} tile grid"
-            ) from None
-        if wrong:
-            raise ValueError(
-                f"tile {wrong[0]} must have shape {tiles[wrong[0]].shape}, got {shape}"
-            )
-        tiles.update(zip(keys, stack))
+        return self._tiles
 
     def tiles(self) -> Iterator[Tuple[Tuple[int, int], np.ndarray]]:
         """Iterate over ``((i, j), tile)`` pairs in row-major order."""

@@ -3,10 +3,9 @@
 * **Pins.**  Every Program the engine CONFIGS, the replay oracle's
   ``REPLAY_SHAPES`` and the five harness workloads build has a sha256
   digest per observable (kernel codes, params, step labels, owner tiles,
-  each ``Op``'s reads and writes, both CSRs, the hop levels and
-  :meth:`Program.level_groups`).  The digests were taken from the
-  per-op-tuple Program the compact one replaced, so any drift in what a
-  compiled Program says fails here.
+  each ``Op``'s reads and writes, both CSRs and the hop levels).  The
+  digests were taken from the per-op-tuple Program the compact one
+  replaced, so any drift in what a compiled Program says fails here.
 * **Memory guard.**  The 3000², nb 100, 4×6-core greedy program retains
   at most :data:`MAX_BYTES_PER_OP` bytes per op after compile plus one
   simulate (tracemalloc).
@@ -134,10 +133,6 @@ def program_digests(program):
         "pred_csr": _sha([program.pred_indptr_np.tolist(), program.pred_ids_np.tolist()]),
         "succ_csr": _sha([program.succ_indptr_np.tolist(), program.succ_ids_np.tolist()]),
         "levels": _sha(program.levels_np.tolist()),
-        "level_groups": _sha([
-            [code, [list(params) for params in group]]
-            for code, group in program.level_groups()
-        ]),
     }
 
 

@@ -1,20 +1,17 @@
-"""Unit and property tests for the Householder machinery."""
+"""Unit and property tests for the Householder machinery.
+
+:func:`householder_vector` (``dlarfg``) builds the reference QR loop that
+the LAPACK panel kernel (``geqrt``, one ``dgeqrt`` call) is checked
+against, on ordinary and hostile tiles.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.kernels.householder import (
-    apply_q,
-    apply_q_right,
-    apply_qt,
-    apply_qt_right,
-    build_t_factor,
-    form_q,
-    householder_vector,
-    qr_factor,
-)
+from repro.kernels.householder import householder_vector
+from repro.kernels.qr_kernels import geqrt, tsmqr, tsqrt, unmqr
 
 EPS = np.finfo(float).eps
 
@@ -23,8 +20,8 @@ def reference_qr(a):
     """Column-by-column Householder QR: the differential oracle.
 
     One ``householder_vector`` and one rank-1 update per column, then the
-    ``dlarft`` recursion for ``T`` column by column; returns ``(V, T, R)``
-    like :func:`qr_factor`.
+    ``dlarft`` recursion for ``T`` column by column; returns ``(V, T, R)``,
+    ``V`` unit lower trapezoidal with zeros above the diagonal.
     """
     a = np.array(a, dtype=float, copy=True)
     m, n = a.shape
@@ -48,7 +45,7 @@ def reference_qr(a):
 
 
 def _hostile_qr_inputs():
-    """Extreme scales, degenerate structure and edge shapes for qr_factor."""
+    """Extreme scales, degenerate structure and edge shapes for geqrt."""
     gen = np.random.default_rng(2017)
     a = gen.standard_normal((16, 16))
     zero_column = a.copy()
@@ -135,7 +132,20 @@ class TestHouseholderVector:
         np.testing.assert_allclose(h @ h, np.eye(x.size), atol=1e-12)
 
 
-class TestQRFactor:
+def _unit_lower(refl):
+    """The reflector's ``V`` as an explicit unit lower trapezoid."""
+    v = np.tril(refl.v, -1)
+    k = v.shape[1]
+    v[np.arange(k), np.arange(k)] = 1.0
+    return v
+
+
+class TestGeqrtKernel:
+    """The LAPACK panel kernel against the reference loop and hostile tiles.
+
+    ``Q`` is formed by applying the update kernel to the identity.
+    """
+
     @pytest.mark.parametrize(
         "shape",
         [(4, 4), (6, 3), (3, 3), (8, 5), (5, 1), (1, 1)] + _hostile_qr_inputs(),
@@ -145,8 +155,8 @@ class TestQRFactor:
         # the matrix itself.
         a = rng.standard_normal(shape) if isinstance(shape, tuple) else shape
         m, n = a.shape
-        v, t, r = qr_factor(a)
-        q = form_q(v, t)
+        r, refl = geqrt(a)
+        q = unmqr(refl, np.eye(m)).T
         tol = 10 * max(m, n) * EPS
         # R upper trapezoidal, exactly
         assert not np.tril(r, -1).any()
@@ -155,123 +165,48 @@ class TestQRFactor:
         assert np.max(np.abs(q @ r - a)) <= tol * np.max(np.abs(a))
         # Q orthogonal
         assert np.max(np.abs(q.T @ q - np.eye(m))) <= tol
-        # T upper triangular with exact zeros; an identity reflector
-        # (tau = 0, no stored vector below the diagonal) has an all-zero
-        # row and column, as LAPACK dlarft leaves them.
-        assert not np.tril(t, -1).any()
-        identity = np.diagonal(t) == 0.0
-        np.testing.assert_array_equal(identity, ~np.tril(v, -1).any(axis=0))
-        assert not t[identity, :].any() and not t[:, identity].any()
+        # T's blocks are upper triangular; a length-1 last reflector is
+        # the identity (tau = 0 on T's diagonal).
+        ib, k = refl.t.shape
+        for start in range(0, k, ib):
+            block = refl.t[:, start : start + ib]
+            assert not np.tril(block[: block.shape[1]], -1).any()
         if m <= n:
-            assert identity[-1]  # the length-1 last reflector
+            assert refl.t[(k - 1) % ib, k - 1] == 0.0
 
     @pytest.mark.parametrize("shape", [(16, 16), (32, 16), (32, 32), (10, 16), (16, 10), (7, 1)])
     def test_matches_reference_loop(self, shape, rng):
+        # ib = 32 >= k: one block, so T is the reference's k x k T.
         a = rng.standard_normal(shape)
-        v, t, r = qr_factor(a)
+        r, refl = geqrt(a, 32)
         v0, t0, r0 = reference_qr(a)
-        for got, want in ((v, v0), (t, t0), (r, r0)):
+        for got, want in ((_unit_lower(refl), v0), (refl.t, t0), (r, r0)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         k = min(shape)
         np.testing.assert_array_equal(np.sign(np.diagonal(r)[:k]), np.sign(np.diagonal(r0)[:k]))
 
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            qr_factor(np.zeros(4))
-
     def test_t_factor_matches_product_of_reflectors(self, rng):
         a = rng.standard_normal((5, 5))
-        v, t, _ = qr_factor(a)
+        _, refl = geqrt(a, 32)
         # Rebuild Q from the individual reflectors and compare.
         q_ref = np.eye(5)
-        taus = np.diagonal(t)
+        v, taus = _unit_lower(refl), np.diagonal(refl.t)
         for j in range(5):
             h = np.eye(5) - taus[j] * np.outer(v[:, j], v[:, j])
             q_ref = q_ref @ h
-        np.testing.assert_allclose(form_q(v, t), q_ref, atol=1e-12)
+        np.testing.assert_allclose(unmqr(refl, np.eye(5)).T, q_ref, atol=1e-12)
 
-
-class TestApply:
-    def test_apply_qt_matches_explicit(self, rng):
-        a = rng.standard_normal((6, 4))
-        c = rng.standard_normal((6, 3))
-        v, t, _ = qr_factor(a)
-        q = form_q(v, t)
-        np.testing.assert_allclose(apply_qt(v, t, c), q.T @ c, atol=1e-12)
-        np.testing.assert_allclose(apply_q(v, t, c), q @ c, atol=1e-12)
-
-    def test_apply_right_matches_explicit(self, rng):
-        a = rng.standard_normal((5, 5))
-        c = rng.standard_normal((3, 5))
-        v, t, _ = qr_factor(a)
-        q = form_q(v, t)
-        np.testing.assert_allclose(apply_q_right(v, t, c), c @ q, atol=1e-12)
-        np.testing.assert_allclose(apply_qt_right(v, t, c), c @ q.T, atol=1e-12)
-
-    def test_inputs_not_modified(self, rng):
+    def test_update_kernels_do_not_modify_inputs(self, rng):
         a = rng.standard_normal((4, 4))
         c = rng.standard_normal((4, 2))
         c_copy = c.copy()
-        v, t, _ = qr_factor(a)
-        apply_qt(v, t, c)
+        _, refl = geqrt(a)
+        unmqr(refl, c)
         np.testing.assert_array_equal(c, c_copy)
-
-    def test_form_q_embeds(self, rng):
-        a = rng.standard_normal((3, 3))
-        v, t, _ = qr_factor(a)
-        q = form_q(v, t, m=5)
-        assert q.shape == (5, 5)
-        np.testing.assert_allclose(q[3:, 3:], np.eye(2))
-        with pytest.raises(ValueError):
-            form_q(v, t, m=2)
-
-    def test_build_t_upper_triangular(self, rng):
-        a = rng.standard_normal((6, 4))
-        v, t, _ = qr_factor(a)
-        np.testing.assert_allclose(np.tril(t, -1), 0.0, atol=0.0)
-
-
-class TestStacked:
-    """A stack of g blocks gives bitwise what g 2-D calls give.
-
-    Slice 0 of every stack has a column whose reflector is the identity
-    (tau = 0), and the shapes include a ragged edge tile.
-    """
-
-    @staticmethod
-    def _stack(rng, g, shape):
-        a = rng.standard_normal((g, *shape))
-        a[0, 1:, 0] = 0.0
-        return a
-
-    @pytest.mark.parametrize("g", [1, 3, 22])
-    @pytest.mark.parametrize("shape", [(16, 16), (32, 16), (5, 3), (3, 5)])
-    def test_qr_factor(self, rng, g, shape):
-        a = self._stack(rng, g, shape)
-        v, t, r = qr_factor(a)
-        assert t[0, 0, 0] == 0.0
-        for s in range(g):
-            for got, want in zip((v[s], t[s], r[s]), qr_factor(a[s])):
-                np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("g", [1, 3, 22])
-    def test_build_t_factor(self, rng, g):
-        v, t, _ = qr_factor(self._stack(rng, g, (12, 8)))
-        taus = np.diagonal(t, axis1=-2, axis2=-1)
-        stacked = build_t_factor(v, taus)
-        np.testing.assert_array_equal(stacked, t)
-        for s in range(g):
-            np.testing.assert_array_equal(stacked[s], build_t_factor(v[s], taus[s]))
-
-    @pytest.mark.parametrize("g", [1, 3, 22])
-    @pytest.mark.parametrize(
-        "apply, c_shape",
-        [(apply_qt, (12, 5)), (apply_q, (12, 5)), (apply_q_right, (4, 12)), (apply_qt_right, (4, 12))],
-    )
-    def test_apply(self, rng, g, apply, c_shape):
-        v, t, _ = qr_factor(self._stack(rng, g, (12, 8)))
-        c = rng.standard_normal((g, *c_shape))
-        got = apply(v, t, c)
-        for s in range(g):
-            np.testing.assert_array_equal(got[s], apply(v[s], t[s], c[s]))
+        _, _, pair = tsqrt(np.triu(a), rng.standard_normal((4, 4)))
+        c_bottom = rng.standard_normal((4, 2))
+        bottom_copy = c_bottom.copy()
+        tsmqr(pair, c, c_bottom)
+        np.testing.assert_array_equal(c, c_copy)
+        np.testing.assert_array_equal(c_bottom, bottom_copy)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernels.lq_kernels import gelqt, tslqt, tsmlq, ttlqt, ttmlq, unmlq
+from repro.kernels.qr_kernels import geqrt, unmqr
 
 
 class TestGelqtUnmlq:
@@ -110,65 +111,66 @@ class TestTtlqtTtmlq:
         np.testing.assert_array_equal(l_right, right_copy)
 
 
-#: Stack sizes of the stacked-kernel tests: a single slice, a few, and
-#: the size of a typical numeric-tall level group.
-STACKS = (1, 3, 22)
+#: (rows, left columns, right columns) of the pair-kernel tests: the
+#: transposes of ``test_qr_kernels.PAIR_SHAPES``.
+PAIR_SHAPES = [(8, 8, 8), (3, 8, 5), (5, 8, 3), (1, 8, 8), (8, 8, 1), (1, 1, 1)]
 
 
-def _assert_same_reflector(stacked, index, single):
-    np.testing.assert_array_equal(stacked.v[index], single.v)
-    np.testing.assert_array_equal(stacked.t[index], single.t)
-    assert (stacked.split, stacked.kind) == (single.split, single.kind)
+def form_q(refl, update):
+    """``Q`` with ``update(refl, C_left, C_right) = [C_left | C_right] Q``."""
+    eye = np.eye(refl.split + refl.v.shape[0])
+    return np.hstack(update(refl, eye[:, : refl.split], eye[:, refl.split :]))
 
 
-class TestStackedKernels:
-    """A stack of g tiles gives bitwise what g 2-D kernel calls give.
+class TestRaggedTilesAndInnerBlocking:
+    """The LQ kernels on every tile shape a grid has, at several ``ib``:
+    the QR kernels' tests through the transpose."""
 
-    The LQ counterpart of ``test_qr_kernels.TestStackedKernels``.  Slice 0
-    of every stack has a row whose reflector is the identity (tau = 0).
-    """
+    @pytest.mark.parametrize("ib", [1, 3, 32])
+    @pytest.mark.parametrize("rows, cols", [(8, 8), (3, 5), (5, 3), (8, 1), (1, 8)])
+    def test_gelqt_is_geqrt_transposed(self, rng, rows, cols, ib):
+        a = rng.standard_normal((rows, cols))
+        l, refl = gelqt(a, ib)
+        r, qr_refl = geqrt(a.T, ib)
+        np.testing.assert_array_equal(l, r.T)
+        np.testing.assert_array_equal(refl.v, qr_refl.v)
+        np.testing.assert_array_equal(refl.t, qr_refl.t)
+        q = unmlq(refl, np.eye(cols))
+        np.testing.assert_allclose(q.T @ q, np.eye(cols), atol=1e-14)
+        np.testing.assert_allclose(l @ q.T, a, atol=1e-13)
+        c = rng.standard_normal((4, cols))
+        np.testing.assert_allclose(unmlq(refl, c), unmqr(qr_refl, c.T).T, atol=1e-13)
 
-    @pytest.mark.parametrize("g", STACKS)
-    @pytest.mark.parametrize("rows, cols", [(8, 8), (3, 5)])
-    def test_gelqt_unmlq(self, rng, g, rows, cols):
-        a = rng.standard_normal((g, rows, cols))
-        a[0, 0, 1:] = 0.0
-        c = rng.standard_normal((g, 6, cols))
-        l, refl = gelqt(a)
-        assert refl.t[0, 0, 0] == 0.0
-        updated = unmlq(refl, c)
-        for s in range(g):
-            l_s, refl_s = gelqt(a[s])
-            np.testing.assert_array_equal(l[s], l_s)
-            _assert_same_reflector(refl, s, refl_s)
-            np.testing.assert_array_equal(updated[s], unmlq(refl_s, c[s]))
-
-    @pytest.mark.parametrize("g", STACKS)
-    @pytest.mark.parametrize("rows, left, right", [(8, 8, 8), (3, 8, 5)])
+    @pytest.mark.parametrize("ib", [1, 3, 32])
+    @pytest.mark.parametrize("rows, left, right", PAIR_SHAPES)
     @pytest.mark.parametrize("factor, update", [(tslqt, tsmlq), (ttlqt, ttmlq)])
-    def test_pair_kernels(self, rng, g, rows, left, right, factor, update):
-        l_left = np.tril(rng.standard_normal((g, rows, left)))
-        a_right = rng.standard_normal((g, rows, right))
-        a_right[0, 0, :] = 0.0
-        c_left = rng.standard_normal((g, 4, left))
-        c_right = rng.standard_normal((g, 4, right))
-        new_left, new_right, refl = factor(l_left, a_right)
-        assert refl.t[0, 0, 0] == 0.0
-        got_left, got_right = update(refl, c_left, c_right)
-        for s in range(g):
-            left_s, right_s, refl_s = factor(l_left[s], a_right[s])
-            np.testing.assert_array_equal(new_left[s], left_s)
-            np.testing.assert_array_equal(new_right[s], right_s)
-            _assert_same_reflector(refl, s, refl_s)
-            want_left, want_right = update(refl_s, c_left[s], c_right[s])
-            np.testing.assert_array_equal(got_left[s], want_left)
-            np.testing.assert_array_equal(got_right[s], want_right)
+    def test_pair_kernels(self, rng, rows, left, right, factor, update, ib):
+        l_left = np.tril(rng.standard_normal((rows, left)))
+        a_right = rng.standard_normal((rows, right))
+        if factor is ttlqt:
+            a_right = np.tril(a_right)
+        new_left, new_right, refl = factor(l_left, a_right, ib)
+        k = rows
+        assert new_left.shape == l_left.shape and not np.triu(new_left, 1).any()
+        np.testing.assert_array_equal(new_right, np.zeros_like(a_right))
+        assert refl.t.shape == (min(ib, k), k) and refl.v.shape == (right, k)
+        # The pair times Q is [L | 0] ...
+        got_left, got_right = update(refl, l_left, a_right)
+        np.testing.assert_allclose(got_left, new_left, atol=1e-13)
+        np.testing.assert_allclose(got_right, 0.0, atol=1e-13)
+        # ... and Q is orthogonal with [L | 0] Q^T = [left | right].
+        q = form_q(refl, update)
+        np.testing.assert_allclose(q.T @ q, np.eye(left + right), atol=1e-14)
+        np.testing.assert_allclose(
+            np.hstack([new_left, new_right]) @ q.T, np.hstack([l_left, a_right]), atol=1e-13
+        )
+        np.testing.assert_array_equal(new_left[:, k:], l_left[:, k:])
 
-    def test_checks_raise_on_stacks(self, rng):
-        a = rng.standard_normal((3, 8, 8))
-        narrow = rng.standard_normal((3, 8, 5))
+    def test_checks(self, rng):
+        a = rng.standard_normal((8, 8))
+        narrow = rng.standard_normal((8, 5))
         _, panel = gelqt(a)
-        _, _, ts = tslqt(np.tril(a), rng.standard_normal((3, 8, 8)))
+        _, _, ts = tslqt(np.tril(a), rng.standard_normal((8, 8)))
         _, _, tt = ttlqt(np.tril(a), np.tril(a))
         with pytest.raises(ValueError, match="GELQT reflector"):
             unmlq(ts, a)
@@ -183,4 +185,6 @@ class TestStackedKernels:
         with pytest.raises(ValueError, match="stacked column count"):
             ttmlq(tt, a, narrow)
         with pytest.raises(ValueError, match="row mismatch"):
-            tslqt(a, rng.standard_normal((3, 5, 8)))
+            tslqt(a, rng.standard_normal((5, 8)))
+        with pytest.raises(ValueError, match="triangle"):
+            tslqt(rng.standard_normal((5, 3)), rng.standard_normal((5, 5)))

@@ -690,3 +690,40 @@ class TestScenarioTracing:
         metrics = json.loads(capsys.readouterr().out)["metrics"]
         for key in ("ready_queue", "message_sizes", "network", "policy"):
             assert key in metrics, key
+
+
+# --------------------------------------------------------------------------- #
+# Numeric stages are traced
+# --------------------------------------------------------------------------- #
+class TestNumericStageSpans:
+    """Each numeric stage opens a ``numeric.<stage>`` phase on the ambient
+    tracer; the input build and the accuracy check are spans only."""
+
+    @pytest.mark.parametrize(
+        "stage, names",
+        [
+            ("ge2bnd", ["input", "ge2bnd"]),
+            ("ge2val", ["input", "ge2bnd", "bnd2bd", "bd2val", "check"]),
+            ("gesvd", ["input", "ge2bnd", "accumulate_u1v1", "bnd2bd", "bd2val",
+                       "compose", "check"]),
+        ],
+    )
+    def test_stage_spans_and_tracing_leaves_sigma_bitwise_equal(self, stage, names):
+        plan = SvdPlan(m=40, n=24, tile_size=8, stage=stage, seed=3)
+        plain = execute(plan, "numeric", trace=False)
+        traced = execute(plan, "numeric", trace=Tracer(clock=FakeClock()))
+        assert plain.trace is None
+        spans = [span for span in traced.trace.phases if span.name.startswith("numeric.")]
+        assert [span.name for span in spans] == [f"numeric.{name}" for name in names]
+        assert all(span.depth == 0 for span in spans)
+        assert set(traced.stage_seconds) == set(plain.stage_seconds) == (
+            set(names) - {"input", "check"}
+        )
+        if stage == "ge2bnd":
+            band, traced_band = plain.extras["band"], traced.extras["band"]
+            assert band.data.tobytes() == traced_band.data.tobytes()
+            return
+        assert plain.singular_values.tobytes() == traced.singular_values.tobytes()
+        if stage == "gesvd":
+            assert plain.u.tobytes() == traced.u.tobytes()
+            assert plain.vt.tobytes() == traced.vt.tobytes()

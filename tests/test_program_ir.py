@@ -29,7 +29,7 @@ from repro.ir import (
     replay,
     tree_fingerprint,
 )
-from repro.kernels.costs import KERNEL_CODES, KernelName
+from repro.kernels.costs import KernelName
 from repro.tiles.matrix import TiledMatrix
 from repro.trees import AutoTree, FlatTSTree, GreedyTree
 
@@ -260,7 +260,7 @@ class TestProgramCache:
 
 
 #: (m, n, nb) of the replay oracle: two even tile grids and three ragged
-#: ones, whose last tile row and column split level groups by tile shape.
+#: ones, whose last tile row and column give the kernels non-square tiles.
 REPLAY_SHAPES = [(24, 16, 4), (40, 12, 4), (100, 70, 16), (200, 45, 8), (33, 17, 8)]
 REPLAY_TREES = ["flatts", "flattt", "greedy", "auto"]
 
@@ -279,63 +279,16 @@ class TestReplay:
         replayed = TiledMatrix.from_dense(a, nb)
         replay_run = NumericExecutor(replayed, log_transformations=True)
         replay(get_program(variant, replayed.p, replayed.q, tree, n_cores=4), replay_run)
-        # The driver issues the ops one by one in stream order; replay runs
-        # them level by level, one stacked kernel call per (level, kernel)
-        # group.  Ops of one level are independent, so the arithmetic is
-        # bitwise the same.
+        # The driver issues the ops one by one in stream order, and replay
+        # re-issues the compiled stream in the same order, one kernel call
+        # per op: the arithmetic is bitwise the same.
         np.testing.assert_array_equal(replayed.to_dense(), direct.to_dense())
-        # gesvd's U1 and V1 apply the logged reflectors in log order, which
-        # is level order after a replay.
+        # gesvd's U1 and V1 apply the logged reflectors in log order.
         assert len(replay_run.transform_log) == len(direct_run.transform_log)
         got = accumulate_orthogonal_factors(replayed.layout, replay_run.transform_log)
         want = accumulate_orthogonal_factors(direct.layout, direct_run.transform_log)
         for got_factor, want_factor in zip(got, want):
             np.testing.assert_array_equal(got_factor, want_factor)
-
-    @pytest.mark.parametrize("m, n, nb", REPLAY_SHAPES)
-    @pytest.mark.parametrize("variant", ["bidiag", "rbidiag"])
-    @pytest.mark.parametrize("tree_name", REPLAY_TREES)
-    def test_level_groups_partition_the_ops(self, tree_name, variant, m, n, nb):
-        tree = resolve_tree(tree_name, n_cores=4)
-        program = get_program(variant, -(-m // nb), -(-n // nb), tree, n_cores=4)
-        level = program.levels_np.tolist()
-        code = program.kernel_codes_np.tolist()
-        groups = program.level_groups()
-        # Every op once, sorted stably by (level, kernel code): stream order
-        # within a group.
-        order = sorted(range(len(program)), key=lambda i: (level[i], code[i]))
-        flat = [(c, params) for c, group in groups for params in group]
-        assert flat == [(code[i], program.ops[i].params) for i in order]
-        # One level and one kernel per group, and levels never decrease.
-        keys, start = [], 0
-        for c, group in groups:
-            ids = order[start : start + len(group)]
-            start += len(group)
-            assert {level[i] for i in ids} == {level[ids[0]]}
-            assert {code[i] for i in ids} == {c}
-            keys.append((level[ids[0]], c))
-        assert keys == sorted(set(keys))
-        # Each op's predecessors sit at lower levels, so no two ops of one
-        # group depend on each other.
-        for i in range(len(program)):
-            assert all(level[j] < level[i] for j in program.predecessors(i))
-        assert program.level_groups() is groups
-        # An object-built program (levels from its pred CSR, params from its
-        # Op records) groups the same way.
-        assert Program.from_ops(program.ops).level_groups() == groups
-
-    def test_run_group_checks_reflector_kinds(self, rng):
-        # A stacked update takes one kind of reflector, as the per-op
-        # update kernels do: a TSMQR group reading a TTQRT reflector raises.
-        executor = NumericExecutor(TiledMatrix.from_dense(rng.standard_normal((12, 8)), 4))
-        executor.geqrt(0, 0)
-        executor.tsqrt(0, 1, 0)
-        executor.ttqrt(0, 2, 0)
-        tsmqr = KERNEL_CODES[KernelName.TSMQR]
-        with pytest.raises(ValueError, match="mixes reflector kinds"):
-            executor.run_group(tsmqr, [(0, 1, 0, 1), (0, 2, 0, 1)])
-        with pytest.raises(ValueError, match="TSQRT reflector"):
-            executor.run_group(tsmqr, [(0, 2, 0, 1)])
 
     def test_replay_onto_recorder_reproduces_program(self):
         program = compile_program("bidiag", 4, 3, FlatTSTree())

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.kernels.householder import form_q
 from repro.kernels.qr_kernels import geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr
+
+
+def form_q(refl):
+    """The orthogonal factor of ``refl``: its update kernel on the identity is ``Q^T``."""
+    if refl.kind == "GEQRT":
+        return unmqr(refl, np.eye(refl.v.shape[0])).T
+    eye = np.eye(refl.split + refl.v.shape[0])
+    update = tsmqr if refl.kind == "TSQRT" else ttmqr
+    return np.vstack(update(refl, eye[: refl.split], eye[refl.split :])).T
 
 
 class TestGeqrtUnmqr:
@@ -12,14 +20,14 @@ class TestGeqrtUnmqr:
         a = rng.standard_normal((5, 5))
         r, refl = geqrt(a)
         np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=1e-12)
-        q = form_q(refl.v, refl.t)
+        q = form_q(refl)
         np.testing.assert_allclose(q @ r, a, atol=1e-12)
 
     def test_unmqr_applies_qt(self, rng):
         a = rng.standard_normal((4, 4))
         c = rng.standard_normal((4, 4))
         r, refl = geqrt(a)
-        q = form_q(refl.v, refl.t)
+        q = form_q(refl)
         np.testing.assert_allclose(unmqr(refl, c), q.T @ c, atol=1e-12)
 
     def test_unmqr_rejects_wrong_reflector(self, rng):
@@ -36,7 +44,7 @@ class TestGeqrtUnmqr:
     def test_rectangular_tile(self, rng):
         a = rng.standard_normal((3, 5))
         r, refl = geqrt(a)
-        q = form_q(refl.v, refl.t)
+        q = form_q(refl)
         np.testing.assert_allclose(q @ r, a, atol=1e-12)
 
 
@@ -47,7 +55,7 @@ class TestTsqrtTsmqr:
         new_top, new_bot, refl = tsqrt(r_top, a_bot)
         np.testing.assert_array_equal(new_bot, 0.0)
         # Stacked factorization is exact.
-        q = form_q(refl.v, refl.t)
+        q = form_q(refl)
         stacked = np.vstack([r_top, a_bot])
         np.testing.assert_allclose(q @ np.vstack([new_top, new_bot]), stacked, atol=1e-12)
 
@@ -56,7 +64,7 @@ class TestTsqrtTsmqr:
         a_bot = rng.standard_normal((2, 4))
         new_top, new_bot, refl = tsqrt(r_top, a_bot)
         assert new_bot.shape == (2, 4)
-        q = form_q(refl.v, refl.t)
+        q = form_q(refl)
         np.testing.assert_allclose(
             q @ np.vstack([new_top, new_bot]), np.vstack([r_top, a_bot]), atol=1e-12
         )
@@ -71,7 +79,7 @@ class TestTsqrtTsmqr:
         _, _, refl = tsqrt(r_top, a_bot)
         c_top = rng.standard_normal((3, 4))
         c_bot = rng.standard_normal((3, 4))
-        q = form_q(refl.v, refl.t)
+        q = form_q(refl)
         expected = q.T @ np.vstack([c_top, c_bot])
         got_top, got_bot = tsmqr(refl, c_top, c_bot)
         np.testing.assert_allclose(np.vstack([got_top, got_bot]), expected, atol=1e-12)
@@ -95,7 +103,7 @@ class TestTtqrtTtmqr:
         new_top, new_bot, refl = ttqrt(r_top, r_bot)
         np.testing.assert_array_equal(new_bot, 0.0)
         np.testing.assert_allclose(np.tril(new_top, -1), 0.0, atol=1e-12)
-        q = form_q(refl.v, refl.t)
+        q = form_q(refl)
         np.testing.assert_allclose(
             q @ np.vstack([new_top, new_bot]), np.vstack([r_top, r_bot]), atol=1e-12
         )
@@ -106,7 +114,7 @@ class TestTtqrtTtmqr:
         _, _, refl = ttqrt(r_top, r_bot)
         c_top = rng.standard_normal((3, 5))
         c_bot = rng.standard_normal((3, 5))
-        q = form_q(refl.v, refl.t)
+        q = form_q(refl)
         expected = q.T @ np.vstack([c_top, c_bot])
         got_top, got_bot = ttmqr(refl, c_top, c_bot)
         np.testing.assert_allclose(np.vstack([got_top, got_bot]), expected, atol=1e-12)
@@ -126,79 +134,67 @@ class TestTtqrtTtmqr:
         np.testing.assert_array_equal(r_bot, bot_copy)
 
 
-#: Stack sizes of the stacked-kernel tests: a single slice, a few, and
-#: the size of a typical numeric-tall level group.
-STACKS = (1, 3, 22)
+#: (top rows, bottom rows, columns) of the pair-kernel tests: square
+#: tiles, then the ragged last tile row and column a tile grid can have.
+PAIR_SHAPES = [(8, 8, 8), (8, 5, 3), (8, 3, 5), (8, 8, 1), (8, 1, 8), (1, 1, 1)]
 
 
-def _assert_same_reflector(stacked, index, single):
-    np.testing.assert_array_equal(stacked.v[index], single.v)
-    np.testing.assert_array_equal(stacked.t[index], single.t)
-    assert (stacked.split, stacked.kind) == (single.split, single.kind)
+class TestRaggedTilesAndInnerBlocking:
+    """The kernels on every tile shape a grid has, at several ``ib``.
 
-
-class TestStackedKernels:
-    """A stack of g tiles gives bitwise what g 2-D kernel calls give.
-
-    The numeric replay runs each (DAG level, kernel) group as one stacked
-    call, so these equalities are what keep its results bitwise equal to
-    a per-op drive.  Slice 0 of every stack has a column whose reflector
-    is the identity (tau = 0).
+    ``ib`` blocks the ``T`` factor (``min(ib, k) x k``): it changes the
+    rounding, never the factorization.
     """
 
-    @pytest.mark.parametrize("g", STACKS)
-    @pytest.mark.parametrize("rows, cols", [(8, 8), (5, 3)])
-    def test_geqrt_unmqr(self, rng, g, rows, cols):
-        a = rng.standard_normal((g, rows, cols))
-        a[0, 1:, 0] = 0.0
-        c = rng.standard_normal((g, rows, 6))
-        r, refl = geqrt(a)
-        assert refl.t[0, 0, 0] == 0.0
-        updated = unmqr(refl, c)
-        for s in range(g):
-            r_s, refl_s = geqrt(a[s])
-            np.testing.assert_array_equal(r[s], r_s)
-            _assert_same_reflector(refl, s, refl_s)
-            np.testing.assert_array_equal(updated[s], unmqr(refl_s, c[s]))
+    @pytest.mark.parametrize("ib", [1, 3, 32])
+    @pytest.mark.parametrize("rows, cols", [(8, 8), (5, 3), (3, 5), (1, 8), (8, 1)])
+    def test_geqrt(self, rng, rows, cols, ib):
+        a = rng.standard_normal((rows, cols))
+        r, refl = geqrt(a, ib)
+        k = min(rows, cols)
+        assert r.shape == a.shape and not np.tril(r, -1).any()
+        assert refl.t.shape == (min(ib, k), k) and refl.v.shape == (rows, k)
+        q = form_q(refl)
+        np.testing.assert_allclose(q.T @ q, np.eye(rows), atol=1e-14)
+        np.testing.assert_allclose(q @ r, a, atol=1e-13)
+        np.testing.assert_allclose(r, geqrt(a, 1)[0], atol=1e-13)
 
-    @pytest.mark.parametrize("g", STACKS)
-    @pytest.mark.parametrize("top, bottom, cols", [(8, 8, 8), (8, 5, 3)])
+    @pytest.mark.parametrize("ib", [1, 3, 32])
+    @pytest.mark.parametrize("top, bottom, cols", PAIR_SHAPES)
     @pytest.mark.parametrize("factor, update", [(tsqrt, tsmqr), (ttqrt, ttmqr)])
-    def test_pair_kernels(self, rng, g, top, bottom, cols, factor, update):
-        r_top = np.triu(rng.standard_normal((g, top, cols)))
-        a_bot = rng.standard_normal((g, bottom, cols))
-        a_bot[0, :, 0] = 0.0
-        c_top = rng.standard_normal((g, top, 5))
-        c_bot = rng.standard_normal((g, bottom, 5))
-        new_top, new_bot, refl = factor(r_top, a_bot)
-        assert refl.t[0, 0, 0] == 0.0
-        got_top, got_bot = update(refl, c_top, c_bot)
-        for s in range(g):
-            top_s, bot_s, refl_s = factor(r_top[s], a_bot[s])
-            np.testing.assert_array_equal(new_top[s], top_s)
-            np.testing.assert_array_equal(new_bot[s], bot_s)
-            _assert_same_reflector(refl, s, refl_s)
-            want_top, want_bot = update(refl_s, c_top[s], c_bot[s])
-            np.testing.assert_array_equal(got_top[s], want_top)
-            np.testing.assert_array_equal(got_bot[s], want_bot)
+    def test_pair_kernels(self, rng, top, bottom, cols, factor, update, ib):
+        r_top = np.triu(rng.standard_normal((top, cols)))
+        a_bot = rng.standard_normal((bottom, cols))
+        if factor is ttqrt:
+            a_bot = np.triu(a_bot)
+        new_top, new_bot, refl = factor(r_top, a_bot, ib)
+        k = cols
+        assert new_top.shape == r_top.shape and not np.tril(new_top, -1).any()
+        np.testing.assert_array_equal(new_bot, np.zeros_like(a_bot))
+        assert refl.t.shape == (min(ib, k), k) and refl.v.shape == (bottom, k)
+        assert refl.l == (min(bottom, k) if factor is ttqrt else 0)
+        # Q^T maps the factored pair onto [R; 0] ...
+        got_top, got_bot = update(refl, r_top, a_bot)
+        np.testing.assert_allclose(got_top, new_top, atol=1e-13)
+        np.testing.assert_allclose(got_bot, 0.0, atol=1e-13)
+        # ... and Q is orthogonal with Q [R; 0] = [top; bottom].
+        q = form_q(refl)
+        np.testing.assert_allclose(q.T @ q, np.eye(top + bottom), atol=1e-14)
+        np.testing.assert_allclose(
+            q @ np.vstack([new_top, new_bot]), np.vstack([r_top, a_bot]), atol=1e-13
+        )
+        # The pivot's rows below its k x k triangle are neither read nor
+        # changed, by the factor kernel and by its update.
+        np.testing.assert_array_equal(new_top[k:], r_top[k:])
+        c_top, c_bot = rng.standard_normal((top, 4)), rng.standard_normal((bottom, 4))
+        np.testing.assert_array_equal(update(refl, c_top, c_bot)[0][k:], c_top[k:])
 
-    def test_checks_raise_on_stacks(self, rng):
-        a = rng.standard_normal((3, 8, 8))
-        short = rng.standard_normal((3, 5, 8))
-        _, panel = geqrt(a)
-        _, _, ts = tsqrt(np.triu(a), rng.standard_normal((3, 8, 8)))
-        _, _, tt = ttqrt(np.triu(a), np.triu(a))
-        with pytest.raises(ValueError, match="GEQRT reflector"):
-            unmqr(ts, a)
-        with pytest.raises(ValueError, match="row mismatch"):
-            unmqr(panel, short)
-        with pytest.raises(ValueError, match="TSQRT reflector"):
-            tsmqr(tt, a, a)
-        with pytest.raises(ValueError, match="TTQRT reflector"):
-            ttmqr(ts, a, a)
-        with pytest.raises(ValueError, match="split"):
-            tsmqr(ts, short, a)
-        with pytest.raises(ValueError, match="stacked row count"):
-            ttmqr(tt, a, short)
-        with pytest.raises(ValueError, match="column mismatch"):
-            tsqrt(a, rng.standard_normal((3, 8, 5)))
+    def test_tt_reads_only_the_upper_trapezoid_of_the_bottom(self, rng):
+        r_top = np.triu(rng.standard_normal((6, 6)))
+        r_bot = np.triu(rng.standard_normal((6, 6)))
+        junk = r_bot + np.tril(rng.standard_normal((6, 6)), -1)
+        np.testing.assert_array_equal(ttqrt(r_top, junk)[0], ttqrt(r_top, r_bot)[0])
+
+    def test_pivot_must_hold_a_triangle(self, rng):
+        with pytest.raises(ValueError, match="triangle"):
+            tsqrt(rng.standard_normal((3, 5)), rng.standard_normal((5, 5)))

@@ -60,38 +60,17 @@ class TestAccess:
         assert coords == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-class TestBatchedAccess:
-    """gather/scatter: the tile access of the level-batched numeric replay."""
-
-    def test_gather_scatter_round_trip(self, rng):
+class TestStore:
+    def test_store_is_the_live_tile_dict(self, rng):
+        # The numeric executor writes kernel outputs straight into it.
         a = rng.standard_normal((8, 7))
         mat = TiledMatrix.from_dense(a, 3)
-        keys = [(0, 1), (1, 0), (0, 0)]
-        stack = mat.gather(keys)
-        assert stack.shape == (3, 3, 3)
-        np.testing.assert_array_equal(stack[1], a[3:6, 0:3])
-        mat.scatter(keys[::-1], stack)
-        np.testing.assert_array_equal(mat[0, 0], a[0:3, 3:6])
-        np.testing.assert_array_equal(mat[0, 1], a[0:3, 0:3])
-        np.testing.assert_array_equal(mat[1, 0], a[3:6, 0:3])
-        assert mat.gather([(2, 0), (2, 1)]).shape == (2, 2, 3)
-
-    def test_gather_rejects_mixed_shapes_and_outside_keys(self):
-        mat = TiledMatrix.zeros(8, 7, 3)
-        with pytest.raises(ValueError):
-            mat.gather([(0, 0), (2, 0)])
-        with pytest.raises(IndexError):
-            mat.gather([(0, 0), (3, 0)])
-
-    def test_scatter_checks_every_key(self):
-        mat = TiledMatrix.zeros(8, 7, 3)
-        with pytest.raises(ValueError):
-            mat.scatter([(0, 0), (2, 0)], np.ones((2, 3, 3)))
-        with pytest.raises(IndexError):
-            mat.scatter([(0, 0), (0, 3)], np.ones((2, 3, 3)))
-        with pytest.raises(ValueError):
-            mat.scatter([(0, 0)], np.ones((2, 3, 3)))
-        assert not mat.to_dense().any()
+        store = mat.store
+        assert sorted(store) == [(i, j) for i in range(3) for j in range(3)]
+        assert store[2, 1] is mat[2, 1] and store[2, 1].shape == (2, 3)
+        store[0, 1] = np.ones((3, 3))
+        np.testing.assert_array_equal(mat.to_dense()[0:3, 3:6], 1.0)
+        assert mat.store is store
 
 
 class TestOperations:
