@@ -3,10 +3,11 @@
 When the numeric backend's ``gesvd`` stage needs singular vectors, the
 :class:`~repro.algorithms.executor.NumericExecutor` is run with
 ``log_transformations=True`` and this module applies the logged
-reflectors to identity matrices from the right, with the update kernels'
-LAPACK routines (``dgemqrt`` / ``dtpmqrt``, ``side="R"``, ``trans="N"``),
-producing the orthogonal factors ``U1`` (left) and ``V1`` (right) such
-that ``A = U1 · B_band · V1^T``.
+reflectors to identity matrices from the right, with the LQ update
+kernels' right-side applications (:func:`~repro.kernels.lq_kernels.apply_right`,
+:func:`~repro.kernels.lq_kernels.apply_pair_right`), producing the
+orthogonal factors ``U1`` (left) and ``V1`` (right) such that
+``A = U1 · B_band · V1^T``.
 
 Each block reflector touches only the element columns of its tiles, so
 the cost is the same order as applying the reduction itself.
@@ -18,28 +19,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.kernels import flapack
+from repro.kernels.lq_kernels import apply_pair_right, apply_right
 from repro.tiles.layout import TileLayout
-
-
-def _apply_right(
-    factor: np.ndarray, first: slice, second: slice | None, refl
-) -> None:
-    """``factor[:, cols] := factor[:, cols] · Q`` for one logged reflector.
-
-    ``first`` holds the columns of a panel reflector, or of the pivot tile
-    of a pair reflector, whose ``second`` tile's columns follow.
-    """
-    if second is None:
-        factor[:, first] = flapack.dgemqrt(refl.v, refl.t, factor[:, first], side="R")[0]
-        return
-    # A pair reflector acts on the pivot's k leading columns only.
-    first = slice(first.start, first.start + refl.v.shape[1])
-    a, b, _ = flapack.dtpmqrt(
-        refl.l, refl.v, refl.t, factor[:, first], factor[:, second], side="R"
-    )
-    factor[:, first] = a
-    factor[:, second] = b
 
 
 def accumulate_orthogonal_factors(
@@ -58,27 +39,23 @@ def accumulate_orthogonal_factors(
     v = np.eye(layout.n)
     for side, kernel, idx, refl in transform_log:
         if side == "left":
-            # A := Q^T A on the reflector's rows, hence U := U Q on the
-            # same columns of U.
-            if kernel == "GEQRT":
-                i, _k = idx
-                _apply_right(u, slice(*layout.row_range(i)), None, refl)
-            else:  # TSQRT / TTQRT: (piv, i)
-                piv, i, _k = idx
-                _apply_right(
-                    u, slice(*layout.row_range(piv)), slice(*layout.row_range(i)), refl
-                )
+            # A := Q^T A on the reflector's tile rows, hence U := U Q on the
+            # same columns of U.  GEQRT (i, k); TSQRT / TTQRT (piv, i, k).
+            factor, span = u, layout.row_range
+            tiles = idx[:1] if kernel == "GEQRT" else idx[:2]
         elif side == "right":
-            # A := A Q_lq^T = A Q on the reflector's columns, hence
-            # V := V Q on the same columns.
-            if kernel == "GELQT":
-                _k, j = idx
-                _apply_right(v, slice(*layout.col_range(j)), None, refl)
-            else:  # TSLQT / TTLQT: (piv, j)
-                piv, j, _k = idx
-                _apply_right(
-                    v, slice(*layout.col_range(piv)), slice(*layout.col_range(j)), refl
-                )
+            # A := A Q on the reflector's tile columns, hence V := V Q on
+            # the same columns.  GELQT (k, j); TSLQT / TTLQT (piv, j, k).
+            factor, span = v, layout.col_range
+            tiles = idx[1:] if kernel == "GELQT" else idx[:2]
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown transformation side {side!r}")
+        cols = [slice(*span(tile)) for tile in tiles]
+        if len(cols) == 1:
+            factor[:, cols[0]] = apply_right(refl, factor[:, cols[0]])
+        else:
+            first, second = cols
+            factor[:, first], factor[:, second] = apply_pair_right(
+                refl, factor[:, first], factor[:, second]
+            )
     return u, v

@@ -9,17 +9,19 @@ superdiagonal.  They go through the transpose duality
 ``dtpqrt``), and an update kernel applies that QR's orthogonal factor from
 the right (``dgemqrt`` / ``dtpmqrt`` with ``side="R"``).  A pair kernel
 reads only the ``k`` leading columns of the pivot triangle, ``k`` the
-tiles' row count.
+tiles' row count.  The right-side applications, :func:`apply_right` and
+:func:`apply_pair_right`, take either family's reflector; gesvd's
+accumulation of ``U1`` and ``V1`` applies both through them.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
 from repro.kernels import flapack
-from repro.kernels.qr_kernels import INNER_BLOCK, upper_mask
+from repro.kernels.qr_kernels import INNER_BLOCK, QRReflector, upper_mask
 
 
 class LQReflector(NamedTuple):
@@ -40,6 +42,10 @@ class LQReflector(NamedTuple):
     kind: str
 
 
+#: Either family's reflector: both hold LAPACK's ``V`` and ``T`` of a QR.
+Reflector = Union[QRReflector, LQReflector]
+
+
 def gelqt(a: np.ndarray, ib: int = INNER_BLOCK) -> Tuple[np.ndarray, LQReflector]:
     """Factor tile ``A`` into ``L Q`` (LQ panel kernel).
 
@@ -52,6 +58,42 @@ def gelqt(a: np.ndarray, ib: int = INNER_BLOCK) -> Tuple[np.ndarray, LQReflector
     return l_tile, LQReflector(packed[:, :k], t, 0, 0, "GELQT")
 
 
+def apply_right(refl: Reflector, c: np.ndarray) -> np.ndarray:
+    """``C Q`` for a panel reflector, a GELQT's or a GEQRT's (``dgemqrt``).
+
+    ``Q = I - V T V^T`` is the orthogonal factor of the QR that made the
+    reflector; ``C`` needs one column per row of ``V``.
+    """
+    return flapack.dgemqrt(refl.v, refl.t, c, side="R", trans="N")[0]
+
+
+def apply_pair_right(
+    refl: Reflector, c_left: np.ndarray, c_right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``[C_left | C_right] Q`` for a pair reflector, LQ's or QR's (``dtpmqrt``).
+
+    ``C_left`` has ``split`` columns, of which only the ``k`` leading ones
+    change, and ``C_right`` one column per row of ``V``.
+    """
+    cols = c_left.shape[1]
+    if cols != refl.split:
+        raise ValueError(
+            f"left tile has {cols} columns but reflector was built with split={refl.split}"
+        )
+    if c_right.shape[1] != refl.v.shape[0]:
+        raise ValueError(
+            "stacked column count does not match the reflector "
+            f"(right has {c_right.shape[1]} columns, V has {refl.v.shape[0]})"
+        )
+    k = refl.v.shape[1]
+    left, right, _ = flapack.dtpmqrt(
+        refl.l, refl.v, refl.t, c_left[:, :k], c_right, side="R", trans="N"
+    )
+    if cols > k:
+        left = np.concatenate((left, c_left[:, k:]), axis=1)
+    return left, right
+
+
 def unmlq(refl: LQReflector, c: np.ndarray) -> np.ndarray:
     """Apply ``Q^T`` of a :func:`gelqt` factorization to tile ``C`` from the right."""
     if refl.kind != "GELQT":
@@ -62,7 +104,7 @@ def unmlq(refl: LQReflector, c: np.ndarray) -> np.ndarray:
         )
     # A = L Q with Q = Qqr^T (Qqr from the QR of A^T); the trailing update is
     # C := C Q^T = C Qqr.
-    return flapack.dgemqrt(refl.v, refl.t, c, side="R", trans="N")[0]
+    return apply_right(refl, c)
 
 
 def _pair_factor(
@@ -98,36 +140,13 @@ def ttlqt(
     return _pair_factor(l_left, l_right, ib, "TTLQT")
 
 
-def _pair_apply(
-    refl: LQReflector, c_left: np.ndarray, c_right: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``dtpmqrt`` from the right on ``[c_left | c_right]``; shared by TSMLQ/TTMLQ."""
-    cols = c_left.shape[1]
-    if cols != refl.split:
-        raise ValueError(
-            f"left tile has {cols} columns but reflector was built with split={refl.split}"
-        )
-    if c_right.shape[1] != refl.v.shape[0]:
-        raise ValueError(
-            "stacked column count does not match the reflector "
-            f"(right has {c_right.shape[1]} columns, V has {refl.v.shape[0]})"
-        )
-    k = refl.v.shape[1]
-    left, right, _ = flapack.dtpmqrt(
-        refl.l, refl.v, refl.t, c_left[:, :k], c_right, side="R", trans="N"
-    )
-    if cols > k:
-        left = np.concatenate((left, c_left[:, k:]), axis=1)
-    return left, right
-
-
 def tsmlq(refl: LQReflector, c_left: np.ndarray, c_right: np.ndarray) -> Tuple[
     np.ndarray, np.ndarray
 ]:
     """Apply the reflectors of a :func:`tslqt` to the tile pair ``(c_left, c_right)``."""
     if refl.kind != "TSLQT":
         raise ValueError(f"tsmlq expects a TSLQT reflector, got {refl.kind}")
-    return _pair_apply(refl, c_left, c_right)
+    return apply_pair_right(refl, c_left, c_right)
 
 
 def ttmlq(refl: LQReflector, c_left: np.ndarray, c_right: np.ndarray) -> Tuple[
@@ -136,4 +155,4 @@ def ttmlq(refl: LQReflector, c_left: np.ndarray, c_right: np.ndarray) -> Tuple[
     """Apply the reflectors of a :func:`ttlqt` to the tile pair ``(c_left, c_right)``."""
     if refl.kind != "TTLQT":
         raise ValueError(f"ttmlq expects a TTLQT reflector, got {refl.kind}")
-    return _pair_apply(refl, c_left, c_right)
+    return apply_pair_right(refl, c_left, c_right)
