@@ -400,9 +400,15 @@ class Program:
         step = self._steps[bisect_right(starts, index) - 1][1]
         return self._make_op(index, code, params, step, self._access())
 
-    def kernel_calls(self) -> List[Tuple[int, Tuple[int, ...]]]:
-        """``(kernel code, params)`` of every op, in stream order."""
-        return list(zip(self.kernel_codes_np.tolist(), self._param_tuples()))
+    def kernel_calls(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """``(kernel code, params)`` of every op, in stream order.
+
+        Cached: the numeric replay walks it once per run.
+        """
+        return self._cached(
+            "kernel_calls",
+            lambda: tuple(zip(self.kernel_codes_np.tolist(), self._param_tuples())),
+        )
 
     def step_labels(self) -> List[str]:
         """The panel step label of every op, in stream order."""
