@@ -30,14 +30,14 @@ class LQReflector(NamedTuple):
     The reflectors are stored exactly as their QR-on-the-transpose
     counterparts (:class:`~repro.kernels.qr_kernels.QRReflector`): ``v``
     has one column per Householder vector (each vector acts on matrix
-    *columns*), ``t`` holds the ``ib x k`` block factors, ``l`` is
+    *columns*), ``t`` holds the ``ib x k`` block factors, ``tri_rows`` is
     ``dtpqrt``'s ``l`` and ``split`` the number of columns of the *left*
     tile for the pair kernels.
     """
 
     v: np.ndarray
     t: np.ndarray
-    l: int
+    tri_rows: int
     split: int
     kind: str
 
@@ -87,7 +87,7 @@ def apply_pair_right(
         )
     k = refl.v.shape[1]
     left, right, _ = flapack.dtpmqrt(
-        refl.l, refl.v, refl.t, c_left[:, :k], c_right, side="R", trans="N"
+        refl.tri_rows, refl.v, refl.t, c_left[:, :k], c_right, side="R", trans="N"
     )
     if cols > k:
         left = np.concatenate((left, c_left[:, k:]), axis=1)
@@ -116,10 +116,10 @@ def _pair_factor(
         raise ValueError(f"row mismatch: left has {k} rows, right has {right.shape[0]}")
     if cols < k:
         raise ValueError(f"the left tile must hold a {k}x{k} triangle, it has {cols} columns")
-    l = min(right.shape) if kind == "TTLQT" else 0
-    tri, v, t, _ = flapack.dtpqrt(l, min(ib, k), left[:, :k].T, right.T)
+    tri_rows = min(right.shape) if kind == "TTLQT" else 0
+    tri, v, t, _ = flapack.dtpqrt(tri_rows, min(ib, k), left[:, :k].T, right.T)
     new_left = tri.T if cols == k else np.concatenate((tri.T, left[:, k:]), axis=1)
-    return new_left, np.zeros(right.shape), LQReflector(v, t, l, cols, kind)
+    return new_left, np.zeros(right.shape), LQReflector(v, t, tri_rows, cols, kind)
 
 
 def tslqt(

@@ -56,7 +56,7 @@ class QRReflector(NamedTuple):
         tile's part is the ``k x k`` identity.
     t:
         ``ib x k`` triangular block factors.
-    l:
+    tri_rows:
         ``dtpqrt``'s ``l``: rows of the trailing triangle of a TT ``V``,
         ``0`` for TS and GEQRT.
     split:
@@ -68,7 +68,7 @@ class QRReflector(NamedTuple):
 
     v: np.ndarray
     t: np.ndarray
-    l: int
+    tri_rows: int
     split: int
     kind: str
 
@@ -114,10 +114,10 @@ def _pair_factor(
         raise ValueError(f"column mismatch: top has {k} columns, bottom has {bottom.shape[1]}")
     if rows < k:
         raise ValueError(f"the top tile must hold a {k}x{k} triangle, it has {rows} rows")
-    l = min(bottom.shape) if kind == "TTQRT" else 0
-    tri, v, t, _ = flapack.dtpqrt(l, min(ib, k), top[:k], bottom)
+    tri_rows = min(bottom.shape) if kind == "TTQRT" else 0
+    tri, v, t, _ = flapack.dtpqrt(tri_rows, min(ib, k), top[:k], bottom)
     new_top = tri if rows == k else np.concatenate((tri, top[k:]))
-    return new_top, np.zeros(bottom.shape), QRReflector(v, t, l, rows, kind)
+    return new_top, np.zeros(bottom.shape), QRReflector(v, t, tri_rows, rows, kind)
 
 
 def tsqrt(
@@ -159,7 +159,9 @@ def _pair_apply(
             f"(bottom has {c_bottom.shape[0]} rows, V has {refl.v.shape[0]})"
         )
     k = refl.v.shape[1]
-    top, bottom, _ = flapack.dtpmqrt(refl.l, refl.v, refl.t, c_top[:k], c_bottom, trans="T")
+    top, bottom, _ = flapack.dtpmqrt(
+        refl.tri_rows, refl.v, refl.t, c_top[:k], c_bottom, trans="T"
+    )
     if rows > k:
         top = np.concatenate((top, c_top[k:]))
     return top, bottom

@@ -130,14 +130,14 @@ class TestRaggedTilesAndInnerBlocking:
     @pytest.mark.parametrize("rows, cols", [(8, 8), (3, 5), (5, 3), (8, 1), (1, 8)])
     def test_gelqt_is_geqrt_transposed(self, rng, rows, cols, ib):
         a = rng.standard_normal((rows, cols))
-        l, refl = gelqt(a, ib)
+        l_tile, refl = gelqt(a, ib)
         r, qr_refl = geqrt(a.T, ib)
-        np.testing.assert_array_equal(l, r.T)
+        np.testing.assert_array_equal(l_tile, r.T)
         np.testing.assert_array_equal(refl.v, qr_refl.v)
         np.testing.assert_array_equal(refl.t, qr_refl.t)
         q = unmlq(refl, np.eye(cols))
         np.testing.assert_allclose(q.T @ q, np.eye(cols), atol=1e-14)
-        np.testing.assert_allclose(l @ q.T, a, atol=1e-13)
+        np.testing.assert_allclose(l_tile @ q.T, a, atol=1e-13)
         c = rng.standard_normal((4, cols))
         np.testing.assert_allclose(unmlq(refl, c), unmqr(qr_refl, c.T).T, atol=1e-13)
 

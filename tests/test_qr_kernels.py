@@ -172,7 +172,7 @@ class TestRaggedTilesAndInnerBlocking:
         assert new_top.shape == r_top.shape and not np.tril(new_top, -1).any()
         np.testing.assert_array_equal(new_bot, np.zeros_like(a_bot))
         assert refl.t.shape == (min(ib, k), k) and refl.v.shape == (bottom, k)
-        assert refl.l == (min(bottom, k) if factor is ttqrt else 0)
+        assert refl.tri_rows == (min(bottom, k) if factor is ttqrt else 0)
         # Q^T maps the factored pair onto [R; 0] ...
         got_top, got_bot = update(refl, r_top, a_bot)
         np.testing.assert_allclose(got_top, new_top, atol=1e-13)
@@ -198,3 +198,9 @@ class TestRaggedTilesAndInnerBlocking:
     def test_pivot_must_hold_a_triangle(self, rng):
         with pytest.raises(ValueError, match="triangle"):
             tsqrt(rng.standard_normal((3, 5)), rng.standard_normal((5, 5)))
+
+    def test_pair_update_checks_the_bottom_rows(self, rng):
+        r_top, r_bot = (np.triu(rng.standard_normal((8, 8))) for _ in range(2))
+        _, _, refl = ttqrt(r_top, r_bot)
+        with pytest.raises(ValueError, match="stacked row count"):
+            ttmqr(refl, rng.standard_normal((8, 4)), rng.standard_normal((5, 4)))
