@@ -2,7 +2,8 @@
 
 The paper positions the tiled two-stage algorithms against the classical
 one-stage reductions found in LAPACK and ScaLAPACK (Section II).  This
-subpackage implements those baselines from scratch so they can be compared
+subpackage implements those baselines (the bidiagonal reductions from
+scratch, the QR through LAPACK itself) so they can be compared
 numerically and used as references in tests and benchmarks:
 
 * :mod:`repro.lapack.gebd2` — the unblocked Golub–Kahan bidiagonalization
