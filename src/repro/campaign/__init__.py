@@ -23,7 +23,7 @@ Modules: :mod:`~repro.campaign.spec` (declarative sweeps, stable
 candidate ids), :mod:`~repro.campaign.store` (sqlite WAL ledger,
 exactly-once results), :mod:`~repro.campaign.runner` (one pipe per
 worker through :mod:`repro.utils.workers`, each failure charged to the
-chunk that caused it, retry/timeout/respawn/quarantine, signal-drain
+candidate that caused it, retry/timeout/respawn/quarantine, signal-drain
 resume),
 :mod:`~repro.campaign.faults` (campaign-level crash/hang/raise
 injection) and :mod:`~repro.campaign.aggregate` (tables and summaries).
@@ -43,12 +43,7 @@ from repro.campaign.faults import (
     parse_faults,
 )
 from repro.campaign.runner import CampaignReport, CampaignRunner, run_campaign
-from repro.campaign.spec import (
-    Candidate,
-    CampaignSpec,
-    build_chunks,
-    candidate_id,
-)
+from repro.campaign.spec import Candidate, CampaignSpec, candidate_id
 from repro.campaign.store import CandidateRecord, RegisterReport, ResultStore
 
 __all__ = [
@@ -62,7 +57,6 @@ __all__ = [
     "RegisterReport",
     "ResultStore",
     "active_faults",
-    "build_chunks",
     "campaign_rows",
     "campaign_table",
     "candidate_id",

@@ -14,11 +14,12 @@ hardened without code changes::
 Syntax: comma-separated ``kind:probability`` terms, where ``kind`` is
 
 * ``crash`` — the worker process dies hard (``os._exit``), exactly like
-  a kill -9 / OOM kill: the runner charges the chunk that worker held and
-  starts a new worker in its place;
+  a kill -9 / OOM kill: the runner charges the candidate that worker was
+  running, queues the rest of its chunk again uncharged and starts a new
+  worker in its place;
 * ``hang``  — the worker sleeps (default effectively forever; an optional
   third field sets the duration, e.g. ``hang:0.1:0.5``), exercising the
-  per-task timeout and kill path;
+  per-candidate timeout and kill path;
 * ``raise`` — the worker raises :class:`InjectedFault`, the ordinary
   retriable-failure path;
 

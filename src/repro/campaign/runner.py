@@ -3,33 +3,37 @@
 :class:`CampaignRunner` drives the candidates of one
 :class:`~repro.campaign.spec.CampaignSpec` to completion through
 ``workers`` processes of a :class:`~repro.utils.workers.WorkerPool` (the
-worker module the tuner's unprunable races use too).  Each worker is
-joined to the parent by one duplex pipe and holds at most one chunk at a
-time, so every failure is charged to the chunk that caused it:
+worker module the tuner's unprunable races use too).  The pool hands each
+idle worker a guided chunk of the pending candidates, and a worker answers
+candidate by candidate, so every failure is charged to the one candidate
+that caused it:
 
 * **bounded retries with backoff** — a failing candidate is retried up to
   ``max_attempts`` times, delayed by exponential backoff with
   deterministic per-candidate jitter (:mod:`repro.utils.retry`);
-* **per-task timeouts** — a chunk's clock starts when it is handed to an
-  idle worker; past its deadline that worker alone is killed, the chunk
-  is charged one attempt and the other workers keep running;
+* **per-candidate timeouts** — a candidate's clock starts when its worker
+  starts it (the hand-off, or the answer before it); past its deadline
+  that worker alone is killed, the candidate is charged one attempt, the
+  unstarted rest of the chunk goes back to the queue uncharged, and the
+  other workers keep running;
 * **worker-crash recovery** — a dead worker (kill -9, OOM, injected
-  ``os._exit``) is charged the chunk it held, and only that worker is
-  replaced;
+  ``os._exit``) is charged the candidate it was running, the rest of its
+  chunk is queued again uncharged, and only that worker is replaced;
 * **graceful degradation** — a candidate that exhausts its attempts is
   *quarantined* with its last error while the campaign continues;
-* **resumable interruption** — SIGINT/SIGTERM stops dispatch, drains
-  in-flight work into the store and returns with ``interrupted=True``;
-  a second signal kills the busy workers and re-queues their chunks
-  uncharged.  Either way the crash-consistent
+* **resumable interruption** — SIGINT/SIGTERM stops dispatch; each busy
+  worker finishes at most the candidate it is running, the rest of its
+  chunk is released uncharged, and ``run()`` returns with
+  ``interrupted=True``.  A second signal kills the busy workers and
+  releases their candidates uncharged.  Either way the crash-consistent
   :class:`~repro.campaign.store.ResultStore` holds exactly the finished
   work, and a later ``run()`` (or ``repro campaign resume``) executes
   exactly the remainder.  A killed runner's workers exit with it.
 
 Each round of the dispatch loop waits until a busy worker answers, dies
-or overruns, hands the next pending chunk to every idle worker, and then,
-while the workers compute, commits the round's results and hand-offs in
-one store transaction.
+or overruns, hands the next chunk to every idle worker, and then, while
+the workers compute, commits the round's answers and hand-offs in one
+store transaction.
 
 Progress counters (``campaign.retries`` / ``timeouts`` / ``respawns`` /
 ``quarantined`` / ``resumed_skips`` / ``done``) report into the
@@ -45,18 +49,17 @@ import os
 import signal
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.campaign.faults import CampaignFaults, active_faults, maybe_inject
-from repro.campaign.spec import Candidate, CampaignSpec, build_chunks
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.obs.metrics import REGISTRY
-from repro.utils.retry import RetryPolicy, backoff_delay
-from repro.utils.workers import Worker, WorkerPool
+from repro.utils.retry import backoff_delay
+from repro.utils.workers import LOST, WorkerPool
 
 #: (candidate_id, row-or-None, error-or-None, wall_seconds) per candidate.
 TaskResult = Tuple[str, Optional[Dict[str, object]], Optional[str], Optional[float]]
@@ -87,32 +90,32 @@ def _execute_one(plan, backend: str) -> Dict[str, object]:
     return execute(plan, backend=backend).to_row()
 
 
-def _run_task(
-    backend: str, faults: Optional[CampaignFaults], items: List[TaskItem]
-) -> List[TaskResult]:
-    """Execute one dispatched chunk inside a worker process.
+def _run_item(
+    backend: str, faults: Optional[CampaignFaults], item: TaskItem
+) -> TaskResult:
+    """Execute one dispatched candidate inside a worker process.
 
-    Each candidate runs through :func:`_execute_one`, one ``execute``
-    call, in chunk order.  Fault injection (if armed) runs per candidate
-    *before* its execution, keyed by the attempt number so retries draw
-    independently.  Per-candidate failures are reported as data, never
-    raised — only a crash/hang (or a harness bug) takes the whole chunk
-    down.
+    The candidate runs through :func:`_execute_one`, one ``execute`` call.
+    Fault injection (if armed) runs *before* its execution, keyed by the
+    attempt number so retries draw independently.  A failure is reported
+    as data, never raised — only a crash/hang (or a harness bug) takes
+    the worker down.
     """
-    results: List[TaskResult] = []
-    for cid, plan, attempt in items:
-        t0 = time.perf_counter()
-        try:
-            maybe_inject(faults, cid, attempt)
-            t0 = time.perf_counter()  # a hang fault's sleep is not run time
-            row = _execute_one(plan, backend)
-        except Exception as exc:
-            results.append(
-                (cid, None, f"{type(exc).__name__}: {exc}", time.perf_counter() - t0)
-            )
-        else:
-            results.append((cid, row, None, time.perf_counter() - t0))
-    return results
+    cid, plan, attempt = item
+    t0 = time.perf_counter()
+    try:
+        maybe_inject(faults, cid, attempt)
+        t0 = time.perf_counter()  # a hang fault's sleep is not run time
+        row = _execute_one(plan, backend)
+    except Exception as exc:
+        return cid, None, f"{type(exc).__name__}: {exc}", time.perf_counter() - t0
+    return cid, row, None, time.perf_counter() - t0
+
+
+def _lost(item: TaskItem, error: str) -> TaskResult:
+    """The failed result of a candidate its worker never answered."""
+    cid, _, attempt = item
+    return cid, None, f"{error} (attempt {attempt})", None
 
 
 # --------------------------------------------------------------------------- #
@@ -200,7 +203,6 @@ class CampaignRunner:
         max_attempts: Optional[int] = None,
         timeout_seconds: Optional[float] = None,
         backoff_seconds: Optional[float] = None,
-        chunk_size: Optional[int] = None,
         faults: Optional[CampaignFaults] = None,
         requeue_quarantined: bool = False,
         install_signal_handlers: Optional[bool] = None,
@@ -214,16 +216,15 @@ class CampaignRunner:
         self.timeout_seconds = (
             timeout_seconds if timeout_seconds is not None else spec.timeout_seconds
         )
-        backoff = backoff_seconds if backoff_seconds is not None else spec.backoff_seconds
-        self.retry_policy = RetryPolicy(
-            attempts=self.max_attempts, backoff=backoff, factor=2.0,
-            max_delay=30.0, jitter=0.25, jitter_seed=0,
+        self.backoff_seconds = (
+            backoff_seconds if backoff_seconds is not None else spec.backoff_seconds
         )
-        self.chunk_size = chunk_size or spec.chunk_size
+        if self.backoff_seconds < 0:
+            raise ValueError(f"backoff_seconds must be >= 0, got {self.backoff_seconds}")
         self.faults = active_faults() if faults is None else faults
         self.requeue_quarantined = requeue_quarantined
         self._install_signals = install_signal_handlers
-        self._pool = WorkerPool(partial(_run_task, spec.backend, self.faults), self.workers)
+        self._pool = WorkerPool(partial(_run_item, spec.backend, self.faults), self.workers)
         self._interrupts = 0
 
     # ------------------------------------------------------------------ #
@@ -272,19 +273,19 @@ class CampaignRunner:
 
         progress = self.store.progress()
         attempts = {cid: n for cid, (_, n) in progress.items()}
-        todo = [
-            c for c in candidates
+        self._pool.queue.extend(
+            (c.candidate_id, c.plan, attempts[c.candidate_id] + 1)
+            for c in candidates
             if progress[c.candidate_id][0] in ("pending", "failed")
-        ]
-        pending: Deque[List[Candidate]] = deque(build_chunks(todo, self.chunk_size))
-        by_id = {c.candidate_id: c for c in candidates}
+        )
+        plans = {c.candidate_id: c.plan for c in candidates}
 
         old_handlers = {}
         if self._with_signals():
             for sig in (signal.SIGINT, signal.SIGTERM):
                 old_handlers[sig] = signal.signal(sig, self._signal_handler)
         try:
-            self._drive(by_id, pending, attempts, report)
+            self._drive(plans, attempts, report)
         except KeyboardInterrupt:
             # No handler installed (e.g. non-main thread): stop now, leaving
             # in-flight rows to requeue_interrupted.
@@ -301,21 +302,27 @@ class CampaignRunner:
 
     def _drive(
         self,
-        by_id: Dict[str, Candidate],
-        pending: Deque[List[Candidate]],
+        plans: Dict[str, object],
         attempts: Dict[str, int],
         report: CampaignReport,
     ) -> None:
         """The dispatch loop; returns when nothing is left to run or wait for."""
+        pool = self._pool
         delayed: List[Tuple[float, str]] = []  # (due, candidate_id) retries
         settled: List[TaskResult] = []
-        released: List[str] = []
         while True:
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
-                pending.append([by_id[heapq.heappop(delayed)[1]]])
-            sent = [] if self._interrupts else self._hand_out(pending, attempts, report)
-            if settled or released or sent:
+                cid = heapq.heappop(delayed)[1]
+                pool.queue.append((cid, plans[cid], attempts[cid] + 1))
+            sent: List[str] = []
+            if not self._interrupts:
+                for worker, chunk in pool.hand_out():
+                    if worker.lost:  # it died idle: nothing ran, nobody is charged
+                        self._respawn(report)
+                    else:
+                        sent.extend(cid for cid, _, _ in chunk)
+            if settled or sent:
                 with self.store.transaction():
                     for cid, row, error, wall in settled:
                         if error is not None:
@@ -325,15 +332,13 @@ class CampaignRunner:
                         else:
                             report.duplicates += 1
                             REGISTRY.inc("campaign.duplicate_results")
-                    if released:
-                        self.store.release(released)
                     if sent:
                         self.store.mark_running(sent)
-                settled, released = [], []
-            if self._pool.busy():
-                settled, released = self._collect(report)
-            elif self._interrupts or not (pending or delayed):
-                return
+                settled = []
+            if pool.busy():
+                settled = self._collect(report)
+            elif self._interrupts or not (pool.queue or delayed):
+                break
             else:
                 # Only backoff-delayed retries remain: sleep to the next.
                 time.sleep(
@@ -341,84 +346,52 @@ class CampaignRunner:
                     if delayed
                     else _TICK_SECONDS
                 )
+        if self._interrupts:
+            # The handed-out candidates that never ran went back to the
+            # queue; the rest of the queue was never marked running.
+            self.store.release(cid for cid, _, _ in pool.queue)
 
-    # ------------------------------------------------------------------ #
-    # Dispatch / collect helpers
-    # ------------------------------------------------------------------ #
-    def _hand_out(
-        self,
-        pending: Deque[List[Candidate]],
-        attempts: Dict[str, int],
-        report: CampaignReport,
-    ) -> List[str]:
-        """Send the next pending chunk to every idle worker, starting
-        workers up to ``self.workers``; returns the candidate ids sent."""
-        sent: List[str] = []
-        while pending:
-            worker = self._pool.free_worker()
-            if worker is None:
-                break
-            chunk = pending.popleft()
-            items = [(c.candidate_id, c.plan, attempts[c.candidate_id] + 1) for c in chunk]
-            if not self._pool.send(worker, items):
-                # The worker died idle: nothing ran, nobody is charged.  Its
-                # replacement starts next round.
-                pending.appendleft(chunk)
-                self._respawn(report)
-                break
-            if self.timeout_seconds is not None:
-                worker.deadline = time.monotonic() + self.timeout_seconds * len(items)
-            sent.extend(cid for cid, _, _ in items)
-        return sent
-
-    def _collect(self, report: CampaignReport) -> Tuple[List[TaskResult], List[str]]:
-        """Wait for busy workers; returns the results to settle (a lost
-        chunk as one error per candidate) and the ids to release uncharged."""
-        settled: List[TaskResult] = []
-        released: List[str] = []
-        busy = self._pool.busy()
+    def _collect(self, report: CampaignReport) -> List[TaskResult]:
+        """Wait for busy workers; returns the answers to settle, a lost or
+        overrun candidate as its error."""
+        pool = self._pool
         if self._interrupts > 1:
             # Second signal: stop waiting on in-flight work.
-            for worker in busy:
-                released.extend(cid for cid, _, _ in worker.task)
-                self._pool.retire(worker)
-            return settled, released
+            for worker in pool.busy():
+                pool.queue.appendleft(pool.retire(worker))
+            return []
         timeout = _TICK_SECONDS
-        deadlines = [w.deadline for w in busy if w.deadline is not None]
-        if deadlines:
-            timeout = min(timeout, max(0.0, min(deadlines) - time.monotonic()))
-
-        def charge_all(worker: Worker, error: str) -> None:
-            settled.extend(
-                (cid, None, f"{error} (attempt {attempt})", None)
-                for cid, _, attempt in worker.task
-            )
-
-        for worker, answer in self._pool.wait(timeout):
-            if answer is not None:
-                settled.extend(answer)
-            if not worker.lost:
+        if self.timeout_seconds is not None:
+            due = min(w.since for w in pool.busy()) + self.timeout_seconds
+            timeout = min(timeout, max(0.0, due - time.monotonic()))
+        settled: List[TaskResult] = []
+        for worker, item, answer in pool.wait(timeout):
+            if answer is not LOST:
+                settled.append(answer)
+                if self._interrupts and worker.chunk:
+                    # Interrupted: its running candidate is done; release
+                    # the rest of its chunk.
+                    pool.queue.appendleft(pool.retire(worker))
                 continue
             self._respawn(report)
-            if answer is not None:  # answered, then died: nothing lost
-                continue
             if self._interrupts:  # perhaps the signal's doing: no charge
-                released.extend(cid for cid, _, _ in worker.task)
+                pool.queue.appendleft(item)
             else:
-                charge_all(worker, worker.crash_error())
-        now = time.monotonic()
-        for worker in self._pool.busy():
-            if worker.deadline is not None and worker.deadline <= now:
-                self._pool.retire(worker)
-                self._respawn(report)
-                report.timeouts += len(worker.task)
-                REGISTRY.inc("campaign.timeouts", len(worker.task))
-                charge_all(
-                    worker,
-                    f"TimeoutError: exceeded the {self.timeout_seconds}s "
-                    "per-candidate budget",
-                )
-        return settled, released
+                settled.append(_lost(item, worker.crash_error()))
+        if self.timeout_seconds is not None:
+            now = time.monotonic()
+            for worker in pool.busy():
+                if worker.since + self.timeout_seconds <= now:
+                    item = pool.retire(worker)
+                    self._respawn(report)
+                    report.timeouts += 1
+                    REGISTRY.inc("campaign.timeouts")
+                    settled.append(_lost(
+                        item,
+                        f"TimeoutError: exceeded the {self.timeout_seconds}s "
+                        "per-candidate budget",
+                    ))
+        return settled
 
     def _charge(
         self,
@@ -445,7 +418,7 @@ class CampaignRunner:
         if self._interrupts:
             # Interrupted: leave it 'failed' in the store; resume retries it.
             return
-        due = time.monotonic() + backoff_delay(self.retry_policy, n, key=cid)
+        due = time.monotonic() + backoff_delay(self.backoff_seconds, n, key=cid)
         heapq.heappush(delayed, (due, cid))
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import InitVar, dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
@@ -99,8 +99,10 @@ class CampaignSpec:
         error while the campaign continues.
     timeout_seconds:
         Per-candidate wall-clock limit (``None`` = unlimited), counted
-        from the moment a worker receives the candidate's chunk.  A chunk
-        past its deadline has its worker killed and counts one attempt.
+        from the moment a worker starts the candidate: the hand-off of its
+        chunk, or the worker's answer for the candidate before it.  A
+        candidate past its deadline has its worker killed and counts one
+        attempt; the unstarted rest of the chunk is queued again.
     backoff_seconds:
         Base of the exponential retry backoff (doubling per attempt,
         deterministic jitter seeded per candidate; see
@@ -108,11 +110,9 @@ class CampaignSpec:
     workers:
         Process fan-out width (``None`` defers to the runner default).
     chunk_size:
-        Candidates per worker task: consecutive slices of the expansion
-        order, each candidate still one ``execute`` call.  ``> 1`` saves
-        parent-worker round trips, which still dominate on tiny
-        candidates (the README's campaign section gives a measurement);
-        retries, timeouts and crash charges then apply chunk-wise.
+        Ignored, and not stored.  Accepted because spec files written
+        while chunk sizes were a setting carry it; the worker pool sizes
+        its own chunks (:mod:`repro.utils.workers`).
     """
 
     name: str
@@ -123,9 +123,9 @@ class CampaignSpec:
     timeout_seconds: Optional[float] = None
     backoff_seconds: float = 0.25
     workers: Optional[int] = None
-    chunk_size: int = 1
+    chunk_size: InitVar[Optional[int]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, chunk_size: Optional[int]) -> None:
         if not self.name or not str(self.name).strip():
             raise ValueError("campaign name must be a non-empty string")
         object.__setattr__(self, "name", str(self.name).strip())
@@ -165,8 +165,6 @@ class CampaignSpec:
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
     # ------------------------------------------------------------------ #
     # Construction / serialization
@@ -175,7 +173,7 @@ class CampaignSpec:
     def from_dict(cls, payload: Mapping[str, object]) -> "CampaignSpec":
         """Build a spec from a plain mapping (JSON/TOML-shaped)."""
         payload = dict(payload)
-        known = {f.name for f in dataclass_fields(cls)}
+        known = {f.name for f in dataclass_fields(cls)} | {"chunk_size"}
         unknown = set(payload) - known
         if unknown:
             raise ValueError(
@@ -215,7 +213,6 @@ class CampaignSpec:
             "timeout_seconds": self.timeout_seconds,
             "backoff_seconds": self.backoff_seconds,
             "workers": self.workers,
-            "chunk_size": self.chunk_size,
         }
 
     def fingerprint(self) -> str:
@@ -269,16 +266,3 @@ class CampaignSpec:
             seen[cid] = len(out)
             out.append(Candidate(candidate_id=cid, index=len(out), plan=plan))
         return out
-
-
-def build_chunks(
-    candidates: Sequence[Candidate], chunk_size: int
-) -> List[List[Candidate]]:
-    """Partition candidates into worker tasks of at most ``chunk_size``.
-
-    Chunks are consecutive slices of the expansion order, for every
-    backend.  With ``chunk_size == 1`` (the robustness default) every
-    candidate is its own task.
-    """
-    size = max(1, chunk_size)
-    return [list(candidates[i : i + size]) for i in range(0, len(candidates), size)]

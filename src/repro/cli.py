@@ -322,9 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--backoff", type=float, help="base retry backoff in seconds"
         )
         crun.add_argument(
-            "--chunk-size", type=int, help="candidates per worker task"
-        )
-        crun.add_argument(
             "--requeue-quarantined",
             action="store_true",
             help="give quarantined candidates a fresh retry budget first",
@@ -760,7 +757,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
         timeout_seconds=args.timeout,
         backoff_seconds=args.backoff,
-        chunk_size=args.chunk_size,
         requeue_quarantined=args.requeue_quarantined,
     )
     try:

@@ -541,7 +541,6 @@ def campaign_demo(
     tile_size: int = 100,
     n_cores: int = 4,
     workers: int = 2,
-    chunk_size: int = 1,
     trees: Sequence[str] = ("flatts", "flattt", "greedy", "binary"),
     policies: Sequence[str] = ("list", "fifo"),
 ) -> List[Row]:
@@ -567,7 +566,6 @@ def campaign_demo(
         base={"m": m, "n": n, "tile_size": tile_size, "n_cores": n_cores},
         axes={"tree": list(trees), "policy": list(policies)},
         workers=workers,
-        chunk_size=chunk_size,
         backoff_seconds=0.05,
     )
     with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:

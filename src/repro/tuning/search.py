@@ -18,10 +18,10 @@ Pruning is conservative — only strictly worse candidates are dropped — so
 a pruned search returns the same winner and best score as the exhaustive
 one.  When nothing in a race can be pruned (``prune=False``, or an
 objective without a bound: ``critical-path``, ``comm-volume``,
-``comm-time``), ``workers > 1`` scores the candidates in chunks on the
-worker processes of a :class:`~repro.utils.workers.WorkerPool`, the
-campaign runner's worker module; a prunable race walks serially, because
-its walk is what skips the work.
+``comm-time``), ``workers > 1`` scores the candidates on the worker
+processes of a :class:`~repro.utils.workers.WorkerPool`, the campaign
+runner's worker module, in the pool's guided chunks; a prunable race
+walks serially, because its walk is what skips the work.
 
 * :class:`GridSearch` — every candidate, in one race.
 * :class:`SuccessiveHalving` — every candidate on a scaled-down problem
@@ -40,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
@@ -53,7 +52,7 @@ from repro.tiles.matrix import TiledMatrix
 from repro.tuning.cache import PlanCache, cache_key
 from repro.tuning.objectives import Objective, get_objective
 from repro.tuning.space import SearchSpace
-from repro.utils.workers import WorkerPool
+from repro.utils.workers import LOST, WorkerPool
 
 
 # --------------------------------------------------------------------------- #
@@ -118,14 +117,14 @@ class Evaluation:
         return row
 
 
-def _score_task(
-    objective: Objective, task: List[Tuple[int, SvdPlan]]
-) -> List[Tuple[int, Optional[float], Optional[str]]]:
-    """Score one task of ``(index, plan)`` pairs in a worker process.
+def _score_item(
+    objective: Objective, item: Tuple[int, SvdPlan]
+) -> Tuple[Optional[float], Optional[str]]:
+    """Score one ``(index, plan)`` item in a worker process.
 
     Module-level so a spawned worker can unpickle it.
     """
-    return [(i, *_score(objective, plan)) for i, plan in task]
+    return _score(objective, item[1])
 
 
 def _pool_scores(
@@ -133,34 +132,16 @@ def _pool_scores(
 ) -> List[Tuple[Optional[float], Optional[str]]]:
     """:func:`_score` every candidate on ``pool``'s workers.
 
-    A worker that dies loses the whole task it held, so a lost task of
-    several candidates is re-run one candidate per task, and a candidate
-    whose own task is lost is recorded with the crash as its error: a
-    crash costs the candidate that causes it, not the search.
+    A candidate whose worker dies running it is recorded with the crash
+    as its error: a crash costs the candidate that causes it, not the
+    search.
     """
-    # Four chunks per worker: costs differ several-fold across tile
-    # sizes, so one chunk each would leave one worker all the slow
-    # candidates, while a chunk keeps neighbours (which share a program)
-    # on one worker's caches.
-    size = max(1, len(candidates) // (4 * pool.size))
-    indexed = list(enumerate(candidates))
-    tasks = deque(indexed[k:k + size] for k in range(0, len(indexed), size))
-    outcomes: List[Tuple[Optional[float], Optional[str]]] = [(None, None)] * len(indexed)
-    while tasks or pool.busy():
-        while tasks:
-            worker = pool.free_worker()
-            if worker is None:
-                break
-            if pool.send(worker, tasks[0]):  # else it died idle: try another
-                tasks.popleft()
-        for worker, answer in pool.wait(None):
-            if answer is not None:
-                for i, score, error in answer:
-                    outcomes[i] = (score, error)
-            elif len(worker.task) > 1:
-                tasks.extend([item] for item in worker.task)
-            else:
-                outcomes[worker.task[0][0]] = (None, worker.crash_error())
+    outcomes: List[Tuple[Optional[float], Optional[str]]] = [(None, None)] * len(candidates)
+    pool.queue.extend(enumerate(candidates))
+    while pool.queue or pool.busy():
+        pool.hand_out()
+        for worker, (i, _), answer in pool.wait(None):
+            outcomes[i] = (None, worker.crash_error()) if answer is LOST else answer
     return outcomes
 
 
@@ -285,7 +266,7 @@ class GridSearch:
         *,
         workers: int = 1,
     ) -> List[Evaluation]:
-        with WorkerPool(partial(_score_task, objective), workers) as pool:
+        with WorkerPool(partial(_score_item, objective), workers) as pool:
             return _race(candidates, objective, prune=self.prune, pool=pool)
 
 
@@ -341,7 +322,7 @@ class SuccessiveHalving:
         all_evals: List[Evaluation] = []
         # One pool for all rungs: starting worker processes per rung costs
         # more than most rungs' actual scoring.
-        with WorkerPool(partial(_score_task, objective), workers) as pool:
+        with WorkerPool(partial(_score_item, objective), workers) as pool:
             for rung, (fm, fn) in enumerate(fidelities):
                 at_full = (fm, fn) == (base.m, base.n)
                 scaled = [
@@ -540,9 +521,10 @@ def tune(
         strategy's ``prune=False``, or an objective without a bound such
         as ``comm-time``); ``1`` evaluates serially.  The workers start on
         the first such race and serve every race of the call; each scores
-        a chunk at a time, four chunks per worker.  A candidate that kills
-        its worker is recorded with a ``WorkerCrash`` error and no score,
-        and the other candidates of its chunk are scored again.  A
+        one chunk at a time, sized by the pool's guided rule
+        (:mod:`repro.utils.workers`).  A candidate that kills its worker is
+        recorded with a ``WorkerCrash`` error and no score, and the
+        unstarted rest of its chunk goes to the other workers.  A
         prunable race walks serially whatever ``workers`` says: its
         bound-ordered walk skips most candidates, which a pool would score
         anyway.

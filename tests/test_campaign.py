@@ -19,7 +19,6 @@ from repro.campaign import (
     CampaignSpec,
     InjectedFault,
     ResultStore,
-    build_chunks,
     campaign_rows,
     campaign_table,
     candidate_id,
@@ -119,7 +118,6 @@ class TestCampaignSpec:
             {"timeout_seconds": 0},
             {"backoff_seconds": -1},
             {"workers": 0},
-            {"chunk_size": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -161,20 +159,11 @@ class TestCampaignSpec:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != small_spec(name="other").fingerprint()
 
-    def test_build_chunks_singletons_by_default(self):
-        cands = small_spec().expand()
-        chunks = build_chunks(cands, 1)
-        assert [len(c) for c in chunks] == [1, 1, 1, 1]
-
-    def test_build_chunks_slices_expansion_order(self):
-        # Chunks are consecutive slices of the expansion order, whatever
-        # program each candidate compiles to: the last one may be short.
-        cands = small_spec().expand()
-        chunks = build_chunks(cands, 3)
-        assert chunks == [cands[:3], cands[3:]]
-        assert [c for chunk in chunks for c in chunk] == cands
-        assert len({c.plan.tree for c in chunks[0]}) == 2
-        assert build_chunks(cands, 4) == [cands]
+    def test_chunk_size_is_accepted_and_ignored(self):
+        spec = small_spec(chunk_size=8)
+        assert spec == small_spec()
+        assert "chunk_size" not in spec.to_dict()
+        assert CampaignSpec.from_dict({**spec.to_dict(), "chunk_size": 0}) == spec
 
 
 # --------------------------------------------------------------------------- #
@@ -356,18 +345,22 @@ class TestCampaignRunner:
             assert row_key(rows[cand.candidate_id]) == row_key(ref)
         store.close()
 
+    # 24 candidates on 2 workers: the first chunks hold 3 candidates each.
     @pytest.mark.parametrize("spec", [
         # Same tree, different seeds: every chunk holds one program.
         pytest.param(CampaignSpec(
             name="chunky",
             base={**BASE, "tree": "flatts"},
-            axes={"seed": [1, 2, 3, 4, 5, 6]},
-            chunk_size=3,
+            axes={"seed": list(range(1, 25))},
             workers=2,
             backoff_seconds=0.01,
         ), id="same-program"),
         # Expansion-order chunks that mix trees (programs) and policies.
-        pytest.param(small_spec(chunk_size=3), id="mixed-programs"),
+        pytest.param(small_spec(axes={
+            "tree": ["flatts", "flattt", "greedy", "binary"],
+            "policy": ["list", "fifo"],
+            "seed": [1, 2, 3],
+        }), id="mixed-programs"),
     ])
     def test_chunked_campaign_is_bitwise_equal(self, tmp_path, spec):
         report = run_campaign(spec, tmp_path / "s.sqlite")

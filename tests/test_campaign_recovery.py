@@ -3,15 +3,19 @@
 The claims under test are the PR's headline guarantees:
 
 * a worker killed with SIGKILL mid-campaign is replaced, and the campaign
-  still completes with zero lost and zero duplicated result rows;
+  still completes with zero lost and zero duplicated result rows; a crash
+  inside a chunk of several candidates charges the crashing candidate
+  alone;
 * a campaign process interrupted with SIGINT exits resumable (code 3)
-  with the store holding exactly the finished work; a resume executes
+  with the store holding exactly the finished work, each worker having
+  finished at most the candidate it was running; a resume executes
   exactly the remainder and the final store is bitwise identical to an
   uninterrupted sequential run;
-* a hung worker trips the per-task timeout, costs an attempt, and a
+* a hung worker trips the per-candidate timeout, costs an attempt, and a
   candidate that always hangs ends quarantined — the campaign finishes
-  instead of hanging with it; time a chunk waits for a worker does not
-  count against its timeout;
+  instead of hanging with it; time a candidate waits for a worker does
+  not count against its timeout;
+* a spec file that still sets ``chunk_size`` loads and resumes its store;
 * the workers of a campaign process killed with SIGKILL exit with it,
   even in the middle of a chunk.
 """
@@ -31,6 +35,7 @@ from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
     ResultStore,
+    fault_draw,
     run_campaign,
 )
 
@@ -105,6 +110,35 @@ class TestWorkerKillRecovery:
         assert report.duplicates == 0
         assert_store_matches_reference(tmp_path / "s.sqlite", spec)
         runner.store.close()
+
+
+    def test_a_crash_mid_chunk_charges_only_the_crashing_candidate(self, tmp_path):
+        # 24 candidates on 2 workers: the first chunk is candidates 0-2.
+        spec = CampaignSpec(
+            name="mid-chunk-crash",
+            base=dict(BASE),
+            axes={
+                "tree": ["flatts", "flattt", "greedy", "binary"],
+                "policy": ["list", "fifo"],
+                "seed": [1, 2, 3],
+            },
+            workers=2,
+            max_attempts=3,
+            backoff_seconds=0.01,
+        )
+        faults = CampaignFaults(crash=0.2, seed=20, limit=1)
+        cands = spec.expand()
+        crashes = {c.candidate_id for c in cands if fault_draw(faults, c.candidate_id, 1)}
+        # Candidate 1 crashes between two that do not.
+        assert [c.candidate_id in crashes for c in cands[:3]] == [False, True, False]
+        report = run_campaign(spec, tmp_path / "s.sqlite", faults=faults)
+        assert report.complete, report.summary()
+        assert report.respawns == report.retries == len(crashes) == 6
+        store = ResultStore(tmp_path / "s.sqlite")
+        attempts = {rec.candidate_id: rec.attempts for rec in store.records()}
+        store.close()
+        assert attempts == {c.candidate_id: int(c.candidate_id in crashes) for c in cands}
+        assert_store_matches_reference(tmp_path / "s.sqlite", spec)
 
 
 class TestHangTimeoutQuarantine:
@@ -311,6 +345,73 @@ class TestSigintResume:
         # The killed chunks went back uncharged.
         assert counts == {"pending": 12}, counts
         assert attempts == {0}
+
+    def test_first_sigint_leaves_the_rest_of_each_chunk(self, tmp_path):
+        # 24 candidates on 2 workers: the first chunks hold 3 and 2
+        # candidates, each candidate hangs 0.5 s.  A first SIGINT before
+        # any answer lets each worker finish the candidate it is running
+        # and releases the rest of its chunk uncharged.
+        payload = self.spec_payload()
+        payload["axes"]["seed"] = [1, 2]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        store_path = tmp_path / "s.sqlite"
+        proc = self.launch(spec_path, store_path, faults="hang:1.0:0.5")
+        try:
+            deadline = time.time() + 30.0
+            running = 0
+            while not running and time.time() < deadline:
+                if store_path.exists():
+                    store = ResultStore(store_path)
+                    running = store.counts().get("running", 0)
+                    store.close()
+                time.sleep(0.02)
+            assert running == 5, running
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=20.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 3, out
+        store = ResultStore(store_path)
+        counts = store.counts()
+        attempts = {rec.attempts for rec in store.records()}
+        store.close()
+        assert 1 <= counts.get("done", 0) <= 2, counts
+        assert counts.get("done", 0) + counts.get("pending", 0) == 24, counts
+        assert attempts == {0}
+
+
+class TestLegacySpec:
+    def test_a_spec_file_with_chunk_size_resumes_its_store(self, tmp_path):
+        payload = {
+            "name": "legacy",
+            "base": dict(BASE),
+            "axes": {"tree": ["flatts", "greedy"], "policy": ["list", "fifo"]},
+            "workers": 2,
+            "backoff_seconds": 0.01,
+        }
+        plain = CampaignSpec.from_dict(payload)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**payload, "chunk_size": 8}))
+        legacy = CampaignSpec.from_file(spec_path)
+        assert legacy == plain
+        assert legacy.fingerprint() == plain.fingerprint()
+        # A store begun under the spec without the key resumes under it.
+        store_path = tmp_path / "s.sqlite"
+        cands = plain.expand()
+        store = ResultStore(store_path)
+        store.register(cands, plain.fingerprint())
+        first = cands[0]
+        store.mark_done(
+            first.candidate_id, execute(first.plan, backend="simulate").to_row(), 0.1
+        )
+        store.close()
+        report = run_campaign(legacy, store_path)
+        assert report.complete, report.summary()
+        assert report.resumed_skips == 1
+        assert_store_matches_reference(store_path, plain)
 
 
 class TestKilledRunner:

@@ -97,8 +97,8 @@ SURFACE_PINS = {
     "stats": "945fe522b29e038a",
     "verify": "53ede757d7dd14ce",
     "campaign": "4830c219997b9fe2",
-    "campaign run": "f0a3414e70dde16f",
-    "campaign resume": "f0a3414e70dde16f",
+    "campaign run": "742981bdc17658ed",
+    "campaign resume": "742981bdc17658ed",
     "campaign status": "de017bd5380dc422",
     "campaign report": "69b738a22090fed5",
     "svd": "8703baac288ab1e7",

@@ -1,76 +1,51 @@
-"""Tests for the bounded-retry schedule (:mod:`repro.utils.retry`)."""
+"""Tests for the retry schedule (:mod:`repro.utils.retry`)."""
 
 import pytest
 
-from repro.utils.retry import RetryPolicy, backoff_delay
-
-
-class TestRetryPolicy:
-    def test_defaults(self):
-        policy = RetryPolicy()
-        assert policy.attempts == 3
-        assert policy.factor == 2.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"attempts": 0},
-            {"backoff": -1.0},
-            {"max_delay": -0.1},
-            {"factor": 0.5},
-            {"jitter": -0.01},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
+from repro.utils.retry import FACTOR, JITTER, MAX_DELAY, backoff_delay
 
 
 class TestBackoffDelay:
-    def test_exponential_growth_without_jitter(self):
-        policy = RetryPolicy(backoff=0.1, factor=2.0, jitter=0.0)
-        assert backoff_delay(policy, 1) == pytest.approx(0.1)
-        assert backoff_delay(policy, 2) == pytest.approx(0.2)
-        assert backoff_delay(policy, 3) == pytest.approx(0.4)
+    def test_constants(self):
+        assert (FACTOR, MAX_DELAY, JITTER) == (2.0, 30.0, 0.25)
+
+    def test_exponential_growth_from_the_base(self):
+        base = backoff_delay(0.1, 1, key="k")
+        assert backoff_delay(0.1, 2, key="k") / base == pytest.approx(FACTOR, rel=JITTER)
+        assert backoff_delay(0.0, 3, key="k") == 0.0
 
     def test_max_delay_caps_the_base(self):
-        policy = RetryPolicy(backoff=1.0, factor=10.0, max_delay=5.0, jitter=0.0)
-        assert backoff_delay(policy, 4) == 5.0
+        for attempt in (10, 20):
+            d = backoff_delay(1.0, attempt, key="k")
+            assert MAX_DELAY <= d < MAX_DELAY * (1 + JITTER)
 
     def test_jitter_is_deterministic_and_pinned(self):
         # These floats are part of the reproducibility contract: the jitter
-        # draw is seeded by (jitter_seed, key, attempt) through
+        # draw is seeded by (JITTER_SEED, key, attempt) through
         # random.Random's SHA-512 string seeding, which is stable across
         # processes and PYTHONHASHSEED values.
-        policy = RetryPolicy(
-            attempts=5, backoff=0.1, factor=2.0, max_delay=30.0,
-            jitter=0.25, jitter_seed=0,
-        )
-        assert backoff_delay(policy, 1, key="cand-x") == pytest.approx(
+        assert backoff_delay(0.1, 1, key="cand-x") == pytest.approx(
             0.1079741220546105, abs=0.0
         )
-        assert backoff_delay(policy, 2, key="cand-x") == pytest.approx(
+        assert backoff_delay(0.1, 2, key="cand-x") == pytest.approx(
             0.20691121705166127, abs=0.0
         )
-        assert backoff_delay(policy, 3, key="cand-x") == pytest.approx(
+        assert backoff_delay(0.1, 3, key="cand-x") == pytest.approx(
             0.41456342539779983, abs=0.0
         )
 
-    def test_jitter_decorrelates_keys_and_seeds(self):
-        policy = RetryPolicy(jitter_seed=0)
-        x = backoff_delay(policy, 1, key="cand-x")
-        y = backoff_delay(policy, 1, key="cand-y")
+    def test_jitter_decorrelates_keys(self):
+        x = backoff_delay(0.1, 1, key="cand-x")
+        y = backoff_delay(0.1, 1, key="cand-y")
         assert x != y
-        assert backoff_delay(policy, 1, key="cand-y") == y  # stable per key
-        reseeded = RetryPolicy(jitter_seed=7)
-        assert backoff_delay(reseeded, 1, key="cand-x") != x
+        assert backoff_delay(0.1, 1, key="cand-y") == y  # stable per key
 
     def test_jitter_bounded_by_fraction(self):
-        policy = RetryPolicy(backoff=1.0, factor=1.0, jitter=0.25)
         for attempt in range(1, 20):
-            d = backoff_delay(policy, attempt, key="k")
-            assert 1.0 <= d < 1.25
+            d = backoff_delay(1.0, attempt, key="k")
+            base = min(MAX_DELAY, FACTOR ** (attempt - 1))
+            assert base <= d < base * (1 + JITTER)
 
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError):
-            backoff_delay(RetryPolicy(), 0)
+            backoff_delay(0.1, 0)
