@@ -204,20 +204,32 @@ class TestNearOverflowInput:
         return execute(SvdPlan(matrix=a, tile_size=16, stage=stage), "numeric")
 
     def test_exponent_leaves_the_normal_range_alone(self):
-        from repro.api.resolver import NUMERIC_MAX_ABS_LOG2, overflow_exponent
+        from repro.api.resolver import (
+            NUMERIC_MAX_ABS_LOG2,
+            NUMERIC_MIN_ABS_LOG2,
+            scaling_exponent,
+        )
 
         a = self._matrix()
-        edge = a / np.abs(a).max() * 2.0**NUMERIC_MAX_ABS_LOG2
-        for scaled in (a, 1e150 * a, 1e300 * a, edge, 0.0 * a):
-            assert overflow_exponent(TiledMatrix.from_dense(scaled, 16)) == 0
-        e = overflow_exponent(TiledMatrix.from_dense(1e307 * a, 16))
+        unit = a / np.abs(a).max()
+        edges = (unit * 2.0**NUMERIC_MAX_ABS_LOG2, unit * 2.0**NUMERIC_MIN_ABS_LOG2)
+        for scaled in (a, 1e150 * a, 1e300 * a, 1e-300 * a, *edges, 0.0 * a):
+            assert scaling_exponent(TiledMatrix.from_dense(scaled, 16)) == 0
+        e = scaling_exponent(TiledMatrix.from_dense(1e307 * a, 16))
         assert e > 0
         assert np.abs(1e307 * a).max() * 2.0**-e <= 2.0**NUMERIC_MAX_ABS_LOG2
+        # Near underflow the exponent is negative, and the least that
+        # lifts max|a| to the lower bound.
+        for tiny in (1e-310 * a, edges[1] / 2, np.ldexp(unit, -1074)):
+            e = scaling_exponent(tiny)
+            assert e < 0
+            assert 2.0**NUMERIC_MIN_ABS_LOG2 <= np.ldexp(np.abs(tiny).max(), -e)
+            assert np.ldexp(np.abs(tiny).max(), -e - 1) < 2.0**NUMERIC_MIN_ABS_LOG2
 
     @pytest.mark.parametrize("stage", ["ge2bnd", "ge2val", "gesvd"])
     @pytest.mark.parametrize("label", ["scale-1e307", "one-entry-1e308"])
     def test_scaled_back_exactly(self, stage, label):
-        from repro.api.resolver import overflow_exponent
+        from repro.api.resolver import scaling_exponent
 
         a = self._matrix()
         if label == "scale-1e307":
@@ -225,7 +237,7 @@ class TestNearOverflowInput:
         else:
             big = a.copy()
             big[3, 5] = 1e308
-        e = overflow_exponent(TiledMatrix.from_dense(big, 16))
+        e = scaling_exponent(TiledMatrix.from_dense(big, 16))
         got = self._run(big, stage)
         # The same reduction on the pre-scaled input, by hand.
         want = self._run(np.ldexp(big, -e), stage)

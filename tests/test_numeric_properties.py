@@ -20,16 +20,23 @@ underflows at the extreme scales.
 
 Subnormal inputs keep σ_max within a few binades of the normal range:
 below it, σ itself has fewer than 50 significant bits in double
-precision and no algorithm can return it to :data:`SV_TOL`.
+precision and no algorithm can return it to :data:`SV_TOL`.  Three fixed
+scales go below it (:data:`TINY_SCALES`): the front door scales such
+input up by a power of two, so σ matches numpy's to the last subnormal
+bit and gesvd's backward error is ``c·n·ε`` plus σ's rounding to the
+subnormal grid.  A float32 tiled input is reduced in double precision,
+like a float32 array.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import SvdPlan, execute
+from repro.tiles.matrix import TiledMatrix
 
 #: Singular-value bar, units of σ_max (the differential suite's SV_TOL).
 SV_TOL = 1e-12
@@ -50,6 +57,9 @@ GEOMETRIES = [
     ("chan-above", 48, 24, 8),            # m > 5n/3: R-BIDIAG
     ("square", 32, 32, 8),
 ]
+
+#: Scales of a standard normal 40 x 24 input whose σ_max is subnormal.
+TINY_SCALES = (1e-312, 1e-315, 1e-318)
 
 KINDS = ("scale", "huge-entry", "graded", "subnormal", "zero", "rank-1", "clustered")
 TREES = ("flatts", "flattt", "greedy", "auto")
@@ -148,6 +158,35 @@ def test_gesvd_backward_error_and_orthogonality(case):
     a_s, sigma_s = _scaled_copies(a, sigma)
     residual = np.linalg.norm(a_s - (u * sigma_s) @ vt)
     assert residual <= bar * np.linalg.norm(a_s)
+
+
+@pytest.mark.parametrize("scale", TINY_SCALES)
+def test_input_near_underflow(scale):
+    a = np.random.default_rng(0).standard_normal((40, 24)) * scale
+    _assert_singular_values(a, _run(a, 8, "greedy", "ge2val").singular_values)
+    result = _run(a, 8, "greedy", "gesvd")
+    u, sigma, vt = result.u, result.singular_values, result.vt
+    assert np.array_equal(sigma, np.linalg.svd(a, compute_uv=False))
+    bar = BACKWARD_C * 40 * EPS
+    assert np.linalg.norm(u.T @ u - np.eye(24)) <= bar
+    assert np.linalg.norm(vt @ vt.T - np.eye(24)) <= bar
+    a_s, sigma_s = _scaled_copies(a, sigma)
+    # Each σ is returned rounded to the subnormal grid, 2**-1074 apart:
+    # half a spacing of error each, in the copies' units.
+    shift = -np.frexp(np.max(np.abs(a)))[1]
+    rounding = 0.5 * np.ldexp(1.0, shift - 1074) * np.sqrt(sigma.size)
+    residual = np.linalg.norm(a_s - (u * sigma_s) @ vt)
+    assert residual <= bar * np.linalg.norm(a_s) + rounding
+
+
+def test_float32_tiled_input_is_reduced_in_double():
+    a = np.random.default_rng(0).standard_normal((40, 24)).astype(np.float32)
+    tiled = TiledMatrix.from_dense(a, 8)
+    result = execute(SvdPlan(matrix=tiled, stage="ge2val"), "numeric")
+    _assert_singular_values(a.astype(float), result.singular_values)
+    assert result.max_rel_error < SV_TOL
+    assert result.extras["band"].data.dtype == np.float64
+    assert tiled.dtype == np.float32 and np.array_equal(tiled.to_dense(), a)
 
 
 def test_the_geometries_cover_the_named_cases():
