@@ -20,12 +20,12 @@ underflows at the extreme scales.
 
 Subnormal inputs keep σ_max within a few binades of the normal range:
 below it, σ itself has fewer than 50 significant bits in double
-precision and no algorithm can return it to :data:`SV_TOL`.  Three fixed
-scales go below it (:data:`TINY_SCALES`): the front door scales such
-input up by a power of two, so σ matches numpy's to the last subnormal
-bit and gesvd's backward error is ``c·n·ε`` plus σ's rounding to the
-subnormal grid.  A float32 tiled input is reduced in double precision,
-like a float32 array.
+precision and no algorithm can return it to :data:`SV_TOL` of the exact
+σ.  Three fixed scales go below it (:data:`TINY_SCALES`), where numpy's
+σ is rounded to the subnormal grid too: the front door scales such input
+up by a power of two, so σ matches numpy's up to that rounding, and
+gesvd's backward error is ``c·n·ε`` plus that rounding.  A float32 tiled
+input is reduced in double precision, like a float32 array.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def test_input_near_underflow(scale):
     _assert_singular_values(a, _run(a, 8, "greedy", "ge2val").singular_values)
     result = _run(a, 8, "greedy", "gesvd")
     u, sigma, vt = result.u, result.singular_values, result.vt
-    assert np.array_equal(sigma, np.linalg.svd(a, compute_uv=False))
+    _assert_singular_values(a, sigma)
     bar = BACKWARD_C * 40 * EPS
     assert np.linalg.norm(u.T @ u - np.eye(24)) <= bar
     assert np.linalg.norm(vt @ vt.T - np.eye(24)) <= bar
