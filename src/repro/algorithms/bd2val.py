@@ -1,28 +1,34 @@
 """BD2VAL: singular values (and vectors) of a real upper bidiagonal matrix.
 
-Two independent solvers are provided:
+Three independent solvers are provided, all on the Golub–Kahan
+tridiagonal ``TGK``: the ``2n x 2n`` symmetric tridiagonal with zero
+diagonal and off-diagonal ``d_1, e_1, d_2, ..., d_n`` (``[[0, B^T],
+[B, 0]]`` permuted), whose eigenvalues are ``±σ_i(B)`` (Golub & Kahan,
+1965):
 
-* the Golub–Kahan implicit-shift QR iteration (the algorithm behind LAPACK
-  ``xBDSQR``), with deflation and the standard zero-diagonal handling.
-  :func:`bidiagonal_singular_values` runs it for the values alone and
-  :func:`bdsqr` runs the same iteration while accumulating its rotations,
-  for the full SVD ``bidiag(d, e) = U · diag(σ) · V^T``;
-* :func:`bidiagonal_sv_bisection` — bisection on Sturm counts of the
-  Golub–Kahan tridiagonal form ``TGK = [[0, B^T], [B, 0]]`` (permuted to a
-  tridiagonal with zero diagonal), the algorithm behind ``xBDSVX``.
+* :func:`bidiagonal_singular_values` — the values alone, from one LAPACK
+  ``dstemr`` call on ``TGK`` (MRRR; Willems, Lang & Vömel, SIMAX 2006);
+* :func:`bdsqr` — the Golub–Kahan implicit-shift QR iteration (the
+  algorithm behind LAPACK ``xBDSQR``), with deflation and the standard
+  zero-diagonal handling, accumulating its rotations for the full SVD
+  ``bidiag(d, e) = U · diag(σ) · V^T``;
+* :func:`bidiagonal_sv_bisection` — bisection on Sturm counts of ``TGK``,
+  the algorithm behind ``xBDSVX``.
 
-All take the two diagonals ``(d, e)`` and return the singular values in
-descending order.  They are the last stage of the GE2VAL / GESVD pipeline
-and cross-check each other in the property-based tests.
+All take the two diagonals ``(d, e)``, reject NaN and Inf entries, and
+return the singular values in descending order.  They are the last stage
+of the GE2VAL / GESVD pipeline and cross-check each other in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
+
+from repro.kernels import flapack
 
 #: The QR iteration scales ``(d, e)`` by a power of two when their largest
 #: magnitude lies outside this range: the Wilkinson shift forms fourth
@@ -32,24 +38,32 @@ _SAFE_MAX = 2.0**255
 
 
 class ConvergenceError(RuntimeError):
-    """The bidiagonal QR iteration exhausted its sweep budget.
+    """A bidiagonal solver failed to converge.
 
-    Carries the iteration state at the failure: ``sweeps`` performed, the
-    active ``block`` ``(lo, hi)`` being swept, and copies of the current
-    diagonals ``d`` and ``e`` (in the input's scale).
+    :func:`bdsqr` raises it when its QR iteration exhausts the sweep budget,
+    with the state at the failure: ``sweeps`` performed, the active
+    ``block`` ``(lo, hi)`` being swept, and copies of the current diagonals
+    ``d`` and ``e`` (in the input's scale).  :func:`bidiagonal_singular_values`
+    raises it when ``dstemr`` reports failure, with LAPACK's ``info`` and
+    the input diagonals.
     """
 
     def __init__(
-        self, sweeps: int, block: Tuple[int, int], d: np.ndarray, e: np.ndarray
+        self,
+        message: str,
+        d: np.ndarray,
+        e: np.ndarray,
+        *,
+        sweeps: int = 0,
+        block: Tuple[int, int] = (0, 0),
+        info: int = 0,
     ) -> None:
-        super().__init__(
-            f"bidiagonal QR iteration did not converge after {sweeps} sweeps "
-            f"(active block {block[0]}..{block[1]})"
-        )
-        self.sweeps = sweeps
-        self.block = block
+        super().__init__(message)
         self.d = d
         self.e = e
+        self.sweeps = sweeps
+        self.block = block
+        self.info = info
 
 
 @dataclass
@@ -85,11 +99,16 @@ def bidiagonal_to_dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _diagonals(d: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Private float copies of ``(d, e)``, checked for matching lengths."""
+    """Private float copies of ``(d, e)``, checked for matching lengths and
+    for NaN or Inf entries."""
     d = np.array(d, dtype=float, copy=True).ravel()
     e = np.array(e, dtype=float, copy=True).ravel()
     if e.size != max(d.size - 1, 0):
         raise ValueError(f"superdiagonal must have length {d.size - 1}, got {e.size}")
+    for name, values in (("d", d), ("e", e)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"the bidiagonal must be finite: {name}[{bad[0]}] is {values[bad[0]]}")
     return d, e
 
 
@@ -136,12 +155,7 @@ def _wilkinson_shift(d: List[float], e: List[float], lo: int, hi: int) -> float:
 
 
 def _gk_sweep(
-    d: List[float],
-    e: List[float],
-    lo: int,
-    hi: int,
-    u: Optional[np.ndarray],
-    vt: Optional[np.ndarray],
+    d: List[float], e: List[float], lo: int, hi: int, u: np.ndarray, vt: np.ndarray
 ) -> None:
     """One implicit-shift Golub–Kahan QR sweep on the block ``[lo, hi]``."""
     mu = _wilkinson_shift(d, e, lo, hi)
@@ -159,16 +173,14 @@ def _gk_sweep(
         h = d[k + 1]
         bulge = s * h
         d[k + 1] = c * h
-        if vt is not None:
-            _rotate_rows(vt, k, k + 1, c, s)
+        _rotate_rows(vt, k, k + 1, c, s)
         # Left rotation on rows (k, k+1): zeroes the subdiagonal bulge.
         c, s, r = _givens(d[k], bulge)
         d[k] = r
         f, g = e[k], d[k + 1]
         e[k] = c * f + s * g
         d[k + 1] = -s * f + c * g
-        if u is not None:
-            _rotate_cols(u, k, k + 1, c, s)
+        _rotate_cols(u, k, k + 1, c, s)
         if k < hi - 1:
             g = e[k + 1]
             bulge = s * g
@@ -178,7 +190,7 @@ def _gk_sweep(
 
 
 def _chase_zero_diagonal(
-    d: List[float], e: List[float], hi: int, idx: int, u: Optional[np.ndarray]
+    d: List[float], e: List[float], hi: int, idx: int, u: np.ndarray
 ) -> None:
     """Rotate away the superdiagonal entry coupled to a zero diagonal ``d[idx]``.
 
@@ -191,8 +203,7 @@ def _chase_zero_diagonal(
     for j in range(idx + 1, hi + 1):
         c, s, r = _givens(d[j], f)
         d[j] = r
-        if u is not None:
-            _rotate_cols(u, j, idx, c, s)
+        _rotate_cols(u, j, idx, c, s)
         if j < hi:
             f = -s * e[j]
             e[j] = c * e[j]
@@ -201,19 +212,14 @@ def _chase_zero_diagonal(
 
 
 def _qr_iteration(
-    d: np.ndarray,
-    e: np.ndarray,
-    tol: float,
-    max_sweeps: int,
-    u: Optional[np.ndarray] = None,
-    vt: Optional[np.ndarray] = None,
+    d: np.ndarray, e: np.ndarray, tol: float, max_sweeps: int, u: np.ndarray, vt: np.ndarray
 ) -> int:
     """Diagonalize ``bidiag(d, e)`` in place; return the sweep count.
 
     On return ``d`` holds the signed singular values and ``e`` is zero.
     Every left rotation is folded into the columns of ``u`` and every right
-    rotation into the rows of ``vt``, when given, so identities passed in
-    come back as ``U`` and ``V^T`` with ``bidiag(d, e) = U · diag(d) · V^T``.
+    rotation into the rows of ``vt``, so identities passed in come back as
+    ``U`` and ``V^T`` with ``bidiag(d, e) = U · diag(d) · V^T``.
     Raises :class:`ConvergenceError` beyond ``max_sweeps`` sweeps per
     singular value.
     """
@@ -266,7 +272,12 @@ def _qr_iteration(
         total_sweeps += 1
         if total_sweeps > sweep_budget:
             raise ConvergenceError(
-                total_sweeps, (lo, hi), np.ldexp(d, scale), np.ldexp(e, scale)
+                f"bidiagonal QR iteration did not converge after {total_sweeps} "
+                f"sweeps (active block {lo}..{hi})",
+                np.ldexp(d, scale),
+                np.ldexp(e, scale),
+                sweeps=total_sweeps,
+                block=(lo, hi),
             )
     d_out[:] = d
     e_out[:] = e
@@ -275,31 +286,45 @@ def _qr_iteration(
     return total_sweeps
 
 
-def bidiagonal_singular_values(
-    d: np.ndarray,
-    e: np.ndarray,
-    *,
-    tol: float = 1e-14,
-    max_sweeps: int = 200,
-) -> np.ndarray:
+def bidiagonal_singular_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Singular values of the upper bidiagonal matrix ``B = bidiag(d, e)``.
 
-    Implicit-shift Golub–Kahan QR iteration with deflation.  The result is
-    returned in descending order.
+    One LAPACK ``dstemr`` call (MRRR, eigenvalues only) on the Golub–Kahan
+    tridiagonal ``TGK``; the ``n`` largest of its ``2n`` eigenvalues are
+    ``σ(B)``, returned in descending order.  Like the QR iteration, it is
+    accurate to about ``ε·‖B‖``, not to high relative accuracy in tiny σ.
+    (``dsterf`` on ``TGK`` is not: on bidiagonals whose entries span
+    hundreds of orders of magnitude it misses σ by up to ``0.17·σ_max``.)
 
     Parameters
     ----------
     d, e:
         Main diagonal (length ``n``) and superdiagonal (length ``n - 1``).
-    tol:
-        Relative deflation threshold for superdiagonal entries.
-    max_sweeps:
-        Maximum number of QR sweeps per singular value before giving up
-        (raises :class:`ConvergenceError`); the typical count is 2–3.
+
+    Raises
+    ------
+    ConvergenceError
+        ``dstemr`` reported failure (``info != 0``) or fewer than ``2n``
+        eigenvalues.
     """
     d, e = _diagonals(d, e)
-    _qr_iteration(d, e, tol, max_sweeps)
-    return np.sort(np.abs(d))[::-1]
+    n = d.size
+    if n == 0:
+        return np.zeros(0)
+    # dstemr reads an off-diagonal of length 2n; the last entry is unused.
+    off = np.zeros(2 * n)
+    off[:-1] = _tgk_offdiagonal(d, e)
+    # range 0 is 'A' (all eigenvalues); vl, vu, il and iu are then unread.
+    m, w, _, info = flapack.dstemr(np.zeros(2 * n), off, 0, 0.0, 0.0, 0, 0, compute_v=0)
+    if info != 0 or m != 2 * n:
+        raise ConvergenceError(
+            f"dstemr on the Golub–Kahan tridiagonal failed (info {info}, "
+            f"{m} of {2 * n} eigenvalues)",
+            d,
+            e,
+            info=info,
+        )
+    return np.sort(np.abs(w[n:]))[::-1]
 
 
 def bdsqr(
@@ -311,8 +336,8 @@ def bdsqr(
 ) -> BdsqrResult:
     """Full SVD of the upper bidiagonal matrix ``bidiag(d, e)``.
 
-    The same QR iteration as :func:`bidiagonal_singular_values`, with its
-    rotations accumulated into ``U`` and ``V^T``.
+    The implicit-shift Golub–Kahan QR iteration, with its rotations
+    accumulated into ``U`` and ``V^T``.
 
     Parameters
     ----------
@@ -387,8 +412,8 @@ def bidiagonal_sv_bisection(
 ) -> np.ndarray:
     """Singular values of ``bidiag(d, e)`` by bisection on Sturm counts.
 
-    Robust (never fails to converge) but slower than the QR iteration; used
-    as an independent cross-check and for subset computations.
+    Robust (never fails to converge) but slower than ``dstemr``; used as
+    an independent cross-check and for subset computations.
     """
     d, e = _diagonals(d, e)
     n = d.size

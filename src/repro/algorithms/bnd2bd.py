@@ -20,7 +20,9 @@ most ``2 nb x nb`` entries, so the stage performs ``O(n^2 nb)`` flops on
 the band plus the transient bulges — much less work than GE2BND but
 memory-bound, which is why the paper keeps it on a single node.
 
-The implementation works on a dense copy for indexing simplicity (the
+Each reflector is one LAPACK ``dlarfg`` call and each update one ``dlarf``
+call (:mod:`repro.kernels.flapack`), as in LAPACK's ``dgebd2``.  The
+implementation works on a dense copy for indexing simplicity (the
 matrices handed to the *numeric* layer are moderate); the runtime
 simulator uses the analytic cost from :mod:`repro.models.flops`, not this
 code.
@@ -33,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.algorithms.band import BandBidiagonal
-from repro.kernels.householder import householder_vector
+from repro.kernels import flapack
 
 
 def band_to_bidiagonal(
@@ -67,11 +69,12 @@ def band_to_bidiagonal(
         Main diagonal and superdiagonal of the bidiagonal factor.  Its
         singular values equal those of the input band.
     """
+    # Fortran order: f2py's copies of the blocks dlarf updates are cheaper.
     if isinstance(band, BandBidiagonal):
-        b = band.to_dense()
+        b = np.asfortranarray(band.to_dense())
         bw = band.bandwidth
     else:
-        b = np.array(band, dtype=float, copy=True)
+        b = np.array(band, dtype=float, order="F", copy=True)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {b.shape}")
         if bandwidth is None:
@@ -82,40 +85,50 @@ def band_to_bidiagonal(
         raise ValueError("bandwidth must be >= 1")
     if (u is not None and u.shape[1] != n) or (vt is not None and vt.shape[0] != n):
         raise ValueError(f"u needs {n} columns and vt {n} rows")
+    finite = np.isfinite(b)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"the band must be finite: entry ({row}, {col}) is {b[row, col]}")
     if n == 1:
         return np.array([b[0, 0]]), np.array([])
     if bw == 1:
         return np.diagonal(b).copy(), np.diagonal(b, offset=1).copy()
 
+    dlarfg, dlarf = flapack.dlarfg, flapack.dlarf
+    # dlarf's workspace: one entry per row of a block it updates from the
+    # right, per column of one it updates from the left.
+    rows_u = 0 if u is None else u.shape[0]
+    work = np.empty(max(2 * bw, rows_u, 0 if vt is None else vt.shape[1]))
+    v = np.empty(bw)
+    v[0] = 1.0
     # The update slices below cover every nonzero a reflector reaches, the
     # bulge fill included; a narrower slice silently drops part of it.
+    # f2py hands dlarf a copy of each slice, so the result is stored back.
     for i in range(n - 1):
         row, c0 = i, i + 1
         while c0 + 1 < n:  # the block [c0, c1) has two or more columns
             c1 = min(c0 + bw, n)
+            h = v[: c1 - c0]
             # Right reflector on columns [c0, c1): zeroes row `row` past
             # column c0 and fills the block below it (the bulge).  A zero
             # tau needs no update, but the sweep goes on: the bulges that
             # earlier sweeps left behind still need clearing further down.
-            v, tau, beta = householder_vector(b[row, c0:c1])
+            beta, h[1:], tau = dlarfg(c1 - c0, b[row, c0], b[row, c0 + 1 : c1])
             if tau != 0.0:
-                block = b[row:c1, c0:c1]
-                block -= np.outer(block @ v, tau * v)
+                b[row + 1 : c1, c0:c1] = dlarf(h, tau, b[row + 1 : c1, c0:c1], work, side="R")
                 if vt is not None:
-                    rows = vt[c0:c1]
-                    rows -= np.outer(tau * v, v @ rows)
+                    vt[c0:c1] = dlarf(h, tau, vt[c0:c1], work, side="L")
             b[row, c0] = beta
             b[row, c0 + 1 : c1] = 0.0
             # Left reflector on rows [c0, c1): zeroes the bulge's first
             # column and spills the rows up to one band width past the
             # block; the next step's right reflector clears row c0.
-            v, tau, beta = householder_vector(b[c0:c1, c0])
+            end = min(c1 + bw, n)
+            beta, h[1:], tau = dlarfg(c1 - c0, b[c0, c0], b[c0 + 1 : c1, c0])
             if tau != 0.0:
-                block = b[c0:c1, c0 : min(c1 + bw, n)]
-                block -= np.outer(tau * v, v @ block)
+                b[c0:c1, c0 + 1 : end] = dlarf(h, tau, b[c0:c1, c0 + 1 : end], work, side="L")
                 if u is not None:
-                    cols = u[:, c0:c1]
-                    cols -= np.outer(cols @ v, tau * v)
+                    u[:, c0:c1] = dlarf(h, tau, u[:, c0:c1], work, side="R")
             b[c0, c0] = beta
             b[c0 + 1 : c1, c0] = 0.0
             row, c0 = c0, c0 + bw

@@ -90,9 +90,11 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     The tiled GE2BND stage replays the plan's compiled Program
     (:meth:`~repro.api.resolver.ResolvedPlan.program`, the op stream the
     DAG and simulate backends read for the same plan) onto a private copy
-    of the input.  ``ge2val`` continues with bulge chasing and the
-    bidiagonal QR iteration; ``gesvd`` logs the GE2BND reflectors and runs
-    every stage again on the vectors, ``A = (U1 U2 U3) Σ (V3ᵀ V2ᵀ V1ᵀ)``.
+    of the input.  ``ge2val`` continues with bulge chasing and LAPACK
+    ``dstemr`` on the bidiagonal's Golub–Kahan form; ``gesvd`` logs the
+    GE2BND reflectors and runs every stage again on the vectors,
+    ``A = (U1 U2 U3) Σ (V3ᵀ V2ᵀ V1ᵀ)``, with ``U3 Σ V3ᵀ`` from the
+    bidiagonal QR iteration (:func:`~repro.algorithms.bd2val.bdsqr`).
 
     Input near overflow or underflow (max|a_ij| above
     ``2**NUMERIC_MAX_ABS_LOG2`` or below ``2**NUMERIC_MIN_ABS_LOG2``) is

@@ -14,8 +14,9 @@ The QR kernels follow the PLASMA ``core_blas`` naming (Table I of the paper):
 The LQ kernels (``GELQT`` / ``UNMLQ`` / ``TSLQT`` / ``TSMLQ`` / ``TTLQT`` /
 ``TTMLQ``) are the exact column-wise counterparts and are implemented through
 the transpose duality ``LQ(A) == QR(A^T)^T``.  The LAPACK routines are
-scipy's f2py wrappers, loaded on the first kernel call
-(:mod:`repro.kernels.flapack`).
+scipy's f2py wrappers, loaded on the first kernel call by
+:mod:`repro.kernels.flapack`, which also serves the second stage's
+routines (BND2BD's ``dlarfg`` / ``dlarf``, BD2VAL's ``dstemr``).
 """
 
 from repro.kernels.householder import householder_vector

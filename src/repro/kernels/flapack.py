@@ -1,9 +1,12 @@
 """scipy's Fortran LAPACK wrappers, loaded on first use and alone.
 
-The tile kernels are one LAPACK call each: ``dgeqrt`` / ``dgemqrt`` for
-GEQRT and its update, ``dtpqrt`` / ``dtpmqrt`` for the TS and TT pairs
-(the kernels of PLASMA's ``core_blas``).  scipy ships their f2py
-wrappers in the extension module ``scipy.linalg._flapack``; this module
+The numeric backend's stages call LAPACK.  Each GE2BND tile kernel is one
+call: ``dgeqrt`` / ``dgemqrt`` for GEQRT and its update, ``dtpqrt`` /
+``dtpmqrt`` for the TS and TT pairs (the kernels of PLASMA's
+``core_blas``).  BND2BD makes each bulge reflector with ``dlarfg`` and
+applies it with ``dlarf``, and BD2VAL's values come from ``dstemr`` on the
+Golub–Kahan tridiagonal.  scipy ships their f2py wrappers in the
+extension module ``scipy.linalg._flapack``; this module
 loads that extension by its file, so the ``scipy.linalg`` package (which
 imports much more) stays unloaded, and registers it under its own name,
 so a later ``import scipy.linalg`` reuses the same module object.
@@ -24,8 +27,9 @@ from typing import Any
 
 #: Module name of the extension, in scipy and in :data:`sys.modules`.
 EXTENSION = "scipy.linalg._flapack"
-#: The LAPACK routines the tile kernels call.
-NAMES = ("dgeqrt", "dgemqrt", "dtpqrt", "dtpmqrt")
+#: The LAPACK routines the numeric stages call: the tile kernels', then
+#: BND2BD's and BD2VAL's.
+NAMES = ("dgeqrt", "dgemqrt", "dtpqrt", "dtpmqrt", "dlarfg", "dlarf", "dstemr")
 
 
 def _load_extension() -> ModuleType:
@@ -42,8 +46,9 @@ def _load_extension() -> ModuleType:
         spec = finder.find_spec(EXTENSION)
     if spec is None or spec.loader is None:
         raise ModuleNotFoundError(
-            "the numeric backend's tile kernels call LAPACK through scipy's "
-            f"{EXTENSION} extension, and scipy is not installed "
+            "the numeric backend calls LAPACK (its tile kernels, bulge chase "
+            f"and bidiagonal solver) through scipy's {EXTENSION} extension, "
+            "and scipy is not installed "
             "(pip install scipy)",
             name="scipy",
         )

@@ -2,9 +2,9 @@
 
 :func:`householder_vector` computes one reflector of a vector; the
 unblocked bidiagonal reductions (:mod:`repro.lapack.gebd2`,
-:mod:`repro.lapack.gebrd`) and the bulge chase of BND2BD
-(:mod:`repro.algorithms.bnd2bd`) are built from it.  The tile kernels'
-blocked reflectors come from LAPACK itself (:mod:`repro.kernels.qr_kernels`).
+:mod:`repro.lapack.gebrd`) are built from it.  The tile kernels' blocked
+reflectors (:mod:`repro.kernels.qr_kernels`) and the bulge reflectors of
+BND2BD (:mod:`repro.algorithms.bnd2bd`) come from LAPACK itself.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Tests for the band container, BND2BD and BD2VAL."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +17,12 @@ from repro.algorithms.bd2val import (
 )
 from repro.algorithms.bnd2bd import band_to_bidiagonal
 from repro.api import SvdPlan, execute
+from repro.kernels import flapack
 
 #: Kinds of the ``structured_band`` fixture.
 STRUCTURED = ("zero", "rank-1", "bidiagonal", "exact-zeros")
+
+EPS = np.finfo(float).eps
 
 
 def _sv(a):
@@ -206,6 +211,143 @@ class TestBnd2Bd:
         with pytest.raises(ValueError):
             band_to_bidiagonal(np.zeros((3, 4)), bandwidth=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_band(self, bad, rng):
+        dense = _random_band(8, 3, rng)
+        dense[2, 4] = bad
+        dense[5, 6] = np.nan
+        with pytest.raises(ValueError, match=rf"\(2, 4\) is {bad}"):
+            band_to_bidiagonal(dense, bandwidth=3)
+
+    def test_factors_with_more_rows_than_n(self, rng):
+        # dlarf's workspace must cover u's rows, not the band's n.
+        n, bw = 11, 4
+        a = _random_band(n, bw, rng)
+        q1, _ = np.linalg.qr(rng.standard_normal((n + 9, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n + 5)).T)
+        u, vt = q1.copy(), q2.T.copy()
+        d, e = band_to_bidiagonal(a, bandwidth=bw, u=u, vt=vt)
+        assert u.shape == (n + 9, n) and vt.shape == (n, n + 5)
+        b = bidiagonal_to_dense(d, e)
+        np.testing.assert_allclose(u @ b @ vt, q1 @ a @ q2.T, atol=1e-12)
+
+    def test_zero_band_row_gives_zero_tau_on_both_sides(self, rng, monkeypatch):
+        n, bw = 10, 3
+        a = _random_band(n, bw, rng)
+        a[0] = 0.0
+        taus = []
+        dlarfg = flapack.dlarfg
+
+        def recording(*args):
+            out = dlarfg(*args)
+            taus.append(out[2])
+            return out
+
+        monkeypatch.setattr(flapack, "dlarfg", recording)
+        u, vt = np.eye(n), np.eye(n)
+        d, e = band_to_bidiagonal(a, bandwidth=bw, u=u, vt=vt)
+        # Sweep 0's first right and left reflectors: nothing to annihilate.
+        assert taus[:2] == [0.0, 0.0]
+        b = bidiagonal_to_dense(d, e)
+        np.testing.assert_allclose(u @ b @ vt, a, atol=1e-12)
+        assert np.max(np.abs(_sv(b) - _sv(a))) <= 16 * n * EPS * _sv(a)[0]
+
+    def test_bandwidth_n_minus_one(self, rng):
+        # A full upper triangle: every sweep starts with an n - i - 1 reflector.
+        n = 13
+        a = np.triu(rng.standard_normal((n, n)))
+        u, vt = np.eye(n), np.eye(n)
+        d, e = band_to_bidiagonal(a, bandwidth=n - 1, u=u, vt=vt)
+        b = bidiagonal_to_dense(d, e)
+        np.testing.assert_allclose(u @ b @ vt, a, atol=1e-12)
+        want = bidiagonal_singular_values(*reference_chase(a, n - 1))
+        assert np.max(np.abs(bidiagonal_singular_values(d, e) - want)) <= 1e-14 * want[0]
+
+
+def _assert_values(d, e):
+    """``bidiagonal_singular_values`` within ``16·n·ε·σ_max`` of numpy's
+    ``dgesdd`` on the dense bidiagonal and of the bisection."""
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    n = d.size
+    got = bidiagonal_singular_values(d, e)
+    want = _sv(bidiagonal_to_dense(d, e))
+    assert got.shape == (n,) and np.all(np.diff(got) <= 0) and np.all(got >= 0)
+    bar = 16 * n * EPS * want[0]
+    assert np.max(np.abs(got - want)) <= bar
+    # Bisection runs on the power-of-two rescaling to max|entry| in
+    # [0.5, 1): its stopping rule is absolute below 1 and its Sturm counts
+    # square the entries.
+    k = math.frexp(max(np.max(np.abs(d)), np.max(np.abs(e), initial=0.0)))[1]
+    scaled = bidiagonal_sv_bisection(np.ldexp(d, -k), np.ldexp(e, -k), tol=EPS)
+    assert np.max(np.abs(got - np.ldexp(scaled, k))) <= bar
+
+
+def _hostile(rng, n, spread):
+    """Standard normal entries times ``10**uniform(-spread, spread)``."""
+    return rng.standard_normal(n) * 10.0 ** rng.uniform(-spread, spread, n)
+
+
+class TestBd2ValLapack:
+    """The values path: one ``dstemr`` call on the Golub–Kahan tridiagonal."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_sizes(self, n, rng):
+        _assert_values(rng.standard_normal(n), rng.standard_normal(n - 1))
+
+    def test_empty(self):
+        assert bidiagonal_singular_values(np.zeros(0), np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("where", [0, 7, 15], ids=["first", "middle", "last"])
+    def test_zero_diagonal_entries(self, where, rng):
+        d, e = rng.standard_normal(16), rng.standard_normal(15)
+        d[where] = 0.0
+        _assert_values(d, e)
+
+    def test_zero_superdiagonal_entries_split_the_matrix(self, rng):
+        d, e = rng.standard_normal(20), rng.standard_normal(19)
+        e[[0, 6, 7, 18]] = 0.0
+        _assert_values(d, e)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_zero_matrix_gives_exact_zeros(self, n):
+        got = bidiagonal_singular_values(np.zeros(n), np.zeros(n - 1))
+        np.testing.assert_array_equal(got, np.zeros(n))
+
+    def test_graded(self):
+        n = 40
+        _assert_values(2.0 ** -np.arange(n), 2.0 ** -np.arange(0.5, n - 1))
+
+    def test_clustered(self, rng):
+        n = 40
+        _assert_values(1.0 + 1e-12 * rng.standard_normal(n), 1e-9 * rng.standard_normal(n - 1))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_scaled_to_the_ends_of_the_range(self, scale, rng):
+        _assert_values(scale * rng.standard_normal(24), scale * rng.standard_normal(23))
+
+    def test_entries_spanning_three_hundred_orders(self):
+        # dsterf on the same TGK misses σ by 5.5e-4·σ_max here.
+        rng = np.random.default_rng(13)
+        d = _hostile(rng, 64, 150)
+        e = _hostile(rng, 63, 150)
+        _assert_values(d, e)
+
+    @pytest.mark.parametrize("failure", [(0, 3), (1, 0)], ids=["info", "missing"])
+    def test_dstemr_failure_raises_convergence_error(self, failure, monkeypatch):
+        missing, info = failure
+        d, e = np.arange(1.0, 5.0), np.ones(3)
+
+        def failing(diag, off, *args, **kwargs):
+            n = diag.size
+            return n - missing, np.zeros(n), np.zeros((n, n)), info
+
+        monkeypatch.setattr(flapack, "dstemr", failing)
+        with pytest.raises(ConvergenceError, match="dstemr") as caught:
+            bidiagonal_singular_values(d, e)
+        assert caught.value.info == info
+        np.testing.assert_array_equal(caught.value.d, d)
+        np.testing.assert_array_equal(caught.value.e, e)
+
 
 class TestBd2Val:
     def test_matches_numpy(self, rng):
@@ -250,7 +392,7 @@ class TestBd2Val:
         with pytest.raises(ValueError):
             bidiagonal_sv_bisection([1.0, 2.0], [1.0, 2.0])
 
-    @pytest.mark.parametrize("solver", [bidiagonal_singular_values, bdsqr])
+    @pytest.mark.parametrize("solver", [bdsqr])
     def test_non_convergence_raises_typed_error(self, solver):
         rng = np.random.default_rng(4)
         d, e = rng.standard_normal(6), rng.standard_normal(5)
@@ -268,6 +410,23 @@ class TestBd2Val:
     def test_bidiagonal_to_dense_validates(self):
         with pytest.raises(ValueError):
             bidiagonal_to_dense([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "solver",
+        [bidiagonal_singular_values, bdsqr, bidiagonal_sv_bisection, bidiagonal_to_dense],
+    )
+    @pytest.mark.parametrize(
+        "d,e,message",
+        [
+            ([1.0, np.inf, 2.0], [1.0, np.nan], r"d\[1\] is inf"),
+            ([1.0, 2.0, np.nan], [1.0, 1.0], r"d\[2\] is nan"),
+            ([1.0, 2.0, 3.0], [1.0, -np.inf], r"e\[1\] is -inf"),
+        ],
+        ids=["inf-in-d", "nan-in-d", "inf-in-e"],
+    )
+    def test_rejects_non_finite_diagonals(self, solver, d, e, message):
+        with pytest.raises(ValueError, match=message):
+            solver(d, e)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(min_value=1, max_value=25), seed=st.integers(min_value=0, max_value=10**6))

@@ -1,5 +1,7 @@
 """Tests for the singular-vector pipeline (BND2BD with vectors, BDSQR, GESVD)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,35 @@ class TestBnd2bdUV:
             band_to_bidiagonal(np.zeros((3, 3)), 2, vt=np.eye(2))
 
 
+def _hex_digest(a):
+    """First 16 hex digits of the SHA-256 of the entries' ``float.hex`` forms."""
+    text = ",".join(float(x).hex() for x in np.ravel(a))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _random_20():
+    rng = np.random.default_rng(2024)
+    return rng.standard_normal(20), rng.standard_normal(19)
+
+
+def _zero_diagonal_9():
+    d = np.array([2.0, 0.0, 1.5, -3.0, 0.0, 0.5, 1.0, 4.0, 0.0])
+    e = np.array([1.0, 1.5, 0.5, -2.0, 1.0, 0.25, 3.0, 1.0])
+    return d, e
+
+
+def _scaled_1e200_12():
+    rng = np.random.default_rng(5)
+    return rng.standard_normal(12) * 1e200, rng.standard_normal(11) * 1e200
+
+
+_BDSQR_INPUTS = {
+    "random-20": _random_20,
+    "zero-diagonal-9": _zero_diagonal_9,
+    "scaled-1e200-12": _scaled_1e200_12,
+}
+
+
 class TestBdsqr:
     def test_full_svd_of_bidiagonal(self):
         rng = np.random.default_rng(6)
@@ -119,14 +150,31 @@ class TestBdsqr:
         assert np.allclose(res.u @ np.diag(res.singular_values) @ res.vt, b, atol=1e-10)
 
     def test_values_match_valueonly_solver(self):
-        # Bitwise: both run the one QR iteration, and the vectors never
-        # feed back into d or e.
+        # Two solvers (the QR iteration and dstemr on the Golub–Kahan
+        # tridiagonal), each accurate to about eps·||B||.
         rng = np.random.default_rng(7)
         d = rng.standard_normal(20)
         e = rng.standard_normal(19)
         got = bdsqr(d, e).singular_values
         want = bidiagonal_singular_values(d, e)
-        np.testing.assert_array_equal(got, want)
+        assert np.max(np.abs(got - want)) <= 16 * 20 * np.finfo(float).eps * want[0]
+
+    @pytest.mark.parametrize(
+        "name,sweeps,pins",
+        [
+            ("random-20", 39, ("49b838ddc360d988", "6171d02e1bae366e", "2619d24e8d55bf6f")),
+            ("zero-diagonal-9", 12, ("c2e53818e8c7fbc9", "02b8b74a4727d4a0", "6b27c83a68f474f3")),
+            ("scaled-1e200-12", 23, ("31c2606973c3a3b7", "1613f4edd6e7cb72", "936872e213f0f39d")),
+        ],
+    )
+    def test_pinned_bitwise(self, name, sweeps, pins):
+        # sigma, U, V^T and the sweep count, bit for bit: the zero-diagonal
+        # input runs the zero-diagonal chase and the scaled one the
+        # power-of-two rescaling.
+        d, e = _BDSQR_INPUTS[name]()
+        res = bdsqr(d, e)
+        assert res.sweeps == sweeps
+        assert (_hex_digest(res.singular_values), _hex_digest(res.u), _hex_digest(res.vt)) == pins
 
     def test_orthogonality(self):
         rng = np.random.default_rng(8)
