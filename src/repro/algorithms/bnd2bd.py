@@ -97,8 +97,7 @@ def band_to_bidiagonal(
     dlarfg, dlarf = flapack.dlarfg, flapack.dlarf
     # dlarf's workspace: one entry per row of a block it updates from the
     # right, per column of one it updates from the left.
-    rows_u = 0 if u is None else u.shape[0]
-    work = np.empty(max(2 * bw, rows_u, 0 if vt is None else vt.shape[1]))
+    work = np.empty(max(n, 0 if u is None else u.shape[0], 0 if vt is None else vt.shape[1]))
     v = np.empty(bw)
     v[0] = 1.0
     # The update slices below cover every nonzero a reflector reaches, the

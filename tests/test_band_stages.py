@@ -294,9 +294,6 @@ class TestBd2ValLapack:
     def test_smallest_sizes(self, n, rng):
         _assert_values(rng.standard_normal(n), rng.standard_normal(n - 1))
 
-    def test_empty(self):
-        assert bidiagonal_singular_values(np.zeros(0), np.zeros(0)).shape == (0,)
-
     @pytest.mark.parametrize("where", [0, 7, 15], ids=["first", "middle", "last"])
     def test_zero_diagonal_entries(self, where, rng):
         d, e = rng.standard_normal(16), rng.standard_normal(15)
