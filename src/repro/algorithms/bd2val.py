@@ -1,38 +1,41 @@
 """BD2VAL: singular values (and vectors) of a real upper bidiagonal matrix.
 
-Three independent solvers are provided.  Two of them work on the
-Golub–Kahan tridiagonal ``TGK`` of ``B``: the ``2n x 2n`` symmetric
+The last stage of the GE2VAL / GESVD pipeline.  Its two solvers are one
+call each of LAPACK's ``dbdsqr`` (:mod:`repro.kernels.flapack`):
+
+* :func:`bidiagonal_singular_values` — the values alone: ``dbdsqr``
+  without vectors runs dqds (``dlasq1``; Fernando & Parlett, Numer. Math.
+  67, 1994), which computes every σ to high relative accuracy;
+* :func:`bdsqr` — the full SVD ``bidiag(d, e) = U · diag(σ) · V^T``:
+  ``dbdsqr`` with vectors runs the implicit QR iteration (Demmel & Kahan,
+  SISC 11(5), 1990) and folds its rotations into given ``U`` and ``V^T``
+  (LAPACK's ``NRU`` / ``NCVT`` convention), so BND2BD's orthogonal factors
+  pass straight through.
+
+A third, :func:`bidiagonal_sv_bisection`, is bisection on Sturm counts of
+the Golub–Kahan tridiagonal ``TGK`` of ``B`` — the ``2n x 2n`` symmetric
 tridiagonal with zero diagonal and off-diagonal ``d_1, e_1, d_2, ...,
-d_n`` (``[[0, B^T], [B, 0]]`` permuted), whose eigenvalues are
-``±σ_i(B)`` (Golub & Kahan, 1965).
-
-* :func:`bidiagonal_singular_values` — the values alone, from one LAPACK
-  ``dstemr`` call on ``TGK`` (MRRR; Willems, Lang & Vömel, SIMAX 2006);
-* :func:`bdsqr` — the Golub–Kahan implicit-shift QR iteration on ``B``
-  (the algorithm behind LAPACK ``xBDSQR``), with deflation and the
-  standard zero-diagonal handling, accumulating its rotations for the
-  full SVD ``bidiag(d, e) = U · diag(σ) · V^T``;
-* :func:`bidiagonal_sv_bisection` — bisection on Sturm counts of ``TGK``,
-  the algorithm behind ``xBDSVX``.
-
-All take the two diagonals ``(d, e)``, reject NaN and Inf entries, and
-return the singular values in descending order.  They are the last stage
-of the GE2VAL / GESVD pipeline and cross-check each other in the tests.
+d_n``, whose eigenvalues are ``±σ_i(B)`` (Golub & Kahan, 1965) — the
+algorithm behind ``xBDSVX``.  It is slow and serves as an independent
+cross-check.  All three take the two diagonals ``(d, e)``, reject NaN and
+Inf entries, and return the singular values in descending order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.kernels import flapack
 
-#: The QR iteration scales ``(d, e)`` by a power of two when their largest
-#: magnitude lies outside this range: the Wilkinson shift forms fourth
-#: powers of the entries, which overflow or underflow beyond it.
+#: :func:`bdsqr` scales ``(d, e)`` by a power of two when their largest
+#: magnitude lies outside this range.  ``dbdsqr`` scales its input only on
+#: the values path (``dlasq1``); its QR iteration runs unscaled, and its
+#: shifts and convergence tests square the entries, which overflow or
+#: underflow beyond it.
 _SAFE_MIN = 2.0**-255
 _SAFE_MAX = 2.0**255
 
@@ -40,29 +43,15 @@ _SAFE_MAX = 2.0**255
 class ConvergenceError(RuntimeError):
     """A bidiagonal solver failed to converge.
 
-    :func:`bdsqr` raises it when its QR iteration exhausts the sweep budget,
-    with the state at the failure: ``sweeps`` performed, the active
-    ``block`` ``(lo, hi)`` being swept, and copies of the current diagonals
-    ``d`` and ``e`` (in the input's scale).  :func:`bidiagonal_singular_values`
-    raises it when ``dstemr`` reports failure, with LAPACK's ``info`` and
-    the input diagonals.
+    Raised when LAPACK ``dbdsqr`` reports that ``info`` superdiagonal
+    entries did not converge to zero; carries ``info`` and the input
+    diagonals ``d`` and ``e``.
     """
 
-    def __init__(
-        self,
-        message: str,
-        d: np.ndarray,
-        e: np.ndarray,
-        *,
-        sweeps: int = 0,
-        block: Tuple[int, int] = (0, 0),
-        info: int = 0,
-    ) -> None:
+    def __init__(self, message: str, d: np.ndarray, e: np.ndarray, *, info: int = 0) -> None:
         super().__init__(message)
         self.d = d
         self.e = e
-        self.sweeps = sweeps
-        self.block = block
         self.info = info
 
 
@@ -75,18 +64,15 @@ class BdsqrResult:
     singular_values:
         The singular values in descending order.
     u:
-        Left singular vectors (``n x n``), column ``i`` pairs with
+        Left singular vectors (``nru x n``), column ``i`` pairs with
         ``singular_values[i]``.
     vt:
-        Right singular vectors, transposed (``n x n``).
-    sweeps:
-        Number of QR sweeps performed (diagnostic).
+        Right singular vectors, transposed (``n x ncvt``).
     """
 
     singular_values: np.ndarray
     u: np.ndarray
     vt: np.ndarray
-    sweeps: int
 
 
 def bidiagonal_to_dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -112,189 +98,38 @@ def _diagonals(d: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _givens(f: float, g: float) -> Tuple[float, float, float]:
-    """Return ``(c, s, r)`` with ``c*f + s*g = r`` and ``-s*f + c*g = 0``."""
-    if g == 0.0:
-        return 1.0, 0.0, f
-    if f == 0.0:
-        return 0.0, 1.0, g
-    r = math.hypot(f, g)
-    return f / r, g / r, r
+def _max_abs(d: np.ndarray, e: np.ndarray) -> float:
+    return max(float(np.max(np.abs(d), initial=0.0)), float(np.max(np.abs(e), initial=0.0)))
 
 
-def _rotate_cols(a: np.ndarray, c1: int, c2: int, c: float, s: float) -> None:
-    """Rotate columns ``(c1, c2)`` of ``a``:
-    ``c1 := c*c1 + s*c2`` and ``c2 := -s*c1 + c*c2``."""
-    col1 = a[:, c1].copy()
-    col2 = a[:, c2].copy()
-    a[:, c1] = c * col1 + s * col2
-    a[:, c2] = -s * col1 + c * col2
-
-
-def _rotate_rows(a: np.ndarray, r1: int, r2: int, c: float, s: float) -> None:
-    """Rotate rows ``(r1, r2)`` of ``a``, as :func:`_rotate_cols` does columns."""
-    row1 = a[r1].copy()
-    row2 = a[r2].copy()
-    a[r1] = c * row1 + s * row2
-    a[r2] = -s * row1 + c * row2
-
-
-def _wilkinson_shift(d: List[float], e: List[float], lo: int, hi: int) -> float:
-    """Wilkinson shift from the trailing 2x2 block of ``B^T B``."""
-    dm = d[hi - 1] ** 2 + (e[hi - 2] ** 2 if hi - 1 > lo else 0.0)
-    dn = d[hi] ** 2 + e[hi - 1] ** 2
-    off = d[hi - 1] * e[hi - 1]
-    if off == 0.0:
-        return dn
-    delta = (dm - dn) / 2.0
-    sign = 1.0 if delta >= 0 else -1.0
-    denom = delta + sign * math.hypot(delta, off)
-    if denom == 0.0:
-        return dn
-    return dn - off * off / denom
-
-
-def _gk_sweep(
-    d: List[float], e: List[float], lo: int, hi: int, u: np.ndarray, vt: np.ndarray
-) -> None:
-    """One implicit-shift Golub–Kahan QR sweep on the block ``[lo, hi]``."""
-    mu = _wilkinson_shift(d, e, lo, hi)
-    y = d[lo] * d[lo] - mu
-    z = d[lo] * e[lo]
-    for k in range(lo, hi):
-        # Right rotation on columns (k, k+1): zeroes the above-superdiagonal
-        # bulge (or, at k == lo, introduces the shift).
-        c, s, r = _givens(y, z)
-        if k > lo:
-            e[k - 1] = r
-        f, g = d[k], e[k]
-        d[k] = c * f + s * g
-        e[k] = -s * f + c * g
-        h = d[k + 1]
-        bulge = s * h
-        d[k + 1] = c * h
-        _rotate_rows(vt, k, k + 1, c, s)
-        # Left rotation on rows (k, k+1): zeroes the subdiagonal bulge.
-        c, s, r = _givens(d[k], bulge)
-        d[k] = r
-        f, g = e[k], d[k + 1]
-        e[k] = c * f + s * g
-        d[k + 1] = -s * f + c * g
-        _rotate_cols(u, k, k + 1, c, s)
-        if k < hi - 1:
-            g = e[k + 1]
-            bulge = s * g
-            e[k + 1] = c * g
-            y = e[k]
-            z = bulge
-
-
-def _chase_zero_diagonal(
-    d: List[float], e: List[float], hi: int, idx: int, u: np.ndarray
-) -> None:
-    """Rotate away the superdiagonal entry coupled to a zero diagonal ``d[idx]``.
-
-    When ``d[idx] == 0`` the implicit QR iteration stalls; the standard cure
-    (LAPACK ``dbdsqr``) applies row rotations that chase ``e[idx]`` to the
-    right until it vanishes, splitting the problem.
-    """
-    f = e[idx]
-    e[idx] = 0.0
-    for j in range(idx + 1, hi + 1):
-        c, s, r = _givens(d[j], f)
-        d[j] = r
-        _rotate_cols(u, j, idx, c, s)
-        if j < hi:
-            f = -s * e[j]
-            e[j] = c * e[j]
-        if f == 0.0:
-            break
-
-
-def _qr_iteration(
-    d: np.ndarray, e: np.ndarray, tol: float, max_sweeps: int, u: np.ndarray, vt: np.ndarray
-) -> int:
-    """Diagonalize ``bidiag(d, e)`` in place; return the sweep count.
-
-    On return ``d`` holds the signed singular values and ``e`` is zero.
-    Every left rotation is folded into the columns of ``u`` and every right
-    rotation into the rows of ``vt``, so identities passed in come back as
-    ``U`` and ``V^T`` with ``bidiag(d, e) = U · diag(d) · V^T``.
-    Raises :class:`ConvergenceError` beyond ``max_sweeps`` sweeps per
-    singular value.
-    """
-    n = d.size
-    if n < 2:
-        return 0
-    big = max(float(np.max(np.abs(d))), float(np.max(np.abs(e))))
-    scale = 0
-    if big > 0.0 and not _SAFE_MIN <= big <= _SAFE_MAX:
-        # Exact power-of-two scaling into [0.5, 1): rotations are
-        # scale-invariant, so only sigma needs scaling back.
-        scale = math.frexp(big)[1]
-        d[:] = np.ldexp(d, -scale)
-        e[:] = np.ldexp(e, -scale)
-        big = math.ldexp(big, -scale)
-    norm = max(big, 1e-300)
-    # The scalar core runs on Python floats: element access and arithmetic
-    # on numpy scalars cost several times more, for the same IEEE results.
-    # The shift squares with `** 2`, not `x * x`: both float types square
-    # through C `pow`, which rounds differently from `x * x` on a few
-    # inputs, so `** 2` keeps σ, U and V^T independent of the scalar type.
-    d_out, e_out = d, e
-    d, e = d.tolist(), e.tolist()
-    total_sweeps = 0
-    sweep_budget = max_sweeps * n
-    hi = n - 1
-    while hi > 0:
-        # Deflate negligible superdiagonal entries.
-        for i in range(hi):
-            if abs(e[i]) <= tol * (abs(d[i]) + abs(d[i + 1])) + tol * norm * 1e-2:
-                e[i] = 0.0
-        if e[hi - 1] == 0.0:
-            hi -= 1
-            continue
-        # Active block [lo, hi]: the largest trailing unreduced block.
-        lo = hi - 1
-        while lo > 0 and e[lo - 1] != 0.0:
-            lo -= 1
-        # Zero diagonal inside the block: split explicitly.
-        zero_idx = None
-        for i in range(lo, hi):
-            if abs(d[i]) <= tol * norm:
-                zero_idx = i
-                break
-        if zero_idx is not None:
-            d[zero_idx] = 0.0
-            _chase_zero_diagonal(d, e, hi, zero_idx, u)
-            continue
-        _gk_sweep(d, e, lo, hi, u, vt)
-        total_sweeps += 1
-        if total_sweeps > sweep_budget:
-            raise ConvergenceError(
-                f"bidiagonal QR iteration did not converge after {total_sweeps} "
-                f"sweeps (active block {lo}..{hi})",
-                np.ldexp(d, scale),
-                np.ldexp(e, scale),
-                sweeps=total_sweeps,
-                block=(lo, hi),
-            )
-    d_out[:] = d
-    e_out[:] = e
-    if scale:
-        d_out[:] = np.ldexp(d_out, scale)
-    return total_sweeps
+def _dbdsqr(
+    d: np.ndarray,
+    e: np.ndarray,
+    scale: int = 0,
+    vt: Optional[np.ndarray] = None,
+    u: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """σ of ``bidiag(d, e)`` from one ``dbdsqr`` call on copies scaled by
+    ``2**-scale``, scaled back; :class:`ConvergenceError` on failure."""
+    sigma, rest = np.ldexp(d, -scale), np.ldexp(e, -scale)
+    info = flapack.dbdsqr(sigma, rest, vt, u)
+    if info:
+        raise ConvergenceError(
+            f"LAPACK dbdsqr did not converge: {info} superdiagonal entries "
+            "are not zero",
+            d,
+            e,
+            info=info,
+        )
+    return np.ldexp(sigma, scale)
 
 
 def bidiagonal_singular_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Singular values of the upper bidiagonal matrix ``B = bidiag(d, e)``.
 
-    One LAPACK ``dstemr`` call (MRRR, eigenvalues only) on the Golub–Kahan
-    tridiagonal ``TGK``; the ``n`` largest of its ``2n`` eigenvalues are
-    ``σ(B)``, returned in descending order.  Like the QR iteration, it is
-    accurate to about ``ε·‖B‖``, not to high relative accuracy in tiny σ.
-    ``dsterf`` on ``TGK`` is not: on a bidiagonal whose entries span
-    ``10**±150`` it misses σ by ``5.5e-4·σ_max`` (see the tests).
+    One LAPACK ``dbdsqr`` call without vectors, which runs dqds: every σ,
+    however tiny, to high relative accuracy, at any scale (``dlasq1``
+    scales its input).
 
     Parameters
     ----------
@@ -304,69 +139,54 @@ def bidiagonal_singular_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     Raises
     ------
     ConvergenceError
-        ``dstemr`` reported failure (``info != 0``) or fewer than ``2n``
-        eigenvalues.
+        ``dbdsqr`` did not converge (``info > 0``).
     """
-    d, e = _diagonals(d, e)
-    n = d.size
-    if n == 0:
-        return np.zeros(0)
-    # dstemr reads an off-diagonal of length 2n; the last entry is unused.
-    off = np.zeros(2 * n)
-    off[:-1] = _tgk_offdiagonal(d, e)
-    # range 0 is 'A' (all eigenvalues); vl, vu, il and iu are then unread.
-    m, w, _, info = flapack.dstemr(np.zeros(2 * n), off, 0, 0.0, 0.0, 0, 0, compute_v=0)
-    if info != 0 or m != 2 * n:
-        raise ConvergenceError(
-            f"dstemr on the Golub–Kahan tridiagonal failed (info {info}, "
-            f"{m} of {2 * n} eigenvalues)",
-            d,
-            e,
-            info=info,
-        )
-    return np.sort(np.abs(w[n:]))[::-1]
+    return _dbdsqr(*_diagonals(d, e))
 
 
 def bdsqr(
     d: np.ndarray,
     e: np.ndarray,
     *,
-    tol: float = 1e-14,
-    max_sweeps: int = 200,
+    u: Optional[np.ndarray] = None,
+    vt: Optional[np.ndarray] = None,
 ) -> BdsqrResult:
     """Full SVD of the upper bidiagonal matrix ``bidiag(d, e)``.
 
-    The implicit-shift Golub–Kahan QR iteration, with its rotations
-    accumulated into ``U`` and ``V^T``.
+    One LAPACK ``dbdsqr`` call with vectors (the implicit QR iteration),
+    on ``(d, e)`` scaled by a power of two into ``[2**-255, 2**255]``.
 
     Parameters
     ----------
     d, e:
         Main diagonal (length ``n``) and superdiagonal (length ``n - 1``).
-    tol:
-        Relative deflation threshold for superdiagonal entries.
-    max_sweeps:
-        Sweep budget per singular value (:class:`ConvergenceError` beyond it).
+    u, vt:
+        Fortran-ordered float64 arrays, ``nru x n`` and ``n x ncvt``,
+        updated in place: ``u`` is post-multiplied by the left singular
+        vectors and ``vt`` pre-multiplied by the right ones, transposed
+        (LAPACK's ``NRU`` / ``NCVT`` convention).  Each defaults to the
+        ``n x n`` identity.  Passing BND2BD's ``q`` and ``pt`` gives the
+        SVD of the band (``band = u · diag(σ) · vt``).
 
     Returns
     -------
     BdsqrResult
         Singular values in descending order with matching ``u`` / ``vt``.
+
+    Raises
+    ------
+    ConvergenceError
+        ``dbdsqr`` did not converge (``info > 0``); ``u`` and ``vt`` then
+        hold partial updates.
     """
     d, e = _diagonals(d, e)
-    u = np.eye(d.size)
-    vt = np.eye(d.size)
-    sweeps = _qr_iteration(d, e, tol, max_sweeps, u, vt)
-    # Fix signs (singular values must be non-negative) and sort descending.
-    u = u * np.where(d < 0, -1.0, 1.0)[np.newaxis, :]
-    sigma = np.abs(d)
-    order = np.argsort(sigma)[::-1]
-    return BdsqrResult(
-        singular_values=sigma[order],
-        u=u[:, order],
-        vt=vt[order, :],
-        sweeps=sweeps,
-    )
+    n = d.size
+    u = np.eye(n, order="F") if u is None else u
+    vt = np.eye(n, order="F") if vt is None else vt
+    big = _max_abs(d, e)
+    scale = math.frexp(big)[1] if big > 0.0 and not _SAFE_MIN <= big <= _SAFE_MAX else 0
+    sigma = _dbdsqr(d, e, scale, vt, u)
+    return BdsqrResult(singular_values=sigma, u=u, vt=vt)
 
 
 # --------------------------------------------------------------------------- #
@@ -412,28 +232,31 @@ def bidiagonal_sv_bisection(
 ) -> np.ndarray:
     """Singular values of ``bidiag(d, e)`` by bisection on Sturm counts.
 
-    Robust (never fails to converge) but slower than ``dstemr``; used as
-    an independent cross-check and for subset computations.
+    Robust (never fails to converge) but slower than ``dbdsqr``; used as
+    an independent cross-check.  The counts run on ``TGK`` scaled by a
+    power of two to a largest entry in ``[0.5, 1)``, where squaring the
+    entries neither overflows nor loses the large ones, and each σ stops
+    once its bracket is within ``tol`` times ``TGK``'s Gershgorin bound:
+    σ comes out to about ``tol·σ_max`` at any scale.
     """
     d, e = _diagonals(d, e)
     n = d.size
-    if n == 0:
-        return np.array([])
-    off = _tgk_offdiagonal(d, e)
-    # Upper bound on the spectral radius: Gershgorin on TGK.
-    bound = 0.0
-    full = np.concatenate([[0.0], np.abs(off), [0.0]])
-    for i in range(full.size - 1):
-        bound = max(bound, full[i] + full[i + 1])
-    bound = max(bound, 1e-300)
+    big = _max_abs(d, e)
+    if big == 0.0:
+        return np.zeros(n)
+    scale = math.frexp(big)[1]
+    off = np.ldexp(_tgk_offdiagonal(d, e), -scale)
+    # Gershgorin on TGK (zero diagonal): every |eigenvalue| is at most the
+    # sum of the two off-diagonal entries in its row.
+    padded = np.abs(np.concatenate([[0.0], off, [0.0]]))
+    bound = float(np.max(padded[:-1] + padded[1:]))
 
     sigmas = np.zeros(n)
     for k in range(1, n + 1):
-        # The k-th largest singular value is the (n + k)-th smallest
-        # eigenvalue of TGK (eigenvalues are -σ_n <= ... <= -σ_1 <= σ_1*...
-        # actually ±σ_i); equivalently the number of eigenvalues < x reaches
-        # n + (n - k) + 1 once x exceeds σ_k.
-        target = n + (n - k) + 1
+        # TGK's eigenvalues are -σ_1 <= ... <= -σ_n <= σ_n <= ... <= σ_1,
+        # so the k-th largest σ is the (2n - k + 1)-th smallest: the count
+        # of eigenvalues below x reaches 2n - k + 1 once x exceeds σ_k.
+        target = 2 * n - k + 1
         lo_x, hi_x = 0.0, bound * (1.0 + 1e-10)
         for _ in range(max_iter):
             mid = 0.5 * (lo_x + hi_x)
@@ -441,7 +264,7 @@ def bidiagonal_sv_bisection(
                 hi_x = mid
             else:
                 lo_x = mid
-            if hi_x - lo_x <= tol * max(1.0, hi_x):
+            if hi_x - lo_x <= tol * bound:
                 break
         sigmas[k - 1] = 0.5 * (lo_x + hi_x)
-    return sigmas
+    return np.ldexp(sigmas, scale)

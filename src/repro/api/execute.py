@@ -90,11 +90,13 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     The tiled GE2BND stage replays the plan's compiled Program
     (:meth:`~repro.api.resolver.ResolvedPlan.program`, the op stream the
     DAG and simulate backends read for the same plan) onto a private copy
-    of the input.  ``ge2val`` continues with bulge chasing and LAPACK
-    ``dstemr`` on the bidiagonal's Golub–Kahan form; ``gesvd`` logs the
-    GE2BND reflectors and runs every stage again on the vectors,
-    ``A = (U1 U2 U3) Σ (V3ᵀ V2ᵀ V1ᵀ)``, with ``U3 Σ V3ᵀ`` from the
-    bidiagonal QR iteration (:func:`~repro.algorithms.bd2val.bdsqr`).
+    of the input.  ``ge2val`` continues with two LAPACK calls: ``dgbbrd``
+    chases the band to bidiagonal form and ``dbdsqr`` (dqds) takes its
+    singular values.  ``gesvd`` logs the GE2BND reflectors and carries
+    the vectors through every stage, ``A = (U1 U2 U3) Σ (V3ᵀ V2ᵀ V1ᵀ)``:
+    ``dgbbrd`` forms ``U2`` and ``V2ᵀ``, and ``dbdsqr``'s QR iteration
+    (:func:`~repro.algorithms.bd2val.bdsqr`) multiplies ``U3`` and ``V3ᵀ``
+    into them in place.
 
     Input near overflow or underflow (max|a_ij| above
     ``2**NUMERIC_MAX_ABS_LOG2`` or below ``2**NUMERIC_MIN_ABS_LOG2``) is
@@ -144,13 +146,12 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
         with _stage("accumulate_u1v1", seconds):
             u1, v1 = accumulate_orthogonal_factors(tiled.layout, executor.transform_log)
         with _stage("bnd2bd", seconds):
-            u2, v2t = np.eye(band.n), np.eye(band.n)
-            d, e = band_to_bidiagonal(band, u=u2, vt=v2t)
+            d, e, q, pt = band_to_bidiagonal(band, vectors=True)
         with _stage("bd2val", seconds):
-            bd = bdsqr(d, e)
+            bd = bdsqr(d, e, u=q, vt=pt)
         with _stage("compose", seconds):
-            result.u = u1[:, : band.n] @ (u2 @ bd.u)
-            result.vt = (bd.vt @ v2t) @ v1.T
+            result.u = u1[:, : band.n] @ bd.u
+            result.vt = bd.vt @ v1.T
         result.singular_values = bd.singular_values
     else:
         result.extras["band"] = band

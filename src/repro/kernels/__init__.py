@@ -16,7 +16,8 @@ The LQ kernels (``GELQT`` / ``UNMLQ`` / ``TSLQT`` / ``TSMLQ`` / ``TTLQT`` /
 the transpose duality ``LQ(A) == QR(A^T)^T``.  The LAPACK routines are
 scipy's f2py wrappers, loaded on the first kernel call by
 :mod:`repro.kernels.flapack`, which also serves the second stage's
-routines (BND2BD's ``dlarfg`` / ``dlarf``, BD2VAL's ``dstemr``).
+routines (BND2BD's ``dgbbrd``, BD2VAL's ``dbdsqr``) through the function
+pointers of scipy's ``cython_lapack``.
 """
 
 from repro.kernels.householder import householder_vector

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms.band import BandBidiagonal
 from repro.algorithms.bd2val import (
     ConvergenceError,
-    _givens,
     bdsqr,
     bidiagonal_singular_values,
     bidiagonal_sv_bisection,
@@ -33,6 +32,16 @@ def _random_band(n, bw, rng):
     a = np.triu(rng.standard_normal((n, n)))
     a = np.triu(a) - np.triu(a, bw + 1)
     return a
+
+
+def _givens(f, g):
+    """Return ``(c, s, r)`` with ``c*f + s*g = r`` and ``-s*f + c*g = 0``."""
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, 1.0, g
+    r = math.hypot(f, g)
+    return f / r, g / r, r
 
 
 def _rotate(x, y, c, s):
@@ -211,6 +220,21 @@ class TestBnd2Bd:
         with pytest.raises(ValueError):
             band_to_bidiagonal(np.zeros((3, 4)), bandwidth=1)
 
+    @pytest.mark.parametrize(
+        "where", [(3, 1), (0, 3), (5, 0)], ids=["below-diagonal", "past-bandwidth", "corner"]
+    )
+    def test_rejects_entries_outside_the_band(self, where, rng):
+        dense = _random_band(6, 2, rng)
+        dense[where] = 0.5
+        with pytest.raises(ValueError, match=rf"bandwidth 2: entry \({where[0]}, {where[1]}\)"):
+            band_to_bidiagonal(dense, bandwidth=2)
+
+    def test_rejects_a_full_matrix_at_a_narrow_bandwidth(self):
+        # A seed-0 6 x 6 standard normal: σ_max 3.206, its band's 2.376.
+        dense = np.random.default_rng(0).standard_normal((6, 6))
+        with pytest.raises(ValueError, match=r"entry \(0, 3\) is"):
+            band_to_bidiagonal(dense, bandwidth=2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_band(self, bad, rng):
         dense = _random_band(8, 3, rng)
@@ -220,44 +244,35 @@ class TestBnd2Bd:
             band_to_bidiagonal(dense, bandwidth=3)
 
     def test_factors_with_more_rows_than_n(self, rng):
-        # dlarf's workspace must cover u's rows, not the band's n.
+        # bdsqr's u may have more rows than n and its vt more columns
+        # (LAPACK's NRU and NCVT): BND2BD's factors times outer ones.
         n, bw = 11, 4
         a = _random_band(n, bw, rng)
         q1, _ = np.linalg.qr(rng.standard_normal((n + 9, n)))
         q2, _ = np.linalg.qr(rng.standard_normal((n, n + 5)).T)
-        u, vt = q1.copy(), q2.T.copy()
-        d, e = band_to_bidiagonal(a, bandwidth=bw, u=u, vt=vt)
-        assert u.shape == (n + 9, n) and vt.shape == (n, n + 5)
-        b = bidiagonal_to_dense(d, e)
-        np.testing.assert_allclose(u @ b @ vt, q1 @ a @ q2.T, atol=1e-12)
+        d, e, q, pt = band_to_bidiagonal(a, bandwidth=bw, vectors=True)
+        res = bdsqr(d, e, u=np.asfortranarray(q1 @ q), vt=np.asfortranarray(pt @ q2.T))
+        assert res.u.shape == (n + 9, n) and res.vt.shape == (n, n + 5)
+        np.testing.assert_allclose(
+            (res.u * res.singular_values) @ res.vt, q1 @ a @ q2.T, atol=1e-12
+        )
 
-    def test_zero_band_row_gives_zero_tau_on_both_sides(self, rng, monkeypatch):
+    def test_zero_band_row_stays_zero(self, rng):
+        # Nothing to annihilate in row 0: it comes out as d[0] = e[0] = 0.
         n, bw = 10, 3
         a = _random_band(n, bw, rng)
         a[0] = 0.0
-        taus = []
-        dlarfg = flapack.dlarfg
-
-        def recording(*args):
-            out = dlarfg(*args)
-            taus.append(out[2])
-            return out
-
-        monkeypatch.setattr(flapack, "dlarfg", recording)
-        u, vt = np.eye(n), np.eye(n)
-        d, e = band_to_bidiagonal(a, bandwidth=bw, u=u, vt=vt)
-        # Sweep 0's first right and left reflectors: nothing to annihilate.
-        assert taus[:2] == [0.0, 0.0]
+        d, e, q, pt = band_to_bidiagonal(a, bandwidth=bw, vectors=True)
+        assert d[0] == 0.0 and e[0] == 0.0
         b = bidiagonal_to_dense(d, e)
-        np.testing.assert_allclose(u @ b @ vt, a, atol=1e-12)
+        np.testing.assert_allclose(q @ b @ pt, a, atol=1e-12)
         assert np.max(np.abs(_sv(b) - _sv(a))) <= 16 * n * EPS * _sv(a)[0]
 
     def test_bandwidth_n_minus_one(self, rng):
-        # A full upper triangle: every sweep starts with an n - i - 1 reflector.
+        # A full upper triangle: every sweep starts n - i - 2 bulges deep.
         n = 13
         a = np.triu(rng.standard_normal((n, n)))
-        u, vt = np.eye(n), np.eye(n)
-        d, e = band_to_bidiagonal(a, bandwidth=n - 1, u=u, vt=vt)
+        d, e, u, vt = band_to_bidiagonal(a, bandwidth=n - 1, vectors=True)
         b = bidiagonal_to_dense(d, e)
         np.testing.assert_allclose(u @ b @ vt, a, atol=1e-12)
         want = bidiagonal_singular_values(*reference_chase(a, n - 1))
@@ -274,16 +289,11 @@ def _assert_values(d, e):
     assert got.shape == (n,) and np.all(np.diff(got) <= 0) and np.all(got >= 0)
     bar = 16 * n * EPS * want[0]
     assert np.max(np.abs(got - want)) <= bar
-    # Bisection runs on the power-of-two rescaling to max|entry| in
-    # [0.5, 1): its stopping rule is absolute below 1 and its Sturm counts
-    # square the entries.
-    k = math.frexp(max(np.max(np.abs(d)), np.max(np.abs(e), initial=0.0)))[1]
-    scaled = bidiagonal_sv_bisection(np.ldexp(d, -k), np.ldexp(e, -k), tol=EPS)
-    assert np.max(np.abs(got - np.ldexp(scaled, k))) <= bar
+    assert np.max(np.abs(got - bidiagonal_sv_bisection(d, e, tol=EPS))) <= bar
 
 
 class TestBd2ValLapack:
-    """The values path: one ``dstemr`` call on the Golub–Kahan tridiagonal."""
+    """The values path: one ``dbdsqr`` call without vectors (dqds)."""
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_sizes(self, n, rng):
@@ -318,25 +328,22 @@ class TestBd2ValLapack:
         _assert_values(scale * rng.standard_normal(24), scale * rng.standard_normal(23))
 
     def test_entries_spanning_three_hundred_orders(self):
-        # dsterf on the same TGK misses σ by 5.5e-4·σ_max here.
+        # dsterf on the Golub–Kahan tridiagonal misses σ by 5.5e-4·σ_max here.
         rng = np.random.default_rng(13)
         d = rng.standard_normal(64) * 10.0 ** rng.uniform(-150, 150, 64)
         e = rng.standard_normal(63) * 10.0 ** rng.uniform(-150, 150, 63)
         _assert_values(d, e)
 
-    @pytest.mark.parametrize("failure", [(0, 3), (1, 0)], ids=["info", "missing"])
-    def test_dstemr_failure_raises_convergence_error(self, failure, monkeypatch):
-        missing, info = failure
+    @pytest.mark.parametrize(
+        "solver", [bidiagonal_singular_values, bdsqr], ids=["values", "vectors"]
+    )
+    def test_dbdsqr_failure_raises_convergence_error(self, solver, monkeypatch):
         d, e = np.arange(1.0, 5.0), np.ones(3)
-
-        def failing(diag, off, *args, **kwargs):
-            n = diag.size
-            return n - missing, np.zeros(n), np.zeros((n, n)), info
-
-        monkeypatch.setattr(flapack, "dstemr", failing)
-        with pytest.raises(ConvergenceError, match="dstemr") as caught:
-            bidiagonal_singular_values(d, e)
-        assert caught.value.info == info
+        monkeypatch.setattr(flapack, "dbdsqr", lambda *args: 2)
+        with pytest.raises(ConvergenceError, match="dbdsqr") as caught:
+            solver(d, e)
+        assert isinstance(caught.value, RuntimeError)
+        assert caught.value.info == 2
         np.testing.assert_array_equal(caught.value.d, d)
         np.testing.assert_array_equal(caught.value.e, e)
 
@@ -357,6 +364,17 @@ class TestBd2Val:
         qr_vals = bidiagonal_singular_values(d, e)
         bis_vals = bidiagonal_sv_bisection(d, e)
         np.testing.assert_allclose(bis_vals, qr_vals, atol=1e-8 * max(1, qr_vals[0]))
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-300, 1e200])
+    def test_bisection_at_any_scale(self, scale):
+        # The stopping rule is relative to the Gershgorin bound and the Sturm
+        # counts run rescaled: at 1e-20 an absolute rule stopped at once,
+        # and at 1e200 the squared entries overflowed.
+        rng = np.random.default_rng(0)
+        d, e = rng.standard_normal(5), rng.standard_normal(4)
+        want = _sv(bidiagonal_to_dense(d, e))
+        got = bidiagonal_sv_bisection(scale * d, scale * e)
+        assert np.max(np.abs(got / scale - want)) <= 1e-10 * want[0]
 
     def test_diagonal_matrix(self):
         d = np.array([3.0, -1.0, 2.0])
@@ -383,21 +401,6 @@ class TestBd2Val:
             bidiagonal_singular_values([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             bidiagonal_sv_bisection([1.0, 2.0], [1.0, 2.0])
-
-    @pytest.mark.parametrize("solver", [bdsqr])
-    def test_non_convergence_raises_typed_error(self, solver):
-        rng = np.random.default_rng(4)
-        d, e = rng.standard_normal(6), rng.standard_normal(5)
-        with pytest.raises(ConvergenceError) as info:
-            solver(d, e, max_sweeps=0)
-        err = info.value
-        assert isinstance(err, RuntimeError)
-        assert err.sweeps == 1
-        lo, hi = err.block
-        assert 0 <= lo < hi <= 5
-        assert err.d.shape == (6,) and err.e.shape == (5,)
-        # The state is the iterate after one sweep, not the input.
-        assert not np.array_equal(err.d, d)
 
     def test_bidiagonal_to_dense_validates(self):
         with pytest.raises(ValueError):
@@ -429,3 +432,79 @@ class TestBd2Val:
         ref = np.sort(_sv(bidiagonal_to_dense(d, e)))[::-1]
         got = bidiagonal_singular_values(d, e)
         np.testing.assert_allclose(got, ref, atol=1e-8 * max(1.0, abs(ref[0])))
+
+
+class TestBdsqrScaling:
+    @pytest.mark.parametrize("exponent", [-1020, 1000])
+    def test_vectors_at_the_ends_of_the_range(self, exponent):
+        # dbdsqr's QR iteration (the vectors path) does not scale its input;
+        # bdsqr runs it on (d, e) rescaled by a power of two.
+        n = 24
+        rng = np.random.default_rng(3)
+        d = np.ldexp(rng.standard_normal(n), exponent)
+        e = np.ldexp(rng.standard_normal(n - 1), exponent)
+        res = bdsqr(d, e)
+        want = np.ldexp(_sv(bidiagonal_to_dense(np.ldexp(d, -exponent), np.ldexp(e, -exponent))),
+                        exponent)
+        assert np.max(np.abs(res.singular_values - want)) <= 16 * n * EPS * want[0]
+        assert np.max(np.abs(res.u.T @ res.u - np.eye(n))) <= 16 * n * EPS
+        assert np.max(np.abs(res.vt @ res.vt.T - np.eye(n))) <= 16 * n * EPS
+
+
+class TestLapackWrappers:
+    """The pointer wrappers check every array before LAPACK sees it."""
+
+    @pytest.fixture
+    def no_lapack(self, monkeypatch):
+        def unreachable(name):
+            raise AssertionError(f"{name} was called")
+
+        monkeypatch.setattr(flapack, "_routine", unreachable)
+
+    @pytest.mark.parametrize(
+        "d,e",
+        [
+            (np.ones(4, dtype=np.float32), np.ones(3)),
+            (np.ones(4), np.ones(2)),
+            (np.ones(8)[::2], np.ones(3)),
+            (np.ones(4), np.ones(3, dtype=np.int64)),
+        ],
+        ids=["float32", "too-short", "strided", "int"],
+    )
+    def test_dbdsqr_rejects_bad_diagonals(self, d, e, no_lapack):
+        with pytest.raises(ValueError, match="LAPACK argument"):
+            flapack.dbdsqr(d, e)
+
+    @pytest.mark.parametrize(
+        "u,vt",
+        [
+            (np.eye(4), None),
+            (None, np.eye(4, dtype=np.float32, order="F")),
+            (np.eye(3, order="F"), None),
+            (None, np.ones((3, 4), order="F")),
+        ],
+        ids=["u-c-ordered", "vt-float32", "u-too-narrow", "vt-too-short"],
+    )
+    def test_dbdsqr_rejects_bad_vectors(self, u, vt, no_lapack):
+        with pytest.raises(ValueError, match="LAPACK argument"):
+            flapack.dbdsqr(np.ones(4), np.ones(3), vt, u)
+
+    @pytest.mark.parametrize(
+        "ab,q",
+        [
+            (np.ones((3, 6)), None),
+            (np.ones((3, 6), dtype=np.float32, order="F"), None),
+            (np.ones((3, 6), order="F"), np.ones((6, 5), order="F")),
+            (np.ones((3, 6), order="F"), np.ones((6, 6))[:, ::-1]),
+        ],
+        ids=["ab-c-ordered", "ab-float32", "q-too-short", "q-reversed"],
+    )
+    def test_dgbbrd_rejects_bad_arrays(self, ab, q, no_lapack):
+        with pytest.raises(ValueError, match="LAPACK argument"):
+            flapack.dgbbrd(ab, q)
+
+    def test_read_only_output_is_rejected(self, no_lapack):
+        d = np.ones(4)
+        d.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            flapack.dbdsqr(d, np.ones(3))

@@ -112,8 +112,8 @@ class TestBidiagonalSolversAgree:
     )
     @settings(**SETTINGS)
     def test_bdsqr_matches_value_only_solver(self, n, seed):
-        # Two solvers (the QR iteration and dstemr on the Golub–Kahan
-        # tridiagonal), each accurate to about eps·||B||.
+        # Two algorithms of dbdsqr (the QR iteration with vectors, dqds
+        # without), each accurate to about eps·||B||.
         rng = np.random.default_rng(seed)
         d = rng.standard_normal(n)
         e = rng.standard_normal(max(n - 1, 0))
