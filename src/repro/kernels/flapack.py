@@ -42,9 +42,9 @@ NAMES = ("dgeqrt", "dgemqrt", "dtpqrt", "dtpmqrt")
 
 _INT = ctypes.POINTER(ctypes.c_int)
 _PTR = ctypes.c_void_p
-#: Argument types of the routines called by pointer, in LAPACK's order
-#: (``char *`` flags, ``int *`` sizes, ``double *`` arrays; no hidden
-#: string lengths: scipy's Cython wrappers pass those on).
+#: Argument types of the routines called by pointer, in LAPACK's order, as
+#: ``cython_lapack.pxd`` declares them: ``char *`` flags, ``int *`` sizes
+#: and ``double *`` arrays.
 _SIGNATURES = {
     # vect, m, n, ncc, kl, ku, ab, ldab, d, e, q, ldq, pt, ldpt, c, ldc, work, info
     "dgbbrd": (ctypes.c_char_p, _INT, _INT, _INT, _INT, _INT, _PTR, _INT, _PTR, _PTR,
