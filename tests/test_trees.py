@@ -102,6 +102,19 @@ class TestGreedy:
         assert all(e.use_tt for e in plan.eliminations)
         assert len(plan.geqrt_rows) == 10
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [(6, 6), (40, 3), (7, 1), (13, 5), (5, 8)],
+        ids=["square", "tall", "one-column", "ragged", "wide"],
+    )
+    def test_factorization_plans_are_valid_reductions(self, p, q):
+        # tiled_qr uses these cross-panel plans instead of tree.plan(ctx):
+        # step k reduces the p - k rows at and below the diagonal.
+        plans = GreedyTree().plan_factorization(p, q)
+        assert len(plans) == min(p, q)
+        for k, plan in enumerate(plans):
+            validate_plan(plan, p - k)
+
 
 class TestFibonacci:
     def test_depth_logarithmic(self):
