@@ -12,9 +12,11 @@ The package provides, from the bottom up:
   together with the Table-I cost model;
 * ``repro.trees`` — QR/LQ reduction trees (FlatTS, FlatTT, Greedy,
   Fibonacci, Binary, Auto, hierarchical distributed trees);
-* ``repro.algorithms`` — tiled QR/LQ, BIDIAG (GE2BND), R-BIDIAG, BND2BD
-  bulge chasing and the BD2VAL bidiagonal solvers, each with optional
-  singular-vector accumulation;
+* ``repro.algorithms`` — the tiled QR, BIDIAG (GE2BND) and R-BIDIAG
+  drivers, written once against a kernel executor and compiled into a
+  Program (a matrix is reduced by replaying it through
+  ``execute(SvdPlan(matrix=..., stage="ge2bnd"))``), BND2BD bulge chasing
+  and the BD2VAL bidiagonal solvers;
 * ``repro.lapack`` — classical one-stage baselines (GEBD2, GEBRD, GEQRF,
   Chan's algorithm) used as numerical references and competitor models;
 * ``repro.ir`` — the compiled op-stream Program IR: algorithm drivers are
@@ -72,10 +74,6 @@ from repro.trees import (
     AutoTree,
     make_tree,
 )
-from repro.algorithms.tiled_qr import tiled_qr
-from repro.algorithms.tiled_lq import tiled_lq
-from repro.algorithms.bidiag import bidiag_ge2bnd
-from repro.algorithms.rbidiag import rbidiag_ge2bnd
 from repro.algorithms.bnd2bd import band_to_bidiagonal
 from repro.algorithms.bd2val import bdsqr, bidiagonal_singular_values
 from repro.api import ResolvedPlan, RunResult, SvdPlan, execute, execute_sweep, resolve
@@ -108,10 +106,6 @@ __all__ = [
     "BinaryTree",
     "AutoTree",
     "make_tree",
-    "tiled_qr",
-    "tiled_lq",
-    "bidiag_ge2bnd",
-    "rbidiag_ge2bnd",
     "band_to_bidiagonal",
     "bidiagonal_singular_values",
     "bdsqr",

@@ -93,8 +93,9 @@ class BandBidiagonal:
 def extract_band(matrix: TiledMatrix, *, n_cols: int | None = None) -> BandBidiagonal:
     """Extract the band bidiagonal factor from a reduced tiled matrix.
 
-    ``matrix`` is the output of :func:`~repro.algorithms.bidiag.bidiag_ge2bnd`
-    or :func:`~repro.algorithms.rbidiag.rbidiag_ge2bnd`; the band lives in
+    ``matrix`` was reduced by the replay of a BIDIAG or R-BIDIAG Program
+    (:func:`~repro.algorithms.bidiag.bidiag_ge2bnd`,
+    :func:`~repro.algorithms.rbidiag.rbidiag_ge2bnd`); the band lives in
     the top-left ``n x n`` block with ``n = min(m, n_cols or n)`` and
     bandwidth ``nb``.
     """

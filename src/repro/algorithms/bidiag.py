@@ -14,16 +14,69 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithms.executor import KernelExecutor, NumericExecutor
-from repro.algorithms.tiled_lq import lq_step
+from repro.algorithms.executor import KernelExecutor
 from repro.algorithms.tiled_qr import qr_step
-from repro.tiles.matrix import TiledMatrix
 from repro.trees import GreedyTree
-from repro.trees.base import ReductionTree
+from repro.trees.base import PanelContext, ReductionTree
+
+
+def lq_step(
+    executor: KernelExecutor,
+    k: int,
+    tree: ReductionTree,
+    *,
+    row_limit: Optional[int] = None,
+    col_limit: Optional[int] = None,
+    n_cores: int = 1,
+    grid_rows: int = 1,
+) -> None:
+    """One LQ panel step ``LQ(k)`` (Algorithm 2 of the paper).
+
+    The column-oriented eliminations ``col-elim(j, piv(j, k), k)`` zero the
+    tiles of tile row ``k`` from column ``k + 2`` on, update the tile rows
+    below, and leave the superdiagonal tile ``(k, k + 1)`` lower
+    triangular.
+    """
+    p = executor.p if row_limit is None else row_limit
+    q = executor.q if col_limit is None else col_limit
+    start = k + 1
+    if not (0 <= k < p):
+        raise ValueError(f"LQ step {k} out of range for a {p}x{q} tile matrix")
+    cols = q - start
+    if cols <= 0:
+        return
+    ctx = PanelContext(
+        rows=cols,
+        cols_remaining=p - k - 1,
+        row_offset=start,
+        n_cores=n_cores,
+        grid_rows=grid_rows,
+    )
+    plan = tree.plan(ctx)
+
+    # Triangularize (lower) the required columns and update the rows below.
+    for local in plan.geqrt_rows:
+        j = start + local
+        executor.gelqt(k, j)
+        for i in range(k + 1, p):
+            executor.unmlq(k, j, i)
+
+    # Column eliminations and the corresponding pair updates.
+    for e in plan.eliminations:
+        piv = start + e.killer
+        j = start + e.killed
+        if e.use_tt:
+            executor.ttlqt(piv, j, k)
+            for i in range(k + 1, p):
+                executor.ttmlq(piv, j, k, i)
+        else:
+            executor.tslqt(piv, j, k)
+            for i in range(k + 1, p):
+                executor.tsmlq(piv, j, k, i)
 
 
 def bidiag_ge2bnd(
-    a: "TiledMatrix | KernelExecutor",
+    executor: KernelExecutor,
     qr_tree: Optional[ReductionTree] = None,
     lq_tree: Optional[ReductionTree] = None,
     *,
@@ -32,15 +85,16 @@ def bidiag_ge2bnd(
     row_limit: Optional[int] = None,
     col_limit: Optional[int] = None,
     skip_first_qr: bool = False,
-    check_plan: bool = False,
-) -> "TiledMatrix | None":
-    """Reduce a tiled matrix to band bidiagonal form (BIDIAG).
+) -> None:
+    """Drive the reduction to band bidiagonal form (BIDIAG) through ``executor``.
+
+    A matrix is reduced by ``execute(SvdPlan(matrix=..., stage="ge2bnd"))``,
+    which replays the compiled Program this driver records.
 
     Parameters
     ----------
-    a:
-        A :class:`TiledMatrix` (reduced in place and returned) or an
-        executor (driven through; returns ``None``).
+    executor:
+        The executor the tile operations are issued to.
     qr_tree, lq_tree:
         Reduction trees for the QR and LQ steps; both default to GREEDY.
         Passing a single tree for both is the common case; the LQ tree may
@@ -58,12 +112,6 @@ def bidiag_ge2bnd(
         qr_tree = GreedyTree()
     if lq_tree is None:
         lq_tree = qr_tree
-    if isinstance(a, TiledMatrix):
-        executor: KernelExecutor = NumericExecutor(a)
-        result: Optional[TiledMatrix] = a
-    else:
-        executor = a
-        result = None
 
     p = executor.p if row_limit is None else row_limit
     q = executor.q if col_limit is None else col_limit
@@ -83,7 +131,6 @@ def bidiag_ge2bnd(
                 col_limit=q,
                 n_cores=n_cores,
                 grid_rows=grid_rows,
-                check_plan=check_plan,
             )
         if k < q - 1:
             lq_step(
@@ -94,6 +141,4 @@ def bidiag_ge2bnd(
                 col_limit=q,
                 n_cores=n_cores,
                 grid_rows=grid_rows,
-                check_plan=check_plan,
             )
-    return result

@@ -18,24 +18,22 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.algorithms.bidiag import bidiag_ge2bnd
-from repro.algorithms.executor import KernelExecutor, NumericExecutor
+from repro.algorithms.executor import KernelExecutor
 from repro.algorithms.tiled_qr import tiled_qr
-from repro.tiles.matrix import TiledMatrix
 from repro.trees import GreedyTree
 from repro.trees.base import ReductionTree
 
 
 def rbidiag_ge2bnd(
-    a: "TiledMatrix | KernelExecutor",
+    executor: KernelExecutor,
     qr_tree: Optional[ReductionTree] = None,
     lq_tree: Optional[ReductionTree] = None,
     *,
     prequr_tree: Optional[ReductionTree] = None,
     n_cores: int = 1,
     grid_rows: int = 1,
-    check_plan: bool = False,
-) -> "TiledMatrix | None":
-    """Reduce a tiled matrix to band bidiagonal form via R-bidiagonalization.
+) -> None:
+    """Drive the reduction to band bidiagonal form via R-bidiagonalization.
 
     The whole computation happens inside the original matrix: after the
     preliminary QR, the band bidiagonal factor lives in the top-left
@@ -56,25 +54,13 @@ def rbidiag_ge2bnd(
         lq_tree = qr_tree
     if prequr_tree is None:
         prequr_tree = qr_tree
-    if isinstance(a, TiledMatrix):
-        executor: KernelExecutor = NumericExecutor(a)
-        result: Optional[TiledMatrix] = a
-    else:
-        executor = a
-        result = None
 
     p, q = executor.p, executor.q
     if p < q:
         raise ValueError(f"R-BIDIAG expects p >= q tiles, got {p}x{q}")
 
     # Phase 1: QR factorization of the whole p x q tile matrix.
-    tiled_qr(
-        executor,
-        prequr_tree,
-        n_cores=n_cores,
-        grid_rows=grid_rows,
-        check_plan=check_plan,
-    )
+    tiled_qr(executor, prequr_tree, n_cores=n_cores, grid_rows=grid_rows)
 
     # Phase 2: bidiagonalization of the q x q R factor (first QR step skipped:
     # tile column 0 is already reduced by phase 1).
@@ -87,6 +73,4 @@ def rbidiag_ge2bnd(
         row_limit=q,
         col_limit=q,
         skip_first_qr=True,
-        check_plan=check_plan,
     )
-    return result

@@ -1,19 +1,18 @@
 """Tiled QR factorization (Algorithm 1 of the paper).
 
 ``qr_step`` performs one panel step ``QR(k)``; ``tiled_qr`` performs the
-full factorization (used on its own and as the ``preQR`` phase of
-R-BIDIAG).  Both are expressed in terms of an executor, so the same code
-path produces numbers, task graphs or both.
+full factorization (the ``preQR`` phase of R-BIDIAG).  Both drive an
+executor, so the same code path records the compiled Program and, through
+its replay, computes the numbers.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithms.executor import KernelExecutor, NumericExecutor
-from repro.tiles.matrix import TiledMatrix
+from repro.algorithms.executor import KernelExecutor
 from repro.trees import FlatTSTree
-from repro.trees.base import PanelContext, ReductionTree, validate_plan
+from repro.trees.base import PanelContext, ReductionTree
 
 
 def qr_step(
@@ -25,7 +24,6 @@ def qr_step(
     col_limit: Optional[int] = None,
     n_cores: int = 1,
     grid_rows: int = 1,
-    check_plan: bool = False,
     plan=None,
 ) -> None:
     """One QR panel step ``QR(k)``: zero the tiles below the diagonal of
@@ -34,7 +32,7 @@ def qr_step(
     Parameters
     ----------
     executor:
-        Numeric and/or tracing executor.
+        The executor the tile operations are issued to.
     k:
         Panel (tile column) index, 0-based.
     tree:
@@ -46,8 +44,6 @@ def qr_step(
     n_cores, grid_rows:
         Forwarded to the tree's :class:`PanelContext` (AUTO and hierarchical
         trees use them).
-    check_plan:
-        Validate the tree's plan before executing it (useful in tests).
     plan:
         A precomputed :class:`~repro.trees.base.PanelPlan` (panel-local
         indices).  Used by :func:`tiled_qr` when the tree provides
@@ -57,19 +53,15 @@ def qr_step(
     q = executor.q if col_limit is None else col_limit
     if not (0 <= k < min(p, q)):
         raise ValueError(f"QR step {k} out of range for a {p}x{q} tile matrix")
-    rows = p - k
-    cols_remaining = q - k - 1
     if plan is None:
         ctx = PanelContext(
-            rows=rows,
-            cols_remaining=cols_remaining,
+            rows=p - k,
+            cols_remaining=q - k - 1,
             row_offset=k,
             n_cores=n_cores,
             grid_rows=grid_rows,
         )
         plan = tree.plan(ctx)
-    if check_plan:
-        validate_plan(plan, rows)
 
     # Triangularize the required rows and update their trailing tiles.
     for local in plan.geqrt_rows:
@@ -93,20 +85,16 @@ def qr_step(
 
 
 def tiled_qr(
-    a: "TiledMatrix | KernelExecutor",
+    executor: KernelExecutor,
     tree: Optional[ReductionTree] = None,
     *,
     n_cores: int = 1,
     grid_rows: int = 1,
-    check_plan: bool = False,
-) -> "TiledMatrix | None":
-    """Full tiled QR factorization.
+) -> None:
+    """Drive the full tiled QR factorization through ``executor``.
 
-    When ``a`` is a :class:`TiledMatrix` the factorization is applied in
-    place (the matrix ends upper trapezoidal: its strictly-lower tiles are
-    zero) and the matrix is returned.  When ``a`` is an executor, the
-    factorization is driven through it and ``None`` is returned (this is how
-    the DAG tracer and the simulator consume the algorithm).
+    On a :class:`~repro.algorithms.executor.NumericExecutor` the matrix
+    ends upper trapezoidal: its strictly-lower tiles are zero.
 
     If the tree exposes ``plan_factorization(p, q)`` (the GREEDY tree does,
     on single-node runs), the cross-panel plans it returns are used instead
@@ -115,25 +103,16 @@ def tiled_qr(
     """
     if tree is None:
         tree = FlatTSTree()
-    if isinstance(a, TiledMatrix):
-        executor: KernelExecutor = NumericExecutor(a)
-        result: Optional[TiledMatrix] = a
-    else:
-        executor = a
-        result = None
-    steps = min(executor.p, executor.q)
     plans = None
     planner = getattr(tree, "plan_factorization", None)
     if planner is not None and grid_rows <= 1:
         plans = planner(executor.p, executor.q)
-    for k in range(steps):
+    for k in range(min(executor.p, executor.q)):
         qr_step(
             executor,
             k,
             tree,
             n_cores=n_cores,
             grid_rows=grid_rows,
-            check_plan=check_plan,
             plan=plans[k] if plans is not None else None,
         )
-    return result

@@ -284,18 +284,13 @@ class SimulationEngine:
         return bound
 
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        program: Program,
-        *,
-        node_of_op: Optional[Sequence[int]] = None,
-    ) -> Schedule:
+    def run(self, program: Program) -> Schedule:
         """Simulate one replay of ``program`` and return the schedule.
 
-        ``node_of_op`` optionally supplies a precomputed owner-node array
-        (one entry per op), skipping the distribution lookup entirely —
-        useful when a caller already resolved the mapping, e.g. for a
-        custom placement study.
+        Each op runs on the node that owns its output tile under the
+        engine's distribution; a custom placement is a
+        :class:`~repro.tiles.distribution.BlockCyclicDistribution`
+        subclass with its own ``owner()``.
         """
         # Ambient tracer pickup: one thread-local read.  The kernel never
         # consults the tracer — it records nothing while running — so
@@ -303,13 +298,13 @@ class SimulationEngine:
         # schedules are bit-identical by construction.
         tracer = current_tracer()
         if tracer is None:
-            schedule = PreparedReplay(self, program, node_of_op=node_of_op).run()
+            schedule = PreparedReplay(self, program).run()
         else:
             with tracer.phase("simulate"):
                 # Ranking and, on a memo miss, the structural dispatch-order
                 # pass; the rest of the simulate phase is the timing walk.
                 with tracer.phase("rank"):
-                    replay = PreparedReplay(self, program, node_of_op=node_of_op)
+                    replay = PreparedReplay(self, program)
                 state = replay.run_state()
                 schedule = state.schedule
                 self._record_run(tracer, replay, state)
@@ -326,7 +321,6 @@ class SimulationEngine:
                 self.machine,
                 distribution=self.distribution,
                 network=self.network,
-                node_of_op=node_of_op,
             )
         return schedule
 

@@ -7,8 +7,8 @@ between replays, once:
 
 * the per-op **duration vector** (a 12-entry kernel table gathered through
   the program's kernel-code column), with per-node slowdowns folded in;
-* the **owner vector** (vectorized block-cyclic mapping, or the caller's
-  ``node_of_op``) and the per-core slowdown factors;
+* the **owner vector** (the distribution's owner-computes placement) and
+  the per-core slowdown factors;
 * the **dispatch order** — the op ids in the order the loop dispatches
   them (:func:`dispatch_order`), derived from the policy's ranks over the
   *nominal* durations and memoized, so every replay of a prepared
@@ -222,8 +222,6 @@ def policy_order(
     program: Program,
     durations_np: np.ndarray,
     node_np: Optional[np.ndarray],
-    *,
-    cacheable: bool = True,
 ) -> List[int]:
     """The engine policy's dispatch order over ``program`` (memoized).
 
@@ -252,10 +250,10 @@ def policy_order(
         token = ("list",)
         policy = get_policy("list")
     multi = machine.n_nodes > 1
-    if multi and type(engine.distribution) is not BlockCyclicDistribution:
-        cacheable = False
     key = None
-    if cacheable and token is not None:
+    if token is not None and (
+        not multi or type(engine.distribution) is BlockCyclicDistribution
+    ):
         grid = engine.distribution.grid
         grid_key = (grid.rows, grid.cols) if multi else None
         machine_key = None if policy.rank_machine_invariant else machine
@@ -305,62 +303,31 @@ def _empty_state(n_nodes: int) -> ReplayState:
     return ReplayState(schedule, [], {}, set())
 
 
-def _placement(node_of_op: Sequence[int], n: int, n_nodes: int) -> np.ndarray:
-    """A caller-supplied owner vector, length- and range-checked."""
-    if len(node_of_op) != n:
-        raise ValueError(
-            f"node_of_op has {len(node_of_op)} entries but the program "
-            f"has {n} ops"
-        )
-    node_np = np.ascontiguousarray(node_of_op, dtype=np.int64)
-    bad = np.flatnonzero((node_np < 0) | (node_np >= n_nodes))
-    if bad.size:
-        op = int(bad[0])
-        raise ValueError(
-            f"node_of_op[{op}] = {int(node_np[op])} is not a node of this "
-            f"machine (expected 0 <= node < {n_nodes})"
-        )
-    return node_np
-
-
 class PreparedReplay:
     """One (program, engine configuration) with every replay-invariant hoisted.
 
     ``engine`` supplies the machine, distribution, policy and network
-    (a :class:`~repro.runtime.engine.SimulationEngine`); ``node_of_op``
-    optionally overrides the distribution's owner-computes placement.
+    (a :class:`~repro.runtime.engine.SimulationEngine`); the
+    distribution's owner-computes placement decides where each op runs.
     ``order`` is the dispatch order (:func:`policy_order`) every
     :meth:`run` walks.
     """
 
-    def __init__(
-        self,
-        engine,
-        program: Program,
-        *,
-        node_of_op: Optional[Sequence[int]] = None,
-    ) -> None:
+    def __init__(self, engine, program: Program) -> None:
         machine = engine.machine
         network = engine.network
         self.engine = engine
         self.program = program
-        self.n = n = len(program)
+        self.n = len(program)
         self.n_nodes = n_nodes = machine.n_nodes
         self.cores = machine.cores_per_node
 
         nominal = engine.duration_vector(program)
-        if node_of_op is None:
-            node_np = engine.owner_vector(program)
-        else:
-            node_np = _placement(node_of_op, n, n_nodes)
-            if n_nodes == 1:
-                node_np = None
+        node_np = engine.owner_vector(program)
         # Ranks come from the *nominal* durations: the policy orders ops by
         # its model of the machine and cannot foresee slowdowns or faults,
         # which is also what lets every draw share one memoized order.
-        self.order = policy_order(
-            engine, program, nominal, node_np, cacheable=node_of_op is None
-        )
+        self.order = policy_order(engine, program, nominal, node_np)
         self.node_of: Optional[List[int]] = (
             None if node_np is None else node_np.tolist()
         )

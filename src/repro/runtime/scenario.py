@@ -366,7 +366,6 @@ def run_scenario(
     network="uniform",
     draws: Optional[int] = None,
     seed: int = 0,
-    node_of_op: Optional[Sequence[int]] = None,
 ) -> ScenarioRun:
     """Simulate ``program`` under ``scenario`` on (a perturbed) ``machine``.
 
@@ -385,7 +384,7 @@ def run_scenario(
     engine = SimulationEngine(
         eff_machine, distribution, policy=policy, network=network
     )
-    replay = PreparedReplay(engine, program, node_of_op=node_of_op)
+    replay = PreparedReplay(engine, program)
     tracer = current_tracer()
     if tracer is None:
         nominal = replay.run()

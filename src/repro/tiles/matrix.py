@@ -173,11 +173,7 @@ class TiledMatrix:
         return float(np.sqrt(acc))
 
     def submatrix(self, rows: int, cols: int) -> "TiledMatrix":
-        """Return a copy of the top-left ``rows x cols`` *tile* block.
-
-        Used by R-BIDIAG to extract the upper ``q x q`` tile block (the R
-        factor) after the preliminary QR factorization.
-        """
+        """Return a copy of the top-left ``rows x cols`` *tile* block."""
         if not (1 <= rows <= self.p and 1 <= cols <= self.q):
             raise ValueError(
                 f"requested {rows}x{cols} tile block from a {self.p}x{self.q} tile matrix"

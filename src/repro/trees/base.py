@@ -3,10 +3,10 @@
 The tiled algorithms never manipulate trees directly; they ask a tree for a
 :class:`PanelPlan` describing one panel reduction in terms of *local* row
 indices ``0 .. u-1`` (``0`` is the panel head that ends up holding the
-triangular factor).  The plan is a pure description — the same plan drives
-the numeric executor, the DAG tracer and the runtime simulator, which is
-what guarantees that the critical paths we analyse belong to the DAGs we
-actually execute.
+triangular factor).  The plan is a pure description, recorded once into
+the compiled Program that the numeric replay, the DAG analyses and the
+runtime simulator all read, which is what guarantees that the critical
+paths we analyse belong to the DAGs we actually execute.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class Elimination:
     round:
         Reduction round the elimination belongs to; eliminations of the same
         round are mutually independent.  Purely informational — the real
-        dependencies are recovered from data accesses by the DAG tracer.
+        dependencies are recovered from data accesses by the program recorder.
     """
 
     killed: int

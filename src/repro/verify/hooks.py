@@ -49,7 +49,6 @@ def check_schedule(
     *,
     distribution=None,
     network: Union[str, object] = "uniform",
-    node_of_op: Optional[Sequence[int]] = None,
     durations: Optional[Sequence[float]] = None,
 ) -> None:
     """Verify one engine Schedule; raise ``VerificationError`` on findings.
@@ -66,6 +65,5 @@ def check_schedule(
         machine,
         distribution=distribution,
         network=network,
-        node_of_op=node_of_op,
         durations=durations,
     ).raise_if_failed()

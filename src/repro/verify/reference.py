@@ -19,7 +19,7 @@ It is slow by design and is meant for tests and audits, not for sweeps.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ir.program import Program
 from repro.runtime.machine import Machine
@@ -38,7 +38,6 @@ def reference_schedule(
     *,
     policy: Union[str, SchedulingPolicy] = "list",
     network: Union[str, NetworkModel] = "uniform",
-    node_of_op: Optional[Sequence[int]] = None,
 ) -> Schedule:
     """Schedule ``program`` on ``machine`` with the object-path loop.
 
@@ -68,13 +67,10 @@ def reference_schedule(
         )
 
     durations = [machine.kernel_duration(op.kernel) for op in program.ops]
-    if node_of_op is not None:
-        node_of_op = [int(x) for x in node_of_op]
-    else:
-        node_of_op = [
-            distribution.owner(*op.owner_tile) if n_nodes > 1 else 0
-            for op in program.ops
-        ]
+    node_of_op = [
+        distribution.owner(*op.owner_tile) if n_nodes > 1 else 0
+        for op in program.ops
+    ]
     keys = policy.rank(program, durations, node_of_op, machine)
     if len(keys) != n:
         raise ValueError(

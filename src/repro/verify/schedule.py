@@ -87,13 +87,12 @@ def verify_schedule(
     *,
     distribution: Optional[BlockCyclicDistribution] = None,
     network: Union[str, NetworkModel] = "uniform",
-    node_of_op: Optional[Sequence[int]] = None,
     durations: Optional[Sequence[float]] = None,
 ) -> VerificationReport:
     """Statically verify one engine schedule; returns the finding report.
 
-    ``distribution`` / ``network`` / ``node_of_op`` must name the same
-    configuration the engine ran under (same defaulting rules as
+    ``distribution`` / ``network`` must name the same configuration the
+    engine ran under (same defaulting rules as
     :class:`~repro.runtime.engine.SimulationEngine`).  ``durations``
     overrides the per-op durations the bitwise ``S-DURATION`` and
     ``S-BUSY-TIME`` checks expect — scenario replays pass the realized
@@ -148,16 +147,7 @@ def verify_schedule(
     # ------------------------------------------------------------------ #
     # Expected owner mapping (the engine's defaulting rules, restated).
     # ------------------------------------------------------------------ #
-    if node_of_op is not None:
-        expected_node = [int(x) for x in node_of_op]
-        if len(expected_node) != n:
-            report.add(
-                S_SHAPE,
-                f"node_of_op has {len(expected_node)} entries, program has "
-                f"{n} ops",
-            )
-            return report
-    elif n_nodes == 1:
+    if n_nodes == 1:
         expected_node = [0] * n
     else:
         if distribution is None:

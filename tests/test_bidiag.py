@@ -5,6 +5,7 @@ import pytest
 
 from repro.algorithms.band import BandBidiagonal, band_residual, extract_band
 from repro.algorithms.bidiag import bidiag_ge2bnd
+from repro.algorithms.executor import NumericExecutor
 from repro.algorithms.rbidiag import rbidiag_ge2bnd
 from repro.tiles.matrix import TiledMatrix
 from repro.trees import AutoTree, FibonacciTree, FlatTSTree, FlatTTTree, GreedyTree
@@ -39,7 +40,7 @@ class TestBidiag:
     def test_band_structure_and_singular_values(self, tree, shape, nb, rng):
         a = rng.standard_normal(shape)
         mat = TiledMatrix.from_dense(a, nb)
-        bidiag_ge2bnd(mat, tree, check_plan=True)
+        bidiag_ge2bnd(NumericExecutor(mat), tree)
         scale = np.linalg.norm(a)
         # Everything outside the band must be zero.
         assert band_residual(mat) < 1e-10 * scale
@@ -50,25 +51,25 @@ class TestBidiag:
     def test_different_qr_and_lq_trees(self, rng):
         a = rng.standard_normal((20, 12))
         mat = TiledMatrix.from_dense(a, 4)
-        bidiag_ge2bnd(mat, qr_tree=GreedyTree(), lq_tree=FlatTSTree())
+        bidiag_ge2bnd(NumericExecutor(mat), qr_tree=GreedyTree(), lq_tree=FlatTSTree())
         assert band_residual(mat) < 1e-10 * np.linalg.norm(a)
 
     def test_single_tile_column(self, rng):
         a = rng.standard_normal((12, 3))
         mat = TiledMatrix.from_dense(a, 4)
-        bidiag_ge2bnd(mat, GreedyTree())
+        bidiag_ge2bnd(NumericExecutor(mat), GreedyTree())
         np.testing.assert_allclose(_sv(mat.to_dense()), _sv(a), atol=1e-10)
 
     def test_rejects_wide_matrices(self, rng):
         mat = TiledMatrix.from_dense(rng.standard_normal((8, 16)), 4)
         with pytest.raises(ValueError):
-            bidiag_ge2bnd(mat, GreedyTree())
+            bidiag_ge2bnd(NumericExecutor(mat), GreedyTree())
 
     def test_latms_singular_values_recovered(self, rng):
         sigma = np.linspace(10.0, 1.0, 12)
         a = latms(20, 12, sigma, rng=rng)
         mat = TiledMatrix.from_dense(a, 4)
-        bidiag_ge2bnd(mat, AutoTree(n_cores=4))
+        bidiag_ge2bnd(NumericExecutor(mat), AutoTree(n_cores=4))
         band = extract_band(mat)
         np.testing.assert_allclose(np.sort(_sv(band.to_dense()))[::-1], sigma, rtol=1e-10)
 
@@ -79,7 +80,7 @@ class TestRBidiag:
     def test_band_structure_and_singular_values(self, tree, shape, nb, rng):
         a = rng.standard_normal(shape)
         mat = TiledMatrix.from_dense(a, nb)
-        rbidiag_ge2bnd(mat, tree, check_plan=True)
+        rbidiag_ge2bnd(NumericExecutor(mat), tree)
         scale = np.linalg.norm(a)
         assert band_residual(mat) < 1e-10 * scale
         band = extract_band(mat)
@@ -88,15 +89,15 @@ class TestRBidiag:
     def test_distinct_prequr_tree(self, rng):
         a = rng.standard_normal((30, 10))
         mat = TiledMatrix.from_dense(a, 5)
-        rbidiag_ge2bnd(mat, GreedyTree(), prequr_tree=FlatTSTree())
+        rbidiag_ge2bnd(NumericExecutor(mat), GreedyTree(), prequr_tree=FlatTSTree())
         assert band_residual(mat) < 1e-10 * np.linalg.norm(a)
 
     def test_bidiag_and_rbidiag_agree_on_singular_values(self, rng):
         a = rng.standard_normal((28, 8))
         m1 = TiledMatrix.from_dense(a, 4)
         m2 = TiledMatrix.from_dense(a, 4)
-        bidiag_ge2bnd(m1, GreedyTree())
-        rbidiag_ge2bnd(m2, GreedyTree())
+        bidiag_ge2bnd(NumericExecutor(m1), GreedyTree())
+        rbidiag_ge2bnd(NumericExecutor(m2), GreedyTree())
         np.testing.assert_allclose(
             _sv(extract_band(m1).to_dense()), _sv(extract_band(m2).to_dense()), atol=1e-9
         )
@@ -104,10 +105,10 @@ class TestRBidiag:
     def test_rejects_wide_matrices(self, rng):
         mat = TiledMatrix.from_dense(rng.standard_normal((8, 16)), 4)
         with pytest.raises(ValueError):
-            rbidiag_ge2bnd(mat, GreedyTree())
+            rbidiag_ge2bnd(NumericExecutor(mat), GreedyTree())
 
     def test_square_case_works(self, rng):
         a = rng.standard_normal((16, 16))
         mat = TiledMatrix.from_dense(a, 4)
-        rbidiag_ge2bnd(mat, GreedyTree())
+        rbidiag_ge2bnd(NumericExecutor(mat), GreedyTree())
         assert band_residual(mat) < 1e-10 * np.linalg.norm(a)

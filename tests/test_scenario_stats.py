@@ -32,6 +32,7 @@ from repro.kernels.costs import KERNEL_WEIGHTS, KernelName
 from repro.runtime.faults import FailStopFaults, StragglerFaults
 from repro.runtime.machine import Machine
 from repro.runtime.scenario import Scenario, run_scenario
+from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 
 stats = pytest.importorskip("scipy.stats")
 
@@ -66,9 +67,11 @@ def mc_run():
         name="always-straggle",
         faults=StragglerFaults(prob=1.0, scale=THETA),
     )
+    # A 2x1 grid puts owner tiles (0, 0) and (1, 0) on nodes 0 and 1 (the
+    # default 2-node grid is 1x2 and would put both on node 0).
     run = run_scenario(
-        program, machine, scenario,
-        draws=N_DRAWS, seed=SEED, node_of_op=[0, 1],
+        program, machine, scenario, BlockCyclicDistribution(ProcessGrid(2, 1)),
+        draws=N_DRAWS, seed=SEED,
     )
     d = run.schedule.makespan  # nominal: both tasks cost d, in parallel
     return d, run.distribution

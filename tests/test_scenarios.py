@@ -40,6 +40,7 @@ from repro.runtime.scenario import (
 )
 from repro.runtime.replay import PreparedReplay
 from repro.runtime.simulator import simulate
+from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 
 
 # --------------------------------------------------------------------------- #
@@ -410,10 +411,13 @@ class TestGoldenPinnedDefaultPath:
 #: (layout, policy): a p=q=6 GREEDY bidiag program replayed with lognormal
 #: (sigma 0.3) duration and noise rows drawn from ``default_rng(case
 #: index)``.  ``1x4`` is one 4-core node; ``2x2-*`` a 2x2 grid of 2-core
-#: nodes under either network; ``custom-placement`` overrides the owner
-#: vector (the uncached order path).  Pinned before the replay walked a
-#: precomputed dispatch order, so a wrong structural order under any policy
-#: shows here, not only at nominal durations.
+#: nodes: ``-uniform`` and ``-alpha-beta`` under the block-cyclic owner,
+#: ``-transposed`` under alpha-beta with the owner of
+#: :class:`_TransposedDistribution` (a distribution subclass: the uncached
+#: order path).  Pinned before the replay walked a precomputed dispatch
+#: order (the transposed case before the per-op placement override went),
+#: so a wrong structural order under any policy shows here, not only at
+#: nominal durations.
 GOLDEN_PERTURBED = {
     ('1x4', 'critical-path'): '4ddf9b249414f6686f6a56a734ee9423ef2734c067b2c5df3a7a3c0debf63fac',
     ('1x4', 'fifo'): '6c87f655521ce41ed1cb1977c8f03d52c3a8300be8fb6b129aedfd64b6cbe660',
@@ -433,8 +437,16 @@ GOLDEN_PERTURBED = {
     ('2x2-alpha-beta', 'locality'): '3485a7e497dca60d1f0e4de684c2933cd67405046b27160826e17ab4ead2f533',
     ('2x2-alpha-beta', 'random'): 'c9f47e39e8775354a654381acef9a5e9e0394ee62bf3011351db6eb44b07526c',
     ('2x2-alpha-beta', 'weight'): '82b6f4a0a20602e9d4b382c3dd1d128cf4470dd21e013caccae33002cf7901fe',
-    ('custom-placement', 'locality'): '86ce4c8d05745bb73024a5958a4c2fc7c0907d14b21d1e0d18a2e6428709a345',
+    ('2x2-transposed', 'locality'): 'a6ceddb254a1e1a6f97d7c5ce30388aa86cac95df1d3a6221ab463caf2a0c18a',
 }
+
+
+class _TransposedDistribution(BlockCyclicDistribution):
+    """Block-cyclic with the grid's roles swapped: tile (i, j) goes where
+    the canonical mapping sends tile (j, i)."""
+
+    def owner(self, i, j):
+        return self.grid.rank_of(j % self.grid.rows, i % self.grid.cols)
 
 
 def _perturbed_schedule(layout, policy):
@@ -443,22 +455,20 @@ def _perturbed_schedule(layout, policy):
 
     program = get_program("bidiag", 6, 6, GreedyTree())
     n = len(program)
-    node_of_op = None
+    distribution = None
     if layout == "1x4":
         machine = Machine(n_nodes=1, cores_per_node=4, tile_size=100)
         network = "uniform"
     else:
         machine = Machine(n_nodes=4, cores_per_node=2, tile_size=100)
         network = "uniform" if layout == "2x2-uniform" else "alpha-beta"
-        if layout == "custom-placement":
-            node_of_op = [(7 * op_id) % 4 for op_id in range(n)]
-    engine = SimulationEngine(machine, policy=policy, network=network)
+        if layout == "2x2-transposed":
+            distribution = _TransposedDistribution(ProcessGrid(2, 2))
+    engine = SimulationEngine(machine, distribution, policy=policy, network=network)
     rng = np.random.default_rng(list(GOLDEN_PERTURBED).index((layout, policy)))
     duration_row = rng.lognormal(0.0, 0.3, n)
     noise_row = rng.lognormal(0.0, 0.3, n)
-    return PreparedReplay(engine, program, node_of_op=node_of_op).run(
-        duration_row, noise_row
-    )
+    return PreparedReplay(engine, program).run(duration_row, noise_row)
 
 
 class TestPerturbedDrawPins:
@@ -466,6 +476,33 @@ class TestPerturbedDrawPins:
     def test_perturbed_replay_is_bit_identical(self, layout, policy):
         schedule = _perturbed_schedule(layout, policy)
         assert _schedule_digest(schedule) == GOLDEN_PERTURBED[(layout, policy)]
+
+
+class TestScenarioPlacement:
+    def test_distribution_subclass_verifies_and_matches_reference(self, monkeypatch):
+        # The scenario driver, a custom placement and the verifier together:
+        # REPRO_VERIFY=1 re-checks the nominal replay and one faulty draw
+        # against the distribution's owner(), so a placement the verifier
+        # did not see would raise S-OWNER findings here.
+        from repro.ir.compiler import get_program
+        from repro.trees import GreedyTree
+        from repro.verify.reference import reference_schedule
+
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        program = get_program("bidiag", 6, 6, GreedyTree())
+        machine = Machine(n_nodes=4, cores_per_node=2, tile_size=100)
+        distribution = _TransposedDistribution(ProcessGrid(2, 2))
+        owners = [distribution.owner(*op.owner_tile) for op in program.ops]
+        # Not the default 2x2 block-cyclic placement under another name.
+        plain = BlockCyclicDistribution(ProcessGrid(2, 2))
+        assert owners != [plain.owner(*op.owner_tile) for op in program.ops]
+        run = run_scenario(program, machine, SCENARIOS["straggler"], distribution,
+                           network="alpha-beta", draws=4, seed=3)
+        assert run.distribution.n_draws == 4
+        assert run.schedule.node_of_task == owners
+        assert run.schedule == reference_schedule(
+            program, machine, distribution, network="alpha-beta"
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -356,43 +356,6 @@ class TestOwnerVector:
         with pytest.raises(IndexError):
             dist.owner_array(np.array([0, -1]), np.array([0, 0]))
 
-    def test_precomputed_node_of_op(self):
-        # A caller-supplied placement (round-robin, ignoring the block-cyclic
-        # rule) must be honoured identically by both engine paths.
-        program = get_program("bidiag", 6, 6, GreedyTree())
-        machine = Machine(n_nodes=3, cores_per_node=4, tile_size=100)
-        placement = [i % 3 for i in range(len(program))]
-        fast = SimulationEngine(machine).run(program, node_of_op=placement)
-        legacy = reference_schedule(program, machine, node_of_op=placement)
-        _assert_schedules_identical(fast, legacy)
-        assert fast.node_of_task == placement
-
-    def test_node_of_op_length_validated(self):
-        program = get_program("bidiag", 4, 4, GreedyTree())
-        machine = Machine(n_nodes=2, cores_per_node=4, tile_size=100)
-        with pytest.raises(ValueError):
-            SimulationEngine(machine).run(program, node_of_op=[0, 1])
-
-    def test_node_of_op_negative_entry_rejected(self):
-        program = get_program("bidiag", 4, 4, GreedyTree())
-        machine = Machine(n_nodes=2, cores_per_node=4, tile_size=100)
-        placement = [0] * len(program)
-        placement[3] = -1
-        with pytest.raises(ValueError, match=r"node_of_op\[3\] = -1"):
-            SimulationEngine(machine).run(program, node_of_op=placement)
-        with pytest.raises(ValueError, match=r"node_of_op\[0\] = -1"):
-            SimulationEngine(machine).run(
-                program, node_of_op=[-1] * len(program)
-            )
-
-    def test_node_of_op_entry_past_last_node_rejected(self):
-        program = get_program("bidiag", 4, 4, GreedyTree())
-        machine = Machine(n_nodes=2, cores_per_node=4, tile_size=100)
-        placement = [i % 2 for i in range(len(program))]
-        placement[5] = 5
-        with pytest.raises(ValueError, match=r"node_of_op\[5\] = 5"):
-            SimulationEngine(machine).run(program, node_of_op=placement)
-
 
 class TestMemoization:
     """Duration/owner/order tables are shared across engines and runs."""

@@ -1,9 +1,10 @@
-"""Integration tests: tiled QR and LQ factorizations with every tree."""
+"""Integration tests: the tiled QR factorization with every tree, and the
+QR / LQ panel steps' range checks."""
 
 import numpy as np
 import pytest
 
-from repro.algorithms.tiled_lq import tiled_lq
+from repro.algorithms.executor import NumericExecutor
 from repro.algorithms.tiled_qr import tiled_qr
 from repro.tiles.matrix import TiledMatrix
 from repro.trees import AutoTree, FibonacciTree, FlatTSTree, FlatTTTree, GreedyTree
@@ -21,8 +22,8 @@ class TestTiledQR:
     def test_qr_structure_and_values(self, tree, shape, nb, rng):
         a = rng.standard_normal(shape)
         mat = TiledMatrix.from_dense(a, nb)
-        result = tiled_qr(mat, tree, check_plan=True)
-        r = result.to_dense()
+        tiled_qr(NumericExecutor(mat), tree)
+        r = mat.to_dense()
         # Strictly-lower part is zero (within roundoff).
         assert np.max(np.abs(np.tril(r, -1))) < 1e-10
         # Orthogonal transformations preserve singular values.
@@ -31,7 +32,7 @@ class TestTiledQR:
     def test_qr_r_matches_reference_up_to_signs(self, rng):
         a = rng.standard_normal((12, 8))
         mat = TiledMatrix.from_dense(a, 4)
-        tiled_qr(mat, GreedyTree())
+        tiled_qr(NumericExecutor(mat), GreedyTree())
         r_tiled = mat.to_dense()[:8, :8]
         r_ref = np.linalg.qr(a, mode="r")
         np.testing.assert_allclose(np.abs(r_tiled), np.abs(r_ref), atol=1e-10)
@@ -39,43 +40,18 @@ class TestTiledQR:
     def test_single_tile(self, rng):
         a = rng.standard_normal((3, 3))
         mat = TiledMatrix.from_dense(a, 4)
-        tiled_qr(mat, FlatTSTree())
+        tiled_qr(NumericExecutor(mat), FlatTSTree())
         np.testing.assert_allclose(np.tril(mat.to_dense(), -1), 0.0, atol=1e-12)
-
-    def test_returns_same_matrix_object(self, rng):
-        mat = TiledMatrix.from_dense(rng.standard_normal((8, 8)), 4)
-        assert tiled_qr(mat, FlatTSTree()) is mat
 
     def test_default_tree(self, rng):
         a = rng.standard_normal((8, 8))
         mat = TiledMatrix.from_dense(a, 4)
-        tiled_qr(mat)
+        tiled_qr(NumericExecutor(mat))
         np.testing.assert_allclose(_sv(mat.to_dense()), _sv(a), atol=1e-10)
-
-
-class TestTiledLQ:
-    @pytest.mark.parametrize("tree", TREES, ids=lambda t: type(t).__name__)
-    @pytest.mark.parametrize("shape,nb", [((12, 12), 4), ((8, 20), 4), ((7, 13), 3)])
-    def test_lq_structure_and_values(self, tree, shape, nb, rng):
-        a = rng.standard_normal(shape)
-        mat = TiledMatrix.from_dense(a, nb)
-        tiled_lq(mat, tree, check_plan=True)
-        lower = mat.to_dense()
-        assert np.max(np.abs(np.triu(lower, 1))) < 1e-10
-        np.testing.assert_allclose(_sv(lower), _sv(a), atol=1e-10 * np.linalg.norm(a))
-
-    def test_lq_matches_qr_of_transpose(self, rng):
-        a = rng.standard_normal((8, 12))
-        mat = TiledMatrix.from_dense(a, 4)
-        tiled_lq(mat, GreedyTree())
-        lower = mat.to_dense()[:8, :8]
-        r_ref = np.linalg.qr(a.T, mode="r")
-        np.testing.assert_allclose(np.abs(lower), np.abs(r_ref.T), atol=1e-10)
 
 
 class TestStepErrors:
     def test_qr_step_out_of_range(self, rng):
-        from repro.algorithms.executor import NumericExecutor
         from repro.algorithms.tiled_qr import qr_step
 
         mat = TiledMatrix.from_dense(rng.standard_normal((8, 8)), 4)
@@ -83,8 +59,7 @@ class TestStepErrors:
             qr_step(NumericExecutor(mat), 5, FlatTSTree())
 
     def test_lq_step_out_of_range(self, rng):
-        from repro.algorithms.executor import NumericExecutor
-        from repro.algorithms.tiled_lq import lq_step
+        from repro.algorithms.bidiag import lq_step
 
         mat = TiledMatrix.from_dense(rng.standard_normal((8, 8)), 4)
         with pytest.raises(ValueError):
