@@ -1,9 +1,9 @@
 """Tiled QR factorization (Algorithm 1 of the paper).
 
 ``qr_step`` performs one panel step ``QR(k)``; ``tiled_qr`` performs the
-full factorization (the ``preQR`` phase of R-BIDIAG).  Both drive an
-executor, so the same code path records the compiled Program and, through
-its replay, computes the numbers.
+full factorization (compiled on its own and as the ``preQR`` phase of
+R-BIDIAG).  Both drive an executor, so the same code path records the
+compiled Program and, through its replay, computes the numbers.
 """
 
 from __future__ import annotations
