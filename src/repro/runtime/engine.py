@@ -222,7 +222,9 @@ class SimulationEngine:
         Uses the vectorized block-cyclic mapping
         (:meth:`~repro.tiles.distribution.BlockCyclicDistribution.owner_array`)
         over the program's owner-tile columns; distribution subclasses with
-        a custom ``owner()`` fall back to per-op resolution (uncached).
+        a custom ``owner()`` fall back to per-op resolution (uncached),
+        which raises ``ValueError`` on the first op whose owner is not a
+        node of the machine.
         """
         if self.machine.n_nodes == 1:
             return None
@@ -239,11 +241,22 @@ class SimulationEngine:
             return vec
         rows = program.owner_rows_np.tolist()
         cols = program.owner_cols_np.tolist()
-        return np.fromiter(
+        vec = np.fromiter(
             (dist.owner(i, j) for i, j in zip(rows, cols)),
             dtype=np.int64,
             count=len(program),
         )
+        # A negative node would silently index the last node's queues.
+        n_nodes = self.machine.n_nodes
+        bad = np.flatnonzero((vec < 0) | (vec >= n_nodes))
+        if bad.size:
+            op = int(bad[0])
+            raise ValueError(
+                f"{type(dist).__name__}.owner({rows[op]}, {cols[op]}) = "
+                f"{int(vec[op])} (op {op}) is not a node of this machine "
+                f"(expected 0 <= node < {n_nodes})"
+            )
+        return vec
 
     def lower_bound(self, program: Program) -> float:
         """Makespan lower bound in seconds, without an event loop (memoized).

@@ -356,6 +356,39 @@ class TestOwnerVector:
         with pytest.raises(IndexError):
             dist.owner_array(np.array([0, -1]), np.array([0, 0]))
 
+    @staticmethod
+    def _custom_owner(node):
+        """A 1x2 block-cyclic distribution that puts tile (1, 1) on ``node``."""
+
+        class _OneTileElsewhere(BlockCyclicDistribution):
+            def owner(self, i, j):
+                return node if (i, j) == (1, 1) else super().owner(i, j)
+
+        return _OneTileElsewhere(ProcessGrid(1, 2))
+
+    def test_custom_owner_negative_node_rejected(self):
+        # A distribution subclass is the one custom placement route; its
+        # owner() is range-checked per op like the block-cyclic mapping.
+        program = get_program("bidiag", 4, 4, GreedyTree())
+        machine = Machine(n_nodes=2, cores_per_node=4, tile_size=100)
+        first = [op.owner_tile for op in program.ops].index((1, 1))
+        engine = SimulationEngine(machine, self._custom_owner(-1))
+        with pytest.raises(ValueError, match=rf"owner\(1, 1\) = -1 \(op {first}\)"):
+            engine.run(program)
+        with pytest.raises(ValueError, match=r"expected 0 <= node < 2"):
+            engine.lower_bound(program)
+
+    def test_custom_owner_past_last_node_rejected(self):
+        program = get_program("bidiag", 4, 4, GreedyTree())
+        machine = Machine(n_nodes=2, cores_per_node=4, tile_size=100)
+        first = [op.owner_tile for op in program.ops].index((1, 1))
+        engine = SimulationEngine(machine, self._custom_owner(2))
+        with pytest.raises(ValueError, match=rf"owner\(1, 1\) = 2 \(op {first}\)"):
+            engine.run(program)
+        # In range, the same subclass runs and puts those ops on its node.
+        schedule = SimulationEngine(machine, self._custom_owner(0)).run(program)
+        assert schedule.node_of_task[first] == 0
+
 
 class TestMemoization:
     """Duration/owner/order tables are shared across engines and runs."""

@@ -1,5 +1,5 @@
-"""Integration tests: the tiled QR factorization with every tree, and the
-QR / LQ panel steps' range checks."""
+"""Integration tests: the tiled QR factorization and a panel-by-panel LQ
+factorization with every tree, and the QR / LQ panel steps' range checks."""
 
 import numpy as np
 import pytest
@@ -48,6 +48,40 @@ class TestTiledQR:
         mat = TiledMatrix.from_dense(a, 4)
         tiled_qr(NumericExecutor(mat))
         np.testing.assert_allclose(_sv(mat.to_dense()), _sv(a), atol=1e-10)
+
+
+def _lq_by_steps(a, nb, tree):
+    """LQ-factorize ``a`` with one ``lq_step`` per tile row; return ``L``.
+
+    ``lq_step(k)`` reduces tile row ``k`` from column ``k + 1`` on (the
+    BIDIAG convention), so ``a`` sits behind a zero tile column that no
+    step touches: step ``k`` on ``[0 | a]`` is the LQ panel step ``k`` of
+    ``a`` itself, on wide and ragged panels that BIDIAG never forms.
+    """
+    from repro.algorithms.bidiag import lq_step
+
+    m = a.shape[0]
+    mat = TiledMatrix.from_dense(np.hstack([np.zeros((m, nb)), a]), nb)
+    executor = NumericExecutor(mat)
+    for k in range(min(mat.p, mat.q - 1)):
+        lq_step(executor, k, tree)
+    return mat.to_dense()[:, nb:]
+
+
+class TestLQSteps:
+    @pytest.mark.parametrize("tree", TREES, ids=lambda t: type(t).__name__)
+    @pytest.mark.parametrize("shape,nb", [((12, 12), 4), ((8, 20), 4), ((7, 13), 3)])
+    def test_lq_structure_and_values(self, tree, shape, nb, rng):
+        a = rng.standard_normal(shape)
+        lower = _lq_by_steps(a, nb, tree)
+        assert np.max(np.abs(np.triu(lower, 1))) < 1e-10
+        np.testing.assert_allclose(_sv(lower), _sv(a), atol=1e-10 * np.linalg.norm(a))
+
+    def test_lq_matches_qr_of_transpose(self, rng):
+        a = rng.standard_normal((8, 12))
+        lower = _lq_by_steps(a, 4, GreedyTree())[:8, :8]
+        r_ref = np.linalg.qr(a.T, mode="r")
+        np.testing.assert_allclose(np.abs(lower), np.abs(r_ref.T), atol=1e-10)
 
 
 class TestStepErrors:
