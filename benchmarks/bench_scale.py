@@ -14,9 +14,10 @@ Two experiments, written to ``BENCH_scale.json``:
      (:func:`repro.verify.reference.reference_schedule`: per-op pricing,
      per-op owner resolution, per-node Python rank recursion);
    * ``soa-fast-path`` — the structure-of-arrays pipeline: column
-     recording with integer-coded data items, table-based dependency
-     analysis, vectorized CSR/level construction, and the array-native
-     replay kernel behind :class:`~repro.runtime.engine.SimulationEngine`.
+     recording of (kernel, params), one vectorized dependency analysis
+     over the sorted tile-half accesses (CSRs and levels included), and
+     the array-native replay kernel behind
+     :class:`~repro.runtime.engine.SimulationEngine`.
 
    Acceptance bar: the SoA path is at least **3x** faster cold, with the
    list-policy makespans bitwise identical between the two paths.
@@ -34,11 +35,13 @@ benchmark's exit status.
 Scaled-down by default (CI smoke-runs it in this reduced mode, also
 reachable as ``python benchmarks/bench_scale.py --reduced``); set
 ``REPRO_FULL_SCALE=1`` for the paper's problem sizes and a million-op
-scale sweep (p = q = 96).
+scale sweep (p = q = 96).  The results go to ``--out PATH``, by default
+the repository root's ``BENCH_scale.json``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -324,7 +327,7 @@ def scale_sweep():
     return rows, total, legacy_candidate
 
 
-def main() -> int:
+def main(out: str = ARTIFACT) -> int:
     checked = equivalence_audit()
     print(f"equivalence audit: {checked} (config x policy x network) "
           "schedules bit-identical between the engine and the reference "
@@ -403,9 +406,9 @@ def main() -> int:
             "legacy_projected_sweep_seconds": projected,
         },
     }
-    with open(ARTIFACT, "w", encoding="utf-8") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         json.dump(trajectory, fh, indent=2)
-    print(f"wrote {ARTIFACT}")
+    print(f"wrote {out}")
 
     # Acceptance bar: the SoA pipeline must beat the faithful pre-SoA
     # pipeline by at least 3x on the cold per-candidate sweep.  CI runs on
@@ -421,6 +424,17 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    if "--reduced" in sys.argv[1:]:
+    parser = argparse.ArgumentParser(
+        description="Cold compile+simulate cost and the p = q >= 48 scale sweep."
+    )
+    parser.add_argument(
+        "--reduced", action="store_true", help="run at the scaled-down sizes"
+    )
+    parser.add_argument(
+        "--out", default=ARTIFACT,
+        help="where to write the results (default: %(default)s)",
+    )
+    args = parser.parse_args()
+    if args.reduced:
         os.environ.pop("REPRO_FULL_SCALE", None)
-    raise SystemExit(main())
+    raise SystemExit(main(args.out))

@@ -14,8 +14,9 @@ scheduling:
 * :class:`DependencyAnalyzer` — the superscalar RAW/WAR inference over
   hand-made :class:`Op` records (:meth:`Program.from_ops`);
 * :class:`ProgramRecorder` — the :class:`~repro.algorithms.executor.KernelExecutor`
-  that captures a driver run into a :class:`Program`, finding the
-  dependencies while it records;
+  that captures a driver run into a :class:`Program`: it records each
+  call's kernel code and params, then finds the dependencies in one
+  vectorized pass over the finished stream;
 * :func:`compile_program` / :func:`get_program` — the compiler front-end and
   the shared in-process :class:`ProgramCache`;
 * :func:`replay` — interpret a :class:`Program` against any executor (the

@@ -27,16 +27,17 @@ typed buffers and no per-op Python object but its successor list:
 * kernel codes (one byte per op) and tile-index params (one int32 row of
   four per op, zero-padded); the step labels, run-length coded;
 * the predecessor CSR (``array('q')``, ascending within each op) and the
-  hop levels, both found while recording;
+  hop levels, both found by the recorder's one vectorized analysis of
+  the finished stream, which also hands over the successor CSR and the
+  ops grouped by level that the ranking sweeps read;
 * each op's successor list, ascending: the replay walks these lists
   (walking ``array('q')`` CSR slices instead took 3x as long, 6.7
   against 2.1 ms over 18.4k ops).
 
 Everything else is derived on demand and cached where a hot path reads
 it: Table-I weights and write counts from the kernel codes, owner tiles
-gathered from (kernel, params), the successor CSR from the successor
-lists.  :class:`Op` records, with their read/write sets, are decoded on
-demand by running the recorder's own kernel method
+gathered from (kernel, params).  :class:`Op` records, with their
+read/write sets, are decoded on demand from the recorder's access table
 (:func:`~repro.ir.recorder.access_decoder`), so the access rules have one
 definition; :mod:`repro.verify.semantics` states them a second,
 independent time as the verifier's oracle.  The vectorized analyses read
@@ -47,7 +48,8 @@ Programs built from explicit :class:`Op` records (``Program(ops,
 pred_lists)`` and :meth:`Program.from_ops`) keep those records and read
 every column off them, custom weights and access sets included; tests
 and the verifier's mutation suites build the programs the recorder never
-would that way.
+would that way, and :meth:`Program.from_ops` is the independent
+reference the recorder's analysis is tested against.
 """
 
 from __future__ import annotations
@@ -148,9 +150,10 @@ class DependencyAnalyzer:
     prerequisite for bit-reproducible schedules.
 
     This is the object-path analyzer (data items are tuples), behind
-    :meth:`Program.from_ops`; the compiler applies the same rules to
-    integer-coded items while it records
-    (:meth:`repro.ir.recorder.ProgramRecorder._record`).
+    :meth:`Program.from_ops`, and the reference the compiler's analysis is
+    tested against: :meth:`repro.ir.recorder.ProgramRecorder.program`
+    applies the same rules to a whole recorded stream at once, as sorted
+    integer-coded accesses.
     """
 
     def __init__(self) -> None:
@@ -191,6 +194,13 @@ def _csr_from_lists(lists: Sequence[Sequence[int]]) -> Tuple[array, array]:
     return indptr, ids
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only int64 array (no copy when it already is one)."""
+    out = np.asarray(a, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
 def _np_view(a: array, dtype: Any = np.int64) -> np.ndarray:
     """Zero-copy read-only numpy view of a typed ``array`` buffer."""
     out = np.frombuffer(a, dtype=dtype) if len(a) else np.zeros(0, dtype=dtype)
@@ -209,7 +219,8 @@ class Program:
     The predecessor CSR is stored as ``array('q')`` (fast scalar access)
     with zero-copy numpy views (``pred_indptr_np``, ``pred_ids_np``) for
     the vectorized analyses; the successors are per-op lists, with a
-    numpy CSR (``succ_indptr_np``, ``succ_ids_np``) derived on demand.
+    numpy CSR (``succ_indptr_np``, ``succ_ids_np``) that the compiler
+    hands over and an object-built program derives on demand.
     """
 
     __slots__ = (
@@ -279,18 +290,25 @@ class Program:
         pred_ids: array,
         levels: array,
         successors: List[List[int]],
+        *,
+        succ_csr: Tuple[np.ndarray, np.ndarray],
+        level_order: Tuple[np.ndarray, np.ndarray],
         key: Optional[Tuple] = None,
     ) -> "Program":
-        """Adopt a recorder's buffers (the compiler's finalize step).
+        """Adopt a recorder's buffers and analysis (the compiler's finalize step).
 
         ``codes`` is an ``array('b')`` of kernel codes, ``params`` an
         ``array('i')`` of :data:`~repro.ir.recorder.PARAM_STRIDE` entries
         per op, ``steps`` the ``(first op, label)`` runs, ``pred_indptr``
         / ``pred_ids`` the ``array('q')`` predecessor CSR, ``levels`` the
-        hop levels and ``successors`` the per-op successor lists.  The
-        buffers are taken over, not copied.  The lengths must agree and
-        every edge must respect the insertion-order topology
-        (``0 <= src < dst``), checked with two segmented reductions.
+        hop levels and ``successors`` the per-op successor lists;
+        ``succ_csr`` is the int64 ``(indptr, ids)`` successor CSR and
+        ``level_order`` the int64 ``(order, level_indptr)`` grouping of
+        the ops by level, which :attr:`succ_indptr_np` /
+        :attr:`succ_ids_np` and the level sweeps read.  The buffers are
+        taken over, not copied.  The lengths must agree and every edge
+        must respect the insertion-order topology (``0 <= src < dst``),
+        checked with two segmented reductions.
         """
         n = len(codes)
         if not (
@@ -298,6 +316,8 @@ class Program:
             and len(pred_indptr) == n + 1
             and len(levels) == n
             and len(successors) == n
+            and len(succ_csr[0]) == n + 1
+            and len(level_order[0]) == n
         ):
             raise ValueError(
                 f"{n} kernel codes but {len(params)} params, "
@@ -316,6 +336,8 @@ class Program:
         self._succ = successors
         self._cache = {}
         self.key = key
+        self._cache["succ_indptr"], self._cache["succ_ids"] = map(_frozen, succ_csr)
+        self._cache["level_order"] = tuple(map(_frozen, level_order))
         indptr = self.pred_indptr_np
         ids = self.pred_ids_np
         if len(ids) != int(indptr[-1]):
@@ -608,8 +630,8 @@ class Program:
     def levels_np(self) -> np.ndarray:
         """Topological hop level of every op (``1 + max`` over predecessors).
 
-        Found while recording on the compiler path; object-built programs
-        derive it with one forward pass over the pred CSR.
+        Found by the recorder's analysis on the compiler path; object-built
+        programs derive it with one forward pass over the pred CSR.
         """
         def build() -> np.ndarray:
             if self._levels is not None:

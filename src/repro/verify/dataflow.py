@@ -5,8 +5,8 @@
 semantics of :mod:`repro.verify.semantics` — a second, independent
 statement of the tile-half access rules, sharing no code with
 :class:`~repro.ir.program.DependencyAnalyzer` or with
-:class:`~repro.ir.recorder.ProgramRecorder`, whose kernel methods define
-the access sets and find the edges while recording — and recomputes the
+:mod:`repro.ir.recorder`, whose access table defines the access sets and
+whose one vectorized pass finds the edges — and recomputes the
 full superscalar RAW/WAR edge set from scratch.  It then diffs that
 oracle against the Program's stored dependency structure and reports:
 

@@ -6,9 +6,15 @@
   each ``Op``'s reads and writes, both CSRs and the hop levels).  The
   digests were taken from the per-op-tuple Program the compact one
   replaced, so any drift in what a compiled Program says fails here.
-* **Memory guard.**  The 3000², nb 100, 4×6-core greedy program retains
+* **Memory guards.**  The 3000², nb 100, 4×6-core greedy program retains
   at most :data:`MAX_BYTES_PER_OP` bytes per op after compile plus one
-  simulate (tracemalloc).
+  simulate, and tracemalloc's peak through them stays within
+  :data:`MAX_PEAK_BYTES_PER_OP`.
+* **Differential analysis.**  Random kernel streams, calls no driver makes
+  included, recorded through :class:`~repro.ir.recorder.ProgramRecorder`
+  get the predecessors, successors, levels, successor CSR and level
+  grouping that :meth:`Program.from_ops` (the object-path
+  :class:`~repro.ir.program.DependencyAnalyzer`) derives from the same ops.
 * **Numeric DAG oracle.**  Two ops with no path between them touch no
   common tile half that either writes, so replaying a Program op by op
   in *any* topological order computes the same band, bit for bit.  The
@@ -26,11 +32,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algorithms.executor import NumericExecutor
 from repro.api import SvdPlan
 from repro.api.resolver import resolve, resolve_tree
-from repro.ir import clear_program_cache, get_program
+from repro.ir import Program, ProgramRecorder, clear_program_cache, get_program
 from repro.kernels.costs import KERNEL_LIST
 from repro.tiles.matrix import TiledMatrix
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
@@ -160,16 +167,23 @@ def test_program_matches_its_pin(label):
 
 
 # --------------------------------------------------------------------------- #
-# Memory guard
+# Memory guards
 # --------------------------------------------------------------------------- #
 #: Bytes per op the 3000², nb 100, 4×6-core greedy program may retain after
 #: compile plus one simulate.  The per-op-tuple Program retained about 720.
-MAX_BYTES_PER_OP = 450
+MAX_BYTES_PER_OP = 400
+#: Bytes per op tracemalloc's peak may reach through that compile plus one
+#: simulate: a compile whose temporaries outgrow the simulate's would show
+#: here and not in what is retained.
+MAX_PEAK_BYTES_PER_OP = 550
 
 
-def test_compiled_program_retains_at_most_the_guard():
+@pytest.fixture(scope="module")
+def traced_compile_and_simulate():
+    """``(ops, retained bytes, peak bytes)`` of one traced compile + simulate."""
     from repro.runtime.simulator import simulate
 
+    clear_program_cache()
     resolved = resolve(HARNESS_PLANS["simulate-cold:greedy"])
     gc.collect()
     tracemalloc.start()
@@ -178,11 +192,88 @@ def test_compiled_program_retains_at_most_the_guard():
         program = resolved.program()
         simulate(resolved)  # the result is dropped; the memo tables stay
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - base
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    clear_program_cache()
     assert len(program) == PROGRAM_PINS["harness:simulate-cold:greedy"]["n_ops"]
-    assert retained / len(program) <= MAX_BYTES_PER_OP
+    return len(program), retained - base, peak - base
+
+
+def test_compiled_program_retains_at_most_the_guard(traced_compile_and_simulate):
+    n, retained, _ = traced_compile_and_simulate
+    assert retained / n <= MAX_BYTES_PER_OP
+
+
+def test_compile_and_simulate_peak_at_most_the_guard(traced_compile_and_simulate):
+    n, _, peak = traced_compile_and_simulate
+    assert peak / n <= MAX_PEAK_BYTES_PER_OP
+
+
+# --------------------------------------------------------------------------- #
+# Differential analysis: the recorder's pass against the DependencyAnalyzer
+# --------------------------------------------------------------------------- #
+#: Per kernel method, whether each param is a tile row (``r``) or column (``c``).
+_PARAM_AXES = {
+    "geqrt": "rc", "unmqr": "rcc", "tsqrt": "rrc", "tsmqr": "rrcc",
+    "ttqrt": "rrc", "ttmqr": "rrcc", "gelqt": "rc", "unmlq": "rcr",
+    "tslqt": "ccr", "tsmlq": "ccrr", "ttlqt": "ccr", "ttmlq": "ccrr",
+}
+
+
+@st.composite
+def kernel_streams(draw):
+    """A ``p x q`` grid (2×2 to 4×3) and up to 60 random kernel calls on it."""
+    p = draw(st.integers(2, 4))
+    q = draw(st.integers(2, 3))
+
+    def call(name):
+        extent = {"r": p, "c": q}
+        params = [st.integers(0, extent[axis] - 1) for axis in _PARAM_AXES[name]]
+        return st.tuples(st.just(name), st.tuples(*params))
+
+    calls = draw(st.lists(st.sampled_from(sorted(_PARAM_AXES)).flatmap(call), max_size=60))
+    return p, q, calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=kernel_streams())
+@example(stream=(2, 2, []))  # the empty recorder
+@example(stream=(2, 2, [("geqrt", (0, 0))]))  # a single op
+@example(stream=(3, 2, [  # ops that read a half they also write
+    ("geqrt", (1, 0)), ("unmqr", (1, 0, 1)),
+    ("tsmqr", (0, 1, 0, 0)),  # j == k: reads and writes tile (1, 0)
+    ("ttmlq", (1, 1, 0, 0)),  # i == k: reads and writes the lower half of (0, 1)
+    ("unmqr", (1, 0, 0)),  # j == k
+]))
+@example(stream=(3, 3, [  # piv == i
+    ("geqrt", (1, 1)), ("tsqrt", (1, 1, 1)), ("ttmqr", (2, 2, 0, 1)),
+    ("tslqt", (2, 2, 1)), ("ttmlq", (0, 0, 2, 1)),
+]))
+@example(stream=(2, 3, [  # repeated ops
+    ("geqrt", (0, 0)), ("geqrt", (0, 0)), ("unmqr", (0, 0, 1)),
+    ("unmqr", (0, 0, 1)), ("unmqr", (0, 0, 2)), ("geqrt", (0, 0)),
+    ("ttmqr", (1, 0, 0, 2)), ("ttmqr", (1, 0, 0, 2)),
+]))
+def test_recorded_analysis_matches_object_analyzer(stream):
+    p, q, calls = stream
+    recorder = ProgramRecorder(p, q)
+    for name, params in calls:
+        getattr(recorder, name)(*params)
+    program = recorder.program()
+    rebuilt = Program.from_ops(program.ops)
+    n = len(calls)
+    assert len(program) == len(rebuilt) == n
+    assert [list(program.predecessors(i)) for i in range(n)] == [
+        list(rebuilt.predecessors(i)) for i in range(n)
+    ]
+    assert program.successor_lists() == rebuilt.successor_lists()
+    assert program.levels_np.tolist() == rebuilt.levels_np.tolist()
+    # What the recorder hands over equals what an object-built program derives.
+    assert program.succ_indptr_np.tolist() == rebuilt.succ_indptr_np.tolist()
+    assert program.succ_ids_np.tolist() == rebuilt.succ_ids_np.tolist()
+    for got, want in zip(program._level_order(), rebuilt._level_order()):
+        assert got.tolist() == want.tolist()
 
 
 # --------------------------------------------------------------------------- #
@@ -268,9 +359,8 @@ def test_any_topological_order_computes_the_same_band(m, n, nb, variant, tree_na
 
 
 def test_concurrent_op_decoding_is_consistent():
-    # A cached Program is shared between threads, and its access decoder
-    # is one probe: threads decoding ops at once must each get their own
-    # op's access sets.
+    # A cached Program is shared between threads: threads decoding ops at
+    # once must each get their own op's access sets.
     import sys
     import threading
 

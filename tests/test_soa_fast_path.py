@@ -308,22 +308,28 @@ class TestSoAColumns:
         # The recorder's finalize step (Program.from_recording) keeps the
         # insertion-order topology check: a predecessor id at or past its
         # op, or negative, is refused.
+        # The valid buffers come from a compiled program of the same stream:
+        # the recorder only builds them when it finalizes.
         from array import array
 
         recorder = ProgramRecorder(2, 1)
         tiled_qr(recorder, GreedyTree())
         n = len(recorder)
+        compiled = compile_program("qr", 2, 1, GreedyTree())
+        assert len(compiled) == n
         for bad_src in (1, 5, -1):
             with pytest.raises(ValueError, match="insertion-order topology"):
                 Program.from_recording(
                     (2, 1),
-                    recorder._codes,
-                    recorder._params,
-                    tuple(recorder._steps),
+                    compiled._codes,
+                    compiled._params,
+                    compiled._steps,
                     array("q", [0] + [1] * n),
                     array("q", [bad_src]),
-                    recorder._levels,
-                    recorder._successors,
+                    compiled._levels,
+                    compiled.successor_lists(),
+                    succ_csr=(compiled.succ_indptr_np, compiled.succ_ids_np),
+                    level_order=compiled._level_order(),
                 )
         # The recorder's own buffers pass.
         assert len(recorder.program()) == n
