@@ -10,9 +10,10 @@ meaning:
   :class:`~repro.tiles.matrix.TiledMatrix`, one LAPACK tile-kernel call
   per operation, producing an actual factorization;
 * :class:`~repro.ir.recorder.ProgramRecorder` (defined with the IR)
-  records each operation as an op with its read/write sets, producing the
-  compiled :class:`~repro.ir.program.Program` used for critical-path
-  analysis and runtime simulation.
+  records each operation's kernel and tile indices and then infers the
+  dependencies from its table of the tile halves each kernel reads and
+  writes, producing the compiled :class:`~repro.ir.program.Program` used
+  for critical-path analysis and runtime simulation.
 
 This split guarantees that the DAG we analyse is exactly the DAG we
 execute — both come from the same driver code path.
