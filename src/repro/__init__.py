@@ -17,8 +17,6 @@ The package provides, from the bottom up:
   Program (a matrix is reduced by replaying it through
   ``execute(SvdPlan(matrix=..., stage="ge2bnd"))``), BND2BD bulge chasing
   and the BD2VAL bidiagonal solvers;
-* ``repro.lapack`` — classical one-stage baselines (GEBD2, GEBRD, GEQRF,
-  Chan's algorithm) used as numerical references and competitor models;
 * ``repro.ir`` — the compiled op-stream Program IR: algorithm drivers are
   captured once per DAG shape (op stream + CSR dependencies, shared
   in-process cache) and replayed by every consumer below;

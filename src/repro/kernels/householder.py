@@ -1,10 +1,11 @@
 """Elementary Householder reflectors (LAPACK ``dlarfg``).
 
-:func:`householder_vector` computes one reflector of a vector; the
-unblocked bidiagonal reductions (:mod:`repro.lapack.gebd2`,
-:mod:`repro.lapack.gebrd`) are built from it.  The tile kernels' blocked
-reflectors (:mod:`repro.kernels.qr_kernels`) and the bulge reflectors of
-BND2BD (:mod:`repro.algorithms.bnd2bd`) come from LAPACK itself.
+:func:`householder_vector` computes one reflector of a vector in Python.
+It is the independent oracle of the panel kernel: the column-by-column
+QR built from it in ``tests/test_householder.py`` is what
+:func:`repro.kernels.qr_kernels.geqrt` (one ``dgeqrt`` call) is checked
+against.  The tile kernels' blocked reflectors and the second stage
+(:mod:`repro.algorithms.bnd2bd`) come from LAPACK itself.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from repro.algorithms.bd2val import bdsqr, bidiagonal_singular_values, bidiagona
 from repro.algorithms.bnd2bd import band_to_bidiagonal
 from repro.kernels.householder import householder_vector
 from repro.kernels.qr_kernels import geqrt, tsqrt, ttqrt, unmqr
-from repro.lapack import gebd2
 from repro.tiles.layout import TileLayout
 from repro.trees import AutoTree, FibonacciTree, FlatTSTree, FlatTTTree, GreedyTree
 from repro.trees.base import PanelContext, validate_plan
@@ -141,26 +140,6 @@ class TestBandAndReductionProperties:
         b[np.arange(n - 1), np.arange(1, n)] = e
         got = np.linalg.svd(b, compute_uv=False)
         want = np.linalg.svd(dense, compute_uv=False)
-        assert np.allclose(got, want, atol=1e-9 * max(1.0, want[0]))
-
-    @given(
-        m=st.integers(min_value=1, max_value=14),
-        n=st.integers(min_value=1, max_value=14),
-        seed=st.integers(min_value=0, max_value=10**6),
-    )
-    @settings(**SETTINGS)
-    def test_gebd2_singular_values_match_numpy(self, m, n, seed):
-        if m < n:
-            m, n = n, m
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((m, n))
-        res = gebd2(a)
-        b = np.zeros((n, n))
-        np.fill_diagonal(b, res.d)
-        if n > 1:
-            b[np.arange(n - 1), np.arange(1, n)] = res.e
-        got = np.linalg.svd(b, compute_uv=False)
-        want = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(got, want, atol=1e-9 * max(1.0, want[0]))
 
 
