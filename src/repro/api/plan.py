@@ -146,6 +146,8 @@ class SvdPlan:
             shape = self.matrix.shape
             if len(shape) != 2:
                 raise ValueError("matrix must be 2-D")
+            if np.iscomplexobj(self.matrix):
+                raise ValueError(f"matrix must be real, got dtype {self.matrix.dtype}")
             m, n = int(shape[0]), int(shape[1])
             if self.m is not None and self.m != m:
                 raise ValueError(f"m={self.m} disagrees with matrix shape {shape}")

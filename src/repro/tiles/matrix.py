@@ -50,10 +50,12 @@ class TiledMatrix:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_dense(cls, a: np.ndarray, tile_size: int) -> "TiledMatrix":
-        """Cut a dense 2-D array into tiles of size ``tile_size``."""
+        """Cut a dense real 2-D array into tiles of size ``tile_size``."""
         a = np.asarray(a)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
+        if np.iscomplexobj(a):
+            raise ValueError(f"expected a real array, got dtype {a.dtype}")
         layout = TileLayout(a.shape[0], a.shape[1], tile_size)
         dtype = a.dtype if a.dtype.kind == "f" else np.float64
         a = a.astype(dtype, copy=False)

@@ -307,7 +307,7 @@ class TestPlanBuilderParity:
 # User errors
 # --------------------------------------------------------------------------- #
 #: Erroneous invocations, run in the same scratch directory, which also
-#: holds ``bad.npy`` (a NaN at (3, 4)).
+#: holds ``bad.npy`` (a NaN at (3, 4)) and ``complex.npy``.
 ERROR_ARGVS = [
     # m < n on every plan-backed command
     "plan --m 16 --n 32",
@@ -323,6 +323,7 @@ ERROR_ARGVS = [
     "plan --m 40 --n 24 --tile-size 0",
     "simulate 1200 1200 --nb 150 --scenario straggler --draws 0",
     "svd --input bad.npy --tile-size 5",
+    "svd --input complex.npy --tile-size 8",
     "tune --m 64 --n 64 --objective bogus --no-cache",
     "tune --m 64 --n 64 --tile-sizes 8,x --no-cache",
     "verify 10 10 --nb 10 --inject-defect drop-edge",
@@ -372,6 +373,8 @@ ERROR_PINS = {
         (2, "repro simulate: error: draws must be >= 1, got 0"),
     "svd --input bad.npy --tile-size 5":
         (2, "repro svd: error: input matrix must be finite: element (3, 4) is nan"),
+    "svd --input complex.npy --tile-size 8":
+        (2, "repro svd: error: matrix must be real, got dtype complex128"),
     "tune --m 64 --n 64 --objective bogus --no-cache":
         (2, "repro tune: error: unknown objective 'bogus'; available: ['comm-time', 'comm-volume', 'critical-path', 'gflops', 'makespan', 'robust-makespan']"),
     "tune --m 64 --n 64 --tile-sizes 8,x --no-cache":
@@ -393,6 +396,7 @@ class TestUserErrors:
     @pytest.fixture
     def error_cwd(self, scratch_cwd):
         bad = np.random.default_rng(0).standard_normal((30, 20))
+        np.save(scratch_cwd / "complex.npy", bad * (1 + 1j))
         bad[3, 4] = np.nan
         np.save(scratch_cwd / "bad.npy", bad)
         return scratch_cwd

@@ -25,7 +25,8 @@ precision and no algorithm can return it to :data:`SV_TOL` of the exact
 σ is rounded to the subnormal grid too: the front door scales such input
 up by a power of two, so σ matches numpy's up to that rounding, and
 gesvd's backward error is ``c·n·ε`` plus that rounding.  A float32 tiled
-input is reduced in double precision, like a float32 array.
+input is reduced in double precision, like a float32 array.  A complex
+input raises :class:`ValueError` naming its dtype.
 """
 
 from __future__ import annotations
@@ -187,6 +188,18 @@ def test_float32_tiled_input_is_reduced_in_double():
     assert result.max_rel_error < SV_TOL
     assert result.extras["band"].data.dtype == np.float64
     assert tiled.dtype == np.float32 and np.array_equal(tiled.to_dense(), a)
+
+
+@pytest.mark.parametrize("tiled", [False, True], ids=["dense", "tiled"])
+def test_complex_input_is_rejected(tiled):
+    """A complex matrix raises, naming its dtype: reducing its real part
+    would return σ of another matrix, and max_rel_error would read ~1e-16
+    against a reference cast the same way."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((24, 16)) + 1j * rng.standard_normal((24, 16))
+    with pytest.raises(ValueError, match="complex128"):
+        matrix = TiledMatrix.from_dense(a, 8) if tiled else a
+        execute(SvdPlan(matrix=matrix, tile_size=8), "numeric")
 
 
 def test_the_geometries_cover_the_named_cases():
