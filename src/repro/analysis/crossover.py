@@ -9,7 +9,8 @@ factorization (successive panels overlap), the crossover here is computed
 from the measured critical paths of the actual task DAGs, not from the
 non-overlapping closed forms (which would never cross).
 
-Chan's flop-count crossover (``m >= 5n/3``) is also exposed for comparison.
+Chan's flop-count crossover ratio ``m / n = 5/3`` (``CHAN_FLOP_CROSSOVER``,
+defined in :mod:`repro.models.flops`) is re-exported here for comparison.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ from functools import lru_cache
 from typing import List
 
 from repro.ir.compiler import get_program
+from repro.models.flops import CHAN_FLOP_CROSSOVER  # noqa: F401  (re-exported)
 from repro.trees import FlatTSTree, FlatTTTree, GreedyTree
-
-#: Chan's crossover: R-bidiagonalization performs fewer flops than direct
-#: bidiagonalization as soon as m >= 5n/3.
-CHAN_FLOP_CROSSOVER = 5.0 / 3.0
 
 _TREES = {
     "flatts": FlatTSTree,
@@ -92,11 +90,6 @@ def crossover_table(
         p_at = int(round(delta * q)) if delta != float("inf") else -1
         points.append(CrossoverPoint(q=q, delta_s=delta, p_at_crossover=p_at))
     return points
-
-
-def flop_crossover_ratio() -> float:
-    """Chan's operation-count crossover ``m/n = 5/3`` (for reference)."""
-    return CHAN_FLOP_CROSSOVER
 
 
 def asymptotic_ratio(alpha: float) -> float:

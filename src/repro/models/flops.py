@@ -16,6 +16,10 @@ convention.
 
 from __future__ import annotations
 
+#: Chan's crossover ratio ``m / n``: R-bidiagonalization performs fewer
+#: flops than direct bidiagonalization as soon as ``m >= 5n/3``.
+CHAN_FLOP_CROSSOVER = 5.0 / 3.0
+
 
 def _check_mn(m: int, n: int) -> None:
     if m < 1 or n < 1:
@@ -40,7 +44,7 @@ def chan_crossover_m(n: int) -> float:
     """The row count above which R-BIDIAG performs fewer flops: ``m = 5n/3``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return 5.0 * n / 3.0
+    return CHAN_FLOP_CROSSOVER * n
 
 
 def ge2bnd_reported_flops(m: int, n: int) -> float:
