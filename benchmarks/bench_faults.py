@@ -36,7 +36,8 @@ re-runs by at least **5x** (override the floor with
 
 Scaled-down by default (CI smoke-runs it in this reduced mode, also
 reachable as ``python benchmarks/bench_faults.py --reduced``); set
-``REPRO_FULL_SCALE=1`` for the paper's problem sizes.
+``REPRO_FULL_SCALE=1`` for the paper's problem sizes.  ``--reduced`` wins
+over the variable.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import os
 import subprocess
 import sys
 import time
+from typing import NamedTuple, Sequence
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src")
@@ -66,11 +68,6 @@ from repro.trees import make_tree  # noqa: E402
 
 ARTIFACT = os.path.join(_ROOT, "BENCH_faults.json")
 
-M = N = 20000 if full_scale() else 1000
-NB = 160 if full_scale() else 100
-N_NODES = 4 if full_scale() else 2
-N_CORES = 24 if full_scale() else 4
-DRAWS = 128 if full_scale() else 32
 #: Subprocess launches are slow by definition; a few suffice to pin the
 #: per-draw cost of the shell-loop baseline.
 SUB_DRAWS = 3
@@ -98,6 +95,25 @@ print(run.schedule.makespan.hex(), run.distribution.makespans[0].hex())
 """
 
 
+class Sizes(NamedTuple):
+    """One run's problem: an ``m x m`` matrix on ``nb`` tiles, its machine
+    and the number of Monte-Carlo draws."""
+
+    m: int
+    nb: int
+    n_nodes: int
+    n_cores: int
+    draws: int
+
+
+def sizes(argv: Sequence[str]) -> Sizes:
+    """The sizes for the command line ``argv``: the paper's under
+    ``REPRO_FULL_SCALE=1``, the scaled-down ones under ``--reduced``."""
+    if full_scale() and "--reduced" not in argv:
+        return Sizes(m=20000, nb=160, n_nodes=4, n_cores=24, draws=128)
+    return Sizes(m=1000, nb=100, n_nodes=2, n_cores=4, draws=32)
+
+
 def _clear_engine_memos() -> None:
     """Drop the module-level per-program memo tables (a fresh engine)."""
     replay_mod._DURATION_VECTORS.clear()
@@ -118,24 +134,24 @@ def _min_of(repeats, run):
     return best, payload
 
 
-def _presampled_rows(scenario, n_ops):
+def _presampled_rows(scenario, n_ops, draws):
     """The exact factor rows ``run_scenario(..., seed=SEED)`` will replay:
     same generator, same fixed sampling order (faults before noise)."""
     rng = np.random.default_rng(SEED)
-    fault_factors, _events = scenario.faults.sample(rng, DRAWS, n_ops)
-    noise_factors = scenario.noise.sample(rng, DRAWS, n_ops)
+    fault_factors, _events = scenario.faults.sample(rng, draws, n_ops)
+    noise_factors = scenario.noise.sample(rng, draws, n_ops)
     return fault_factors, noise_factors
 
 
-def naive_per_draw():
+def naive_per_draw(size):
     """The shell-loop baseline: one subprocess per draw.  Returns the
     best per-draw seconds and the nominal makespan hexes printed."""
-    p = q = ceil_div(M, NB)
+    p = q = ceil_div(size.m, size.nb)
     nominals = []
 
     def one_draw(seed):
         script = _SUB_SCRIPT.format(
-            src=_SRC, p=p, q=q, cores=N_CORES, nodes=N_NODES, nb=NB,
+            src=_SRC, p=p, q=q, cores=size.n_cores, nodes=size.n_nodes, nb=size.nb,
             scenario=SCENARIO, policy=POLICY, network=NETWORK, seed=seed,
         )
         out = subprocess.run(
@@ -155,7 +171,7 @@ def naive_per_draw():
     return best, nominals
 
 
-def hoistless(program, machine, scenario, fault_factors, noise_factors):
+def hoistless(program, machine, scenario, fault_factors, noise_factors, draws):
     """One fresh engine + prepared replay per draw, memo tables cleared
     each time: every draw pays the prep (policy order, vectors, successor
     lists) the vectorized path hoists out of the loop — but not the
@@ -164,7 +180,7 @@ def hoistless(program, machine, scenario, fault_factors, noise_factors):
 
     def run():
         makespans = []
-        for i in range(DRAWS):
+        for i in range(draws):
             _clear_engine_memos()
             engine = SimulationEngine(eff_machine, policy=POLICY,
                                       network=NETWORK)
@@ -176,7 +192,7 @@ def hoistless(program, machine, scenario, fault_factors, noise_factors):
     return _min_of(2, run)
 
 
-def vectorized(program, machine, scenario, warm):
+def vectorized(program, machine, scenario, draws, warm):
     """The shipped path: block sampling + one prepared replay.  With
     ``warm=False`` the memo tables are cleared every repeat (a process's
     first scenario run); with ``warm=True`` they stay hot."""
@@ -186,7 +202,7 @@ def vectorized(program, machine, scenario, warm):
             _clear_engine_memos()
         return run_scenario(
             program, machine, scenario,
-            policy=POLICY, network=NETWORK, draws=DRAWS, seed=SEED,
+            policy=POLICY, network=NETWORK, draws=draws, seed=SEED,
         )
 
     if warm:
@@ -194,20 +210,23 @@ def vectorized(program, machine, scenario, warm):
     return _min_of(2, run)
 
 
-def main() -> int:
-    p = q = ceil_div(M, NB)
+def main(argv=None) -> int:
+    size = sizes(sys.argv[1:] if argv is None else argv)
+    draws = size.draws
+    p = q = ceil_div(size.m, size.nb)
     program = get_program("bidiag", p, q, make_tree("greedy"),
-                          n_cores=N_CORES)
-    machine = Machine(n_nodes=N_NODES, cores_per_node=N_CORES, tile_size=NB)
+                          n_cores=size.n_cores)
+    machine = Machine(n_nodes=size.n_nodes, cores_per_node=size.n_cores,
+                      tile_size=size.nb)
     scenario = get_scenario(SCENARIO)
-    fault_factors, noise_factors = _presampled_rows(scenario, len(program))
+    fault_factors, noise_factors = _presampled_rows(scenario, len(program), draws)
 
-    naive_draw_seconds, naive_nominals = naive_per_draw()
+    naive_draw_seconds, naive_nominals = naive_per_draw(size)
     hoistless_seconds, hoistless_makespans = hoistless(
-        program, machine, scenario, fault_factors, noise_factors
+        program, machine, scenario, fault_factors, noise_factors, draws
     )
-    cold_seconds, _ = vectorized(program, machine, scenario, warm=False)
-    warm_seconds, mc_run = vectorized(program, machine, scenario, warm=True)
+    cold_seconds, _ = vectorized(program, machine, scenario, draws, warm=False)
+    warm_seconds, mc_run = vectorized(program, machine, scenario, draws, warm=True)
     dist = mc_run.distribution
 
     # Hard gate 1: every subprocess re-derived the same nominal schedule.
@@ -220,8 +239,8 @@ def main() -> int:
 
     # Hard gate 2: the hoistless loop replayed the vectorized draws, bit
     # for bit.
-    assert dist is not None and dist.n_draws == DRAWS
-    assert len(hoistless_makespans) == DRAWS
+    assert dist is not None and dist.n_draws == draws
+    assert len(hoistless_makespans) == draws
     for i, (got, ref) in enumerate(zip(hoistless_makespans, dist.makespans)):
         assert got == ref, (
             f"hoistless draw {i} makespan {got.hex()} differs from the "
@@ -231,50 +250,50 @@ def main() -> int:
         "a perturbed draw beat the nominal schedule (factors are >= 1)"
     )
     print(f"bit-identity audit: {SUB_DRAWS} subprocess nominals and "
-          f"{DRAWS} hoistless draws equal the vectorized run")
+          f"{draws} hoistless draws equal the vectorized run")
 
     rows = [
         {
             "mode": mode,
             "seconds": seconds,
-            "draws": draws,
-            "ms_per_draw": 1000.0 * seconds / draws,
+            "draws": count,
+            "ms_per_draw": 1000.0 * seconds / count,
         }
-        for mode, seconds, draws in (
+        for mode, seconds, count in (
             ("naive-per-draw", naive_draw_seconds * SUB_DRAWS, SUB_DRAWS),
-            ("hoistless", hoistless_seconds, DRAWS),
-            ("vectorized-cold", cold_seconds, DRAWS),
-            ("vectorized", warm_seconds, DRAWS),
+            ("hoistless", hoistless_seconds, draws),
+            ("vectorized-cold", cold_seconds, draws),
+            ("vectorized", warm_seconds, draws),
         )
     ]
     title = (
-        f"Scenario '{SCENARIO}', m=n={M}, nb={NB}, "
-        f"{N_NODES}x{N_CORES} cores, {DRAWS} draws"
+        f"Scenario '{SCENARIO}', m=n={size.m}, nb={size.nb}, "
+        f"{size.n_nodes}x{size.n_cores} cores, {draws} draws"
     )
     print(f"\n{'=' * len(title)}\n{title}\n{'=' * len(title)}")
     print(format_rows(rows))
 
-    per_draw = warm_seconds / DRAWS
+    per_draw = warm_seconds / draws
     speedup = naive_draw_seconds / per_draw
-    speedup_hoistless = (hoistless_seconds / DRAWS) / per_draw
+    speedup_hoistless = (hoistless_seconds / draws) / per_draw
     print(f"vectorized vs naive-per-draw (per draw): {speedup:.2f}x")
     print(f"vectorized vs hoistless (per draw, the in-process hoisting "
           f"win): {speedup_hoistless:.2f}x")
 
     trajectory = {
-        "problem": {"m": M, "n": N, "nb": NB, "n_nodes": N_NODES,
-                    "n_cores": N_CORES},
+        "problem": {"m": size.m, "n": size.m, "nb": size.nb,
+                    "n_nodes": size.n_nodes, "n_cores": size.n_cores},
         "scenario": SCENARIO,
         "policy": POLICY,
         "network": NETWORK,
-        "draws": DRAWS,
+        "draws": draws,
         "seed": SEED,
         "rows": rows,
         "speedup_vectorized_vs_naive": speedup,
         "speedup_vectorized_vs_hoistless": speedup_hoistless,
         "distribution": dist.to_row(),
         "nominal_makespan": mc_run.schedule.makespan,
-        "draws_audited": DRAWS,
+        "draws_audited": draws,
     }
     with open(ARTIFACT, "w", encoding="utf-8") as fh:
         json.dump(trajectory, fh, indent=2)
@@ -294,6 +313,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    if "--reduced" in sys.argv[1:]:
-        os.environ.pop("REPRO_FULL_SCALE", None)
     raise SystemExit(main())

@@ -35,8 +35,9 @@ benchmark's exit status.
 Scaled-down by default (CI smoke-runs it in this reduced mode, also
 reachable as ``python benchmarks/bench_scale.py --reduced``); set
 ``REPRO_FULL_SCALE=1`` for the paper's problem sizes and a million-op
-scale sweep (p = q = 96).  The results go to ``--out PATH``, by default
-the repository root's ``BENCH_scale.json``.
+scale sweep (p = q = 96).  ``--reduced`` wins over the variable.  The
+results go to ``--out PATH``, by default the repository root's
+``BENCH_scale.json``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src")
@@ -67,15 +69,40 @@ from repro.verify.reference import reference_schedule  # noqa: E402
 ARTIFACT = os.path.join(_ROOT, "BENCH_scale.json")
 
 #: One miriel node; the candidate axes of the PR-3 bench_engine sweep.
-M = N = 20000 if full_scale() else 1600
-NB = 160 if full_scale() else 100
 TREES = ("flatts", "flattt", "greedy", "auto")
 INNER_BLOCKS = (32, 40)
 POLICIES = ("list", "critical-path", "locality", "random")
-
-#: The scale sweep: a tile grid the legacy path cannot sweep in smoke time.
-SCALE_P = 96 if full_scale() else 48
 SCALE_POLICIES = ("list", "critical-path", "locality", "fifo")
+
+
+class Sizes(NamedTuple):
+    """The cold sweep's ``m = n`` and ``nb``, and the scale sweep's ``p = q``
+    (a tile grid the legacy path cannot sweep in smoke time)."""
+
+    m: int
+    nb: int
+    scale_p: int
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line, and ``sizes`` resolved after it: the paper's under
+    ``REPRO_FULL_SCALE=1``, the scaled-down ones under ``--reduced``."""
+    parser = argparse.ArgumentParser(
+        description="Cold compile+simulate cost and the p = q >= 48 scale sweep."
+    )
+    parser.add_argument(
+        "--reduced", action="store_true", help="run at the scaled-down sizes"
+    )
+    parser.add_argument(
+        "--out", default=ARTIFACT,
+        help="where to write the results (default: %(default)s)",
+    )
+    args = parser.parse_args(argv)
+    if full_scale() and not args.reduced:
+        args.sizes = Sizes(m=20000, nb=160, scale_p=96)
+    else:
+        args.sizes = Sizes(m=1600, nb=100, scale_p=48)
+    return args
 
 
 # --------------------------------------------------------------------------- #
@@ -196,21 +223,21 @@ def legacy_compile(p, q, tree):
 # --------------------------------------------------------------------------- #
 # Experiment 1: cold compile+simulate at the PR-3 bench shape
 # --------------------------------------------------------------------------- #
-def _candidates():
-    p = q = ceil_div(M, NB)
+def _candidates(size):
+    p = q = ceil_div(size.m, size.nb)
     for tree_name in TREES:
         tree = make_tree(tree_name) if tree_name != "auto" else make_tree(
             "auto", n_cores=24
         )
         for ib in INNER_BLOCKS:
             machine = Machine(
-                n_nodes=1, cores_per_node=24, tile_size=NB, inner_block=ib
+                n_nodes=1, cores_per_node=24, tile_size=size.nb, inner_block=ib
             )
             for policy in POLICIES:
                 yield tree_name, tree, p, q, machine, policy
 
 
-def _cold_sweep(mode, repeats=2):
+def _cold_sweep(mode, size, repeats=2):
     """Compile fresh + simulate for every candidate; returns (s, makespans).
 
     The sweep runs ``repeats`` times and the *minimum* wall-clock is
@@ -222,7 +249,7 @@ def _cold_sweep(mode, repeats=2):
     for _ in range(repeats):
         makespans = []
         start = time.perf_counter()
-        for _name, tree, p, q, machine, policy in _candidates():
+        for _name, tree, p, q, machine, policy in _candidates(size):
             if mode == "legacy-object-path":
                 program = legacy_compile(p, q, tree)
                 schedule = reference_schedule(program, machine, policy=policy)
@@ -287,8 +314,8 @@ def equivalence_audit():
 # --------------------------------------------------------------------------- #
 # Experiment 2: the p = q >= 48 tree x policy scale sweep
 # --------------------------------------------------------------------------- #
-def scale_sweep():
-    p = q = SCALE_P
+def scale_sweep(p):
+    q = p
     machine = Machine(n_nodes=1, cores_per_node=24, tile_size=160)
     rows = []
     total_start = time.perf_counter()
@@ -327,17 +354,19 @@ def scale_sweep():
     return rows, total, legacy_candidate
 
 
-def main(out: str = ARTIFACT) -> int:
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    size = args.sizes
     checked = equivalence_audit()
     print(f"equivalence audit: {checked} (config x policy x network) "
           "schedules bit-identical between the engine and the reference "
           "scheduler")
 
-    n_candidates = sum(1 for _ in _candidates())
+    n_candidates = sum(1 for _ in _candidates(size))
     rows = []
     results = {}
     for mode in ("legacy-object-path", "soa-fast-path"):
-        seconds, makespans = _cold_sweep(mode)
+        seconds, makespans = _cold_sweep(mode, size)
         results[mode] = makespans
         rows.append(
             {
@@ -349,7 +378,7 @@ def main(out: str = ARTIFACT) -> int:
         )
 
     title = (
-        f"Cold compile+simulate, m=n={M}, nb={NB}, {n_candidates} candidates"
+        f"Cold compile+simulate, m=n={size.m}, nb={size.nb}, {n_candidates} candidates"
     )
     print(f"\n{'=' * len(title)}\n{title}\n{'=' * len(title)}")
     print(format_rows(rows))
@@ -358,7 +387,7 @@ def main(out: str = ARTIFACT) -> int:
     def list_policy_makespans(mode):
         return [
             makespan
-            for makespan, candidate in zip(results[mode], _candidates())
+            for makespan, candidate in zip(results[mode], _candidates(size))
             if candidate[-1] == "list"
         ]
 
@@ -371,10 +400,10 @@ def main(out: str = ARTIFACT) -> int:
     print(f"SoA cold compile+simulate speedup vs legacy object path: "
           f"{speedup:.2f}x")
 
-    scale_rows, scale_total, legacy_candidate = scale_sweep()
+    scale_rows, scale_total, legacy_candidate = scale_sweep(size.scale_p)
     n_scale = len(TREES) * len(SCALE_POLICIES)
     title = (
-        f"Scale sweep, p=q={SCALE_P}, {len(TREES)} trees x "
+        f"Scale sweep, p=q={size.scale_p}, {len(TREES)} trees x "
         f"{len(SCALE_POLICIES)} policies"
     )
     print(f"\n{'=' * len(title)}\n{title}\n{'=' * len(title)}")
@@ -386,7 +415,7 @@ def main(out: str = ARTIFACT) -> int:
           f"(projected full sweep ~{projected:.0f}s)")
 
     trajectory = {
-        "problem": {"m": M, "n": N, "nb": NB, "n_cores": 24},
+        "problem": {"m": size.m, "n": size.m, "nb": size.nb, "n_cores": 24},
         "sweep": {
             "trees": list(TREES),
             "inner_blocks": list(INNER_BLOCKS),
@@ -397,8 +426,8 @@ def main(out: str = ARTIFACT) -> int:
         "speedup_soa_vs_legacy_cold": speedup,
         "equivalence_checked": checked,
         "scale_sweep": {
-            "p": SCALE_P,
-            "q": SCALE_P,
+            "p": size.scale_p,
+            "q": size.scale_p,
             "policies": list(SCALE_POLICIES),
             "rows": scale_rows,
             "total_seconds": scale_total,
@@ -406,9 +435,9 @@ def main(out: str = ARTIFACT) -> int:
             "legacy_projected_sweep_seconds": projected,
         },
     }
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(trajectory, fh, indent=2)
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
 
     # Acceptance bar: the SoA pipeline must beat the faithful pre-SoA
     # pipeline by at least 3x on the cold per-candidate sweep.  CI runs on
@@ -424,17 +453,4 @@ def main(out: str = ARTIFACT) -> int:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(
-        description="Cold compile+simulate cost and the p = q >= 48 scale sweep."
-    )
-    parser.add_argument(
-        "--reduced", action="store_true", help="run at the scaled-down sizes"
-    )
-    parser.add_argument(
-        "--out", default=ARTIFACT,
-        help="where to write the results (default: %(default)s)",
-    )
-    args = parser.parse_args()
-    if args.reduced:
-        os.environ.pop("REPRO_FULL_SCALE", None)
-    raise SystemExit(main(args.out))
+    raise SystemExit(main())
