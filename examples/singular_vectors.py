@@ -8,8 +8,10 @@ runs that full pipeline on a low-rank-plus-noise matrix, the typical PCA /
 compression scenario that motivates large SVDs:
 
 1. GE2BND (tiled BIDIAG or R-BIDIAG) with transformation logging;
-2. BND2BD with accumulation of the Householder reflectors;
-3. BD2VAL QR iteration with vector accumulation;
+2. BND2BD, one LAPACK ``dgbbrd`` call that also forms its orthogonal
+   factors Q and Pᵀ;
+3. BD2VAL, one ``dbdsqr`` call whose QR iteration applies its rotations
+   to those factors;
 4. composition of the three orthogonal factors.
 
 It then uses the vectors to build the best rank-k approximation
