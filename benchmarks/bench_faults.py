@@ -119,6 +119,7 @@ def _clear_engine_memos() -> None:
     replay_mod._DURATION_VECTORS.clear()
     replay_mod._OWNER_VECTORS.clear()
     replay_mod._RANK_ORDERS.clear()
+    replay_mod._STREAMS.clear()
 
 
 def _min_of(repeats, run):

@@ -26,7 +26,18 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -40,6 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Names accepted by :func:`execute`.
 BACKENDS = ("numeric", "dag", "simulate")
+
+#: What a backend hands :func:`execute`: its result, and the run's
+#: metrics as a function of the cache delta (``None``: the delta alone).
+Backend = Tuple[RunResult, Optional[Callable[[Dict[str, float]], Dict[str, Any]]]]
 
 
 def _base_result(resolved: ResolvedPlan, backend: str) -> RunResult:
@@ -84,7 +99,7 @@ def _stage(name: str, seconds: Optional[Dict[str, float]] = None) -> Iterator[No
         seconds[name] = time.perf_counter() - start
 
 
-def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
+def _execute_numeric(resolved: ResolvedPlan) -> Backend:
     """The paper's numeric pipeline: GE2BND, then BND2BD and BD2VAL.
 
     The tiled GE2BND stage replays the plan's compiled Program
@@ -103,6 +118,8 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     reduced scaled by ``2**-e`` (:func:`~repro.api.resolver.scaling_exponent`)
     and σ and the band are scaled back; a σ or band entry that does not
     fit in double precision then raises :class:`ValueError`.
+
+    ``max_rel_error`` is left to its first read (:func:`_accuracy`).
     """
     # Imported here, not at module level: the layers are looked up on their
     # modules at call time, where the benchmark harness's probes wrap them.
@@ -118,18 +135,8 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     gesvd = resolved.stage == "gesvd"
     with _stage("input"):
         tiled = resolved.build_tiled()
-        # The accuracy reference: the plan's dense input when it carries
-        # one, otherwise the input assembled back from its tiles before
-        # they are reduced.
         source = resolved.plan.matrix
         dense = np.asarray(source, dtype=float) if isinstance(source, np.ndarray) else None
-        reference: Optional[np.ndarray]
-        if resolved.stage == "ge2bnd":
-            reference = None
-        elif dense is not None:
-            reference = dense
-        else:
-            reference = tiled.to_dense()
         exponent = scaling_exponent(dense if dense is not None else tiled)
         if exponent:
             for _, tile in tiled.tiles():
@@ -164,16 +171,30 @@ def _execute_numeric(resolved: ResolvedPlan) -> RunResult:
     if exponent:
         _scale_back(result, exponent)
     result.time_seconds = sum(seconds.values())
-    if reference is not None and result.singular_values is not None:
-        # Against the input, not the reduced matrix: an error anywhere in
-        # the pipeline, GE2BND included, shows here.
-        with _stage("check"):
-            ref = np.linalg.svd(reference, compute_uv=False)
-            scale = ref[0] if ref[0] > 0 else 1.0
-            result.max_rel_error = float(
-                np.max(np.abs(result.singular_values - ref)) / scale
-            )
-    return result
+    if result.singular_values is not None:
+        sigma = result.singular_values
+        result.defer("max_rel_error", lambda: _accuracy(resolved, sigma))
+    return result, None
+
+
+def _accuracy(resolved: ResolvedPlan, sigma: np.ndarray) -> float:
+    """``max_rel_error`` of ``sigma``: against ``numpy.linalg.svd`` of the
+    plan's input, not of the reduced matrix, so an error anywhere in the
+    pipeline, GE2BND included, shows here.
+
+    The backend reduced a private copy, so the input is intact: a dense
+    input as given, a tiled one (in double precision) or the seeded
+    matrix rebuilt.
+    """
+    with _stage("check"):
+        source = resolved.build_matrix()
+        if isinstance(source, np.ndarray):
+            reference = np.asarray(source, dtype=float)
+        else:
+            reference = np.asarray(source.to_dense(), dtype=float)
+        ref = np.linalg.svd(reference, compute_uv=False)
+        scale = ref[0] if ref[0] > 0 else 1.0
+        return float(np.max(np.abs(sigma - ref)) / scale)
 
 
 def _scale_back(result: RunResult, exponent: int) -> None:
@@ -201,7 +222,7 @@ def _scale_back(result: RunResult, exponent: int) -> None:
 # --------------------------------------------------------------------------- #
 # DAG backend
 # --------------------------------------------------------------------------- #
-def _execute_dag(resolved: ResolvedPlan) -> RunResult:
+def _execute_dag(resolved: ResolvedPlan) -> Backend:
     if resolved.stage == "gesvd":
         raise ValueError(
             "stage 'gesvd' is only supported by the 'numeric' backend "
@@ -224,14 +245,13 @@ def _execute_dag(resolved: ResolvedPlan) -> RunResult:
         result.extras["note"] = (
             "DAG covers the tiled GE2BND stage; BND2BD/BD2VAL are not tiled"
         )
-    return result
+    return result, None
 
 
 # --------------------------------------------------------------------------- #
 # Simulation backend
 # --------------------------------------------------------------------------- #
-def _execute_simulate(resolved: ResolvedPlan) -> RunResult:
-    from repro.obs.metrics import run_metrics
+def _execute_simulate(resolved: ResolvedPlan) -> Backend:
     from repro.obs.tracer import current_tracer
     from repro.runtime.simulator import simulate
 
@@ -253,10 +273,16 @@ def _execute_simulate(resolved: ResolvedPlan) -> RunResult:
     result.stage_seconds["ge2bnd"] = sim.ge2bnd_seconds
     if resolved.stage == "ge2val":
         result.stage_seconds["post"] = sim.post_seconds
-    # The cache-delta slot is filled by execute()'s registry bracket,
-    # which also covers plan resolution and program compilation.
-    result.metrics = run_metrics(schedule, resolved.machine, tracer=current_tracer())
-    return result
+    machine, tracer = resolved.machine, current_tracer()
+
+    def metrics(cache: Dict[str, float]) -> Dict[str, Any]:
+        # Looked up on its module when called: the benchmark harness's
+        # probes wrap it there.
+        from repro.obs.metrics import run_metrics
+
+        return run_metrics(schedule, machine, counters_delta=cache, tracer=tracer)
+
+    return result, metrics
 
 
 _BACKEND_FNS = {
@@ -307,6 +333,12 @@ def execute(
     attached to ``RunResult.trace``; every call also attaches the per-run
     cache counters (and, for the simulate backend, utilization and
     communication statistics) to ``RunResult.metrics``.
+
+    ``metrics`` on the simulate backend and ``max_rel_error`` on the
+    numeric one are computed when first read, not here: the result holds
+    the schedule and the cache counters, or the plan's input and σ, until
+    then.  The cache counters are taken here, so a late read reports this
+    run's.
     """
     name = backend.strip().lower()
     try:
@@ -321,12 +353,12 @@ def execute(
     ambient = tracer.activate() if tracer is not None else nullcontext()
     with ambient:
         resolved = plan if isinstance(plan, ResolvedPlan) else resolve(plan)
-        result = fn(resolved)
+        result, metrics = fn(resolved)
     cache_delta = REGISTRY.delta_since(before)
-    if result.metrics is None:
+    if metrics is None:
         result.metrics = {"cache": cache_delta}
     else:
-        result.metrics["cache"] = cache_delta
+        result.defer("metrics", lambda: metrics(cache_delta))
     result.trace = tracer
     return result
 

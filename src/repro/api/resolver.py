@@ -80,13 +80,18 @@ def as_tiled(
 
     Already-tiled inputs pass through unchanged; dense inputs are tiled at
     ``tile_size``, defaulting to :func:`default_tile_size`.  Either way the
-    input must be finite: a NaN or Inf raises :class:`ValueError` naming
-    the first such element ``(row, col)`` in row-major order.
+    input must be real, or :class:`ValueError` names its dtype, and
+    finite: a NaN or Inf raises :class:`ValueError` naming the first such
+    element ``(row, col)`` in row-major order.
     """
     if isinstance(a, TiledMatrix):
+        if a.dtype.kind == "c":
+            raise ValueError(f"expected a real array, got dtype {a.dtype}")
         if not a.all_finite():
             _require_finite(a.to_dense())
         return a
+    if np.iscomplexobj(a):
+        raise ValueError(f"expected a real array, got dtype {np.asarray(a).dtype}")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-D array")

@@ -9,7 +9,7 @@ heterogeneous backends side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -17,6 +17,41 @@ from repro.api.plan import SvdPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
+
+
+class _Deferred:
+    """A field value not computed yet: ``fn()`` computes it."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[], Any]) -> None:
+        self.fn = fn
+
+
+class _OnFirstRead:
+    """Descriptor for a :class:`RunResult` field a backend may defer.
+
+    The value lives in the instance ``__dict__``; when it is a
+    :class:`_Deferred` (:meth:`RunResult.defer`), the first read computes
+    it and stores the result, and an assignment replaces it.  As a
+    dataclass field default it reads as ``None``.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        if obj is None:
+            return None
+        value = obj.__dict__.get(self.name)
+        if type(value) is _Deferred:
+            value = obj.__dict__[self.name] = value.fn()
+        return value
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        # ``field(default=self)`` hands the descriptor itself to __init__
+        # as the default: that is the field's ``None``.
+        obj.__dict__[self.name] = None if value is self else value
 
 
 @dataclass
@@ -27,12 +62,20 @@ class RunResult:
 
     * ``numeric``  fills ``singular_values`` (and ``u``/``vt`` for the
       ``gesvd`` stage), wall-clock ``stage_seconds`` and
-      ``max_rel_error`` (vs ``numpy.linalg.svd``, when the dense input is
-      available);
+      ``max_rel_error`` (vs ``numpy.linalg.svd`` of the input, for the
+      ``ge2val`` and ``gesvd`` stages);
     * ``dag``      fills ``n_tasks`` and ``critical_path`` (Table-I weight
       units) plus per-kernel counts in ``extras``;
     * ``simulate`` fills ``time_seconds``, ``gflops``, ``n_tasks``,
       ``messages``, ``comm_bytes`` and the simulated ``stage_seconds``.
+
+    ``max_rel_error`` and the simulate backend's ``metrics`` are computed
+    on first read, not by :func:`~repro.api.execute.execute`: the reference
+    SVD and the utilization summary cost a large share of a small run, and
+    sweeps, campaign workers and :meth:`to_row` rows (which leave out
+    ``metrics``) mostly never read them.  Until then the result holds what
+    they are computed from: the plan's input and σ, or the schedule and
+    the run's cache counters.
     """
 
     backend: str
@@ -74,18 +117,29 @@ class RunResult:
     singular_values: Optional[np.ndarray] = None
     u: Optional[np.ndarray] = None
     vt: Optional[np.ndarray] = None
-    max_rel_error: Optional[float] = None
+    #: Max |σ - σ_numpy| / σ_numpy,max against ``numpy.linalg.svd`` of the
+    #: plan's input (numeric ``ge2val`` / ``gesvd``), computed on first
+    #: read inside a ``numeric.check`` phase of the then-ambient tracer.
+    max_rel_error: Optional[float] = field(default=_OnFirstRead())
     extras: Dict[str, object] = field(default_factory=dict)
     #: Per-run observability snapshot (:func:`repro.obs.metrics.run_metrics`):
     #: cache hit/miss deltas for every backend; utilization, communication
     #: and — when traced — ready-queue / message-size statistics for the
-    #: simulate backend.  Deliberately excluded from :meth:`to_row` so the
-    #: experiment-table schema stays flat and pinned.
-    metrics: Optional[Dict[str, object]] = field(default=None, repr=False)
+    #: simulate backend, computed on first read.  Deliberately excluded
+    #: from :meth:`to_row` so the experiment-table schema stays flat and
+    #: pinned.
+    metrics: Optional[Dict[str, object]] = field(default=_OnFirstRead(), repr=False)
     #: The :class:`~repro.obs.tracer.Tracer` that recorded this run, when
     #: tracing was requested (``plan.trace`` / ``execute(trace=...)`` /
     #: ``REPRO_TRACE=1``); ``None`` otherwise.
     trace: Optional["Tracer"] = field(default=None, repr=False)
+
+    def defer(self, name: str, fn: Callable[[], Any]) -> None:
+        """Leave field ``name`` (``max_rel_error`` or ``metrics``) to ``fn()``,
+        called when the field is first read."""
+        if not isinstance(vars(type(self)).get(name), _OnFirstRead):
+            raise ValueError(f"RunResult.{name} is not computed on read")
+        self.__dict__[name] = _Deferred(fn)
 
     def to_row(self) -> Dict[str, object]:
         """Flatten the scalar fields into an experiment-table row."""

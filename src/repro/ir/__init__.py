@@ -8,7 +8,7 @@ runtimes the paper targets (PaRSEC, StarPU) separate DAG construction from
 scheduling:
 
 * :class:`Program` — a compact, immutable op stream (kernel codes, int32
-  params, a predecessor CSR, hop levels and successor lists); compiled
+  params, a predecessor CSR, hop levels and successor tuples); compiled
   once per ``(algorithm, p, q, tree, n_cores, grid_rows)`` shape and
   replayed many times;
 * :class:`DependencyAnalyzer` — the superscalar RAW/WAR inference over

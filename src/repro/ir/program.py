@@ -3,7 +3,7 @@
 A :class:`Program` is the compiled form of one tiled algorithm at one tile
 shape: a flat stream of ops (one per tile-kernel call, in the sequentially
 consistent order the driver issued them) plus the dependency DAG, stored
-as a predecessor CSR and per-op successor lists.  Programs are immutable
+as a predecessor CSR and per-op successor tuples.  Programs are immutable
 and cheap to replay, which is what lets a tuning sweep trace each DAG
 shape once and re-schedule it many times.
 
@@ -22,7 +22,7 @@ Compact storage
 ---------------
 
 A Program recorded by :class:`~repro.ir.recorder.ProgramRecorder` holds
-typed buffers and no per-op Python object but its successor list:
+typed buffers and no per-op Python object but its successor tuple:
 
 * kernel codes (one byte per op) and tile-index params (one int32 row of
   four per op, zero-padded); the step labels, run-length coded;
@@ -30,9 +30,15 @@ typed buffers and no per-op Python object but its successor list:
   hop levels, both found by the recorder's one vectorized analysis of
   the finished stream, which also hands over the successor CSR and the
   ops grouped by level that the ranking sweeps read;
-* each op's successor list, ascending: the replay walks these lists
-  (walking ``array('q')`` CSR slices instead took 3x as long, 6.7
-  against 2.1 ms over 18.4k ops).
+* each op's successor tuple, ascending: the single-node replay and the
+  structural dispatch pass walk these (walking ``array('q')`` CSR slices
+  instead took 3x as long, 6.7 against 2.1 ms over 18.4k ops).  They
+  hold the ints of one per-program op-id table (:meth:`Program.op_ids`),
+  which the dispatch orders and streams of :mod:`repro.runtime.replay`
+  draw from too, so each op id is one int object however many orders
+  replay the program; and a tuple of ints is untracked by the cyclic
+  garbage collector after one young collection, where a list is
+  traversed by every collection.
 
 Everything else is derived on demand and cached where a hot path reads
 it: Table-I weights and write counts from the kernel codes, owner tiles
@@ -201,6 +207,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def op_id_table(n: int) -> np.ndarray:
+    """The ints ``0 .. n-1`` as a read-only object array, one int object each.
+
+    Gathering from it (``table[ids].tolist()``) hands out these objects
+    instead of minting a new int per element.
+    """
+    out = np.arange(n).astype(object)
+    out.setflags(write=False)
+    return out
+
+
 def _np_view(a: array, dtype: Any = np.int64) -> np.ndarray:
     """Zero-copy read-only numpy view of a typed ``array`` buffer."""
     out = np.frombuffer(a, dtype=dtype) if len(a) else np.zeros(0, dtype=dtype)
@@ -218,7 +235,7 @@ class Program:
 
     The predecessor CSR is stored as ``array('q')`` (fast scalar access)
     with zero-copy numpy views (``pred_indptr_np``, ``pred_ids_np``) for
-    the vectorized analyses; the successors are per-op lists, with a
+    the vectorized analyses; the successors are per-op tuples, with a
     numpy CSR (``succ_indptr_np``, ``succ_ids_np``) that the compiler
     hands over and an object-built program derives on demand.
     """
@@ -257,6 +274,9 @@ class Program:
             raise ValueError(
                 f"{n} ops but {len(pred_lists)} predecessor lists"
             )
+        ids = op_id_table(n)
+        self._cache["op_ids"] = ids
+        id_of = ids.tolist()
         succ: List[List[int]] = [[] for _ in range(n)]
         for dst, preds in enumerate(pred_lists):
             for src in preds:
@@ -264,9 +284,9 @@ class Program:
                     raise ValueError(
                         f"edge {src} -> {dst} violates insertion-order topology"
                     )
-                succ[src].append(dst)
+                succ[src].append(id_of[dst])
         self._pred_indptr, self._pred_ids = _csr_from_lists(pred_lists)
-        self._succ = succ
+        self._succ = list(map(tuple, succ))
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -289,10 +309,11 @@ class Program:
         pred_indptr: array,
         pred_ids: array,
         levels: array,
-        successors: List[List[int]],
+        successors: List[Tuple[int, ...]],
         *,
         succ_csr: Tuple[np.ndarray, np.ndarray],
         level_order: Tuple[np.ndarray, np.ndarray],
+        op_ids: Optional[np.ndarray] = None,
         key: Optional[Tuple] = None,
     ) -> "Program":
         """Adopt a recorder's buffers and analysis (the compiler's finalize step).
@@ -301,11 +322,14 @@ class Program:
         ``array('i')`` of :data:`~repro.ir.recorder.PARAM_STRIDE` entries
         per op, ``steps`` the ``(first op, label)`` runs, ``pred_indptr``
         / ``pred_ids`` the ``array('q')`` predecessor CSR, ``levels`` the
-        hop levels and ``successors`` the per-op successor lists;
+        hop levels and ``successors`` the per-op successor tuples;
         ``succ_csr`` is the int64 ``(indptr, ids)`` successor CSR and
         ``level_order`` the int64 ``(order, level_indptr)`` grouping of
         the ops by level, which :attr:`succ_indptr_np` /
-        :attr:`succ_ids_np` and the level sweeps read.  The buffers are
+        :attr:`succ_ids_np` and the level sweeps read.  ``op_ids`` is the
+        :func:`op_id_table` the successor tuples were gathered from
+        (:meth:`op_ids`; a fresh one is made on demand without it).  The
+        buffers are
         taken over, not copied.  The lengths must agree and every edge
         must respect the insertion-order topology (``0 <= src < dst``),
         checked with two segmented reductions.
@@ -336,6 +360,8 @@ class Program:
         self._succ = successors
         self._cache = {}
         self.key = key
+        if op_ids is not None:
+            self._cache["op_ids"] = op_ids
         self._cache["succ_indptr"], self._cache["succ_ids"] = map(_frozen, succ_csr)
         self._cache["level_order"] = tuple(map(_frozen, level_order))
         indptr = self.pred_indptr_np
@@ -372,13 +398,22 @@ class Program:
         """Ids of the ops ``index`` depends on (ascending)."""
         return self._pred_ids[self._pred_indptr[index]: self._pred_indptr[index + 1]]
 
-    def successors(self, index: int) -> Sequence[int]:
-        """Ids of the ops depending on ``index`` (ascending; do not mutate)."""
+    def successors(self, index: int) -> Tuple[int, ...]:
+        """Ids of the ops depending on ``index`` (ascending)."""
         return self._succ[index]
 
-    def successor_lists(self) -> List[List[int]]:
-        """Every op's successor list (shared; callers must not mutate)."""
+    def successor_lists(self) -> List[Tuple[int, ...]]:
+        """Every op's successor tuple (the list is shared; do not mutate it)."""
         return self._succ
+
+    def op_ids(self) -> np.ndarray:
+        """The program's op-id table (:func:`op_id_table`), shared.
+
+        The successor tuples hold its int objects; the replay's dispatch
+        orders and streams gather from it, so they mint no ints of their
+        own.
+        """
+        return self._cached("op_ids", lambda: op_id_table(len(self)))
 
     def indegrees(self) -> List[int]:
         """Number of predecessors of each op (fresh list, safe to mutate)."""

@@ -29,7 +29,7 @@ numpy passes:
    are the ops of each level, ascending.
 
 The finished :class:`~repro.ir.program.Program` keeps the predecessor
-CSR, the hop levels, per-op successor lists, the successor CSR and the
+CSR, the hop levels, per-op successor tuples, the successor CSR and the
 level grouping; the last two are what the ranking sweeps read.
 
 The tile halves each kernel reads and writes are one declarative table,
@@ -236,7 +236,7 @@ class ProgramRecorder(KernelExecutor):
         """
         from contextlib import nullcontext
 
-        from repro.ir.program import Program
+        from repro.ir.program import Program, op_id_table
         from repro.obs.tracer import current_tracer
 
         if self._finalized:
@@ -258,6 +258,7 @@ class ProgramRecorder(KernelExecutor):
             levels, level_order = _level_sweep(
                 np.diff(pred_indptr), succ_indptr, succ_ids
             )
+            op_ids = op_id_table(n)
             return Program.from_recording(
                 (self._p, self._q),
                 codes,
@@ -266,9 +267,10 @@ class ProgramRecorder(KernelExecutor):
                 array("q", pred_indptr.tobytes()),
                 array("q", src.tobytes()),
                 array("q", levels.tobytes()),
-                _successor_lists(succ_indptr, succ_ids),
+                _successor_lists(succ_indptr, succ_ids, op_ids),
                 succ_csr=(succ_indptr, succ_ids),
                 level_order=level_order,
+                op_ids=op_ids,
                 key=key,
             )
 
@@ -464,10 +466,13 @@ def _level_sweep(
     return levels, (order, level_indptr)
 
 
-def _successor_lists(succ_indptr: np.ndarray, succ_ids: np.ndarray) -> List[List[int]]:
-    """Per-op successor lists sharing one int object per op (not one per edge)."""
-    flat = np.arange(succ_indptr.size - 1).astype(object)[succ_ids].tolist()
+def _successor_lists(
+    succ_indptr: np.ndarray, succ_ids: np.ndarray, op_ids: np.ndarray
+) -> List[Tuple[int, ...]]:
+    """Per-op successor tuples holding the ints of ``op_ids`` (one per op,
+    not one per edge)."""
+    flat = op_ids[succ_ids].tolist()
     # Offsets are summed on the fly: a list of them would hold an int object
     # per op at once.
     bounds = accumulate(np.diff(succ_indptr).tolist(), initial=0)
-    return [flat[a:b] for a, b in pairwise(bounds)]
+    return [tuple(flat[a:b]) for a, b in pairwise(bounds)]

@@ -20,8 +20,9 @@ The :class:`SimulationEngine` is an engine/policy/network split:
 (:class:`~repro.runtime.replay.PreparedReplay`), which prices every op
 through memoized structure-of-arrays vectors, fixes the memoized
 dispatch order (ready ops release on their predecessors' dispatch, so
-the order is structural) and walks it once with the time arithmetic;
-the engine adds trace recording and the ``REPRO_VERIFY`` hook.
+the order is structural) and walks it once with the time arithmetic —
+on several nodes through the order's memoized dispatch stream; the
+engine adds trace recording and the ``REPRO_VERIFY`` hook.
 The per-op duration and owner vectors come from :meth:`SimulationEngine.
 duration_vector` and :meth:`SimulationEngine.owner_vector`, memoized per
 (program, machine) and (program, grid) in weak-keyed module tables, so a
@@ -53,6 +54,8 @@ from repro.runtime.replay import (
     _MEMO_LOCK,
     _OWNER_VECTORS,
     _RANK_ORDERS,
+    _STREAMS,
+    DispatchStream,
     PreparedReplay,
     ReplayState,
     _memo_get,
@@ -73,13 +76,16 @@ def engine_memo_stats() -> Dict[str, int]:
     instead of inheriting totals from unrelated runs.  ``order_*`` counts
     the memoized dispatch orders (:func:`~repro.runtime.replay.policy_order`,
     one entry per policy, machine or ``None``, and grid); a hit skips both
-    the ranking and the structural pass.
+    the ranking and the structural pass.  ``stream_programs`` counts the
+    programs with a memoized multi-node dispatch stream; a stream is
+    looked up under its order's key, so it has no counters of its own.
     """
     with _MEMO_LOCK:
         stats = {
             "duration_programs": len(_DURATION_VECTORS),
             "owner_programs": len(_OWNER_VECTORS),
             "order_programs": len(_RANK_ORDERS),
+            "stream_programs": len(_STREAMS),
             "bound_programs": len(_BOUNDS),
         }
     # ``bound_*`` counts the schedule-bound memo (SimulationEngine.lower_bound).
@@ -100,26 +106,28 @@ def _collect_transfers(
     network: NetworkModel,
     finish: Sequence[float],
     node_of: Sequence[int],
-    transfer_arrival: Dict[Tuple[int, int], float],
-    seen_transfers: "set[Tuple[int, int]]",
-    msg_bytes: Optional[List[int]],
+    stream: DispatchStream,
+    arrivals: Sequence[float],
+    msg_bytes: Optional[Sequence[int]],
 ) -> List[TransferRecord]:
     """Reconstruct per-message transfer records after the event loop.
 
     The loops record nothing while running; every message's full timeline
     is recoverable from state they already keep.  Under the event-driven
-    models the arrival map's insertion order *is* the NIC dispatch order,
-    and ``inject_start = arrival - wire`` / ``injection`` / ``wire`` are
+    models the stream's message entries are in NIC dispatch order, and
+    ``arrivals`` and the payloads ``msg_bytes`` pair with them one for
+    one; ``inject_start = arrival - wire`` / ``injection`` / ``wire`` are
     re-derived from the payload size exactly as the loop derived them.
-    Under the uniform model each deduplicated edge is a flat pre-charge
-    with no NIC queueing, so the record is ``release -> release +
-    transfer`` with the tile payload.
+    Under the uniform model each message is a flat pre-charge with no NIC
+    queueing, so the record is ``release -> release + transfer`` with the
+    tile payload, in (producer, destination) order.
     """
     records: List[TransferRecord] = []
+    pairs = zip(stream.msg_src.tolist(), stream.msg_dst.tolist())
     if network.event_driven:
+        assert msg_bytes is not None
         handshake = network.handshake_seconds(machine)
-        for (op_id, dst), arrival in transfer_arrival.items():
-            n_bytes = msg_bytes[op_id]
+        for (op_id, dst), n_bytes, arrival in zip(pairs, msg_bytes, arrivals):
             wire = network.message_seconds(n_bytes, machine)
             records.append(
                 TransferRecord(
@@ -138,7 +146,7 @@ def _collect_transfers(
     else:
         transfer = machine.transfer_time()
         n_bytes = machine.tile_bytes
-        for op_id, dst in sorted(seen_transfers):
+        for op_id, dst in sorted(pairs):
             release = finish[op_id]
             records.append(
                 TransferRecord(
@@ -347,14 +355,15 @@ class SimulationEngine:
 
         Called strictly after the event loop: the arrays are the ones the
         Schedule already carries (shared, not copied) and the transfer
-        timeline is a lazy closure over the loop's dedup structures —
-        reconstructed only when an exporter or metrics reader asks for it
-        — so recording cannot feed back into scheduling decisions and
-        costs O(1) per replay.
+        timeline is a lazy closure over the stream's message entries and
+        the loop's arrivals — reconstructed only when an exporter or
+        metrics reader asks for it — so recording cannot feed back into
+        scheduling decisions and costs O(1) per replay.
         """
         program, schedule = replay.program, state.schedule
         transfers: Optional[Callable[[], List[TransferRecord]]] = None
-        if state.transfer_arrival or state.seen_transfers:
+        stream = replay.stream
+        if stream is not None and len(stream.msg_src):
             machine, network = self.machine, self.network
 
             def _reconstruct() -> List[TransferRecord]:
@@ -363,8 +372,8 @@ class SimulationEngine:
                     network,
                     schedule.finish,
                     schedule.node_of_task,
-                    state.transfer_arrival,
-                    state.seen_transfers,
+                    stream,
+                    state.arrivals,
                     replay.msg_bytes,
                 )
 

@@ -217,6 +217,15 @@ class TestAsTiled:
         with pytest.raises(ValueError, match=r"element \(9, 2\) is inf"):
             as_tiled(src)
 
+    @pytest.mark.parametrize("tiled", [False, True], ids=["dense", "tiled"])
+    def test_rejects_complex(self, tiled, rng):
+        # Not the real part with a ComplexWarning: the dtype is named, as
+        # SvdPlan and TiledMatrix.from_dense name it.
+        a = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
+        src = TiledMatrix(TiledMatrix.from_dense(a.real, 4).layout, dtype=a.dtype) if tiled else a
+        with pytest.raises(ValueError, match="expected a real array, got dtype complex128"):
+            as_tiled(src)
+
     def test_config_default(self, rng):
         a = rng.standard_normal((40, 24))
         assert as_tiled(a).nb == 6

@@ -697,15 +697,16 @@ class TestScenarioTracing:
 # --------------------------------------------------------------------------- #
 class TestNumericStageSpans:
     """Each numeric stage opens a ``numeric.<stage>`` phase on the ambient
-    tracer; the input build and the accuracy check are spans only."""
+    tracer; the input build and the accuracy check are spans only, and the
+    check's opens where ``max_rel_error`` is first read."""
 
     @pytest.mark.parametrize(
         "stage, names",
         [
             ("ge2bnd", ["input", "ge2bnd"]),
-            ("ge2val", ["input", "ge2bnd", "bnd2bd", "bd2val", "check"]),
+            ("ge2val", ["input", "ge2bnd", "bnd2bd", "bd2val"]),
             ("gesvd", ["input", "ge2bnd", "accumulate_u1v1", "bnd2bd", "bd2val",
-                       "compose", "check"]),
+                       "compose"]),
         ],
     )
     def test_stage_spans_and_tracing_leaves_sigma_bitwise_equal(self, stage, names):
@@ -717,8 +718,14 @@ class TestNumericStageSpans:
         assert [span.name for span in spans] == [f"numeric.{name}" for name in names]
         assert all(span.depth == 0 for span in spans)
         assert set(traced.stage_seconds) == set(plain.stage_seconds) == (
-            set(names) - {"input", "check"}
+            set(names) - {"input"}
         )
+        recorded = len(traced.trace.phases)
+        with traced.trace.activate():
+            error = traced.max_rel_error
+        checks = [span.name for span in traced.trace.phases[recorded:]]
+        assert checks == ([] if stage == "ge2bnd" else ["numeric.check"])
+        assert error == plain.max_rel_error
         if stage == "ge2bnd":
             band, traced_band = plain.extras["band"], traced.extras["band"]
             assert band.data.tobytes() == traced_band.data.tobytes()
