@@ -474,6 +474,46 @@ def test_numeric_backend_also_carries_cache_metrics():
     assert "utilization" not in result.metrics  # simulate-only
 
 
+def test_simulate_metrics_are_computed_on_first_read(monkeypatch):
+    import repro.obs.metrics as obs_metrics
+
+    calls = []
+    original = obs_metrics.run_metrics
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obs_metrics, "run_metrics", counting)
+    clear_program_cache()
+    plan = SvdPlan(m=600, n=600, stage="ge2bnd", tile_size=100, n_cores=4, n_nodes=2)
+    result = execute(plan, "simulate")
+    result.to_row()
+    execute(plan, "simulate")  # a later run does not leak into this one's counters
+    assert calls == []
+    metrics = result.metrics
+    assert result.metrics is metrics and calls == [1]
+    assert metrics["cache"].get("program_cache.misses") == 1
+    assert metrics["communication"]["messages"] == result.messages
+
+
+def test_numeric_accuracy_is_computed_on_first_read(monkeypatch):
+    calls = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    plan = SvdPlan(m=40, n=24, tile_size=8, stage="ge2val", seed=5)
+    result = execute(plan, "numeric")
+    assert calls == []
+    error = result.max_rel_error
+    assert calls == [1] and result.max_rel_error == error < 1e-12
+    assert result.to_row()["max_rel_error"] == error and calls == [1]
+
+
 # --------------------------------------------------------------------------- #
 # Clock, activation
 # --------------------------------------------------------------------------- #
